@@ -3,58 +3,58 @@
 Four are deterministic completely positive trace-preserving maps
 (depolarizing, dephasing, erasure, bosonic thermal loss); two are
 stochastic surrogates that draw fresh randomness per use (free-space
-turbulence, fiber polarization-mode dispersion).  Each model exposes a
-plain ``*_apply`` function plus a frozen config dataclass; the
-:class:`Channel` wrapper dispatches on the config and enforces the
-dimension and randomness contracts at the call boundary.
+turbulence, fiber polarization-mode dispersion).  Each model has one
+kernel that maps a (n, d, d) stack of states in one array pass, and a
+frozen config dataclass.  The :class:`Channel` wrapper looks the kernel
+up by the config's kind and enforces the dimension and randomness
+contracts at the call boundary; the plain ``*_apply`` functions run the
+same kernel on a stack of one state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import ClassVar, Union
 
 import numpy as np
 
-from .states import (
-    DensityMatrix,
-    hermitize,
-    kron,
-    partial_trace_second,
-    validate_density,
-)
+from .states import DensityMatrix, bloch_xyz, check_states, kron, validate_density
 
 
-def _check_prob(p: float, what: str) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{what} must be in [0, 1], got {p}")
+def _check_finite(cfg) -> None:
+    """Reject NaN and infinite parameters, which no range check catches."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{cfg.kind} parameter {f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
-class DepolarizingConfig:
+class _ProbabilityConfig:
+    """A channel set by one probability ``p`` in [0, 1]."""
+
+    p: float
+
+    def __post_init__(self):
+        _check_finite(self)
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"{self.kind} probability must be in [0, 1], got {self.p}")
+
+
+@dataclass(frozen=True)
+class DepolarizingConfig(_ProbabilityConfig):
     kind: ClassVar[str] = "depolarizing"
-    p: float
-
-    def __post_init__(self):
-        _check_prob(self.p, "depolarizing probability")
 
 
 @dataclass(frozen=True)
-class DephasingConfig:
+class DephasingConfig(_ProbabilityConfig):
     kind: ClassVar[str] = "dephasing"
-    p: float
-
-    def __post_init__(self):
-        _check_prob(self.p, "dephasing probability")
 
 
 @dataclass(frozen=True)
-class ErasureConfig:
+class ErasureConfig(_ProbabilityConfig):
     kind: ClassVar[str] = "erasure"
-    p: float
-
-    def __post_init__(self):
-        _check_prob(self.p, "erasure probability")
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,7 @@ class BosonicConfig:
     fock_dim: int = 2
 
     def __post_init__(self):
+        _check_finite(self)
         if self.loss_db < 0.0:
             raise ValueError(f"loss_db must be >= 0, got {self.loss_db}")
         if self.n_th < 0.0:
@@ -94,6 +95,7 @@ class TurbulenceConfig:
     path_loss_db: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.w0 <= 0.0:
             raise ValueError(f"beam waist w0 must be > 0, got {self.w0}")
         if self.sigma_p < 0.0:
@@ -119,6 +121,7 @@ class PMDConfig:
     n_sections: int = 8
 
     def __post_init__(self):
+        _check_finite(self)
         if self.dgd < 0.0:
             raise ValueError(f"dgd must be >= 0, got {self.dgd}")
         if self.sigma_omega < 0.0:
@@ -173,35 +176,56 @@ def config_to_dict(cfg: ChannelConfig) -> dict:
 
 
 # --- deterministic qubit maps ---
+#
+# A kernel (config, states, rng) -> states returns its output stack
+# unchecked; Channel checks it.  Deterministic kernels ignore ``rng``.
+
+
+def _depolarizing(cfg: DepolarizingConfig, mats: np.ndarray, rng) -> np.ndarray:
+    return (1.0 - cfg.p) * mats + cfg.p * np.eye(2, dtype=complex) / 2.0
 
 
 def depolarizing_apply(p: float, rho: DensityMatrix) -> DensityMatrix:
     """(1-p) rho + p I/2."""
-    if rho.dim != 2:
-        raise ValueError(f"depolarizing map is defined on qubits, got dim {rho.dim}")
-    _check_prob(p, "depolarizing probability")
-    out = (1.0 - p) * rho.mat + p * np.eye(2, dtype=complex) / 2.0
-    return validate_density(out)
+    return Channel(DepolarizingConfig(p=p), input_dim=rho.dim).apply(rho)
+
+
+def _dephasing(cfg: DephasingConfig, mats: np.ndarray, rng) -> np.ndarray:
+    out = mats * (1.0 - cfg.p)
+    diag = np.arange(mats.shape[-1])
+    out[:, diag, diag] = mats[:, diag, diag]
+    return out
 
 
 def dephasing_apply(p: float, rho: DensityMatrix) -> DensityMatrix:
     """Scale the off-diagonal coherences by (1-p); diagonal untouched."""
-    if rho.dim != 2:
-        raise ValueError(f"dephasing map is defined on qubits, got dim {rho.dim}")
-    _check_prob(p, "dephasing probability")
-    out = rho.mat * (1.0 - p)
-    out[np.diag_indices(2)] = rho.mat.diagonal()
-    return validate_density(out)
+    return Channel(DephasingConfig(p=p), input_dim=rho.dim).apply(rho)
+
+
+def _erasure(cfg: ErasureConfig, mats: np.ndarray, rng) -> np.ndarray:
+    n, d = mats.shape[0], mats.shape[-1]
+    out = np.zeros((n, d + 1, d + 1), dtype=complex)
+    out[:, :d, :d] = (1.0 - cfg.p) * mats
+    out[:, d, d] = cfg.p
+    return out
 
 
 def erasure_apply(p: float, rho: DensityMatrix) -> DensityMatrix:
     """Embed into dim d+1 and route weight p to the orthogonal flag state."""
-    _check_prob(p, "erasure probability")
-    d = rho.dim
-    out = np.zeros((d + 1, d + 1), dtype=complex)
-    out[:d, :d] = (1.0 - p) * rho.mat
-    out[d, d] = p
-    return validate_density(out)
+    return Channel(ErasureConfig(p=p), input_dim=rho.dim).apply(rho)
+
+
+def _pure_loss(eta, mats: np.ndarray) -> np.ndarray:
+    """Amplitude damping with transmissivity eta (one value, or one per state).
+
+    Closed form of K0 = diag(1, sqrt(eta)), K1 = sqrt(1-eta)|0><1|:
+    coherences scale by sqrt(eta) and weight 1-eta of |1><1| moves to |0><0|.
+    """
+    eta = np.asarray(eta, dtype=float)
+    out = mats * np.sqrt(eta)[..., None, None]
+    out[:, 0, 0] = mats[:, 0, 0] + (1.0 - eta) * mats[:, 1, 1]
+    out[:, 1, 1] = eta * mats[:, 1, 1]
+    return out
 
 
 def pure_loss_apply(eta: float, rho: DensityMatrix) -> DensityMatrix:
@@ -210,10 +234,7 @@ def pure_loss_apply(eta: float, rho: DensityMatrix) -> DensityMatrix:
         raise ValueError(f"pure-loss map is defined on qubits, got dim {rho.dim}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(eta)]], dtype=complex)
-    k1 = np.array([[0.0, np.sqrt(1.0 - eta)], [0.0, 0.0]], dtype=complex)
-    out = k0 @ rho.mat @ k0.conj().T + k1 @ rho.mat @ k1.conj().T
-    return validate_density(out)
+    return DensityMatrix(_pure_loss(eta, rho.mat[np.newaxis])[0])
 
 
 # --- bosonic thermal loss ---
@@ -257,26 +278,25 @@ def beamsplitter_unitary(eta: float, fock_dim: int) -> np.ndarray:
     return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
 
 
+def _bosonic(cfg: BosonicConfig, mats: np.ndarray, rng) -> np.ndarray:
+    """Thermal loss via the two-mode dilation: couple each state to a thermal
+    environment on a beamsplitter and trace the environment out."""
+    d = cfg.fock_dim
+    u = beamsplitter_unitary(cfg.eta, d)
+    env = thermal_state(cfg.n_th, d).mat
+    # Stacked kron(rho, env): axes (state, i, k, j, l) -> rows i*d+k, columns j*d+l.
+    joint = (mats[:, :, None, :, None] * env[None, None, :, None, :]).reshape(-1, d * d, d * d)
+    joint = u @ joint @ u.conj().T
+    return np.trace(joint.reshape(-1, d, d, d, d), axis1=2, axis2=4)
+
+
 def bosonic_apply(
     loss_db: float, n_th: float, fock_dim: int, rho: DensityMatrix
 ) -> DensityMatrix:
     """Thermal-loss channel via the two-mode dilation: couple to a thermal
     environment on a beamsplitter and trace the environment out."""
     cfg = BosonicConfig(loss_db=loss_db, n_th=n_th, fock_dim=fock_dim)
-    if rho.dim != fock_dim:
-        raise ValueError(
-            f"state dim {rho.dim} does not match fock_dim {fock_dim}"
-        )
-    u = beamsplitter_unitary(cfg.eta, fock_dim)
-    env = thermal_state(n_th, fock_dim)
-    return _bosonic_step(u, env, rho, fock_dim)
-
-
-def _bosonic_step(
-    u: np.ndarray, env: DensityMatrix, rho: DensityMatrix, fock_dim: int
-) -> DensityMatrix:
-    joint = u @ kron(rho.mat, env.mat) @ u.conj().T
-    return validate_density(partial_trace_second(joint, fock_dim, fock_dim))
+    return Channel(cfg, input_dim=rho.dim).apply(rho)
 
 
 # --- turbulence surrogate ---
@@ -291,117 +311,135 @@ def pointing_loss_factor(sigma_p: float, w0: float) -> float:
     return float(np.exp(-2.0 * (sigma_p / w0) ** 2))
 
 
+def _scintillation(rytov_var: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` unit-mean Gamma-Gamma irradiance samples; rytov_var = 0 gives exactly 1."""
+    if rytov_var == 0.0:
+        return np.ones(n)
+    sr125 = rytov_var ** 1.2  # sigma_R^(12/5)
+    alpha = 1.0 / np.expm1(0.49 * rytov_var / (1.0 + 1.11 * sr125) ** (7.0 / 6.0))
+    beta = 1.0 / np.expm1(0.51 * rytov_var / (1.0 + 0.69 * sr125) ** (5.0 / 6.0))
+    x = rng.gamma(shape=alpha, scale=1.0 / alpha, size=n)
+    y = rng.gamma(shape=beta, scale=1.0 / beta, size=n)
+    return x * y
+
+
 def sample_scintillation(rytov_var: float, rng: np.random.Generator) -> float:
     """Unit-mean Gamma-Gamma irradiance sample; rytov_var = 0 returns exactly 1."""
     if rytov_var < 0.0:
         raise ValueError(f"rytov_var must be >= 0, got {rytov_var}")
-    if rytov_var == 0.0:
-        return 1.0
-    sr125 = rytov_var ** 1.2  # sigma_R^(12/5)
-    alpha = 1.0 / np.expm1(0.49 * rytov_var / (1.0 + 1.11 * sr125) ** (7.0 / 6.0))
-    beta = 1.0 / np.expm1(0.51 * rytov_var / (1.0 + 0.69 * sr125) ** (5.0 / 6.0))
-    x = rng.gamma(shape=alpha, scale=1.0 / alpha)
-    y = rng.gamma(shape=beta, scale=1.0 / beta)
-    return float(x * y)
+    return float(_scintillation(rytov_var, rng, 1)[0])
+
+
+def _turbulence(cfg: TurbulenceConfig, mats: np.ndarray, rng) -> np.ndarray:
+    """One atmospheric fade per state: sample its transmissivity, apply pure loss."""
+    eta = (
+        pointing_loss_factor(cfg.sigma_p, cfg.w0)
+        * _scintillation(cfg.rytov_var, rng, len(mats))
+        * 10.0 ** (-cfg.path_loss_db / 10.0)
+    )
+    return _pure_loss(np.clip(eta, 0.0, 1.0), mats)
 
 
 def turbulence_apply(
     cfg: TurbulenceConfig, rho: DensityMatrix, rng: np.random.Generator
 ) -> DensityMatrix:
     """One atmospheric fade: sample a transmissivity, apply the pure-loss map."""
-    eta = (
-        pointing_loss_factor(cfg.sigma_p, cfg.w0)
-        * sample_scintillation(cfg.rytov_var, rng)
-        * 10.0 ** (-cfg.path_loss_db / 10.0)
-    )
-    eta = min(max(eta, 0.0), 1.0)
-    assert 0.0 <= eta <= 1.0
-    return pure_loss_apply(eta, rho)
+    return Channel(cfg, input_dim=rho.dim).apply(rho, rng)
 
 
 # --- polarization-mode dispersion surrogate ---
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary: QR of a Ginibre matrix with phases fixed from R's diagonal."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def _pmd(cfg: PMDConfig, mats: np.ndarray, rng) -> np.ndarray:
+    """Concatenated-section PMD: per section, dephase by the section's
+    coherence factor about a uniformly random polarization axis n.
+
+    One section maps rho -> nu rho + (1-nu)(P rho P + Q rho Q) with
+    P = (I + n.sigma)/2 and Q = I - P, which in Bloch form is
+    r -> nu r + (1-nu)(n.r) n.  The per-section delay is
+    dgd / sqrt(n_sections) so section delays add in quadrature to the
+    configured total, and the coherence factor for a Gaussian spectrum
+    is nu = exp(-(sigma_omega * tau_sec)^2 / 2).
+    """
+    tau_sec = cfg.dgd / np.sqrt(cfg.n_sections)
+    nu = float(np.exp(-((cfg.sigma_omega * tau_sec) ** 2) / 2.0))
+    r = bloch_xyz(mats)
+    for _ in range(cfg.n_sections):
+        axis = rng.standard_normal((len(mats), 3))
+        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+        r = nu * r + (1.0 - nu) * np.sum(axis * r, axis=1, keepdims=True) * axis
+    trace = np.trace(mats, axis1=1, axis2=2).real
+    out = np.empty_like(mats)
+    out[:, 0, 0] = (trace + r[:, 2]) / 2.0
+    out[:, 1, 1] = (trace - r[:, 2]) / 2.0
+    out[:, 0, 1] = (r[:, 0] - 1j * r[:, 1]) / 2.0
+    out[:, 1, 0] = (r[:, 0] + 1j * r[:, 1]) / 2.0
+    return out
 
 
 def pmd_apply(
     cfg: PMDConfig, rho: DensityMatrix, rng: np.random.Generator
 ) -> DensityMatrix:
     """Concatenated-section PMD: per section, dephase by the section's
-    coherence factor in a Haar-random polarization basis.
+    coherence factor about a uniformly random polarization axis."""
+    return Channel(cfg, input_dim=rho.dim).apply(rho, rng)
 
-    The per-section delay is dgd / sqrt(n_sections) so section delays add
-    in quadrature to the configured total, and the coherence factor for a
-    Gaussian spectrum is exp(-(sigma_omega * tau_sec)^2 / 2).
-    """
-    if rho.dim != 2:
-        raise ValueError(f"PMD map is defined on qubits, got dim {rho.dim}")
-    tau_sec = cfg.dgd / np.sqrt(cfg.n_sections)
-    nu = float(np.exp(-((cfg.sigma_omega * tau_sec) ** 2) / 2.0))
-    out = rho.mat.copy()
-    for _ in range(cfg.n_sections):
-        u = haar_unitary(2, rng)
-        rot = u.conj().T @ out @ u
-        rot[0, 1] *= nu
-        rot[1, 0] *= nu
-        out = u @ rot @ u.conj().T
-    return validate_density(hermitize(out))
+
+_KERNELS = {
+    "depolarizing": _depolarizing,
+    "dephasing": _dephasing,
+    "erasure": _erasure,
+    "bosonic": _bosonic,
+    "turbulence": _turbulence,
+    "pmd": _pmd,
+}
+_STOCHASTIC_KINDS = ("turbulence", "pmd")
 
 
 class Channel:
     """Config-dispatched channel with fixed input and output dimensions.
 
-    Deterministic channels ignore the ``rng`` argument; stochastic ones
-    (turbulence, PMD) require it so the caller controls every random
-    stream explicitly.
+    Bosonic loss acts on its Fock space, erasure on any dimension and the
+    other four on qubits.  Deterministic channels ignore the ``rng``
+    argument; stochastic ones (turbulence, PMD) require it so the caller
+    controls every random stream explicitly.
     """
 
     def __init__(self, config: ChannelConfig, input_dim: int = 2):
-        if isinstance(config, BosonicConfig):
+        if config.kind == "bosonic":
             if input_dim != config.fock_dim:
                 raise ValueError(
                     f"bosonic channel needs input_dim == fock_dim "
                     f"({config.fock_dim}), got {input_dim}"
                 )
-            # The unitary and environment state are reused for every symbol.
-            self._unitary = beamsplitter_unitary(config.eta, config.fock_dim)
-            self._env = thermal_state(config.n_th, config.fock_dim)
-        elif input_dim != 2:
+        elif config.kind != "erasure" and input_dim != 2:
             raise ValueError(
                 f"{config.kind} channel is defined on qubits, got input_dim {input_dim}"
             )
         self.config = config
         self.input_dim = input_dim
-        self.output_dim = input_dim + 1 if isinstance(config, ErasureConfig) else input_dim
+        self.output_dim = input_dim + 1 if config.kind == "erasure" else input_dim
+        self._kernel = _KERNELS[config.kind]
 
     @property
     def is_stochastic(self) -> bool:
-        return isinstance(self.config, (TurbulenceConfig, PMDConfig))
+        return self.config.kind in _STOCHASTIC_KINDS
+
+    def apply_batch(self, mats, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Map a (n, input_dim, input_dim) stack of states in one array pass.
+
+        A stochastic channel draws every state's randomness from ``rng``.
+        The output stack is checked once (:func:`check_states`) and
+        returned hermitized.
+        """
+        mats = np.asarray(mats, dtype=complex)
+        if mats.ndim != 3 or mats.shape[1:] != (self.input_dim, self.input_dim):
+            raise ValueError(
+                f"channel expects dim {self.input_dim} input, got states of shape {mats.shape[1:]}"
+            )
+        if rng is None and self.is_stochastic:
+            raise ValueError(f"{self.config.kind} channel is stochastic and requires an rng")
+        return check_states(self._kernel(self.config, mats, rng))
 
     def apply(self, rho: DensityMatrix, rng: np.random.Generator | None = None) -> DensityMatrix:
-        if rho.dim != self.input_dim:
-            raise ValueError(
-                f"channel expects dim {self.input_dim} input, got dim {rho.dim}"
-            )
-        cfg = self.config
-        if isinstance(cfg, DepolarizingConfig):
-            return depolarizing_apply(cfg.p, rho)
-        if isinstance(cfg, DephasingConfig):
-            return dephasing_apply(cfg.p, rho)
-        if isinstance(cfg, ErasureConfig):
-            return erasure_apply(cfg.p, rho)
-        if isinstance(cfg, BosonicConfig):
-            return _bosonic_step(self._unitary, self._env, rho, cfg.fock_dim)
-        if rng is None:
-            raise ValueError(f"{cfg.kind} channel is stochastic and requires an rng")
-        if isinstance(cfg, TurbulenceConfig):
-            return turbulence_apply(cfg, rho, rng)
-        return pmd_apply(cfg, rho, rng)
+        return DensityMatrix(self.apply_batch(rho.mat[np.newaxis], rng)[0])

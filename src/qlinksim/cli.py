@@ -13,6 +13,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .pipeline import (
     SimulationConfig,
     default_config_path,
@@ -20,12 +22,7 @@ from .pipeline import (
     run_comparison,
     run_simulation,
 )
-from .states import BlochVector
-from .visualization import (
-    ConstellationPlotPoint,
-    render_bloch_svg,
-    render_constellation_svg,
-)
+from .visualization import StateProjection, render_bloch_svg, render_constellation_svg
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,42 +106,21 @@ def _read_states_csv(path: Path):
     The CSV does not record clip flags, so replotted constellations show
     previously clipped points as plain dots at the clip radius.
     """
-    tx_pts: list[ConstellationPlotPoint] = []
-    rx_pts: list[ConstellationPlotPoint] = []
-    tx_bloch: list[tuple[BlochVector, int]] = []
-    rx_bloch: list[tuple[BlochVector, int]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            tx_label = int(row["tx_label"])
-            rx_label = int(row["rx_label"])
-            tx_pts.append(
-                ConstellationPlotPoint(float(row["tx_i"]), float(row["tx_q"]), tx_label)
-            )
-            rx_pts.append(
-                ConstellationPlotPoint(float(row["rx_i"]), float(row["rx_q"]), rx_label)
-            )
-            tx_bloch.append(
-                (
-                    BlochVector(
-                        float(row["tx_bloch_x"]),
-                        float(row["tx_bloch_y"]),
-                        float(row["tx_bloch_z"]),
-                    ),
-                    tx_label,
-                )
-            )
-            rx_bloch.append(
-                (
-                    BlochVector(
-                        float(row["rx_bloch_x"]),
-                        float(row["rx_bloch_y"]),
-                        float(row["rx_bloch_z"]),
-                    ),
-                    rx_label,
-                )
-            )
-    if not tx_pts:
+        rows = list(csv.DictReader(fh))
+    if not rows:
         raise ValueError(f"no data rows in {path}")
+    plots = []
+    for side in ("tx", "rx"):
+        labels = [int(row[f"{side}_label"]) for row in rows]
+        table = StateProjection(
+            bloch=np.array([[float(row[f"{side}_bloch_{a}"]) for a in "xyz"] for row in rows]),
+            trace=np.ones(len(rows)),
+            iq=np.array([[float(row[f"{side}_{a}"]) for a in "iq"] for row in rows]),
+            clipped=np.zeros(len(rows), dtype=bool),
+        )
+        plots.append((table.plot_points(labels), table.bloch_labeled(labels)))
+    (tx_pts, tx_bloch), (rx_pts, rx_bloch) = plots
     return tx_pts, rx_pts, tx_bloch, rx_bloch
 
 

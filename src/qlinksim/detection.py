@@ -6,7 +6,9 @@ The detector for a codebook {p_i, rho_i} is the pretty-good measurement
 
 completed on the support of rhobar.  Decisions are the argmax of the
 outcome probabilities Tr(E_i rho) by default; Born-rule sampling is
-available as an explicit opt-in.
+available as an explicit opt-in.  Scoring and both decision rules work
+on (n, d, d) stacks of states; the single-state functions call them on a
+stack of one.
 """
 
 from __future__ import annotations
@@ -38,26 +40,24 @@ class POVM:
         if len(self.labels) != len(self.elements):
             raise ValueError("one label per element required")
         dim = self.elements[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in self.elements:
-            if e.shape != (dim, dim):
-                raise ValueError("POVM elements must share one square shape")
-            herm_dev = float(np.max(np.abs(e - e.conj().T)))
-            if herm_dev > _PSD_TOL:
-                raise ValueError(f"POVM element not Hermitian (deviation {herm_dev:.3e})")
-            min_eig = float(np.linalg.eigvalsh(hermitize(e))[0])
-            if min_eig < -_PSD_TOL:
-                raise ValueError(
-                    f"POVM element not PSD (min eigenvalue {min_eig:.3e})"
-                )
-            total += e
-        comp_dev = float(np.max(np.abs(total - np.eye(dim))))
+        if any(np.shape(e) != (dim, dim) for e in self.elements):
+            raise ValueError("POVM elements must share one square shape")
+        stack = np.asarray(self.elements, dtype=complex)
+        adjoint = stack.conj().swapaxes(-1, -2)
+        herm_dev = float(np.max(np.abs(stack - adjoint)))
+        if herm_dev > _PSD_TOL:
+            raise ValueError(f"POVM element not Hermitian (deviation {herm_dev:.3e})")
+        # Hermitized stack, checked once and kept for vectorized scoring.
+        stack = (stack + adjoint) / 2.0
+        min_eig = float(np.min(np.linalg.eigvalsh(stack)))
+        if min_eig < -_PSD_TOL:
+            raise ValueError(f"POVM element not PSD (min eigenvalue {min_eig:.3e})")
+        comp_dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
         if comp_dev > _PSD_TOL:
             raise ValueError(
                 f"POVM does not resolve the identity (deviation {comp_dev:.3e})"
             )
-        # Stacked copy for vectorized scoring; kept alongside the tuple.
-        object.__setattr__(self, "_stack", np.stack([hermitize(e) for e in self.elements]))
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def dim(self) -> int:
@@ -68,16 +68,28 @@ class POVM:
         return len(self.elements)
 
 
-def measurement_scores(povm: POVM, rho: DensityMatrix) -> np.ndarray:
-    """Outcome probabilities Tr(E_i rho) as a real vector."""
-    if rho.dim != povm.dim:
-        raise ValueError(f"state dim {rho.dim} does not match POVM dim {povm.dim}")
+def score_states(povm: POVM, mats) -> np.ndarray:
+    """(n, K) outcome probabilities Tr(E_k rho) of a (n, d, d) stack of states.
+
+    Tr(E_k rho) = sum_ij E_k[i, j] rho[j, i] is one (1, d^2) @ (d^2, K)
+    product per state: no (n, K, d, d) intermediate is formed, and a
+    state's scores do not depend on the batch around it.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    if mats.shape[-1] != povm.dim:
+        raise ValueError(f"state dim {mats.shape[-1]} does not match POVM dim {povm.dim}")
     stack: np.ndarray = povm._stack  # noqa: SLF001 - own class attribute
-    scores = np.einsum("kij,ji->k", stack, rho.mat)
-    imag = float(np.max(np.abs(scores.imag)))
+    rho_t = mats.swapaxes(-1, -2).reshape(len(mats), 1, -1)
+    scores = np.matmul(rho_t, stack.reshape(len(stack), -1).T)[:, 0, :]
+    imag = float(np.max(np.abs(scores.imag), initial=0.0))
     if imag > _PSD_TOL:
         raise ValueError(f"non-real outcome probabilities (imaginary part {imag:.3e})")
     return scores.real
+
+
+def measurement_scores(povm: POVM, rho: DensityMatrix) -> np.ndarray:
+    """Outcome probabilities Tr(E_i rho) as a real vector."""
+    return score_states(povm, rho.mat[np.newaxis])[0]
 
 
 def build_pgm(codebook: DetectorCodebook, eig_cut: float = 1e-10) -> POVM:
@@ -131,22 +143,39 @@ def embed_povm_with_erasure(povm: POVM, out_dim: int) -> POVM:
     )
 
 
-def decide(povm: POVM, rho: DensityMatrix) -> int:
-    """Hard decision: label of the highest-probability outcome.
+def argmax_labels(povm: POVM, scores: np.ndarray) -> np.ndarray:
+    """Hard decisions: the label of each row's highest-probability outcome.
 
     np.argmax returns the first maximum, so exact ties resolve to the
     lowest-index element deterministically.
     """
-    return povm.labels[int(np.argmax(measurement_scores(povm, rho)))]
+    return np.asarray(povm.labels)[np.argmax(scores, axis=1)]
+
+
+def sample_labels(povm: POVM, scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Born-rule decisions: one inverse-CDF draw per row of outcome probabilities.
+
+    Each row takes one uniform from ``rng``, in row order, and the same
+    cumulative-sum search as ``Generator.choice``.
+    """
+    if scores.min(initial=0.0) < -_PSD_TOL:
+        raise ValueError(f"negative outcome probability {scores.min():.3e}")
+    scores = np.maximum(scores, 0.0)
+    totals = scores.sum(axis=1, keepdims=True)
+    off = np.abs(totals - 1.0)
+    if off.max(initial=0.0) > 1e-6:
+        raise ValueError(f"outcome probabilities sum to {float(totals.flat[off.argmax()])!r}, not 1")
+    cdf = np.cumsum(scores / totals, axis=1)
+    cdf /= cdf[:, -1:]
+    draws = rng.random(len(scores))
+    return np.asarray(povm.labels)[(cdf <= draws[:, None]).sum(axis=1)]
+
+
+def decide(povm: POVM, rho: DensityMatrix) -> int:
+    """Hard decision: label of the highest-probability outcome (first on ties)."""
+    return int(argmax_labels(povm, measurement_scores(povm, rho)[np.newaxis])[0])
 
 
 def decide_sampled(povm: POVM, rho: DensityMatrix, rng: np.random.Generator) -> int:
     """Born-rule decision: sample the outcome from its probability vector."""
-    scores = measurement_scores(povm, rho)
-    if float(scores.min()) < -_PSD_TOL:
-        raise ValueError(f"negative outcome probability {scores.min():.3e}")
-    scores = np.clip(scores, 0.0, None)
-    total = float(scores.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
-    return povm.labels[int(rng.choice(len(scores), p=scores / total))]
+    return int(sample_labels(povm, measurement_scores(povm, rho)[np.newaxis], rng)[0])

@@ -1,10 +1,13 @@
 """End-to-end simulation runs: symbols -> states -> channel -> detection -> metrics.
 
-A run is fully determined by its :class:`SimulationConfig`.  Randomness
-is drawn from streams keyed by (seed, purpose, channel name, symbol
-index), so the transmitted sequence is shared by every channel, results
-do not depend on channel order, and the symbol loop could be
-parallelized without changing a single bit of output.
+A run is fully determined by its :class:`SimulationConfig`.  Each channel
+is one array pass: deterministic channels map the M codebook states once
+and are gathered by transmitted symbol; stochastic channels map the whole
+(N, d, d) transmitted stack at once.  Randomness comes from one stream
+per purpose, keyed by (seed, purpose) for the transmitted symbols and by
+(seed, purpose, channel name) for a channel's own draws and for sampled
+decisions, so the transmitted sequence is shared by every channel and
+results do not depend on channel order.
 """
 
 from __future__ import annotations
@@ -12,24 +15,31 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .channels import Channel, ChannelConfig
 from .channels import config_from_dict as channel_config_from_dict
 from .channels import config_to_dict as channel_config_to_dict
-from .detection import POVM, build_pgm, decide, decide_sampled, embed_povm_with_erasure
+from .detection import (
+    POVM,
+    argmax_labels,
+    build_pgm,
+    embed_povm_with_erasure,
+    sample_labels,
+    score_states,
+)
 from .metrics import compute_ber, compute_ser
 from .modulation import DetectorCodebook, qam_codebook, qpsk_codebook, symbols_to_bits
-from .states import DensityMatrix, bloch_vector, leading_qubit_block
 from .visualization import (
-    bloch_points,
-    constellation_point,
+    StateProjection,
+    project_states,
     render_bloch_svg,
     render_constellation_svg,
 )
@@ -42,6 +52,8 @@ except Exception:  # pragma: no cover - metadata absent in odd environments
     VERSION = "0.0.0"
 
 _U64 = (1 << 64) - 1
+# Channel names become artifact file names (states_<name>.csv).
+_CHANNEL_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 STATES_CSV_HEADER = (
     "index",
@@ -88,6 +100,11 @@ class SimulationConfig:
             )
         object.__setattr__(self, "channels", tuple((str(n), c) for n, c in self.channels))
         names = [n for n, _ in self.channels]
+        for name in names:
+            if not _CHANNEL_NAME.fullmatch(name):
+                raise ValueError(
+                    f"channel name {name!r} must be letters, digits, '_', '.' or '-' only"
+                )
         if len(set(names)) != len(names):
             raise ValueError(f"channel names must be unique, got {names}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
@@ -137,9 +154,9 @@ def build_codebook(cfg: SimulationConfig) -> DetectorCodebook:
 def derive_rng(seed: int, *tags) -> np.random.Generator:
     """Independent random stream keyed by the seed and a tag path.
 
-    Tags are hashed, so streams for different (purpose, channel, symbol)
-    keys never collide by construction order; this is what makes results
-    independent of channel ordering and safe to parallelize.
+    Tags are hashed, so streams for different (purpose, channel) keys
+    never collide by construction order; this is what makes results
+    independent of channel ordering.
     """
     words = [seed & _U64]
     for tag in tags:
@@ -160,13 +177,10 @@ def _csv_num(x: float) -> str:
 
 def write_states_csv(
     path: str | Path,
-    tx_states: Sequence[DensityMatrix],
-    rx_states: Sequence[DensityMatrix],
+    tx_rows: StateProjection,
+    rx_rows: StateProjection,
     tx_labels: Sequence[int],
     rx_labels: Sequence[int],
-    *,
-    power_scale: float = 1.0,
-    clip_radius: float = 1.5,
 ) -> None:
     """Per-symbol dump: labels, Bloch projections, I/Q reconstructions.
 
@@ -174,47 +188,26 @@ def write_states_csv(
     projection, so rows stay well-defined for enlarged (erasure) outputs;
     ``rx_renorm_trace`` records the weight left in the qubit block.
     """
-    n = len(tx_states)
-    if not (len(rx_states) == len(tx_labels) == len(rx_labels) == n):
+    n = len(tx_rows)
+    if not (len(rx_rows) == len(tx_labels) == len(rx_labels) == n):
         raise ValueError("state and label sequences must have equal lengths")
+    values = np.column_stack(
+        [tx_rows.bloch, rx_rows.bloch, rx_rows.trace, tx_rows.iq, rx_rows.iq]
+    ).tolist()
+    labels = zip(np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(STATES_CSV_HEADER)
-        for idx in range(n):
-            tx_block, _ = leading_qubit_block(tx_states[idx])
-            rx_block, rx_trace = leading_qubit_block(rx_states[idx])
-            tb = bloch_vector(tx_block)
-            rb = bloch_vector(rx_block)
-            tp = constellation_point(tx_states[idx], power_scale, clip_radius=clip_radius)
-            rp = constellation_point(rx_states[idx], power_scale, clip_radius=clip_radius)
-            writer.writerow(
-                [
-                    idx,
-                    int(tx_labels[idx]),
-                    int(rx_labels[idx]),
-                    _csv_num(tb.x),
-                    _csv_num(tb.y),
-                    _csv_num(tb.z),
-                    _csv_num(rb.x),
-                    _csv_num(rb.y),
-                    _csv_num(rb.z),
-                    _csv_num(rx_trace),
-                    _csv_num(tp.i),
-                    _csv_num(tp.q),
-                    _csv_num(rp.i),
-                    _csv_num(rp.q),
-                ]
-            )
+        for idx, ((tx, rx), row) in enumerate(zip(labels, values)):
+            writer.writerow([idx, tx, rx, *map(_csv_num, row)])
 
 
 def tx_clip_radius(codebook: DetectorCodebook) -> float:
     """Plot clip radius: 1.5x the largest finite transmitted-point radius."""
-    reach = 1.0
-    for state in codebook.states:
-        p = constellation_point(state, codebook.power_scale)
-        if not p.clipped:
-            reach = max(reach, float(np.hypot(p.i, p.q)))
-    return 1.5 * reach
+    states = np.stack([state.mat for state in codebook.states])
+    table = project_states(states, codebook.power_scale)
+    radii = np.hypot(table.iq[:, 0], table.iq[:, 1])[~table.clipped]
+    return 1.5 * float(np.max(radii, initial=1.0))
 
 
 def build_detector(codebook: DetectorCodebook, channel: Channel) -> POVM:
@@ -225,42 +218,29 @@ def build_detector(codebook: DetectorCodebook, channel: Channel) -> POVM:
     return povm
 
 
-def run_simulation(
-    cfg: SimulationConfig,
-    channel_name: str,
-    equalizer: Callable[[DensityMatrix], DensityMatrix] | None = None,
-) -> ChannelRunResult:
-    """Simulate one named channel and write its per-channel artifacts.
-
-    ``equalizer`` is an optional post-channel hook applied to each
-    received state before detection; none is shipped, the default is a
-    pass-through.
-    """
+def run_simulation(cfg: SimulationConfig, channel_name: str) -> ChannelRunResult:
+    """Simulate one named channel and write its per-channel artifacts."""
     codebook = build_codebook(cfg)
     channel = Channel(cfg.channel_config(channel_name), input_dim=codebook.dim)
     povm = build_detector(codebook, channel)
 
     tx_symbols = draw_symbols(cfg, codebook.M)
-    tx_states = [codebook.states[s] for s in tx_symbols]
-    rx_states: list[DensityMatrix] = []
-    rx_symbols = np.empty(cfg.n_symbols, dtype=int)
-    sampled = cfg.decision_mode == "sampled"
-    for idx in range(cfg.n_symbols):
-        rng = (
-            derive_rng(cfg.seed, "channel", channel_name, idx)
-            if channel.is_stochastic
-            else None
-        )
-        rho = channel.apply(tx_states[idx], rng)
-        if equalizer is not None:
-            rho = equalizer(rho)
-        rx_states.append(rho)
-        if sampled:
-            rx_symbols[idx] = decide_sampled(
-                povm, rho, derive_rng(cfg.seed, "decision", channel_name, idx)
-            )
-        else:
-            rx_symbols[idx] = decide(povm, rho)
+    tx_states = np.stack([state.mat for state in codebook.states])
+    # rx_states holds each distinct received state once; rx_index maps
+    # every symbol to its row.
+    if channel.is_stochastic:
+        rng = derive_rng(cfg.seed, "channel", channel_name)
+        rx_states = channel.apply_batch(tx_states[tx_symbols], rng)
+        rx_index = np.arange(cfg.n_symbols)
+    else:
+        rx_states = channel.apply_batch(tx_states)
+        rx_index = tx_symbols
+    scores = score_states(povm, rx_states)
+    if cfg.decision_mode == "sampled":
+        rng = derive_rng(cfg.seed, "decision", channel_name)
+        rx_symbols = sample_labels(povm, scores[rx_index], rng)
+    else:
+        rx_symbols = argmax_labels(povm, scores)[rx_index]
 
     ser, ser_count = compute_ser(tx_symbols, rx_symbols)
     ber, ber_count = compute_ber(
@@ -270,48 +250,25 @@ def run_simulation(
     states_csv = constellation_svg = bloch_svg = None
     if cfg.emit_states or cfg.emit_figures:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        clip = tx_clip_radius(codebook)
+        scale = codebook.power_scale
+        tx_rows = project_states(tx_states, scale, clip_radius=clip).take(tx_symbols)
+        rx_rows = project_states(rx_states, scale, clip_radius=clip).take(rx_index)
     if cfg.emit_states:
         states_csv = f"states_{channel_name}.csv"
-        write_states_csv(
-            cfg.output_dir / states_csv,
-            tx_states,
-            rx_states,
-            tx_symbols,
-            rx_symbols,
-            power_scale=codebook.power_scale,
-            clip_radius=tx_clip_radius(codebook),
-        )
+        write_states_csv(cfg.output_dir / states_csv, tx_rows, rx_rows, tx_symbols, rx_symbols)
     if cfg.emit_figures:
-        clip = tx_clip_radius(codebook)
-        tx_plot = [
-            constellation_point(
-                rho, codebook.power_scale, clip_radius=clip, label=int(s)
-            )
-            for rho, s in zip(tx_states, tx_symbols)
-        ]
-        rx_plot = [
-            constellation_point(
-                rho, codebook.power_scale, clip_radius=clip, label=int(s)
-            )
-            for rho, s in zip(rx_states, rx_symbols)
-        ]
         constellation_svg = f"constellation_{channel_name}.svg"
         render_constellation_svg(
-            tx_plot,
-            rx_plot,
+            tx_rows.plot_points(tx_symbols),
+            rx_rows.plot_points(rx_symbols),
             cfg.output_dir / constellation_svg,
             title=f"constellation: {channel_name}",
         )
-        tx_bloch = [
-            (vec, int(s)) for (vec, _), s in zip(bloch_points(tx_states), tx_symbols)
-        ]
-        rx_bloch = [
-            (vec, int(s)) for (vec, _), s in zip(bloch_points(rx_states), rx_symbols)
-        ]
         bloch_svg = f"bloch_{channel_name}.svg"
         render_bloch_svg(
-            tx_bloch,
-            rx_bloch,
+            tx_rows.bloch_labeled(tx_symbols),
+            rx_rows.bloch_labeled(rx_symbols),
             cfg.output_dir / bloch_svg,
             title=f"bloch: {channel_name}",
         )
@@ -403,6 +360,10 @@ def config_from_dict(d: Mapping) -> SimulationConfig:
     mod_type = str(mod.get("type", "")).lower()
     if mod_type not in ("qpsk", "qam"):
         raise ValueError(f"modulation.type must be 'qpsk' or 'qam', got {mod.get('type')!r}")
+    # M has no effect on qpsk, so it is rejected there rather than ignored.
+    unknown = set(mod) - ({"type", "M"} if mod_type == "qam" else {"type"})
+    if unknown:
+        raise ValueError(f"unknown modulation keys for {mod_type}: {sorted(unknown)}")
     channels = []
     for entry in d["channels"]:
         entry = dict(entry)

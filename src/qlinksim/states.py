@@ -1,9 +1,11 @@
 """Density-matrix states and the linear-algebra primitives shared by all modules.
 
-Every state that crosses a module boundary is a :class:`DensityMatrix`:
-a validated Hermitian, positive-semidefinite, unit-trace complex matrix.
-Construction symmetrizes the input once and checks all three invariants,
-so downstream code never has to re-verify what it receives.
+Every state that crosses a module boundary is a :class:`DensityMatrix`
+(one state) or a stack checked by :func:`check_states` (a batch): a
+finite, Hermitian, positive-semidefinite, unit-trace complex matrix.
+The check symmetrizes its input once and tests every invariant with one
+vectorized pass over the stack, so downstream code never has to
+re-verify what it receives.
 """
 
 from __future__ import annotations
@@ -40,38 +42,55 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def check_states(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Hermitize a (n, d, d) stack of states and check each one's invariants.
+
+    Every entry must be finite, each matrix Hermitian within ``tol``
+    before symmetrization, and each symmetrized matrix of unit trace and
+    nonnegative spectrum within ``tol``.  The first violation over the
+    whole stack raises :class:`InvalidStateError`.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] < 1:
+        raise InvalidStateError(
+            f"density matrix must be square and nonempty, got shape {mats.shape[1:]}"
+        )
+    if not np.all(np.isfinite(mats)):
+        raise InvalidStateError("density matrix entries must be finite")
+    adjoint = mats.conj().swapaxes(-1, -2)
+    herm_dev = float(np.max(np.abs(mats - adjoint), initial=0.0))
+    if herm_dev > tol:
+        raise InvalidStateError(
+            f"not Hermitian: max |m - m^dagger| = {herm_dev:.3e} exceeds {tol:.1e}"
+        )
+    sym = (mats + adjoint) / 2.0
+    traces = np.trace(sym, axis1=1, axis2=2).real
+    trace_dev = float(np.max(np.abs(traces - 1.0), initial=0.0))
+    if trace_dev > tol:
+        raise InvalidStateError(
+            f"trace deviates from 1 by {trace_dev:.3e}, exceeds {tol:.1e}"
+        )
+    min_eig = float(np.min(np.linalg.eigvalsh(sym), initial=0.0))
+    if min_eig < -tol:
+        raise InvalidStateError(
+            f"not positive semidefinite: min eigenvalue {min_eig:.3e} below -{tol:.1e}"
+        )
+    return sym
+
+
 class DensityMatrix:
     """Validated quantum state.
 
-    The wrapped matrix is hermitized on entry and then required to have
-    unit trace and nonnegative spectrum within ``tol``.  The stored array
-    is marked read-only, so instances are safe to share across threads.
+    The wrapped matrix goes through :func:`check_states` as a stack of
+    one: it is hermitized and then required to be finite, of unit trace
+    and of nonnegative spectrum within ``tol``.  The stored array is
+    marked read-only, so instances are safe to share across threads.
     """
 
     __slots__ = ("mat",)
 
     def __init__(self, mat, tol: float = DEFAULT_TOL):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
-            raise InvalidStateError(
-                f"density matrix must be square and nonempty, got shape {mat.shape}"
-            )
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > tol:
-            raise InvalidStateError(
-                f"not Hermitian: max |m - m^dagger| = {herm_dev:.3e} exceeds {tol:.1e}"
-            )
-        sym = hermitize(mat)
-        trace_dev = abs(float(np.trace(sym).real) - 1.0)
-        if trace_dev > tol:
-            raise InvalidStateError(
-                f"trace deviates from 1 by {trace_dev:.3e}, exceeds {tol:.1e}"
-            )
-        min_eig = float(np.linalg.eigvalsh(sym)[0])
-        if min_eig < -tol:
-            raise InvalidStateError(
-                f"not positive semidefinite: min eigenvalue {min_eig:.3e} below -{tol:.1e}"
-            )
+        sym = check_states(np.asarray(mat, dtype=complex)[np.newaxis], tol)[0]
         sym.flags.writeable = False
         self.mat = sym
 
@@ -157,16 +176,41 @@ def partial_trace_second(m, dim_a: int, dim_b: int) -> np.ndarray:
     return np.trace(m.reshape(dim_a, dim_b, dim_a, dim_b), axis1=1, axis2=3)
 
 
+def bloch_xyz(mats) -> np.ndarray:
+    """(n, 3) Bloch coordinates of a (n, 2, 2) stack of qubit matrices."""
+    mats = np.asarray(mats, dtype=complex)
+    return np.stack(
+        [
+            2.0 * mats[:, 0, 1].real,
+            -2.0 * mats[:, 0, 1].imag,
+            mats[:, 0, 0].real - mats[:, 1, 1].real,
+        ],
+        axis=1,
+    )
+
+
 def bloch_vector(rho: DensityMatrix) -> BlochVector:
     """Bloch coordinates of a qubit state."""
     if rho.dim != 2:
         raise ValueError(f"Bloch vector is defined for dim 2, got dim {rho.dim}")
-    m = rho.mat
-    return BlochVector(
-        x=float(2.0 * m[0, 1].real),
-        y=float(-2.0 * m[0, 1].imag),
-        z=float((m[0, 0] - m[1, 1]).real),
-    )
+    return BlochVector(*bloch_xyz(rho.mat[np.newaxis])[0].tolist())
+
+
+def leading_blocks(mats, trace_floor: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Renormalized top-left 2x2 blocks of a (n, d, d) stack, and their traces.
+
+    Blocks whose trace falls below ``trace_floor`` carry no information
+    and are replaced by the maximally mixed qubit (not an error).
+    """
+    mats = np.asarray(mats, dtype=complex)
+    if mats.shape[-1] < 2:
+        raise ValueError(f"need dim >= 2 to take a qubit block, got dim {mats.shape[-1]}")
+    block = mats[:, :2, :2]
+    traces = np.trace(block, axis1=1, axis2=2).real
+    depleted = traces < trace_floor
+    scaled = block / np.where(depleted, 1.0, traces)[:, None, None]
+    scaled[depleted] = np.eye(2) / 2.0
+    return (scaled + scaled.conj().swapaxes(-1, -2)) / 2.0, traces
 
 
 def leading_qubit_block(
@@ -178,13 +222,8 @@ def leading_qubit_block(
     ``trace_floor`` the projection carries no information, so the
     maximally mixed qubit is returned instead (not an error).
     """
-    if rho.dim < 2:
-        raise ValueError(f"need dim >= 2 to take a qubit block, got dim {rho.dim}")
-    block = rho.mat[:2, :2]
-    t = float(np.trace(block).real)
-    if t < trace_floor:
-        return DensityMatrix(np.eye(2, dtype=complex) / 2.0), t
-    return DensityMatrix(block / t), t
+    blocks, traces = leading_blocks(rho.mat[np.newaxis], trace_floor)
+    return DensityMatrix(blocks[0]), float(traces[0])
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -3,8 +3,10 @@
 Two figure types, each with transmitted and received panels side by
 side: an I/Q constellation built from the amplitude-ratio reconstruction
 of each qubit state, and a Bloch sphere in a fixed orthographic
-projection.  All output is deterministic: fixed element order, fixed
-coordinate formatting, no timestamps.
+projection.  Both read a :class:`StateProjection`, which holds each
+state's leading-qubit-block coordinates and is computed once per stack
+of distinct states.  All output is deterministic: fixed element order,
+fixed coordinate formatting, no timestamps.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import BlochVector, DensityMatrix, bloch_vector, leading_qubit_block
+from .states import BlochVector, DensityMatrix, bloch_xyz, leading_blocks
 
 # tab20-style cycle; the erasure label -1 gets its own dark gray.
 _PALETTE = (
@@ -40,6 +42,74 @@ class ConstellationPlotPoint:
     clipped: bool = False
 
 
+@dataclass(frozen=True)
+class StateProjection:
+    """Leading-qubit-block coordinates of a stack of states, one row per state.
+
+    ``bloch`` (n, 3) are the Bloch coordinates of the renormalized block,
+    ``trace`` (n,) its weight before renormalization, ``iq`` (n, 2) the
+    reconstructed constellation point and ``clipped`` (n,) whether that
+    reconstruction diverged and was pinned at the clip radius.
+    """
+
+    bloch: np.ndarray
+    trace: np.ndarray
+    iq: np.ndarray
+    clipped: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.trace)
+
+    def take(self, index) -> "StateProjection":
+        """Rows selected by ``index``, e.g. per-symbol rows from per-state ones."""
+        return StateProjection(
+            self.bloch[index], self.trace[index], self.iq[index], self.clipped[index]
+        )
+
+    def plot_points(self, labels: Sequence[int]) -> list[ConstellationPlotPoint]:
+        return [
+            ConstellationPlotPoint(i, q, label, clipped)
+            for (i, q), label, clipped in zip(
+                self.iq.tolist(), np.asarray(labels).tolist(), self.clipped.tolist()
+            )
+        ]
+
+    def bloch_labeled(self, labels: Sequence[int]) -> list[tuple[BlochVector, int]]:
+        return [
+            (BlochVector(*xyz), label)
+            for xyz, label in zip(self.bloch.tolist(), np.asarray(labels).tolist())
+        ]
+
+
+def project_states(
+    mats,
+    power_scale: float = 1.0,
+    rho00_floor: float = 1e-9,
+    clip_radius: float = 1.5,
+) -> StateProjection:
+    """Project a (n, d, d) stack of states (d >= 2) onto its leading qubit blocks.
+
+    The constellation estimate is rho_10 / rho_00 of the renormalized
+    block, divided by ``power_scale`` to land back on the constellation
+    grid.  When rho_00 falls below ``rho00_floor`` the ratio diverges,
+    so the point is pinned at ``clip_radius`` along the direction of
+    rho_10 (or along +I if even that vanishes) and flagged.
+    """
+    blocks, trace = leading_blocks(mats)
+    r00 = blocks[:, 0, 0].real
+    r10 = blocks[:, 1, 0]
+    clipped = r00 < rho00_floor
+    ratio = np.stack([r10.real, r10.imag], axis=1)
+    mag = np.abs(r10)[:, None]
+    direction = np.where(mag > 0.0, ratio / np.where(mag > 0.0, mag, 1.0), [1.0, 0.0])
+    iq = np.where(
+        clipped[:, None],
+        clip_radius * direction,
+        ratio / np.where(clipped, 1.0, r00)[:, None] / power_scale,
+    )
+    return StateProjection(bloch_xyz(blocks), trace, iq, clipped)
+
+
 def constellation_point(
     rho: DensityMatrix,
     power_scale: float = 1.0,
@@ -49,23 +119,10 @@ def constellation_point(
 ) -> ConstellationPlotPoint:
     """Reconstruct the complex amplitude of a (possibly enlarged) qubit state.
 
-    The estimate is rho_10 / rho_00 of the renormalized leading 2x2
-    block, divided by ``power_scale`` to land back on the constellation
-    grid.  When rho_00 falls below ``rho00_floor`` the ratio diverges,
-    so the point is pinned at ``clip_radius`` along the direction of
-    rho_10 (or along +I if even that vanishes) and flagged.
+    See :func:`project_states`, which this runs on a stack of one.
     """
-    block, _ = leading_qubit_block(rho)
-    r00 = float(block.mat[0, 0].real)
-    r10 = complex(block.mat[1, 0])
-    if r00 < rho00_floor:
-        direction = r10 / abs(r10) if abs(r10) > 0.0 else 1.0 + 0.0j
-        alpha = clip_radius * direction
-        return ConstellationPlotPoint(
-            i=float(alpha.real), q=float(alpha.imag), label=label, clipped=True
-        )
-    alpha = (r10 / r00) / power_scale
-    return ConstellationPlotPoint(i=float(alpha.real), q=float(alpha.imag), label=label)
+    table = project_states(rho.mat[np.newaxis], power_scale, rho00_floor, clip_radius)
+    return table.plot_points([label])[0]
 
 
 def bloch_points(
@@ -76,11 +133,11 @@ def bloch_points(
     The trace reports how much weight survived in the qubit subspace
     (below 1 after erasure), letting callers discount depleted points.
     """
-    out = []
-    for rho in states:
-        block, t = leading_qubit_block(rho)
-        out.append((bloch_vector(block), t))
-    return out
+    if any(rho.dim < 2 for rho in states):
+        raise ValueError("need dim >= 2 to take a qubit block")
+    blocks = np.array([rho.mat[:2, :2] for rho in states], dtype=complex).reshape(-1, 2, 2)
+    table = project_states(blocks)
+    return [(BlochVector(*xyz), t) for xyz, t in zip(table.bloch.tolist(), table.trace.tolist())]
 
 
 def _project(x: float, y: float, z: float) -> tuple[float, float]:

@@ -16,7 +16,6 @@ from qlinksim import (
     dephasing_apply,
     depolarizing_apply,
     erasure_apply,
-    haar_unitary,
     make_pure,
     pmd_apply,
     pointing_loss_factor,
@@ -28,6 +27,7 @@ from qlinksim import (
     validate_density,
 )
 from qlinksim.channels import config_from_dict, config_to_dict
+from qlinksim.states import bloch_xyz
 
 _PLUS = make_pure([1 / np.sqrt(2), 1 / np.sqrt(2)])
 _ONE = make_pure([0, 1])
@@ -261,24 +261,6 @@ class TestTurbulence:
         assert np.array_equal(a.mat, b.mat)
 
 
-class TestHaarUnitary:
-    def test_unitarity(self):
-        rng = np.random.default_rng(49)
-        for dim in (2, 3, 5):
-            u = haar_unitary(dim, rng)
-            assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) <= 1e-9
-
-    def test_first_entry_moment(self):
-        rng = np.random.default_rng(50)
-        mean = np.mean([abs(haar_unitary(2, rng)[0, 0]) ** 2 for _ in range(10_000)])
-        assert mean == pytest.approx(0.5, abs=0.02)
-
-    def test_seeded_reproducibility(self):
-        a = haar_unitary(3, np.random.default_rng(51))
-        b = haar_unitary(3, np.random.default_rng(51))
-        assert np.array_equal(a, b)
-
-
 class TestPMD:
     def test_zero_dgd_is_identity(self):
         cfg = PMDConfig(dgd=0.0, sigma_omega=1.0, n_sections=8)
@@ -309,6 +291,44 @@ class TestPMD:
         mean_small = np.mean([purity(pmd_apply(small, s, rng)) for s in states])
         mean_large = np.mean([purity(pmd_apply(large, s, rng)) for s in states])
         assert mean_large < mean_small
+
+
+def pmd_reference(cfg, rho, axes):
+    """Matrix form of one PMD section per axis n: nu rho + (1-nu)(P rho P + Q rho Q),
+    P = (I + n.sigma)/2, Q = I - P."""
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    nu = np.exp(-((cfg.sigma_omega * cfg.dgd / np.sqrt(cfg.n_sections)) ** 2) / 2)
+    out = rho
+    for n in axes:
+        p = (np.eye(2) + np.einsum("a,aij->ij", n, sigma)) / 2
+        q = np.eye(2) - p
+        out = nu * out + (1 - nu) * (p @ out @ p + q @ out @ q)
+    return out
+
+
+class TestPMDKernel:
+    def test_matches_random_axis_dephasing_reference(self):
+        cfg = PMDConfig(dgd=2.5, sigma_omega=1.0, n_sections=6)
+        rng = np.random.default_rng(58)
+        for seed in range(20):
+            rho = random_density(rng, 2)
+            # The kernel draws one standard-normal 3-vector per section.
+            axes = np.random.default_rng(seed).standard_normal((cfg.n_sections, 3))
+            axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+            out = pmd_apply(cfg, rho, np.random.default_rng(seed))
+            assert np.max(np.abs(out.mat - pmd_reference(cfg, rho.mat, axes))) <= 1e-12
+
+    def test_mean_bloch_contraction(self):
+        # E[(n.r) n] = r/3 for n uniform on the sphere, so each section
+        # contracts the mean Bloch vector by nu + (1 - nu)/3.
+        cfg = PMDConfig(dgd=2.0, sigma_omega=1.0, n_sections=8)
+        rho = make_pure([0.6, 0.8j])
+        n = 40_000
+        stack = np.repeat(rho.mat[None], n, axis=0)
+        r = bloch_xyz(Channel(cfg).apply_batch(stack, np.random.default_rng(59)))
+        nu = np.exp(-0.25)
+        expected = (nu + (1 - nu) / 3) ** 8 * np.array(bloch_vector(rho))
+        assert np.all(np.abs(r.mean(axis=0) - expected) <= 5 * r.std(axis=0) / np.sqrt(n))
 
 
 class TestChannelWrapper:
@@ -359,6 +379,42 @@ class TestChannelWrapper:
         with pytest.raises(ValueError, match="dim"):
             ch.apply(validate_density(np.eye(3) / 3))
 
+    def test_batch_matches_per_state_apply(self):
+        rng = np.random.default_rng(60)
+        states = [random_density(rng, 2) for _ in range(12)]
+        stack = np.stack([s.mat for s in states])
+        for cfg in (
+            DepolarizingConfig(p=0.3),
+            DephasingConfig(p=0.3),
+            ErasureConfig(p=0.3),
+            BosonicConfig(loss_db=3.0, n_th=0.5, fock_dim=2),
+        ):
+            ch = Channel(cfg)
+            batch = ch.apply_batch(stack)
+            assert batch.shape == (12, ch.output_dim, ch.output_dim)
+            for row, rho in zip(batch, states):
+                assert np.array_equal(row, ch.apply(rho).mat)
+
+    def test_stochastic_batch_reproducible_and_valid(self):
+        rho = random_density(np.random.default_rng(61), 2)
+        stack = np.repeat(rho.mat[None], 50, axis=0)
+        for cfg in (
+            TurbulenceConfig(sigma_p=0.3, w0=1.0, rytov_var=1.2, path_loss_db=2.0),
+            PMDConfig(dgd=2.0, sigma_omega=1.0),
+        ):
+            ch = Channel(cfg)
+            a = ch.apply_batch(stack, np.random.default_rng(62))
+            b = ch.apply_batch(stack, np.random.default_rng(62))
+            assert np.array_equal(a, b)
+            # every state gets its own draw
+            assert not np.allclose(a[0], a[1])
+            for row in a:
+                validate_density(row)
+
+    def test_batch_input_dim_checked(self):
+        with pytest.raises(ValueError, match="dim"):
+            Channel(DepolarizingConfig(p=0.1)).apply_batch(np.eye(3)[None] / 3)
+
     def test_bosonic_requires_matching_input_dim(self):
         with pytest.raises(ValueError, match="fock_dim"):
             Channel(BosonicConfig(loss_db=1.0, fock_dim=3), input_dim=2)
@@ -392,6 +448,9 @@ class TestConfigSerialization:
             DepolarizingConfig(p=-0.2)
         with pytest.raises(ValueError, match="probability"):
             config_from_dict({"type": "erasure", "p": 1.01})
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                DephasingConfig(p=bad)
 
     def test_parameter_ranges_validated(self):
         with pytest.raises(ValueError, match="loss_db"):
@@ -400,3 +459,16 @@ class TestConfigSerialization:
             PMDConfig(dgd=1.0, sigma_omega=1.0, n_sections=0)
         with pytest.raises(ValueError, match="w0"):
             TurbulenceConfig(sigma_p=0.1, w0=-1.0, rytov_var=0.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="loss_db must be finite"):
+                BosonicConfig(loss_db=bad)
+            with pytest.raises(ValueError, match="n_th must be finite"):
+                BosonicConfig(loss_db=1.0, n_th=bad)
+            with pytest.raises(ValueError, match="sigma_p must be finite"):
+                TurbulenceConfig(sigma_p=bad, w0=1.0, rytov_var=0.0)
+            with pytest.raises(ValueError, match="rytov_var must be finite"):
+                TurbulenceConfig(sigma_p=0.1, w0=1.0, rytov_var=bad)
+            with pytest.raises(ValueError, match="dgd must be finite"):
+                PMDConfig(dgd=bad, sigma_omega=1.0)
+            with pytest.raises(ValueError, match="sigma_omega must be finite"):
+                config_from_dict({"type": "pmd", "dgd": 1.0, "sigma_omega": bad})

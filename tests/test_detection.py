@@ -16,6 +16,7 @@ from qlinksim import (
     qpsk_codebook,
     validate_density,
 )
+from qlinksim.detection import argmax_labels, sample_labels, score_states
 
 
 def two_state_codebook(overlap: float) -> DetectorCodebook:
@@ -200,6 +201,41 @@ class TestDecideSampled:
         )
         freqs = np.bincount(draws, minlength=m) / draws.size
         assert freqs == pytest.approx([0.25] * 4, abs=0.02)
+
+
+class TestBatchDetection:
+    def test_scores_match_per_state(self):
+        rng = np.random.default_rng(67)
+        povm = embed_povm_with_erasure(build_pgm(qam_codebook(16)), 3)
+        states = [erasure_apply(0.3, random_density(rng, 2)) for _ in range(30)]
+        scores = score_states(povm, np.stack([s.mat for s in states]))
+        assert scores.shape == (30, 17)
+        for row, rho in zip(scores, states):
+            assert np.array_equal(row, measurement_scores(povm, rho))
+        labels = argmax_labels(povm, scores)
+        assert labels.tolist() == [decide(povm, rho) for rho in states]
+
+    def test_sampled_labels_match_sequential_choice(self):
+        # One uniform per row, in row order, searched like Generator.choice.
+        rng = np.random.default_rng(68)
+        povm = build_pgm(qam_codebook(16))
+        states = [random_density(rng, 2) for _ in range(200)]
+        scores = score_states(povm, np.stack([s.mat for s in states]))
+        batch = sample_labels(povm, scores, np.random.default_rng(69))
+        ref_rng = np.random.default_rng(69)
+        reference = [
+            povm.labels[ref_rng.choice(16, p=np.clip(row, 0, None) / np.clip(row, 0, None).sum())]
+            for row in scores
+        ]
+        assert batch.tolist() == reference
+
+    def test_bad_probabilities_rejected(self):
+        povm = build_pgm(qpsk_codebook())
+        rng = np.random.default_rng(70)
+        with pytest.raises(ValueError, match="negative"):
+            sample_labels(povm, np.array([[0.5, 0.6, 0.0, -0.1]]), rng)
+        with pytest.raises(ValueError, match="sum"):
+            sample_labels(povm, np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.6, 0.0, 0.0]]), rng)
 
 
 class TestTwoStateOptimality:

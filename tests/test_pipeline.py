@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from qlinksim import (
     validate_density,
     write_states_csv,
 )
+from qlinksim import pipeline
 from qlinksim.cli import main as cli_main
 from qlinksim.pipeline import (
     STATES_CSV_HEADER,
@@ -29,6 +32,9 @@ from qlinksim.pipeline import (
     config_to_dict,
     draw_symbols,
 )
+from qlinksim.visualization import project_states
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def qpsk_config(tmp_path, channels, n=100, seed=5, **kwargs):
@@ -96,6 +102,26 @@ class TestConfigHandling:
                     ("a", DepolarizingConfig(p=0.1)),
                     ("a", DepolarizingConfig(p=0.2)),
                 ),
+            )
+
+    def test_readme_example_loads(self):
+        block = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        cfg = config_from_dict(json.loads(block.group(1)))
+        assert (cfg.modulation, cfg.qam_order) == ("qam", 16)
+
+    def test_qpsk_rejects_qam_order(self):
+        with pytest.raises(ValueError, match="'M'"):
+            config_from_dict(
+                {"modulation": {"type": "qpsk", "M": 64}, "n_symbols": 10, "seed": 1,
+                 "channels": []}
+            )
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "with space", ""])
+    def test_unsafe_channel_name_rejected(self, name):
+        with pytest.raises(ValueError, match="channel name"):
+            SimulationConfig(
+                modulation="qpsk", n_symbols=10, seed=1,
+                channels=((name, DepolarizingConfig(p=0.1)),),
             )
 
     def test_decision_mode_validated(self):
@@ -169,20 +195,37 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="nope"):
             run_simulation(cfg, "nope")
 
-    def test_equalizer_hook_passthrough(self, tmp_path):
+    def test_one_stream_per_purpose(self, tmp_path, monkeypatch):
+        tags = []
+        real = pipeline.derive_rng
+
+        def counting(seed, *args):
+            tags.append(args)
+            return real(seed, *args)
+
+        monkeypatch.setattr(pipeline, "derive_rng", counting)
         cfg = qpsk_config(
-            tmp_path, (("clean", DepolarizingConfig(p=0.0)),), n=50,
-            emit_states=False, emit_figures=False,
+            tmp_path, (("pmd", PMDConfig(dgd=2.0, sigma_omega=1.0)),), n=300,
+            decision_mode="sampled", emit_states=False, emit_figures=False,
         )
-        seen = []
+        run_simulation(cfg, "pmd")
+        assert tags == [("symbols",), ("channel", "pmd"), ("decision", "pmd")]
 
-        def equalizer(rho):
-            seen.append(rho)
-            return rho
+    def test_deterministic_channel_maps_codebook_once(self, tmp_path, monkeypatch):
+        sizes = []
+        real = pipeline.Channel.apply_batch
 
-        r = run_simulation(cfg, "clean", equalizer=equalizer)
-        assert len(seen) == 50
-        assert r.ser == 0.0
+        def recording(self, mats, rng=None):
+            sizes.append(len(mats))
+            return real(self, mats, rng)
+
+        monkeypatch.setattr(pipeline.Channel, "apply_batch", recording)
+        cfg = SimulationConfig(
+            modulation="qam", n_symbols=500, seed=3,
+            channels=(("era", ErasureConfig(p=0.2)),), output_dir=tmp_path,
+        )
+        run_simulation(cfg, "era")
+        assert sizes == [16]
 
 
 class TestRunComparison:
@@ -284,10 +327,10 @@ class TestStatesCsv:
         assert len(lines) == 26
 
     def test_length_mismatch_rejected(self, tmp_path):
-        cb = qam_codebook(4)
+        table = project_states(np.stack([s.mat for s in qam_codebook(4).states]))
         with pytest.raises(ValueError, match="length"):
             write_states_csv(
-                tmp_path / "x.csv", cb.states, cb.states[:2], [0, 1, 2, 3], [0, 1, 2, 3]
+                tmp_path / "x.csv", table, table.take(slice(0, 2)), [0, 1, 2, 3], [0, 1, 2, 3]
             )
 
 
@@ -359,6 +402,18 @@ class TestCli:
                        "--channel", "ghost"])
         assert rc == 1
         assert "ghost" in capsys.readouterr().err
+
+    def test_non_finite_parameter_reports_error(self, tmp_path, capsys):
+        path = self._write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["channels"] = [{"name": "pmd", "type": "pmd", "dgd": float("nan"),
+                            "sigma_omega": 1.0}]
+        path.write_text(json.dumps(cfg))
+        assert "NaN" in path.read_text()
+        rc = cli_main(["compare", "--config", str(path)])
+        assert rc == 1
+        assert "dgd must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_default_config_is_loadable(self):
         # the shipped config is the documented benchmark; just verify it parses

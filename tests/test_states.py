@@ -5,6 +5,7 @@ from conftest import random_density, random_pure
 from qlinksim import (
     DegenerateStateError,
     DensityMatrix,
+    DensityMatrix,
     InvalidStateError,
     bloch_vector,
     hermitize,
@@ -17,6 +18,7 @@ from qlinksim import (
     purity,
     validate_density,
 )
+from qlinksim.states import check_states
 
 
 class TestMakePure:
@@ -70,10 +72,43 @@ class TestValidateDensity:
         with pytest.raises(InvalidStateError, match="square"):
             validate_density(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidStateError, match="finite"):
+            DensityMatrix(np.full((2, 2), bad))
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(InvalidStateError, match="finite"):
+            validate_density(m)
+
     def test_matrix_is_read_only(self):
         rho = validate_density(np.eye(2) / 2)
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 0.9
+
+
+class TestCheckStates:
+    def test_matches_per_state_construction(self):
+        rng = np.random.default_rng(20)
+        states = [random_density(rng, 3) for _ in range(25)]
+        raw = np.stack([s.mat for s in states]) + 1e-12j * rng.standard_normal((25, 3, 3))
+        batch = check_states(raw)
+        for row, m in zip(batch, raw):
+            assert np.array_equal(row, DensityMatrix(m).mat)
+
+    def test_one_bad_state_rejects_the_batch(self):
+        rng = np.random.default_rng(21)
+        stack = np.stack([random_density(rng, 2).mat for _ in range(10)])
+        stack[7] = np.diag([1.2, -0.2])
+        with pytest.raises(InvalidStateError, match="positive"):
+            check_states(stack)
+        stack[7] = np.full((2, 2), np.nan)
+        with pytest.raises(InvalidStateError, match="finite"):
+            check_states(stack)
+
+    def test_stack_shape_required(self):
+        with pytest.raises(InvalidStateError, match="square"):
+            check_states(np.eye(2) / 2)
 
 
 class TestHermitize:
