@@ -16,24 +16,18 @@ from .channels import (
     PMDConfig,
     TurbulenceConfig,
     beamsplitter_unitary,
-    bosonic_apply,
-    dephasing_apply,
-    depolarizing_apply,
-    erasure_apply,
-    pmd_apply,
     pointing_loss_factor,
-    pure_loss_apply,
-    sample_scintillation,
     thermal_state,
-    turbulence_apply,
 )
 from .detection import (
     POVM,
+    argmax_labels,
     build_pgm,
     decide,
-    decide_sampled,
     embed_povm_with_erasure,
     measurement_scores,
+    sample_labels,
+    score_states,
 )
 from .metrics import compute_ber, compute_ser
 from .modulation import (
@@ -60,37 +54,28 @@ from .pipeline import (
     write_states_csv,
 )
 from .states import (
-    BlochVector,
     DegenerateStateError,
     DensityMatrix,
     InvalidStateError,
-    bloch_vector,
+    bloch_xyz,
     hermitize,
     inv_sqrt_psd,
-    kron,
-    leading_qubit_block,
+    leading_blocks,
     make_pure,
-    mat_sqrt_psd,
-    partial_trace_second,
     purity,
-    validate_density,
 )
 from .visualization import (
-    ConstellationPlotPoint,
-    bloch_points,
-    constellation_point,
+    project_states,
     render_bloch_svg,
     render_constellation_svg,
 )
 
 __all__ = [
     "__version__",
-    "BlochVector",
     "BosonicConfig",
     "Channel",
     "ChannelConfig",
     "ChannelRunResult",
-    "ConstellationPlotPoint",
     "ConstellationPoint",
     "DegenerateStateError",
     "DensityMatrix",
@@ -104,35 +89,25 @@ __all__ = [
     "SimulationConfig",
     "SimulationReport",
     "TurbulenceConfig",
+    "argmax_labels",
     "beamsplitter_unitary",
-    "bloch_points",
-    "bloch_vector",
-    "bosonic_apply",
+    "bloch_xyz",
     "build_pgm",
     "compute_ber",
     "compute_ser",
-    "constellation_point",
     "decide",
-    "decide_sampled",
     "default_config_path",
-    "dephasing_apply",
-    "depolarizing_apply",
     "derive_rng",
     "embed_alpha",
     "embed_povm_with_erasure",
-    "erasure_apply",
     "hermitize",
     "inv_sqrt_psd",
-    "kron",
-    "leading_qubit_block",
+    "leading_blocks",
     "load_config",
     "make_pure",
-    "mat_sqrt_psd",
     "measurement_scores",
-    "partial_trace_second",
-    "pmd_apply",
     "pointing_loss_factor",
-    "pure_loss_apply",
+    "project_states",
     "purity",
     "qam_codebook",
     "qam_constellation",
@@ -141,10 +116,9 @@ __all__ = [
     "render_constellation_svg",
     "run_comparison",
     "run_simulation",
-    "sample_scintillation",
+    "sample_labels",
+    "score_states",
     "symbols_to_bits",
     "thermal_state",
-    "turbulence_apply",
-    "validate_density",
     "write_states_csv",
 ]

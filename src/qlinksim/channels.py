@@ -5,27 +5,35 @@ Four are deterministic completely positive trace-preserving maps
 stochastic surrogates that draw fresh randomness per use (free-space
 turbulence, fiber polarization-mode dispersion).  Each model has one
 kernel that maps a (n, d, d) stack of states in one array pass, and a
-frozen config dataclass.  The :class:`Channel` wrapper looks the kernel
-up by the config's kind and enforces the dimension and randomness
-contracts at the call boundary; the plain ``*_apply`` functions run the
-same kernel on a stack of one state.
+frozen config dataclass.  :class:`Channel` looks the kernel up by the
+config's kind, enforces the dimension and randomness contracts at the
+call boundary, and checks the output stack once
+(:meth:`Channel.apply_batch`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import ClassVar, Union
 
 import numpy as np
 
-from .states import DensityMatrix, bloch_xyz, check_states, kron, validate_density
+from .states import DensityMatrix, bloch_xyz, check_states
 
 
-def _check_finite(cfg) -> None:
-    """Reject NaN and infinite parameters, which no range check catches."""
+def _check_fields(cfg) -> None:
+    """Reject what no range check catches: booleans, non-numbers, floats in
+    integer fields (even 2.0), NaN and infinities."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
+        integer = f.type == "int"
+        if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real
+        ):
+            wanted = "an integer" if integer else "a number"
+            raise TypeError(f"{cfg.kind} parameter {f.name} must be {wanted}, got {value!r}")
         if not math.isfinite(value):
             raise ValueError(f"{cfg.kind} parameter {f.name} must be finite, got {value}")
 
@@ -37,7 +45,7 @@ class _ProbabilityConfig:
     p: float
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_fields(self)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"{self.kind} probability must be in [0, 1], got {self.p}")
 
@@ -67,7 +75,7 @@ class BosonicConfig:
     fock_dim: int = 2
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_fields(self)
         if self.loss_db < 0.0:
             raise ValueError(f"loss_db must be >= 0, got {self.loss_db}")
         if self.n_th < 0.0:
@@ -95,7 +103,7 @@ class TurbulenceConfig:
     path_loss_db: float = 0.0
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_fields(self)
         if self.w0 <= 0.0:
             raise ValueError(f"beam waist w0 must be > 0, got {self.w0}")
         if self.sigma_p < 0.0:
@@ -121,7 +129,7 @@ class PMDConfig:
     n_sections: int = 8
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_fields(self)
         if self.dgd < 0.0:
             raise ValueError(f"dgd must be >= 0, got {self.dgd}")
         if self.sigma_omega < 0.0:
@@ -185,21 +193,11 @@ def _depolarizing(cfg: DepolarizingConfig, mats: np.ndarray, rng) -> np.ndarray:
     return (1.0 - cfg.p) * mats + cfg.p * np.eye(2, dtype=complex) / 2.0
 
 
-def depolarizing_apply(p: float, rho: DensityMatrix) -> DensityMatrix:
-    """(1-p) rho + p I/2."""
-    return Channel(DepolarizingConfig(p=p), input_dim=rho.dim).apply(rho)
-
-
 def _dephasing(cfg: DephasingConfig, mats: np.ndarray, rng) -> np.ndarray:
     out = mats * (1.0 - cfg.p)
     diag = np.arange(mats.shape[-1])
     out[:, diag, diag] = mats[:, diag, diag]
     return out
-
-
-def dephasing_apply(p: float, rho: DensityMatrix) -> DensityMatrix:
-    """Scale the off-diagonal coherences by (1-p); diagonal untouched."""
-    return Channel(DephasingConfig(p=p), input_dim=rho.dim).apply(rho)
 
 
 def _erasure(cfg: ErasureConfig, mats: np.ndarray, rng) -> np.ndarray:
@@ -208,11 +206,6 @@ def _erasure(cfg: ErasureConfig, mats: np.ndarray, rng) -> np.ndarray:
     out[:, :d, :d] = (1.0 - cfg.p) * mats
     out[:, d, d] = cfg.p
     return out
-
-
-def erasure_apply(p: float, rho: DensityMatrix) -> DensityMatrix:
-    """Embed into dim d+1 and route weight p to the orthogonal flag state."""
-    return Channel(ErasureConfig(p=p), input_dim=rho.dim).apply(rho)
 
 
 def _pure_loss(eta, mats: np.ndarray) -> np.ndarray:
@@ -226,15 +219,6 @@ def _pure_loss(eta, mats: np.ndarray) -> np.ndarray:
     out[:, 0, 0] = mats[:, 0, 0] + (1.0 - eta) * mats[:, 1, 1]
     out[:, 1, 1] = eta * mats[:, 1, 1]
     return out
-
-
-def pure_loss_apply(eta: float, rho: DensityMatrix) -> DensityMatrix:
-    """Amplitude damping with transmissivity eta: K0 = diag(1, sqrt(eta)), K1 = sqrt(1-eta)|0><1|."""
-    if rho.dim != 2:
-        raise ValueError(f"pure-loss map is defined on qubits, got dim {rho.dim}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
-    return DensityMatrix(_pure_loss(eta, rho.mat[np.newaxis])[0])
 
 
 # --- bosonic thermal loss ---
@@ -253,7 +237,7 @@ def thermal_state(n_th: float, fock_dim: int) -> DensityMatrix:
         ratio = n_th / (1.0 + n_th)
         weights = ratio ** np.arange(fock_dim) / (1.0 + n_th)
         weights = weights / weights.sum()
-    return validate_density(np.diag(weights).astype(complex))
+    return DensityMatrix(np.diag(weights).astype(complex))
 
 
 def beamsplitter_unitary(eta: float, fock_dim: int) -> np.ndarray:
@@ -272,7 +256,7 @@ def beamsplitter_unitary(eta: float, fock_dim: int) -> np.ndarray:
     theta = float(np.arccos(np.sqrt(eta)))
     a = np.diag(np.sqrt(np.arange(1, fock_dim)), k=1).astype(complex)
     adag = a.conj().T
-    gen = theta * (kron(adag, a) - kron(a, adag))
+    gen = theta * (np.kron(adag, a) - np.kron(a, adag))
     # gen is anti-Hermitian, so i*gen is Hermitian and eigh applies.
     vals, vecs = np.linalg.eigh(1j * gen)
     return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
@@ -288,15 +272,6 @@ def _bosonic(cfg: BosonicConfig, mats: np.ndarray, rng) -> np.ndarray:
     joint = (mats[:, :, None, :, None] * env[None, None, :, None, :]).reshape(-1, d * d, d * d)
     joint = u @ joint @ u.conj().T
     return np.trace(joint.reshape(-1, d, d, d, d), axis1=2, axis2=4)
-
-
-def bosonic_apply(
-    loss_db: float, n_th: float, fock_dim: int, rho: DensityMatrix
-) -> DensityMatrix:
-    """Thermal-loss channel via the two-mode dilation: couple to a thermal
-    environment on a beamsplitter and trace the environment out."""
-    cfg = BosonicConfig(loss_db=loss_db, n_th=n_th, fock_dim=fock_dim)
-    return Channel(cfg, input_dim=rho.dim).apply(rho)
 
 
 # --- turbulence surrogate ---
@@ -323,13 +298,6 @@ def _scintillation(rytov_var: float, rng: np.random.Generator, n: int) -> np.nda
     return x * y
 
 
-def sample_scintillation(rytov_var: float, rng: np.random.Generator) -> float:
-    """Unit-mean Gamma-Gamma irradiance sample; rytov_var = 0 returns exactly 1."""
-    if rytov_var < 0.0:
-        raise ValueError(f"rytov_var must be >= 0, got {rytov_var}")
-    return float(_scintillation(rytov_var, rng, 1)[0])
-
-
 def _turbulence(cfg: TurbulenceConfig, mats: np.ndarray, rng) -> np.ndarray:
     """One atmospheric fade per state: sample its transmissivity, apply pure loss."""
     eta = (
@@ -338,13 +306,6 @@ def _turbulence(cfg: TurbulenceConfig, mats: np.ndarray, rng) -> np.ndarray:
         * 10.0 ** (-cfg.path_loss_db / 10.0)
     )
     return _pure_loss(np.clip(eta, 0.0, 1.0), mats)
-
-
-def turbulence_apply(
-    cfg: TurbulenceConfig, rho: DensityMatrix, rng: np.random.Generator
-) -> DensityMatrix:
-    """One atmospheric fade: sample a transmissivity, apply the pure-loss map."""
-    return Channel(cfg, input_dim=rho.dim).apply(rho, rng)
 
 
 # --- polarization-mode dispersion surrogate ---
@@ -375,14 +336,6 @@ def _pmd(cfg: PMDConfig, mats: np.ndarray, rng) -> np.ndarray:
     out[:, 0, 1] = (r[:, 0] - 1j * r[:, 1]) / 2.0
     out[:, 1, 0] = (r[:, 0] + 1j * r[:, 1]) / 2.0
     return out
-
-
-def pmd_apply(
-    cfg: PMDConfig, rho: DensityMatrix, rng: np.random.Generator
-) -> DensityMatrix:
-    """Concatenated-section PMD: per section, dephase by the section's
-    coherence factor about a uniformly random polarization axis."""
-    return Channel(cfg, input_dim=rho.dim).apply(rho, rng)
 
 
 _KERNELS = {
@@ -442,4 +395,5 @@ class Channel:
         return check_states(self._kernel(self.config, mats, rng))
 
     def apply(self, rho: DensityMatrix, rng: np.random.Generator | None = None) -> DensityMatrix:
+        """Map one state: :meth:`apply_batch` on a stack of one."""
         return DensityMatrix(self.apply_batch(rho.mat[np.newaxis], rng)[0])

@@ -88,20 +88,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    tx_pts, rx_pts, tx_bloch, rx_bloch = _read_states_csv(args.states)
+    tables = _read_states_csv(args.states)
     args.out.mkdir(parents=True, exist_ok=True)
     stem = args.states.stem
     channel = stem[len("states_"):] if stem.startswith("states_") else stem
     cpath = args.out / f"constellation_{channel}.svg"
     bpath = args.out / f"bloch_{channel}.svg"
-    render_constellation_svg(tx_pts, rx_pts, cpath, title=f"constellation: {channel}")
-    render_bloch_svg(tx_bloch, rx_bloch, bpath, title=f"bloch: {channel}")
+    render_constellation_svg(*tables, cpath, title=f"constellation: {channel}")
+    render_bloch_svg(*tables, bpath, title=f"bloch: {channel}")
     print(f"wrote {cpath} and {bpath}")
     return 0
 
 
-def _read_states_csv(path: Path):
-    """Rebuild plot inputs from the stored columns.
+def _read_states_csv(path: Path) -> tuple:
+    """Rebuild the renderers' inputs from the stored columns: tx table, tx
+    labels, rx table, rx labels.
 
     The CSV does not record clip flags, so replotted constellations show
     previously clipped points as plain dots at the clip radius.
@@ -110,18 +111,16 @@ def _read_states_csv(path: Path):
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    plots = []
+    tables = []
     for side in ("tx", "rx"):
-        labels = [int(row[f"{side}_label"]) for row in rows]
         table = StateProjection(
             bloch=np.array([[float(row[f"{side}_bloch_{a}"]) for a in "xyz"] for row in rows]),
             trace=np.ones(len(rows)),
             iq=np.array([[float(row[f"{side}_{a}"]) for a in "iq"] for row in rows]),
             clipped=np.zeros(len(rows), dtype=bool),
         )
-        plots.append((table.plot_points(labels), table.bloch_labeled(labels)))
-    (tx_pts, tx_bloch), (rx_pts, rx_bloch) = plots
-    return tx_pts, rx_pts, tx_bloch, rx_bloch
+        tables += [table, [int(row[f"{side}_label"]) for row in rows]]
+    return tuple(tables)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,11 +4,11 @@ The detector for a codebook {p_i, rho_i} is the pretty-good measurement
 
     E_i = p_i  S rho_i S,   S = rhobar^(-1/2),   rhobar = sum_i p_i rho_i,
 
-completed on the support of rhobar.  Decisions are the argmax of the
-outcome probabilities Tr(E_i rho) by default; Born-rule sampling is
-available as an explicit opt-in.  Scoring and both decision rules work
-on (n, d, d) stacks of states; the single-state functions call them on a
-stack of one.
+completed on the support of rhobar.  :func:`score_states` computes the
+outcome probabilities Tr(E_i rho) of a (n, d, d) stack of states in one
+pass; decisions are their row-wise argmax (:func:`argmax_labels`) by
+default, with Born-rule sampling (:func:`sample_labels`) as an explicit
+opt-in.
 """
 
 from __future__ import annotations
@@ -92,13 +92,13 @@ def measurement_scores(povm: POVM, rho: DensityMatrix) -> np.ndarray:
     return score_states(povm, rho.mat[np.newaxis])[0]
 
 
-def build_pgm(codebook: DetectorCodebook, eig_cut: float = 1e-10) -> POVM:
+def build_pgm(codebook: DetectorCodebook) -> POVM:
     """Pretty-good measurement for the codebook's states and priors."""
     dim = codebook.dim
     rhobar = np.zeros((dim, dim), dtype=complex)
     for p, state in zip(codebook.priors, codebook.states):
         rhobar += p * state.mat
-    s = inv_sqrt_psd(rhobar, eig_cut=eig_cut)
+    s = inv_sqrt_psd(rhobar)
     elements = tuple(
         hermitize(p * (s @ state.mat @ s))
         for p, state in zip(codebook.priors, codebook.states)
@@ -175,7 +175,3 @@ def decide(povm: POVM, rho: DensityMatrix) -> int:
     """Hard decision: label of the highest-probability outcome (first on ties)."""
     return int(argmax_labels(povm, measurement_scores(povm, rho)[np.newaxis])[0])
 
-
-def decide_sampled(povm: POVM, rho: DensityMatrix, rng: np.random.Generator) -> int:
-    """Born-rule decision: sample the outcome from its probability vector."""
-    return int(sample_labels(povm, measurement_scores(povm, rho)[np.newaxis], rng)[0])

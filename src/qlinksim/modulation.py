@@ -94,16 +94,22 @@ def _gray(i: int) -> int:
     return i ^ (i >> 1)
 
 
+def qam_side(order: int) -> int:
+    """Side of the square M-QAM grid; ``order`` must be an even power of two."""
+    m = int(order)
+    if m < 4 or (m & (m - 1)) != 0 or int(np.log2(m)) % 2 != 0:
+        raise ValueError(f"QAM order must be 4, 16, 64, ... got {order}")
+    return int(np.sqrt(m))
+
+
 def qam_constellation(order: int) -> tuple[list[ConstellationPoint], float]:
     """Square Gray-labeled M-QAM on the odd-integer grid, unit average power.
 
     Returns the points (alpha already scaled) and the scale factor itself.
     ``order`` must be an even power of two so the grid is square.
     """
-    m = int(order)
-    if m < 4 or (m & (m - 1)) != 0 or int(np.log2(m)) % 2 != 0:
-        raise ValueError(f"QAM order must be 4, 16, 64, ... got {order}")
-    side = int(np.sqrt(m))
+    side = qam_side(order)
+    m = side * side
     bits_axis = int(np.log2(side))
     # Raw grid mean power is 2(M-1)/3, so this scale gives unit average power.
     scale = 1.0 / np.sqrt(2.0 * (m - 1) / 3.0)

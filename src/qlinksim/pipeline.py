@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import re
 import time
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from .detection import (
     score_states,
 )
 from .metrics import compute_ber, compute_ser
-from .modulation import DetectorCodebook, qam_codebook, qpsk_codebook, symbols_to_bits
+from .modulation import DetectorCodebook, qam_codebook, qam_side, qpsk_codebook, symbols_to_bits
 from .visualization import (
     StateProjection,
     project_states,
@@ -90,6 +91,16 @@ class SimulationConfig:
     def __post_init__(self):
         if self.modulation not in ("qpsk", "qam"):
             raise ValueError(f"modulation must be 'qpsk' or 'qam', got {self.modulation!r}")
+        for name in ("n_symbols", "seed", "qam_order"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("emit_states", "emit_figures"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be true or false, got {value!r}")
+        if self.modulation == "qam":
+            qam_side(self.qam_order)  # rejects orders other than 4, 16, 64, ...
         if self.n_symbols < 1:
             raise ValueError(f"n_symbols must be >= 1, got {self.n_symbols}")
         if not 0 <= self.seed <= _U64:
@@ -260,15 +271,13 @@ def run_simulation(cfg: SimulationConfig, channel_name: str) -> ChannelRunResult
     if cfg.emit_figures:
         constellation_svg = f"constellation_{channel_name}.svg"
         render_constellation_svg(
-            tx_rows.plot_points(tx_symbols),
-            rx_rows.plot_points(rx_symbols),
+            tx_rows, tx_symbols, rx_rows, rx_symbols,
             cfg.output_dir / constellation_svg,
             title=f"constellation: {channel_name}",
         )
         bloch_svg = f"bloch_{channel_name}.svg"
         render_bloch_svg(
-            tx_rows.bloch_labeled(tx_symbols),
-            rx_rows.bloch_labeled(rx_symbols),
+            tx_rows, tx_symbols, rx_rows, rx_symbols,
             cfg.output_dir / bloch_svg,
             title=f"bloch: {channel_name}",
         )
@@ -347,6 +356,7 @@ def write_report(report: SimulationReport, path: str | Path) -> None:
 # --- JSON config round trip ---
 
 _TOP_KEYS = {"modulation", "n_symbols", "seed", "decision_mode", "channels", "output", "notes"}
+_OUTPUT_KEYS = {"dir", "emit_states", "emit_figures"}
 
 
 def config_from_dict(d: Mapping) -> SimulationConfig:
@@ -372,17 +382,31 @@ def config_from_dict(d: Mapping) -> SimulationConfig:
             raise ValueError("every channel entry needs a 'name'")
         channels.append((str(name), channel_config_from_dict(entry)))
     output = dict(d.get("output", {}))
-    return SimulationConfig(
+    unknown = set(output) - _OUTPUT_KEYS
+    if unknown:
+        raise ValueError(f"unknown output keys: {sorted(unknown)}")
+    if not isinstance(d.get("notes", ""), str):
+        raise TypeError(f"notes must be a string, got {d['notes']!r}")
+    cfg = SimulationConfig(
         modulation=mod_type,
-        n_symbols=int(d["n_symbols"]),
-        seed=int(d["seed"]),
+        n_symbols=d["n_symbols"],
+        seed=d["seed"],
         channels=tuple(channels),
-        qam_order=int(mod.get("M", 16)),
+        qam_order=mod.get("M", 16),
         decision_mode=str(d.get("decision_mode", "argmax")),
         output_dir=Path(output.get("dir", "out")),
-        emit_states=bool(output.get("emit_states", True)),
-        emit_figures=bool(output.get("emit_figures", True)),
+        emit_states=output.get("emit_states", True),
+        emit_figures=output.get("emit_figures", True),
     )
+    # Both codebook families are qubits.  A channel that cannot take them
+    # (bosonic fock_dim != 2) would otherwise fail mid-comparison, after
+    # earlier channels have written their artifacts.
+    for name, channel in cfg.channels:
+        try:
+            Channel(channel, input_dim=2)
+        except ValueError as err:
+            raise ValueError(f"channel {name!r}: {err}") from err
+    return cfg
 
 
 def config_to_dict(cfg: SimulationConfig) -> dict:

@@ -3,10 +3,10 @@
 Two figure types, each with transmitted and received panels side by
 side: an I/Q constellation built from the amplitude-ratio reconstruction
 of each qubit state, and a Bloch sphere in a fixed orthographic
-projection.  Both read a :class:`StateProjection`, which holds each
-state's leading-qubit-block coordinates and is computed once per stack
-of distinct states.  All output is deterministic: fixed element order,
-fixed coordinate formatting, no timestamps.
+projection.  Both renderers take a :class:`StateProjection` and one
+label per row for each panel; :func:`project_states` computes that table
+once per stack of distinct states.  All output is deterministic: fixed
+element order, fixed coordinate formatting, no timestamps.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import BlochVector, DensityMatrix, bloch_xyz, leading_blocks
+from .states import bloch_xyz, leading_blocks
 
 # tab20-style cycle; the erasure label -1 gets its own dark gray.
 _PALETTE = (
@@ -30,16 +30,8 @@ _ERASURE_COLOR = "#404040"
 
 _AZIMUTH = np.deg2rad(30.0)
 _ELEVATION = np.deg2rad(20.0)
-
-
-@dataclass(frozen=True)
-class ConstellationPlotPoint:
-    """One plotted I/Q point; ``clipped`` marks a diverging reconstruction."""
-
-    i: float
-    q: float
-    label: int
-    clipped: bool = False
+# Below this rho_00 the amplitude ratio rho_10 / rho_00 is treated as diverging.
+_RHO00_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,39 +58,22 @@ class StateProjection:
             self.bloch[index], self.trace[index], self.iq[index], self.clipped[index]
         )
 
-    def plot_points(self, labels: Sequence[int]) -> list[ConstellationPlotPoint]:
-        return [
-            ConstellationPlotPoint(i, q, label, clipped)
-            for (i, q), label, clipped in zip(
-                self.iq.tolist(), np.asarray(labels).tolist(), self.clipped.tolist()
-            )
-        ]
-
-    def bloch_labeled(self, labels: Sequence[int]) -> list[tuple[BlochVector, int]]:
-        return [
-            (BlochVector(*xyz), label)
-            for xyz, label in zip(self.bloch.tolist(), np.asarray(labels).tolist())
-        ]
-
 
 def project_states(
-    mats,
-    power_scale: float = 1.0,
-    rho00_floor: float = 1e-9,
-    clip_radius: float = 1.5,
+    mats, power_scale: float = 1.0, clip_radius: float = 1.5
 ) -> StateProjection:
     """Project a (n, d, d) stack of states (d >= 2) onto its leading qubit blocks.
 
     The constellation estimate is rho_10 / rho_00 of the renormalized
     block, divided by ``power_scale`` to land back on the constellation
-    grid.  When rho_00 falls below ``rho00_floor`` the ratio diverges,
+    grid.  When rho_00 falls below ``_RHO00_FLOOR`` the ratio diverges,
     so the point is pinned at ``clip_radius`` along the direction of
     rho_10 (or along +I if even that vanishes) and flagged.
     """
     blocks, trace = leading_blocks(mats)
     r00 = blocks[:, 0, 0].real
     r10 = blocks[:, 1, 0]
-    clipped = r00 < rho00_floor
+    clipped = r00 < _RHO00_FLOOR
     ratio = np.stack([r10.real, r10.imag], axis=1)
     mag = np.abs(r10)[:, None]
     direction = np.where(mag > 0.0, ratio / np.where(mag > 0.0, mag, 1.0), [1.0, 0.0])
@@ -108,36 +83,6 @@ def project_states(
         ratio / np.where(clipped, 1.0, r00)[:, None] / power_scale,
     )
     return StateProjection(bloch_xyz(blocks), trace, iq, clipped)
-
-
-def constellation_point(
-    rho: DensityMatrix,
-    power_scale: float = 1.0,
-    rho00_floor: float = 1e-9,
-    clip_radius: float = 1.5,
-    label: int = 0,
-) -> ConstellationPlotPoint:
-    """Reconstruct the complex amplitude of a (possibly enlarged) qubit state.
-
-    See :func:`project_states`, which this runs on a stack of one.
-    """
-    table = project_states(rho.mat[np.newaxis], power_scale, rho00_floor, clip_radius)
-    return table.plot_points([label])[0]
-
-
-def bloch_points(
-    states: Sequence[DensityMatrix],
-) -> list[tuple[BlochVector, float]]:
-    """Bloch vector of each state's renormalized qubit block, with its trace.
-
-    The trace reports how much weight survived in the qubit subspace
-    (below 1 after erasure), letting callers discount depleted points.
-    """
-    if any(rho.dim < 2 for rho in states):
-        raise ValueError("need dim >= 2 to take a qubit block")
-    blocks = np.array([rho.mat[:2, :2] for rho in states], dtype=complex).reshape(-1, 2, 2)
-    table = project_states(blocks)
-    return [(BlochVector(*xyz), t) for xyz, t in zip(table.bloch.tolist(), table.trace.tolist())]
 
 
 def _project(x: float, y: float, z: float) -> tuple[float, float]:
@@ -211,17 +156,29 @@ def _write_svg(path: Path, parts: list[str]) -> None:
         fh.write("\n")
 
 
+def _panel_labels(
+    what: str, tx: StateProjection, tx_labels, rx: StateProjection, rx_labels
+) -> tuple[list[int], list[int]]:
+    """Both panels' labels as int lists, one per table row."""
+    if not len(tx) or not len(rx):
+        raise ValueError(f"{what} rendering needs nonempty tx and rx tables")
+    tx_labels, rx_labels = np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist()
+    if len(tx_labels) != len(tx) or len(rx_labels) != len(rx):
+        raise ValueError(f"{what} rendering needs one label per table row")
+    return tx_labels, rx_labels
+
+
 def render_constellation_svg(
-    tx_points: Sequence[ConstellationPlotPoint],
-    rx_points: Sequence[ConstellationPlotPoint],
+    tx: StateProjection,
+    tx_labels: Sequence[int],
+    rx: StateProjection,
+    rx_labels: Sequence[int],
     path: str | Path,
     title: str = "",
 ) -> None:
-    """Two-panel I/Q scatter; clipped reconstructions drawn as crosses."""
-    if not tx_points or not rx_points:
-        raise ValueError("constellation rendering needs nonempty tx and rx point lists")
-    all_points = list(tx_points) + list(rx_points)
-    reach = max([1.0] + [max(abs(p.i), abs(p.q)) for p in all_points])
+    """Two-panel I/Q scatter colored by label; clipped reconstructions drawn as crosses."""
+    tx_labels, rx_labels = _panel_labels("constellation", tx, tx_labels, rx, rx_labels)
+    reach = float(np.max(np.abs(np.concatenate([tx.iq, rx.iq])), initial=1.0))
     half = 1.05 * reach
 
     parts = [
@@ -237,7 +194,7 @@ def render_constellation_svg(
             f'text-anchor="middle">{_esc(title)}</text>'
         )
 
-    def draw_panel(points: Sequence[ConstellationPlotPoint], x0: float, name: str) -> None:
+    def draw_panel(table: StateProjection, labels: list[int], x0: float, name: str) -> None:
         y0 = _MARGIN
         parts.append(
             f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(_PANEL)}" '
@@ -264,14 +221,14 @@ def render_constellation_svg(
             f'<text x="{_fmt(cx + 6)}" y="{_fmt(y0 + 12)}" font-size="10" '
             f'fill="#999">Q {_fmt(half)}</text>'
         )
-        for p in points:
-            px = x0 + (p.i + half) / (2 * half) * _PANEL
-            py = y0 + (half - p.q) / (2 * half) * _PANEL
-            _marker(parts, px, py, _color(p.label), p.clipped)
+        for (i, q), label, clipped in zip(table.iq.tolist(), labels, table.clipped.tolist()):
+            px = x0 + (i + half) / (2 * half) * _PANEL
+            py = y0 + (half - q) / (2 * half) * _PANEL
+            _marker(parts, px, py, _color(label), clipped)
 
-    draw_panel(tx_points, _MARGIN, "transmitted")
-    draw_panel(rx_points, _MARGIN + _PANEL + _GAP, "received")
-    _legend(parts, [p.label for p in all_points], _MARGIN, _MARGIN + _PANEL + 18)
+    draw_panel(tx, tx_labels, _MARGIN, "transmitted")
+    draw_panel(rx, rx_labels, _MARGIN + _PANEL + _GAP, "received")
+    _legend(parts, tx_labels + rx_labels, _MARGIN, _MARGIN + _PANEL + 18)
     parts.append("</svg>")
     _write_svg(Path(path), parts)
 
@@ -304,14 +261,15 @@ def _sphere_wireframe(parts: list[str], cx: float, cy: float, r: float) -> None:
 
 
 def render_bloch_svg(
-    tx_points: Sequence[tuple[BlochVector, int]],
-    rx_points: Sequence[tuple[BlochVector, int]],
+    tx: StateProjection,
+    tx_labels: Sequence[int],
+    rx: StateProjection,
+    rx_labels: Sequence[int],
     path: str | Path,
     title: str = "",
 ) -> None:
-    """Two-panel Bloch sphere scatter in the fixed orthographic view."""
-    if not tx_points or not rx_points:
-        raise ValueError("Bloch rendering needs nonempty tx and rx point lists")
+    """Two-panel Bloch sphere scatter colored by label, in the fixed orthographic view."""
+    tx_labels, rx_labels = _panel_labels("Bloch", tx, tx_labels, rx, rx_labels)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -327,24 +285,19 @@ def render_bloch_svg(
 
     radius = _PANEL / 2 - 14.0
 
-    def draw_panel(points: Sequence[tuple[BlochVector, int]], x0: float, name: str) -> None:
+    def draw_panel(table: StateProjection, labels: list[int], x0: float, name: str) -> None:
         cx, cy = x0 + _PANEL / 2, _MARGIN + _PANEL / 2
         _sphere_wireframe(parts, cx, cy, radius)
         parts.append(
             f'<text x="{_fmt(cx)}" y="{_fmt(_MARGIN - 8)}" font-size="13" '
             f'fill="#333" text-anchor="middle">{name}</text>'
         )
-        for vec, label in points:
-            u, v = _project(vec.x, vec.y, vec.z)
+        for xyz, label in zip(table.bloch.tolist(), labels):
+            u, v = _project(*xyz)
             _marker(parts, cx + radius * u, cy - radius * v, _color(label), False)
 
-    draw_panel(tx_points, _MARGIN, "transmitted")
-    draw_panel(rx_points, _MARGIN + _PANEL + _GAP, "received")
-    _legend(
-        parts,
-        [label for _, label in list(tx_points) + list(rx_points)],
-        _MARGIN,
-        _MARGIN + _PANEL + 18,
-    )
+    draw_panel(tx, tx_labels, _MARGIN, "transmitted")
+    draw_panel(rx, rx_labels, _MARGIN + _PANEL + _GAP, "received")
+    _legend(parts, tx_labels + rx_labels, _MARGIN, _MARGIN + _PANEL + 18)
     parts.append("</svg>")
     _write_svg(Path(path), parts)

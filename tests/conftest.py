@@ -2,13 +2,13 @@
 
 import numpy as np
 
-from qlinksim import DensityMatrix, make_pure, validate_density
+from qlinksim import DensityMatrix, make_pure
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = a @ a.conj().T
-    return validate_density(m / np.trace(m).real)
+    return DensityMatrix(m / np.trace(m).real)
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> DensityMatrix:

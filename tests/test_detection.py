@@ -4,19 +4,21 @@ from conftest import random_density
 
 from qlinksim import (
     POVM,
+    Channel,
+    DensityMatrix,
     DetectorCodebook,
+    ErasureConfig,
+    argmax_labels,
     build_pgm,
     decide,
-    decide_sampled,
     embed_povm_with_erasure,
-    erasure_apply,
     make_pure,
     measurement_scores,
     qam_codebook,
     qpsk_codebook,
-    validate_density,
+    sample_labels,
+    score_states,
 )
-from qlinksim.detection import argmax_labels, sample_labels, score_states
 
 
 def two_state_codebook(overlap: float) -> DetectorCodebook:
@@ -136,8 +138,8 @@ class TestDecide:
 
     def test_fully_erased_state_yields_sentinel(self):
         povm = embed_povm_with_erasure(build_pgm(qpsk_codebook()), 3)
-        erased = erasure_apply(1.0, qpsk_codebook().states[2])
-        assert decide(povm, erased) == -1
+        erased = Channel(ErasureConfig(p=1.0)).apply_batch(qpsk_codebook().states[2].mat[None])
+        assert argmax_labels(povm, score_states(povm, erased))[0] == -1
 
     def test_tie_breaks_to_lowest_index(self):
         povm = POVM(
@@ -145,7 +147,7 @@ class TestDecide:
             labels=(7, 3),
         )
         # I/2 scores both outcomes at exactly 0.5.
-        assert decide(povm, validate_density(np.eye(2) / 2)) == 7
+        assert decide(povm, DensityMatrix(np.eye(2) / 2)) == 7
 
     def test_prior_scale_invariance(self):
         cb = qpsk_codebook()
@@ -169,7 +171,7 @@ class TestDecide:
     def test_dim_mismatch_rejected(self):
         povm = build_pgm(qpsk_codebook())
         with pytest.raises(ValueError, match="dim"):
-            decide(povm, validate_density(np.eye(3) / 3))
+            decide(povm, DensityMatrix(np.eye(3) / 3))
 
 
 class TestDecideSampled:
@@ -179,13 +181,15 @@ class TestDecideSampled:
             labels=(0, 1),
         )
         rng = np.random.default_rng(63)
-        assert all(decide_sampled(povm, make_pure([1, 0]), rng) == 0 for _ in range(100))
+        scores = score_states(povm, np.repeat(make_pure([1, 0]).mat[None], 100, axis=0))
+        assert np.all(sample_labels(povm, scores, rng) == 0)
 
     def test_qpsk_empirical_frequencies(self):
         cb = qpsk_codebook()
         povm = build_pgm(cb)
         rng = np.random.default_rng(64)
-        draws = np.array([decide_sampled(povm, cb.states[0], rng) for _ in range(100_000)])
+        scores = score_states(povm, np.repeat(cb.states[0].mat[None], 100_000, axis=0))
+        draws = sample_labels(povm, scores, rng)
         freqs = np.bincount(draws, minlength=4) / draws.size
         assert freqs == pytest.approx([0.5, 0.0, 0.25, 0.25], abs=0.01)
 
@@ -196,9 +200,8 @@ class TestDecideSampled:
             labels=tuple(range(m)),
         )
         rng = np.random.default_rng(65)
-        draws = np.array(
-            [decide_sampled(povm, make_pure([1, 0]), rng) for _ in range(20_000)]
-        )
+        scores = score_states(povm, np.repeat(make_pure([1, 0]).mat[None], 20_000, axis=0))
+        draws = sample_labels(povm, scores, rng)
         freqs = np.bincount(draws, minlength=m) / draws.size
         assert freqs == pytest.approx([0.25] * 4, abs=0.02)
 
@@ -207,7 +210,8 @@ class TestBatchDetection:
     def test_scores_match_per_state(self):
         rng = np.random.default_rng(67)
         povm = embed_povm_with_erasure(build_pgm(qam_codebook(16)), 3)
-        states = [erasure_apply(0.3, random_density(rng, 2)) for _ in range(30)]
+        stack = np.stack([random_density(rng, 2).mat for _ in range(30)])
+        states = [DensityMatrix(m) for m in Channel(ErasureConfig(p=0.3)).apply_batch(stack)]
         scores = score_states(povm, np.stack([s.mat for s in states]))
         assert scores.shape == (30, 17)
         for row, rho in zip(scores, states):

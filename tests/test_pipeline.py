@@ -8,6 +8,7 @@ import pytest
 
 from qlinksim import (
     BosonicConfig,
+    DensityMatrix,
     DepolarizingConfig,
     ErasureConfig,
     PMDConfig,
@@ -21,7 +22,6 @@ from qlinksim import (
     qam_codebook,
     run_comparison,
     run_simulation,
-    validate_density,
     write_states_csv,
 )
 from qlinksim import pipeline
@@ -46,6 +46,14 @@ def qpsk_config(tmp_path, channels, n=100, seed=5, **kwargs):
         output_dir=tmp_path / "out",
         **kwargs,
     )
+
+
+def json_config(**changes):
+    """A small valid JSON config with the given top-level keys replaced."""
+    d = {"modulation": {"type": "qpsk"}, "n_symbols": 10, "seed": 1,
+         "channels": [{"name": "a", "type": "depolarizing", "p": 0.1}]}
+    d.update(changes)
+    return d
 
 
 def read_csv(path):
@@ -124,6 +132,41 @@ class TestConfigHandling:
                 channels=((name, DepolarizingConfig(p=0.1)),),
             )
 
+    def test_unknown_output_key_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown output keys: \['emit_figure'\]"):
+            config_from_dict(json_config(output={"emit_figure": False}))
+
+    @pytest.mark.parametrize("key", ["emit_states", "emit_figures"])
+    def test_emit_flags_must_be_booleans(self, key):
+        with pytest.raises(TypeError, match=f"{key} must be true or false"):
+            config_from_dict(json_config(output={key: "false"}))
+
+    def test_notes_must_be_a_string(self):
+        with pytest.raises(TypeError, match="notes must be a string"):
+            config_from_dict(json_config(notes=["a", "list"]))
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"n_symbols": 10.9}, "n_symbols"),
+            ({"n_symbols": True}, "n_symbols"),
+            ({"seed": 1.5}, "seed"),
+            ({"modulation": {"type": "qam", "M": 16.0}}, "qam_order"),
+        ],
+    )
+    def test_integer_fields_must_be_integers(self, changes, field):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            config_from_dict(json_config(**changes))
+
+    def test_qam_order_checked_at_load(self):
+        with pytest.raises(ValueError, match="QAM order"):
+            config_from_dict(json_config(modulation={"type": "qam", "M": 8}))
+
+    def test_channel_must_take_qubit_codebook(self):
+        bosonic = {"name": "b", "type": "bosonic", "loss_db": 1.0, "fock_dim": 3}
+        with pytest.raises(ValueError, match="channel 'b'.*fock_dim"):
+            config_from_dict(json_config(channels=[bosonic]))
+
     def test_decision_mode_validated(self):
         with pytest.raises(ValueError, match="decision_mode"):
             SimulationConfig(
@@ -173,7 +216,7 @@ class TestRunSimulation:
         )
         r = run_simulation(cfg, "dead")
         codebook = qam_codebook(16)
-        fixed = decide(build_pgm(codebook), validate_density(np.eye(2) / 2))
+        fixed = decide(build_pgm(codebook), DensityMatrix(np.eye(2) / 2))
         rows = read_csv(tmp_path / "states_dead.csv")
         assert all(int(row["rx_label"]) == fixed for row in rows)
         tx = draw_symbols(cfg, 16)
@@ -413,6 +456,18 @@ class TestCli:
         rc = cli_main(["compare", "--config", str(path)])
         assert rc == 1
         assert "dgd must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_float_integer_field_reports_error(self, tmp_path, capsys):
+        path = self._write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["channels"].append(
+            {"name": "bosonic", "type": "bosonic", "loss_db": 3.0, "fock_dim": 2.0}
+        )
+        path.write_text(json.dumps(cfg))
+        rc = cli_main(["compare", "--config", str(path)])
+        assert rc == 1
+        assert "fock_dim must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_default_config_is_loadable(self):

@@ -5,120 +5,128 @@ import pytest
 from conftest import random_density
 
 from qlinksim import (
-    BlochVector,
-    ConstellationPlotPoint,
-    bloch_points,
-    bloch_vector,
-    constellation_point,
-    depolarizing_apply,
+    Channel,
+    DepolarizingConfig,
+    ErasureConfig,
     embed_alpha,
-    erasure_apply,
     make_pure,
+    project_states,
     qam_constellation,
     render_bloch_svg,
     render_constellation_svg,
 )
+from qlinksim.visualization import StateProjection
+
+
+def stack(states):
+    return np.stack([rho.mat for rho in states])
 
 
 class TestConstellationPoint:
     def test_identity_recovery(self):
         rng = np.random.default_rng(81)
-        for _ in range(30):
-            alpha = complex(*rng.standard_normal(2))
-            p = constellation_point(embed_alpha(alpha))
-            assert p.i + 1j * p.q == pytest.approx(alpha, abs=1e-12)
-            assert not p.clipped
+        alphas = [complex(*rng.standard_normal(2)) for _ in range(30)]
+        table = project_states(stack(embed_alpha(alpha) for alpha in alphas))
+        for alpha, (i, q), clipped in zip(alphas, table.iq, table.clipped):
+            assert i + 1j * q == pytest.approx(alpha, abs=1e-12)
+            assert not clipped
 
     def test_power_scale_inverted(self):
         points, scale = qam_constellation(16)
-        for cp in points:
-            p = constellation_point(embed_alpha(cp.alpha), power_scale=scale)
-            assert p.i + 1j * p.q == pytest.approx(cp.alpha / scale, abs=1e-9)
+        table = project_states(stack(embed_alpha(cp.alpha) for cp in points), power_scale=scale)
+        for cp, (i, q) in zip(points, table.iq):
+            assert i + 1j * q == pytest.approx(cp.alpha / scale, abs=1e-9)
 
     def test_ground_state_at_origin(self):
-        p = constellation_point(make_pure([1, 0]))
-        assert (p.i, p.q) == (0.0, 0.0)
+        table = project_states(stack([make_pure([1, 0])]))
+        assert tuple(table.iq[0]) == (0.0, 0.0)
 
     def test_excited_state_clips(self):
-        p = constellation_point(make_pure([0, 1]), clip_radius=2.0)
-        assert p.clipped
-        assert p.i**2 + p.q**2 == pytest.approx(4.0, abs=1e-9)
+        table = project_states(stack([make_pure([0, 1])]), clip_radius=2.0)
+        (i, q), = table.iq
+        assert table.clipped[0]
+        assert i**2 + q**2 == pytest.approx(4.0, abs=1e-9)
 
     def test_clip_direction_follows_coherence(self):
         # rho00 tiny but rho10 dominated by a negative real coherence
         eps = 1e-12
         amp = np.sqrt(eps)
         rho = make_pure([amp, -np.sqrt(1 - eps)])
-        p = constellation_point(rho, clip_radius=1.5)
-        assert p.clipped
-        assert p.i == pytest.approx(-1.5, abs=1e-6)
+        table = project_states(stack([rho]), clip_radius=1.5)
+        assert table.clipped[0]
+        assert table.iq[0, 0] == pytest.approx(-1.5, abs=1e-6)
 
     def test_erasure_output_recovers_alpha(self):
         alpha = 0.7 - 0.2j
-        enlarged = erasure_apply(0.4, embed_alpha(alpha))
-        p = constellation_point(enlarged)
-        assert p.i + 1j * p.q == pytest.approx(alpha, abs=1e-9)
+        enlarged = Channel(ErasureConfig(p=0.4)).apply_batch(stack([embed_alpha(alpha)]))
+        (i, q), = project_states(enlarged).iq
+        assert i + 1j * q == pytest.approx(alpha, abs=1e-9)
 
 
 class TestBlochPoints:
     def test_pure_inputs_unit_norm(self):
         rng = np.random.default_rng(82)
         states = [embed_alpha(complex(*rng.standard_normal(2))) for _ in range(10)]
-        for vec, trace in bloch_points(states):
-            assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+        table = project_states(stack(states))
+        for vec, trace in zip(table.bloch, table.trace):
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
             assert trace == pytest.approx(1.0, abs=1e-12)
 
     def test_depolarized_norm_halves(self):
         rho = make_pure([0.8, 0.6])
-        (before, _), (after, _) = bloch_points([rho, depolarizing_apply(0.5, rho)])
-        assert after.norm() == pytest.approx(0.5 * before.norm(), abs=1e-9)
+        depolarized = Channel(DepolarizingConfig(p=0.5)).apply_batch(stack([rho]))
+        before, after = project_states(np.concatenate([stack([rho]), depolarized])).bloch
+        assert np.linalg.norm(after) == pytest.approx(0.5 * np.linalg.norm(before), abs=1e-9)
 
     def test_erasure_keeps_direction_reports_renorm(self):
         rho = embed_alpha(0.3 + 0.5j)
-        (vec_in, _), = bloch_points([rho])
-        (vec_out, trace), = bloch_points([erasure_apply(0.25, rho)])
-        assert trace == pytest.approx(0.75, abs=1e-12)
-        assert np.allclose([vec_in.x, vec_in.y, vec_in.z], [vec_out.x, vec_out.y, vec_out.z])
+        vec_in, = project_states(stack([rho])).bloch
+        erased = project_states(Channel(ErasureConfig(p=0.25)).apply_batch(stack([rho])))
+        assert erased.trace[0] == pytest.approx(0.75, abs=1e-12)
+        assert np.allclose(vec_in, erased.bloch[0])
 
     def test_norms_bounded(self):
         rng = np.random.default_rng(83)
-        for vec, _ in bloch_points([random_density(rng, 2) for _ in range(40)]):
-            assert vec.norm() <= 1 + 1e-9
+        for vec in project_states(stack(random_density(rng, 2) for _ in range(40))).bloch:
+            assert np.linalg.norm(vec) <= 1 + 1e-9
+
+
+def table(iq=None, bloch=None, clipped=()):
+    """Projection rows with the given I/Q or Bloch columns; ``clipped`` lists clipped rows."""
+    n = len(iq if iq is not None else bloch)
+    flags = np.zeros(n, dtype=bool)
+    flags[list(clipped)] = True
+    return StateProjection(
+        bloch=np.zeros((n, 3)) if bloch is None else np.asarray(bloch, dtype=float),
+        trace=np.ones(n),
+        iq=np.zeros((n, 2)) if iq is None else np.asarray(iq, dtype=float).reshape(n, 2),
+        clipped=flags,
+    )
 
 
 def _tx_rx_points():
-    tx = [
-        ConstellationPlotPoint(1.0, 1.0, 0),
-        ConstellationPlotPoint(-1.0, 1.0, 1),
-        ConstellationPlotPoint(-1.0, -1.0, 2),
-    ]
-    rx = [
-        ConstellationPlotPoint(0.9, 1.1, 0),
-        ConstellationPlotPoint(-1.2, 0.8, 1),
-        ConstellationPlotPoint(1.5, 0.0, -1, clipped=True),
-    ]
-    return tx, rx
+    tx = table(iq=[(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)])
+    rx = table(iq=[(0.9, 1.1), (-1.2, 0.8), (1.5, 0.0)], clipped=[2])
+    return tx, [0, 1, 2], rx, [0, 1, -1]
 
 
 class TestRenderConstellation:
     def test_valid_xml(self, tmp_path):
-        tx, rx = _tx_rx_points()
         path = tmp_path / "c.svg"
-        render_constellation_svg(tx, rx, path, title="test")
+        render_constellation_svg(*_tx_rx_points(), path, title="test")
         root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
 
     def test_byte_deterministic(self, tmp_path):
-        tx, rx = _tx_rx_points()
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        render_constellation_svg(tx, rx, a)
-        render_constellation_svg(tx, rx, b)
+        render_constellation_svg(*_tx_rx_points(), a)
+        render_constellation_svg(*_tx_rx_points(), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_sixteen_distinct_colors(self, tmp_path):
-        pts = [ConstellationPlotPoint(0.1 * k, 0.0, k) for k in range(16)]
+        pts = table(iq=[(0.1 * k, 0.0) for k in range(16)])
         path = tmp_path / "c.svg"
-        render_constellation_svg(pts, pts, path)
+        render_constellation_svg(pts, range(16), pts, range(16), path)
         text = path.read_text()
         colors = {
             seg.split('"')[0]
@@ -128,30 +136,35 @@ class TestRenderConstellation:
         assert len(colors) >= 16
 
     def test_clipped_marker_is_cross(self, tmp_path):
-        tx, rx = _tx_rx_points()
         path = tmp_path / "c.svg"
-        render_constellation_svg(tx, rx, path)
+        render_constellation_svg(*_tx_rx_points(), path)
         text = path.read_text()
         # exactly one clipped point -> two stroked cross segments beyond the axes
         assert text.count("<line") == 2 * 2 + 2
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nonempty"):
-            render_constellation_svg([], [], tmp_path / "c.svg")
+            render_constellation_svg(table(iq=[]), [], table(iq=[]), [], tmp_path / "c.svg")
+
+    def test_one_label_per_row(self, tmp_path):
+        tx, tx_labels, rx, rx_labels = _tx_rx_points()
+        with pytest.raises(ValueError, match="one label per"):
+            render_constellation_svg(tx, tx_labels, rx, rx_labels[:2], tmp_path / "c.svg")
 
 
 class TestRenderBloch:
     def test_valid_xml_and_deterministic(self, tmp_path):
-        pts = [(BlochVector(0.0, 0.0, 1.0), 0), (BlochVector(1.0, 0.0, 0.0), 1)]
+        pts = table(bloch=[(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        render_bloch_svg(pts, pts, a, title="spin")
-        render_bloch_svg(pts, pts, b, title="spin")
+        render_bloch_svg(pts, [0, 1], pts, [0, 1], a, title="spin")
+        render_bloch_svg(pts, [0, 1], pts, [0, 1], b, title="spin")
         assert ET.parse(a).getroot().tag.endswith("svg")
         assert a.read_bytes() == b.read_bytes()
 
     def test_north_pole_renders_at_top(self, tmp_path):
         path = tmp_path / "b.svg"
-        render_bloch_svg([(BlochVector(0, 0, 1), 0)], [(BlochVector(0, 0, 1), 0)], path)
+        north = table(bloch=[(0, 0, 1)])
+        render_bloch_svg(north, [0], north, [0], path)
         root = ET.parse(path).getroot()
         ns = {"svg": "http://www.w3.org/2000/svg"}
         circles = [
@@ -166,12 +179,11 @@ class TestRenderBloch:
 
     def test_points_inside_outline(self, tmp_path):
         rng = np.random.default_rng(84)
-        pts = [
-            (bloch_vector(random_density(rng, 2)), int(rng.integers(0, 4)))
-            for _ in range(50)
-        ]
+        pts = [(random_density(rng, 2), int(rng.integers(0, 4))) for _ in range(50)]
+        rows = project_states(stack(rho for rho, _ in pts))
+        labels = [label for _, label in pts]
         path = tmp_path / "b.svg"
-        render_bloch_svg(pts, pts, path)
+        render_bloch_svg(rows, labels, rows, labels, path)
         root = ET.parse(path).getroot()
         ns = {"svg": "http://www.w3.org/2000/svg"}
         outlines = [c for c in root.findall(".//svg:circle", ns) if c.get("fill") == "none"]
@@ -185,4 +197,4 @@ class TestRenderBloch:
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nonempty"):
-            render_bloch_svg([], [], tmp_path / "b.svg")
+            render_bloch_svg(table(bloch=[]), [], table(bloch=[]), [], tmp_path / "b.svg")
