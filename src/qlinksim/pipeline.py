@@ -12,7 +12,6 @@ results do not depend on channel order.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import numbers
@@ -40,6 +39,7 @@ from .metrics import compute_ber, compute_ser
 from .modulation import DetectorCodebook, qam_codebook, qam_side, qpsk_codebook, symbols_to_bits
 from .visualization import (
     StateProjection,
+    distinct_rows,
     project_states,
     render_bloch_svg,
     render_constellation_svg,
@@ -186,6 +186,19 @@ def _csv_num(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _csv_blocks(head: np.ndarray, tail: np.ndarray) -> tuple[list[str], list[str], list[int]]:
+    """CSV text of the ``head`` and ``tail`` columns per distinct row, and
+    the number of each row's distinct row."""
+    values = np.column_stack([head, tail])
+    first, inverse = distinct_rows(values)
+    width, head_text, tail_text = head.shape[1], [], []
+    for row in values[first].tolist():
+        text = list(map(_csv_num, row))
+        head_text.append(",".join(text[:width]))
+        tail_text.append(",".join(text[width:]))
+    return head_text, tail_text, inverse.tolist()
+
+
 def write_states_csv(
     path: str | Path,
     tx_rows: StateProjection,
@@ -197,20 +210,25 @@ def write_states_csv(
 
     Bloch and constellation columns come from the leading-block
     projection, so rows stay well-defined for enlarged (erasure) outputs;
-    ``rx_renorm_trace`` records the weight left in the qubit block.
+    ``rx_renorm_trace`` records the weight left in the qubit block.  Each
+    side's numbers are formatted once per distinct row (matched by exact
+    bytes), so the cost scales with the number of distinct states.  No
+    field needs CSV quoting: they are ints and '.12g' numbers.
     """
     n = len(tx_rows)
     if not (len(rx_rows) == len(tx_labels) == len(rx_labels) == n):
         raise ValueError("state and label sequences must have equal lengths")
-    values = np.column_stack(
-        [tx_rows.bloch, rx_rows.bloch, rx_rows.trace, tx_rows.iq, rx_rows.iq]
-    ).tolist()
-    labels = zip(np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist())
+    tx_bloch, tx_iq, tx_row = _csv_blocks(tx_rows.bloch, tx_rows.iq)
+    rx_bloch, rx_iq, rx_row = _csv_blocks(
+        np.column_stack([rx_rows.bloch, rx_rows.trace]), rx_rows.iq
+    )
+    labels = zip(np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist(), tx_row, rx_row)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STATES_CSV_HEADER)
-        for idx, ((tx, rx), row) in enumerate(zip(labels, values)):
-            writer.writerow([idx, tx, rx, *map(_csv_num, row)])
+        fh.write(",".join(STATES_CSV_HEADER) + "\n")
+        fh.writelines(
+            f"{idx},{tx},{rx},{tx_bloch[a]},{rx_bloch[b]},{tx_iq[a]},{rx_iq[b]}\n"
+            for idx, (tx, rx, a, b) in enumerate(labels)
+        )
 
 
 def tx_clip_radius(codebook: DetectorCodebook) -> float:
@@ -359,14 +377,21 @@ _TOP_KEYS = {"modulation", "n_symbols", "seed", "decision_mode", "channels", "ou
 _OUTPUT_KEYS = {"dir", "emit_states", "emit_figures"}
 
 
+def _require_object(value, field: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{field} must be an object, got {value!r}")
+    return value
+
+
 def config_from_dict(d: Mapping) -> SimulationConfig:
+    _require_object(d, "config")
     unknown = set(d) - _TOP_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key in ("modulation", "n_symbols", "seed", "channels"):
         if key not in d:
             raise ValueError(f"config is missing required key {key!r}")
-    mod = d["modulation"]
+    mod = _require_object(d["modulation"], "modulation")
     mod_type = str(mod.get("type", "")).lower()
     if mod_type not in ("qpsk", "qam"):
         raise ValueError(f"modulation.type must be 'qpsk' or 'qam', got {mod.get('type')!r}")
@@ -374,17 +399,21 @@ def config_from_dict(d: Mapping) -> SimulationConfig:
     unknown = set(mod) - ({"type", "M"} if mod_type == "qam" else {"type"})
     if unknown:
         raise ValueError(f"unknown modulation keys for {mod_type}: {sorted(unknown)}")
+    if not isinstance(d["channels"], list):
+        raise TypeError(f"channels must be a list of objects, got {d['channels']!r}")
     channels = []
     for entry in d["channels"]:
-        entry = dict(entry)
+        entry = dict(_require_object(entry, "every channel entry"))
         name = entry.pop("name", None)
         if not name:
             raise ValueError("every channel entry needs a 'name'")
         channels.append((str(name), channel_config_from_dict(entry)))
-    output = dict(d.get("output", {}))
+    output = _require_object(d.get("output", {}), "output")
     unknown = set(output) - _OUTPUT_KEYS
     if unknown:
         raise ValueError(f"unknown output keys: {sorted(unknown)}")
+    if not isinstance(output.get("dir", "out"), str):
+        raise TypeError(f"output.dir must be a string, got {output['dir']!r}")
     if not isinstance(d.get("notes", ""), str):
         raise TypeError(f"notes must be a string, got {d['notes']!r}")
     cfg = SimulationConfig(

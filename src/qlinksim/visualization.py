@@ -7,11 +7,18 @@ projection.  Both renderers take a :class:`StateProjection` and one
 label per row for each panel; :func:`project_states` computes that table
 once per stack of distinct states.  All output is deterministic: fixed
 element order, fixed coordinate formatting, no timestamps.
+
+Point coordinates are computed as array expressions, and each distinct
+(point, label) marker is formatted once (:func:`distinct_rows` matches
+rows by their exact bytes), so writing a figure costs in proportion to
+the number of distinct states rather than the number of symbols; the
+bytes are those of formatting every point on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -85,7 +92,22 @@ def project_states(
     return StateProjection(bloch_xyz(blocks), trace, iq, clipped)
 
 
-def _project(x: float, y: float, z: float) -> tuple[float, float]:
+def distinct_rows(values) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a 2-D array that differ in any byte as float64.
+
+    Returns the index of each distinct row's first occurrence and, per
+    row, the number of its distinct row.  Rows are matched by bytes, not
+    by float comparison, because that would merge -0.0 with 0.0, which
+    format differently.
+    """
+    rows = np.ascontiguousarray(values, dtype=np.float64)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # The inverse's shape for 2-D input differs between numpy 2.0.x releases.
+    return first, inverse.ravel()
+
+
+def _project(x, y, z):
     """Orthographic view direction azimuth 30 deg, elevation 20 deg."""
     u = -np.sin(_AZIMUTH) * x + np.cos(_AZIMUTH) * y
     v = (
@@ -93,7 +115,7 @@ def _project(x: float, y: float, z: float) -> tuple[float, float]:
         - np.sin(_ELEVATION) * np.sin(_AZIMUTH) * y
         + np.cos(_ELEVATION) * z
     )
-    return float(u), float(v)
+    return u, v
 
 
 def _fmt(x: float) -> str:
@@ -112,8 +134,8 @@ def _color(label: int) -> str:
     return _PALETTE[label % len(_PALETTE)]
 
 
-def _legend(parts: list[str], labels: Sequence[int], x: float, y: float) -> None:
-    seen = sorted(set(labels), key=lambda v: (v < 0, v))
+def _legend(parts: list[str], labels: np.ndarray, x: float, y: float) -> None:
+    seen = sorted(set(labels.tolist()), key=lambda v: (v < 0, v))
     for k, label in enumerate(seen):
         lx = x + 62.0 * k
         name = "erased" if label < 0 else f"s{label}"
@@ -127,19 +149,29 @@ def _legend(parts: list[str], labels: Sequence[int], x: float, y: float) -> None
         )
 
 
-def _marker(parts: list[str], px: float, py: float, color: str, clipped: bool) -> None:
+def _marker(px: float, py: float, color: str, clipped: bool) -> str:
     if clipped:
-        for dx, dy in ((-4, -4), (-4, 4)):
-            parts.append(
-                f'<line x1="{_fmt(px + dx)}" y1="{_fmt(py + dy)}" '
-                f'x2="{_fmt(px - dx)}" y2="{_fmt(py - dy)}" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-    else:
-        parts.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="{color}" '
-            f'fill-opacity="0.75"/>'
+        return "\n".join(
+            f'<line x1="{_fmt(px + dx)}" y1="{_fmt(py + dy)}" '
+            f'x2="{_fmt(px - dx)}" y2="{_fmt(py - dy)}" '
+            f'stroke="{color}" stroke-width="1.5"/>'
+            for dx, dy in ((-4, -4), (-4, 4))
         )
+    return (
+        f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="{color}" '
+        f'fill-opacity="0.75"/>'
+    )
+
+
+def _markers(parts: list[str], px, py, labels: np.ndarray, clipped) -> None:
+    """One marker per point, each distinct (point, label, clipped) formatted once."""
+    first, inverse = distinct_rows(np.column_stack([px, py, labels, clipped]))
+    columns = (px[first], py[first], labels[first], clipped[first])
+    text = [
+        _marker(x, y, _color(label), clip)
+        for x, y, label, clip in zip(*(c.tolist() for c in columns))
+    ]
+    parts.extend([text[k] for k in inverse.tolist()])
 
 
 _PANEL = 380.0
@@ -149,23 +181,35 @@ _WIDTH = int(2 * _PANEL + 2 * _MARGIN + _GAP)
 _HEIGHT = int(_PANEL + 2 * _MARGIN + 40)
 
 
-def _write_svg(path: Path, parts: list[str]) -> None:
-    body = "\n".join(parts)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(body)
-        fh.write("\n")
-
-
-def _panel_labels(
-    what: str, tx: StateProjection, tx_labels, rx: StateProjection, rx_labels
-) -> tuple[list[int], list[int]]:
-    """Both panels' labels as int lists, one per table row."""
+def _figure(
+    what: str, comment: str, draw_panel, tx: StateProjection, tx_labels,
+    rx: StateProjection, rx_labels, path: str | Path, title: str,
+) -> None:
+    """Write the header, ``draw_panel(parts, table, labels, x0, name)`` for
+    both panels and the shared legend to ``path``."""
     if not len(tx) or not len(rx):
         raise ValueError(f"{what} rendering needs nonempty tx and rx tables")
-    tx_labels, rx_labels = np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist()
+    tx_labels, rx_labels = np.asarray(tx_labels), np.asarray(rx_labels)
     if len(tx_labels) != len(tx) or len(rx_labels) != len(rx):
         raise ValueError(f"{what} rendering needs one label per table row")
-    return tx_labels, rx_labels
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        comment,
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{_fmt(_WIDTH / 2)}" y="26" font-size="15" fill="#111" '
+            f'text-anchor="middle">{_esc(title)}</text>'
+        )
+    draw_panel(parts, tx, tx_labels, _MARGIN, "transmitted")
+    draw_panel(parts, rx, rx_labels, _MARGIN + _PANEL + _GAP, "received")
+    _legend(parts, np.concatenate([tx_labels, rx_labels]), _MARGIN, _MARGIN + _PANEL + 18)
+    parts.append("</svg>")
+    with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(parts))
+        fh.write("\n")
 
 
 def render_constellation_svg(
@@ -177,67 +221,41 @@ def render_constellation_svg(
     title: str = "",
 ) -> None:
     """Two-panel I/Q scatter colored by label; clipped reconstructions drawn as crosses."""
-    tx_labels, rx_labels = _panel_labels("constellation", tx, tx_labels, rx, rx_labels)
-    reach = float(np.max(np.abs(np.concatenate([tx.iq, rx.iq])), initial=1.0))
-    half = 1.05 * reach
+    half = 1.05 * float(np.max(np.abs(np.concatenate([tx.iq, rx.iq])), initial=1.0))
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        "<!-- constellation reconstruction; axis half-range "
-        f"{_fmt(half)} -->",
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{_fmt(_WIDTH / 2)}" y="26" font-size="15" fill="#111" '
-            f'text-anchor="middle">{_esc(title)}</text>'
-        )
-
-    def draw_panel(table: StateProjection, labels: list[int], x0: float, name: str) -> None:
+    def draw_panel(parts, table: StateProjection, labels, x0: float, name: str) -> None:
         y0 = _MARGIN
-        parts.append(
-            f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(_PANEL)}" '
-            f'height="{_fmt(_PANEL)}" fill="none" stroke="#888"/>'
-        )
         cx, cy = x0 + _PANEL / 2, y0 + _PANEL / 2
-        parts.append(
+        parts += [
+            f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(_PANEL)}" '
+            f'height="{_fmt(_PANEL)}" fill="none" stroke="#888"/>',
             f'<line x1="{_fmt(x0)}" y1="{_fmt(cy)}" x2="{_fmt(x0 + _PANEL)}" '
-            f'y2="{_fmt(cy)}" stroke="#ddd"/>'
-        )
-        parts.append(
+            f'y2="{_fmt(cy)}" stroke="#ddd"/>',
             f'<line x1="{_fmt(cx)}" y1="{_fmt(y0)}" x2="{_fmt(cx)}" '
-            f'y2="{_fmt(y0 + _PANEL)}" stroke="#ddd"/>'
-        )
-        parts.append(
+            f'y2="{_fmt(y0 + _PANEL)}" stroke="#ddd"/>',
             f'<text x="{_fmt(cx)}" y="{_fmt(y0 - 8)}" font-size="13" fill="#333" '
-            f'text-anchor="middle">{name}</text>'
-        )
-        parts.append(
+            f'text-anchor="middle">{name}</text>',
             f'<text x="{_fmt(x0 + _PANEL - 4)}" y="{_fmt(cy - 6)}" font-size="10" '
-            f'fill="#999" text-anchor="end">I {_fmt(half)}</text>'
-        )
-        parts.append(
+            f'fill="#999" text-anchor="end">I {_fmt(half)}</text>',
             f'<text x="{_fmt(cx + 6)}" y="{_fmt(y0 + 12)}" font-size="10" '
-            f'fill="#999">Q {_fmt(half)}</text>'
-        )
-        for (i, q), label, clipped in zip(table.iq.tolist(), labels, table.clipped.tolist()):
-            px = x0 + (i + half) / (2 * half) * _PANEL
-            py = y0 + (half - q) / (2 * half) * _PANEL
-            _marker(parts, px, py, _color(label), clipped)
+            f'fill="#999">Q {_fmt(half)}</text>',
+        ]
+        i, q = table.iq.T
+        px = x0 + (i + half) / (2 * half) * _PANEL
+        py = y0 + (half - q) / (2 * half) * _PANEL
+        _markers(parts, px, py, labels, table.clipped)
 
-    draw_panel(tx, tx_labels, _MARGIN, "transmitted")
-    draw_panel(rx, rx_labels, _MARGIN + _PANEL + _GAP, "received")
-    _legend(parts, tx_labels + rx_labels, _MARGIN, _MARGIN + _PANEL + 18)
-    parts.append("</svg>")
-    _write_svg(Path(path), parts)
+    comment = f"<!-- constellation reconstruction; axis half-range {_fmt(half)} -->"
+    _figure("constellation", comment, draw_panel, tx, tx_labels, rx, rx_labels, path, title)
 
 
-def _sphere_wireframe(parts: list[str], cx: float, cy: float, r: float) -> None:
-    parts.append(
+@lru_cache(maxsize=2)  # one per panel
+def _sphere_wireframe(cx: float, cy: float, r: float) -> tuple[str, ...]:
+    """Outline, great circles and axis names of the sphere; fixed, so built once."""
+    parts = [
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="none" '
         f'stroke="#aaa"/>'
-    )
+    ]
     circles = (
         lambda t: (np.cos(t), np.sin(t), 0.0),  # equator
         lambda t: (np.cos(t), 0.0, np.sin(t)),  # x-z meridian
@@ -248,16 +266,17 @@ def _sphere_wireframe(parts: list[str], cx: float, cy: float, r: float) -> None:
         for k in range(73):
             t = 2.0 * np.pi * k / 72.0
             u, v = _project(*circle(t))
-            coords.append(f"{_fmt(cx + r * u)},{_fmt(cy - r * v)}")
+            coords.append(f"{_fmt(cx + r * float(u))},{_fmt(cy - r * float(v))}")
         parts.append(
             f'<polyline points="{" ".join(coords)}" fill="none" stroke="#ddd"/>'
         )
     for axis, name in (((1.1, 0, 0), "x"), ((0, 1.1, 0), "y"), ((0, 0, 1.1), "z")):
         u, v = _project(*axis)
         parts.append(
-            f'<text x="{_fmt(cx + r * u)}" y="{_fmt(cy - r * v)}" font-size="11" '
-            f'fill="#666" text-anchor="middle">{name}</text>'
+            f'<text x="{_fmt(cx + r * float(u))}" y="{_fmt(cy - r * float(v))}" '
+            f'font-size="11" fill="#666" text-anchor="middle">{name}</text>'
         )
+    return tuple(parts)
 
 
 def render_bloch_svg(
@@ -269,35 +288,17 @@ def render_bloch_svg(
     title: str = "",
 ) -> None:
     """Two-panel Bloch sphere scatter colored by label, in the fixed orthographic view."""
-    tx_labels, rx_labels = _panel_labels("Bloch", tx, tx_labels, rx, rx_labels)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        "<!-- Bloch sphere, orthographic projection, azimuth 30 deg, "
-        "elevation 20 deg -->",
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{_fmt(_WIDTH / 2)}" y="26" font-size="15" fill="#111" '
-            f'text-anchor="middle">{_esc(title)}</text>'
-        )
-
     radius = _PANEL / 2 - 14.0
 
-    def draw_panel(table: StateProjection, labels: list[int], x0: float, name: str) -> None:
+    def draw_panel(parts, table: StateProjection, labels, x0: float, name: str) -> None:
         cx, cy = x0 + _PANEL / 2, _MARGIN + _PANEL / 2
-        _sphere_wireframe(parts, cx, cy, radius)
+        parts.extend(_sphere_wireframe(cx, cy, radius))
         parts.append(
             f'<text x="{_fmt(cx)}" y="{_fmt(_MARGIN - 8)}" font-size="13" '
             f'fill="#333" text-anchor="middle">{name}</text>'
         )
-        for xyz, label in zip(table.bloch.tolist(), labels):
-            u, v = _project(*xyz)
-            _marker(parts, cx + radius * u, cy - radius * v, _color(label), False)
+        u, v = _project(*table.bloch.T)
+        _markers(parts, cx + radius * u, cy - radius * v, labels, np.zeros(len(labels), bool))
 
-    draw_panel(tx, tx_labels, _MARGIN, "transmitted")
-    draw_panel(rx, rx_labels, _MARGIN + _PANEL + _GAP, "received")
-    _legend(parts, tx_labels + rx_labels, _MARGIN, _MARGIN + _PANEL + 18)
-    parts.append("</svg>")
-    _write_svg(Path(path), parts)
+    comment = "<!-- Bloch sphere, orthographic projection, azimuth 30 deg, elevation 20 deg -->"
+    _figure("Bloch", comment, draw_panel, tx, tx_labels, rx, rx_labels, path, title)

@@ -1,0 +1,266 @@
+"""Byte oracle for the artifact writers.
+
+The writers format each distinct state once and compute point coordinates
+as arrays.  The reference writers below do the plain thing instead: a
+``csv.writer`` row loop that formats all eleven numbers of every row, and
+SVG renderers that project and draw every point on its own with scalar
+arithmetic.  Both must write the same bytes, on real pipeline tables and
+on hand-built tables with repeated rows, signed zeros, clipped points,
+erased labels, enlarged (3x3) states and a single row.
+"""
+
+import csv
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qlinksim import Channel, ErasureConfig, embed_alpha, load_config, project_states
+from qlinksim import default_config_path, pipeline, visualization as vis
+from qlinksim.pipeline import STATES_CSV_HEADER, write_states_csv
+from qlinksim.visualization import StateProjection, render_bloch_svg, render_constellation_svg
+
+
+def reference_states_csv(path, tx_rows, rx_rows, tx_labels, rx_labels):
+    values = np.column_stack(
+        [tx_rows.bloch, rx_rows.bloch, rx_rows.trace, tx_rows.iq, rx_rows.iq]
+    ).tolist()
+    labels = zip(np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist())
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(STATES_CSV_HEADER)
+        for idx, ((tx, rx), row) in enumerate(zip(labels, values)):
+            writer.writerow([idx, tx, rx, *(format(float(x), ".12g") for x in row)])
+
+
+def _project(x, y, z):
+    u = -np.sin(vis._AZIMUTH) * x + np.cos(vis._AZIMUTH) * y
+    v = (
+        -np.sin(vis._ELEVATION) * np.cos(vis._AZIMUTH) * x
+        - np.sin(vis._ELEVATION) * np.sin(vis._AZIMUTH) * y
+        + np.cos(vis._ELEVATION) * z
+    )
+    return float(u), float(v)
+
+
+def _marker(parts, px, py, color, clipped):
+    fmt = vis._fmt
+    if clipped:
+        for dx, dy in ((-4, -4), (-4, 4)):
+            parts.append(
+                f'<line x1="{fmt(px + dx)}" y1="{fmt(py + dy)}" '
+                f'x2="{fmt(px - dx)}" y2="{fmt(py - dy)}" '
+                f'stroke="{color}" stroke-width="1.5"/>'
+            )
+    else:
+        parts.append(
+            f'<circle cx="{fmt(px)}" cy="{fmt(py)}" r="4" fill="{color}" '
+            f'fill-opacity="0.75"/>'
+        )
+
+
+def _legend(parts, labels, x, y):
+    fmt = vis._fmt
+    for k, label in enumerate(sorted(set(labels), key=lambda v: (v < 0, v))):
+        lx = x + 62.0 * k
+        name = "erased" if label < 0 else f"s{label}"
+        parts.append(
+            f'<rect x="{fmt(lx)}" y="{fmt(y)}" width="10" height="10" '
+            f'fill="{vis._color(label)}"/>'
+        )
+        parts.append(
+            f'<text x="{fmt(lx + 14)}" y="{fmt(y + 9)}" font-size="11" '
+            f'fill="#333">{name}</text>'
+        )
+
+
+def _header(comment, title):
+    width, height, fmt = vis._WIDTH, vis._HEIGHT, vis._fmt
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        comment,
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{fmt(width / 2)}" y="26" font-size="15" fill="#111" '
+            f'text-anchor="middle">{vis._esc(title)}</text>'
+        )
+    return parts
+
+
+def reference_constellation_svg(tx, tx_labels, rx, rx_labels, path, title=""):
+    fmt, panel, margin = vis._fmt, vis._PANEL, vis._MARGIN
+    tx_labels, rx_labels = np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist()
+    half = 1.05 * float(np.max(np.abs(np.concatenate([tx.iq, rx.iq])), initial=1.0))
+    parts = _header(f"<!-- constellation reconstruction; axis half-range {fmt(half)} -->", title)
+    for table, labels, x0, name in (
+        (tx, tx_labels, margin, "transmitted"),
+        (rx, rx_labels, margin + panel + vis._GAP, "received"),
+    ):
+        y0 = margin
+        cx, cy = x0 + panel / 2, y0 + panel / 2
+        parts += [
+            f'<rect x="{fmt(x0)}" y="{fmt(y0)}" width="{fmt(panel)}" '
+            f'height="{fmt(panel)}" fill="none" stroke="#888"/>',
+            f'<line x1="{fmt(x0)}" y1="{fmt(cy)}" x2="{fmt(x0 + panel)}" '
+            f'y2="{fmt(cy)}" stroke="#ddd"/>',
+            f'<line x1="{fmt(cx)}" y1="{fmt(y0)}" x2="{fmt(cx)}" '
+            f'y2="{fmt(y0 + panel)}" stroke="#ddd"/>',
+            f'<text x="{fmt(cx)}" y="{fmt(y0 - 8)}" font-size="13" fill="#333" '
+            f'text-anchor="middle">{name}</text>',
+            f'<text x="{fmt(x0 + panel - 4)}" y="{fmt(cy - 6)}" font-size="10" '
+            f'fill="#999" text-anchor="end">I {fmt(half)}</text>',
+            f'<text x="{fmt(cx + 6)}" y="{fmt(y0 + 12)}" font-size="10" '
+            f'fill="#999">Q {fmt(half)}</text>',
+        ]
+        for (i, q), label, clipped in zip(table.iq.tolist(), labels, table.clipped.tolist()):
+            px = x0 + (i + half) / (2 * half) * panel
+            py = y0 + (half - q) / (2 * half) * panel
+            _marker(parts, px, py, vis._color(label), clipped)
+    _legend(parts, tx_labels + rx_labels, margin, margin + panel + 18)
+    parts.append("</svg>")
+    path.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
+
+
+def reference_bloch_svg(tx, tx_labels, rx, rx_labels, path, title=""):
+    fmt, panel, margin = vis._fmt, vis._PANEL, vis._MARGIN
+    tx_labels, rx_labels = np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist()
+    parts = _header(
+        "<!-- Bloch sphere, orthographic projection, azimuth 30 deg, elevation 20 deg -->",
+        title,
+    )
+    r = panel / 2 - 14.0
+    for table, labels, x0, name in (
+        (tx, tx_labels, margin, "transmitted"),
+        (rx, rx_labels, margin + panel + vis._GAP, "received"),
+    ):
+        cx, cy = x0 + panel / 2, margin + panel / 2
+        parts.append(
+            f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" fill="none" stroke="#aaa"/>'
+        )
+        circles = (
+            lambda t: (np.cos(t), np.sin(t), 0.0),
+            lambda t: (np.cos(t), 0.0, np.sin(t)),
+            lambda t: (0.0, np.cos(t), np.sin(t)),
+        )
+        for circle in circles:
+            coords = []
+            for k in range(73):
+                u, v = _project(*circle(2.0 * np.pi * k / 72.0))
+                coords.append(f"{fmt(cx + r * u)},{fmt(cy - r * v)}")
+            parts.append(f'<polyline points="{" ".join(coords)}" fill="none" stroke="#ddd"/>')
+        for axis, axis_name in (((1.1, 0, 0), "x"), ((0, 1.1, 0), "y"), ((0, 0, 1.1), "z")):
+            u, v = _project(*axis)
+            parts.append(
+                f'<text x="{fmt(cx + r * u)}" y="{fmt(cy - r * v)}" font-size="11" '
+                f'fill="#666" text-anchor="middle">{axis_name}</text>'
+            )
+        parts.append(
+            f'<text x="{fmt(cx)}" y="{fmt(margin - 8)}" font-size="13" '
+            f'fill="#333" text-anchor="middle">{name}</text>'
+        )
+        for xyz, label in zip(table.bloch.tolist(), labels):
+            u, v = _project(*xyz)
+            _marker(parts, cx + r * u, cy - r * v, vis._color(label), False)
+    _legend(parts, tx_labels + rx_labels, margin, margin + panel + 18)
+    parts.append("</svg>")
+    path.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
+
+
+WRITERS = (
+    ("states.csv", write_states_csv, reference_states_csv),
+    ("constellation.svg", render_constellation_svg, reference_constellation_svg),
+    ("bloch.svg", render_bloch_svg, reference_bloch_svg),
+)
+
+
+def assert_same_bytes(tmp_path, tx, tx_labels, rx, rx_labels, title="oracle"):
+    for name, writer, reference in WRITERS:
+        fast, slow = tmp_path / f"fast_{name}", tmp_path / f"slow_{name}"
+        if writer is write_states_csv:
+            writer(fast, tx, rx, tx_labels, rx_labels)
+            reference(slow, tx, rx, tx_labels, rx_labels)
+        else:
+            writer(tx, tx_labels, rx, rx_labels, fast, title=title)
+            reference(tx, tx_labels, rx, rx_labels, slow, title=title)
+        assert fast.read_bytes() == slow.read_bytes(), name
+
+
+@pytest.mark.parametrize("mode", ["argmax", "sampled"])
+def test_pipeline_tables_of_every_channel(tmp_path, monkeypatch, mode):
+    calls = {}
+    for (_, writer, reference) in WRITERS:
+        def recording(*args, _writer=writer, _reference=reference, **kwargs):
+            calls.setdefault(_writer, []).append((_reference, args, kwargs))
+            return _writer(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, writer.__name__, recording)
+    cfg = load_config(default_config_path())
+    cfg = dataclasses.replace(
+        cfg, n_symbols=300, decision_mode=mode, output_dir=tmp_path / "run"
+    )
+    pipeline.run_comparison(cfg)
+    assert [len(c) for c in calls.values()] == [6, 6, 6]
+    for reference, args, kwargs in sum(calls.values(), []):
+        path = next(a for a in args if isinstance(a, Path))
+        ref = tmp_path / path.name
+        reference(*(ref if a is path else a for a in args), **kwargs)
+        assert path.read_bytes() == ref.read_bytes(), path.name
+
+
+def table(iq, bloch=None, trace=None, clipped=()):
+    n = len(iq)
+    flags = np.zeros(n, dtype=bool)
+    flags[list(clipped)] = True
+    return StateProjection(
+        bloch=np.zeros((n, 3)) if bloch is None else np.asarray(bloch, dtype=float),
+        trace=np.ones(n) if trace is None else np.asarray(trace, dtype=float),
+        iq=np.asarray(iq, dtype=float).reshape(n, 2),
+        clipped=flags,
+    )
+
+
+def test_repeated_rows(tmp_path):
+    rng = np.random.default_rng(7)
+    points = rng.standard_normal((3, 2))
+    spins = rng.standard_normal((3, 3))
+    pick = rng.integers(0, 3, size=200)
+    rows = table(points[pick], bloch=spins[pick])
+    # The same point under several labels, and several points under one label.
+    labels = rng.integers(-1, 4, size=200)
+    assert_same_bytes(tmp_path, rows, pick, rows.take(rng.permutation(200)), labels)
+
+
+def test_signed_zeros_in_one_column(tmp_path):
+    zeros = [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)] * 3
+    spins = [(-0.0, 0.0, 1.0), (0.0, -0.0, 1.0)] * 6
+    rows = table(zeros, bloch=spins, trace=[1.0, -0.0] * 6)
+    assert_same_bytes(tmp_path, rows, [0, 1] * 6, rows, [1, 0, -1] * 4)
+    assert b",-0,0," in (tmp_path / "fast_states.csv").read_bytes()
+
+
+def test_clipped_points_and_erased_labels(tmp_path):
+    # The same point and label, clipped and not clipped, keeps both markers.
+    rx = table([(1.5, 0.0), (1.5, 0.0), (-0.3, 0.2), (1.5, 0.0)], clipped=[0, 3])
+    tx = table([(1.0, 0.0), (1.0, 0.0), (-0.3, 0.2), (1.0, 0.0)])
+    assert_same_bytes(tmp_path, tx, [0, 0, 1, 0], rx, [-1, -1, 1, 0])
+
+
+def test_enlarged_erasure_outputs(tmp_path):
+    rng = np.random.default_rng(8)
+    alphas = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    sent = np.stack([embed_alpha(a).mat for a in alphas])
+    received = Channel(ErasureConfig(p=0.3)).apply_batch(sent)
+    assert received.shape[1:] == (3, 3)
+    symbols = rng.integers(0, 6, size=50)
+    tx = project_states(sent, clip_radius=2.0).take(symbols)
+    rx = project_states(received, clip_radius=2.0).take(symbols)
+    assert_same_bytes(tmp_path, tx, symbols, rx, np.where(symbols % 2, symbols, -1))
+
+
+def test_single_row(tmp_path):
+    rows = table([(0.25, -0.5)], bloch=[(0.1, -0.2, 0.3)], trace=[0.9])
+    assert_same_bytes(tmp_path, rows, [3], rows, [-1])

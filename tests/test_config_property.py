@@ -5,8 +5,9 @@ ValueError or TypeError that says what is wrong, or it runs: every
 channel's SER and BER is finite and in [0, 1].  The generator mixes valid
 values with one representative of each kind of bad JSON value (NaN, +-inf,
 negative, bool, integral float where an integer is expected, string,
-null), unknown keys and missing keys.  Examples are derandomized, so the
-test is reproducible; it is skipped where hypothesis is not installed.
+null), blocks that are not objects, unknown keys and missing keys.
+Examples are derandomized, so the test is reproducible; it is skipped
+where hypothesis is not installed.
 """
 
 import dataclasses
@@ -77,18 +78,28 @@ def configs(draw):
         "modulation": draw(pick(
             [{"type": "qpsk"}, {"type": "qam", "M": 4}, {"type": "qam", "M": 16},
              {"type": "qam"}],
-            [{"type": "qam", "M": m} for m in (8, 2, -4, 16.0, True, "16")]
+            ["qam", None, ["qam"]]
+            + [{"type": "qam", "M": m} for m in (8, 2, -4, 16.0, True, "16")]
             + [{"type": "qpsk", "M": 4}, {"type": "psk"}],
         )),
         "n_symbols": draw(pick([1, 17, 64], [0, -5, 10.9, 10.0, True, "8", None])),
         "seed": draw(pick([0, 123, 2**64 - 1], [-1, 2**64, 1.5, True, "1", NAN])),
-        "channels": [draw(channel_entries(k)) for k in range(draw(st.integers(1, 3)))],
+        "channels": draw(pick(
+            [[draw(channel_entries(k)) for k in range(draw(st.integers(1, 3)))]],
+            [[5], "abc", [["name", "c0"]], {"name": "c0"}, None],
+        )),
         "decision_mode": draw(pick(["argmax", "sampled"], ["vote", 1, None])),
-        "output": {"dir": "out", "emit_states": draw(flag), "emit_figures": draw(flag)},
+        "output": {
+            "dir": draw(pick(["out"], [5, None, ["out"]])),
+            "emit_states": draw(flag),
+            "emit_figures": draw(flag),
+        },
         "notes": draw(pick(["a note", ""], [5, ["a"], None])),
     }
     if draw(RARELY):
         d["output"]["emit_figure"] = False
+    if draw(RARELY):
+        d["output"] = draw(st.sampled_from(["out", [], None]))
     for key in ("modulation", "n_symbols", "seed", "output", "notes"):
         if draw(RARELY):
             del d[key]

@@ -24,7 +24,7 @@ from qlinksim import (
     run_simulation,
     write_states_csv,
 )
-from qlinksim import pipeline
+from qlinksim import pipeline, visualization
 from qlinksim.cli import main as cli_main
 from qlinksim.pipeline import (
     STATES_CSV_HEADER,
@@ -144,6 +144,21 @@ class TestConfigHandling:
     def test_notes_must_be_a_string(self):
         with pytest.raises(TypeError, match="notes must be a string"):
             config_from_dict(json_config(notes=["a", "list"]))
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            (json_config(modulation="qam"), "modulation must be an object"),
+            (json_config(output="out"), "output must be an object"),
+            (json_config(channels="abc"), "channels must be a list of objects"),
+            (json_config(channels=[5]), "every channel entry must be an object"),
+            (json_config(output={"dir": 5}), "output.dir must be a string"),
+            ([json_config()], "config must be an object"),
+        ],
+    )
+    def test_non_object_blocks_name_the_field(self, d, message):
+        with pytest.raises(TypeError, match=message):
+            config_from_dict(d)
 
     @pytest.mark.parametrize(
         "changes, field",
@@ -269,6 +284,31 @@ class TestRunSimulation:
         )
         run_simulation(cfg, "era")
         assert sizes == [16]
+
+    def test_artifacts_format_each_distinct_state_once(self, tmp_path, monkeypatch):
+        counts = {"csv": 0, "marker": 0}
+
+        def counting(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                counts[key] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(pipeline, "_csv_num", "csv")
+        counting(visualization, "_marker", "marker")
+        m, n = 16, 4000
+        cfg = SimulationConfig(
+            modulation="qam", qam_order=m, n_symbols=n, seed=3, decision_mode="sampled",
+            channels=(("era", ErasureConfig(p=0.25)),), output_dir=tmp_path,
+        )
+        run_simulation(cfg, "era")
+        # Per-symbol formatting would take n * 11 numbers and 4 n markers.
+        assert counts["csv"] <= m * 11
+        # Per renderer: m tx markers, at most m * (m + 1) (state, label) rx markers.
+        assert counts["marker"] <= 2 * (m + m * (m + 1))
 
 
 class TestRunComparison:
