@@ -28,7 +28,7 @@ class POVM:
     """Validated measurement: PSD elements summing to the identity.
 
     ``labels[i]`` is the symbol decision reported when element i fires;
-    the erasure outcome carries the label -1.
+    the erasure outcome carries the label -1.  The scoring stack is read-only.
     """
 
     elements: tuple[np.ndarray, ...]
@@ -57,6 +57,7 @@ class POVM:
             raise ValueError(
                 f"POVM does not resolve the identity (deviation {comp_dev:.3e})"
             )
+        stack.flags.writeable = False
         object.__setattr__(self, "_stack", stack)
 
     @property
@@ -93,18 +94,15 @@ def measurement_scores(povm: POVM, rho: DensityMatrix) -> np.ndarray:
 
 
 def build_pgm(codebook: DetectorCodebook) -> POVM:
-    """Pretty-good measurement for the codebook's states and priors."""
-    dim = codebook.dim
-    rhobar = np.zeros((dim, dim), dtype=complex)
-    for p, state in zip(codebook.priors, codebook.states):
-        rhobar += p * state.mat
-    s = inv_sqrt_psd(rhobar)
-    elements = tuple(
-        hermitize(p * (s @ state.mat @ s))
-        for p, state in zip(codebook.priors, codebook.states)
-    )
+    """Pretty-good measurement for the codebook's states and priors, computed on
+    the whole stack in the one-state order, so each element has the same bits."""
+    dim, p, mats = codebook.dim, codebook.priors[:, None, None], codebook.mats
+    s = inv_sqrt_psd((p * mats).sum(axis=0))
+    elements = p * (s @ mats @ s)
+    elements = (elements + elements.conj().swapaxes(-1, -2)) / 2.0
+    elements.flags.writeable = False
     try:
-        return POVM(elements=elements, labels=tuple(range(codebook.M)))
+        return POVM(elements=tuple(elements), labels=tuple(range(codebook.M)))
     except ValueError as err:
         # Completeness fails exactly when rhobar is rank-deficient, i.e. the
         # reference states do not span the space the detector acts on.
@@ -122,25 +120,15 @@ def embed_povm_with_erasure(povm: POVM, out_dim: int) -> POVM:
     (up to roundoff, which is clipped).
     """
     if out_dim <= povm.dim:
-        raise ValueError(
-            f"target dim {out_dim} must exceed current POVM dim {povm.dim}"
-        )
-    padded = []
-    for e in povm.elements:
-        big = np.zeros((out_dim, out_dim), dtype=complex)
-        big[: povm.dim, : povm.dim] = e
-        padded.append(big)
+        raise ValueError(f"target dim {out_dim} must exceed current POVM dim {povm.dim}")
+    padded = np.zeros((povm.n_outcomes, out_dim, out_dim), dtype=complex)
+    padded[:, : povm.dim, : povm.dim] = povm.elements
     residual = np.eye(out_dim, dtype=complex) - sum(padded)
     vals, vecs = np.linalg.eigh(hermitize(residual))
     if float(vals[0]) < -_PSD_TOL:
-        raise ValueError(
-            f"erasure completion is not PSD (min eigenvalue {vals[0]:.3e})"
-        )
+        raise ValueError(f"erasure completion is not PSD (min eigenvalue {vals[0]:.3e})")
     residual = hermitize((vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
-    return POVM(
-        elements=tuple(padded) + (residual,),
-        labels=povm.labels + (-1,),
-    )
+    return POVM(elements=tuple(padded) + (residual,), labels=povm.labels + (-1,))
 
 
 def argmax_labels(povm: POVM, scores: np.ndarray) -> np.ndarray:

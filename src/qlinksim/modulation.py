@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import DensityMatrix, InvalidStateError, make_pure
+from .states import DensityMatrix, InvalidStateError, make_pure, make_pure_states
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -34,7 +34,8 @@ class DetectorCodebook:
 
     ``power_scale`` records the amplitude normalization applied before
     embedding, so plotting code can undo it and recover constellation
-    coordinates on the original grid.
+    coordinates on the original grid.  ``mats`` stacks the states' matrices;
+    it and ``priors`` are read-only, as a comparison shares them.
     """
 
     states: tuple[DensityMatrix, ...]
@@ -43,9 +44,10 @@ class DetectorCodebook:
     bits_per_symbol: int
     power_scale: float = 1.0
     name: str = field(default="", compare=False)
+    mats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        priors = np.asarray(self.priors, dtype=float)
+        priors = np.array(self.priors, dtype=float)
         if len(self.states) == 0:
             raise ValueError("codebook needs at least one state")
         if priors.shape != (len(self.states),):
@@ -61,7 +63,10 @@ class DetectorCodebook:
         dims = {s.dim for s in self.states}
         if len(dims) != 1:
             raise ValueError(f"states must share one dimension, got {sorted(dims)}")
-        object.__setattr__(self, "priors", priors)
+        mats = np.stack([s.mat for s in self.states])
+        for attr, value in (("priors", priors), ("mats", mats)):
+            value.flags.writeable = False
+            object.__setattr__(self, attr, value)
 
     @property
     def M(self) -> int:
@@ -69,7 +74,7 @@ class DetectorCodebook:
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.mats.shape[-1]
 
 
 def qpsk_codebook() -> DetectorCodebook:
@@ -82,7 +87,7 @@ def qpsk_codebook() -> DetectorCodebook:
     ]
     bits = ((0, 0), (0, 1), (1, 0), (1, 1))
     return DetectorCodebook(
-        states=tuple(make_pure(a) for a in amplitudes),
+        states=make_pure_states(amplitudes),
         priors=np.full(4, 0.25),
         bit_labels=bits,
         bits_per_symbol=2,
@@ -124,20 +129,26 @@ def qam_constellation(order: int) -> tuple[list[ConstellationPoint], float]:
     return points, float(scale)
 
 
-def embed_alpha(alpha: complex) -> DensityMatrix:
-    """Qubit embedding of a complex amplitude: (|0> + alpha|1>)/sqrt(1+|alpha|^2)."""
+def _ket(alpha: complex) -> list:
+    """Amplitudes (1, alpha)/sqrt(1+|alpha|^2), in Python scalar arithmetic:
+    numpy's complex abs and division differ from it in the last bit."""
     alpha = complex(alpha)
     if not np.isfinite(alpha.real) or not np.isfinite(alpha.imag):
         raise InvalidStateError(f"amplitude must be finite, got {alpha!r}")
     norm = np.sqrt(1.0 + abs(alpha) ** 2)
-    return make_pure([1.0 / norm, alpha / norm])
+    return [1.0 / norm, alpha / norm]
+
+
+def embed_alpha(alpha: complex) -> DensityMatrix:
+    """Qubit embedding of a complex amplitude: (|0> + alpha|1>)/sqrt(1+|alpha|^2)."""
+    return make_pure(_ket(alpha))
 
 
 def qam_codebook(order: int) -> DetectorCodebook:
-    """Uniform-prior codebook of embedded M-QAM states."""
+    """Uniform-prior codebook of embedded M-QAM states, checked as one stack."""
     points, scale = qam_constellation(order)
     return DetectorCodebook(
-        states=tuple(embed_alpha(p.alpha) for p in points),
+        states=make_pure_states(_ket(p.alpha) for p in points),
         priors=np.full(len(points), 1.0 / len(points)),
         bit_labels=tuple(p.bits for p in points),
         bits_per_symbol=len(points[0].bits),

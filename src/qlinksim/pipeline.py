@@ -1,13 +1,14 @@
 """End-to-end simulation runs: symbols -> states -> channel -> detection -> metrics.
 
-A run is fully determined by its :class:`SimulationConfig`.  Each channel
-is one array pass: deterministic channels map the M codebook states once
-and are gathered by transmitted symbol; stochastic channels map the whole
-(N, d, d) transmitted stack at once.  Randomness comes from one stream
-per purpose, keyed by (seed, purpose) for the transmitted symbols and by
-(seed, purpose, channel name) for a channel's own draws and for sampled
-decisions, so the transmitted sequence is shared by every channel and
-results do not depend on channel order.
+A run is fully determined by its :class:`SimulationConfig`.  A comparison
+builds one transmitter (codebook stack, PGM, symbols, bits, tx projection)
+for all its channels, and every channel before the first runs.  Each
+channel is one array pass: deterministic channels map the M codebook
+states once and are gathered by transmitted symbol; stochastic channels
+map the whole (N, d, d) transmitted stack at once.  Randomness comes from
+one stream per purpose, keyed by (seed, purpose) for the transmitted
+symbols and by (seed, purpose, channel name) for a channel's own draws
+and for sampled decisions, so results do not depend on channel order.
 """
 
 from __future__ import annotations
@@ -156,12 +157,6 @@ class SimulationReport:
     wall_time_s: float
 
 
-def build_codebook(cfg: SimulationConfig) -> DetectorCodebook:
-    if cfg.modulation == "qpsk":
-        return qpsk_codebook()
-    return qam_codebook(cfg.qam_order)
-
-
 def derive_rng(seed: int, *tags) -> np.random.Generator:
     """Independent random stream keyed by the seed and a tag path.
 
@@ -231,38 +226,55 @@ def write_states_csv(
         )
 
 
-def tx_clip_radius(codebook: DetectorCodebook) -> float:
-    """Plot clip radius: 1.5x the largest finite transmitted-point radius."""
-    states = np.stack([state.mat for state in codebook.states])
-    table = project_states(states, codebook.power_scale)
-    radii = np.hypot(table.iq[:, 0], table.iq[:, 1])[~table.clipped]
-    return 1.5 * float(np.max(radii, initial=1.0))
+@dataclass(frozen=True)
+class _Transmitter:
+    """What every channel of a run shares; with artifacts on, also the clip radius
+    (1.5x the largest finite tx-point radius) and the per-symbol tx ``rows``."""
 
+    codebook: DetectorCodebook
+    povm: POVM
+    symbols: np.ndarray
+    bits: np.ndarray
+    clip_radius: float | None
+    rows: StateProjection | None
 
-def build_detector(codebook: DetectorCodebook, channel: Channel) -> POVM:
-    """Codebook PGM, embedded with an erasure outcome when the channel enlarges."""
-    povm = build_pgm(codebook)
-    if channel.output_dim > codebook.dim:
-        povm = embed_povm_with_erasure(povm, channel.output_dim)
-    return povm
+    @classmethod
+    def build(cls, cfg: SimulationConfig) -> "_Transmitter":
+        codebook = qpsk_codebook() if cfg.modulation == "qpsk" else qam_codebook(cfg.qam_order)
+        symbols = draw_symbols(cfg, codebook.M)
+        clip = rows = None
+        if cfg.emit_states or cfg.emit_figures:
+            table = project_states(codebook.mats, codebook.power_scale)
+            radii = np.hypot(table.iq[:, 0], table.iq[:, 1])[~table.clipped]
+            clip = 1.5 * float(np.max(radii, initial=1.0))
+            rows = project_states(codebook.mats, codebook.power_scale, clip_radius=clip).take(symbols)
+        bits = symbols_to_bits(symbols, codebook)
+        return cls(codebook, build_pgm(codebook), symbols, bits, clip, rows)
 
 
 def run_simulation(cfg: SimulationConfig, channel_name: str) -> ChannelRunResult:
     """Simulate one named channel and write its per-channel artifacts."""
-    codebook = build_codebook(cfg)
-    channel = Channel(cfg.channel_config(channel_name), input_dim=codebook.dim)
-    povm = build_detector(codebook, channel)
+    tx = _Transmitter.build(cfg)
+    channel = Channel(cfg.channel_config(channel_name), input_dim=tx.codebook.dim)
+    return _run_channel(cfg, tx, channel_name, channel)
 
-    tx_symbols = draw_symbols(cfg, codebook.M)
-    tx_states = np.stack([state.mat for state in codebook.states])
+
+def _run_channel(
+    cfg: SimulationConfig, tx: _Transmitter, channel_name: str, channel: Channel
+) -> ChannelRunResult:
+    """One channel's own work on a shared transmitter: erasure embedding where
+    the channel enlarges, channel pass, scores, decisions, metrics, artifacts."""
+    codebook, povm, tx_symbols = tx.codebook, tx.povm, tx.symbols
+    if channel.output_dim > codebook.dim:
+        povm = embed_povm_with_erasure(povm, channel.output_dim)
     # rx_states holds each distinct received state once; rx_index maps
     # every symbol to its row.
     if channel.is_stochastic:
         rng = derive_rng(cfg.seed, "channel", channel_name)
-        rx_states = channel.apply_batch(tx_states[tx_symbols], rng)
+        rx_states = channel.apply_batch(codebook.mats[tx_symbols], rng)
         rx_index = np.arange(cfg.n_symbols)
     else:
-        rx_states = channel.apply_batch(tx_states)
+        rx_states = channel.apply_batch(codebook.mats)
         rx_index = tx_symbols
     scores = score_states(povm, rx_states)
     if cfg.decision_mode == "sampled":
@@ -272,17 +284,13 @@ def run_simulation(cfg: SimulationConfig, channel_name: str) -> ChannelRunResult
         rx_symbols = argmax_labels(povm, scores)[rx_index]
 
     ser, ser_count = compute_ser(tx_symbols, rx_symbols)
-    ber, ber_count = compute_ber(
-        symbols_to_bits(tx_symbols, codebook), symbols_to_bits(rx_symbols, codebook)
-    )
+    ber, ber_count = compute_ber(tx.bits, symbols_to_bits(rx_symbols, codebook))
 
     states_csv = constellation_svg = bloch_svg = None
     if cfg.emit_states or cfg.emit_figures:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        clip = tx_clip_radius(codebook)
-        scale = codebook.power_scale
-        tx_rows = project_states(tx_states, scale, clip_radius=clip).take(tx_symbols)
-        rx_rows = project_states(rx_states, scale, clip_radius=clip).take(rx_index)
+        rx_rows = project_states(rx_states, codebook.power_scale, clip_radius=tx.clip_radius)
+        tx_rows, rx_rows = tx.rows, rx_rows.take(rx_index)
     if cfg.emit_states:
         states_csv = f"states_{channel_name}.csv"
         write_states_csv(cfg.output_dir / states_csv, tx_rows, rx_rows, tx_symbols, rx_symbols)
@@ -315,17 +323,23 @@ def run_simulation(cfg: SimulationConfig, channel_name: str) -> ChannelRunResult
     )
 
 
+def _named(name: str, fn, *args):
+    """``fn(*args)``; a failure is re-raised as a RuntimeError naming the channel."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        raise RuntimeError(f"channel {name!r} failed: {err}") from err
+
+
 def run_comparison(cfg: SimulationConfig) -> SimulationReport:
-    """Run every configured channel on the same symbol stream; write report.json."""
+    """Run every configured channel on one shared transmitter; write report.json.
+    Every channel is built first: one that cannot be fails before any artifact."""
     if not cfg.channels:
         raise ValueError("comparison needs at least one channel")
     start = time.perf_counter()
-    entries: dict[str, ChannelRunResult] = {}
-    for name, _ in cfg.channels:
-        try:
-            entries[name] = run_simulation(cfg, name)
-        except Exception as err:
-            raise RuntimeError(f"channel {name!r} failed: {err}") from err
+    tx = _Transmitter.build(cfg)
+    channels = {n: _named(n, Channel, c, tx.codebook.dim) for n, c in cfg.channels}
+    entries = {n: _named(n, _run_channel, cfg, tx, n, ch) for n, ch in channels.items()}
     report = SimulationReport(
         channels=entries,
         config=config_to_dict(cfg),
@@ -427,9 +441,7 @@ def config_from_dict(d: Mapping) -> SimulationConfig:
         emit_states=output.get("emit_states", True),
         emit_figures=output.get("emit_figures", True),
     )
-    # Both codebook families are qubits.  A channel that cannot take them
-    # (bosonic fock_dim != 2) would otherwise fail mid-comparison, after
-    # earlier channels have written their artifacts.
+    # Both codebook families are qubits: reject a channel that cannot take them.
     for name, channel in cfg.channels:
         try:
             Channel(channel, input_dim=2)

@@ -4,8 +4,8 @@ States cross module boundaries as (n, d, d) stacks checked by
 :func:`check_states`: finite, Hermitian, positive-semidefinite, unit-trace
 complex matrices.  The check symmetrizes its input once and tests every
 invariant with one vectorized pass over the stack, so downstream code
-never has to re-verify what it receives.  Codebook states are single
-:class:`DensityMatrix` objects, checked the same way.
+never has to re-verify what it receives.  A codebook's states are
+:class:`DensityMatrix` views of one such stack, checked once.
 """
 
 from __future__ import annotations
@@ -80,9 +80,18 @@ class DensityMatrix:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        sym = check_states(np.asarray(mat, dtype=complex)[np.newaxis])[0]
+        self.mat = DensityMatrix.stack(np.asarray(mat, dtype=complex)[np.newaxis])[0].mat
+
+    @classmethod
+    def stack(cls, mats) -> tuple["DensityMatrix", ...]:
+        """One state per matrix of a (n, d, d) stack checked once by
+        :func:`check_states`; each ``mat`` is a read-only view of it."""
+        sym = check_states(mats)
         sym.flags.writeable = False
-        self.mat = sym
+        states = tuple(cls.__new__(cls) for _ in sym)
+        for state, mat in zip(states, sym):
+            state.mat = mat
+        return states
 
     @property
     def dim(self) -> int:
@@ -92,14 +101,22 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
+def make_pure_states(kets) -> tuple[DensityMatrix, ...]:
+    """Rank-1 projectors |v><v| of normalized amplitude vectors, checked as one stack."""
+    mats = []
+    for amplitudes in kets:
+        v = np.asarray(amplitudes, dtype=complex).ravel()
+        norm = float(np.linalg.norm(v))
+        if abs(norm - 1.0) > TOL:
+            raise InvalidStateError(f"amplitude vector norm {norm!r} is not 1")
+        v = v / norm
+        mats.append(np.outer(v, v.conj()))
+    return DensityMatrix.stack(mats)
+
+
 def make_pure(amplitudes) -> DensityMatrix:
     """Rank-1 projector |v><v| from a normalized amplitude vector."""
-    v = np.asarray(amplitudes, dtype=complex).ravel()
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > TOL:
-        raise InvalidStateError(f"amplitude vector norm {norm!r} is not 1")
-    v = v / norm
-    return DensityMatrix(np.outer(v, v.conj()))
+    return make_pure_states([amplitudes])[0]
 
 
 def inv_sqrt_psd(m) -> np.ndarray:

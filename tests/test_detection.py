@@ -12,6 +12,8 @@ from qlinksim import (
     build_pgm,
     decide,
     embed_povm_with_erasure,
+    hermitize,
+    inv_sqrt_psd,
     make_pure,
     measurement_scores,
     qam_codebook,
@@ -102,6 +104,42 @@ class TestBuildPgm:
         with pytest.raises(ValueError, match="span"):
             build_pgm(cb)
 
+    @pytest.mark.parametrize(
+        "codebook",
+        [qpsk_codebook(), qam_codebook(4), qam_codebook(16), qam_codebook(64), qam_codebook(256)],
+        ids=lambda cb: cb.name,
+    )
+    def test_elements_match_one_state_loop(self, codebook):
+        povm = build_pgm(codebook)
+        for element, ref in zip(povm.elements, one_state_pgm(codebook)):
+            assert np.array_equal(element, ref)
+
+    def test_unequal_priors_match_one_state_loop(self):
+        cb = qam_codebook(16)
+        w = np.arange(1.0, 17.0)
+        cb = DetectorCodebook(
+            states=cb.states, priors=w / w.sum(), bit_labels=cb.bit_labels,
+            bits_per_symbol=cb.bits_per_symbol,
+        )
+        for element, ref in zip(build_pgm(cb).elements, one_state_pgm(cb)):
+            assert np.array_equal(element, ref)
+
+    def test_shared_arrays_are_read_only(self):
+        povm = build_pgm(qam_codebook(16))
+        with pytest.raises(ValueError):
+            povm._stack[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            povm.elements[0][0, 0] = 1.0
+
+
+def one_state_pgm(codebook) -> list:
+    """The PGM built one state at a time, as before the batched build."""
+    rhobar = np.zeros((codebook.dim, codebook.dim), dtype=complex)
+    for p, state in zip(codebook.priors, codebook.states):
+        rhobar += p * state.mat
+    s = inv_sqrt_psd(rhobar)
+    return [hermitize(p * (s @ state.mat @ s)) for p, state in zip(codebook.priors, codebook.states)]
+
 
 class TestErasureEmbedding:
     def test_qpsk_residual_is_flag_projector(self):
@@ -119,6 +157,20 @@ class TestErasureEmbedding:
     def test_dim_must_grow(self):
         with pytest.raises(ValueError, match="exceed"):
             embed_povm_with_erasure(build_pgm(qpsk_codebook()), 2)
+
+    def test_matches_element_by_element_padding(self):
+        povm = build_pgm(qam_codebook(16))
+        padded = []
+        for e in povm.elements:
+            big = np.zeros((3, 3), dtype=complex)
+            big[:2, :2] = e
+            padded.append(big)
+        residual = np.eye(3, dtype=complex) - sum(padded)
+        vals, vecs = np.linalg.eigh(hermitize(residual))
+        residual = hermitize((vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
+        embedded = embed_povm_with_erasure(povm, 3)
+        for got, want in zip(embedded.elements, padded + [residual]):
+            assert np.array_equal(got, want)
 
 
 class TestDecide:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qlinksim import (
+    DensityMatrix,
+    DetectorCodebook,
     InvalidStateError,
     embed_alpha,
     purity,
@@ -122,6 +124,66 @@ class TestQamCodebook:
 
     def test_power_scale_recorded(self):
         assert qam_codebook(16).power_scale == pytest.approx(1 / np.sqrt(10))
+
+
+def one_state_projector(amplitudes) -> np.ndarray:
+    """The one-state arithmetic codebooks used before they were built as a
+    stack: normalize the ket, take its outer product, hermitize."""
+    v = np.asarray(amplitudes, dtype=complex).ravel()
+    v = v / float(np.linalg.norm(v))
+    m = np.outer(v, v.conj())
+    return (m + m.conj().T) / 2.0
+
+
+def one_state_embedding(alpha: complex) -> np.ndarray:
+    norm = np.sqrt(1.0 + abs(alpha) ** 2)
+    return one_state_projector([1.0 / norm, alpha / norm])
+
+
+class TestCodebookStack:
+    def test_qpsk_stack_matches_one_state_reference(self):
+        s = 1.0 / np.sqrt(2.0)
+        ref = [one_state_projector(a) for a in ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s))]
+        cb = qpsk_codebook()
+        assert np.array_equal(cb.mats, np.stack(ref))
+
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_qam_stack_matches_one_state_reference(self, order):
+        points, _ = qam_constellation(order)
+        ref = np.stack([one_state_embedding(p.alpha) for p in points])
+        cb = qam_codebook(order)
+        assert cb.mats.shape == (order, 2, 2)
+        assert np.array_equal(cb.mats, ref)
+        for point, state, m in zip(points, cb.states, ref):
+            assert np.array_equal(state.mat, m)
+            assert np.array_equal(embed_alpha(point.alpha).mat, m)
+
+    @pytest.mark.parametrize("build", [qpsk_codebook, lambda: qam_codebook(16)], ids=["qpsk", "qam16"])
+    def test_shared_arrays_are_read_only(self, build):
+        cb = build()
+        with pytest.raises(ValueError):
+            cb.mats[0, 0, 0] = 0.5
+        with pytest.raises(ValueError):
+            cb.priors[0] = 0.5
+        with pytest.raises(ValueError):
+            cb.states[0].mat[0, 0] = 0.5
+
+    def test_caller_priors_stay_writable(self):
+        cb = qpsk_codebook()
+        priors = np.full(4, 0.25)
+        DetectorCodebook(
+            states=cb.states, priors=priors, bit_labels=cb.bit_labels, bits_per_symbol=2
+        )
+        priors[0] = 0.25
+
+    def test_stack_from_hand_built_states(self):
+        states = (DensityMatrix(np.eye(2) / 2), DensityMatrix(np.diag([1.0, 0.0])))
+        cb = DetectorCodebook(
+            states=states, priors=np.array([0.5, 0.5]), bit_labels=((0,), (1,)),
+            bits_per_symbol=1,
+        )
+        assert np.array_equal(cb.mats, np.stack([s.mat for s in states]))
+        assert (cb.M, cb.dim) == (2, 2)
 
 
 class TestSymbolsToBits:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from qlinksim import (
     BosonicConfig,
     DensityMatrix,
+    DephasingConfig,
     DepolarizingConfig,
     ErasureConfig,
     PMDConfig,
@@ -311,14 +313,56 @@ class TestRunSimulation:
         assert counts["marker"] <= 2 * (m + m * (m + 1))
 
 
+SIX_CHANNELS = (
+    ("depolarizing", DepolarizingConfig(p=0.1)),
+    ("dephasing", DephasingConfig(p=0.2)),
+    ("erasure", ErasureConfig(p=0.25)),
+    ("bosonic", BosonicConfig(loss_db=3.0)),
+    ("turbulence", TurbulenceConfig(sigma_p=0.1, w0=1.0, rytov_var=0.2)),
+    ("pmd", PMDConfig(dgd=2.0, sigma_omega=1.0, n_sections=4)),
+)
+
+
 class TestRunComparison:
     def test_single_channel_matches_run_simulation(self, tmp_path):
-        channels = (("pmd", PMDConfig(dgd=2.0, sigma_omega=1.0, n_sections=4)),)
-        cfg = qpsk_config(tmp_path, channels, n=60)
-        report = run_comparison(cfg)
-        direct = run_simulation(cfg, "pmd")
-        entry = report.channels["pmd"]
-        assert (entry.ser, entry.ber) == (direct.ser, direct.ber)
+        # A comparison shares one transmitter; each run_simulation builds
+        # its own.  Results and artifact bytes must not tell them apart.
+        for mode in ("argmax", "sampled"):
+            shared = SimulationConfig(
+                modulation="qam", n_symbols=60, seed=8, channels=SIX_CHANNELS,
+                decision_mode=mode, output_dir=tmp_path / mode / "shared",
+            )
+            report = run_comparison(shared)
+            alone = dataclasses.replace(shared, output_dir=tmp_path / mode / "alone")
+            for name, _ in SIX_CHANNELS:
+                assert report.channels[name] == run_simulation(alone, name), (mode, name)
+            written = sorted(p.name for p in alone.output_dir.iterdir())
+            assert len(written) == 3 * len(SIX_CHANNELS)
+            for file in written:
+                a = (shared.output_dir / file).read_bytes()
+                assert a == (alone.output_dir / file).read_bytes(), (mode, file)
+
+    def test_transmitter_built_once(self, tmp_path, monkeypatch):
+        calls = {"codebook": 0, "pgm": 0, "symbols": 0}
+
+        def counting(name, key):
+            real = getattr(pipeline, name)
+
+            def wrapper(*args):
+                calls[key] += 1
+                return real(*args)
+
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        counting("qam_codebook", "codebook")
+        counting("build_pgm", "pgm")
+        counting("draw_symbols", "symbols")
+        cfg = SimulationConfig(
+            modulation="qam", n_symbols=50, seed=4, channels=SIX_CHANNELS,
+            output_dir=tmp_path,
+        )
+        run_comparison(cfg)
+        assert calls == {"codebook": 1, "pgm": 1, "symbols": 1}
 
     def test_channel_order_irrelevant(self, tmp_path):
         turb = TurbulenceConfig(sigma_p=0.4, w0=1.0, rytov_var=1.0)
@@ -359,6 +403,17 @@ class TestRunComparison:
         cfg = qpsk_config(tmp_path, (("boso3", BosonicConfig(loss_db=1.0, fock_dim=3)),))
         with pytest.raises(RuntimeError, match="boso3"):
             run_comparison(cfg)
+
+    def test_unbuildable_channel_fails_before_any_artifact(self, tmp_path):
+        channels = (
+            ("good", DepolarizingConfig(p=0.1)),
+            ("boso3", BosonicConfig(loss_db=1.0, fock_dim=3)),
+        )
+        cfg = qpsk_config(tmp_path, channels)
+        with pytest.raises(RuntimeError, match="channel 'boso3' failed.*fock_dim"):
+            run_comparison(cfg)
+        assert not list(tmp_path.glob("**/states_*.csv"))
+        assert not list(tmp_path.glob("**/*.svg"))
 
     def test_empty_channel_list_rejected(self, tmp_path):
         cfg = qpsk_config(tmp_path, ())

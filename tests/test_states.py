@@ -13,7 +13,7 @@ from qlinksim import (
     make_pure,
     purity,
 )
-from qlinksim.states import check_states
+from qlinksim.states import check_states, make_pure_states
 
 
 def bloch(rho):
@@ -108,6 +108,49 @@ class TestCheckStates:
     def test_stack_shape_required(self):
         with pytest.raises(InvalidStateError, match="square"):
             check_states(np.eye(2) / 2)
+
+
+class TestDensityMatrixStack:
+    def test_matches_one_state_construction(self):
+        rng = np.random.default_rng(22)
+        raw = np.stack([random_density(rng, 3).mat for _ in range(12)])
+        raw = raw + 1e-12j * rng.standard_normal(raw.shape)
+        states = DensityMatrix.stack(raw)
+        assert len(states) == 12
+        for state, m in zip(states, raw):
+            assert isinstance(state, DensityMatrix) and state.dim == 3
+            assert np.array_equal(state.mat, DensityMatrix(m).mat)
+            with pytest.raises(ValueError):
+                state.mat[0, 0] = 1.0
+
+    def test_one_check_for_the_stack(self, monkeypatch):
+        from qlinksim import states as states_module
+
+        calls = []
+        real = states_module.check_states
+
+        def counting(mats):
+            calls.append(len(mats))
+            return real(mats)
+
+        monkeypatch.setattr(states_module, "check_states", counting)
+        make_pure_states([[1, 0], [0, 1], [0.6, 0.8j]])
+        assert calls == [3]
+
+    def test_one_bad_state_rejects_the_stack(self):
+        raw = np.stack([np.eye(2) / 2, np.diag([1.2, -0.2])])
+        with pytest.raises(InvalidStateError, match="positive"):
+            DensityMatrix.stack(raw)
+        with pytest.raises(InvalidStateError, match="norm"):
+            make_pure_states([[1, 0], [1, 1]])
+
+    def test_make_pure_states_match_one_state_projectors(self):
+        rng = np.random.default_rng(23)
+        kets = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        for state, ket in zip(make_pure_states(kets), kets):
+            v = ket / float(np.linalg.norm(ket))
+            assert np.array_equal(state.mat, DensityMatrix(np.outer(v, v.conj())).mat)
 
 
 class TestHermitize:
