@@ -1,8 +1,9 @@
 """Command-line front end: run, compare, plot.
 
-`run` simulates one channel (or all of them) from a JSON config,
-`compare` runs the full multi-channel sweep and writes report.json,
-`plot` re-renders figures from a previously written states CSV.
+`run` simulates one channel (or all of them, on one shared transmitter)
+from a JSON config, `compare` runs the full multi-channel sweep and
+writes report.json, `plot` re-renders figures from a previously written
+states CSV.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .pipeline import (
     SimulationConfig,
     default_config_path,
     load_config,
+    run_channels,
     run_comparison,
-    run_simulation,
 )
 from .visualization import StateProjection, render_bloch_svg, render_constellation_svg
 
@@ -67,8 +68,7 @@ def _load(args: argparse.Namespace) -> SimulationConfig:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load(args)
     names = [args.channel] if args.channel else [n for n, _ in cfg.channels]
-    for name in names:
-        result = run_simulation(cfg, name)
+    for result in run_channels(cfg, names):
         print(
             f"{result.name}: SER {result.ser:.6g} ({result.ser_count}/{result.n_symbols}), "
             f"BER {result.ber:.6g} ({result.ber_count}/"

@@ -4,11 +4,14 @@ The detector for a codebook {p_i, rho_i} is the pretty-good measurement
 
     E_i = p_i  S rho_i S,   S = rhobar^(-1/2),   rhobar = sum_i p_i rho_i,
 
-completed on the support of rhobar.  :func:`score_states` computes the
-outcome probabilities Tr(E_i rho) of a (n, d, d) stack of states in one
-pass; decisions are their row-wise argmax (:func:`argmax_labels`) by
-default, with Born-rule sampling (:func:`sample_labels`) as an explicit
-opt-in.
+completed on the support of rhobar.  A POVM is validated once, on its
+element stack: each element's smallest eigenvalue comes from
+:func:`~qlinksim.states.min_eigenvalues`, the closed-form qubit spectrum for
+2x2 elements and LAPACK for the enlarged (erasure) ones.
+:func:`score_states` computes the outcome probabilities Tr(E_i rho) of a
+(n, d, d) stack of states in one pass; decisions are their row-wise argmax
+(:func:`argmax_labels`) by default, with Born-rule sampling
+(:func:`sample_labels`) as an explicit opt-in.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modulation import DetectorCodebook
-from .states import DensityMatrix, hermitize, inv_sqrt_psd
+from .states import DensityMatrix, hermitize, inv_sqrt_psd, min_eigenvalues
 
 _PSD_TOL = 1e-9
 
@@ -49,7 +52,7 @@ class POVM:
             raise ValueError(f"POVM element not Hermitian (deviation {herm_dev:.3e})")
         # Hermitized stack, checked once and kept for vectorized scoring.
         stack = (stack + adjoint) / 2.0
-        min_eig = float(np.min(np.linalg.eigvalsh(stack)))
+        min_eig = float(np.min(min_eigenvalues(stack)))
         if min_eig < -_PSD_TOL:
             raise ValueError(f"POVM element not PSD (min eigenvalue {min_eig:.3e})")
         comp_dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))

@@ -1,14 +1,15 @@
 """End-to-end simulation runs: symbols -> states -> channel -> detection -> metrics.
 
 A run is fully determined by its :class:`SimulationConfig`.  A comparison
-builds one transmitter (codebook stack, PGM, symbols, bits, tx projection)
-for all its channels, and every channel before the first runs.  Each
-channel is one array pass: deterministic channels map the M codebook
-states once and are gathered by transmitted symbol; stochastic channels
-map the whole (N, d, d) transmitted stack at once.  Randomness comes from
-one stream per purpose, keyed by (seed, purpose) for the transmitted
-symbols and by (seed, purpose, channel name) for a channel's own draws
-and for sampled decisions, so results do not depend on channel order.
+or a run of several channels builds one transmitter (codebook stack, PGM,
+symbols, bits, tx projection) for all its channels, and a comparison builds
+every channel before the first runs.  Each channel is one array pass:
+deterministic channels map the M codebook states once and are gathered by
+transmitted symbol; stochastic channels map the whole (N, d, d)
+transmitted stack at once.  Randomness comes from one stream per purpose,
+keyed by (seed, purpose) for the transmitted symbols and by (seed,
+purpose, channel name) for a channel's own draws and for sampled
+decisions, so results do not depend on channel order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -254,9 +255,16 @@ class _Transmitter:
 
 def run_simulation(cfg: SimulationConfig, channel_name: str) -> ChannelRunResult:
     """Simulate one named channel and write its per-channel artifacts."""
+    return next(run_channels(cfg, [channel_name]))
+
+
+def run_channels(cfg: SimulationConfig, names: Sequence[str]) -> Iterator[ChannelRunResult]:
+    """Simulate the named channels in order on one shared transmitter, writing
+    each one's artifacts and yielding its result before the next one runs."""
     tx = _Transmitter.build(cfg)
-    channel = Channel(cfg.channel_config(channel_name), input_dim=tx.codebook.dim)
-    return _run_channel(cfg, tx, channel_name, channel)
+    for name in names:
+        channel = Channel(cfg.channel_config(name), input_dim=tx.codebook.dim)
+        yield _run_channel(cfg, tx, name, channel)
 
 
 def _run_channel(
@@ -268,11 +276,11 @@ def _run_channel(
     if channel.output_dim > codebook.dim:
         povm = embed_povm_with_erasure(povm, channel.output_dim)
     # rx_states holds each distinct received state once; rx_index maps
-    # every symbol to its row.
+    # every symbol to its row (all rows, as views, for a stochastic channel).
     if channel.is_stochastic:
         rng = derive_rng(cfg.seed, "channel", channel_name)
         rx_states = channel.apply_batch(codebook.mats[tx_symbols], rng)
-        rx_index = np.arange(cfg.n_symbols)
+        rx_index = slice(None)
     else:
         rx_states = channel.apply_batch(codebook.mats)
         rx_index = tx_symbols
@@ -419,9 +427,11 @@ def config_from_dict(d: Mapping) -> SimulationConfig:
     for entry in d["channels"]:
         entry = dict(_require_object(entry, "every channel entry"))
         name = entry.pop("name", None)
+        if name is not None and not isinstance(name, str):
+            raise TypeError(f"channel name must be a string, got {name!r}")
         if not name:
             raise ValueError("every channel entry needs a 'name'")
-        channels.append((str(name), channel_config_from_dict(entry)))
+        channels.append((name, channel_config_from_dict(entry)))
     output = _require_object(d.get("output", {}), "output")
     unknown = set(output) - _OUTPUT_KEYS
     if unknown:

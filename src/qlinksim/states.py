@@ -4,8 +4,11 @@ States cross module boundaries as (n, d, d) stacks checked by
 :func:`check_states`: finite, Hermitian, positive-semidefinite, unit-trace
 complex matrices.  The check symmetrizes its input once and tests every
 invariant with one vectorized pass over the stack, so downstream code
-never has to re-verify what it receives.  A codebook's states are
-:class:`DensityMatrix` views of one such stack, checked once.
+never has to re-verify what it receives.  The spectrum test takes each
+matrix's smallest eigenvalue from :func:`min_eigenvalues`, which uses the
+closed-form qubit spectrum for 2x2 stacks and LAPACK only for larger ones.
+A codebook's states are :class:`DensityMatrix` views of one such stack,
+checked once.
 """
 
 from __future__ import annotations
@@ -30,6 +33,19 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize a square matrix: (m + m^dagger) / 2."""
     m = np.asarray(m, dtype=complex)
     return (m + m.conj().T) / 2.0
+
+
+def min_eigenvalues(sym: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each matrix of a hermitized (n, d, d) stack.
+
+    A qubit [[a, b], [b*, d]] has the closed-form spectrum
+    (a + d)/2 -+ hypot((a - d)/2, |b|), so 2x2 stacks need no LAPACK call;
+    other dimensions go through ``np.linalg.eigvalsh``.
+    """
+    if sym.shape[-1] != 2:
+        return np.linalg.eigvalsh(sym)[..., 0]
+    a, d = sym[:, 0, 0].real, sym[:, 1, 1].real
+    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(sym[:, 0, 1]))
 
 
 def check_states(mats) -> np.ndarray:
@@ -60,7 +76,7 @@ def check_states(mats) -> np.ndarray:
         raise InvalidStateError(
             f"trace deviates from 1 by {trace_dev:.3e}, exceeds {TOL:.1e}"
         )
-    min_eig = float(np.min(np.linalg.eigvalsh(sym), initial=0.0))
+    min_eig = float(np.min(min_eigenvalues(sym), initial=0.0))
     if min_eig < -TOL:
         raise InvalidStateError(
             f"not positive semidefinite: min eigenvalue {min_eig:.3e} below -{TOL:.1e}"
@@ -102,16 +118,21 @@ class DensityMatrix:
 
 
 def make_pure_states(kets) -> tuple[DensityMatrix, ...]:
-    """Rank-1 projectors |v><v| of normalized amplitude vectors, checked as one stack."""
-    mats = []
-    for amplitudes in kets:
-        v = np.asarray(amplitudes, dtype=complex).ravel()
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > TOL:
-            raise InvalidStateError(f"amplitude vector norm {norm!r} is not 1")
-        v = v / norm
-        mats.append(np.outer(v, v.conj()))
-    return DensityMatrix.stack(mats)
+    """Rank-1 projectors |v><v| of normalized amplitude vectors, checked as one stack.
+
+    Each norm is sqrt(re.re + im.im) through the same BLAS dot that
+    ``np.linalg.norm`` takes for one vector, so every projector has the
+    bits of the one-ket arithmetic.
+    """
+    kets = np.asarray(kets, dtype=complex)
+    kets = kets.reshape(len(kets), -1)
+    re, im = kets.real, kets.imag
+    norms = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+    off = np.abs(norms - 1.0) > TOL
+    if np.any(off):
+        raise InvalidStateError(f"amplitude vector norm {float(norms[np.argmax(off)])!r} is not 1")
+    v = kets / norms[:, None]
+    return DensityMatrix.stack(v[:, :, None] * v.conj()[:, None, :])
 
 
 def make_pure(amplitudes) -> DensityMatrix:

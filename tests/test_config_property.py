@@ -61,7 +61,7 @@ RARELY = pick([False], [True])
 @st.composite
 def channel_entries(draw, index):
     kind = draw(pick(sorted(CHANNEL_FIELDS), ["fading", None]))
-    entry = {"name": draw(pick([f"c{index}"], ["c0", "", "../up", 7])), "type": kind}
+    entry = {"name": draw(pick([f"c{index}"], ["c0", "", "../up", 7, True, 1.5])), "type": kind}
     for field, valid in CHANNEL_FIELDS.get(kind, {}).items():
         if not draw(RARELY):
             bad = BAD_INTEGERS if field in INTEGER_FIELDS else BAD_REALS

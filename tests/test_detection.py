@@ -57,6 +57,25 @@ class TestPOVMValidation:
                 labels=(0, 1),
             )
 
+    def test_non_psd_qubit_element_with_coherences_rejected(self):
+        e0 = np.array([[0.5, 0.8j], [-0.8j, 0.5]])  # eigenvalues 1.3 and -0.3
+        with pytest.raises(ValueError, match=r"not PSD \(min eigenvalue -3\.000e-01\)"):
+            POVM(elements=(e0, np.eye(2) - e0), labels=(0, 1))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_psd_edge_at_tolerance(self, dim):
+        for x in (0.99e-9, 1.01e-9):
+            spectrum = np.zeros(dim)
+            spectrum[0], spectrum[-1] = -x, 1.0
+            q, _ = np.linalg.qr(np.arange(1.0, dim * dim + 1).reshape(dim, dim) + np.eye(dim))
+            e0 = (q * spectrum) @ q.T
+            elements = (e0.astype(complex), (np.eye(dim) - e0).astype(complex))
+            if x < 1e-9:
+                POVM(elements=elements, labels=(0, 1))
+            else:
+                with pytest.raises(ValueError, match="PSD"):
+                    POVM(elements=elements, labels=(0, 1))
+
     def test_label_count_must_match(self):
         with pytest.raises(ValueError, match="label"):
             POVM(elements=(np.eye(2, dtype=complex),), labels=(0, 1))

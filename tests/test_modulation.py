@@ -147,7 +147,7 @@ class TestCodebookStack:
         cb = qpsk_codebook()
         assert np.array_equal(cb.mats, np.stack(ref))
 
-    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    @pytest.mark.parametrize("order", [4, 16, 64, 256, 1024])
     def test_qam_stack_matches_one_state_reference(self, order):
         points, _ = qam_constellation(order)
         ref = np.stack([one_state_embedding(p.alpha) for p in points])
@@ -158,11 +158,22 @@ class TestCodebookStack:
             assert np.array_equal(state.mat, m)
             assert np.array_equal(embed_alpha(point.alpha).mat, m)
 
+    def test_random_amplitudes_within_one_ulp_of_one_state_reference(self):
+        # |alpha|^2 is the correctly rounded square; Python's ** 2 calls libm
+        # pow, which is one ulp off it for a few amplitudes in 10^4.
+        rng = np.random.default_rng(24)
+        alphas = (rng.standard_normal(3000) + 1j * rng.standard_normal(3000)) * 3.0
+        for alpha in alphas.tolist():
+            ref = one_state_embedding(alpha)
+            assert np.allclose(embed_alpha(alpha).mat, ref, rtol=0.0, atol=2 * np.finfo(float).eps)
+
     @pytest.mark.parametrize("build", [qpsk_codebook, lambda: qam_codebook(16)], ids=["qpsk", "qam16"])
     def test_shared_arrays_are_read_only(self, build):
         cb = build()
         with pytest.raises(ValueError):
             cb.mats[0, 0, 0] = 0.5
+        with pytest.raises(ValueError):
+            cb.bit_table[0, 0] = 1
         with pytest.raises(ValueError):
             cb.priors[0] = 0.5
         with pytest.raises(ValueError):
@@ -203,6 +214,12 @@ class TestSymbolsToBits:
             symbols_to_bits([4], qpsk_codebook())
         with pytest.raises(ValueError, match="symbol"):
             symbols_to_bits([-2], qpsk_codebook())
+
+    def test_bit_table_rows(self):
+        cb = qam_codebook(16)
+        assert cb.bit_table.shape == (17, 4)
+        assert [tuple(b) for b in cb.bit_table[:16].tolist()] == list(cb.bit_labels)
+        assert cb.bit_table[16].tolist() == [-1, -1, -1, -1]
 
     def test_round_trip_with_gray_labels(self):
         cb = qam_codebook(16)

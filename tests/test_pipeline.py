@@ -156,6 +156,12 @@ class TestConfigHandling:
             (json_config(channels=[5]), "every channel entry must be an object"),
             (json_config(output={"dir": 5}), "output.dir must be a string"),
             ([json_config()], "config must be an object"),
+            (json_config(channels=[{"name": 5, "type": "depolarizing", "p": 0.1}]),
+             "channel name must be a string, got 5"),
+            (json_config(channels=[{"name": True, "type": "depolarizing", "p": 0.1}]),
+             "channel name must be a string, got True"),
+            (json_config(channels=[{"name": 1.5, "type": "depolarizing", "p": 0.1}]),
+             "channel name must be a string, got 1.5"),
         ],
     )
     def test_non_object_blocks_name_the_field(self, d, message):
@@ -502,6 +508,39 @@ class TestCli:
         rc = cli_main(["run", "--config", str(self._write_config(tmp_path))])
         assert rc == 0
         assert (tmp_path / "out" / "states_era.csv").exists()
+
+    def test_run_shares_one_transmitter(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = pipeline.qam_codebook
+
+        def counting(order):
+            calls.append(order)
+            return real(order)
+
+        monkeypatch.setattr(pipeline, "qam_codebook", counting)
+        shared = tmp_path / "shared"
+        rc = cli_main(["run", "--symbols", "50", "--output-dir", str(shared)])
+        assert rc == 0
+        assert calls == [16]
+        lines = capsys.readouterr().out.splitlines()
+        # The same lines and artifacts as one run_simulation per channel.
+        cfg = dataclasses.replace(
+            load_config(default_config_path()), n_symbols=50, output_dir=tmp_path / "alone"
+        )
+        expected = []
+        for name, _ in cfg.channels:
+            r = run_simulation(cfg, name)
+            expected.append(
+                f"{r.name}: SER {r.ser:.6g} ({r.ser_count}/{r.n_symbols}), "
+                f"BER {r.ber:.6g} ({r.ber_count}/{r.n_symbols * r.bits_per_symbol}), "
+                f"erasures {r.erasure_count}"
+            )
+        assert lines == expected
+        assert len(calls) == 1 + len(cfg.channels)
+        files = sorted(f.name for f in shared.iterdir())
+        assert files == sorted(f.name for f in cfg.output_dir.iterdir())
+        for file in files:
+            assert (shared / file).read_bytes() == (cfg.output_dir / file).read_bytes()
 
     def test_compare_writes_report(self, tmp_path, capsys):
         rc = cli_main(["compare", "--config", str(self._write_config(tmp_path))])

@@ -13,7 +13,7 @@ from qlinksim import (
     make_pure,
     purity,
 )
-from qlinksim.states import check_states, make_pure_states
+from qlinksim.states import TOL, check_states, make_pure_states, min_eigenvalues
 
 
 def bloch(rho):
@@ -151,6 +151,80 @@ class TestDensityMatrixStack:
         for state, ket in zip(make_pure_states(kets), kets):
             v = ket / float(np.linalg.norm(ket))
             assert np.array_equal(state.mat, DensityMatrix(np.outer(v, v.conj())).mat)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_make_pure_states_match_one_ket_loop(self, dim):
+        rng = np.random.default_rng(23)
+        kets = rng.standard_normal((2000, dim)) + 1j * rng.standard_normal((2000, dim))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        kets[:dim] = np.eye(dim)  # exact basis kets, with zero amplitudes
+        ref = []
+        for ket in kets:
+            # The one-ket arithmetic the stack expression replaces.
+            v = np.asarray(ket, dtype=complex).ravel()
+            v = v / float(np.linalg.norm(v))
+            m = np.outer(v, v.conj())
+            ref.append((m + m.conj().T) / 2.0)
+        assert np.array_equal(np.stack([s.mat for s in make_pure_states(kets)]), np.stack(ref))
+
+    def test_make_pure_states_names_the_first_bad_norm(self):
+        with pytest.raises(InvalidStateError, match=r"norm 2\.0 is not 1"):
+            make_pure_states([[1, 0], [0, 2], [0, 3]])
+
+
+def hermitian_qubits(kind: str, n: int = 2000) -> np.ndarray:
+    """(n, 2, 2) Hermitian stacks that stress the closed-form spectrum."""
+    rng = np.random.default_rng(31)
+    z = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    if kind == "rank1":
+        v = z[:, 0]
+        return v[:, :, None] * v.conj()[:, None, :]
+    if kind == "degenerate":  # a = d, b = 0: a multiple of the identity
+        return rng.standard_normal(n)[:, None, None] * np.eye(2)
+    m = (z + z.conj().swapaxes(-1, -2)) / 2.0
+    if kind == "large_b":
+        m[:, 0, 1] *= 1e6
+        m[:, 1, 0] *= 1e6
+    return m
+
+
+def rotated_diagonal(spectrum, seed: int) -> np.ndarray:
+    """A stack of one matrix U diag(spectrum) U^dagger with a random unitary U."""
+    rng = np.random.default_rng(seed)
+    d = len(spectrum)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return ((q * np.asarray(spectrum, dtype=float)) @ q.conj().T)[np.newaxis]
+
+
+class TestMinEigenvalues:
+    @pytest.mark.parametrize("kind", ["random", "rank1", "degenerate", "large_b"])
+    def test_qubit_closed_form_matches_eigvalsh(self, kind):
+        m = hermitian_qubits(kind)
+        ref = np.linalg.eigvalsh(m)
+        scale = np.maximum(1.0, np.abs(ref).max(axis=1))
+        assert np.all(np.abs(min_eigenvalues(m) - ref[:, 0]) <= 1e-14 * scale)
+
+    def test_degenerate_qubits_are_exact(self):
+        m = hermitian_qubits("degenerate")
+        assert np.array_equal(min_eigenvalues(m), m[:, 0, 0].real)
+
+    @pytest.mark.parametrize("dim", [1, 3, 4])
+    def test_other_dimensions_use_eigvalsh(self, dim):
+        rng = np.random.default_rng(32)
+        m = np.stack([random_density(rng, dim).mat for _ in range(30)])
+        assert np.array_equal(min_eigenvalues(m), np.linalg.eigvalsh(m)[:, 0])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_accept_reject_edge_at_tol(self, dim):
+        for k, x in enumerate((0.99 * TOL, 1.01 * TOL)):
+            spectrum = np.zeros(dim)
+            spectrum[0], spectrum[-1] = 1.0 + x, -x
+            mats = rotated_diagonal(spectrum, seed=33 + k)
+            if x < TOL:
+                check_states(mats)
+            else:
+                with pytest.raises(InvalidStateError, match="positive semidefinite"):
+                    check_states(mats)
 
 
 class TestHermitize:
