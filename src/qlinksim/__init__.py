@@ -31,9 +31,8 @@ from .detection import (
 )
 from .metrics import compute_ber, compute_ser
 from .modulation import (
-    ConstellationPoint,
     DetectorCodebook,
-    embed_alpha,
+    embed_amplitudes,
     qam_codebook,
     qam_constellation,
     qpsk_codebook,
@@ -61,8 +60,7 @@ from .states import (
     hermitize,
     inv_sqrt_psd,
     leading_blocks,
-    make_pure,
-    purity,
+    make_pure_states,
 )
 from .visualization import (
     project_states,
@@ -76,7 +74,6 @@ __all__ = [
     "Channel",
     "ChannelConfig",
     "ChannelRunResult",
-    "ConstellationPoint",
     "DegenerateStateError",
     "DensityMatrix",
     "DephasingConfig",
@@ -98,17 +95,16 @@ __all__ = [
     "decide",
     "default_config_path",
     "derive_rng",
-    "embed_alpha",
+    "embed_amplitudes",
     "embed_povm_with_erasure",
     "hermitize",
     "inv_sqrt_psd",
     "leading_blocks",
     "load_config",
-    "make_pure",
+    "make_pure_states",
     "measurement_scores",
     "pointing_loss_factor",
     "project_states",
-    "purity",
     "qam_codebook",
     "qam_constellation",
     "qpsk_codebook",

@@ -224,8 +224,9 @@ def _pure_loss(eta, mats: np.ndarray) -> np.ndarray:
 # --- bosonic thermal loss ---
 
 
-def thermal_state(n_th: float, fock_dim: int) -> DensityMatrix:
-    """Truncated thermal state, geometric weights renormalized on the cutoff."""
+def thermal_state(n_th: float, fock_dim: int) -> np.ndarray:
+    """Truncated thermal state as a checked (d, d) matrix, geometric weights
+    renormalized on the cutoff."""
     if n_th < 0.0:
         raise ValueError(f"n_th must be >= 0, got {n_th}")
     if fock_dim < 2:
@@ -237,7 +238,7 @@ def thermal_state(n_th: float, fock_dim: int) -> DensityMatrix:
         ratio = n_th / (1.0 + n_th)
         weights = ratio ** np.arange(fock_dim) / (1.0 + n_th)
         weights = weights / weights.sum()
-    return DensityMatrix(np.diag(weights).astype(complex))
+    return check_states(np.diag(weights).astype(complex)[np.newaxis])[0]
 
 
 def beamsplitter_unitary(eta: float, fock_dim: int) -> np.ndarray:
@@ -267,7 +268,7 @@ def _bosonic(cfg: BosonicConfig, mats: np.ndarray, rng) -> np.ndarray:
     environment on a beamsplitter and trace the environment out."""
     d = cfg.fock_dim
     u = beamsplitter_unitary(cfg.eta, d)
-    env = thermal_state(cfg.n_th, d).mat
+    env = thermal_state(cfg.n_th, d)
     # Stacked kron(rho, env): axes (state, i, k, j, l) -> rows i*d+k, columns j*d+l.
     joint = (mats[:, :, None, :, None] * env[None, None, :, None, :]).reshape(-1, d * d, d * d)
     joint = u @ joint @ u.conj().T

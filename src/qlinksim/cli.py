@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .pipeline import (
+    STATES_CSV_HEADER,
     SimulationConfig,
     default_config_path,
     load_config,
@@ -108,7 +109,11 @@ def _read_states_csv(path: Path) -> tuple:
     previously clipped points as plain dots at the clip radius.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in STATES_CSV_HEADER if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks states CSV columns: {', '.join(missing)}")
+        rows = list(reader)
     if not rows:
         raise ValueError(f"no data rows in {path}")
     tables = []

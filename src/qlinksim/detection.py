@@ -4,8 +4,8 @@ The detector for a codebook {p_i, rho_i} is the pretty-good measurement
 
     E_i = p_i  S rho_i S,   S = rhobar^(-1/2),   rhobar = sum_i p_i rho_i,
 
-completed on the support of rhobar.  A POVM is validated once, on its
-element stack: each element's smallest eigenvalue comes from
+completed on the support of rhobar.  A POVM is one read-only (K, d, d)
+element stack, validated once: each element's smallest eigenvalue comes from
 :func:`~qlinksim.states.min_eigenvalues`, the closed-form qubit spectrum for
 2x2 elements and LAPACK for the enlarged (erasure) ones.
 :func:`score_states` computes the outcome probabilities Tr(E_i rho) of a
@@ -21,20 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modulation import DetectorCodebook
-from .states import DensityMatrix, hermitize, inv_sqrt_psd, min_eigenvalues
-
-_PSD_TOL = 1e-9
+from .states import TOL, DensityMatrix, hermitize, inv_sqrt_psd, min_eigenvalues
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class POVM:
     """Validated measurement: PSD elements summing to the identity.
 
-    ``labels[i]`` is the symbol decision reported when element i fires;
-    the erasure outcome carries the label -1.  The scoring stack is read-only.
+    ``elements`` is a (K, d, d) stack (a sequence of K matrices is stacked),
+    checked once and kept hermitized and read-only.  ``labels[i]`` is the
+    symbol decision reported when element i fires; the erasure outcome
+    carries the label -1.
     """
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
     labels: tuple[int, ...]
 
     def __post_init__(self):
@@ -42,30 +42,29 @@ class POVM:
             raise ValueError("POVM needs at least one element")
         if len(self.labels) != len(self.elements):
             raise ValueError("one label per element required")
-        dim = self.elements[0].shape[0]
-        if any(np.shape(e) != (dim, dim) for e in self.elements):
+        elements = np.asarray(self.elements, dtype=complex)
+        if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
             raise ValueError("POVM elements must share one square shape")
-        stack = np.asarray(self.elements, dtype=complex)
-        adjoint = stack.conj().swapaxes(-1, -2)
-        herm_dev = float(np.max(np.abs(stack - adjoint)))
-        if herm_dev > _PSD_TOL:
+        if not np.all(np.isfinite(elements)):
+            raise ValueError("POVM elements must be finite")
+        herm_dev = float(np.max(np.abs(elements - elements.conj().swapaxes(-1, -2))))
+        if herm_dev > TOL:
             raise ValueError(f"POVM element not Hermitian (deviation {herm_dev:.3e})")
-        # Hermitized stack, checked once and kept for vectorized scoring.
-        stack = (stack + adjoint) / 2.0
-        min_eig = float(np.min(min_eigenvalues(stack)))
-        if min_eig < -_PSD_TOL:
+        elements = hermitize(elements)
+        min_eig = float(np.min(min_eigenvalues(elements)))
+        if min_eig < -TOL:
             raise ValueError(f"POVM element not PSD (min eigenvalue {min_eig:.3e})")
-        comp_dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
-        if comp_dev > _PSD_TOL:
+        comp_dev = float(np.max(np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1]))))
+        if comp_dev > TOL:
             raise ValueError(
                 f"POVM does not resolve the identity (deviation {comp_dev:.3e})"
             )
-        stack.flags.writeable = False
-        object.__setattr__(self, "_stack", stack)
+        elements.flags.writeable = False
+        object.__setattr__(self, "elements", elements)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     @property
     def n_outcomes(self) -> int:
@@ -82,11 +81,10 @@ def score_states(povm: POVM, mats) -> np.ndarray:
     mats = np.asarray(mats, dtype=complex)
     if mats.shape[-1] != povm.dim:
         raise ValueError(f"state dim {mats.shape[-1]} does not match POVM dim {povm.dim}")
-    stack: np.ndarray = povm._stack  # noqa: SLF001 - own class attribute
     rho_t = mats.swapaxes(-1, -2).reshape(len(mats), 1, -1)
-    scores = np.matmul(rho_t, stack.reshape(len(stack), -1).T)[:, 0, :]
+    scores = np.matmul(rho_t, povm.elements.reshape(povm.n_outcomes, -1).T)[:, 0, :]
     imag = float(np.max(np.abs(scores.imag), initial=0.0))
-    if imag > _PSD_TOL:
+    if imag > TOL:
         raise ValueError(f"non-real outcome probabilities (imaginary part {imag:.3e})")
     return scores.real
 
@@ -99,19 +97,16 @@ def measurement_scores(povm: POVM, rho: DensityMatrix) -> np.ndarray:
 def build_pgm(codebook: DetectorCodebook) -> POVM:
     """Pretty-good measurement for the codebook's states and priors, computed on
     the whole stack in the one-state order, so each element has the same bits."""
-    dim, p, mats = codebook.dim, codebook.priors[:, None, None], codebook.mats
+    p, mats = codebook.priors[:, None, None], codebook.mats
     s = inv_sqrt_psd((p * mats).sum(axis=0))
-    elements = p * (s @ mats @ s)
-    elements = (elements + elements.conj().swapaxes(-1, -2)) / 2.0
-    elements.flags.writeable = False
     try:
-        return POVM(elements=tuple(elements), labels=tuple(range(codebook.M)))
+        return POVM(elements=p * (s @ mats @ s), labels=tuple(range(codebook.M)))
     except ValueError as err:
         # Completeness fails exactly when rhobar is rank-deficient, i.e. the
         # reference states do not span the space the detector acts on.
         raise ValueError(
             "pretty-good measurement is incomplete: the codebook states do not "
-            f"span the full {dim}-dimensional space ({err})"
+            f"span the full {codebook.dim}-dimensional space ({err})"
         ) from err
 
 
@@ -124,14 +119,14 @@ def embed_povm_with_erasure(povm: POVM, out_dim: int) -> POVM:
     """
     if out_dim <= povm.dim:
         raise ValueError(f"target dim {out_dim} must exceed current POVM dim {povm.dim}")
-    padded = np.zeros((povm.n_outcomes, out_dim, out_dim), dtype=complex)
-    padded[:, : povm.dim, : povm.dim] = povm.elements
-    residual = np.eye(out_dim, dtype=complex) - sum(padded)
-    vals, vecs = np.linalg.eigh(hermitize(residual))
-    if float(vals[0]) < -_PSD_TOL:
+    padded = np.zeros((povm.n_outcomes + 1, out_dim, out_dim), dtype=complex)
+    padded[:-1, : povm.dim, : povm.dim] = povm.elements
+    # The padded elements are exactly Hermitian, and so is the residual.
+    vals, vecs = np.linalg.eigh(np.eye(out_dim) - padded[:-1].sum(axis=0))
+    if float(vals[0]) < -TOL:
         raise ValueError(f"erasure completion is not PSD (min eigenvalue {vals[0]:.3e})")
-    residual = hermitize((vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
-    return POVM(elements=tuple(padded) + (residual,), labels=povm.labels + (-1,))
+    padded[-1] = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    return POVM(elements=padded, labels=povm.labels + (-1,))
 
 
 def argmax_labels(povm: POVM, scores: np.ndarray) -> np.ndarray:
@@ -149,7 +144,7 @@ def sample_labels(povm: POVM, scores: np.ndarray, rng: np.random.Generator) -> n
     Each row takes one uniform from ``rng``, in row order, and the same
     cumulative-sum search as ``Generator.choice``.
     """
-    if scores.min(initial=0.0) < -_PSD_TOL:
+    if scores.min(initial=0.0) < -TOL:
         raise ValueError(f"negative outcome probability {scores.min():.3e}")
     scores = np.maximum(scores, 0.0)
     totals = scores.sum(axis=1, keepdims=True)

@@ -19,66 +19,68 @@ from .states import DensityMatrix, InvalidStateError, make_pure_states
 _SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ConstellationPoint:
-    """One classical constellation point with its symbol index and bit label."""
-
-    alpha: complex
-    symbol: int
-    bits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectorCodebook:
     """Reference states, priors, and bit labels used by detection and metrics.
 
-    ``power_scale`` records the amplitude normalization applied before
-    embedding, so plotting code can undo it and recover constellation
-    coordinates on the original grid.  ``mats`` stacks the states' matrices
-    and ``bit_table`` the bit labels, with a last row of -1 for the erasure
-    label; they and ``priors`` are read-only, as a comparison shares them.
+    ``mats`` is the (M, d, d) stack of reference states, checked as states
+    where it was built (:func:`~qlinksim.states.make_pure_states` or
+    :func:`~qlinksim.states.check_states`); the codebook keeps a read-only
+    view of it.  ``bit_table`` holds the (M, bits) 0/1 labels given as
+    ``bit_labels`` and a last row of -1 for the erasure label;
+    ``bit_labels`` becomes a view of its first M rows.  ``power_scale``
+    records the amplitude normalization applied before embedding, so
+    plotting code can undo it and recover constellation coordinates on the
+    original grid.  Every array is read-only, as a comparison shares them.
     """
 
-    states: tuple[DensityMatrix, ...]
+    mats: np.ndarray
     priors: np.ndarray
-    bit_labels: tuple[tuple[int, ...], ...]
-    bits_per_symbol: int
+    bit_labels: np.ndarray
     power_scale: float = 1.0
-    name: str = field(default="", compare=False)
-    mats: np.ndarray = field(init=False, repr=False, compare=False)
-    bit_table: np.ndarray = field(init=False, repr=False, compare=False)
+    name: str = ""
+    bit_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        # A view, so the caller's own array keeps its flags.
+        mats = np.asarray(self.mats, dtype=complex).view()
+        if mats.ndim != 3 or len(mats) == 0 or mats.shape[1] != mats.shape[2]:
+            raise ValueError(f"codebook needs a nonempty (M, d, d) stack, got shape {mats.shape}")
         priors = np.array(self.priors, dtype=float)
-        if len(self.states) == 0:
-            raise ValueError("codebook needs at least one state")
-        if priors.shape != (len(self.states),):
-            raise ValueError(
-                f"priors shape {priors.shape} does not match {len(self.states)} states"
-            )
+        if priors.shape != (len(mats),):
+            raise ValueError(f"priors shape {priors.shape} does not match {len(mats)} states")
         if np.any(priors < 0.0) or abs(float(priors.sum()) - 1.0) > 1e-12:
             raise ValueError("priors must be nonnegative and sum to 1")
-        if len(self.bit_labels) != len(self.states):
-            raise ValueError("one bit label per state required")
-        if any(len(b) != self.bits_per_symbol for b in self.bit_labels):
-            raise ValueError(f"every bit label must have length {self.bits_per_symbol}")
-        dims = {s.dim for s in self.states}
-        if len(dims) != 1:
-            raise ValueError(f"states must share one dimension, got {sorted(dims)}")
-        mats = np.stack([s.mat for s in self.states])
-        erased = np.full((1, self.bits_per_symbol), -1, dtype=int)
-        bit_table = np.vstack([np.array(self.bit_labels, dtype=int), erased])
-        for attr, value in (("priors", priors), ("mats", mats), ("bit_table", bit_table)):
+        labels = np.array(self.bit_labels, dtype=int)
+        if labels.ndim != 2 or len(labels) != len(mats):
+            raise ValueError(f"one bit label per state required, got shape {labels.shape}")
+        bit_table = np.vstack([labels, np.full((1, labels.shape[1]), -1)])
+        for attr, value in (
+            ("mats", mats), ("priors", priors),
+            ("bit_table", bit_table), ("bit_labels", bit_table[:-1]),
+        ):
             value.flags.writeable = False
             object.__setattr__(self, attr, value)
 
     @property
     def M(self) -> int:
-        return len(self.states)
+        return len(self.mats)
 
     @property
     def dim(self) -> int:
         return self.mats.shape[-1]
+
+    @property
+    def bits_per_symbol(self) -> int:
+        return self.bit_labels.shape[1]
+
+    @property
+    def states(self) -> tuple[DensityMatrix, ...]:
+        """One :class:`DensityMatrix` per state, each a view of ``mats``."""
+        states = tuple(DensityMatrix.__new__(DensityMatrix) for _ in self.mats)
+        for state, mat in zip(states, self.mats):
+            state.mat = mat
+        return states
 
 
 def qpsk_codebook() -> DetectorCodebook:
@@ -89,17 +91,15 @@ def qpsk_codebook() -> DetectorCodebook:
         (1.0 / _SQRT2, 1.0 / _SQRT2),
         (1.0 / _SQRT2, -1.0 / _SQRT2),
     ]
-    bits = ((0, 0), (0, 1), (1, 0), (1, 1))
     return DetectorCodebook(
-        states=make_pure_states(amplitudes),
+        mats=make_pure_states(amplitudes),
         priors=np.full(4, 0.25),
-        bit_labels=bits,
-        bits_per_symbol=2,
+        bit_labels=((0, 0), (0, 1), (1, 0), (1, 1)),
         name="qpsk",
     )
 
 
-def _gray(i: int) -> int:
+def _gray(i: np.ndarray) -> np.ndarray:
     return i ^ (i >> 1)
 
 
@@ -111,30 +111,31 @@ def qam_side(order: int) -> int:
     return int(np.sqrt(m))
 
 
-def qam_constellation(order: int) -> tuple[list[ConstellationPoint], float]:
+def qam_constellation(order: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Square Gray-labeled M-QAM on the odd-integer grid, unit average power.
 
-    Returns the points (alpha already scaled) and the scale factor itself.
-    ``order`` must be an even power of two so the grid is square.
+    Returns the (M,) amplitudes (already scaled), their (M, log2 M) bit
+    labels and the scale factor.  Symbol ix * side + iq sits at the grid
+    point (2 ix - side + 1) + i (2 iq - side + 1), and its label is the Gray
+    code of ix followed by that of iq.  ``order`` must be an even power of
+    two so the grid is square.
     """
     side = qam_side(order)
     m = side * side
     bits_axis = int(np.log2(side))
     # Raw grid mean power is 2(M-1)/3, so this scale gives unit average power.
     scale = 1.0 / np.sqrt(2.0 * (m - 1) / 3.0)
-    levels = [2 * i - (side - 1) for i in range(side)]
-    points = []
-    for ix in range(side):
-        for iq in range(side):
-            alpha = complex(levels[ix], levels[iq]) * scale
-            word = (_gray(ix) << bits_axis) | _gray(iq)
-            bits = tuple((word >> (2 * bits_axis - 1 - k)) & 1 for k in range(2 * bits_axis))
-            points.append(ConstellationPoint(alpha=alpha, symbol=ix * side + iq, bits=bits))
-    return points, float(scale)
+    levels = 2.0 * np.arange(side) - (side - 1)
+    ix, iq = np.divmod(np.arange(m), side)
+    alphas = (levels[ix] + 1j * levels[iq]) * scale
+    words = (_gray(ix) << bits_axis) | _gray(iq)
+    bits = (words[:, None] >> np.arange(2 * bits_axis - 1, -1, -1)) & 1
+    return alphas, bits, float(scale)
 
 
-def _kets(alphas) -> np.ndarray:
-    """(n, 2) amplitudes (1, alpha)/sqrt(1+|alpha|^2) of complex amplitudes.
+def embed_amplitudes(alphas) -> np.ndarray:
+    """Read-only (n, 2, 2) stack of the qubit embeddings
+    (|0> + alpha|1>)/sqrt(1 + |alpha|^2) of complex amplitudes, checked once.
 
     |alpha| is ``np.hypot`` and alpha/norm divides the real and imaginary
     parts separately, which gives the bits of Python's scalar ``abs`` and
@@ -143,7 +144,7 @@ def _kets(alphas) -> np.ndarray:
     libm ``pow``: every square QAM grid up to 16384 points gives the same
     states either way, while a few random amplitudes in 10^4 differ by an ulp.
     """
-    alphas = np.asarray(alphas, dtype=complex)
+    alphas = np.asarray(alphas, dtype=complex).ravel()
     finite = np.isfinite(alphas)
     if not np.all(finite):
         raise InvalidStateError(f"amplitude must be finite, got {complex(alphas[~finite][0])!r}")
@@ -152,22 +153,16 @@ def _kets(alphas) -> np.ndarray:
     kets[:, 0] = 1.0 / norm
     kets[:, 1].real = alphas.real / norm
     kets[:, 1].imag = alphas.imag / norm
-    return kets
-
-
-def embed_alpha(alpha: complex) -> DensityMatrix:
-    """Qubit embedding of a complex amplitude: (|0> + alpha|1>)/sqrt(1+|alpha|^2)."""
-    return make_pure_states(_kets([alpha]))[0]
+    return make_pure_states(kets)
 
 
 def qam_codebook(order: int) -> DetectorCodebook:
     """Uniform-prior codebook of embedded M-QAM states, checked as one stack."""
-    points, scale = qam_constellation(order)
+    alphas, bits, scale = qam_constellation(order)
     return DetectorCodebook(
-        states=make_pure_states(_kets([p.alpha for p in points])),
-        priors=np.full(len(points), 1.0 / len(points)),
-        bit_labels=tuple(p.bits for p in points),
-        bits_per_symbol=len(points[0].bits),
+        mats=embed_amplitudes(alphas),
+        priors=np.full(len(alphas), 1.0 / len(alphas)),
+        bit_labels=bits,
         power_scale=scale,
         name=f"qam{order}",
     )

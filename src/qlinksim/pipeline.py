@@ -2,8 +2,8 @@
 
 A run is fully determined by its :class:`SimulationConfig`.  A comparison
 or a run of several channels builds one transmitter (codebook stack, PGM,
-symbols, bits, tx projection) for all its channels, and a comparison builds
-every channel before the first runs.  Each channel is one array pass:
+symbols, bits, tx projection) for all its channels, and every channel
+before the first runs.  Each channel is one array pass:
 deterministic channels map the M codebook states once and are gathered by
 transmitted symbol; stochastic channels map the whole (N, d, d)
 transmitted stack at once.  Randomness comes from one stream per purpose,
@@ -47,12 +47,8 @@ from .visualization import (
     render_constellation_svg,
 )
 
-try:
-    from importlib.metadata import version as _dist_version
-
-    VERSION = _dist_version("qlinksim")
-except Exception:  # pragma: no cover - metadata absent in odd environments
-    VERSION = "0.0.0"
+# The one definition of the package version; pyproject.toml reads it.
+VERSION = "0.1.0"
 
 _U64 = (1 << 64) - 1
 # Channel names become artifact file names (states_<name>.csv).
@@ -260,11 +256,16 @@ def run_simulation(cfg: SimulationConfig, channel_name: str) -> ChannelRunResult
 
 def run_channels(cfg: SimulationConfig, names: Sequence[str]) -> Iterator[ChannelRunResult]:
     """Simulate the named channels in order on one shared transmitter, writing
-    each one's artifacts and yielding its result before the next one runs."""
+    each one's artifacts and yielding its result before the next one runs.
+
+    Every channel is built before the first one runs, so one that cannot be
+    fails before any artifact is written; a failure names its channel.
+    """
+    configs = [(name, cfg.channel_config(name)) for name in names]
     tx = _Transmitter.build(cfg)
-    for name in names:
-        channel = Channel(cfg.channel_config(name), input_dim=tx.codebook.dim)
-        yield _run_channel(cfg, tx, name, channel)
+    channels = [(n, _named(n, Channel, c, tx.codebook.dim)) for n, c in configs]
+    for name, channel in channels:
+        yield _named(name, _run_channel, cfg, tx, name, channel)
 
 
 def _run_channel(
@@ -340,14 +341,11 @@ def _named(name: str, fn, *args):
 
 
 def run_comparison(cfg: SimulationConfig) -> SimulationReport:
-    """Run every configured channel on one shared transmitter; write report.json.
-    Every channel is built first: one that cannot be fails before any artifact."""
+    """Run every configured channel through :func:`run_channels`; write report.json."""
     if not cfg.channels:
         raise ValueError("comparison needs at least one channel")
     start = time.perf_counter()
-    tx = _Transmitter.build(cfg)
-    channels = {n: _named(n, Channel, c, tx.codebook.dim) for n, c in cfg.channels}
-    entries = {n: _named(n, _run_channel, cfg, tx, n, ch) for n, ch in channels.items()}
+    entries = {r.name: r for r in run_channels(cfg, [n for n, _ in cfg.channels])}
     report = SimulationReport(
         channels=entries,
         config=config_to_dict(cfg),

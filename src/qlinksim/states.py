@@ -7,8 +7,7 @@ invariant with one vectorized pass over the stack, so downstream code
 never has to re-verify what it receives.  The spectrum test takes each
 matrix's smallest eigenvalue from :func:`min_eigenvalues`, which uses the
 closed-form qubit spectrum for 2x2 stacks and LAPACK only for larger ones.
-A codebook's states are :class:`DensityMatrix` views of one such stack,
-checked once.
+A checked stack that is shared, such as a codebook's, is marked read-only.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ class DegenerateStateError(InvalidStateError):
     """An operator has no numerical support above the eigenvalue cutoff."""
 
 
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Symmetrize a square matrix: (m + m^dagger) / 2."""
+def hermitize(m) -> np.ndarray:
+    """Symmetrize a square matrix, or each matrix of a stack: (m + m^dagger) / 2."""
     m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def min_eigenvalues(sym: np.ndarray) -> np.ndarray:
@@ -96,18 +95,9 @@ class DensityMatrix:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        self.mat = DensityMatrix.stack(np.asarray(mat, dtype=complex)[np.newaxis])[0].mat
-
-    @classmethod
-    def stack(cls, mats) -> tuple["DensityMatrix", ...]:
-        """One state per matrix of a (n, d, d) stack checked once by
-        :func:`check_states`; each ``mat`` is a read-only view of it."""
-        sym = check_states(mats)
+        sym = check_states(np.asarray(mat, dtype=complex)[np.newaxis])
         sym.flags.writeable = False
-        states = tuple(cls.__new__(cls) for _ in sym)
-        for state, mat in zip(states, sym):
-            state.mat = mat
-        return states
+        self.mat = sym[0]
 
     @property
     def dim(self) -> int:
@@ -117,8 +107,9 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def make_pure_states(kets) -> tuple[DensityMatrix, ...]:
-    """Rank-1 projectors |v><v| of normalized amplitude vectors, checked as one stack.
+def make_pure_states(kets) -> np.ndarray:
+    """Read-only (n, d, d) stack of the rank-1 projectors |v><v| of normalized
+    amplitude vectors, checked once by :func:`check_states`.
 
     Each norm is sqrt(re.re + im.im) through the same BLAS dot that
     ``np.linalg.norm`` takes for one vector, so every projector has the
@@ -132,12 +123,9 @@ def make_pure_states(kets) -> tuple[DensityMatrix, ...]:
     if np.any(off):
         raise InvalidStateError(f"amplitude vector norm {float(norms[np.argmax(off)])!r} is not 1")
     v = kets / norms[:, None]
-    return DensityMatrix.stack(v[:, :, None] * v.conj()[:, None, :])
-
-
-def make_pure(amplitudes) -> DensityMatrix:
-    """Rank-1 projector |v><v| from a normalized amplitude vector."""
-    return make_pure_states([amplitudes])[0]
+    mats = check_states(v[:, :, None] * v.conj()[:, None, :])
+    mats.flags.writeable = False
+    return mats
 
 
 def inv_sqrt_psd(m) -> np.ndarray:
@@ -196,9 +184,4 @@ def leading_blocks(mats) -> tuple[np.ndarray, np.ndarray]:
     depleted = traces < TOL
     scaled = block / np.where(depleted, 1.0, traces)[:, None, None]
     scaled[depleted] = np.eye(2) / 2.0
-    return (scaled + scaled.conj().swapaxes(-1, -2)) / 2.0, traces
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2): 1 for pure states, 1/dim for the maximally mixed state."""
-    return float(np.trace(rho.mat @ rho.mat).real)
+    return hermitize(scaled), traces

@@ -9,13 +9,12 @@ import json
 import time
 
 import numpy as np
-from conftest import random_density, random_pure
+from conftest import pure, purity, random_density, random_pure
 
 from qlinksim import (
     Channel,
     DepolarizingConfig,
     DephasingConfig,
-    DensityMatrix,
     DetectorCodebook,
     ErasureConfig,
     BosonicConfig,
@@ -26,12 +25,11 @@ from qlinksim import (
     build_pgm,
     decide,
     default_config_path,
-    embed_alpha,
+    embed_amplitudes,
     embed_povm_with_erasure,
     load_config,
-    make_pure,
+    make_pure_states,
     project_states,
-    purity,
     qam_codebook,
     qam_constellation,
     qpsk_codebook,
@@ -98,7 +96,7 @@ def test_povm_completeness():
 def test_single_photon_decay():
     # No channel config reaches eta = 0, so this runs the pure-loss kernel itself.
     etas = np.linspace(0.0, 1.0, 50)
-    out = _pure_loss(etas, np.repeat(make_pure([0, 1]).mat[None], 50, axis=0))
+    out = _pure_loss(etas, np.repeat(pure(0, 1)[None], 50, axis=0))
     assert np.all(np.abs(out[:, 1, 1].real - etas) <= 1e-12)
 
 
@@ -117,17 +115,14 @@ def test_stinespring_kraus_equivalence():
 def test_two_state_helstrom():
     rng = np.random.default_rng(105)
     for overlap in (0.0, 0.5, 0.9):
-        psi0 = make_pure([1, 0])
-        psi1 = make_pure([overlap, np.sqrt(1 - overlap**2)])
         codebook = DetectorCodebook(
-            states=(psi0, psi1),
+            mats=make_pure_states([[1, 0], [overlap, np.sqrt(1 - overlap**2)]]),
             priors=np.array([0.5, 0.5]),
             bit_labels=((0,), (1,)),
-            bits_per_symbol=1,
         )
         povm = build_pgm(codebook)
 
-        delta = 0.5 * psi0.mat - 0.5 * psi1.mat
+        delta = 0.5 * codebook.mats[0] - 0.5 * codebook.mats[1]
         vals, vecs = np.linalg.eigh(delta)
         plus = vecs[:, vals > 0] @ vecs[:, vals > 0].conj().T
         for _ in range(1000):
@@ -138,7 +133,7 @@ def test_two_state_helstrom():
         trials = 100_000
         bound = 0.5 * (1.0 - np.sqrt(1.0 - overlap**2))
         tx = rng.integers(0, 2, trials)
-        sent = np.stack([state.mat for state in codebook.states])[tx]
+        sent = codebook.mats[tx]
         guesses = sample_labels(povm, score_states(povm, sent), rng)
         rate = np.count_nonzero(guesses != tx) / trials
         sigma = np.sqrt(bound * (1 - bound) / trials)
@@ -173,8 +168,8 @@ def test_pmd_purity():
         total = 0.0
         for trial in range(500):
             state = random_pure(np.random.default_rng((1000, trial)), 2)
-            out = Channel(cfg).apply_batch(state.mat[None], np.random.default_rng((2000, trial)))
-            total += purity(DensityMatrix(out[0]))
+            out = Channel(cfg).apply_batch(state[None], np.random.default_rng((2000, trial)))
+            total += purity(out[0])
         means.append(total / 500)
     assert abs(means[0] - 1.0) <= 1e-9
     assert means[2] < 0.99
@@ -185,12 +180,12 @@ def test_pmd_purity():
 def test_erasure_flag_law():
     rng = np.random.default_rng(108)
     for p in (0.0, 0.25, 1.0):
-        states = np.stack([make_pure([1, 0]).mat, random_density(rng, 2).mat])
+        states = np.stack([pure(1, 0), random_density(rng, 2).mat])
         out = Channel(ErasureConfig(p=p)).apply_batch(states)
         assert np.all(np.abs(out[:, 2, 2].real - p) <= 1e-12)
 
     povm = embed_povm_with_erasure(build_pgm(qpsk_codebook()), 3)
-    fully_erased = Channel(ErasureConfig(p=1.0)).apply_batch(qpsk_codebook().states[1].mat[None])
+    fully_erased = Channel(ErasureConfig(p=1.0)).apply_batch(qpsk_codebook().mats[1:2])
     assert argmax_labels(povm, score_states(povm, fully_erased))[0] == -1
 
     codebook = qam_codebook(16)
@@ -231,10 +226,10 @@ def test_benchmark_reproduction(tmp_path):
 
 @criterion(10, "every 16-QAM point survives the embed/reconstruct round trip")
 def test_constellation_round_trip():
-    points, scale = qam_constellation(16)
-    rec = project_states(np.stack([embed_alpha(cp.alpha).mat for cp in points]), scale)
-    for cp, (i, q), clipped in zip(points, rec.iq, rec.clipped):
+    alphas, _, scale = qam_constellation(16)
+    rec = project_states(embed_amplitudes(alphas), scale)
+    for alpha, (i, q), clipped in zip(alphas, rec.iq, rec.clipped):
         assert not clipped
-        target = cp.alpha / scale
+        target = alpha / scale
         assert abs(i - target.real) <= 1e-9
         assert abs(q - target.imag) <= 1e-9

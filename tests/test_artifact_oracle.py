@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlinksim import Channel, ErasureConfig, embed_alpha, load_config, project_states
+from qlinksim import Channel, ErasureConfig, embed_amplitudes, load_config, project_states
 from qlinksim import default_config_path, pipeline, visualization as vis
 from qlinksim.pipeline import STATES_CSV_HEADER, write_states_csv
 from qlinksim.visualization import StateProjection, render_bloch_svg, render_constellation_svg
@@ -252,7 +252,7 @@ def test_clipped_points_and_erased_labels(tmp_path):
 def test_enlarged_erasure_outputs(tmp_path):
     rng = np.random.default_rng(8)
     alphas = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    sent = np.stack([embed_alpha(a).mat for a in alphas])
+    sent = embed_amplitudes(alphas)
     received = Channel(ErasureConfig(p=0.3)).apply_batch(sent)
     assert received.shape[1:] == (3, 3)
     symbols = rng.integers(0, 6, size=50)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_density, random_pure
+from conftest import pure, purity, random_density, random_pure
 
 from qlinksim import (
     BosonicConfig,
@@ -13,22 +13,20 @@ from qlinksim import (
     TurbulenceConfig,
     beamsplitter_unitary,
     bloch_xyz,
-    make_pure,
     pointing_loss_factor,
-    purity,
     thermal_state,
 )
 # No channel config reaches eta = 0 exactly or an unclipped fade, so the
 # pure-loss and scintillation kernels are tested directly.
 from qlinksim.channels import _pure_loss, _scintillation, config_from_dict, config_to_dict
 
-_PLUS = make_pure([1 / np.sqrt(2), 1 / np.sqrt(2)])
-_ONE = make_pure([0, 1])
+_PLUS = pure(1 / np.sqrt(2), 1 / np.sqrt(2))
+_ONE = pure(0, 1)
 
 
 def through(cfg, states, rng=None):
-    """Output stack of ``cfg``'s channel on a list of states."""
-    stack = np.stack([s.mat for s in states])
+    """Output stack of ``cfg``'s channel on a list of states (matrices or DensityMatrix)."""
+    stack = np.stack([getattr(s, "mat", s) for s in states])
     return Channel(cfg, input_dim=stack.shape[-1]).apply_batch(stack, rng)
 
 
@@ -44,7 +42,7 @@ class TestDepolarizing:
         assert np.allclose(out, np.eye(2) / 2)
 
     def test_hand_oracle(self):
-        out = through(DepolarizingConfig(p=0.5), [make_pure([1, 0])])[0]
+        out = through(DepolarizingConfig(p=0.5), [pure(1, 0)])[0]
         assert np.allclose(out, np.diag([0.75, 0.25]))
 
     def test_bloch_contraction(self):
@@ -122,11 +120,11 @@ class TestPureLoss:
 
     def test_single_photon_decay(self):
         etas = np.linspace(0, 1, 11)
-        for eta, out in zip(etas, _pure_loss(etas, np.repeat(_ONE.mat[None], 11, axis=0))):
+        for eta, out in zip(etas, _pure_loss(etas, np.repeat(_ONE[None], 11, axis=0))):
             assert np.allclose(out, np.diag([1 - eta, eta]), atol=1e-12)
 
     def test_plus_state_oracle(self):
-        out = _pure_loss(0.5, _PLUS.mat[None])[0]
+        out = _pure_loss(0.5, _PLUS[None])[0]
         s = np.sqrt(0.5) / 2
         assert np.allclose(out, [[0.75, s], [s, 0.25]])
 
@@ -141,15 +139,15 @@ class TestPureLoss:
 class TestThermalState:
     def test_vacuum(self):
         out = thermal_state(0.0, 4)
-        assert np.allclose(out.mat, np.diag([1.0, 0, 0, 0]))
+        assert np.allclose(out, np.diag([1.0, 0, 0, 0]))
 
     def test_hand_oracle(self):
         out = thermal_state(1.0, 2)
-        assert np.allclose(out.mat, np.diag([2 / 3, 1 / 3]))
+        assert np.allclose(out, np.diag([2 / 3, 1 / 3]))
 
     def test_weights_decreasing(self):
         out = thermal_state(2.5, 6)
-        diag = np.diag(out.mat).real
+        diag = np.diag(out).real
         assert np.all(np.diff(diag) < 0)
 
     def test_fock_dim_validated(self):
@@ -196,7 +194,7 @@ class TestBosonic:
             assert np.max(np.abs(a - b)) <= 1e-9
 
     def test_thermal_environment_raises_ground_population(self):
-        out = through(BosonicConfig(loss_db=3.0, n_th=0.8, fock_dim=2), [make_pure([1, 0])])[0]
+        out = through(BosonicConfig(loss_db=3.0, n_th=0.8, fock_dim=2), [pure(1, 0)])[0]
         assert out[1, 1].real > 0
 
     def test_dim_mismatch_rejected(self):
@@ -273,15 +271,15 @@ class TestPMD:
         rng = np.random.default_rng(54)
         states = [random_density(rng, 2) for _ in range(30)]
         for out, rho in zip(through(cfg, states, rng), states):
-            assert purity(DensityMatrix(out)) <= purity(rho) + 1e-9
+            assert purity(DensityMatrix(out).mat) <= purity(rho.mat) + 1e-9
 
     def test_large_dgd_reduces_mean_purity(self):
         small = PMDConfig(dgd=0.0, sigma_omega=1.0, n_sections=8)
         large = PMDConfig(dgd=6.0, sigma_omega=1.0, n_sections=8)
         rng = np.random.default_rng(55)
         states = [random_pure(rng, 2) for _ in range(100)]
-        mean_small = np.mean([purity(DensityMatrix(m)) for m in through(small, states, rng)])
-        mean_large = np.mean([purity(DensityMatrix(m)) for m in through(large, states, rng)])
+        mean_small = np.mean(purity(through(small, states, rng)))
+        mean_large = np.mean(purity(through(large, states, rng)))
         assert mean_large < mean_small
 
 
@@ -314,12 +312,12 @@ class TestPMDKernel:
         # E[(n.r) n] = r/3 for n uniform on the sphere, so each section
         # contracts the mean Bloch vector by nu + (1 - nu)/3.
         cfg = PMDConfig(dgd=2.0, sigma_omega=1.0, n_sections=8)
-        rho = make_pure([0.6, 0.8j])
+        rho = pure(0.6, 0.8j)
         n = 40_000
-        stack = np.repeat(rho.mat[None], n, axis=0)
+        stack = np.repeat(rho[None], n, axis=0)
         r = bloch_xyz(Channel(cfg).apply_batch(stack, np.random.default_rng(59)))
         nu = np.exp(-0.25)
-        expected = (nu + (1 - nu) / 3) ** 8 * bloch_xyz(rho.mat[None])[0]
+        expected = (nu + (1 - nu) / 3) ** 8 * bloch_xyz(rho[None])[0]
         assert np.all(np.abs(r.mean(axis=0) - expected) <= 5 * r.std(axis=0) / np.sqrt(n))
 
 
@@ -332,12 +330,12 @@ class TestChannelWrapper:
     def test_stochastic_channels_require_rng(self):
         ch = Channel(PMDConfig(dgd=1.0, sigma_omega=1.0))
         with pytest.raises(ValueError, match="rng"):
-            ch.apply(_PLUS)
+            ch.apply(DensityMatrix(_PLUS))
 
     def test_deterministic_channels_ignore_rng(self):
         ch = Channel(DephasingConfig(p=0.4))
-        a = ch.apply(_PLUS, np.random.default_rng(1))
-        b = ch.apply(_PLUS, np.random.default_rng(2))
+        a = ch.apply(DensityMatrix(_PLUS), np.random.default_rng(1))
+        b = ch.apply(DensityMatrix(_PLUS), np.random.default_rng(2))
         assert np.array_equal(a.mat, b.mat)
 
     def test_unit_trace_preserved_everywhere(self):

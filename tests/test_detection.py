@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import pure, random_density
 
 from qlinksim import (
     POVM,
@@ -14,7 +14,7 @@ from qlinksim import (
     embed_povm_with_erasure,
     hermitize,
     inv_sqrt_psd,
-    make_pure,
+    make_pure_states,
     measurement_scores,
     qam_codebook,
     qpsk_codebook,
@@ -25,13 +25,10 @@ from qlinksim import (
 
 def two_state_codebook(overlap: float) -> DetectorCodebook:
     """Equiprobable pure pair with the given real inner product."""
-    psi0 = make_pure([1, 0])
-    psi1 = make_pure([overlap, np.sqrt(1 - overlap**2)])
     return DetectorCodebook(
-        states=(psi0, psi1),
+        mats=make_pure_states([[1, 0], [overlap, np.sqrt(1 - overlap**2)]]),
         priors=np.array([0.5, 0.5]),
         bit_labels=((0,), (1,)),
-        bits_per_symbol=1,
     )
 
 
@@ -80,14 +77,32 @@ class TestPOVMValidation:
         with pytest.raises(ValueError, match="label"):
             POVM(elements=(np.eye(2, dtype=complex),), labels=(0, 1))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_elements_rejected(self, dim, bad):
+        e = np.full((dim, dim), bad, dtype=complex)
+        with pytest.raises(ValueError, match="POVM elements must be finite"):
+            POVM(elements=(e, np.eye(dim) - e), labels=(0, 1))
+        e = np.eye(dim, dtype=complex) / 2
+        e[0, -1] = bad
+        with pytest.raises(ValueError, match="POVM elements must be finite"):
+            POVM(elements=(e, np.eye(dim) - e), labels=(0, 1))
+
+    def test_elements_are_one_read_only_stack(self):
+        e0 = np.diag([1.0, 0.0]).astype(complex)
+        povm = POVM(elements=(e0, np.eye(2) - e0), labels=(0, 1))
+        assert povm.elements.shape == (2, 2, 2) and (povm.dim, povm.n_outcomes) == (2, 2)
+        assert not povm.elements.flags.writeable
+        e0[0, 0] = 0.5
+        assert povm.elements[0, 0, 0] == 1.0
+
 
 class TestBuildPgm:
     def test_orthogonal_codebook_gives_projectors(self):
         cb = DetectorCodebook(
-            states=(make_pure([1, 0]), make_pure([0, 1])),
+            mats=make_pure_states([[1, 0], [0, 1]]),
             priors=np.array([0.5, 0.5]),
             bit_labels=((0,), (1,)),
-            bits_per_symbol=1,
         )
         povm = build_pgm(cb)
         assert np.allclose(povm.elements[0], [[1, 0], [0, 0]], atol=1e-12)
@@ -96,8 +111,7 @@ class TestBuildPgm:
     def test_qpsk_elements_are_halved_states(self):
         cb = qpsk_codebook()
         povm = build_pgm(cb)
-        for element, state in zip(povm.elements, cb.states):
-            assert np.allclose(element, state.mat / 2, atol=1e-12)
+        assert np.allclose(povm.elements, cb.mats / 2, atol=1e-12)
 
     @pytest.mark.parametrize("codebook", [qpsk_codebook(), qam_codebook(16)])
     def test_completeness(self, codebook):
@@ -115,10 +129,9 @@ class TestBuildPgm:
     def test_non_spanning_codebook_rejected(self):
         # Both states sit in the |0> line, so rhobar has no support on |1>.
         cb = DetectorCodebook(
-            states=(make_pure([1, 0]), make_pure([1, 0])),
+            mats=make_pure_states([[1, 0], [1, 0]]),
             priors=np.array([0.5, 0.5]),
             bit_labels=((0,), (1,)),
-            bits_per_symbol=1,
         )
         with pytest.raises(ValueError, match="span"):
             build_pgm(cb)
@@ -136,28 +149,26 @@ class TestBuildPgm:
     def test_unequal_priors_match_one_state_loop(self):
         cb = qam_codebook(16)
         w = np.arange(1.0, 17.0)
-        cb = DetectorCodebook(
-            states=cb.states, priors=w / w.sum(), bit_labels=cb.bit_labels,
-            bits_per_symbol=cb.bits_per_symbol,
-        )
+        cb = DetectorCodebook(mats=cb.mats, priors=w / w.sum(), bit_labels=cb.bit_labels)
         for element, ref in zip(build_pgm(cb).elements, one_state_pgm(cb)):
             assert np.array_equal(element, ref)
 
     def test_shared_arrays_are_read_only(self):
         povm = build_pgm(qam_codebook(16))
+        assert povm.elements.shape == (16, 2, 2)
         with pytest.raises(ValueError):
-            povm._stack[0, 0, 0] = 1.0
+            povm.elements[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            povm.elements[0][0, 0] = 1.0
+            embed_povm_with_erasure(povm, 3).elements[-1, 2, 2] = 0.0
 
 
 def one_state_pgm(codebook) -> list:
     """The PGM built one state at a time, as before the batched build."""
     rhobar = np.zeros((codebook.dim, codebook.dim), dtype=complex)
-    for p, state in zip(codebook.priors, codebook.states):
-        rhobar += p * state.mat
+    for p, mat in zip(codebook.priors, codebook.mats):
+        rhobar += p * mat
     s = inv_sqrt_psd(rhobar)
-    return [hermitize(p * (s @ state.mat @ s)) for p, state in zip(codebook.priors, codebook.states)]
+    return [hermitize(p * (s @ mat @ s)) for p, mat in zip(codebook.priors, codebook.mats)]
 
 
 class TestErasureEmbedding:
@@ -198,7 +209,7 @@ class TestDecide:
             elements=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
             labels=(0, 1),
         )
-        assert decide(povm, make_pure([0, 1])) == 1
+        assert decide(povm, DensityMatrix(pure(0, 1))) == 1
 
     def test_qpsk_scores_oracle(self):
         cb = qpsk_codebook()
@@ -209,7 +220,7 @@ class TestDecide:
 
     def test_fully_erased_state_yields_sentinel(self):
         povm = embed_povm_with_erasure(build_pgm(qpsk_codebook()), 3)
-        erased = Channel(ErasureConfig(p=1.0)).apply_batch(qpsk_codebook().states[2].mat[None])
+        erased = Channel(ErasureConfig(p=1.0)).apply_batch(qpsk_codebook().mats[2:3])
         assert argmax_labels(povm, score_states(povm, erased))[0] == -1
 
     def test_tie_breaks_to_lowest_index(self):
@@ -225,12 +236,7 @@ class TestDecide:
         weights = np.array([1.0, 2.0, 3.0, 4.0])
 
         def with_weights(w):
-            return DetectorCodebook(
-                states=cb.states,
-                priors=w / w.sum(),
-                bit_labels=cb.bit_labels,
-                bits_per_symbol=cb.bits_per_symbol,
-            )
+            return DetectorCodebook(mats=cb.mats, priors=w / w.sum(), bit_labels=cb.bit_labels)
 
         rng = np.random.default_rng(62)
         povm_a = build_pgm(with_weights(weights))
@@ -252,14 +258,14 @@ class TestDecideSampled:
             labels=(0, 1),
         )
         rng = np.random.default_rng(63)
-        scores = score_states(povm, np.repeat(make_pure([1, 0]).mat[None], 100, axis=0))
+        scores = score_states(povm, np.repeat(pure(1, 0)[None], 100, axis=0))
         assert np.all(sample_labels(povm, scores, rng) == 0)
 
     def test_qpsk_empirical_frequencies(self):
         cb = qpsk_codebook()
         povm = build_pgm(cb)
         rng = np.random.default_rng(64)
-        scores = score_states(povm, np.repeat(cb.states[0].mat[None], 100_000, axis=0))
+        scores = score_states(povm, np.repeat(cb.mats[:1], 100_000, axis=0))
         draws = sample_labels(povm, scores, rng)
         freqs = np.bincount(draws, minlength=4) / draws.size
         assert freqs == pytest.approx([0.5, 0.0, 0.25, 0.25], abs=0.01)
@@ -271,7 +277,7 @@ class TestDecideSampled:
             labels=tuple(range(m)),
         )
         rng = np.random.default_rng(65)
-        scores = score_states(povm, np.repeat(make_pure([1, 0]).mat[None], 20_000, axis=0))
+        scores = score_states(povm, np.repeat(pure(1, 0)[None], 20_000, axis=0))
         draws = sample_labels(povm, scores, rng)
         freqs = np.bincount(draws, minlength=m) / draws.size
         assert freqs == pytest.approx([0.25] * 4, abs=0.02)
@@ -318,7 +324,7 @@ class TestTwoStateOptimality:
     def test_pgm_matches_helstrom_regions(self, overlap):
         cb = two_state_codebook(overlap)
         povm = build_pgm(cb)
-        delta = 0.5 * cb.states[0].mat - 0.5 * cb.states[1].mat
+        delta = 0.5 * cb.mats[0] - 0.5 * cb.mats[1]
         vals, vecs = np.linalg.eigh(delta)
         plus = vecs[:, vals > 0] @ vecs[:, vals > 0].conj().T
         rng = np.random.default_rng(66)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from conftest import purity
 
 from qlinksim import (
     DensityMatrix,
     DetectorCodebook,
     InvalidStateError,
-    embed_alpha,
-    purity,
+    embed_amplitudes,
+    make_pure_states,
     qam_codebook,
     qam_constellation,
     qpsk_codebook,
@@ -28,7 +29,7 @@ class TestQpskCodebook:
 
     def test_natural_binary_labels(self):
         cb = qpsk_codebook()
-        assert cb.bit_labels == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert cb.bit_labels.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
         assert cb.bits_per_symbol == 2
 
     def test_unit_power_scale(self):
@@ -37,38 +38,42 @@ class TestQpskCodebook:
 
 class TestQamConstellation:
     def test_m16_raw_grid(self):
-        points, scale = qam_constellation(16)
-        raw = {(round((p.alpha / scale).real), round((p.alpha / scale).imag)) for p in points}
+        alphas, _, scale = qam_constellation(16)
+        raw = {(round((a / scale).real), round((a / scale).imag)) for a in alphas.tolist()}
         assert raw == {(i, q) for i in (-3, -1, 1, 3) for q in (-3, -1, 1, 3)}
 
     def test_m16_power_scale(self):
-        _, scale = qam_constellation(16)
+        _, _, scale = qam_constellation(16)
         assert scale == pytest.approx(1 / np.sqrt(10), abs=1e-15)
 
     def test_unit_average_power(self):
-        points, _ = qam_constellation(16)
-        mean_power = np.mean([abs(p.alpha) ** 2 for p in points])
-        assert mean_power == pytest.approx(1.0, abs=1e-12)
+        alphas, _, _ = qam_constellation(16)
+        assert np.mean(np.abs(alphas) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_m4_points(self):
-        points, _ = qam_constellation(4)
+        alphas, _, _ = qam_constellation(4)
         expected = {(s * 1 + 1j * t * 1) / np.sqrt(2) for s in (-1, 1) for t in (-1, 1)}
-        assert all(any(abs(p.alpha - e) < 1e-12 for e in expected) for p in points)
+        assert all(any(abs(a - e) < 1e-12 for e in expected) for a in alphas.tolist())
 
     def test_symbols_are_permutation(self):
-        points, _ = qam_constellation(16)
-        assert sorted(p.symbol for p in points) == list(range(16))
+        # Symbol ix * side + iq sits at grid column ix and row iq.
+        alphas, bits, scale = qam_constellation(16)
+        assert alphas.shape == (16,) and bits.shape == (16, 4)
+        ix = (np.round(alphas.real / scale).astype(int) + 3) // 2
+        iq = (np.round(alphas.imag / scale).astype(int) + 3) // 2
+        assert sorted((ix * 4 + iq).tolist()) == list(range(16))
+        assert np.array_equal(ix * 4 + iq, np.arange(16))
 
     @pytest.mark.parametrize("order", [16, 64])
     def test_gray_property_axis_neighbors(self, order):
-        points, scale = qam_constellation(order)
+        alphas, labels, scale = qam_constellation(order)
         side = int(np.sqrt(order))
         grid = {}
-        for p in points:
-            raw = p.alpha / scale
+        for alpha, bits in zip(alphas.tolist(), labels.tolist()):
+            raw = alpha / scale
             ix = (round(raw.real) + side - 1) // 2
             iq = (round(raw.imag) + side - 1) // 2
-            grid[(ix, iq)] = p.bits
+            grid[(ix, iq)] = bits
         for (ix, iq), bits in grid.items():
             for nx, nq in ((ix + 1, iq), (ix, iq + 1)):
                 if (nx, nq) in grid:
@@ -83,38 +88,39 @@ class TestQamConstellation:
 
 class TestEmbedAlpha:
     def test_origin(self):
-        assert np.allclose(embed_alpha(0).mat, [[1, 0], [0, 0]])
+        assert np.allclose(embed_amplitudes([0]), [[[1, 0], [0, 0]]])
 
     def test_unit_real(self):
-        assert np.allclose(embed_alpha(1).mat, [[0.5, 0.5], [0.5, 0.5]])
+        assert np.allclose(embed_amplitudes([1]), [[[0.5, 0.5], [0.5, 0.5]]])
 
     def test_complex_oracle(self):
-        rho = embed_alpha(1 + 1j)
-        assert rho.mat[0, 0] == pytest.approx(1 / 3, abs=1e-12)
-        assert rho.mat[1, 0] == pytest.approx((1 + 1j) / 3, abs=1e-12)
+        (rho,) = embed_amplitudes([1 + 1j])
+        assert rho[0, 0] == pytest.approx(1 / 3, abs=1e-12)
+        assert rho[1, 0] == pytest.approx((1 + 1j) / 3, abs=1e-12)
 
     def test_always_pure(self):
         rng = np.random.default_rng(21)
-        for _ in range(30):
-            alpha = complex(*rng.standard_normal(2)) * 3
-            assert purity(embed_alpha(alpha)) == pytest.approx(1.0, abs=1e-12)
+        alphas = (rng.standard_normal(30) + 1j * rng.standard_normal(30)) * 3
+        mats = embed_amplitudes(alphas)
+        assert mats.shape == (30, 2, 2) and not mats.flags.writeable
+        assert np.all(np.abs(purity(mats) - 1.0) <= 1e-12)
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidStateError, match="finite"):
-            embed_alpha(complex(np.inf, 0))
+            embed_amplitudes([0.5, complex(np.inf, 0)])
 
 
 class TestQamCodebook:
     def test_m16_all_pure(self):
         cb = qam_codebook(16)
         assert cb.M == 16
-        assert all(purity(s) == pytest.approx(1.0, abs=1e-12) for s in cb.states)
+        assert np.all(np.abs(purity(cb.mats) - 1.0) <= 1e-12)
 
     def test_states_distinct(self):
         cb = qam_codebook(16)
         for i in range(16):
             for j in range(i + 1, 16):
-                diff = cb.states[i].mat - cb.states[j].mat
+                diff = cb.mats[i] - cb.mats[j]
                 dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)))
                 assert dist > 1e-6
 
@@ -149,23 +155,42 @@ class TestCodebookStack:
 
     @pytest.mark.parametrize("order", [4, 16, 64, 256, 1024])
     def test_qam_stack_matches_one_state_reference(self, order):
-        points, _ = qam_constellation(order)
-        ref = np.stack([one_state_embedding(p.alpha) for p in points])
+        alphas, _, _ = qam_constellation(order)
+        ref = np.stack([one_state_embedding(alpha) for alpha in alphas.tolist()])
         cb = qam_codebook(order)
         assert cb.mats.shape == (order, 2, 2)
         assert np.array_equal(cb.mats, ref)
-        for point, state, m in zip(points, cb.states, ref):
+        for state, m in zip(cb.states, ref):
             assert np.array_equal(state.mat, m)
-            assert np.array_equal(embed_alpha(point.alpha).mat, m)
+        for alpha, m in zip(alphas, ref):
+            assert np.array_equal(embed_amplitudes([alpha])[0], m)
+
+    @pytest.mark.parametrize("order", [4, 16, 64, 256, 1024, 4096, 16384])
+    def test_constellation_matches_one_point_loop(self, order):
+        # The per-point loop the array expression replaces.
+        side = int(np.sqrt(order))
+        bits_axis = int(np.log2(side))
+        scale = 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
+        levels = [2 * i - (side - 1) for i in range(side)]
+        ref_alphas, ref_bits = [], []
+        for ix in range(side):
+            for iq in range(side):
+                ref_alphas.append(complex(levels[ix], levels[iq]) * scale)
+                word = ((ix ^ (ix >> 1)) << bits_axis) | (iq ^ (iq >> 1))
+                width = 2 * bits_axis
+                ref_bits.append([(word >> (width - 1 - k)) & 1 for k in range(width)])
+        alphas, bits, got_scale = qam_constellation(order)
+        assert got_scale == scale
+        assert np.array_equal(alphas, np.array(ref_alphas))
+        assert bits.tolist() == ref_bits
 
     def test_random_amplitudes_within_one_ulp_of_one_state_reference(self):
         # |alpha|^2 is the correctly rounded square; Python's ** 2 calls libm
         # pow, which is one ulp off it for a few amplitudes in 10^4.
         rng = np.random.default_rng(24)
         alphas = (rng.standard_normal(3000) + 1j * rng.standard_normal(3000)) * 3.0
-        for alpha in alphas.tolist():
-            ref = one_state_embedding(alpha)
-            assert np.allclose(embed_alpha(alpha).mat, ref, rtol=0.0, atol=2 * np.finfo(float).eps)
+        ref = np.stack([one_state_embedding(alpha) for alpha in alphas.tolist()])
+        assert np.allclose(embed_amplitudes(alphas), ref, rtol=0.0, atol=2 * np.finfo(float).eps)
 
     @pytest.mark.parametrize("build", [qpsk_codebook, lambda: qam_codebook(16)], ids=["qpsk", "qam16"])
     def test_shared_arrays_are_read_only(self, build):
@@ -182,19 +207,36 @@ class TestCodebookStack:
     def test_caller_priors_stay_writable(self):
         cb = qpsk_codebook()
         priors = np.full(4, 0.25)
-        DetectorCodebook(
-            states=cb.states, priors=priors, bit_labels=cb.bit_labels, bits_per_symbol=2
-        )
+        mats = np.array(cb.mats)
+        DetectorCodebook(mats=mats, priors=priors, bit_labels=cb.bit_labels)
         priors[0] = 0.25
+        mats[0, 0, 0] = 1.0
 
     def test_stack_from_hand_built_states(self):
         states = (DensityMatrix(np.eye(2) / 2), DensityMatrix(np.diag([1.0, 0.0])))
-        cb = DetectorCodebook(
-            states=states, priors=np.array([0.5, 0.5]), bit_labels=((0,), (1,)),
-            bits_per_symbol=1,
-        )
-        assert np.array_equal(cb.mats, np.stack([s.mat for s in states]))
-        assert (cb.M, cb.dim) == (2, 2)
+        mats = np.stack([s.mat for s in states])
+        cb = DetectorCodebook(mats=mats, priors=np.array([0.5, 0.5]), bit_labels=((0,), (1,)))
+        assert np.array_equal(cb.mats, mats)
+        assert (cb.M, cb.dim, cb.bits_per_symbol) == (2, 2, 1)
+        assert not cb.mats.flags.writeable and mats.flags.writeable
+
+    def test_states_are_views_of_the_stack(self):
+        cb = qam_codebook(16)
+        states = cb.states
+        assert len(states) == 16 and all(isinstance(s, DensityMatrix) for s in states)
+        assert all(np.shares_memory(s.mat, cb.mats) for s in states)
+
+    @pytest.mark.parametrize(
+        "mats, labels, message",
+        [
+            (np.eye(2) / 2, ((0,), (1,)), "stack"),
+            (make_pure_states([[1, 0], [0, 1]]), ((0,),), "one bit label per state"),
+            (make_pure_states([[1, 0], [0, 1]]), (0, 1), "one bit label per state"),
+        ],
+    )
+    def test_malformed_codebook_rejected(self, mats, labels, message):
+        with pytest.raises(ValueError, match=message):
+            DetectorCodebook(mats=mats, priors=np.array([0.5, 0.5]), bit_labels=labels)
 
 
 class TestSymbolsToBits:
@@ -218,11 +260,12 @@ class TestSymbolsToBits:
     def test_bit_table_rows(self):
         cb = qam_codebook(16)
         assert cb.bit_table.shape == (17, 4)
-        assert [tuple(b) for b in cb.bit_table[:16].tolist()] == list(cb.bit_labels)
+        assert np.array_equal(cb.bit_table[:16], cb.bit_labels)
+        assert np.shares_memory(cb.bit_table, cb.bit_labels)
         assert cb.bit_table[16].tolist() == [-1, -1, -1, -1]
 
     def test_round_trip_with_gray_labels(self):
         cb = qam_codebook(16)
         bits = symbols_to_bits(np.arange(16), cb)
         assert bits.shape == (16, 4)
-        assert [tuple(b) for b in bits.tolist()] == list(cb.bit_labels)
+        assert np.array_equal(bits, cb.bit_labels)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib
 import json
 import re
 from pathlib import Path
@@ -26,6 +27,7 @@ from qlinksim import (
     run_simulation,
     write_states_csv,
 )
+import qlinksim
 from qlinksim import pipeline, visualization
 from qlinksim.cli import main as cli_main
 from qlinksim.pipeline import (
@@ -33,10 +35,12 @@ from qlinksim.pipeline import (
     config_from_dict,
     config_to_dict,
     draw_symbols,
+    run_channels,
 )
 from qlinksim.visualization import project_states
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 
 
 def qpsk_config(tmp_path, channels, n=100, seed=5, **kwargs):
@@ -421,6 +425,30 @@ class TestRunComparison:
         assert not list(tmp_path.glob("**/states_*.csv"))
         assert not list(tmp_path.glob("**/*.svg"))
 
+    def test_run_channels_builds_every_channel_first(self, tmp_path):
+        channels = (
+            ("good", DepolarizingConfig(p=0.1)),
+            ("boso3", BosonicConfig(loss_db=1.0, fock_dim=3)),
+        )
+        cfg = qpsk_config(tmp_path, channels)
+        with pytest.raises(RuntimeError, match="channel 'boso3' failed.*fock_dim"):
+            next(run_channels(cfg, ["good", "boso3"]))
+        assert not (tmp_path / "out").exists()
+
+    def test_report_records_the_package_version(self, tmp_path):
+        # pyproject.toml reads the version from the package; the report
+        # records the same string, also from a checkout with nothing installed.
+        text = PYPROJECT.read_text(encoding="utf-8")
+        assert re.search(r'^dynamic = \["version"\]$', text, re.M)
+        attr = re.search(r'^version = \{attr = "([\w.]+)"\}$', text, re.M).group(1)
+        module, name = attr.rsplit(".", 1)
+        declared = getattr(importlib.import_module(module), name)
+        assert re.fullmatch(r"\d+\.\d+\.\d+", declared) and declared != "0.0.0"
+        cfg = qpsk_config(tmp_path, (("clean", DepolarizingConfig(p=0.0)),), n=10)
+        run_comparison(cfg)
+        data = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert data["version"] == declared == qlinksim.__version__
+
     def test_empty_channel_list_rejected(self, tmp_path):
         cfg = qpsk_config(tmp_path, ())
         with pytest.raises(ValueError, match="at least one"):
@@ -461,6 +489,44 @@ class TestRunComparison:
                 assert first[name] == second[name], name
 
 
+# (ser_count, ber_count, erasure_count) per channel of the shipped config at
+# seed 123: 4000 symbols with argmax decisions, and 1000 with sampled ones.
+GOLDEN_COUNTS = {
+    ("argmax", 4000): {
+        "depolarizing": (0, 0, 0),
+        "dephasing": (0, 0, 0),
+        "erasure": (4000, 16000, 4000),
+        "bosonic": (2975, 3948, 0),
+        "turbulence": (410, 574, 0),
+        "pmd": (1225, 1283, 0),
+    },
+    ("sampled", 1000): {
+        "depolarizing": (871, 1572, 0),
+        "dephasing": (884, 1672, 0),
+        "erasure": (905, 2166, 243),
+        "bosonic": (887, 1703, 0),
+        "turbulence": (882, 1665, 0),
+        "pmd": (918, 1882, 0),
+    },
+}
+
+
+@pytest.mark.parametrize("mode, n", list(GOLDEN_COUNTS), ids=lambda v: str(v))
+def test_golden_report_counts(tmp_path, mode, n):
+    cfg = dataclasses.replace(
+        load_config(default_config_path()), n_symbols=n, decision_mode=mode,
+        output_dir=tmp_path, emit_states=False, emit_figures=False,
+    )
+    assert cfg.seed == 123
+    run_comparison(cfg)
+    report = json.loads((tmp_path / "report.json").read_text())
+    counts = {
+        name: (r["ser_count"], r["ber_count"], r["erasure_count"])
+        for name, r in report["channels"].items()
+    }
+    assert counts == GOLDEN_COUNTS[mode, n]
+
+
 class TestStatesCsv:
     def test_header_and_row_count(self, tmp_path):
         cfg = qpsk_config(tmp_path, (("clean", DepolarizingConfig(p=0.0)),), n=25)
@@ -471,7 +537,7 @@ class TestStatesCsv:
         assert len(lines) == 26
 
     def test_length_mismatch_rejected(self, tmp_path):
-        table = project_states(np.stack([s.mat for s in qam_codebook(4).states]))
+        table = project_states(qam_codebook(4).mats)
         with pytest.raises(ValueError, match="length"):
             write_states_csv(
                 tmp_path / "x.csv", table, table.take(slice(0, 2)), [0, 1, 2, 3], [0, 1, 2, 3]
@@ -568,6 +634,21 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "figs" / "constellation_era.svg").exists()
         assert (tmp_path / "figs" / "bloch_era.svg").exists()
+
+    def test_plot_names_missing_columns(self, tmp_path, capsys):
+        cli_main(["run", "--config", str(self._write_config(tmp_path)),
+                  "--channel", "era"])
+        rows = read_csv(tmp_path / "out" / "states_era.csv")
+        kept = [c for c in STATES_CSV_HEADER if c not in ("tx_bloch_x", "rx_q")]
+        path = tmp_path / "states_cut.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, kept, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        rc = cli_main(["plot", "--states", str(path), "--out", str(tmp_path / "figs")])
+        assert rc == 1
+        assert "lacks states CSV columns: tx_bloch_x, rx_q" in capsys.readouterr().err
+        assert not (tmp_path / "figs").exists()
 
     def test_missing_config_reports_error(self, tmp_path, capsys):
         rc = cli_main(["run", "--config", str(tmp_path / "absent.json")])

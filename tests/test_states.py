@@ -1,37 +1,34 @@
 import numpy as np
 import pytest
-from conftest import random_density, random_pure
+from conftest import pure, purity, random_density, random_pure
 
 from qlinksim import (
     DegenerateStateError,
     DensityMatrix,
+    DetectorCodebook,
     InvalidStateError,
     bloch_xyz,
     hermitize,
     inv_sqrt_psd,
     leading_blocks,
-    make_pure,
-    purity,
 )
 from qlinksim.states import TOL, check_states, make_pure_states, min_eigenvalues
 
 
-def bloch(rho):
-    return bloch_xyz(rho.mat[np.newaxis])[0]
+def bloch(mat):
+    return bloch_xyz(np.asarray(mat)[np.newaxis])[0]
 
 
 class TestMakePure:
     def test_basis_state(self):
-        rho = make_pure([1, 0])
-        assert np.allclose(rho.mat, [[1, 0], [0, 0]])
+        assert np.allclose(pure(1, 0), [[1, 0], [0, 0]])
 
     def test_plus_state(self):
-        rho = make_pure([1 / np.sqrt(2), 1 / np.sqrt(2)])
-        assert np.allclose(rho.mat, [[0.5, 0.5], [0.5, 0.5]])
+        assert np.allclose(pure(1 / np.sqrt(2), 1 / np.sqrt(2)), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_unnormalized_rejected(self):
         with pytest.raises(InvalidStateError, match="norm"):
-            make_pure([1, 1])
+            pure(1, 1)
 
     def test_complex_amplitudes_give_pure_state(self):
         rng = np.random.default_rng(11)
@@ -115,7 +112,10 @@ class TestDensityMatrixStack:
         rng = np.random.default_rng(22)
         raw = np.stack([random_density(rng, 3).mat for _ in range(12)])
         raw = raw + 1e-12j * rng.standard_normal(raw.shape)
-        states = DensityMatrix.stack(raw)
+        mats = check_states(raw)
+        mats.flags.writeable = False
+        codebook = DetectorCodebook(mats=mats, priors=np.full(12, 1 / 12), bit_labels=np.eye(12))
+        states = codebook.states
         assert len(states) == 12
         for state, m in zip(states, raw):
             assert isinstance(state, DensityMatrix) and state.dim == 3
@@ -140,7 +140,7 @@ class TestDensityMatrixStack:
     def test_one_bad_state_rejects_the_stack(self):
         raw = np.stack([np.eye(2) / 2, np.diag([1.2, -0.2])])
         with pytest.raises(InvalidStateError, match="positive"):
-            DensityMatrix.stack(raw)
+            check_states(raw)
         with pytest.raises(InvalidStateError, match="norm"):
             make_pure_states([[1, 0], [1, 1]])
 
@@ -148,9 +148,11 @@ class TestDensityMatrixStack:
         rng = np.random.default_rng(23)
         kets = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
         kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-        for state, ket in zip(make_pure_states(kets), kets):
+        mats = make_pure_states(kets)
+        assert mats.shape == (20, 3, 3) and not mats.flags.writeable
+        for mat, ket in zip(mats, kets):
             v = ket / float(np.linalg.norm(ket))
-            assert np.array_equal(state.mat, DensityMatrix(np.outer(v, v.conj())).mat)
+            assert np.array_equal(mat, DensityMatrix(np.outer(v, v.conj())).mat)
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_make_pure_states_match_one_ket_loop(self, dim):
@@ -165,7 +167,7 @@ class TestDensityMatrixStack:
             v = v / float(np.linalg.norm(v))
             m = np.outer(v, v.conj())
             ref.append((m + m.conj().T) / 2.0)
-        assert np.array_equal(np.stack([s.mat for s in make_pure_states(kets)]), np.stack(ref))
+        assert np.array_equal(make_pure_states(kets), np.stack(ref))
 
     def test_make_pure_states_names_the_first_bad_norm(self):
         with pytest.raises(InvalidStateError, match=r"norm 2\.0 is not 1"):
@@ -239,6 +241,12 @@ class TestHermitize:
     def test_zero(self):
         assert np.all(hermitize(np.zeros((3, 3))) == 0)
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(14)
+        m = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        ref = [(x + x.conj().T) / 2.0 for x in m]
+        assert np.array_equal(hermitize(m), np.stack(ref))
+
 
 class TestInvSqrtPsd:
     def test_pseudo_inverse_on_singular_diagonal(self):
@@ -271,29 +279,29 @@ class TestInvSqrtPsd:
 
 class TestBlochVector:
     def test_basis_states(self):
-        assert bloch(make_pure([1, 0])) == pytest.approx((0, 0, 1))
+        assert bloch(pure(1, 0)) == pytest.approx((0, 0, 1))
         s = 1 / np.sqrt(2)
-        assert bloch(make_pure([s, s])) == pytest.approx((1, 0, 0))
+        assert bloch(pure(s, s)) == pytest.approx((1, 0, 0))
 
     def test_maximally_mixed_at_origin(self):
-        vec = bloch(DensityMatrix(np.eye(2) / 2))
+        vec = bloch(DensityMatrix(np.eye(2) / 2).mat)
         assert np.linalg.norm(vec) == pytest.approx(0.0, abs=1e-12)
 
     def test_y_axis_sign(self):
         # (|0> + i|1>)/sqrt(2) points along +y, its conjugate along -y
         s = 1 / np.sqrt(2)
-        assert bloch(make_pure([s, 1j * s])) == pytest.approx((0, 1, 0))
-        assert bloch(make_pure([s, -1j * s])) == pytest.approx((0, -1, 0))
+        assert bloch(pure(s, 1j * s)) == pytest.approx((0, 1, 0))
+        assert bloch(pure(s, -1j * s)) == pytest.approx((0, -1, 0))
 
     def test_wrong_dim_rejected(self):
         with pytest.raises(ValueError, match="dim 2"):
-            bloch(DensityMatrix(np.eye(3) / 3))
+            bloch(DensityMatrix(np.eye(3) / 3).mat)
 
     def test_pure_states_on_sphere_mixed_inside(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             assert np.linalg.norm(bloch(random_pure(rng, 2))) == pytest.approx(1.0, abs=1e-9)
-            assert np.linalg.norm(bloch(random_density(rng, 2))) <= 1 + 1e-9
+            assert np.linalg.norm(bloch(random_density(rng, 2).mat)) <= 1 + 1e-9
 
 
 class TestLeadingQubitBlock:
@@ -306,13 +314,13 @@ class TestLeadingQubitBlock:
 
     def test_enlarged_block_structure(self):
         p = 0.25
-        inner = make_pure([0.6, 0.8])
+        inner = pure(0.6, 0.8)
         big = np.zeros((3, 3), dtype=complex)
-        big[:2, :2] = (1 - p) * inner.mat
+        big[:2, :2] = (1 - p) * inner
         big[2, 2] = p
         (block,), (t,) = leading_blocks(DensityMatrix(big).mat[None])
         assert t == pytest.approx(1 - p, abs=1e-12)
-        assert np.allclose(block, inner.mat)
+        assert np.allclose(block, inner)
 
     def test_depleted_block_flagged(self):
         fully_erased = np.diag([0.0, 0.0, 1.0]).astype(complex)
@@ -331,9 +339,8 @@ class TestPurity:
         assert purity(random_pure(rng, 3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert purity(DensityMatrix(np.eye(2) / 2)) == pytest.approx(0.5)
+        assert purity(DensityMatrix(np.eye(2) / 2).mat) == pytest.approx(0.5)
 
     def test_half_depolarized_pure_state(self):
-        rho = make_pure([1, 0])
-        mixed = DensityMatrix(0.5 * rho.mat + 0.5 * np.eye(2) / 2)
-        assert purity(mixed) == pytest.approx(0.625, abs=1e-12)
+        mixed = DensityMatrix(0.5 * pure(1, 0) + 0.5 * np.eye(2) / 2)
+        assert purity(mixed.mat) == pytest.approx(0.625, abs=1e-12)

@@ -2,14 +2,13 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import pure, random_density
 
 from qlinksim import (
     Channel,
     DepolarizingConfig,
     ErasureConfig,
-    embed_alpha,
-    make_pure,
+    embed_amplitudes,
     project_states,
     qam_constellation,
     render_bloch_svg,
@@ -19,30 +18,30 @@ from qlinksim.visualization import StateProjection
 
 
 def stack(states):
-    return np.stack([rho.mat for rho in states])
+    return np.stack([getattr(rho, "mat", rho) for rho in states])
 
 
 class TestConstellationPoint:
     def test_identity_recovery(self):
         rng = np.random.default_rng(81)
         alphas = [complex(*rng.standard_normal(2)) for _ in range(30)]
-        table = project_states(stack(embed_alpha(alpha) for alpha in alphas))
+        table = project_states(embed_amplitudes(alphas))
         for alpha, (i, q), clipped in zip(alphas, table.iq, table.clipped):
             assert i + 1j * q == pytest.approx(alpha, abs=1e-12)
             assert not clipped
 
     def test_power_scale_inverted(self):
-        points, scale = qam_constellation(16)
-        table = project_states(stack(embed_alpha(cp.alpha) for cp in points), power_scale=scale)
-        for cp, (i, q) in zip(points, table.iq):
-            assert i + 1j * q == pytest.approx(cp.alpha / scale, abs=1e-9)
+        alphas, _, scale = qam_constellation(16)
+        table = project_states(embed_amplitudes(alphas), power_scale=scale)
+        for alpha, (i, q) in zip(alphas, table.iq):
+            assert i + 1j * q == pytest.approx(alpha / scale, abs=1e-9)
 
     def test_ground_state_at_origin(self):
-        table = project_states(stack([make_pure([1, 0])]))
+        table = project_states(stack([pure(1, 0)]))
         assert tuple(table.iq[0]) == (0.0, 0.0)
 
     def test_excited_state_clips(self):
-        table = project_states(stack([make_pure([0, 1])]), clip_radius=2.0)
+        table = project_states(stack([pure(0, 1)]), clip_radius=2.0)
         (i, q), = table.iq
         assert table.clipped[0]
         assert i**2 + q**2 == pytest.approx(4.0, abs=1e-9)
@@ -51,14 +50,14 @@ class TestConstellationPoint:
         # rho00 tiny but rho10 dominated by a negative real coherence
         eps = 1e-12
         amp = np.sqrt(eps)
-        rho = make_pure([amp, -np.sqrt(1 - eps)])
+        rho = pure(amp, -np.sqrt(1 - eps))
         table = project_states(stack([rho]), clip_radius=1.5)
         assert table.clipped[0]
         assert table.iq[0, 0] == pytest.approx(-1.5, abs=1e-6)
 
     def test_erasure_output_recovers_alpha(self):
         alpha = 0.7 - 0.2j
-        enlarged = Channel(ErasureConfig(p=0.4)).apply_batch(stack([embed_alpha(alpha)]))
+        enlarged = Channel(ErasureConfig(p=0.4)).apply_batch(embed_amplitudes([alpha]))
         (i, q), = project_states(enlarged).iq
         assert i + 1j * q == pytest.approx(alpha, abs=1e-9)
 
@@ -66,20 +65,20 @@ class TestConstellationPoint:
 class TestBlochPoints:
     def test_pure_inputs_unit_norm(self):
         rng = np.random.default_rng(82)
-        states = [embed_alpha(complex(*rng.standard_normal(2))) for _ in range(10)]
-        table = project_states(stack(states))
+        alphas = [complex(*rng.standard_normal(2)) for _ in range(10)]
+        table = project_states(embed_amplitudes(alphas))
         for vec, trace in zip(table.bloch, table.trace):
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
             assert trace == pytest.approx(1.0, abs=1e-12)
 
     def test_depolarized_norm_halves(self):
-        rho = make_pure([0.8, 0.6])
+        rho = pure(0.8, 0.6)
         depolarized = Channel(DepolarizingConfig(p=0.5)).apply_batch(stack([rho]))
         before, after = project_states(np.concatenate([stack([rho]), depolarized])).bloch
         assert np.linalg.norm(after) == pytest.approx(0.5 * np.linalg.norm(before), abs=1e-9)
 
     def test_erasure_keeps_direction_reports_renorm(self):
-        rho = embed_alpha(0.3 + 0.5j)
+        rho = embed_amplitudes([0.3 + 0.5j])[0]
         vec_in, = project_states(stack([rho])).bloch
         erased = project_states(Channel(ErasureConfig(p=0.25)).apply_batch(stack([rho])))
         assert erased.trace[0] == pytest.approx(0.75, abs=1e-12)
