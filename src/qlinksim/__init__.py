@@ -38,9 +38,7 @@ from .modulation import (
     qpsk_codebook,
     symbols_to_bits,
 )
-from .pipeline import (
-    VERSION as __version__,
-)
+from .pipeline import VERSION as __version__
 from .pipeline import (
     ChannelRunResult,
     SimulationConfig,

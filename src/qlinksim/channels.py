@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import ClassVar, Union
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
@@ -147,17 +147,7 @@ ChannelConfig = Union[
     PMDConfig,
 ]
 
-_CONFIG_TYPES = {
-    cls.kind: cls
-    for cls in (
-        DepolarizingConfig,
-        DephasingConfig,
-        ErasureConfig,
-        BosonicConfig,
-        TurbulenceConfig,
-        PMDConfig,
-    )
-}
+_CONFIG_TYPES = {cls.kind: cls for cls in get_args(ChannelConfig)}
 
 
 def config_from_dict(d: dict) -> ChannelConfig:
@@ -177,10 +167,7 @@ def config_from_dict(d: dict) -> ChannelConfig:
 
 
 def config_to_dict(cfg: ChannelConfig) -> dict:
-    d: dict = {"type": cfg.kind}
-    for f in fields(cfg):
-        d[f.name] = getattr(cfg, f.name)
-    return d
+    return {"type": cfg.kind, **{f.name: getattr(cfg, f.name) for f in fields(cfg)}}
 
 
 # --- deterministic qubit maps ---

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -106,25 +108,42 @@ def _read_states_csv(path: Path) -> tuple:
     labels, rx table, rx labels.
 
     The CSV does not record clip flags, so replotted constellations show
-    previously clipped points as plain dots at the clip radius.
+    previously clipped points as plain dots at the clip radius.  A missing
+    cell, a label that is not an integer or a number that is not finite is
+    an error naming its file, line and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in STATES_CSV_HEADER if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path} lacks states CSV columns: {', '.join(missing)}")
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]
     if not rows:
         raise ValueError(f"no data rows in {path}")
+
+    def cells(columns, kind):
+        values = []
+        for (line, row), column in itertools.product(rows, columns):
+            try:
+                values.append(kind(row[column]))
+                if math.isfinite(values[-1]):
+                    continue
+            except (TypeError, ValueError, OverflowError):
+                pass
+            what = "an integer" if kind is int else "a finite number"
+            got = "nothing" if row[column] is None else repr(row[column])
+            raise ValueError(f"{path}, line {line}, column {column}: expected {what}, got {got}")
+        return np.array(values).reshape(len(rows), len(columns))
+
     tables = []
     for side in ("tx", "rx"):
         table = StateProjection(
-            bloch=np.array([[float(row[f"{side}_bloch_{a}"]) for a in "xyz"] for row in rows]),
+            bloch=cells([f"{side}_bloch_{a}" for a in "xyz"], float),
             trace=np.ones(len(rows)),
-            iq=np.array([[float(row[f"{side}_{a}"]) for a in "iq"] for row in rows]),
+            iq=cells([f"{side}_{a}" for a in "iq"], float),
             clipped=np.zeros(len(rows), dtype=bool),
         )
-        tables += [table, [int(row[f"{side}_label"]) for row in rows]]
+        tables += [table, cells([f"{side}_label"], int).ravel()]
     return tuple(tables)
 
 

@@ -49,8 +49,11 @@ class DetectorCodebook:
         priors = np.array(self.priors, dtype=float)
         if priors.shape != (len(mats),):
             raise ValueError(f"priors shape {priors.shape} does not match {len(mats)} states")
-        if np.any(priors < 0.0) or abs(float(priors.sum()) - 1.0) > 1e-12:
-            raise ValueError("priors must be nonnegative and sum to 1")
+        # NaN fails ">= 0" and an infinity fails the sum.
+        if not np.all(priors >= 0.0) or abs(priors.sum() - 1.0) > 1e-12:
+            raise ValueError(f"priors must be finite, nonnegative and sum to 1, got {priors}")
+        if not 0.0 < float(self.power_scale) < np.inf:
+            raise ValueError(f"power_scale must be finite and > 0, got {self.power_scale!r}")
         labels = np.array(self.bit_labels, dtype=int)
         if labels.ndim != 2 or len(labels) != len(mats):
             raise ValueError(f"one bit label per state required, got shape {labels.shape}")

@@ -41,7 +41,6 @@ from .metrics import compute_ber, compute_ser
 from .modulation import DetectorCodebook, qam_codebook, qam_side, qpsk_codebook, symbols_to_bits
 from .visualization import (
     StateProjection,
-    distinct_rows,
     project_states,
     render_bloch_svg,
     render_constellation_svg,
@@ -178,17 +177,9 @@ def _csv_num(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _csv_blocks(head: np.ndarray, tail: np.ndarray) -> tuple[list[str], list[str], list[int]]:
-    """CSV text of the ``head`` and ``tail`` columns per distinct row, and
-    the number of each row's distinct row."""
-    values = np.column_stack([head, tail])
-    first, inverse = distinct_rows(values)
-    width, head_text, tail_text = head.shape[1], [], []
-    for row in values[first].tolist():
-        text = list(map(_csv_num, row))
-        head_text.append(",".join(text[:width]))
-        tail_text.append(",".join(text[width:]))
-    return head_text, tail_text, inverse.tolist()
+def _csv_text(*columns: np.ndarray) -> list[str]:
+    """CSV text of the side-by-side ``columns``, one string per table row."""
+    return [",".join(map(_csv_num, row)) for row in np.column_stack(columns).tolist()]
 
 
 def write_states_csv(
@@ -203,30 +194,33 @@ def write_states_csv(
     Bloch and constellation columns come from the leading-block
     projection, so rows stay well-defined for enlarged (erasure) outputs;
     ``rx_renorm_trace`` records the weight left in the qubit block.  Each
-    side's numbers are formatted once per distinct row (matched by exact
-    bytes), so the cost scales with the number of distinct states.  No
-    field needs CSV quoting: they are ints and '.12g' numbers.
+    table row's numbers are formatted once, and each symbol's line joins
+    the text of its ``rows`` entries, so the cost scales with the number
+    of distinct states.  No field needs CSV quoting: they are ints and
+    '.12g' numbers.
     """
     n = len(tx_rows)
     if not (len(rx_rows) == len(tx_labels) == len(rx_labels) == n):
         raise ValueError("state and label sequences must have equal lengths")
-    tx_bloch, tx_iq, tx_row = _csv_blocks(tx_rows.bloch, tx_rows.iq)
-    rx_bloch, rx_iq, rx_row = _csv_blocks(
-        np.column_stack([rx_rows.bloch, rx_rows.trace]), rx_rows.iq
+    tx_bloch, tx_iq = _csv_text(tx_rows.bloch), _csv_text(tx_rows.iq)
+    rx_bloch, rx_iq = _csv_text(rx_rows.bloch, rx_rows.trace), _csv_text(rx_rows.iq)
+    lines = zip(
+        np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist(),
+        tx_rows.rows.tolist(), rx_rows.rows.tolist(),
     )
-    labels = zip(np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist(), tx_row, rx_row)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(STATES_CSV_HEADER) + "\n")
         fh.writelines(
             f"{idx},{tx},{rx},{tx_bloch[a]},{rx_bloch[b]},{tx_iq[a]},{rx_iq[b]}\n"
-            for idx, (tx, rx, a, b) in enumerate(labels)
+            for idx, (tx, rx, a, b) in enumerate(lines)
         )
 
 
 @dataclass(frozen=True)
 class _Transmitter:
     """What every channel of a run shares; with artifacts on, also the clip radius
-    (1.5x the largest finite tx-point radius) and the per-symbol tx ``rows``."""
+    (1.5x the largest finite tx-point radius) and the tx table ``rows``, one
+    row per codebook state, indexed by symbol."""
 
     codebook: DetectorCodebook
     povm: POVM
@@ -462,11 +456,7 @@ def config_to_dict(cfg: SimulationConfig) -> dict:
     mod: dict = {"type": cfg.modulation}
     if cfg.modulation == "qam":
         mod["M"] = cfg.qam_order
-    channels = []
-    for name, ch in cfg.channels:
-        entry = {"name": name}
-        entry.update(channel_config_to_dict(ch))
-        channels.append(entry)
+    channels = [{"name": name, **channel_config_to_dict(ch)} for name, ch in cfg.channels]
     return {
         "modulation": mod,
         "n_symbols": cfg.n_symbols,

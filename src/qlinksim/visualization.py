@@ -4,20 +4,20 @@ Two figure types, each with transmitted and received panels side by
 side: an I/Q constellation built from the amplitude-ratio reconstruction
 of each qubit state, and a Bloch sphere in a fixed orthographic
 projection.  Both renderers take a :class:`StateProjection` and one
-label per row for each panel; :func:`project_states` computes that table
-once per stack of distinct states.  All output is deterministic: fixed
-element order, fixed coordinate formatting, no timestamps.
+label per symbol for each panel.  A table holds one row per distinct
+state, as :func:`project_states` computes it from a stack of states, and
+its ``rows`` index gives each symbol's row.  All output is deterministic:
+fixed element order, fixed coordinate formatting, no timestamps.
 
-Point coordinates are computed as array expressions, and each distinct
-(point, label) marker is formatted once (:func:`distinct_rows` matches
-rows by their exact bytes), so writing a figure costs in proportion to
-the number of distinct states rather than the number of symbols; the
-bytes are those of formatting every point on its own.
+Point coordinates are computed once per table row, and each distinct
+(row, label) marker is formatted once, so writing a figure costs in
+proportion to the number of distinct states rather than the number of
+symbols; the bytes are those of formatting every symbol's point on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -43,27 +43,37 @@ _RHO00_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class StateProjection:
-    """Leading-qubit-block coordinates of a stack of states, one row per state.
+    """Leading-qubit-block coordinates of distinct states, and each symbol's row.
 
-    ``bloch`` (n, 3) are the Bloch coordinates of the renormalized block,
-    ``trace`` (n,) its weight before renormalization, ``iq`` (n, 2) the
-    reconstructed constellation point and ``clipped`` (n,) whether that
-    reconstruction diverged and was pinned at the clip radius.
+    ``bloch`` (m, 3) are the Bloch coordinates of the renormalized block,
+    ``trace`` (m,) its weight before renormalization, ``iq`` (m, 2) the
+    reconstructed constellation point and ``clipped`` (m,) whether that
+    reconstruction diverged and was pinned at the clip radius, one row per
+    state.  ``rows`` (n,) is the row of each symbol; it defaults to
+    ``arange(m)``, one symbol per row.
     """
 
     bloch: np.ndarray
     trace: np.ndarray
     iq: np.ndarray
     clipped: np.ndarray
+    rows: np.ndarray | None = None
+
+    def __post_init__(self):
+        m = len(self.trace)
+        rows = np.arange(m) if self.rows is None else np.asarray(self.rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ValueError(f"rows must be a 1-D integer index, got {rows.dtype} {rows.shape}")
+        if rows.size and (rows.min() < 0 or rows.max() >= m):
+            raise ValueError(f"rows must index the {m} table rows, got [{rows.min()}, {rows.max()}]")
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
-        return len(self.trace)
+        return len(self.rows)
 
     def take(self, index) -> "StateProjection":
-        """Rows selected by ``index``, e.g. per-symbol rows from per-state ones."""
-        return StateProjection(
-            self.bloch[index], self.trace[index], self.iq[index], self.clipped[index]
-        )
+        """The symbols selected by ``index``: the same state arrays, ``rows[index]``."""
+        return replace(self, rows=self.rows[index])
 
 
 def project_states(
@@ -90,21 +100,6 @@ def project_states(
         ratio / np.where(clipped, 1.0, r00)[:, None] / power_scale,
     )
     return StateProjection(bloch_xyz(blocks), trace, iq, clipped)
-
-
-def distinct_rows(values) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of a 2-D array that differ in any byte as float64.
-
-    Returns the index of each distinct row's first occurrence and, per
-    row, the number of its distinct row.  Rows are matched by bytes, not
-    by float comparison, because that would merge -0.0 with 0.0, which
-    format differently.
-    """
-    rows = np.ascontiguousarray(values, dtype=np.float64)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # The inverse's shape for 2-D input differs between numpy 2.0.x releases.
-    return first, inverse.ravel()
 
 
 def _project(x, y, z):
@@ -163,13 +158,16 @@ def _marker(px: float, py: float, color: str, clipped: bool) -> str:
     )
 
 
-def _markers(parts: list[str], px, py, labels: np.ndarray, clipped) -> None:
-    """One marker per point, each distinct (point, label, clipped) formatted once."""
-    first, inverse = distinct_rows(np.column_stack([px, py, labels, clipped]))
-    columns = (px[first], py[first], labels[first], clipped[first])
+def _markers(parts: list[str], px, py, clipped, rows, labels: np.ndarray) -> None:
+    """One marker per symbol, at table row ``rows[k]`` of the per-row ``px``,
+    ``py`` and ``clipped``; each distinct (row, label) pair formatted once."""
+    # Labels are numbered densely first, so the pair key cannot overflow.
+    names, label_index = np.unique(labels, return_inverse=True)
+    keys, inverse = np.unique(rows * len(names) + label_index, return_inverse=True)
+    px, py, clipped, names = px.tolist(), py.tolist(), clipped.tolist(), names.tolist()
     text = [
-        _marker(x, y, _color(label), clip)
-        for x, y, label, clip in zip(*(c.tolist() for c in columns))
+        _marker(px[row], py[row], _color(names[k]), clipped[row])
+        for row, k in zip(*(a.tolist() for a in np.divmod(keys, len(names))))
     ]
     parts.extend([text[k] for k in inverse.tolist()])
 
@@ -191,7 +189,7 @@ def _figure(
         raise ValueError(f"{what} rendering needs nonempty tx and rx tables")
     tx_labels, rx_labels = np.asarray(tx_labels), np.asarray(rx_labels)
     if len(tx_labels) != len(tx) or len(rx_labels) != len(rx):
-        raise ValueError(f"{what} rendering needs one label per table row")
+        raise ValueError(f"{what} rendering needs one label per symbol")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -221,7 +219,9 @@ def render_constellation_svg(
     title: str = "",
 ) -> None:
     """Two-panel I/Q scatter colored by label; clipped reconstructions drawn as crosses."""
-    half = 1.05 * float(np.max(np.abs(np.concatenate([tx.iq, rx.iq])), initial=1.0))
+    # Over the rows the symbols use, so a state never sent cannot widen the axes.
+    sent = np.concatenate([tx.iq[tx.rows], rx.iq[rx.rows]])
+    half = 1.05 * float(np.max(np.abs(sent), initial=1.0))
 
     def draw_panel(parts, table: StateProjection, labels, x0: float, name: str) -> None:
         y0 = _MARGIN
@@ -243,7 +243,7 @@ def render_constellation_svg(
         i, q = table.iq.T
         px = x0 + (i + half) / (2 * half) * _PANEL
         py = y0 + (half - q) / (2 * half) * _PANEL
-        _markers(parts, px, py, labels, table.clipped)
+        _markers(parts, px, py, table.clipped, table.rows, labels)
 
     comment = f"<!-- constellation reconstruction; axis half-range {_fmt(half)} -->"
     _figure("constellation", comment, draw_panel, tx, tx_labels, rx, rx_labels, path, title)
@@ -298,7 +298,8 @@ def render_bloch_svg(
             f'fill="#333" text-anchor="middle">{name}</text>'
         )
         u, v = _project(*table.bloch.T)
-        _markers(parts, cx + radius * u, cy - radius * v, labels, np.zeros(len(labels), bool))
+        unclipped = np.zeros(len(u), bool)
+        _markers(parts, cx + radius * u, cy - radius * v, unclipped, table.rows, labels)
 
     comment = "<!-- Bloch sphere, orthographic projection, azimuth 30 deg, elevation 20 deg -->"
     _figure("Bloch", comment, draw_panel, tx, tx_labels, rx, rx_labels, path, title)

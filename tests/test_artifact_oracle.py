@@ -1,12 +1,15 @@
 """Byte oracle for the artifact writers.
 
-The writers format each distinct state once and compute point coordinates
-as arrays.  The reference writers below do the plain thing instead: a
-``csv.writer`` row loop that formats all eleven numbers of every row, and
-SVG renderers that project and draw every point on its own with scalar
-arithmetic.  Both must write the same bytes, on real pipeline tables and
-on hand-built tables with repeated rows, signed zeros, clipped points,
-erased labels, enlarged (3x3) states and a single row.
+The writers format each table row once, compute point coordinates per
+table row as arrays, and index the text by each symbol's row.  The
+reference writers below do the plain thing instead: they expand every
+table to one row per symbol (``table.X[table.rows]``), then a
+``csv.writer`` row loop formats all eleven numbers of every row, and SVG
+renderers project and draw every point on its own with scalar arithmetic.
+Both must write the same bytes, on real pipeline tables and on hand-built
+tables with repeated rows, signed zeros, clipped points, erased labels,
+enlarged (3x3) states, a single row, unreferenced rows and indexes taken
+twice.
 """
 
 import csv
@@ -23,8 +26,9 @@ from qlinksim.visualization import StateProjection, render_bloch_svg, render_con
 
 
 def reference_states_csv(path, tx_rows, rx_rows, tx_labels, rx_labels):
+    tx, rx = tx_rows.rows, rx_rows.rows
     values = np.column_stack(
-        [tx_rows.bloch, rx_rows.bloch, rx_rows.trace, tx_rows.iq, rx_rows.iq]
+        [tx_rows.bloch[tx], rx_rows.bloch[rx], rx_rows.trace[rx], tx_rows.iq[tx], rx_rows.iq[rx]]
     ).tolist()
     labels = zip(np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -94,7 +98,8 @@ def _header(comment, title):
 def reference_constellation_svg(tx, tx_labels, rx, rx_labels, path, title=""):
     fmt, panel, margin = vis._fmt, vis._PANEL, vis._MARGIN
     tx_labels, rx_labels = np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist()
-    half = 1.05 * float(np.max(np.abs(np.concatenate([tx.iq, rx.iq])), initial=1.0))
+    sent = np.concatenate([tx.iq[tx.rows], rx.iq[rx.rows]])
+    half = 1.05 * float(np.max(np.abs(sent), initial=1.0))
     parts = _header(f"<!-- constellation reconstruction; axis half-range {fmt(half)} -->", title)
     for table, labels, x0, name in (
         (tx, tx_labels, margin, "transmitted"),
@@ -116,7 +121,8 @@ def reference_constellation_svg(tx, tx_labels, rx, rx_labels, path, title=""):
             f'<text x="{fmt(cx + 6)}" y="{fmt(y0 + 12)}" font-size="10" '
             f'fill="#999">Q {fmt(half)}</text>',
         ]
-        for (i, q), label, clipped in zip(table.iq.tolist(), labels, table.clipped.tolist()):
+        iq, clips = table.iq[table.rows].tolist(), table.clipped[table.rows].tolist()
+        for (i, q), label, clipped in zip(iq, labels, clips):
             px = x0 + (i + half) / (2 * half) * panel
             py = y0 + (half - q) / (2 * half) * panel
             _marker(parts, px, py, vis._color(label), clipped)
@@ -162,7 +168,7 @@ def reference_bloch_svg(tx, tx_labels, rx, rx_labels, path, title=""):
             f'<text x="{fmt(cx)}" y="{fmt(margin - 8)}" font-size="13" '
             f'fill="#333" text-anchor="middle">{name}</text>'
         )
-        for xyz, label in zip(table.bloch.tolist(), labels):
+        for xyz, label in zip(table.bloch[table.rows].tolist(), labels):
             u, v = _project(*xyz)
             _marker(parts, cx + r * u, cy - r * v, vis._color(label), False)
     _legend(parts, tx_labels + rx_labels, margin, margin + panel + 18)
@@ -264,3 +270,41 @@ def test_enlarged_erasure_outputs(tmp_path):
 def test_single_row(tmp_path):
     rows = table([(0.25, -0.5)], bloch=[(0.1, -0.2, 0.3)], trace=[0.9])
     assert_same_bytes(tmp_path, rows, [3], rows, [-1])
+
+
+def test_indexed_tables(tmp_path):
+    # One row per distinct state, with clipped and unused rows, indexed by symbol.
+    rng = np.random.default_rng(9)
+    states = table(rng.standard_normal((6, 2)), bloch=rng.standard_normal((6, 3)), clipped=[3])
+    pick = rng.integers(0, 5, size=120)
+    labels = rng.integers(-1, 3, size=120)
+    assert_same_bytes(tmp_path, states.take(pick), pick, states.take(pick[::-1]), labels)
+
+
+def test_unreferenced_row_does_not_widen_the_axes(tmp_path):
+    # Row 1 has the largest |iq| but no symbol uses it.
+    states = table([(2.0, 0.0), (0.0, -4.0), (-0.5, 0.5)])
+    tx, rx = states.take([0, 2, 0]), states.take([2, 2, 0])
+    assert_same_bytes(tmp_path, tx, [0, 2, 0], rx, [2, 2, -1])
+    assert "axis half-range 2.10 " in (tmp_path / "fast_constellation.svg").read_text()
+
+
+def test_take_of_take_is_a_view(tmp_path):
+    rng = np.random.default_rng(10)
+    states = table(rng.standard_normal((4, 2)), bloch=rng.standard_normal((4, 3)))
+    first = rng.integers(0, 4, size=30)
+    second = rng.integers(0, 30, size=50)
+    twice = states.take(first).take(second)
+    assert len(twice) == 50 and np.array_equal(twice.rows, first[second])
+    for name in ("bloch", "trace", "iq", "clipped"):
+        assert np.shares_memory(getattr(twice, name), getattr(states, name)), name
+    once = states.take(first[second])
+    assert_same_bytes(tmp_path, twice, second % 4, once, second % 3)
+
+
+def test_labels_far_apart(tmp_path):
+    # A (row, label) key of row * (label range) + label would wrap around
+    # int64 here and give row 4 with label -1 the marker of row 0 with label 7.
+    states = table([(0.1 * k, 0.0) for k in range(5)])
+    labels = [7, -1, 2**62]
+    assert_same_bytes(tmp_path, states.take([0, 4, 1]), [0, 4, 1], states.take([0, 4, 1]), labels)

@@ -238,6 +238,22 @@ class TestCodebookStack:
         with pytest.raises(ValueError, match=message):
             DetectorCodebook(mats=mats, priors=np.array([0.5, 0.5]), bit_labels=labels)
 
+    @pytest.mark.parametrize(
+        "priors", [[np.nan, 0.5, 0.25, 0.25], [np.inf, 0.5, 0.25, 0.25], [-0.5, 1.0, 0.25, 0.25]]
+    )
+    def test_bad_priors_rejected(self, priors):
+        cb = qpsk_codebook()
+        with pytest.raises(ValueError, match="priors must be finite, nonnegative"):
+            DetectorCodebook(mats=cb.mats, priors=priors, bit_labels=cb.bit_labels)
+
+    @pytest.mark.parametrize("scale", [0.0, np.nan, -1.0, np.inf])
+    def test_bad_power_scale_rejected(self, scale):
+        cb = qpsk_codebook()
+        with pytest.raises(ValueError, match="power_scale must be finite and > 0"):
+            DetectorCodebook(
+                mats=cb.mats, priors=cb.priors, bit_labels=cb.bit_labels, power_scale=scale
+            )
+
 
 class TestSymbolsToBits:
     def test_qpsk_natural_binary(self):

@@ -314,13 +314,20 @@ class TestRunSimulation:
         m, n = 16, 4000
         cfg = SimulationConfig(
             modulation="qam", qam_order=m, n_symbols=n, seed=3, decision_mode="sampled",
-            channels=(("era", ErasureConfig(p=0.25)),), output_dir=tmp_path,
+            channels=(("era", ErasureConfig(p=0.25)), ("pmd", PMDConfig(dgd=2.0, sigma_omega=1.0))),
+            output_dir=tmp_path,
         )
         run_simulation(cfg, "era")
         # Per-symbol formatting would take n * 11 numbers and 4 n markers.
         assert counts["csv"] <= m * 11
         # Per renderer: m tx markers, at most m * (m + 1) (state, label) rx markers.
         assert counts["marker"] <= 2 * (m + m * (m + 1))
+        # A stochastic channel's n received states are distinct; the m tx
+        # states are still formatted once each.
+        counts.update(csv=0, marker=0)
+        run_simulation(cfg, "pmd")
+        assert 0 < counts["csv"] <= 5 * m + 6 * n
+        assert 0 < counts["marker"] <= 2 * (m + n)
 
 
 SIX_CHANNELS = (
@@ -648,6 +655,31 @@ class TestCli:
         rc = cli_main(["plot", "--states", str(path), "--out", str(tmp_path / "figs")])
         assert rc == 1
         assert "lacks states CSV columns: tx_bloch_x, rx_q" in capsys.readouterr().err
+        assert not (tmp_path / "figs").exists()
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            ("rx_q", None, "column rx_q: expected a finite number, got nothing"),
+            ("tx_label", "x", "column tx_label: expected an integer, got 'x'"),
+            ("rx_label", "1.5", "column rx_label: expected an integer, got '1.5'"),
+            ("rx_bloch_y", "nan", "column rx_bloch_y: expected a finite number, got 'nan'"),
+            ("tx_i", "-inf", "column tx_i: expected a finite number, got '-inf'"),
+        ],
+    )
+    def test_plot_names_malformed_cells(self, tmp_path, capsys, column, cell, message):
+        cli_main(["run", "--config", str(self._write_config(tmp_path)),
+                  "--channel", "era"])
+        lines = (tmp_path / "out" / "states_era.csv").read_text().splitlines()
+        fields = lines[3].split(",")
+        at = STATES_CSV_HEADER.index(column)
+        # A missing cell is a short row: the line ends before the column.
+        lines[3] = ",".join(fields[:at] if cell is None else fields[:at] + [cell] + fields[at + 1:])
+        path = tmp_path / "states_bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc = cli_main(["plot", "--states", str(path), "--out", str(tmp_path / "figs")])
+        assert rc == 1
+        assert f"{path}, line 4, {message}" in capsys.readouterr().err
         assert not (tmp_path / "figs").exists()
 
     def test_missing_config_reports_error(self, tmp_path, capsys):

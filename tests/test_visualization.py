@@ -103,6 +103,27 @@ def table(iq=None, bloch=None, clipped=()):
     )
 
 
+class TestStateProjection:
+    def test_rows_default_to_one_symbol_per_row(self):
+        states = table(iq=[(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)])
+        assert states.rows.tolist() == [0, 1, 2] and len(states) == 3
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, 1]], "1-D integer"),
+            ([0.0, 1.0], "1-D integer"),
+            ([True, False], "1-D integer"),
+            ([0, 3], r"index the 3 table rows, got \[0, 3\]"),
+            ([-1, 0], r"index the 3 table rows, got \[-1, 0\]"),
+        ],
+    )
+    def test_bad_rows_rejected(self, rows, message):
+        states = table(iq=[(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)])
+        with pytest.raises(ValueError, match=message):
+            StateProjection(states.bloch, states.trace, states.iq, states.clipped, np.array(rows))
+
+
 def _tx_rx_points():
     tx = table(iq=[(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)])
     rx = table(iq=[(0.9, 1.1), (-1.2, 0.8), (1.5, 0.0)], clipped=[2])
