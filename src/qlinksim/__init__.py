@@ -29,7 +29,13 @@ from .detection import (
     sample_labels,
     score_states,
 )
-from .metrics import compute_ber, compute_ser
+from .metrics import (
+    compute_ber,
+    compute_ser,
+    confusion_matrix,
+    error_counts,
+    hamming_table,
+)
 from .modulation import (
     DetectorCodebook,
     embed_amplitudes,
@@ -90,11 +96,14 @@ __all__ = [
     "build_pgm",
     "compute_ber",
     "compute_ser",
+    "confusion_matrix",
     "decide",
     "default_config_path",
     "derive_rng",
     "embed_amplitudes",
     "embed_povm_with_erasure",
+    "error_counts",
+    "hamming_table",
     "hermitize",
     "inv_sqrt_psd",
     "leading_blocks",

@@ -109,15 +109,24 @@ def _read_states_csv(path: Path) -> tuple:
 
     The CSV does not record clip flags, so replotted constellations show
     previously clipped points as plain dots at the clip radius.  A missing
-    cell, a label that is not an integer or a number that is not finite is
-    an error naming its file, line and column.
+    cell, a cell beyond the header, a label that is not an integer, a number
+    that is not finite or an ``index`` that is not the row's position
+    (0, 1, 2, ...) is an error naming its file, line and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in STATES_CSV_HEADER if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path} lacks states CSV columns: {', '.join(missing)}")
-        rows = [(reader.line_num, row) for row in reader]
+        rows = []
+        for row in reader:
+            # DictReader files the cells beyond the header under the key None.
+            if None in row:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}, column {len(reader.fieldnames) + 1}: "
+                    f"expected no cell beyond the header, got {row[None][0]!r}"
+                )
+            rows.append((reader.line_num, row))
     if not rows:
         raise ValueError(f"no data rows in {path}")
 
@@ -135,6 +144,11 @@ def _read_states_csv(path: Path) -> tuple:
             raise ValueError(f"{path}, line {line}, column {column}: expected {what}, got {got}")
         return np.array(values).reshape(len(rows), len(columns))
 
+    out_of_order = np.flatnonzero(cells(["index"], int).ravel() != np.arange(len(rows)))
+    if out_of_order.size:
+        at = int(out_of_order[0])
+        line, row = rows[at]
+        raise ValueError(f"{path}, line {line}, column index: expected {at}, got {row['index']!r}")
     tables = []
     for side in ("tx", "rx"):
         table = StateProjection(

@@ -11,7 +11,9 @@ element stack, validated once: each element's smallest eigenvalue comes from
 :func:`score_states` computes the outcome probabilities Tr(E_i rho) of a
 (n, d, d) stack of states in one pass; decisions are their row-wise argmax
 (:func:`argmax_labels`) by default, with Born-rule sampling
-(:func:`sample_labels`) as an explicit opt-in.
+(:func:`sample_labels`) as an explicit opt-in.  The sampler builds its
+cumulative distribution in one (n, K) buffer, in place, and draws the same
+labels as ``Generator.choice`` would, row by row.
 """
 
 from __future__ import annotations
@@ -76,17 +78,20 @@ def score_states(povm: POVM, mats) -> np.ndarray:
 
     Tr(E_k rho) = sum_ij E_k[i, j] rho[j, i] is one (1, d^2) @ (d^2, K)
     product per state: no (n, K, d, d) intermediate is formed, and a
-    state's scores do not depend on the batch around it.
+    state's scores do not depend on the batch around it.  The real parts are
+    returned as their own contiguous array, so the complex product, twice
+    their size, is freed before the scores are decided on.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.shape[-1] != povm.dim:
         raise ValueError(f"state dim {mats.shape[-1]} does not match POVM dim {povm.dim}")
     rho_t = mats.swapaxes(-1, -2).reshape(len(mats), 1, -1)
     scores = np.matmul(rho_t, povm.elements.reshape(povm.n_outcomes, -1).T)[:, 0, :]
-    imag = float(np.max(np.abs(scores.imag), initial=0.0))
+    # The largest |imaginary part|, from its extremes: no (n, K) |.| array.
+    imag = float(max(scores.imag.max(initial=0.0), -scores.imag.min(initial=0.0)))
     if imag > TOL:
         raise ValueError(f"non-real outcome probabilities (imaginary part {imag:.3e})")
-    return scores.real
+    return np.ascontiguousarray(scores.real)
 
 
 def measurement_scores(povm: POVM, rho: DensityMatrix) -> np.ndarray:
@@ -142,19 +147,24 @@ def sample_labels(povm: POVM, scores: np.ndarray, rng: np.random.Generator) -> n
     """Born-rule decisions: one inverse-CDF draw per row of outcome probabilities.
 
     Each row takes one uniform from ``rng``, in row order, and the same
-    cumulative-sum search as ``Generator.choice``.
+    cumulative-sum search as ``Generator.choice``.  The CDF is built in one
+    (n, K) buffer: the clipped scores, divided by their row sums, summed
+    cumulatively and normalized in place.
     """
     if scores.min(initial=0.0) < -TOL:
         raise ValueError(f"negative outcome probability {scores.min():.3e}")
-    scores = np.maximum(scores, 0.0)
-    totals = scores.sum(axis=1, keepdims=True)
+    cdf = np.maximum(scores, 0.0)
+    totals = cdf.sum(axis=1, keepdims=True)
     off = np.abs(totals - 1.0)
     if off.max(initial=0.0) > 1e-6:
         raise ValueError(f"outcome probabilities sum to {float(totals.flat[off.argmax()])!r}, not 1")
-    cdf = np.cumsum(scores / totals, axis=1)
-    cdf /= cdf[:, -1:]
-    draws = rng.random(len(scores))
-    return np.asarray(povm.labels)[(cdf <= draws[:, None]).sum(axis=1)]
+    cdf /= totals
+    np.cumsum(cdf, axis=1, out=cdf)
+    # A copy of the last column: dividing by a view of the buffer itself
+    # would make numpy copy the whole buffer first.
+    cdf /= cdf[:, -1:].copy()
+    draws = rng.random(len(cdf))
+    return np.asarray(povm.labels)[np.count_nonzero(cdf <= draws[:, None], axis=1)]
 
 
 def decide(povm: POVM, rho: DensityMatrix) -> int:

@@ -2,11 +2,15 @@
 
 A run is fully determined by its :class:`SimulationConfig`.  A comparison
 or a run of several channels builds one transmitter (codebook stack, PGM,
-symbols, bits, tx projection) for all its channels, and every channel
-before the first runs.  Each channel is one array pass:
-deterministic channels map the M codebook states once and are gathered by
-transmitted symbol; stochastic channels map the whole (N, d, d)
-transmitted stack at once.  Randomness comes from one stream per purpose,
+symbols, per-symbol counts, Hamming table, tx projection) for all its
+channels, and every channel before the first runs.  Each channel is one
+array pass: deterministic channels map the M codebook states once and are
+gathered by transmitted symbol; stochastic channels map the whole (N, d, d)
+transmitted stack at once.  A channel is scored from one (M, M + 1)
+confusion count of its decisions; with argmax decisions a deterministic
+channel decides each codebook state once and counts that decision once per
+time the state was sent, so per-symbol labels are formed only for the
+artifacts.  Randomness comes from one stream per purpose,
 keyed by (seed, purpose) for the transmitted symbols and by (seed,
 purpose, channel name) for a channel's own draws and for sampled
 decisions, so results do not depend on channel order.
@@ -37,8 +41,8 @@ from .detection import (
     sample_labels,
     score_states,
 )
-from .metrics import compute_ber, compute_ser
-from .modulation import DetectorCodebook, qam_codebook, qam_side, qpsk_codebook, symbols_to_bits
+from .metrics import confusion_matrix, error_counts, hamming_table
+from .modulation import DetectorCodebook, qam_codebook, qam_side, qpsk_codebook
 from .visualization import (
     StateProjection,
     project_states,
@@ -218,14 +222,17 @@ def write_states_csv(
 
 @dataclass(frozen=True)
 class _Transmitter:
-    """What every channel of a run shares; with artifacts on, also the clip radius
-    (1.5x the largest finite tx-point radius) and the tx table ``rows``, one
-    row per codebook state, indexed by symbol."""
+    """What every channel of a run shares: the symbols, how often each codebook
+    state was sent (``counts``), and the codebook's :func:`hamming_table`;
+    with artifacts on, also the clip radius (1.5x the largest finite
+    tx-point radius) and the tx table ``rows``, one row per codebook state,
+    indexed by symbol."""
 
     codebook: DetectorCodebook
     povm: POVM
     symbols: np.ndarray
-    bits: np.ndarray
+    counts: np.ndarray
+    hamming: np.ndarray
     clip_radius: float | None
     rows: StateProjection | None
 
@@ -239,8 +246,9 @@ class _Transmitter:
             radii = np.hypot(table.iq[:, 0], table.iq[:, 1])[~table.clipped]
             clip = 1.5 * float(np.max(radii, initial=1.0))
             rows = project_states(codebook.mats, codebook.power_scale, clip_radius=clip).take(symbols)
-        bits = symbols_to_bits(symbols, codebook)
-        return cls(codebook, build_pgm(codebook), symbols, bits, clip, rows)
+        counts = np.bincount(symbols, minlength=codebook.M)
+        hamming = hamming_table(codebook.bit_labels)
+        return cls(codebook, build_pgm(codebook), symbols, counts, hamming, clip, rows)
 
 
 def run_simulation(cfg: SimulationConfig, channel_name: str) -> ChannelRunResult:
@@ -266,7 +274,8 @@ def _run_channel(
     cfg: SimulationConfig, tx: _Transmitter, channel_name: str, channel: Channel
 ) -> ChannelRunResult:
     """One channel's own work on a shared transmitter: erasure embedding where
-    the channel enlarges, channel pass, scores, decisions, metrics, artifacts."""
+    the channel enlarges, channel pass, scores, decisions, their confusion
+    count and its error counts, artifacts."""
     codebook, povm, tx_symbols = tx.codebook, tx.povm, tx.symbols
     if channel.output_dim > codebook.dim:
         povm = embed_povm_with_erasure(povm, channel.output_dim)
@@ -280,20 +289,28 @@ def _run_channel(
         rx_states = channel.apply_batch(codebook.mats)
         rx_index = tx_symbols
     scores = score_states(povm, rx_states)
+    # decisions holds one label per symbol, or one per codebook state when a
+    # deterministic channel's states are argmax-decided; decisions[label_index]
+    # is each symbol's received label.
     if cfg.decision_mode == "sampled":
         rng = derive_rng(cfg.seed, "decision", channel_name)
-        rx_symbols = sample_labels(povm, scores[rx_index], rng)
+        decisions, label_index = sample_labels(povm, scores[rx_index], rng), slice(None)
     else:
-        rx_symbols = argmax_labels(povm, scores)[rx_index]
-
-    ser, ser_count = compute_ser(tx_symbols, rx_symbols)
-    ber, ber_count = compute_ber(tx.bits, symbols_to_bits(rx_symbols, codebook))
+        decisions, label_index = argmax_labels(povm, scores), rx_index
+    if isinstance(label_index, slice):
+        confusion = confusion_matrix(tx_symbols, decisions, codebook.M)
+    else:
+        # Each state's one decision counts once per time the state was sent.
+        confusion = confusion_matrix(np.arange(codebook.M), decisions, codebook.M)
+        confusion *= tx.counts[:, None]
+    (ser, ser_count), (ber, ber_count), erasure_count = error_counts(confusion, tx.hamming)
 
     states_csv = constellation_svg = bloch_svg = None
     if cfg.emit_states or cfg.emit_figures:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         rx_rows = project_states(rx_states, codebook.power_scale, clip_radius=tx.clip_radius)
         tx_rows, rx_rows = tx.rows, rx_rows.take(rx_index)
+        rx_symbols = decisions[label_index]
     if cfg.emit_states:
         states_csv = f"states_{channel_name}.csv"
         write_states_csv(cfg.output_dir / states_csv, tx_rows, rx_rows, tx_symbols, rx_symbols)
@@ -319,7 +336,7 @@ def _run_channel(
         ber_count=ber_count,
         n_symbols=cfg.n_symbols,
         bits_per_symbol=codebook.bits_per_symbol,
-        erasure_count=int(np.count_nonzero(rx_symbols == -1)),
+        erasure_count=erasure_count,
         states_csv=states_csv,
         constellation_svg=constellation_svg,
         bloch_svg=bloch_svg,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import pure, random_density
@@ -21,6 +23,23 @@ from qlinksim import (
     sample_labels,
     score_states,
 )
+from qlinksim.states import TOL
+
+
+def four_buffer_sample_labels(povm, scores, rng):
+    """The sampler as it was before its CDF shared one buffer: clip, divide
+    and cumulative sum each in a fresh (n, K) array."""
+    if scores.min(initial=0.0) < -TOL:
+        raise ValueError(f"negative outcome probability {scores.min():.3e}")
+    scores = np.maximum(scores, 0.0)
+    totals = scores.sum(axis=1, keepdims=True)
+    off = np.abs(totals - 1.0)
+    if off.max(initial=0.0) > 1e-6:
+        raise ValueError(f"outcome probabilities sum to {float(totals.flat[off.argmax()])!r}, not 1")
+    cdf = np.cumsum(scores / totals, axis=1)
+    cdf /= cdf[:, -1:]
+    draws = rng.random(len(scores))
+    return np.asarray(povm.labels)[(cdf <= draws[:, None]).sum(axis=1)]
 
 
 def two_state_codebook(overlap: float) -> DetectorCodebook:
@@ -309,6 +328,55 @@ class TestBatchDetection:
             for row in scores
         ]
         assert batch.tolist() == reference
+
+    @pytest.mark.parametrize("k", [4, 17, 65])
+    def test_sampled_labels_match_four_buffer_sampler(self, k):
+        povm = {
+            4: build_pgm(qpsk_codebook()),
+            17: embed_povm_with_erasure(build_pgm(qam_codebook(16)), 3),
+            65: embed_povm_with_erasure(build_pgm(qam_codebook(64)), 3),
+        }[k]
+        rng = np.random.default_rng(75 + k)
+        negative = rng.random((3000, k)) < 0.05
+        scores = np.where(negative, 0.0, rng.random((3000, k)) ** 4)
+        scores /= scores.sum(axis=1, keepdims=True)
+        # Roundoff the sampler must accept: entries in [-TOL, 0) and row sums 1 +- 1e-7.
+        scores *= 1.0 + rng.uniform(-1e-7, 1e-7, (len(scores), 1))
+        scores[negative] = -TOL * rng.random(np.count_nonzero(negative))
+        scores[:5] = np.eye(k)[rng.integers(0, k, 5)]
+        got = sample_labels(povm, scores, np.random.default_rng(76))
+        want = four_buffer_sample_labels(povm, scores, np.random.default_rng(76))
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
+
+    def test_sampler_builds_its_cdf_in_one_buffer(self):
+        n, k = 20000, 65
+        povm = POVM(elements=np.repeat(np.eye(2, dtype=complex)[None] / k, k, axis=0),
+                    labels=tuple(range(k)))
+        scores = np.random.default_rng(77).random((n, k))
+        scores /= scores.sum(axis=1, keepdims=True)
+        rng = np.random.default_rng(78)
+        tracemalloc.start()
+        try:
+            sample_labels(povm, scores, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * scores.nbytes
+
+    def test_scores_do_not_hold_the_complex_product(self):
+        cb = qam_codebook(64)
+        povm = build_pgm(cb)
+        mats = cb.mats[np.random.default_rng(79).integers(0, 64, 5000)]
+        tracemalloc.start()
+        try:
+            scores = score_states(povm, mats)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # The complex product the scores come from is twice their size.
+        assert scores.flags.c_contiguous
+        assert held <= 1.1 * scores.nbytes
 
     def test_bad_probabilities_rejected(self):
         povm = build_pgm(qpsk_codebook())

@@ -1,7 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qlinksim import compute_ber, compute_ser, qam_codebook, symbols_to_bits
+from qlinksim import (
+    compute_ber,
+    compute_ser,
+    confusion_matrix,
+    default_config_path,
+    error_counts,
+    hamming_table,
+    load_config,
+    qam_codebook,
+    qpsk_codebook,
+    run_comparison,
+    symbols_to_bits,
+)
+from qlinksim import metrics, modulation, pipeline
 
 
 class TestComputeSer:
@@ -75,3 +90,84 @@ class TestRateRelations:
         perm = rng.permutation(60)
         assert compute_ser(tx, rx) == compute_ser(tx[perm], rx[perm])
         assert compute_ber(tx, rx) == compute_ber(tx[perm], rx[perm])
+
+
+class TestConfusionCount:
+    @pytest.mark.parametrize("codebook", [qpsk_codebook(), qam_codebook(4), qam_codebook(16),
+                                          qam_codebook(64)], ids=lambda cb: cb.name)
+    def test_counts_match_per_symbol_oracle(self, codebook):
+        rng = np.random.default_rng(73)
+        hamming = hamming_table(codebook.bit_labels)
+        for _ in range(20):
+            n = int(rng.integers(1, 300))
+            tx = rng.integers(0, codebook.M, n)
+            rx = np.where(rng.random(n) < 0.5, tx, rng.integers(0, codebook.M, n))
+            rx[rng.random(n) < 0.1] = -1
+            confusion = confusion_matrix(tx, rx, codebook.M)
+            assert confusion.shape == (codebook.M, codebook.M + 1)
+            assert error_counts(confusion, hamming) == (
+                compute_ser(tx, rx),
+                compute_ber(symbols_to_bits(tx, codebook), symbols_to_bits(rx, codebook)),
+                int(np.count_nonzero(rx == -1)),
+            )
+
+    def test_hamming_table_counts_differing_bits(self):
+        cb = qam_codebook(16)
+        hamming = hamming_table(cb.bit_labels)
+        for m, j in np.ndindex(hamming.shape):
+            assert hamming[m, j] == int(np.sum(cb.bit_table[m] != cb.bit_table[j]))
+        assert np.all(hamming[:, -1] == cb.bits_per_symbol)
+        assert np.all(np.diag(hamming) == 0)
+
+    @pytest.mark.parametrize("labels", [[[0, 2], [1, 0]], [[0, -1], [1, 0]], [0, 1]])
+    def test_hamming_table_needs_a_0_1_table(self, labels):
+        with pytest.raises(ValueError, match="0s and 1s"):
+            hamming_table(labels)
+
+    def test_counts_add(self):
+        rng = np.random.default_rng(74)
+        tx, rx = rng.integers(0, 16, 100), rng.integers(-1, 16, 100)
+        whole = confusion_matrix(tx, rx, 16)
+        parts = confusion_matrix(tx[:37], rx[:37], 16) + confusion_matrix(tx[37:], rx[37:], 16)
+        assert np.array_equal(whole, parts)
+
+    def test_bad_labels_rejected(self):
+        with pytest.raises(ValueError, match="receive-only"):
+            confusion_matrix([-1, 0], [0, 0], 4)
+        with pytest.raises(ValueError, match="received labels"):
+            confusion_matrix([0, 1], [0, 4], 4)
+        with pytest.raises(ValueError, match="received labels"):
+            confusion_matrix([0, 1], [-2, 0], 4)
+        with pytest.raises(ValueError, match="equal length"):
+            confusion_matrix([0, 1], [0], 4)
+
+    def test_empty_count_rejected(self):
+        hamming = hamming_table(qpsk_codebook().bit_labels)
+        with pytest.raises(ValueError, match="zero"):
+            error_counts(confusion_matrix([], [], 4), hamming)
+        with pytest.raises(ValueError, match="M \\+ 1"):
+            error_counts(np.ones((4, 4), dtype=int), hamming)
+
+    def test_comparison_counts_without_expanding(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (pipeline, modulation, metrics):
+            for name in ("symbols_to_bits", "compute_ser", "compute_ber"):
+                if hasattr(module, name):
+                    spy(module, name)
+        cfg = dataclasses.replace(
+            load_config(default_config_path()), n_symbols=200,
+            output_dir=tmp_path, emit_states=False, emit_figures=False,
+        )
+        for mode in ("argmax", "sampled"):
+            run_comparison(dataclasses.replace(cfg, decision_mode=mode))
+        assert calls == []

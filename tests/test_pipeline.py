@@ -682,6 +682,32 @@ class TestCli:
         assert f"{path}, line 4, {message}" in capsys.readouterr().err
         assert not (tmp_path / "figs").exists()
 
+    def test_plot_names_cells_beyond_the_header(self, tmp_path, capsys):
+        cli_main(["run", "--config", str(self._write_config(tmp_path)),
+                  "--channel", "era"])
+        lines = (tmp_path / "out" / "states_era.csv").read_text().splitlines()
+        lines[3] += ",9.9,oops"
+        path = tmp_path / "states_bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc = cli_main(["plot", "--states", str(path), "--out", str(tmp_path / "figs")])
+        assert rc == 1
+        column = len(STATES_CSV_HEADER) + 1
+        assert (f"{path}, line 4, column {column}: expected no cell beyond the header, "
+                "got '9.9'") in capsys.readouterr().err
+        assert not (tmp_path / "figs").exists()
+
+    def test_plot_names_rows_out_of_index_order(self, tmp_path, capsys):
+        cli_main(["run", "--config", str(self._write_config(tmp_path)),
+                  "--channel", "era"])
+        lines = (tmp_path / "out" / "states_era.csv").read_text().splitlines()
+        lines[3], lines[4] = lines[4], lines[3]
+        path = tmp_path / "states_bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc = cli_main(["plot", "--states", str(path), "--out", str(tmp_path / "figs")])
+        assert rc == 1
+        assert f"{path}, line 4, column index: expected 2, got '3'" in capsys.readouterr().err
+        assert not (tmp_path / "figs").exists()
+
     def test_missing_config_reports_error(self, tmp_path, capsys):
         rc = cli_main(["run", "--config", str(tmp_path / "absent.json")])
         assert rc == 1
