@@ -54,7 +54,6 @@ from .pipeline import (
     load_config,
     run_comparison,
     run_simulation,
-    write_states_csv,
 )
 from .states import (
     DegenerateStateError,
@@ -70,6 +69,7 @@ from .visualization import (
     project_states,
     render_bloch_svg,
     render_constellation_svg,
+    write_states_csv,
 )
 
 __all__ = [

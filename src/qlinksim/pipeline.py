@@ -10,9 +10,9 @@ transmitted stack at once.  A channel is scored from one (M, M + 1)
 confusion count of its decisions; with argmax decisions a deterministic
 channel decides each codebook state once and counts that decision once per
 time the state was sent, so per-symbol labels are formed only for the
-artifacts.  Randomness comes from one stream per purpose,
-keyed by (seed, purpose) for the transmitted symbols and by (seed,
-purpose, channel name) for a channel's own draws and for sampled
+artifacts, which `visualization` writes.  Randomness comes from one stream
+per purpose, keyed by (seed, purpose) for the transmitted symbols and by
+(seed, purpose, channel name) for a channel's own draws and for sampled
 decisions, so results do not depend on channel order.
 """
 
@@ -43,12 +43,7 @@ from .detection import (
 )
 from .metrics import confusion_matrix, error_counts, hamming_table
 from .modulation import DetectorCodebook, qam_codebook, qam_side, qpsk_codebook
-from .visualization import (
-    StateProjection,
-    project_states,
-    render_bloch_svg,
-    render_constellation_svg,
-)
+from .visualization import StateProjection, project_states, write_figures, write_states_csv
 
 # The one definition of the package version; pyproject.toml reads it.
 VERSION = "0.1.0"
@@ -56,24 +51,6 @@ VERSION = "0.1.0"
 _U64 = (1 << 64) - 1
 # Channel names become artifact file names (states_<name>.csv).
 _CHANNEL_NAME = re.compile(r"[A-Za-z0-9_.-]+")
-
-STATES_CSV_HEADER = (
-    "index",
-    "tx_label",
-    "rx_label",
-    "tx_bloch_x",
-    "tx_bloch_y",
-    "tx_bloch_z",
-    "rx_bloch_x",
-    "rx_bloch_y",
-    "rx_bloch_z",
-    "rx_renorm_trace",
-    "tx_i",
-    "tx_q",
-    "rx_i",
-    "rx_q",
-)
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -177,49 +154,6 @@ def draw_symbols(cfg: SimulationConfig, alphabet_size: int) -> np.ndarray:
     return rng.integers(0, alphabet_size, size=cfg.n_symbols)
 
 
-def _csv_num(x: float) -> str:
-    return format(float(x), ".12g")
-
-
-def _csv_text(*columns: np.ndarray) -> list[str]:
-    """CSV text of the side-by-side ``columns``, one string per table row."""
-    return [",".join(map(_csv_num, row)) for row in np.column_stack(columns).tolist()]
-
-
-def write_states_csv(
-    path: str | Path,
-    tx_rows: StateProjection,
-    rx_rows: StateProjection,
-    tx_labels: Sequence[int],
-    rx_labels: Sequence[int],
-) -> None:
-    """Per-symbol dump: labels, Bloch projections, I/Q reconstructions.
-
-    Bloch and constellation columns come from the leading-block
-    projection, so rows stay well-defined for enlarged (erasure) outputs;
-    ``rx_renorm_trace`` records the weight left in the qubit block.  Each
-    table row's numbers are formatted once, and each symbol's line joins
-    the text of its ``rows`` entries, so the cost scales with the number
-    of distinct states.  No field needs CSV quoting: they are ints and
-    '.12g' numbers.
-    """
-    n = len(tx_rows)
-    if not (len(rx_rows) == len(tx_labels) == len(rx_labels) == n):
-        raise ValueError("state and label sequences must have equal lengths")
-    tx_bloch, tx_iq = _csv_text(tx_rows.bloch), _csv_text(tx_rows.iq)
-    rx_bloch, rx_iq = _csv_text(rx_rows.bloch, rx_rows.trace), _csv_text(rx_rows.iq)
-    lines = zip(
-        np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist(),
-        tx_rows.rows.tolist(), rx_rows.rows.tolist(),
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(STATES_CSV_HEADER) + "\n")
-        fh.writelines(
-            f"{idx},{tx},{rx},{tx_bloch[a]},{rx_bloch[b]},{tx_iq[a]},{rx_iq[b]}\n"
-            for idx, (tx, rx, a, b) in enumerate(lines)
-        )
-
-
 @dataclass(frozen=True)
 class _Transmitter:
     """What every channel of a run shares: the symbols, how often each codebook
@@ -315,17 +249,8 @@ def _run_channel(
         states_csv = f"states_{channel_name}.csv"
         write_states_csv(cfg.output_dir / states_csv, tx_rows, rx_rows, tx_symbols, rx_symbols)
     if cfg.emit_figures:
-        constellation_svg = f"constellation_{channel_name}.svg"
-        render_constellation_svg(
-            tx_rows, tx_symbols, rx_rows, rx_symbols,
-            cfg.output_dir / constellation_svg,
-            title=f"constellation: {channel_name}",
-        )
-        bloch_svg = f"bloch_{channel_name}.svg"
-        render_bloch_svg(
-            tx_rows, tx_symbols, rx_rows, rx_symbols,
-            cfg.output_dir / bloch_svg,
-            title=f"bloch: {channel_name}",
+        constellation_svg, bloch_svg = write_figures(
+            cfg.output_dir, channel_name, tx_rows, tx_symbols, rx_rows, rx_symbols
         )
 
     return ChannelRunResult(
@@ -408,24 +333,26 @@ _TOP_KEYS = {"modulation", "n_symbols", "seed", "decision_mode", "channels", "ou
 _OUTPUT_KEYS = {"dir", "emit_states", "emit_figures"}
 
 
-def _require_object(value, field: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise TypeError(f"{field} must be an object, got {value!r}")
+def _require(value, kind: type, field: str):
+    """``value``; a TypeError naming ``field`` if it is not a ``kind`` (Mapping or str)."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is Mapping else "a string"
+        raise TypeError(f"{field} must be {what}, got {value!r}")
     return value
 
 
 def config_from_dict(d: Mapping) -> SimulationConfig:
-    _require_object(d, "config")
+    _require(d, Mapping, "config")
     unknown = set(d) - _TOP_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key in ("modulation", "n_symbols", "seed", "channels"):
         if key not in d:
             raise ValueError(f"config is missing required key {key!r}")
-    mod = _require_object(d["modulation"], "modulation")
-    mod_type = str(mod.get("type", "")).lower()
+    mod = _require(d["modulation"], Mapping, "modulation")
+    mod_type = _require(mod.get("type", ""), str, "modulation.type")
     if mod_type not in ("qpsk", "qam"):
-        raise ValueError(f"modulation.type must be 'qpsk' or 'qam', got {mod.get('type')!r}")
+        raise ValueError(f"modulation.type must be 'qpsk' or 'qam', got {mod_type!r}")
     # M has no effect on qpsk, so it is rejected there rather than ignored.
     unknown = set(mod) - ({"type", "M"} if mod_type == "qam" else {"type"})
     if unknown:
@@ -434,29 +361,24 @@ def config_from_dict(d: Mapping) -> SimulationConfig:
         raise TypeError(f"channels must be a list of objects, got {d['channels']!r}")
     channels = []
     for entry in d["channels"]:
-        entry = dict(_require_object(entry, "every channel entry"))
-        name = entry.pop("name", None)
-        if name is not None and not isinstance(name, str):
-            raise TypeError(f"channel name must be a string, got {name!r}")
+        entry = dict(_require(entry, Mapping, "every channel entry"))
+        name = _require(entry.pop("name", ""), str, "channel name")
         if not name:
             raise ValueError("every channel entry needs a 'name'")
         channels.append((name, channel_config_from_dict(entry)))
-    output = _require_object(d.get("output", {}), "output")
+    output = _require(d.get("output", {}), Mapping, "output")
     unknown = set(output) - _OUTPUT_KEYS
     if unknown:
         raise ValueError(f"unknown output keys: {sorted(unknown)}")
-    if not isinstance(output.get("dir", "out"), str):
-        raise TypeError(f"output.dir must be a string, got {output['dir']!r}")
-    if not isinstance(d.get("notes", ""), str):
-        raise TypeError(f"notes must be a string, got {d['notes']!r}")
+    _require(d.get("notes", ""), str, "notes")
     cfg = SimulationConfig(
         modulation=mod_type,
         n_symbols=d["n_symbols"],
         seed=d["seed"],
         channels=tuple(channels),
         qam_order=mod.get("M", 16),
-        decision_mode=str(d.get("decision_mode", "argmax")),
-        output_dir=Path(output.get("dir", "out")),
+        decision_mode=_require(d.get("decision_mode", "argmax"), str, "decision_mode"),
+        output_dir=Path(_require(output.get("dir", "out"), str, "output.dir")),
         emit_states=output.get("emit_states", True),
         emit_figures=output.get("emit_figures", True),
     )

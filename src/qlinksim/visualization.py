@@ -1,22 +1,23 @@
-"""Diagnostic figures rendered directly to SVG.
+"""The per-symbol artifacts: the states CSV and two SVG figures.
 
-Two figure types, each with transmitted and received panels side by
-side: an I/Q constellation built from the amplitude-ratio reconstruction
-of each qubit state, and a Bloch sphere in a fixed orthographic
-projection.  Both renderers take a :class:`StateProjection` and one
-label per symbol for each panel.  A table holds one row per distinct
-state, as :func:`project_states` computes it from a stack of states, and
-its ``rows`` index gives each symbol's row.  All output is deterministic:
-fixed element order, fixed coordinate formatting, no timestamps.
-
-Point coordinates are computed once per table row, and each distinct
-(row, label) marker is formatted once, so writing a figure costs in
-proportion to the number of distinct states rather than the number of
-symbols; the bytes are those of formatting every symbol's point on its own.
+This module alone writes and reads both formats.  Every writer takes a
+:class:`StateProjection` table per panel (tx and rx), one row per distinct
+state as :func:`project_states` computes it, whose ``rows`` index gives each
+symbol's row, and one label per symbol.  :func:`read_states_csv` rebuilds
+these from a states CSV; :func:`write_figures` writes a channel's I/Q
+constellation (the amplitude-ratio reconstruction of each qubit state) and
+Bloch sphere (a fixed orthographic projection), each with transmitted and
+received panels side by side.  All output is deterministic: fixed element
+order, fixed number formatting, no timestamps.  Each table row's numbers
+and each distinct (row, label) marker are formatted once, so writing costs
+in proportion to the number of distinct states, not of symbols; the bytes
+are those of formatting every symbol on its own.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -100,6 +101,140 @@ def project_states(
         ratio / np.where(clipped, 1.0, r00)[:, None] / power_scale,
     )
     return StateProjection(bloch_xyz(blocks), trace, iq, clipped)
+
+
+def _check_labels(labels, name: str) -> np.ndarray:
+    """``labels`` as a 1-D integer array of symbols (>= 0) and erasures (-1)."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a 1-D integer array, got {labels.dtype} {labels.shape}")
+    below = np.flatnonzero(labels < -1)
+    if below.size:
+        raise ValueError(f"{name} must be >= -1, got {labels[below[0]]} at index {below[0]}")
+    return labels
+
+
+STATES_CSV_HEADER = (
+    "index",
+    "tx_label",
+    "rx_label",
+    "tx_bloch_x",
+    "tx_bloch_y",
+    "tx_bloch_z",
+    "rx_bloch_x",
+    "rx_bloch_y",
+    "rx_bloch_z",
+    "rx_renorm_trace",
+    "tx_i",
+    "tx_q",
+    "rx_i",
+    "rx_q",
+)
+
+
+def _csv_num(x: float) -> str:
+    return format(float(x), ".12g")
+
+
+def _csv_text(*columns: np.ndarray) -> list[str]:
+    """CSV text of the side-by-side ``columns``, one string per table row."""
+    return [",".join(map(_csv_num, row)) for row in np.column_stack(columns).tolist()]
+
+
+def write_states_csv(
+    path: str | Path,
+    tx_rows: StateProjection,
+    rx_rows: StateProjection,
+    tx_labels: Sequence[int],
+    rx_labels: Sequence[int],
+) -> None:
+    """Per-symbol dump: labels, Bloch projections, I/Q reconstructions.
+
+    Bloch and constellation columns come from the leading-block
+    projection, so rows stay well-defined for enlarged (erasure) outputs;
+    ``rx_renorm_trace`` records the weight left in the qubit block.  Each
+    table row's numbers are formatted once, and each symbol's line joins
+    the text of its ``rows`` entries, so the cost scales with the number
+    of distinct states.  No field needs CSV quoting: they are ints and
+    '.12g' numbers.
+    """
+    if not len(tx_rows) == len(rx_rows) == len(tx_labels) == len(rx_labels):
+        raise ValueError("state and label sequences must have equal lengths")
+    tx_labels = _check_labels(tx_labels, "tx_labels")
+    rx_labels = _check_labels(rx_labels, "rx_labels")
+    tx_bloch, tx_iq = _csv_text(tx_rows.bloch), _csv_text(tx_rows.iq)
+    rx_bloch, rx_iq = _csv_text(rx_rows.bloch, rx_rows.trace), _csv_text(rx_rows.iq)
+    lines = zip(*(col.tolist() for col in (tx_labels, rx_labels, tx_rows.rows, rx_rows.rows)))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(STATES_CSV_HEADER) + "\n")
+        fh.writelines(
+            f"{idx},{tx},{rx},{tx_bloch[a]},{rx_bloch[b]},{tx_iq[a]},{rx_iq[b]}\n"
+            for idx, (tx, rx, a, b) in enumerate(lines)
+        )
+
+
+def read_states_csv(path: str | Path) -> tuple:
+    """Rebuild the writers' inputs from a states CSV's columns: tx table, tx
+    labels, rx table, rx labels.
+
+    The CSV does not record clip flags or the renormalized trace, so the
+    tables hold no clipped points (a replotted constellation shows them as
+    plain dots at the clip radius) and a trace of 1.  A missing cell, a cell
+    beyond the header, a label that is not an integer, a number that is not
+    finite or an ``index`` that is not the row's position (0, 1, 2, ...) is
+    an error naming its file, line and column.
+    """
+    # Imported here, not at module level: only this reader needs it, and
+    # loading it would add to every `import qlinksim`.
+    import csv
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in STATES_CSV_HEADER if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks states CSV columns: {', '.join(missing)}")
+        rows = []
+        for row in reader:
+            # DictReader files the cells beyond the header under the key None.
+            if None in row:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}, column {len(reader.fieldnames) + 1}: "
+                    f"expected no cell beyond the header, got {row[None][0]!r}"
+                )
+            rows.append((reader.line_num, row))
+    if not rows:
+        raise ValueError(f"no data rows in {path}")
+
+    def cells(columns, kind):
+        values = []
+        for (line, row), column in itertools.product(rows, columns):
+            try:
+                values.append(kind(row[column]))
+                if math.isfinite(values[-1]):
+                    continue
+            except (TypeError, ValueError, OverflowError):
+                pass
+            what = "an integer" if kind is int else "a finite number"
+            got = "nothing" if row[column] is None else repr(row[column])
+            raise ValueError(f"{path}, line {line}, column {column}: expected {what}, got {got}")
+        return np.array(values).reshape(len(rows), len(columns))
+
+    out_of_order = np.flatnonzero(cells(["index"], int).ravel() != np.arange(len(rows)))
+    if out_of_order.size:
+        at = int(out_of_order[0])
+        line, row = rows[at]
+        raise ValueError(f"{path}, line {line}, column index: expected {at}, got {row['index']!r}")
+    tables = []
+    for side in ("tx", "rx"):
+        table = StateProjection(
+            bloch=cells([f"{side}_bloch_{a}" for a in "xyz"], float),
+            trace=np.ones(len(rows)),
+            iq=cells([f"{side}_{a}" for a in "iq"], float),
+            clipped=np.zeros(len(rows), dtype=bool),
+        )
+        labels = cells([f"{side}_label"], int).ravel()
+        tables += [table, _check_labels(labels, f"{path}, column {side}_label")]
+    return tuple(tables)
 
 
 def _project(x, y, z):
@@ -187,9 +322,10 @@ def _figure(
     both panels and the shared legend to ``path``."""
     if not len(tx) or not len(rx):
         raise ValueError(f"{what} rendering needs nonempty tx and rx tables")
-    tx_labels, rx_labels = np.asarray(tx_labels), np.asarray(rx_labels)
     if len(tx_labels) != len(tx) or len(rx_labels) != len(rx):
         raise ValueError(f"{what} rendering needs one label per symbol")
+    tx_labels = _check_labels(tx_labels, "tx_labels")
+    rx_labels = _check_labels(rx_labels, "rx_labels")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -303,3 +439,13 @@ def render_bloch_svg(
 
     comment = "<!-- Bloch sphere, orthographic projection, azimuth 30 deg, elevation 20 deg -->"
     _figure("Bloch", comment, draw_panel, tx, tx_labels, rx, rx_labels, path, title)
+
+
+def write_figures(out_dir, channel, tx, tx_labels, rx, rx_labels) -> tuple[str, str]:
+    """Write ``constellation_<channel>.svg`` and ``bloch_<channel>.svg``, titled
+    by figure and channel, into ``out_dir``; return the two file names."""
+    names = []
+    for kind, render in (("constellation", render_constellation_svg), ("bloch", render_bloch_svg)):
+        names.append(f"{kind}_{channel}.svg")
+        render(tx, tx_labels, rx, rx_labels, Path(out_dir) / names[-1], title=f"{kind}: {channel}")
+    return tuple(names)

@@ -21,8 +21,13 @@ import pytest
 
 from qlinksim import Channel, ErasureConfig, embed_amplitudes, load_config, project_states
 from qlinksim import default_config_path, pipeline, visualization as vis
-from qlinksim.pipeline import STATES_CSV_HEADER, write_states_csv
-from qlinksim.visualization import StateProjection, render_bloch_svg, render_constellation_svg
+from qlinksim.visualization import (
+    STATES_CSV_HEADER,
+    StateProjection,
+    render_bloch_svg,
+    render_constellation_svg,
+    write_states_csv,
+)
 
 
 def reference_states_csv(path, tx_rows, rx_rows, tx_labels, rx_labels):
@@ -203,7 +208,9 @@ def test_pipeline_tables_of_every_channel(tmp_path, monkeypatch, mode):
             calls.setdefault(_writer, []).append((_reference, args, kwargs))
             return _writer(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, writer.__name__, recording)
+        # Each writer is patched on the module that calls it.
+        module = pipeline if writer is write_states_csv else vis
+        monkeypatch.setattr(module, writer.__name__, recording)
     cfg = load_config(default_config_path())
     cfg = dataclasses.replace(
         cfg, n_symbols=300, decision_mode=mode, output_dir=tmp_path / "run"

@@ -31,13 +31,12 @@ import qlinksim
 from qlinksim import pipeline, visualization
 from qlinksim.cli import main as cli_main
 from qlinksim.pipeline import (
-    STATES_CSV_HEADER,
     config_from_dict,
     config_to_dict,
     draw_symbols,
     run_channels,
 )
-from qlinksim.visualization import project_states
+from qlinksim.visualization import STATES_CSV_HEADER, project_states
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PYPROJECT = README.parent / "pyproject.toml"
@@ -166,11 +165,31 @@ class TestConfigHandling:
              "channel name must be a string, got True"),
             (json_config(channels=[{"name": 1.5, "type": "depolarizing", "p": 0.1}]),
              "channel name must be a string, got 1.5"),
+            (json_config(modulation={"type": 5}), "modulation.type must be a string, got 5"),
+            (json_config(modulation={"type": None}),
+             "modulation.type must be a string, got None"),
+            (json_config(decision_mode=1), "decision_mode must be a string, got 1"),
+            (json_config(decision_mode=None), "decision_mode must be a string, got None"),
         ],
     )
     def test_non_object_blocks_name_the_field(self, d, message):
         with pytest.raises(TypeError, match=message):
             config_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"modulation": {"type": "QAM"}}, "modulation.type must be 'qpsk' or 'qam', got 'QAM'"),
+            ({"modulation": {"type": "Qpsk"}},
+             "modulation.type must be 'qpsk' or 'qam', got 'Qpsk'"),
+            ({"decision_mode": "ARGMAX"},
+             "decision_mode must be 'argmax' or 'sampled', got 'ARGMAX'"),
+        ],
+    )
+    def test_names_are_spelled_as_documented(self, changes, message):
+        # Read as written: a spelling is neither case-folded nor echoed corrected.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_dict(json_config(**changes))
 
     @pytest.mark.parametrize(
         "changes, field",
@@ -309,7 +328,7 @@ class TestRunSimulation:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(pipeline, "_csv_num", "csv")
+        counting(visualization, "_csv_num", "csv")
         counting(visualization, "_marker", "marker")
         m, n = 16, 4000
         cfg = SimulationConfig(
@@ -549,6 +568,32 @@ class TestStatesCsv:
             write_states_csv(
                 tmp_path / "x.csv", table, table.take(slice(0, 2)), [0, 1, 2, 3], [0, 1, 2, 3]
             )
+
+
+@pytest.fixture(scope="module")
+def shipped_1000(tmp_path_factory):
+    """The shipped config's comparison at 1000 symbols: its output directory."""
+    out = tmp_path_factory.mktemp("shipped")
+    cfg = dataclasses.replace(load_config(default_config_path()), n_symbols=1000, output_dir=out)
+    run_comparison(cfg)
+    return out
+
+
+@pytest.mark.parametrize("channel", [n for n, _ in load_config(default_config_path()).channels])
+def test_plot_redraws_compare_figures(shipped_1000, tmp_path, channel):
+    states = shipped_1000 / f"states_{channel}.csv"
+    assert cli_main(["plot", "--states", str(states), "--out", str(tmp_path)]) == 0
+    for figure in (f"constellation_{channel}.svg", f"bloch_{channel}.svg"):
+        assert (tmp_path / figure).read_bytes() == (shipped_1000 / figure).read_bytes()
+
+
+@pytest.mark.parametrize("channel", ["depolarizing", "dephasing", "bosonic", "turbulence", "pmd"])
+def test_states_csv_read_then_written_is_the_same_file(shipped_1000, tmp_path, channel):
+    # Erasure is left out: the reader does not restore rx_renorm_trace.
+    states = shipped_1000 / f"states_{channel}.csv"
+    tx, tx_labels, rx, rx_labels = visualization.read_states_csv(states)
+    write_states_csv(tmp_path / states.name, tx, rx, tx_labels, rx_labels)
+    assert (tmp_path / states.name).read_bytes() == states.read_bytes()
 
 
 class TestCli:

@@ -1,3 +1,4 @@
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -13,8 +14,9 @@ from qlinksim import (
     qam_constellation,
     render_bloch_svg,
     render_constellation_svg,
+    write_states_csv,
 )
-from qlinksim.visualization import StateProjection
+from qlinksim.visualization import StateProjection, read_states_csv
 
 
 def stack(states):
@@ -218,3 +220,40 @@ class TestRenderBloch:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nonempty"):
             render_bloch_svg(table(bloch=[]), [], table(bloch=[]), [], tmp_path / "b.svg")
+
+
+class TestLabelCheck:
+    """Every writer and the states CSV reader take labels as a 1-D integer
+    array of symbols and erasures (-1), and reject others before any file
+    is opened."""
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([0.0, 1.0], "must be a 1-D integer array, got float64"),
+         ([0, -2], "must be >= -1, got -2 at index 1")],
+        ids=["float", "below-erasure"],
+    )
+    @pytest.mark.parametrize("writer", ["states_csv", "constellation", "bloch"])
+    def test_writers_reject(self, tmp_path, writer, labels, message):
+        rows, path = table(iq=[(0.5, 0.0), (0.0, 0.5)]), tmp_path / "out"
+        with pytest.raises(ValueError, match=f"rx_labels {message}"):
+            if writer == "states_csv":
+                write_states_csv(path, rows, rows, [0, 1], labels)
+            else:
+                render = {"constellation": render_constellation_svg, "bloch": render_bloch_svg}
+                render[writer](rows, [0, 1], rows, labels, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [("0.0", "line 3, column tx_label: expected an integer, got '0.0'"),
+         ("-2", "column tx_label must be >= -1, got -2 at index 1")],
+    )
+    def test_reader_rejects(self, tmp_path, cell, message):
+        rows, path = table(iq=[(0.5, 0.0), (0.0, 0.5)]), tmp_path / "states.csv"
+        write_states_csv(path, rows, rows, [0, 1], [0, -1])
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("1,1,-1,", f"1,{cell},-1,", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, {message}")):
+            read_states_csv(path)
