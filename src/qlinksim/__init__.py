@@ -15,9 +15,6 @@ from .channels import (
     ErasureConfig,
     PMDConfig,
     TurbulenceConfig,
-    beamsplitter_unitary,
-    pointing_loss_factor,
-    thermal_state,
 )
 from .detection import (
     POVM,
@@ -91,7 +88,6 @@ __all__ = [
     "SimulationReport",
     "TurbulenceConfig",
     "argmax_labels",
-    "beamsplitter_unitary",
     "bloch_xyz",
     "build_pgm",
     "compute_ber",
@@ -110,7 +106,6 @@ __all__ = [
     "load_config",
     "make_pure_states",
     "measurement_scores",
-    "pointing_loss_factor",
     "project_states",
     "qam_codebook",
     "qam_constellation",
@@ -122,6 +117,5 @@ __all__ = [
     "sample_labels",
     "score_states",
     "symbols_to_bits",
-    "thermal_state",
     "write_states_csv",
 ]

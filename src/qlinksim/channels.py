@@ -4,10 +4,12 @@ Four are deterministic completely positive trace-preserving maps
 (depolarizing, dephasing, erasure, bosonic thermal loss); two are
 stochastic surrogates that draw fresh randomness per use (free-space
 turbulence, fiber polarization-mode dispersion).  Each model has one
-kernel that maps a (n, d, d) stack of states in one array pass, and a
-frozen config dataclass.  :class:`Channel` looks the kernel up by the
-config's kind, enforces the dimension and randomness contracts at the
-call boundary, and checks the output stack once
+kernel, a closed form that maps a (n, d, d) stack of states in one array
+pass, and a frozen config dataclass.  Erasure acts on any dimension and
+the other five on qubits; bosonic loss is generalized amplitude damping,
+the thermal attenuator truncated at one photon.  :class:`Channel` looks
+the kernel up by the config's kind, enforces the dimension and randomness
+contracts at the call boundary, and checks the output stack once
 (:meth:`Channel.apply_batch`).
 """
 
@@ -67,7 +69,11 @@ class ErasureConfig(_ProbabilityConfig):
 
 @dataclass(frozen=True)
 class BosonicConfig:
-    """Thermal-loss parameters: dB attenuation, environment occupancy, Fock cutoff."""
+    """Thermal-loss parameters: dB attenuation and environment occupancy.
+
+    ``fock_dim`` is the qubit's dimension, 2; configs carry the key, and any
+    other value is rejected.
+    """
 
     kind: ClassVar[str] = "bosonic"
     loss_db: float
@@ -80,8 +86,10 @@ class BosonicConfig:
             raise ValueError(f"loss_db must be >= 0, got {self.loss_db}")
         if self.n_th < 0.0:
             raise ValueError(f"n_th must be >= 0, got {self.n_th}")
-        if self.fock_dim < 2:
-            raise ValueError(f"fock_dim must be >= 2, got {self.fock_dim}")
+        if self.fock_dim != 2:
+            raise ValueError(
+                f"fock_dim must be 2 (both codebooks are qubits), got {self.fock_dim}"
+            )
 
     @property
     def eta(self) -> float:
@@ -208,70 +216,22 @@ def _pure_loss(eta, mats: np.ndarray) -> np.ndarray:
     return out
 
 
-# --- bosonic thermal loss ---
-
-
-def thermal_state(n_th: float, fock_dim: int) -> np.ndarray:
-    """Truncated thermal state as a checked (d, d) matrix, geometric weights
-    renormalized on the cutoff."""
-    if n_th < 0.0:
-        raise ValueError(f"n_th must be >= 0, got {n_th}")
-    if fock_dim < 2:
-        raise ValueError(f"fock_dim must be >= 2, got {fock_dim}")
-    if n_th == 0.0:
-        weights = np.zeros(fock_dim)
-        weights[0] = 1.0
-    else:
-        ratio = n_th / (1.0 + n_th)
-        weights = ratio ** np.arange(fock_dim) / (1.0 + n_th)
-        weights = weights / weights.sum()
-    return check_states(np.diag(weights).astype(complex)[np.newaxis])[0]
-
-
-def beamsplitter_unitary(eta: float, fock_dim: int) -> np.ndarray:
-    """Two-mode beamsplitter exp(theta (a^dag b - a b^dag)) with cos^2(theta) = eta.
-
-    Built by exponentiating the (anti-Hermitian) generator through an
-    eigendecomposition of iG, so no matrix-exponential dependency is
-    needed.  The result is exactly unitary up to floating-point error but
-    mixes Fock layers above the cutoff only through the truncated ladder
-    operators, which is the standard finite-dimensional approximation.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
-    if fock_dim < 2:
-        raise ValueError(f"fock_dim must be >= 2, got {fock_dim}")
-    theta = float(np.arccos(np.sqrt(eta)))
-    a = np.diag(np.sqrt(np.arange(1, fock_dim)), k=1).astype(complex)
-    adag = a.conj().T
-    gen = theta * (np.kron(adag, a) - np.kron(a, adag))
-    # gen is anti-Hermitian, so i*gen is Hermitian and eigh applies.
-    vals, vecs = np.linalg.eigh(1j * gen)
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
-
-
 def _bosonic(cfg: BosonicConfig, mats: np.ndarray, rng) -> np.ndarray:
-    """Thermal loss via the two-mode dilation: couple each state to a thermal
-    environment on a beamsplitter and trace the environment out."""
-    d = cfg.fock_dim
-    u = beamsplitter_unitary(cfg.eta, d)
-    env = thermal_state(cfg.n_th, d)
-    # Stacked kron(rho, env): axes (state, i, k, j, l) -> rows i*d+k, columns j*d+l.
-    joint = (mats[:, :, None, :, None] * env[None, None, :, None, :]).reshape(-1, d * d, d * d)
-    joint = u @ joint @ u.conj().T
-    return np.trace(joint.reshape(-1, d, d, d, d), axis1=2, axis2=4)
+    """Thermal loss on the qubit: generalized amplitude damping.
+
+    Pure loss, then thermal weight w = n_th / (1 + 2 n_th) of the lost
+    1 - eta moves from |0><0| to |1><1|.  This is the single-rail thermal
+    attenuator truncated at one photon, exact only for n_th = 0.
+    """
+    w = cfg.n_th / (1.0 + 2.0 * cfg.n_th)
+    shift = w * (1.0 - cfg.eta) * np.trace(mats, axis1=1, axis2=2).real
+    out = _pure_loss(cfg.eta, mats)
+    out[:, 0, 0] -= shift
+    out[:, 1, 1] += shift
+    return out
 
 
 # --- turbulence surrogate ---
-
-
-def pointing_loss_factor(sigma_p: float, w0: float) -> float:
-    """Mean fractional power kept under Gaussian pointing jitter: exp(-2 (sigma_p/w0)^2)."""
-    if w0 <= 0.0:
-        raise ValueError(f"beam waist w0 must be > 0, got {w0}")
-    if sigma_p < 0.0:
-        raise ValueError(f"sigma_p must be >= 0, got {sigma_p}")
-    return float(np.exp(-2.0 * (sigma_p / w0) ** 2))
 
 
 def _scintillation(rytov_var: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -288,8 +248,9 @@ def _scintillation(rytov_var: float, rng: np.random.Generator, n: int) -> np.nda
 
 def _turbulence(cfg: TurbulenceConfig, mats: np.ndarray, rng) -> np.ndarray:
     """One atmospheric fade per state: sample its transmissivity, apply pure loss."""
+    # Mean power kept under Gaussian pointing jitter: exp(-2 (sigma_p/w0)^2).
     eta = (
-        pointing_loss_factor(cfg.sigma_p, cfg.w0)
+        float(np.exp(-2.0 * (cfg.sigma_p / cfg.w0) ** 2))
         * _scintillation(cfg.rytov_var, rng, len(mats))
         * 10.0 ** (-cfg.path_loss_db / 10.0)
     )
@@ -340,20 +301,14 @@ _STOCHASTIC_KINDS = ("turbulence", "pmd")
 class Channel:
     """Config-dispatched channel with fixed input and output dimensions.
 
-    Bosonic loss acts on its Fock space, erasure on any dimension and the
-    other four on qubits.  Deterministic channels ignore the ``rng``
-    argument; stochastic ones (turbulence, PMD) require it so the caller
-    controls every random stream explicitly.
+    Erasure acts on any dimension and the other five on qubits.
+    Deterministic channels ignore the ``rng`` argument; stochastic ones
+    (turbulence, PMD) require it so the caller controls every random
+    stream explicitly.
     """
 
     def __init__(self, config: ChannelConfig, input_dim: int = 2):
-        if config.kind == "bosonic":
-            if input_dim != config.fock_dim:
-                raise ValueError(
-                    f"bosonic channel needs input_dim == fock_dim "
-                    f"({config.fock_dim}), got {input_dim}"
-                )
-        elif config.kind != "erasure" and input_dim != 2:
+        if config.kind != "erasure" and input_dim != 2:
             raise ValueError(
                 f"{config.kind} channel is defined on qubits, got input_dim {input_dim}"
             )

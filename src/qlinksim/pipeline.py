@@ -365,7 +365,10 @@ def config_from_dict(d: Mapping) -> SimulationConfig:
         name = _require(entry.pop("name", ""), str, "channel name")
         if not name:
             raise ValueError("every channel entry needs a 'name'")
-        channels.append((name, channel_config_from_dict(entry)))
+        try:
+            channels.append((name, channel_config_from_dict(entry)))
+        except (TypeError, ValueError) as err:
+            raise type(err)(f"channel {name!r}: {err}") from err
     output = _require(d.get("output", {}), Mapping, "output")
     unknown = set(output) - _OUTPUT_KEYS
     if unknown:
@@ -382,12 +385,6 @@ def config_from_dict(d: Mapping) -> SimulationConfig:
         emit_states=output.get("emit_states", True),
         emit_figures=output.get("emit_figures", True),
     )
-    # Both codebook families are qubits: reject a channel that cannot take them.
-    for name, channel in cfg.channels:
-        try:
-            Channel(channel, input_dim=2)
-        except ValueError as err:
-            raise ValueError(f"channel {name!r}: {err}") from err
     return cfg
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -136,6 +137,12 @@ def _csv_num(x: float) -> str:
     return format(float(x), ".12g")
 
 
+# What the writer emits, and so all the reader accepts: decimal integers,
+# and '.12g' spellings (no spaces, underscores, inf or nan).
+_CSV_INT = re.compile(r"[+-]?[0-9]+")
+_CSV_NUM = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?")
+
+
 def _csv_text(*columns: np.ndarray) -> list[str]:
     """CSV text of the side-by-side ``columns``, one string per table row."""
     return [",".join(map(_csv_num, row)) for row in np.column_stack(columns).tolist()]
@@ -179,9 +186,12 @@ def read_states_csv(path: str | Path) -> tuple:
 
     The CSV does not record clip flags or the renormalized trace, so the
     tables hold no clipped points (a replotted constellation shows them as
-    plain dots at the clip radius) and a trace of 1.  A missing cell, a cell
-    beyond the header, a label that is not an integer, a number that is not
-    finite or an ``index`` that is not the row's position (0, 1, 2, ...) is
+    plain dots at the clip radius) and a trace of 1.  It accepts only what
+    :func:`write_states_csv` writes: a missing cell, a cell beyond the
+    header, a label or ``index`` that is not decimal digits with an optional
+    sign, a number that is not a finite '.12g' spelling (sign, digits,
+    optional fraction, optional exponent: no spaces, underscores, inf or
+    nan) or an ``index`` that is not the row's position (0, 1, 2, ...) is
     an error naming its file, line and column.
     """
     # Imported here, not at module level: only this reader needs it, and
@@ -206,13 +216,15 @@ def read_states_csv(path: str | Path) -> tuple:
         raise ValueError(f"no data rows in {path}")
 
     def cells(columns, kind):
+        spelling = _CSV_INT if kind is int else _CSV_NUM
         values = []
         for (line, row), column in itertools.product(rows, columns):
             try:
-                values.append(kind(row[column]))
-                if math.isfinite(values[-1]):
-                    continue
-            except (TypeError, ValueError, OverflowError):
+                if spelling.fullmatch(row[column] or ""):
+                    values.append(kind(row[column]))
+                    if math.isfinite(values[-1]):
+                        continue
+            except OverflowError:
                 pass
             what = "an integer" if kind is int else "a finite number"
             got = "nothing" if row[column] is None else repr(row[column])

@@ -1,4 +1,5 @@
-"""Shared helpers: reproducible random states for property tests."""
+"""Shared helpers: reproducible random states for property tests, and the
+two-mode dilation of thermal loss that the bosonic channel is checked against."""
 
 import numpy as np
 
@@ -25,3 +26,31 @@ def purity(mats) -> np.ndarray:
     """Tr(rho^2) of a (d, d) matrix or of each matrix of a stack."""
     mats = np.asarray(mats)
     return np.einsum("...ij,...ji->...", mats, mats).real
+
+
+def thermal_reference(n_th, d):
+    """Thermal state on d Fock levels, geometric weights renormalized on the cutoff."""
+    weights = (n_th / (1.0 + n_th)) ** np.arange(d)
+    return np.diag(weights / weights.sum()).astype(complex)
+
+
+def beamsplitter_reference(eta, d):
+    """Two-mode beamsplitter exp(theta (a^dag b - a b^dag)), cos^2(theta) = eta,
+    on d Fock levels per mode, through an eigendecomposition of i times the
+    anti-Hermitian generator."""
+    theta = np.arccos(np.sqrt(eta))
+    a = np.diag(np.sqrt(np.arange(1, d)), k=1).astype(complex)
+    gen = theta * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
+    vals, vecs = np.linalg.eigh(1j * gen)
+    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+
+
+def dilation_reference(eta, n_th, mats):
+    """Couple each (d, d) state to a thermal environment on a beamsplitter and
+    trace the environment out."""
+    d = mats.shape[-1]
+    u, env = beamsplitter_reference(eta, d), thermal_reference(n_th, d)
+    # Stacked kron(rho, env): axes (state, i, k, j, l) -> rows i*d+k, columns j*d+l.
+    joint = (mats[:, :, None, :, None] * env[None, None, :, None, :]).reshape(-1, d * d, d * d)
+    joint = u @ joint @ u.conj().T
+    return np.trace(joint.reshape(-1, d, d, d, d), axis1=2, axis2=4)

@@ -9,7 +9,7 @@ import json
 import time
 
 import numpy as np
-from conftest import pure, purity, random_density, random_pure
+from conftest import dilation_reference, pure, purity, random_density, random_pure
 
 from qlinksim import (
     Channel,
@@ -100,7 +100,7 @@ def test_single_photon_decay():
     assert np.all(np.abs(out[:, 1, 1].real - etas) <= 1e-12)
 
 
-@criterion(4, "two-mode dilation matches the Kraus pure-loss map entrywise")
+@criterion(4, "bosonic loss matches its two-mode dilation, and the Kraus pure-loss map at n_th = 0")
 def test_stinespring_kraus_equivalence():
     rng = np.random.default_rng(104)
     states = np.stack([random_density(rng, 2).mat for _ in range(200)])
@@ -109,6 +109,9 @@ def test_stinespring_kraus_equivalence():
         a = Channel(BosonicConfig(loss_db=loss_db, n_th=0.0, fock_dim=2)).apply_batch(states)
         b = _pure_loss(eta, states)
         assert np.max(np.abs(a - b)) <= 1e-9
+        for n_th in (0.0, 0.5):
+            a = Channel(BosonicConfig(loss_db=loss_db, n_th=n_th)).apply_batch(states)
+            assert np.max(np.abs(a - dilation_reference(eta, n_th, states))) <= 1e-12
 
 
 @criterion(5, "two-state detection is Helstrom-optimal in regions and error rate")

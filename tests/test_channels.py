@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
-from conftest import pure, purity, random_density, random_pure
+from conftest import (
+    beamsplitter_reference,
+    dilation_reference,
+    pure,
+    purity,
+    random_density,
+    random_pure,
+    thermal_reference,
+)
 
 from qlinksim import (
     BosonicConfig,
@@ -11,14 +19,12 @@ from qlinksim import (
     PMDConfig,
     DensityMatrix,
     TurbulenceConfig,
-    beamsplitter_unitary,
     bloch_xyz,
-    pointing_loss_factor,
-    thermal_state,
 )
 # No channel config reaches eta = 0 exactly or an unclipped fade, so the
 # pure-loss and scintillation kernels are tested directly.
 from qlinksim.channels import _pure_loss, _scintillation, config_from_dict, config_to_dict
+from qlinksim.states import check_states
 
 _PLUS = pure(1 / np.sqrt(2), 1 / np.sqrt(2))
 _ONE = pure(0, 1)
@@ -138,29 +144,25 @@ class TestPureLoss:
 
 class TestThermalState:
     def test_vacuum(self):
-        out = thermal_state(0.0, 4)
+        out = thermal_reference(0.0, 4)
         assert np.allclose(out, np.diag([1.0, 0, 0, 0]))
 
     def test_hand_oracle(self):
-        out = thermal_state(1.0, 2)
+        out = thermal_reference(1.0, 2)
         assert np.allclose(out, np.diag([2 / 3, 1 / 3]))
 
     def test_weights_decreasing(self):
-        out = thermal_state(2.5, 6)
+        out = thermal_reference(2.5, 6)
         diag = np.diag(out).real
         assert np.all(np.diff(diag) < 0)
-
-    def test_fock_dim_validated(self):
-        with pytest.raises(ValueError, match="fock_dim"):
-            thermal_state(1.0, 1)
 
 
 class TestBeamsplitterUnitary:
     def test_eta_one_is_identity(self):
-        assert np.allclose(beamsplitter_unitary(1.0, 2), np.eye(4))
+        assert np.allclose(beamsplitter_reference(1.0, 2), np.eye(4))
 
     def test_eta_zero_swaps_single_photon(self):
-        u = beamsplitter_unitary(0.0, 2)
+        u = beamsplitter_reference(0.0, 2)
         # basis order |00>, |01>, |10>, |11>
         vec_01 = np.zeros(4)
         vec_01[1] = 1.0
@@ -170,7 +172,7 @@ class TestBeamsplitterUnitary:
     def test_unitarity(self):
         for eta in (0.0, 0.25, 0.7, 1.0):
             for fock in (2, 3, 4):
-                u = beamsplitter_unitary(eta, fock)
+                u = beamsplitter_reference(eta, fock)
                 assert np.max(np.abs(u @ u.conj().T - np.eye(fock**2))) <= 1e-9
 
 
@@ -185,34 +187,70 @@ class TestBosonic:
         assert BosonicConfig(loss_db=3.0).eta == pytest.approx(10 ** (-0.3))
 
     def test_matches_pure_loss_kraus(self):
+        # With a vacuum environment the channel is pure loss, bit for bit.
         rng = np.random.default_rng(42)
         for loss_db in (0.0, 1.0, 3.0, 10.0):
             eta = 10 ** (-loss_db / 10)
             stack = np.stack([random_density(rng, 2).mat for _ in range(20)])
             a = Channel(BosonicConfig(loss_db=loss_db, n_th=0.0, fock_dim=2)).apply_batch(stack)
-            b = _pure_loss(eta, stack)
-            assert np.max(np.abs(a - b)) <= 1e-9
+            assert np.array_equal(a, check_states(_pure_loss(eta, stack)))
+
+    def test_matches_two_mode_dilation(self):
+        rng = np.random.default_rng(40)
+        for n_th in (0.0, 0.1, 0.5, 0.8, 3.0):
+            for loss_db in (0.0, 1.0, 3.0, 10.0, 30.0):
+                cfg = BosonicConfig(loss_db=loss_db, n_th=n_th)
+                stack = np.stack([random_density(rng, 2).mat for _ in range(200)])
+                expected = dilation_reference(cfg.eta, n_th, stack)
+                assert np.max(np.abs(Channel(cfg).apply_batch(stack) - expected)) <= 1e-12
+
+    def test_single_photon_hand_oracle(self):
+        # w = n_th / (1 + 2 n_th) = 1/4 of the lost weight stays in |1>.
+        cfg = BosonicConfig(loss_db=3.0, n_th=0.5)
+        out = through(cfg, [_ONE])[0]
+        assert out[1, 1].real == pytest.approx(0.75 * cfg.eta + 0.25, abs=1e-15)
+        assert out[1, 1].real == pytest.approx(0.626, abs=5e-4)
 
     def test_thermal_environment_raises_ground_population(self):
         out = through(BosonicConfig(loss_db=3.0, n_th=0.8, fock_dim=2), [pure(1, 0)])[0]
         assert out[1, 1].real > 0
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="fock_dim"):
-            through(BosonicConfig(loss_db=3.0, n_th=0.0, fock_dim=3), [_PLUS])
+        # Both codebooks are qubits: any cutoff but 2 is rejected at construction.
+        for fock_dim in (1, 3):
+            with pytest.raises(ValueError, match="fock_dim must be 2"):
+                BosonicConfig(loss_db=1.0, fock_dim=fock_dim)
 
 
 class TestPointingLoss:
+    """Without scintillation a turbulence channel is fixed pure loss with
+    transmissivity exp(-2 (sigma_p/w0)^2) 10^(-path_loss_db/10)."""
+
+    @staticmethod
+    def fixed_loss(sigma_p, w0, path_loss_db=0.0, states=(_ONE,)):
+        cfg = TurbulenceConfig(sigma_p=sigma_p, w0=w0, rytov_var=0.0, path_loss_db=path_loss_db)
+        return through(cfg, states, np.random.default_rng(0))
+
     def test_no_jitter(self):
-        assert pointing_loss_factor(0.0, 1.0) == 1.0
+        assert np.array_equal(self.fixed_loss(0.0, 1.0)[0], _ONE)
 
     def test_hand_values(self):
-        assert pointing_loss_factor(1.0, 1.0) == pytest.approx(np.exp(-2))
-        assert pointing_loss_factor(0.5, 1.0) == pytest.approx(np.exp(-0.5))
+        assert self.fixed_loss(1.0, 1.0)[0][1, 1].real == pytest.approx(np.exp(-2))
+        assert self.fixed_loss(0.5, 1.0)[0][1, 1].real == pytest.approx(np.exp(-0.5))
 
     def test_waist_validated(self):
         with pytest.raises(ValueError, match="w0"):
-            pointing_loss_factor(0.1, 0.0)
+            TurbulenceConfig(sigma_p=0.1, w0=0.0, rytov_var=0.0)
+        with pytest.raises(ValueError, match="sigma_p"):
+            TurbulenceConfig(sigma_p=-0.1, w0=1.0, rytov_var=0.0)
+
+    def test_zero_rytov_is_fixed_pure_loss(self):
+        rng = np.random.default_rng(49)
+        stack = np.stack([random_density(rng, 2).mat for _ in range(20)])
+        for sigma_p, w0, path_loss_db in ((0.0, 1.0, 0.0), (0.3, 1.0, 2.0), (1.0, 0.5, 10.0)):
+            eta = np.exp(-2.0 * (sigma_p / w0) ** 2) * 10.0 ** (-path_loss_db / 10.0)
+            out = self.fixed_loss(sigma_p, w0, path_loss_db, stack)
+            assert np.array_equal(out, check_states(_pure_loss(eta, stack)))
 
 
 class TestScintillation:
@@ -394,10 +432,6 @@ class TestChannelWrapper:
         with pytest.raises(ValueError, match="dim"):
             Channel(DepolarizingConfig(p=0.1)).apply_batch(np.eye(3)[None] / 3)
 
-    def test_bosonic_requires_matching_input_dim(self):
-        with pytest.raises(ValueError, match="fock_dim"):
-            Channel(BosonicConfig(loss_db=1.0, fock_dim=3), input_dim=2)
-
 
 class TestConfigSerialization:
     @pytest.mark.parametrize(
@@ -406,7 +440,7 @@ class TestConfigSerialization:
             DepolarizingConfig(p=0.1),
             DephasingConfig(p=0.9),
             ErasureConfig(p=0.0),
-            BosonicConfig(loss_db=3.0, n_th=0.2, fock_dim=3),
+            BosonicConfig(loss_db=3.0, n_th=0.2, fock_dim=2),
             TurbulenceConfig(sigma_p=0.1, w0=2.0, rytov_var=0.4, path_loss_db=1.0),
             PMDConfig(dgd=2.0, sigma_omega=0.5, n_sections=4),
         ],

@@ -213,6 +213,19 @@ class TestConfigHandling:
         with pytest.raises(ValueError, match="channel 'b'.*fock_dim"):
             config_from_dict(json_config(channels=[bosonic]))
 
+    @pytest.mark.parametrize(
+        "entry, error, message",
+        [
+            ({"type": "depolarizing", "p": 1.5}, ValueError, "probability must be in"),
+            ({"type": "dephasing", "p": "0.5"}, TypeError, "p must be a number"),
+            ({"type": "bosonic", "loss_db": -1.0}, ValueError, "loss_db must be >= 0"),
+            ({"type": "fading"}, ValueError, "unknown channel type"),
+        ],
+    )
+    def test_channel_errors_name_their_channel(self, entry, error, message):
+        with pytest.raises(error, match=f"^channel 'c1': .*{message}"):
+            config_from_dict(json_config(channels=[{"name": "c1", **entry}]))
+
     def test_decision_mode_validated(self):
         with pytest.raises(ValueError, match="decision_mode"):
             SimulationConfig(
@@ -436,17 +449,17 @@ class TestRunComparison:
         assert "wall_time_s" in data
 
     def test_failing_channel_is_named(self, tmp_path):
-        cfg = qpsk_config(tmp_path, (("boso3", BosonicConfig(loss_db=1.0, fock_dim=3)),))
-        with pytest.raises(RuntimeError, match="boso3"):
+        cfg = qpsk_config(tmp_path, (("bad", object()),))
+        with pytest.raises(RuntimeError, match="channel 'bad' failed"):
             run_comparison(cfg)
 
     def test_unbuildable_channel_fails_before_any_artifact(self, tmp_path):
         channels = (
             ("good", DepolarizingConfig(p=0.1)),
-            ("boso3", BosonicConfig(loss_db=1.0, fock_dim=3)),
+            ("bad", object()),
         )
         cfg = qpsk_config(tmp_path, channels)
-        with pytest.raises(RuntimeError, match="channel 'boso3' failed.*fock_dim"):
+        with pytest.raises(RuntimeError, match="channel 'bad' failed"):
             run_comparison(cfg)
         assert not list(tmp_path.glob("**/states_*.csv"))
         assert not list(tmp_path.glob("**/*.svg"))
@@ -454,11 +467,11 @@ class TestRunComparison:
     def test_run_channels_builds_every_channel_first(self, tmp_path):
         channels = (
             ("good", DepolarizingConfig(p=0.1)),
-            ("boso3", BosonicConfig(loss_db=1.0, fock_dim=3)),
+            ("bad", object()),
         )
         cfg = qpsk_config(tmp_path, channels)
-        with pytest.raises(RuntimeError, match="channel 'boso3' failed.*fock_dim"):
-            next(run_channels(cfg, ["good", "boso3"]))
+        with pytest.raises(RuntimeError, match="channel 'bad' failed"):
+            next(run_channels(cfg, ["good", "bad"]))
         assert not (tmp_path / "out").exists()
 
     def test_report_records_the_package_version(self, tmp_path):
@@ -710,6 +723,10 @@ class TestCli:
             ("rx_label", "1.5", "column rx_label: expected an integer, got '1.5'"),
             ("rx_bloch_y", "nan", "column rx_bloch_y: expected a finite number, got 'nan'"),
             ("tx_i", "-inf", "column tx_i: expected a finite number, got '-inf'"),
+            ("tx_label", "1_0", "column tx_label: expected an integer, got '1_0'"),
+            ("index", " 2", "column index: expected an integer, got ' 2'"),
+            ("rx_i", " 0.5 ", "column rx_i: expected a finite number, got ' 0.5 '"),
+            ("tx_bloch_z", "1_0.5", "column tx_bloch_z: expected a finite number, got '1_0.5'"),
         ],
     )
     def test_plot_names_malformed_cells(self, tmp_path, capsys, column, cell, message):
