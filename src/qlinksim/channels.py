@@ -270,20 +270,27 @@ def _pmd(cfg: PMDConfig, mats: np.ndarray, rng) -> np.ndarray:
     dgd / sqrt(n_sections) so section delays add in quadrature to the
     configured total, and the coherence factor for a Gaussian spectrum
     is nu = exp(-(sigma_omega * tau_sec)^2 / 2).
+
+    The Bloch vectors are one (3, n) stack, so each section is a few
+    contiguous row operations.  Each section still draws its axes as one
+    (n, 3) standard-normal block, in section order, and normalizes them with
+    the same sums as ``np.linalg.norm``, so the random stream and every
+    output bit match an (n, 3) state-per-row recurrence.  Sections are drawn
+    one at a time, so at most one section's axes are held.
     """
     tau_sec = cfg.dgd / np.sqrt(cfg.n_sections)
     nu = float(np.exp(-((cfg.sigma_omega * tau_sec) ** 2) / 2.0))
-    r = bloch_xyz(mats)
+    r = np.ascontiguousarray(bloch_xyz(mats).T)
     for _ in range(cfg.n_sections):
-        axis = rng.standard_normal((len(mats), 3))
-        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
-        r = nu * r + (1.0 - nu) * np.sum(axis * r, axis=1, keepdims=True) * axis
+        axis = np.ascontiguousarray(rng.standard_normal((len(mats), 3)).T)
+        axis /= np.sqrt((axis * axis).sum(axis=0))
+        r = nu * r + (1.0 - nu) * (axis * r).sum(axis=0) * axis
     trace = np.trace(mats, axis1=1, axis2=2).real
     out = np.empty_like(mats)
-    out[:, 0, 0] = (trace + r[:, 2]) / 2.0
-    out[:, 1, 1] = (trace - r[:, 2]) / 2.0
-    out[:, 0, 1] = (r[:, 0] - 1j * r[:, 1]) / 2.0
-    out[:, 1, 0] = (r[:, 0] + 1j * r[:, 1]) / 2.0
+    out[:, 0, 0] = (trace + r[2]) / 2.0
+    out[:, 1, 1] = (trace - r[2]) / 2.0
+    out[:, 0, 1] = (r[0] - 1j * r[1]) / 2.0
+    out[:, 1, 0] = (r[0] + 1j * r[1]) / 2.0
     return out
 
 

@@ -12,8 +12,10 @@ element stack, validated once: each element's smallest eigenvalue comes from
 (n, d, d) stack of states in one pass; decisions are their row-wise argmax
 (:func:`argmax_labels`) by default, with Born-rule sampling
 (:func:`sample_labels`) as an explicit opt-in.  The sampler builds its
-cumulative distribution in one (n, K) buffer, in place, and draws the same
-labels as ``Generator.choice`` would, row by row.
+cumulative distribution in one buffer, in place, and draws the same labels
+as ``Generator.choice`` would, draw by draw; for states repeated many times
+it builds one CDF row per distinct state and binary-searches each draw in
+its state's row.
 """
 
 from __future__ import annotations
@@ -76,19 +78,28 @@ class POVM:
 def score_states(povm: POVM, mats) -> np.ndarray:
     """(n, K) outcome probabilities Tr(E_k rho) of a (n, d, d) stack of states.
 
-    Tr(E_k rho) = sum_ij E_k[i, j] rho[j, i] is one (1, d^2) @ (d^2, K)
-    product per state: no (n, K, d, d) intermediate is formed, and a
-    state's scores do not depend on the batch around it.  The real parts are
+    Tr(E_k rho) = sum_ij E_k[i, j] rho[j, i], so the whole stack is one
+    (n, d^2) @ (d^2, K) product and no (n, K, d, d) intermediate is formed.
+    A state's scores do not depend on the batch around it: every row goes
+    through the same matrix-matrix kernel.  A single state is scored as
+    the first row of a two-row product, since a one-row product would take
+    BLAS's matrix-vector path, whose roundoff differs.  The real parts are
     returned as their own contiguous array, so the complex product, twice
     their size, is freed before the scores are decided on.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.shape[-1] != povm.dim:
         raise ValueError(f"state dim {mats.shape[-1]} does not match POVM dim {povm.dim}")
-    rho_t = mats.swapaxes(-1, -2).reshape(len(mats), 1, -1)
-    scores = np.matmul(rho_t, povm.elements.reshape(povm.n_outcomes, -1).T)[:, 0, :]
-    # The largest |imaginary part|, from its extremes: no (n, K) |.| array.
-    imag = float(max(scores.imag.max(initial=0.0), -scores.imag.min(initial=0.0)))
+    rho_t = mats.swapaxes(-1, -2).reshape(len(mats), -1)
+    elements = povm.elements.reshape(povm.n_outcomes, -1).T
+    if len(rho_t) == 1:
+        scores = (np.concatenate([rho_t, rho_t]) @ elements)[:1]
+    else:
+        scores = rho_t @ elements
+    # The (n, K) |imaginary part| array is freed before the real parts are
+    # copied out, so it does not raise the peak; one pass over the strided
+    # imaginary parts is cheaper than two reductions of them.
+    imag = float(np.abs(scores.imag).max(initial=0.0))
     if imag > TOL:
         raise ValueError(f"non-real outcome probabilities (imaginary part {imag:.3e})")
     return np.ascontiguousarray(scores.real)
@@ -143,14 +154,47 @@ def argmax_labels(povm: POVM, scores: np.ndarray) -> np.ndarray:
     return np.asarray(povm.labels)[np.argmax(scores, axis=1)]
 
 
-def sample_labels(povm: POVM, scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sample_labels(
+    povm: POVM, scores: np.ndarray, rng: np.random.Generator, index: np.ndarray | None = None
+) -> np.ndarray:
     """Born-rule decisions: one inverse-CDF draw per row of outcome probabilities.
 
-    Each row takes one uniform from ``rng``, in row order, and the same
+    Each draw takes one uniform from ``rng``, in order, and the same
     cumulative-sum search as ``Generator.choice``.  The CDF is built in one
-    (n, K) buffer: the clipped scores, divided by their row sums, summed
+    buffer: the clipped scores, divided by their row sums, summed
     cumulatively and normalized in place.
+
+    Without ``index`` there is one draw per row of ``scores``.  With it,
+    ``scores`` holds one row per distinct state and draw i is for row
+    ``index[i]``: CDF rows are built (and checked) only for the rows that
+    occur, and each draw is a binary search in its row, so no
+    (len(index), K) array is formed.  A normalized cumulative sum of
+    nonnegative numbers is nondecreasing, so the search returns the count of
+    CDF entries <= u, and the labels equal ``sample_labels(povm,
+    scores[index], rng)``.
     """
+    if index is None:
+        cdf = _born_cdf(scores)
+        draws = rng.random(len(cdf))
+        return np.asarray(povm.labels)[np.count_nonzero(cdf <= draws[:, None], axis=1)]
+    counts = np.bincount(index, minlength=len(scores))
+    sent = np.flatnonzero(counts)
+    cdf = _born_cdf(scores[sent])
+    draws = rng.random(len(index))
+    # Draw numbers grouped by row; the order within a group does not matter,
+    # since each draw is searched on its own.
+    order = np.argsort(index)
+    picks = np.empty(len(index), dtype=np.intp)
+    start = 0
+    for row, end in zip(cdf, np.cumsum(counts[sent])):
+        group = order[start:end]
+        picks[group] = np.searchsorted(row, draws[group], side="right")
+        start = end
+    return np.asarray(povm.labels)[picks]
+
+
+def _born_cdf(scores: np.ndarray) -> np.ndarray:
+    """Row-wise normalized CDF of (n, K) outcome probabilities, in a new buffer."""
     if scores.min(initial=0.0) < -TOL:
         raise ValueError(f"negative outcome probability {scores.min():.3e}")
     cdf = np.maximum(scores, 0.0)
@@ -163,8 +207,7 @@ def sample_labels(povm: POVM, scores: np.ndarray, rng: np.random.Generator) -> n
     # A copy of the last column: dividing by a view of the buffer itself
     # would make numpy copy the whole buffer first.
     cdf /= cdf[:, -1:].copy()
-    draws = rng.random(len(cdf))
-    return np.asarray(povm.labels)[np.count_nonzero(cdf <= draws[:, None], axis=1)]
+    return cdf
 
 
 def decide(povm: POVM, rho: DensityMatrix) -> int:

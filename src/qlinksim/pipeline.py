@@ -4,13 +4,16 @@ A run is fully determined by its :class:`SimulationConfig`.  A comparison
 or a run of several channels builds one transmitter (codebook stack, PGM,
 symbols, per-symbol counts, Hamming table, tx projection) for all its
 channels, and every channel before the first runs.  Each channel is one
-array pass: deterministic channels map the M codebook states once and are
-gathered by transmitted symbol; stochastic channels map the whole (N, d, d)
-transmitted stack at once.  A channel is scored from one (M, M + 1)
-confusion count of its decisions; with argmax decisions a deterministic
-channel decides each codebook state once and counts that decision once per
-time the state was sent, so per-symbol labels are formed only for the
-artifacts, which `visualization` writes.  Randomness comes from one stream
+array pass: deterministic channels map and score the M codebook states once
+and are gathered by transmitted symbol; stochastic channels map the whole
+(N, d, d) transmitted stack at once and score it in one product.  A channel
+is scored from one (M, M + 1) confusion count of its decisions.  With
+argmax decisions a deterministic channel decides each codebook state once
+and counts that decision once per time the state was sent, so per-symbol
+labels are formed only for the artifacts, which `visualization` writes;
+with sampled decisions it builds one Born CDF row per codebook state that
+was sent and searches each symbol's uniform in its state's row, so no
+(N, K) array is formed.  Randomness comes from one stream
 per purpose, keyed by (seed, purpose) for the transmitted symbols and by
 (seed, purpose, channel name) for a channel's own draws and for sampled
 decisions, so results do not depend on channel order.
@@ -26,7 +29,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, get_args
 
 import numpy as np
 
@@ -89,11 +92,13 @@ class SimulationConfig:
             )
         object.__setattr__(self, "channels", tuple((str(n), c) for n, c in self.channels))
         names = [n for n, _ in self.channels]
-        for name in names:
+        for name, config in self.channels:
             if not _CHANNEL_NAME.fullmatch(name):
                 raise ValueError(
                     f"channel name {name!r} must be letters, digits, '_', '.' or '-' only"
                 )
+            if not isinstance(config, get_args(ChannelConfig)):
+                raise TypeError(f"channel {name!r}: expected a channel config, got {config!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"channel names must be unique, got {names}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
@@ -228,7 +233,8 @@ def _run_channel(
     # is each symbol's received label.
     if cfg.decision_mode == "sampled":
         rng = derive_rng(cfg.seed, "decision", channel_name)
-        decisions, label_index = sample_labels(povm, scores[rx_index], rng), slice(None)
+        index = None if channel.is_stochastic else rx_index
+        decisions, label_index = sample_labels(povm, scores, rng, index), slice(None)
     else:
         decisions, label_index = argmax_labels(povm, scores), rx_index
     if isinstance(label_index, slice):

@@ -1,9 +1,11 @@
-"""Shared helpers: reproducible random states for property tests, and the
-two-mode dilation of thermal loss that the bosonic channel is checked against."""
+"""Shared helpers: reproducible random states for property tests, the
+two-mode dilation of thermal loss that the bosonic channel is checked
+against, and the state-per-row PMD recurrence that the PMD kernel is
+checked against bit for bit."""
 
 import numpy as np
 
-from qlinksim import DensityMatrix, make_pure_states
+from qlinksim import DensityMatrix, bloch_xyz, make_pure_states
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
@@ -54,3 +56,23 @@ def dilation_reference(eta, n_th, mats):
     joint = (mats[:, :, None, :, None] * env[None, None, :, None, :]).reshape(-1, d * d, d * d)
     joint = u @ joint @ u.conj().T
     return np.trace(joint.reshape(-1, d, d, d, d), axis1=2, axis2=4)
+
+
+def pmd_rows_reference(cfg, mats, rng):
+    """PMD on an (n, 3) Bloch stack, one state per row: per section, draw
+    (n, 3) standard normals, normalize each row with ``np.linalg.norm`` and
+    apply r -> nu r + (1 - nu)(n.r) n."""
+    tau_sec = cfg.dgd / np.sqrt(cfg.n_sections)
+    nu = float(np.exp(-((cfg.sigma_omega * tau_sec) ** 2) / 2.0))
+    r = bloch_xyz(mats)
+    for _ in range(cfg.n_sections):
+        axis = rng.standard_normal((len(mats), 3))
+        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+        r = nu * r + (1.0 - nu) * np.sum(axis * r, axis=1, keepdims=True) * axis
+    trace = np.trace(mats, axis1=1, axis2=2).real
+    out = np.empty_like(mats)
+    out[:, 0, 0] = (trace + r[:, 2]) / 2.0
+    out[:, 1, 1] = (trace - r[:, 2]) / 2.0
+    out[:, 0, 1] = (r[:, 0] - 1j * r[:, 1]) / 2.0
+    out[:, 1, 0] = (r[:, 0] + 1j * r[:, 1]) / 2.0
+    return out

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (
     beamsplitter_reference,
     dilation_reference,
+    pmd_rows_reference,
     pure,
     purity,
     random_density,
@@ -24,6 +27,8 @@ from qlinksim import (
 # No channel config reaches eta = 0 exactly or an unclipped fade, so the
 # pure-loss and scintillation kernels are tested directly.
 from qlinksim.channels import _pure_loss, _scintillation, config_from_dict, config_to_dict
+# The PMD kernel is pinned bit for bit to its state-per-row reference.
+from qlinksim.channels import _pmd
 from qlinksim.states import check_states
 
 _PLUS = pure(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -357,6 +362,35 @@ class TestPMDKernel:
         nu = np.exp(-0.25)
         expected = (nu + (1 - nu) / 3) ** 8 * bloch_xyz(rho[None])[0]
         assert np.all(np.abs(r.mean(axis=0) - expected) <= 5 * r.std(axis=0) / np.sqrt(n))
+
+
+class TestPMDBlochStack:
+    @pytest.mark.parametrize("dgd", [0.0, 2.0])
+    @pytest.mark.parametrize("n_sections", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 7, 500])
+    def test_bit_equal_to_state_per_row_reference(self, n, n_sections, dgd):
+        cfg = PMDConfig(dgd=dgd, sigma_omega=1.0, n_sections=n_sections)
+        rng = np.random.default_rng(n * 10 + n_sections)
+        mats = np.stack([random_density(rng, 2).mat for _ in range(n)])
+        got_rng, want_rng = np.random.default_rng(60), np.random.default_rng(60)
+        got = _pmd(cfg, mats, got_rng)
+        want = pmd_rows_reference(cfg, mats, want_rng)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        # Same draws, in the same order: both streams stop at the same place.
+        assert got_rng.random() == want_rng.random()
+
+    def test_peak_memory_no_higher_than_reference(self):
+        cfg = PMDConfig(dgd=2.0, sigma_omega=1.0, n_sections=8)
+        mats = np.repeat(pure(0.6, 0.8j)[None], 200_000, axis=0)
+        peaks = []
+        for kernel in (pmd_rows_reference, _pmd):
+            tracemalloc.start()
+            try:
+                kernel(cfg, mats, np.random.default_rng(61))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
 
 class TestChannelWrapper:

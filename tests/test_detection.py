@@ -8,8 +8,10 @@ from qlinksim import (
     POVM,
     Channel,
     DensityMatrix,
+    DepolarizingConfig,
     DetectorCodebook,
     ErasureConfig,
+    PMDConfig,
     argmax_labels,
     build_pgm,
     decide,
@@ -40,6 +42,24 @@ def four_buffer_sample_labels(povm, scores, rng):
     cdf /= cdf[:, -1:]
     draws = rng.random(len(scores))
     return np.asarray(povm.labels)[(cdf <= draws[:, None]).sum(axis=1)]
+
+
+def codebook_povm(m: int, erasure: bool):
+    """The PGM of QPSK (m = 4) or m-QAM, with its codebook; embedded for
+    erasure outputs when ``erasure``."""
+    cb = qpsk_codebook() if m == 4 else qam_codebook(m)
+    povm = build_pgm(cb)
+    return cb, embed_povm_with_erasure(povm, 3) if erasure else povm
+
+
+def codebook_scores(m: int, erasure: bool):
+    """The PGM and its (M, K) scores of the codebook through depolarizing
+    noise (then erasure, when ``erasure``): one row per codebook state."""
+    cb, povm = codebook_povm(m, erasure)
+    mats = Channel(DepolarizingConfig(p=0.1)).apply_batch(cb.mats)
+    if erasure:
+        mats = Channel(ErasureConfig(p=0.25)).apply_batch(mats)
+    return povm, score_states(povm, mats)
 
 
 def two_state_codebook(overlap: float) -> DetectorCodebook:
@@ -315,6 +335,22 @@ class TestBatchDetection:
         labels = argmax_labels(povm, scores)
         assert labels.tolist() == [decide(povm, rho) for rho in states]
 
+    @pytest.mark.parametrize("m, erasure", [(4, False), (16, False), (16, True), (64, True)])
+    def test_scores_do_not_depend_on_chunking(self, m, erasure):
+        cb, povm = codebook_povm(m, erasure)
+        rng = np.random.default_rng(71)
+        mats = Channel(PMDConfig(dgd=2.0, sigma_omega=1.0)).apply_batch(
+            cb.mats[rng.integers(0, m, 300)], rng
+        )
+        if erasure:
+            mats = Channel(ErasureConfig(p=0.25)).apply_batch(mats)
+        whole = score_states(povm, mats)
+        for size in (1, 2, 7, 64, len(mats)):
+            parts = np.concatenate(
+                [score_states(povm, mats[i : i + size]) for i in range(0, len(mats), size)]
+            )
+            assert np.array_equal(parts.view(np.uint8), whole.view(np.uint8)), size
+
     def test_sampled_labels_match_sequential_choice(self):
         # One uniform per row, in row order, searched like Generator.choice.
         rng = np.random.default_rng(68)
@@ -363,6 +399,62 @@ class TestBatchDetection:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * scores.nbytes
+
+    @pytest.mark.parametrize(
+        "m, erasure, n",
+        [(4, False, 5000), (16, True, 5000), (64, False, 5000), (64, False, 10), (16, True, 1)],
+    )
+    def test_per_state_labels_match_gathered_rows(self, m, erasure, n):
+        povm, scores = codebook_scores(m, erasure)
+        symbols = np.random.default_rng(80 + n).integers(0, m, n)
+        got_rng, want_rng = np.random.default_rng(81), np.random.default_rng(81)
+        got = sample_labels(povm, scores, got_rng, symbols)
+        want = sample_labels(povm, scores[symbols], want_rng)
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
+        assert got_rng.random() == want_rng.random()
+
+    def test_per_state_draws_on_a_cdf_step_count_it(self):
+        # A draw equal to a CDF value counts that entry (<=), also where a
+        # zero-probability outcome repeats the value; dyadic rows make the
+        # CDF exact.
+        class FixedDraws:
+            def random(self, n):
+                return np.array([0.5, 0.75, 0.0, 0.25, 0.5])[:n]
+
+        povm = build_pgm(qpsk_codebook())
+        scores = np.array([[0.5, 0.0, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]])
+        index = np.array([0, 0, 0, 1, 1])
+        got = sample_labels(povm, scores, FixedDraws(), index)
+        assert got.tolist() == [2, 3, 0, 1, 2]
+        assert np.array_equal(got, sample_labels(povm, scores[index], FixedDraws()))
+
+    def test_per_state_labels_skip_unsent_states(self):
+        povm, scores = codebook_scores(16, True)
+        symbols = np.random.default_rng(82).integers(0, 16, 2000)
+        symbols[symbols == 3] = 4
+        # State 3 is never sent, so its row is never checked or searched.
+        scores = scores.copy()
+        scores[3] = -1.0
+        got = sample_labels(povm, scores, np.random.default_rng(83), symbols)
+        want = sample_labels(povm, scores[symbols], np.random.default_rng(83))
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="negative"):
+            sample_labels(povm, scores, np.random.default_rng(83), np.array([3]))
+
+    def test_per_state_sampler_forms_no_per_symbol_cdf(self):
+        n = 20000
+        povm, scores = codebook_scores(64, True)
+        assert povm.n_outcomes == 65
+        symbols = np.random.default_rng(84).integers(0, 64, n)
+        rng = np.random.default_rng(85)
+        tracemalloc.start()
+        try:
+            sample_labels(povm, scores, rng, symbols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * povm.n_outcomes * 8
 
     def test_scores_do_not_hold_the_complex_product(self):
         cb = qam_codebook(64)

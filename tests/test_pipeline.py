@@ -53,6 +53,13 @@ def qpsk_config(tmp_path, channels, n=100, seed=5, **kwargs):
     )
 
 
+class NoKernelConfig(DepolarizingConfig):
+    """A channel config that passes every config check but has no kernel,
+    so building its channel fails."""
+
+    kind = "nope"
+
+
 def json_config(**changes):
     """A small valid JSON config with the given top-level keys replaced."""
     d = {"modulation": {"type": "qpsk"}, "n_symbols": 10, "seed": 1,
@@ -212,6 +219,11 @@ class TestConfigHandling:
         bosonic = {"name": "b", "type": "bosonic", "loss_db": 1.0, "fock_dim": 3}
         with pytest.raises(ValueError, match="channel 'b'.*fock_dim"):
             config_from_dict(json_config(channels=[bosonic]))
+
+    @pytest.mark.parametrize("entry", [object(), None, {"type": "depolarizing", "p": 0.1}])
+    def test_channel_entry_must_be_a_channel_config(self, entry):
+        with pytest.raises(TypeError, match="^channel 'bad': expected a channel config"):
+            SimulationConfig(modulation="qpsk", n_symbols=40, seed=5, channels=(("bad", entry),))
 
     @pytest.mark.parametrize(
         "entry, error, message",
@@ -449,14 +461,14 @@ class TestRunComparison:
         assert "wall_time_s" in data
 
     def test_failing_channel_is_named(self, tmp_path):
-        cfg = qpsk_config(tmp_path, (("bad", object()),))
+        cfg = qpsk_config(tmp_path, (("bad", NoKernelConfig(p=0.1)),))
         with pytest.raises(RuntimeError, match="channel 'bad' failed"):
             run_comparison(cfg)
 
     def test_unbuildable_channel_fails_before_any_artifact(self, tmp_path):
         channels = (
             ("good", DepolarizingConfig(p=0.1)),
-            ("bad", object()),
+            ("bad", NoKernelConfig(p=0.1)),
         )
         cfg = qpsk_config(tmp_path, channels)
         with pytest.raises(RuntimeError, match="channel 'bad' failed"):
@@ -467,7 +479,7 @@ class TestRunComparison:
     def test_run_channels_builds_every_channel_first(self, tmp_path):
         channels = (
             ("good", DepolarizingConfig(p=0.1)),
-            ("bad", object()),
+            ("bad", NoKernelConfig(p=0.1)),
         )
         cfg = qpsk_config(tmp_path, channels)
         with pytest.raises(RuntimeError, match="channel 'bad' failed"):
