@@ -9,13 +9,14 @@ element stack, validated once: each element's smallest eigenvalue comes from
 :func:`~qlinksim.states.min_eigenvalues`, the closed-form qubit spectrum for
 2x2 elements and LAPACK for the enlarged (erasure) ones.
 :func:`score_states` computes the outcome probabilities Tr(E_i rho) of a
-(n, d, d) stack of states in one pass; decisions are their row-wise argmax
-(:func:`argmax_labels`) by default, with Born-rule sampling
-(:func:`sample_labels`) as an explicit opt-in.  The sampler builds its
-cumulative distribution in one buffer, in place, and draws the same labels
-as ``Generator.choice`` would, draw by draw; for states repeated many times
-it builds one CDF row per distinct state and binary-searches each draw in
-its state's row.
+(n, d, d) stack of states in one pass, and decisions are their row-wise
+argmax (:func:`argmax_labels`) by default.  Born-rule sampling
+(:func:`sample_labels`) is an explicit opt-in that needs no scores: a CDF
+value Tr(F_k rho) of the cumulative POVM F_k = E_0 + ... + E_k is linear in
+the state, so each draw binary-searches its uniform among the outcomes with
+one row-wise dot per step, and no (n, K) array is formed.  For states
+repeated many times (a deterministic channel's outputs) it builds one CDF
+row per distinct state and searches each draw in its state's row.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modulation import DetectorCodebook
-from .states import TOL, DensityMatrix, hermitize, inv_sqrt_psd, min_eigenvalues
+from .states import TOL, DensityMatrix, check_states, hermitize, inv_sqrt_psd, min_eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,59 +156,96 @@ def argmax_labels(povm: POVM, scores: np.ndarray) -> np.ndarray:
 
 
 def sample_labels(
-    povm: POVM, scores: np.ndarray, rng: np.random.Generator, index: np.ndarray | None = None
+    povm: POVM, mats, rng: np.random.Generator, index: np.ndarray | None = None
 ) -> np.ndarray:
-    """Born-rule decisions: one inverse-CDF draw per row of outcome probabilities.
+    """Born-rule decisions drawn straight from a (n, d, d) stack of states.
 
-    Each draw takes one uniform from ``rng``, in order, and the same
-    cumulative-sum search as ``Generator.choice``.  The CDF is built in one
-    buffer: the clipped scores, divided by their row sums, summed
-    cumulatively and normalized in place.
+    Outcome k's CDF value for a state rho is Tr(F_k rho), with F_k = E_0 +
+    ... + E_k the cumulative POVM: a real dot of the float views of two
+    Hermitian matrices, so no score row is formed.  Each draw takes one
+    uniform u from ``rng``, in order, and returns the first outcome whose
+    CDF value exceeds u times the total Tr(F_{K-1} rho), or the last
+    outcome if none before it does.  The search takes ceil(log2 K) halving
+    steps of one gather and one row-wise dot each.  Its table holds F_0 ..
+    F_{K-2} and then 2 I up to the next power of two, whose value 2 exceeds
+    every target, so no label leaves the range.  A row's dot does not
+    depend on the rows around it, so the labels do not depend on how the
+    states are batched.  The states go through
+    :func:`~qlinksim.states.check_states`, and a total off 1 by more than
+    1e-6 is rejected.
 
-    Without ``index`` there is one draw per row of ``scores``.  With it,
-    ``scores`` holds one row per distinct state and draw i is for row
-    ``index[i]``: CDF rows are built (and checked) only for the rows that
-    occur, and each draw is a binary search in its row, so no
-    (len(index), K) array is formed.  A normalized cumulative sum of
-    nonnegative numbers is nondecreasing, so the search returns the count of
-    CDF entries <= u, and the labels equal ``sample_labels(povm,
-    scores[index], rng)``.
+    Without ``index`` there is one draw per state.  With it, ``mats`` holds
+    one state per distinct outcome of a deterministic channel and draw i is
+    for state ``index[i]``: only the states that occur are checked, their
+    CDF table is built with the same row-wise dots, and the search reads
+    its values from that table, so the labels equal
+    ``sample_labels(povm, mats[index], rng)`` by construction.
     """
+    k, d = povm.n_outcomes, povm.dim
+    width = 1 << (k - 1).bit_length()
+    cumulative = np.cumsum(povm.elements, axis=0)
+    search = _float_rows(
+        np.concatenate([cumulative[:-1], np.broadcast_to(2.0 * np.eye(d), (width - k + 1, d, d))])
+    )
+    total = _float_rows(cumulative[-1:])
+    # Draw i searches the positions start[i] .. start[i] + width - 1: those
+    # of its own state, or its state's block of the per-state table.
     if index is None:
-        cdf = _born_cdf(scores)
-        draws = rng.random(len(cdf))
-        return np.asarray(povm.labels)[np.count_nonzero(cdf <= draws[:, None], axis=1)]
-    counts = np.bincount(index, minlength=len(scores))
-    sent = np.flatnonzero(counts)
-    cdf = _born_cdf(scores[sent])
-    draws = rng.random(len(index))
-    # Draw numbers grouped by row; the order within a group does not matter,
-    # since each draw is searched on its own.
-    order = np.argsort(index)
-    picks = np.empty(len(index), dtype=np.intp)
-    start = 0
-    for row, end in zip(cdf, np.cumsum(counts[sent])):
-        group = order[start:end]
-        picks[group] = np.searchsorted(row, draws[group], side="right")
-        start = end
-    return np.asarray(povm.labels)[picks]
+        states = _float_rows(_checked(povm, mats))
+        start = np.zeros(len(states), dtype=np.intp)
+        totals = _row_dots(total.take(start, axis=0), states)
+
+        def cdf(at):
+            return _row_dots(search.take(at, axis=0), states)
+
+    else:
+        mats = np.asarray(mats)
+        sent = np.flatnonzero(np.bincount(index, minlength=len(mats)))
+        states = _float_rows(_checked(povm, mats[sent]))
+        block = np.empty(len(mats), dtype=np.intp)
+        block[sent] = np.arange(len(sent))
+        start = block[index]
+        totals = _row_dots(np.tile(total, (len(sent), 1)), states).take(start)
+        start *= width
+        cdf = _row_dots(np.tile(search, (len(sent), 1)), np.repeat(states, width, axis=0)).take
+
+    _check_totals(totals)
+    # Each draw's target u * total, in its total's buffer.
+    targets = totals
+    targets *= rng.random(len(targets))
+    # A step moves a draw forward by the step length while the last position
+    # it would pass is still at or below its target.
+    step = width >> 1
+    while step:
+        start += (cdf(start + (step - 1)) <= targets) * step
+        step >>= 1
+    return np.asarray(povm.labels).take(start & (width - 1))
 
 
-def _born_cdf(scores: np.ndarray) -> np.ndarray:
-    """Row-wise normalized CDF of (n, K) outcome probabilities, in a new buffer."""
-    if scores.min(initial=0.0) < -TOL:
-        raise ValueError(f"negative outcome probability {scores.min():.3e}")
-    cdf = np.maximum(scores, 0.0)
-    totals = cdf.sum(axis=1, keepdims=True)
+def _check_totals(totals: np.ndarray) -> None:
+    """Reject a state whose outcome probabilities do not sum to 1 within 1e-6."""
     off = np.abs(totals - 1.0)
     if off.max(initial=0.0) > 1e-6:
-        raise ValueError(f"outcome probabilities sum to {float(totals.flat[off.argmax()])!r}, not 1")
-    cdf /= totals
-    np.cumsum(cdf, axis=1, out=cdf)
-    # A copy of the last column: dividing by a view of the buffer itself
-    # would make numpy copy the whole buffer first.
-    cdf /= cdf[:, -1:].copy()
-    return cdf
+        raise ValueError(f"outcome probabilities sum to {float(totals[off.argmax()])!r}, not 1")
+
+
+def _checked(povm: POVM, mats) -> np.ndarray:
+    """The hermitized, checked stack of states a POVM of matching dim can measure."""
+    states = check_states(mats)
+    if states.shape[-1] != povm.dim:
+        raise ValueError(f"state dim {states.shape[-1]} does not match POVM dim {povm.dim}")
+    return states
+
+
+def _float_rows(mats: np.ndarray) -> np.ndarray:
+    """(n, 2 d^2) float view of a (n, d, d) complex stack: for Hermitian A and
+    B, Tr(A B) is the real dot of their rows."""
+    return np.ascontiguousarray(mats).reshape(len(mats), -1).view(float)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot of each row of ``a`` with the same row of ``b``."""
+    return np.einsum("nf,nf->n", a, b)
 
 
 def decide(povm: POVM, rho: DensityMatrix) -> int:

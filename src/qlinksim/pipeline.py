@@ -4,19 +4,20 @@ A run is fully determined by its :class:`SimulationConfig`.  A comparison
 or a run of several channels builds one transmitter (codebook stack, PGM,
 symbols, per-symbol counts, Hamming table, tx projection) for all its
 channels, and every channel before the first runs.  Each channel is one
-array pass: deterministic channels map and score the M codebook states once
-and are gathered by transmitted symbol; stochastic channels map the whole
-(N, d, d) transmitted stack at once and score it in one product.  A channel
-is scored from one (M, M + 1) confusion count of its decisions.  With
-argmax decisions a deterministic channel decides each codebook state once
-and counts that decision once per time the state was sent, so per-symbol
-labels are formed only for the artifacts, which `visualization` writes;
-with sampled decisions it builds one Born CDF row per codebook state that
-was sent and searches each symbol's uniform in its state's row, so no
-(N, K) array is formed.  Randomness comes from one stream
-per purpose, keyed by (seed, purpose) for the transmitted symbols and by
-(seed, purpose, channel name) for a channel's own draws and for sampled
-decisions, so results do not depend on channel order.
+array pass: deterministic channels map the M codebook states once and are
+gathered by transmitted symbol; stochastic channels map the whole (N, d, d)
+transmitted stack at once.  A channel is scored from one (M, M + 1)
+confusion count of its decisions.  Argmax decisions score the received
+states in one product; a deterministic channel decides each codebook state
+once and counts that decision once per time the state was sent, so
+per-symbol labels are formed only for the artifacts, which `visualization`
+writes.  Sampled decisions are drawn from the received states without
+scores: a stochastic channel's draws each binary-search their own state's
+CDF, and a deterministic channel's search one CDF row per codebook state
+that was sent, so no (N, K) array is formed either way.  Randomness comes
+from one stream per purpose, keyed by (seed, purpose) for the transmitted
+symbols and by (seed, purpose, channel name) for a channel's own draws and
+for sampled decisions, so results do not depend on channel order.
 """
 
 from __future__ import annotations
@@ -213,8 +214,8 @@ def _run_channel(
     cfg: SimulationConfig, tx: _Transmitter, channel_name: str, channel: Channel
 ) -> ChannelRunResult:
     """One channel's own work on a shared transmitter: erasure embedding where
-    the channel enlarges, channel pass, scores, decisions, their confusion
-    count and its error counts, artifacts."""
+    the channel enlarges, channel pass, decisions, their confusion count and
+    its error counts, artifacts."""
     codebook, povm, tx_symbols = tx.codebook, tx.povm, tx.symbols
     if channel.output_dim > codebook.dim:
         povm = embed_povm_with_erasure(povm, channel.output_dim)
@@ -227,16 +228,15 @@ def _run_channel(
     else:
         rx_states = channel.apply_batch(codebook.mats)
         rx_index = tx_symbols
-    scores = score_states(povm, rx_states)
     # decisions holds one label per symbol, or one per codebook state when a
     # deterministic channel's states are argmax-decided; decisions[label_index]
     # is each symbol's received label.
     if cfg.decision_mode == "sampled":
         rng = derive_rng(cfg.seed, "decision", channel_name)
         index = None if channel.is_stochastic else rx_index
-        decisions, label_index = sample_labels(povm, scores, rng, index), slice(None)
+        decisions, label_index = sample_labels(povm, rx_states, rng, index), slice(None)
     else:
-        decisions, label_index = argmax_labels(povm, scores), rx_index
+        decisions, label_index = argmax_labels(povm, score_states(povm, rx_states)), rx_index
     if isinstance(label_index, slice):
         confusion = confusion_matrix(tx_symbols, decisions, codebook.M)
     else:

@@ -1,11 +1,13 @@
 """Shared helpers: reproducible random states for property tests, the
 two-mode dilation of thermal loss that the bosonic channel is checked
-against, and the state-per-row PMD recurrence that the PMD kernel is
-checked against bit for bit."""
+against, the state-per-row PMD recurrence that the PMD kernel is checked
+against bit for bit, and the score-based Born sampler that the cumulative
+POVM sampler is checked against label for label."""
 
 import numpy as np
 
 from qlinksim import DensityMatrix, bloch_xyz, make_pure_states
+from qlinksim.states import TOL
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
@@ -76,3 +78,21 @@ def pmd_rows_reference(cfg, mats, rng):
     out[:, 0, 1] = (r[:, 0] - 1j * r[:, 1]) / 2.0
     out[:, 1, 0] = (r[:, 0] + 1j * r[:, 1]) / 2.0
     return out
+
+
+def score_sample_labels(povm, scores, rng):
+    """Born-rule labels from (n, K) outcome probabilities: the clipped scores
+    divided by their row sums, summed cumulatively and normalized in one
+    buffer, and one uniform per row counted against its CDF row."""
+    if scores.min(initial=0.0) < -TOL:
+        raise ValueError(f"negative outcome probability {scores.min():.3e}")
+    cdf = np.maximum(scores, 0.0)
+    totals = cdf.sum(axis=1, keepdims=True)
+    off = np.abs(totals - 1.0)
+    if off.max(initial=0.0) > 1e-6:
+        raise ValueError(f"outcome probabilities sum to {float(totals.flat[off.argmax()])!r}, not 1")
+    cdf /= totals
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= cdf[:, -1:].copy()
+    draws = rng.random(len(cdf))
+    return np.asarray(povm.labels)[np.count_nonzero(cdf <= draws[:, None], axis=1)]

@@ -137,7 +137,7 @@ def test_two_state_helstrom():
         bound = 0.5 * (1.0 - np.sqrt(1.0 - overlap**2))
         tx = rng.integers(0, 2, trials)
         sent = codebook.mats[tx]
-        guesses = sample_labels(povm, score_states(povm, sent), rng)
+        guesses = sample_labels(povm, sent, rng)
         rate = np.count_nonzero(guesses != tx) / trials
         sigma = np.sqrt(bound * (1 - bound) / trials)
         assert abs(rate - bound) <= 3 * sigma + 1e-12

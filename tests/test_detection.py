@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import pure, random_density
+from conftest import pure, random_density, score_sample_labels
 
 from qlinksim import (
     POVM,
@@ -12,6 +12,7 @@ from qlinksim import (
     DetectorCodebook,
     ErasureConfig,
     PMDConfig,
+    TurbulenceConfig,
     argmax_labels,
     build_pgm,
     decide,
@@ -52,14 +53,33 @@ def codebook_povm(m: int, erasure: bool):
     return cb, embed_povm_with_erasure(povm, 3) if erasure else povm
 
 
-def codebook_scores(m: int, erasure: bool):
-    """The PGM and its (M, K) scores of the codebook through depolarizing
-    noise (then erasure, when ``erasure``): one row per codebook state."""
+def codebook_outputs(m: int, erasure: bool):
+    """The PGM and the codebook through depolarizing noise (then erasure,
+    when ``erasure``): one state per codebook state."""
     cb, povm = codebook_povm(m, erasure)
     mats = Channel(DepolarizingConfig(p=0.1)).apply_batch(cb.mats)
     if erasure:
         mats = Channel(ErasureConfig(p=0.25)).apply_batch(mats)
-    return povm, score_states(povm, mats)
+    return povm, mats
+
+
+def channel_outputs(kind: str, m: int, erasure: bool, n: int):
+    """The PGM, the M codebook states and n random symbols' states through
+    one channel (then erasure, when ``erasure``): an (M, d, d) stack, one
+    state per codebook state, and an (n, d, d) stack, one state per symbol."""
+    cb, povm = codebook_povm(m, erasure)
+    rng = np.random.default_rng(90 + n)
+    channel = Channel({
+        "depolarizing": DepolarizingConfig(p=0.1),
+        "turbulence": TurbulenceConfig(sigma_p=0.1, w0=1.0, rytov_var=0.2),
+        "pmd": PMDConfig(dgd=2.0, sigma_omega=1.0),
+    }[kind])
+    per_state = channel.apply_batch(cb.mats, rng)
+    per_symbol = channel.apply_batch(cb.mats[rng.integers(0, m, n)], rng)
+    if erasure:
+        era = Channel(ErasureConfig(p=0.25))
+        per_state, per_symbol = era.apply_batch(per_state), era.apply_batch(per_symbol)
+    return povm, per_state, per_symbol
 
 
 def two_state_codebook(overlap: float) -> DetectorCodebook:
@@ -297,15 +317,14 @@ class TestDecideSampled:
             labels=(0, 1),
         )
         rng = np.random.default_rng(63)
-        scores = score_states(povm, np.repeat(pure(1, 0)[None], 100, axis=0))
-        assert np.all(sample_labels(povm, scores, rng) == 0)
+        states = np.repeat(pure(1, 0)[None], 100, axis=0)
+        assert np.all(sample_labels(povm, states, rng) == 0)
 
     def test_qpsk_empirical_frequencies(self):
         cb = qpsk_codebook()
         povm = build_pgm(cb)
         rng = np.random.default_rng(64)
-        scores = score_states(povm, np.repeat(cb.mats[:1], 100_000, axis=0))
-        draws = sample_labels(povm, scores, rng)
+        draws = sample_labels(povm, np.repeat(cb.mats[:1], 100_000, axis=0), rng)
         freqs = np.bincount(draws, minlength=4) / draws.size
         assert freqs == pytest.approx([0.5, 0.0, 0.25, 0.25], abs=0.01)
 
@@ -316,8 +335,7 @@ class TestDecideSampled:
             labels=tuple(range(m)),
         )
         rng = np.random.default_rng(65)
-        scores = score_states(povm, np.repeat(pure(1, 0)[None], 20_000, axis=0))
-        draws = sample_labels(povm, scores, rng)
+        draws = sample_labels(povm, np.repeat(pure(1, 0)[None], 20_000, axis=0), rng)
         freqs = np.bincount(draws, minlength=m) / draws.size
         assert freqs == pytest.approx([0.25] * 4, abs=0.02)
 
@@ -355,9 +373,9 @@ class TestBatchDetection:
         # One uniform per row, in row order, searched like Generator.choice.
         rng = np.random.default_rng(68)
         povm = build_pgm(qam_codebook(16))
-        states = [random_density(rng, 2) for _ in range(200)]
-        scores = score_states(povm, np.stack([s.mat for s in states]))
-        batch = sample_labels(povm, scores, np.random.default_rng(69))
+        states = np.stack([random_density(rng, 2).mat for _ in range(200)])
+        scores = score_states(povm, states)
+        batch = sample_labels(povm, states, np.random.default_rng(69))
         ref_rng = np.random.default_rng(69)
         reference = [
             povm.labels[ref_rng.choice(16, p=np.clip(row, 0, None) / np.clip(row, 0, None).sum())]
@@ -372,85 +390,117 @@ class TestBatchDetection:
             17: embed_povm_with_erasure(build_pgm(qam_codebook(16)), 3),
             65: embed_povm_with_erasure(build_pgm(qam_codebook(64)), 3),
         }[k]
+        d = povm.dim
         rng = np.random.default_rng(75 + k)
-        negative = rng.random((3000, k)) < 0.05
-        scores = np.where(negative, 0.0, rng.random((3000, k)) ** 4)
-        scores /= scores.sum(axis=1, keepdims=True)
-        # Roundoff the sampler must accept: entries in [-TOL, 0) and row sums 1 +- 1e-7.
-        scores *= 1.0 + rng.uniform(-1e-7, 1e-7, (len(scores), 1))
-        scores[negative] = -TOL * rng.random(np.count_nonzero(negative))
-        scores[:5] = np.eye(k)[rng.integers(0, k, 5)]
-        got = sample_labels(povm, scores, np.random.default_rng(76))
-        want = four_buffer_sample_labels(povm, scores, np.random.default_rng(76))
+        states = np.stack([random_density(rng, d).mat for _ in range(3000)])
+        # Basis states give outcomes of probability exactly 0: QPSK's |0>
+        # and |1> elements, and every symbol outcome of the erasure flag |2>.
+        basis = np.eye(d, dtype=complex)[:, :, None] * np.eye(d)[:, None, :]
+        states[:300] = basis[rng.integers(0, d, 300)]
+        got = sample_labels(povm, states, np.random.default_rng(76))
+        want = four_buffer_sample_labels(
+            povm, score_states(povm, states), np.random.default_rng(76)
+        )
         assert np.array_equal(got, want)
         assert got.dtype == want.dtype
 
-    def test_sampler_builds_its_cdf_in_one_buffer(self):
-        n, k = 20000, 65
-        povm = POVM(elements=np.repeat(np.eye(2, dtype=complex)[None] / k, k, axis=0),
-                    labels=tuple(range(k)))
-        scores = np.random.default_rng(77).random((n, k))
-        scores /= scores.sum(axis=1, keepdims=True)
+    @pytest.mark.parametrize("n", [1, 7, 500, 20_000])
+    @pytest.mark.parametrize("m, erasure", [(4, False), (16, False), (16, True), (64, True)])
+    @pytest.mark.parametrize("kind", ["depolarizing", "turbulence", "pmd"])
+    def test_labels_match_score_sampler(self, kind, m, erasure, n):
+        povm, per_state, per_symbol = channel_outputs(kind, m, erasure, n)
+        got = sample_labels(povm, per_symbol, np.random.default_rng(86))
+        want = score_sample_labels(
+            povm, score_states(povm, per_symbol), np.random.default_rng(86)
+        )
+        assert np.array_equal(got, want)
+        index = np.random.default_rng(87).integers(0, m, n)
+        got = sample_labels(povm, per_state, np.random.default_rng(88), index)
+        want = score_sample_labels(
+            povm, score_states(povm, per_state)[index], np.random.default_rng(88)
+        )
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m, erasure", [(4, False), (64, True)])
+    def test_labels_do_not_depend_on_chunking(self, m, erasure):
+        povm, _, mats = channel_outputs("pmd", m, erasure, 300)
+        whole = sample_labels(povm, mats, np.random.default_rng(89))
+        for size in (1, 2, 7, 64, len(mats)):
+            rng = np.random.default_rng(89)
+            parts = np.concatenate(
+                [sample_labels(povm, mats[i : i + size], rng) for i in range(0, len(mats), size)]
+            )
+            assert np.array_equal(parts, whole), size
+
+    def test_sampler_forms_no_per_draw_cdf(self):
+        n = 20000
+        povm, _, mats = channel_outputs("pmd", 64, True, n)
+        assert povm.n_outcomes == 65
         rng = np.random.default_rng(78)
         tracemalloc.start()
         try:
-            sample_labels(povm, scores, rng)
+            sample_labels(povm, mats, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * scores.nbytes
+        assert peak < n * povm.n_outcomes * 8
 
     @pytest.mark.parametrize(
         "m, erasure, n",
         [(4, False, 5000), (16, True, 5000), (64, False, 5000), (64, False, 10), (16, True, 1)],
     )
     def test_per_state_labels_match_gathered_rows(self, m, erasure, n):
-        povm, scores = codebook_scores(m, erasure)
+        povm, mats = codebook_outputs(m, erasure)
         symbols = np.random.default_rng(80 + n).integers(0, m, n)
         got_rng, want_rng = np.random.default_rng(81), np.random.default_rng(81)
-        got = sample_labels(povm, scores, got_rng, symbols)
-        want = sample_labels(povm, scores[symbols], want_rng)
+        got = sample_labels(povm, mats, got_rng, symbols)
+        want = sample_labels(povm, mats[symbols], want_rng)
         assert np.array_equal(got, want)
         assert got.dtype == want.dtype
         assert got_rng.random() == want_rng.random()
 
     def test_per_state_draws_on_a_cdf_step_count_it(self):
         # A draw equal to a CDF value counts that entry (<=), also where a
-        # zero-probability outcome repeats the value; dyadic rows make the
-        # CDF exact.
+        # zero-probability outcome repeats the value; dyadic elements and
+        # basis states make the CDF exact: |0> has outcome probabilities
+        # (1/2, 0, 1/4, 1/4) and |1> (1/4, 1/4, 1/4, 1/4).
         class FixedDraws:
             def random(self, n):
                 return np.array([0.5, 0.75, 0.0, 0.25, 0.5])[:n]
 
-        povm = build_pgm(qpsk_codebook())
-        scores = np.array([[0.5, 0.0, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]])
+        povm = POVM(
+            elements=[np.diag(diag).astype(complex)
+                      for diag in ([0.5, 0.25], [0.0, 0.25], [0.25, 0.25], [0.25, 0.25])],
+            labels=(0, 1, 2, 3),
+        )
+        mats = np.stack([pure(1, 0), pure(0, 1)])
         index = np.array([0, 0, 0, 1, 1])
-        got = sample_labels(povm, scores, FixedDraws(), index)
+        got = sample_labels(povm, mats, FixedDraws(), index)
         assert got.tolist() == [2, 3, 0, 1, 2]
-        assert np.array_equal(got, sample_labels(povm, scores[index], FixedDraws()))
+        assert np.array_equal(got, sample_labels(povm, mats[index], FixedDraws()))
 
     def test_per_state_labels_skip_unsent_states(self):
-        povm, scores = codebook_scores(16, True)
+        povm, mats = codebook_outputs(16, True)
         symbols = np.random.default_rng(82).integers(0, 16, 2000)
         symbols[symbols == 3] = 4
-        # State 3 is never sent, so its row is never checked or searched.
-        scores = scores.copy()
-        scores[3] = -1.0
-        got = sample_labels(povm, scores, np.random.default_rng(83), symbols)
-        want = sample_labels(povm, scores[symbols], np.random.default_rng(83))
+        # State 3 is never sent, so it is never checked or searched.
+        mats = mats.copy()
+        mats[3] = np.diag([1.5, -0.5, 0.0])
+        got = sample_labels(povm, mats, np.random.default_rng(83), symbols)
+        want = sample_labels(povm, mats[symbols], np.random.default_rng(83))
         assert np.array_equal(got, want)
-        with pytest.raises(ValueError, match="negative"):
-            sample_labels(povm, scores, np.random.default_rng(83), np.array([3]))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            sample_labels(povm, mats, np.random.default_rng(83), np.array([3]))
 
     def test_per_state_sampler_forms_no_per_symbol_cdf(self):
         n = 20000
-        povm, scores = codebook_scores(64, True)
+        povm, mats = codebook_outputs(64, True)
         assert povm.n_outcomes == 65
         symbols = np.random.default_rng(84).integers(0, 64, n)
         rng = np.random.default_rng(85)
         tracemalloc.start()
         try:
-            sample_labels(povm, scores, rng, symbols)
+            sample_labels(povm, mats, rng, symbols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -473,10 +523,14 @@ class TestBatchDetection:
     def test_bad_probabilities_rejected(self):
         povm = build_pgm(qpsk_codebook())
         rng = np.random.default_rng(70)
-        with pytest.raises(ValueError, match="negative"):
-            sample_labels(povm, np.array([[0.5, 0.6, 0.0, -0.1]]), rng)
-        with pytest.raises(ValueError, match="sum"):
-            sample_labels(povm, np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.6, 0.0, 0.0]]), rng)
+        with pytest.raises(ValueError, match="trace"):
+            sample_labels(povm, np.stack([pure(1, 0), 1.1 * pure(0, 1)]), rng)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            sample_labels(povm, np.stack([pure(1, 0), np.diag([1.5, -0.5])]), rng)
+        with pytest.raises(ValueError, match="square"):
+            sample_labels(povm, np.array([[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]]), rng)
+        with pytest.raises(ValueError, match="dim"):
+            sample_labels(povm, np.eye(3)[None] / 3, rng)
 
 
 class TestTwoStateOptimality:
