@@ -11,7 +11,10 @@ received panels side by side.  All output is deterministic: fixed element
 order, fixed number formatting, no timestamps.  Each table row's numbers
 and each distinct (row, label) marker are formatted once, so writing costs
 in proportion to the number of distinct states, not of symbols; the bytes
-are those of formatting every symbol on its own.
+are those of formatting every symbol on its own.  Tables, row pairs,
+markers and CSV lines are each formatted by one printf-style template
+filled ``_CHUNK`` rows per '%' operation (:func:`_fill`), not by one
+Python call per number, so the text held at once stays bounded.
 """
 
 from __future__ import annotations
@@ -133,19 +136,48 @@ STATES_CSV_HEADER = (
 )
 
 
-def _csv_num(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 # What the writer emits, and so all the reader accepts: decimal integers,
 # and '.12g' spellings (no spaces, underscores, inf or nan).
 _CSV_INT = re.compile(r"[+-]?[0-9]+")
 _CSV_NUM = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?")
 
+# Rows filled per '%' operation: bounds the text and arguments held at once.
+_CHUNK = 512
+# A symbol's line: index, labels, and the text of its (tx row, rx row) pair,
+# which joins tx Bloch, rx Bloch and trace, tx I/Q and rx I/Q.
+_CSV_LINE = "%d,%d,%d,%s\n"
 
-def _csv_text(*columns: np.ndarray) -> list[str]:
+
+def _fill(template: str, *columns: np.ndarray, sep: str = "\0"):
+    """Yield ``template`` filled from each row of the side-by-side 1-D
+    ``columns``, one string per ``_CHUNK`` rows, the rows joined by ``sep``.
+
+    For a float, '%.12g' and '%.2f' spell the same bytes as ``format``
+    with '.12g' and '.2f'.  The default NUL separator occurs in no filled
+    text (numbers, fixed markup and palette colors), so it splits rows."""
+    width = len(columns)
+    for start in range(0, len(columns[0]), _CHUNK):
+        block = [column[start : start + _CHUNK].tolist() for column in columns]
+        args = [None] * (width * len(block[0]))
+        for j, column in enumerate(block):
+            args[j::width] = column
+        yield sep.join([template] * len(block[0])) % tuple(args)
+
+
+def _filled(template: str, *columns: np.ndarray, svg: bool = False) -> np.ndarray:
+    """:func:`_fill`'s text as an object array, one string per row.  With
+    ``svg``, '"-0.00"' becomes '"0.00"', as in :func:`_fmt`: every SVG
+    number is a quoted attribute value, so this touches whole values only."""
+    rows = []
+    for text in _fill(template, *columns):
+        rows += (text.replace('"-0.00"', '"0.00"') if svg else text).split("\0")
+    return np.array(rows, dtype=object)
+
+
+def _csv_text(*columns: np.ndarray) -> np.ndarray:
     """CSV text of the side-by-side ``columns``, one string per table row."""
-    return [",".join(map(_csv_num, row)) for row in np.column_stack(columns).tolist()]
+    table = np.column_stack(columns)
+    return _filled(",".join(["%.12g"] * table.shape[1]), *table.T)
 
 
 def write_states_csv(
@@ -160,10 +192,13 @@ def write_states_csv(
     Bloch and constellation columns come from the leading-block
     projection, so rows stay well-defined for enlarged (erasure) outputs;
     ``rx_renorm_trace`` records the weight left in the qubit block.  Each
-    table row's numbers are formatted once, and each symbol's line joins
-    the text of its ``rows`` entries, so the cost scales with the number
-    of distinct states.  No field needs CSV quoting: they are ints and
-    '.12g' numbers.
+    table is formatted once, by one '%.12g' template per ``_CHUNK`` rows.
+    The symbols are written ``_CHUNK`` at a time: the text of each distinct
+    (tx row, rx row) pair in the chunk is joined once, and one
+    ``_CSV_LINE`` template fills the chunk's lines.  So the cost scales
+    with the number of distinct states, and the text held at once is that
+    of the tables plus one chunk, not of every symbol.  No field needs CSV
+    quoting: they are ints and '.12g' numbers.
     """
     if not len(tx_rows) == len(rx_rows) == len(tx_labels) == len(rx_labels):
         raise ValueError("state and label sequences must have equal lengths")
@@ -171,13 +206,19 @@ def write_states_csv(
     rx_labels = _check_labels(rx_labels, "rx_labels")
     tx_bloch, tx_iq = _csv_text(tx_rows.bloch), _csv_text(tx_rows.iq)
     rx_bloch, rx_iq = _csv_text(rx_rows.bloch, rx_rows.trace), _csv_text(rx_rows.iq)
-    lines = zip(*(col.tolist() for col in (tx_labels, rx_labels, tx_rows.rows, rx_rows.rows)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(STATES_CSV_HEADER) + "\n")
-        fh.writelines(
-            f"{idx},{tx},{rx},{tx_bloch[a]},{rx_bloch[b]},{tx_iq[a]},{rx_iq[b]}\n"
-            for idx, (tx, rx, a, b) in enumerate(lines)
-        )
+        for start in range(0, len(tx_labels), _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            a, b = (table.rows[chunk].astype(np.int64) for table in (tx_rows, rx_rows))
+            pairs, pair = np.unique(a * len(rx_bloch) + b, return_inverse=True)
+            a, b = np.divmod(pairs, len(rx_bloch))
+            fields = (tx_bloch[a], rx_bloch[b], tx_iq[a], rx_iq[b])
+            text = np.array(list(map(",".join, zip(*(f.tolist() for f in fields)))), dtype=object)
+            index = np.arange(start, start + len(pair))
+            fh.writelines(
+                _fill(_CSV_LINE, index, tx_labels[chunk], rx_labels[chunk], text[pair], sep="")
+            )
 
 
 def read_states_csv(path: str | Path) -> tuple:
@@ -276,47 +317,42 @@ def _color(label: int) -> str:
     return _PALETTE[label % len(_PALETTE)]
 
 
-def _legend(parts: list[str], labels: np.ndarray, x: float, y: float) -> None:
-    seen = sorted(set(labels.tolist()), key=lambda v: (v < 0, v))
-    for k, label in enumerate(seen):
-        lx = x + 62.0 * k
-        name = "erased" if label < 0 else f"s{label}"
-        parts.append(
-            f'<rect x="{_fmt(lx)}" y="{_fmt(y)}" width="10" height="10" '
-            f'fill="{_color(label)}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(lx + 14)}" y="{_fmt(y + 9)}" font-size="11" '
-            f'fill="#333">{name}</text>'
-        )
+_KEY = (
+    '<rect x="%.2f" y="%.2f" width="10" height="10" fill="%s"/>\n'
+    '<text x="%.2f" y="%.2f" font-size="11" fill="#333">%s</text>'
+)
 
 
-def _marker(px: float, py: float, color: str, clipped: bool) -> str:
-    if clipped:
-        return "\n".join(
-            f'<line x1="{_fmt(px + dx)}" y1="{_fmt(py + dy)}" '
-            f'x2="{_fmt(px - dx)}" y2="{_fmt(py - dy)}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-            for dx, dy in ((-4, -4), (-4, 4))
-        )
-    return (
-        f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="{color}" '
-        f'fill-opacity="0.75"/>'
-    )
+def _legend(parts: list[str], names: np.ndarray, colors: np.ndarray, x: float, y: float) -> None:
+    """One key per distinct label in ``names`` (sorted, as from ``np.unique``):
+    the symbols in increasing order, then the erasure label."""
+    order = np.argsort(names < 0, kind="stable")
+    text = np.array(["erased" if v < 0 else f"s{v}" for v in names[order].tolist()], dtype=object)
+    lx, ly = x + 62.0 * np.arange(len(names)), np.full(len(names), y)
+    parts.extend(_filled(_KEY, lx, ly, colors[order], lx + 14, ly + 9, text, svg=True).tolist())
 
 
-def _markers(parts: list[str], px, py, clipped, rows, labels: np.ndarray) -> None:
+_CIRCLE = '<circle cx="%.2f" cy="%.2f" r="4" fill="%s" fill-opacity="0.75"/>'
+# A clipped point: the two diagonals of a square 8 px wide around it.
+_SEGMENT = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" stroke-width="1.5"/>'
+_CROSS = _SEGMENT + "\n" + _SEGMENT
+
+
+def _markers(parts: list[str], px, py, clipped, rows, labels, colors) -> None:
     """One marker per symbol, at table row ``rows[k]`` of the per-row ``px``,
-    ``py`` and ``clipped``; each distinct (row, label) pair formatted once."""
-    # Labels are numbered densely first, so the pair key cannot overflow.
-    names, label_index = np.unique(labels, return_inverse=True)
-    keys, inverse = np.unique(rows * len(names) + label_index, return_inverse=True)
-    px, py, clipped, names = px.tolist(), py.tolist(), clipped.tolist(), names.tolist()
-    text = [
-        _marker(px[row], py[row], _color(names[k]), clipped[row])
-        for row, k in zip(*(a.tolist() for a in np.divmod(keys, len(names))))
-    ]
-    parts.extend([text[k] for k in inverse.tolist()])
+    ``py`` and ``clipped``, in color ``colors[labels[k]]``: a circle, or a
+    cross if clipped.  Each distinct (row, label) pair is formatted once, by
+    one template per marker shape."""
+    keys, inverse = np.unique(rows.astype(np.int64) * len(colors) + labels, return_inverse=True)
+    row, label = np.divmod(keys, len(colors))
+    x, y, cross, color = px[row], py[row], clipped[row].astype(bool), colors[label]
+    text = np.empty(len(keys), dtype=object)
+    text[~cross] = _filled(_CIRCLE, x[~cross], y[~cross], color[~cross], svg=True)
+    x, y, c = x[cross], y[cross], color[cross]
+    text[cross] = _filled(
+        _CROSS, x - 4, y - 4, x + 4, y + 4, c, x - 4, y + 4, x + 4, y - 4, c, svg=True
+    )
+    parts.extend(text[inverse].tolist())
 
 
 _PANEL = 380.0
@@ -326,12 +362,25 @@ _WIDTH = int(2 * _PANEL + 2 * _MARGIN + _GAP)
 _HEIGHT = int(_PANEL + 2 * _MARGIN + 40)
 
 
+def _panels(parts: list[str], draw_panel, tx, tx_labels, rx, rx_labels) -> None:
+    """``draw_panel(parts, table, labels, colors, x0, name)`` for both panels,
+    then the legend.  ``labels`` are each symbol's index into ``colors``, one
+    color per distinct label of the two panels; they are freed on return,
+    before the caller joins the document."""
+    # Labels are numbered densely, so a (row, label) key cannot overflow.
+    names, labels = np.unique(np.concatenate([tx_labels, rx_labels]), return_inverse=True)
+    colors = np.array([_color(v) for v in names.tolist()], dtype=object)
+    draw_panel(parts, tx, labels[: len(tx)], colors, _MARGIN, "transmitted")
+    draw_panel(parts, rx, labels[len(tx) :], colors, _MARGIN + _PANEL + _GAP, "received")
+    _legend(parts, names, colors, _MARGIN, _MARGIN + _PANEL + 18)
+
+
 def _figure(
     what: str, comment: str, draw_panel, tx: StateProjection, tx_labels,
     rx: StateProjection, rx_labels, path: str | Path, title: str,
 ) -> None:
-    """Write the header, ``draw_panel(parts, table, labels, x0, name)`` for
-    both panels and the shared legend to ``path``."""
+    """Write the header, both panels (see :func:`_panels`) and the legend to
+    ``path``."""
     if not len(tx) or not len(rx):
         raise ValueError(f"{what} rendering needs nonempty tx and rx tables")
     if len(tx_labels) != len(tx) or len(rx_labels) != len(rx):
@@ -349,9 +398,7 @@ def _figure(
             f'<text x="{_fmt(_WIDTH / 2)}" y="26" font-size="15" fill="#111" '
             f'text-anchor="middle">{_esc(title)}</text>'
         )
-    draw_panel(parts, tx, tx_labels, _MARGIN, "transmitted")
-    draw_panel(parts, rx, rx_labels, _MARGIN + _PANEL + _GAP, "received")
-    _legend(parts, np.concatenate([tx_labels, rx_labels]), _MARGIN, _MARGIN + _PANEL + 18)
+    _panels(parts, draw_panel, tx, tx_labels, rx, rx_labels)
     parts.append("</svg>")
     with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts))
@@ -371,7 +418,7 @@ def render_constellation_svg(
     sent = np.concatenate([tx.iq[tx.rows], rx.iq[rx.rows]])
     half = 1.05 * float(np.max(np.abs(sent), initial=1.0))
 
-    def draw_panel(parts, table: StateProjection, labels, x0: float, name: str) -> None:
+    def draw_panel(parts, table: StateProjection, labels, colors, x0: float, name: str) -> None:
         y0 = _MARGIN
         cx, cy = x0 + _PANEL / 2, y0 + _PANEL / 2
         parts += [
@@ -391,7 +438,7 @@ def render_constellation_svg(
         i, q = table.iq.T
         px = x0 + (i + half) / (2 * half) * _PANEL
         py = y0 + (half - q) / (2 * half) * _PANEL
-        _markers(parts, px, py, table.clipped, table.rows, labels)
+        _markers(parts, px, py, table.clipped, table.rows, labels, colors)
 
     comment = f"<!-- constellation reconstruction; axis half-range {_fmt(half)} -->"
     _figure("constellation", comment, draw_panel, tx, tx_labels, rx, rx_labels, path, title)
@@ -438,7 +485,7 @@ def render_bloch_svg(
     """Two-panel Bloch sphere scatter colored by label, in the fixed orthographic view."""
     radius = _PANEL / 2 - 14.0
 
-    def draw_panel(parts, table: StateProjection, labels, x0: float, name: str) -> None:
+    def draw_panel(parts, table: StateProjection, labels, colors, x0: float, name: str) -> None:
         cx, cy = x0 + _PANEL / 2, _MARGIN + _PANEL / 2
         parts.extend(_sphere_wireframe(cx, cy, radius))
         parts.append(
@@ -447,7 +494,7 @@ def render_bloch_svg(
         )
         u, v = _project(*table.bloch.T)
         unclipped = np.zeros(len(u), bool)
-        _markers(parts, cx + radius * u, cy - radius * v, unclipped, table.rows, labels)
+        _markers(parts, cx + radius * u, cy - radius * v, unclipped, table.rows, labels, colors)
 
     comment = "<!-- Bloch sphere, orthographic projection, azimuth 30 deg, elevation 20 deg -->"
     _figure("Bloch", comment, draw_panel, tx, tx_labels, rx, rx_labels, path, title)

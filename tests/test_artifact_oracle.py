@@ -1,15 +1,16 @@
 """Byte oracle for the artifact writers.
 
 The writers format each table row once, compute point coordinates per
-table row as arrays, and index the text by each symbol's row.  The
-reference writers below do the plain thing instead: they expand every
-table to one row per symbol (``table.X[table.rows]``), then a
-``csv.writer`` row loop formats all eleven numbers of every row, and SVG
-renderers project and draw every point on its own with scalar arithmetic.
+table row as arrays, and fill printf-style templates a chunk of rows at a
+time.  The reference writers below do the plain thing instead: they expand
+every table to one row per symbol (``table.X[table.rows]``), then a
+``csv.writer`` row loop formats all eleven numbers of every row with
+``format(x, ".12g")``, and SVG renderers project and draw every point on
+its own with scalar arithmetic and their own ``f"{x:.2f}"`` spelling.
 Both must write the same bytes, on real pipeline tables and on hand-built
 tables with repeated rows, signed zeros, clipped points, erased labels,
-enlarged (3x3) states, a single row, unreferenced rows and indexes taken
-twice.
+enlarged (3x3) states, a single row, unreferenced rows, indexes taken
+twice and values whose spelling is easy to get wrong.
 """
 
 import csv
@@ -28,6 +29,12 @@ from qlinksim.visualization import (
     render_constellation_svg,
     write_states_csv,
 )
+
+
+def fmt(x):
+    """An SVG coordinate: two decimals, with "-0.00" written as "0.00"."""
+    s = f"{x:.2f}"
+    return "0.00" if s == "-0.00" else s
 
 
 def reference_states_csv(path, tx_rows, rx_rows, tx_labels, rx_labels):
@@ -54,7 +61,6 @@ def _project(x, y, z):
 
 
 def _marker(parts, px, py, color, clipped):
-    fmt = vis._fmt
     if clipped:
         for dx, dy in ((-4, -4), (-4, 4)):
             parts.append(
@@ -70,7 +76,6 @@ def _marker(parts, px, py, color, clipped):
 
 
 def _legend(parts, labels, x, y):
-    fmt = vis._fmt
     for k, label in enumerate(sorted(set(labels), key=lambda v: (v < 0, v))):
         lx = x + 62.0 * k
         name = "erased" if label < 0 else f"s{label}"
@@ -85,7 +90,7 @@ def _legend(parts, labels, x, y):
 
 
 def _header(comment, title):
-    width, height, fmt = vis._WIDTH, vis._HEIGHT, vis._fmt
+    width, height = vis._WIDTH, vis._HEIGHT
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -101,7 +106,7 @@ def _header(comment, title):
 
 
 def reference_constellation_svg(tx, tx_labels, rx, rx_labels, path, title=""):
-    fmt, panel, margin = vis._fmt, vis._PANEL, vis._MARGIN
+    panel, margin = vis._PANEL, vis._MARGIN
     tx_labels, rx_labels = np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist()
     sent = np.concatenate([tx.iq[tx.rows], rx.iq[rx.rows]])
     half = 1.05 * float(np.max(np.abs(sent), initial=1.0))
@@ -137,7 +142,7 @@ def reference_constellation_svg(tx, tx_labels, rx, rx_labels, path, title=""):
 
 
 def reference_bloch_svg(tx, tx_labels, rx, rx_labels, path, title=""):
-    fmt, panel, margin = vis._fmt, vis._PANEL, vis._MARGIN
+    panel, margin = vis._PANEL, vis._MARGIN
     tx_labels, rx_labels = np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist()
     parts = _header(
         "<!-- Bloch sphere, orthographic projection, azimuth 30 deg, elevation 20 deg -->",
@@ -315,3 +320,80 @@ def test_labels_far_apart(tmp_path):
     states = table([(0.1 * k, 0.0) for k in range(5)])
     labels = [7, -1, 2**62]
     assert_same_bytes(tmp_path, states.take([0, 4, 1]), [0, 4, 1], states.take([0, 4, 1]), labels)
+
+
+def bloch_at(points):
+    """Bloch vectors (on the y = 0 plane) that the transmitted Bloch panel
+    draws at the given (px, py) points, up to roundoff."""
+    cx = cy = vis._MARGIN + vis._PANEL / 2
+    r = vis._PANEL / 2 - 14.0
+    sin_az, cos_az = np.sin(vis._AZIMUTH), np.cos(vis._AZIMUTH)
+    sin_el, cos_el = np.sin(vis._ELEVATION), np.cos(vis._ELEVATION)
+    px, py = np.asarray(points, dtype=float).T
+    x = (cx - px) / (r * sin_az)
+    z = ((cy - py) / r + sin_el * cos_az * x) / cos_el
+    return np.column_stack([x, np.zeros_like(x), z])
+
+
+def test_adversarial_values(tmp_path):
+    # Spellings that are easy to get wrong: signed zeros, the smallest
+    # subnormal, huge and integral magnitudes, an inexact sum and values on
+    # a 12-digit rounding edge in the CSV; coordinates that print as -0.00
+    # and sit on a .xx5 edge in the Bloch panel; and clipped crosses.
+    values = [
+        -0.0, -0.004, 5e-324, 1e300, -1e300, 1e16, 0.1 + 0.2,
+        0.1234567890125, 1.0000000000005, -9.9999999999995, 2.675, 1.005,
+    ]
+    n = len(values)
+    spins = np.array([np.roll(values, -k)[:3] for k in range(n)])
+    coordinates = [
+        (-0.004, 240.0), (-0.0049, 12.345), (0.004, -0.004), (12.345, 12.355),
+        (0.125, 0.375), (-12.005, 2.675),
+    ]
+    spins[: len(coordinates)] = bloch_at(coordinates)
+    tx = table(
+        np.column_stack([values, values[::-1]]), bloch=spins,
+        trace=np.roll(values, 3), clipped=[2, 5, 9],
+    )
+    rx = table(
+        np.column_stack([np.roll(values, 5), values]), bloch=spins[::-1],
+        trace=values, clipped=[0, 3],
+    )
+    symbols = np.arange(n)
+    assert_same_bytes(tmp_path, tx, symbols % 4, rx, symbols % 3 - 1)
+    csv_text = (tmp_path / "fast_states.csv").read_text()
+    spellings = ("-0", "-0.004", "4.94065645841e-324", "1e+300", "-1e+300", "1e+16", "0.3")
+    for spelling in spellings:
+        assert f",{spelling}," in csv_text, spelling
+    # The first three points would print -0.00 unless rewritten.
+    u, v = _project(*spins[0])
+    assert f"{vis._MARGIN + vis._PANEL / 2 + (vis._PANEL / 2 - 14.0) * u:.2f}" == "-0.00"
+    bloch_text = (tmp_path / "fast_bloch.svg").read_text()
+    assert '<circle cx="0.00" cy="240.00"' in bloch_text and "-0.00" not in bloch_text
+    assert (tmp_path / "fast_constellation.svg").read_text().count('stroke-width="1.5"') == 10
+    # Crosses whose ends sit on .xx5 edges in the constellation panel, where
+    # the I/Q table's 1e300 above put every point at the centre.
+    half, x0 = 1.05 * 2.0, vis._MARGIN
+    px, py = np.array([(100.005, 300.015), (123.455, 254.445), (236.125, 244.875)]).T
+    i = (px - x0) / vis._PANEL * 2 * half - half
+    q = half - (py - x0) / vis._PANEL * 2 * half
+    iq = np.column_stack([i, q])
+    edges = table(np.vstack([iq, [(2.0, 0.0)]]), clipped=[0, 1, 2])
+    assert_same_bytes(tmp_path, edges, [0, 1, 2, 3], edges, [3, 2, 1, 0])
+    assert (tmp_path / "fast_constellation.svg").read_text().count('stroke-width="1.5"') == 12
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_chunk_boundaries(tmp_path, monkeypatch, chunk):
+    # Rows, pairs, markers and lines filled a few at a time, so that chunks
+    # split repeated rows and pairs, and markers of both shapes.
+    monkeypatch.setattr(vis, "_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    states = table(rng.standard_normal((5, 2)), bloch=rng.standard_normal((5, 3)), clipped=[1, 3])
+    received = table(
+        rng.standard_normal((40, 2)), bloch=rng.standard_normal((40, 3)), clipped=[0, 7]
+    )
+    pick = rng.integers(0, 5, size=40)
+    labels = rng.integers(-1, 4, size=40)
+    assert_same_bytes(tmp_path, states.take(pick), pick, received, labels)
+    assert_same_bytes(tmp_path, states.take(pick), pick, states.take(pick[::-1]), labels)

@@ -342,20 +342,24 @@ class TestRunSimulation:
         assert sizes == [16]
 
     def test_artifacts_format_each_distinct_state_once(self, tmp_path, monkeypatch):
-        counts = {"csv": 0, "marker": 0}
+        # Table rows and markers are formatted by templates that `_fill`
+        # fills once per row: count the numbers and markers those rows hold.
+        # The CSV lines take each symbol's (tx row, rx row) pair text; count
+        # the distinct strings among them, which is the number of joins.
+        counts = {"csv": 0, "pair": 0, "marker": 0}
+        real = visualization._fill
 
-        def counting(module, name, key):
-            real = getattr(module, name)
+        def counting(template, *columns, **kwargs):
+            rows = len(columns[0])
+            counts["csv"] += rows * template.count("%.12g")
+            counts["marker"] += rows * (template in (visualization._CIRCLE, visualization._CROSS))
+            if template == visualization._CSV_LINE:
+                counts["pair"] += len(set(map(id, columns[-1])))
+            return real(template, *columns, **kwargs)
 
-            def wrapper(*args):
-                counts[key] += 1
-                return real(*args)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(visualization, "_csv_num", "csv")
-        counting(visualization, "_marker", "marker")
+        monkeypatch.setattr(visualization, "_fill", counting)
         m, n = 16, 4000
+        chunks = -(-n // visualization._CHUNK)
         cfg = SimulationConfig(
             modulation="qam", qam_order=m, n_symbols=n, seed=3, decision_mode="sampled",
             channels=(("era", ErasureConfig(p=0.25)), ("pmd", PMDConfig(dgd=2.0, sigma_omega=1.0))),
@@ -363,14 +367,17 @@ class TestRunSimulation:
         )
         run_simulation(cfg, "era")
         # Per-symbol formatting would take n * 11 numbers and 4 n markers.
-        assert counts["csv"] <= m * 11
+        assert 0 < counts["csv"] <= m * 11
+        # Each symbol chunk joins each (tx state, rx state) pair it holds once.
+        assert 0 < counts["pair"] <= m * chunks
         # Per renderer: m tx markers, at most m * (m + 1) (state, label) rx markers.
-        assert counts["marker"] <= 2 * (m + m * (m + 1))
+        assert 0 < counts["marker"] <= 2 * (m + m * (m + 1))
         # A stochastic channel's n received states are distinct; the m tx
         # states are still formatted once each.
-        counts.update(csv=0, marker=0)
+        counts.update(csv=0, pair=0, marker=0)
         run_simulation(cfg, "pmd")
         assert 0 < counts["csv"] <= 5 * m + 6 * n
+        assert 0 < counts["pair"] <= n
         assert 0 < counts["marker"] <= 2 * (m + n)
 
 
