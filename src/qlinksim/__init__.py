@@ -27,8 +27,6 @@ from .detection import (
     score_states,
 )
 from .metrics import (
-    compute_ber,
-    compute_ser,
     confusion_matrix,
     error_counts,
     hamming_table,
@@ -39,7 +37,6 @@ from .modulation import (
     qam_codebook,
     qam_constellation,
     qpsk_codebook,
-    symbols_to_bits,
 )
 from .pipeline import VERSION as __version__
 from .pipeline import (
@@ -57,9 +54,6 @@ from .states import (
     DensityMatrix,
     InvalidStateError,
     bloch_xyz,
-    hermitize,
-    inv_sqrt_psd,
-    leading_blocks,
     make_pure_states,
 )
 from .visualization import (
@@ -90,8 +84,6 @@ __all__ = [
     "argmax_labels",
     "bloch_xyz",
     "build_pgm",
-    "compute_ber",
-    "compute_ser",
     "confusion_matrix",
     "decide",
     "default_config_path",
@@ -100,9 +92,6 @@ __all__ = [
     "embed_povm_with_erasure",
     "error_counts",
     "hamming_table",
-    "hermitize",
-    "inv_sqrt_psd",
-    "leading_blocks",
     "load_config",
     "make_pure_states",
     "measurement_scores",
@@ -116,6 +105,5 @@ __all__ = [
     "run_simulation",
     "sample_labels",
     "score_states",
-    "symbols_to_bits",
     "write_states_csv",
 ]

@@ -8,46 +8,13 @@ that count and the (M, M + 1) :func:`hamming_table` of the codebook's bit
 labels.  Counts add, so the count of a run is the sum of the counts of its
 parts.
 
-:func:`compute_ser` and :func:`compute_ber` score per-symbol sequences
-directly and serve as the reference the counts are tested against.  The
-erasure label -1 never matches a real symbol or bit, so erased receptions
-count as errors in both rates without special casing.  The transmit side
-must not contain -1; that label is a receive-only sentinel.
+An erased reception (-1) is an error in its symbol and in every bit; -1
+is a receive-only label, never a transmitted symbol.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _mismatches(tx, rx, what: str) -> tuple[int, int]:
-    tx = np.asarray(tx, dtype=int)
-    rx = np.asarray(rx, dtype=int)
-    if tx.ndim != 1 or rx.ndim != 1:
-        raise ValueError(f"{what} sequences must be one-dimensional")
-    if tx.size == 0:
-        raise ValueError(f"cannot compute a rate over zero {what}s")
-    if tx.size != rx.size:
-        raise ValueError(
-            f"{what} sequences differ in length: {tx.size} vs {rx.size}"
-        )
-    if tx.min(initial=0) < 0:
-        raise ValueError(f"transmitted {what}s must be nonnegative; -1 is receive-only")
-    return int(np.count_nonzero(tx != rx)), int(tx.size)
-
-
-def compute_ser(tx_symbols, rx_symbols) -> tuple[float, int]:
-    """Symbol error rate and error count; erased (-1) receptions are errors."""
-    errors, n = _mismatches(tx_symbols, rx_symbols, "symbol")
-    return errors / n, errors
-
-
-def compute_ber(tx_bits, rx_bits) -> tuple[float, int]:
-    """Bit error rate and error count over flattened bit sequences."""
-    tx = np.asarray(tx_bits, dtype=int).ravel()
-    rx = np.asarray(rx_bits, dtype=int).ravel()
-    errors, n = _mismatches(tx, rx, "bit")
-    return errors / n, errors
 
 
 def confusion_matrix(tx_symbols, rx_labels, M: int) -> np.ndarray:
@@ -99,8 +66,7 @@ def error_counts(confusion, hamming) -> tuple[tuple[float, int], tuple[float, in
     """``(ser, symbol errors), (ber, bit errors), erasures`` of a confusion count.
 
     ``confusion`` is a :func:`confusion_matrix` and ``hamming`` the
-    :func:`hamming_table` of the same codebook; the rates equal
-    :func:`compute_ser` and :func:`compute_ber` on the counted sequences.
+    :func:`hamming_table` of the same codebook; the BER is over symbols * bits.
     """
     confusion = np.asarray(confusion)
     hamming = np.asarray(hamming)

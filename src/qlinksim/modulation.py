@@ -10,7 +10,7 @@ after normalizing the constellation to unit average power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +26,8 @@ class DetectorCodebook:
     ``mats`` is the (M, d, d) stack of reference states, checked as states
     where it was built (:func:`~qlinksim.states.make_pure_states` or
     :func:`~qlinksim.states.check_states`); the codebook keeps a read-only
-    view of it.  ``bit_table`` holds the (M, bits) 0/1 labels given as
-    ``bit_labels`` and a last row of -1 for the erasure label;
-    ``bit_labels`` becomes a view of its first M rows.  ``power_scale``
+    view of it.  ``bit_labels`` is the (M, bits) table of 0/1 labels, one
+    row per state, kept as its own integer array.  ``power_scale``
     records the amplitude normalization applied before embedding, so
     plotting code can undo it and recover constellation coordinates on the
     original grid.  Every array is read-only, as a comparison shares them.
@@ -38,8 +37,6 @@ class DetectorCodebook:
     priors: np.ndarray
     bit_labels: np.ndarray
     power_scale: float = 1.0
-    name: str = ""
-    bit_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # A view, so the caller's own array keeps its flags.
@@ -57,11 +54,7 @@ class DetectorCodebook:
         labels = np.array(self.bit_labels, dtype=int)
         if labels.ndim != 2 or len(labels) != len(mats):
             raise ValueError(f"one bit label per state required, got shape {labels.shape}")
-        bit_table = np.vstack([labels, np.full((1, labels.shape[1]), -1)])
-        for attr, value in (
-            ("mats", mats), ("priors", priors),
-            ("bit_table", bit_table), ("bit_labels", bit_table[:-1]),
-        ):
+        for attr, value in (("mats", mats), ("priors", priors), ("bit_labels", labels)):
             value.flags.writeable = False
             object.__setattr__(self, attr, value)
 
@@ -98,7 +91,6 @@ def qpsk_codebook() -> DetectorCodebook:
         mats=make_pure_states(amplitudes),
         priors=np.full(4, 0.25),
         bit_labels=((0, 0), (0, 1), (1, 0), (1, 1)),
-        name="qpsk",
     )
 
 
@@ -167,17 +159,4 @@ def qam_codebook(order: int) -> DetectorCodebook:
         priors=np.full(len(alphas), 1.0 / len(alphas)),
         bit_labels=bits,
         power_scale=scale,
-        name=f"qam{order}",
     )
-
-
-def symbols_to_bits(symbols, codebook: DetectorCodebook) -> np.ndarray:
-    """Expand symbol indices to bit rows; the erasure label -1 expands to all -1."""
-    symbols = np.asarray(symbols, dtype=int)
-    if symbols.size and (symbols.min() < -1 or symbols.max() >= codebook.M):
-        raise ValueError(
-            f"symbol indices must be in [-1, {codebook.M - 1}], "
-            f"got range [{symbols.min()}, {symbols.max()}]"
-        )
-    # Row M is the expansion of the erasure label, addressed as index -1.
-    return codebook.bit_table[symbols]

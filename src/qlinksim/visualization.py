@@ -108,14 +108,17 @@ def project_states(
 
 
 def _check_labels(labels, name: str) -> np.ndarray:
-    """``labels`` as a 1-D integer array of symbols (>= 0) and erasures (-1)."""
+    """``labels`` as a 1-D int64 array of symbols (>= 0) and erasures (-1)."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.dtype.kind not in "iu":
         raise ValueError(f"{name} must be a 1-D integer array, got {labels.dtype} {labels.shape}")
-    below = np.flatnonzero(labels < -1)
-    if below.size:
-        raise ValueError(f"{name} must be >= -1, got {labels[below[0]]} at index {below[0]}")
-    return labels
+    # One dtype for every label array; an unsigned label above 2**63 - 1 wraps negative.
+    out = labels.astype(np.int64, copy=False)
+    bad = np.flatnonzero(out < (-1 if labels.dtype.kind == "i" else 0))
+    if bad.size:
+        bound = ">= -1" if labels.dtype.kind == "i" else "<= 2**63 - 1"
+        raise ValueError(f"{name} must be {bound}, got {labels[bad[0]]} at index {bad[0]}")
+    return out
 
 
 STATES_CSV_HEADER = (

@@ -1,8 +1,9 @@
 """Shared helpers: reproducible random states for property tests, the
 two-mode dilation of thermal loss that the bosonic channel is checked
 against, the state-per-row PMD recurrence that the PMD kernel is checked
-against bit for bit, and the score-based Born sampler that the cumulative
-POVM sampler is checked against label for label."""
+against bit for bit, the score-based Born sampler that the cumulative
+POVM sampler is checked against label for label, and the per-symbol
+SER/BER that the confusion counts are checked against."""
 
 import numpy as np
 
@@ -96,3 +97,50 @@ def score_sample_labels(povm, scores, rng):
     cdf /= cdf[:, -1:].copy()
     draws = rng.random(len(cdf))
     return np.asarray(povm.labels)[np.count_nonzero(cdf <= draws[:, None], axis=1)]
+
+
+def _mismatches(tx, rx, what: str) -> tuple[int, int]:
+    tx = np.asarray(tx, dtype=int)
+    rx = np.asarray(rx, dtype=int)
+    if tx.ndim != 1 or rx.ndim != 1:
+        raise ValueError(f"{what} sequences must be one-dimensional")
+    if tx.size == 0:
+        raise ValueError(f"cannot compute a rate over zero {what}s")
+    if tx.size != rx.size:
+        raise ValueError(f"{what} sequences differ in length: {tx.size} vs {rx.size}")
+    if tx.min(initial=0) < 0:
+        raise ValueError(f"transmitted {what}s must be nonnegative; -1 is receive-only")
+    return int(np.count_nonzero(tx != rx)), int(tx.size)
+
+
+def compute_ser(tx_symbols, rx_symbols) -> tuple[float, int]:
+    """Symbol error rate and error count of two symbol sequences; an erased
+    (-1) reception never matches, so it is an error."""
+    errors, n = _mismatches(tx_symbols, rx_symbols, "symbol")
+    return errors / n, errors
+
+
+def compute_ber(tx_bits, rx_bits) -> tuple[float, int]:
+    """Bit error rate and error count over flattened bit sequences."""
+    tx = np.asarray(tx_bits, dtype=int).ravel()
+    rx = np.asarray(rx_bits, dtype=int).ravel()
+    errors, n = _mismatches(tx, rx, "bit")
+    return errors / n, errors
+
+
+def bit_table(codebook) -> np.ndarray:
+    """The codebook's (M, bits) labels and a last row of -1 for the erasure label."""
+    labels = codebook.bit_labels
+    return np.vstack([labels, np.full((1, labels.shape[1]), -1)])
+
+
+def symbols_to_bits(symbols, codebook) -> np.ndarray:
+    """Expand symbol indices to bit rows; the erasure label -1 expands to all -1."""
+    symbols = np.asarray(symbols, dtype=int)
+    if symbols.size and (symbols.min() < -1 or symbols.max() >= codebook.M):
+        raise ValueError(
+            f"symbol indices must be in [-1, {codebook.M - 1}], "
+            f"got range [{symbols.min()}, {symbols.max()}]"
+        )
+    # Row M is the expansion of the erasure label, addressed as index -1.
+    return bit_table(codebook)[symbols]

@@ -9,7 +9,15 @@ import json
 import time
 
 import numpy as np
-from conftest import dilation_reference, pure, purity, random_density, random_pure
+from conftest import (
+    compute_ber,
+    dilation_reference,
+    pure,
+    purity,
+    random_density,
+    random_pure,
+    symbols_to_bits,
+)
 
 from qlinksim import (
     Channel,
@@ -37,8 +45,6 @@ from qlinksim import (
     run_simulation,
     sample_labels,
     score_states,
-    symbols_to_bits,
-    compute_ber,
 )
 from qlinksim.channels import _pure_loss
 

@@ -17,8 +17,6 @@ from qlinksim import (
     build_pgm,
     decide,
     embed_povm_with_erasure,
-    hermitize,
-    inv_sqrt_psd,
     make_pure_states,
     measurement_scores,
     qam_codebook,
@@ -26,7 +24,7 @@ from qlinksim import (
     sample_labels,
     score_states,
 )
-from qlinksim.states import TOL
+from qlinksim.states import TOL, hermitize, inv_sqrt_psd
 
 
 def four_buffer_sample_labels(povm, scores, rng):
@@ -198,7 +196,7 @@ class TestBuildPgm:
     @pytest.mark.parametrize(
         "codebook",
         [qpsk_codebook(), qam_codebook(4), qam_codebook(16), qam_codebook(64), qam_codebook(256)],
-        ids=lambda cb: cb.name,
+        ids=["qpsk", "qam4", "qam16", "qam64", "qam256"],
     )
     def test_elements_match_one_state_loop(self, codebook):
         povm = build_pgm(codebook)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import purity
+from conftest import bit_table, purity, symbols_to_bits
 
 from qlinksim import (
     DensityMatrix,
@@ -11,7 +11,6 @@ from qlinksim import (
     qam_codebook,
     qam_constellation,
     qpsk_codebook,
-    symbols_to_bits,
 )
 
 
@@ -198,7 +197,7 @@ class TestCodebookStack:
         with pytest.raises(ValueError):
             cb.mats[0, 0, 0] = 0.5
         with pytest.raises(ValueError):
-            cb.bit_table[0, 0] = 1
+            cb.bit_labels[0, 0] = 1
         with pytest.raises(ValueError):
             cb.priors[0] = 0.5
         with pytest.raises(ValueError):
@@ -275,10 +274,10 @@ class TestSymbolsToBits:
 
     def test_bit_table_rows(self):
         cb = qam_codebook(16)
-        assert cb.bit_table.shape == (17, 4)
-        assert np.array_equal(cb.bit_table[:16], cb.bit_labels)
-        assert np.shares_memory(cb.bit_table, cb.bit_labels)
-        assert cb.bit_table[16].tolist() == [-1, -1, -1, -1]
+        table = bit_table(cb)
+        assert table.shape == (17, 4)
+        assert np.array_equal(table[:16], cb.bit_labels)
+        assert table[16].tolist() == [-1, -1, -1, -1]
 
     def test_round_trip_with_gray_labels(self):
         cb = qam_codebook(16)

@@ -8,11 +8,16 @@ from qlinksim import (
     DetectorCodebook,
     InvalidStateError,
     bloch_xyz,
+)
+from qlinksim.states import (
+    TOL,
+    check_states,
     hermitize,
     inv_sqrt_psd,
     leading_blocks,
+    make_pure_states,
+    min_eigenvalues,
 )
-from qlinksim.states import TOL, check_states, make_pure_states, min_eigenvalues
 
 
 def bloch(mat):

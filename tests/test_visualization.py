@@ -262,8 +262,12 @@ class TestLabelCheck:
     @pytest.mark.parametrize(
         "labels, message",
         [([0.0, 1.0], "must be a 1-D integer array, got float64"),
-         ([0, -2], "must be >= -1, got -2 at index 1")],
-        ids=["float", "below-erasure"],
+         ([0, -2], "must be >= -1, got -2 at index 1"),
+         (np.array([0, 2**63], dtype=np.uint64),
+          r"must be <= 2\*\*63 - 1, got 9223372036854775808 at index 1"),
+         (np.array([0, 2**64 - 1], dtype=np.uint64),
+          r"must be <= 2\*\*63 - 1, got 18446744073709551615 at index 1")],
+        ids=["float", "below-erasure", "above-int64", "wraps-to-erasure"],
     )
     @pytest.mark.parametrize("writer", ["states_csv", "constellation", "bloch"])
     def test_writers_reject(self, tmp_path, writer, labels, message):
@@ -275,6 +279,23 @@ class TestLabelCheck:
                 render = {"constellation": render_constellation_svg, "bloch": render_bloch_svg}
                 render[writer](rows, [0, 1], rows, labels, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("writer", ["states_csv", "constellation", "bloch"])
+    def test_mixed_integer_dtypes_write_the_same_bytes(self, tmp_path, writer):
+        # tx and rx labels of different integer dtypes are drawn as int64
+        # labels: concatenating int64 with uint64 gives float64 otherwise.
+        rows = table(iq=[(0.5, 0.0), (0.0, 0.5), (0.3, 0.3)])
+        tx, rx = np.array([0, 1, 2]), np.array([2, 1, 0])
+        written = []
+        for rx_labels in (rx, rx.astype(np.uint64), rx.astype(np.uint8)):
+            path = tmp_path / f"{writer}_{rx_labels.dtype}"
+            if writer == "states_csv":
+                write_states_csv(path, rows, rows, tx, rx_labels)
+            else:
+                render = {"constellation": render_constellation_svg, "bloch": render_bloch_svg}
+                render[writer](rows, tx, rows, rx_labels, path)
+            written.append(path.read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
 
     @pytest.mark.parametrize(
         "cell, message",
