@@ -1,16 +1,12 @@
-"""Six channel models mapping density matrices to density matrices.
+"""Six qubit channel models acting on Pauli rows (t, x, y, z).
 
-Four are deterministic completely positive trace-preserving maps
-(depolarizing, dephasing, erasure, bosonic thermal loss); two are
-stochastic surrogates that draw fresh randomness per use (free-space
-turbulence, fiber polarization-mode dispersion).  Each model has one
-kernel, a closed form that maps a (n, d, d) stack of states in one array
-pass, and a frozen config dataclass.  Erasure acts on any dimension and
-the other five on qubits; bosonic loss is generalized amplitude damping,
-the thermal attenuator truncated at one photon.  :class:`Channel` looks
-the kernel up by the config's kind, enforces the dimension and randomness
-contracts at the call boundary, and checks the output stack once
-(:meth:`Channel.apply_batch`).
+Four are deterministic completely positive trace-preserving maps, each one
+4x4 transfer matrix (depolarizing, dephasing, erasure, bosonic thermal
+loss); two are stochastic surrogates that draw fresh randomness per use:
+free-space turbulence, pure loss with one fade per row, and fiber
+polarization-mode dispersion.  :class:`Channel` looks the kernel up by the
+config's kind, enforces the qubit and randomness contracts at the call
+boundary, and checks the output rows once (:meth:`Channel.apply_rows`).
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from typing import ClassVar, Union, get_args
 
 import numpy as np
 
-from .states import DensityMatrix, bloch_xyz, check_states
+from .states import DensityMatrix, check_rows, check_states, from_rows, to_rows
 
 
 def _check_fields(cfg) -> None:
@@ -180,54 +176,49 @@ def config_to_dict(cfg: ChannelConfig) -> dict:
 
 # --- deterministic qubit maps ---
 #
-# A kernel (config, states, rng) -> states returns its output stack
-# unchecked; Channel checks it.  Deterministic kernels ignore ``rng``.
+# A kernel (config, rows, rng) -> rows returns its output unchecked; Channel
+# checks it.  Deterministic kernels ignore ``rng``.
 
 
-def _depolarizing(cfg: DepolarizingConfig, mats: np.ndarray, rng) -> np.ndarray:
-    return (1.0 - cfg.p) * mats + cfg.p * np.eye(2, dtype=complex) / 2.0
+def _transfer_matrix(cfg) -> np.ndarray:
+    """The 4x4 matrix a deterministic channel applies to rows (t, x, y, z).
 
-
-def _dephasing(cfg: DephasingConfig, mats: np.ndarray, rng) -> np.ndarray:
-    out = mats * (1.0 - cfg.p)
-    diag = np.arange(mats.shape[-1])
-    out[:, diag, diag] = mats[:, diag, diag]
-    return out
-
-
-def _erasure(cfg: ErasureConfig, mats: np.ndarray, rng) -> np.ndarray:
-    n, d = mats.shape[0], mats.shape[-1]
-    out = np.zeros((n, d + 1, d + 1), dtype=complex)
-    out[:, :d, :d] = (1.0 - cfg.p) * mats
-    out[:, d, d] = cfg.p
-    return out
-
-
-def _pure_loss(eta, mats: np.ndarray) -> np.ndarray:
-    """Amplitude damping with transmissivity eta (one value, or one per state).
-
-    Closed form of K0 = diag(1, sqrt(eta)), K1 = sqrt(1-eta)|0><1|:
-    coherences scale by sqrt(eta) and weight 1-eta of |1><1| moves to |0><0|.
-    """
-    eta = np.asarray(eta, dtype=float)
-    out = mats * np.sqrt(eta)[..., None, None]
-    out[:, 0, 0] = mats[:, 0, 0] + (1.0 - eta) * mats[:, 1, 1]
-    out[:, 1, 1] = eta * mats[:, 1, 1]
-    return out
-
-
-def _bosonic(cfg: BosonicConfig, mats: np.ndarray, rng) -> np.ndarray:
-    """Thermal loss on the qubit: generalized amplitude damping.
-
-    Pure loss, then thermal weight w = n_th / (1 + 2 n_th) of the lost
-    1 - eta moves from |0><0| to |1><1|.  This is the single-rail thermal
+    Depolarizing scales the Bloch vector by 1 - p, dephasing its x and y,
+    and erasure the whole block, whose weight p moves to the flag.  Bosonic
+    thermal loss is generalized amplitude damping: pure loss
+    (:func:`_pure_loss`), then thermal weight w = n_th / (1 + 2 n_th) of the
+    lost 1 - eta moves from |0><0| to |1><1|, so
+    z -> eta z + (1 - eta)(1 - 2 w) t.  This is the single-rail thermal
     attenuator truncated at one photon, exact only for n_th = 0.
     """
-    w = cfg.n_th / (1.0 + 2.0 * cfg.n_th)
-    shift = w * (1.0 - cfg.eta) * np.trace(mats, axis1=1, axis2=2).real
-    out = _pure_loss(cfg.eta, mats)
-    out[:, 0, 0] -= shift
-    out[:, 1, 1] += shift
+    if cfg.kind == "bosonic":
+        w = cfg.n_th / (1.0 + 2.0 * cfg.n_th)
+        matrix = np.diag([1.0, np.sqrt(cfg.eta), np.sqrt(cfg.eta), cfg.eta])
+        matrix[3, 0] = (1.0 - cfg.eta) * (1.0 - 2.0 * w)
+        return matrix
+    q = 1.0 - cfg.p
+    diagonals = {"depolarizing": [1.0, q, q, q], "dephasing": [1.0, q, q, 1.0], "erasure": [q] * 4}
+    return np.diag(diagonals[cfg.kind])
+
+
+def _transfer(cfg, rows: np.ndarray, rng) -> np.ndarray:
+    """The config's transfer matrix applied to (n, 4) rows as four elementwise
+    terms in column order, so a row's output does not depend on its batch."""
+    matrix = _transfer_matrix(cfg)
+    return sum(np.multiply.outer(rows[:, j], matrix[:, j]) for j in range(4))
+
+
+def _pure_loss(eta, rows: np.ndarray) -> np.ndarray:
+    """Amplitude damping with transmissivity eta (one value, or one per row).
+
+    Closed form of K0 = diag(1, sqrt(eta)), K1 = sqrt(1-eta)|0><1|: x and y
+    scale by sqrt(eta), and weight 1-eta of |1><1| moves to |0><0|, so
+    z -> (1 - eta) t + eta z, the bosonic matrix's arithmetic at n_th = 0.
+    """
+    eta = np.asarray(eta, dtype=float)
+    out = rows * np.sqrt(eta)[..., None]
+    out[:, 0] = rows[:, 0]
+    out[:, 3] = (1.0 - eta) * rows[:, 0] + eta * rows[:, 3]
     return out
 
 
@@ -246,33 +237,33 @@ def _scintillation(rytov_var: float, rng: np.random.Generator, n: int) -> np.nda
     return x * y
 
 
-def _turbulence(cfg: TurbulenceConfig, mats: np.ndarray, rng) -> np.ndarray:
+def _turbulence(cfg: TurbulenceConfig, rows: np.ndarray, rng) -> np.ndarray:
     """One atmospheric fade per state: sample its transmissivity, apply pure loss."""
     # Mean power kept under Gaussian pointing jitter: exp(-2 (sigma_p/w0)^2).
     eta = (
         float(np.exp(-2.0 * (cfg.sigma_p / cfg.w0) ** 2))
-        * _scintillation(cfg.rytov_var, rng, len(mats))
+        * _scintillation(cfg.rytov_var, rng, len(rows))
         * 10.0 ** (-cfg.path_loss_db / 10.0)
     )
-    return _pure_loss(np.clip(eta, 0.0, 1.0), mats)
+    return _pure_loss(np.clip(eta, 0.0, 1.0), rows)
 
 
 # --- polarization-mode dispersion surrogate ---
 
 
-def _pmd(cfg: PMDConfig, mats: np.ndarray, rng) -> np.ndarray:
+def _pmd(cfg: PMDConfig, rows: np.ndarray, rng) -> np.ndarray:
     """Concatenated-section PMD: per section, dephase by the section's
     coherence factor about a uniformly random polarization axis n.
 
     One section maps rho -> nu rho + (1-nu)(P rho P + Q rho Q) with
     P = (I + n.sigma)/2 and Q = I - P, which in Bloch form is
-    r -> nu r + (1-nu)(n.r) n.  The per-section delay is
+    r -> nu r + (1-nu)(n.r) n, and t is kept.  The per-section delay is
     dgd / sqrt(n_sections) so section delays add in quadrature to the
     configured total, and the coherence factor for a Gaussian spectrum
     is nu = exp(-(sigma_omega * tau_sec)^2 / 2).
 
-    The Bloch vectors are one (3, n) stack, so each section is a few
-    contiguous row operations.  Each section still draws its axes as one
+    The Bloch columns are held as one (3, n) stack, so each section is a
+    few contiguous row operations.  Each section still draws its axes as one
     (n, 3) standard-normal block, in section order, and normalizes them with
     the same sums as ``np.linalg.norm``, so the random stream and every
     output bit match an (n, 3) state-per-row recurrence.  Sections are drawn
@@ -280,25 +271,19 @@ def _pmd(cfg: PMDConfig, mats: np.ndarray, rng) -> np.ndarray:
     """
     tau_sec = cfg.dgd / np.sqrt(cfg.n_sections)
     nu = float(np.exp(-((cfg.sigma_omega * tau_sec) ** 2) / 2.0))
-    r = np.ascontiguousarray(bloch_xyz(mats).T)
+    r = np.ascontiguousarray(rows[:, 1:].T)
     for _ in range(cfg.n_sections):
-        axis = np.ascontiguousarray(rng.standard_normal((len(mats), 3)).T)
+        axis = np.ascontiguousarray(rng.standard_normal((len(rows), 3)).T)
         axis /= np.sqrt((axis * axis).sum(axis=0))
         r = nu * r + (1.0 - nu) * (axis * r).sum(axis=0) * axis
-    trace = np.trace(mats, axis1=1, axis2=2).real
-    out = np.empty_like(mats)
-    out[:, 0, 0] = (trace + r[2]) / 2.0
-    out[:, 1, 1] = (trace - r[2]) / 2.0
-    out[:, 0, 1] = (r[0] - 1j * r[1]) / 2.0
-    out[:, 1, 0] = (r[0] + 1j * r[1]) / 2.0
+    out = np.empty_like(rows)
+    out[:, 0] = rows[:, 0]
+    out[:, 1:] = r.T
     return out
 
 
 _KERNELS = {
-    "depolarizing": _depolarizing,
-    "dephasing": _dephasing,
-    "erasure": _erasure,
-    "bosonic": _bosonic,
+    **dict.fromkeys(("depolarizing", "dephasing", "erasure", "bosonic"), _transfer),
     "turbulence": _turbulence,
     "pmd": _pmd,
 }
@@ -306,43 +291,40 @@ _STOCHASTIC_KINDS = ("turbulence", "pmd")
 
 
 class Channel:
-    """Config-dispatched channel with fixed input and output dimensions.
+    """Config-dispatched channel on qubits; erasure's output has a flag level.
 
-    Erasure acts on any dimension and the other five on qubits.
     Deterministic channels ignore the ``rng`` argument; stochastic ones
-    (turbulence, PMD) require it so the caller controls every random
-    stream explicitly.
+    (turbulence, PMD) require it so the caller controls every random stream
+    explicitly.
     """
 
     def __init__(self, config: ChannelConfig, input_dim: int = 2):
-        if config.kind != "erasure" and input_dim != 2:
+        if input_dim != 2:
             raise ValueError(
                 f"{config.kind} channel is defined on qubits, got input_dim {input_dim}"
             )
         self.config = config
-        self.input_dim = input_dim
-        self.output_dim = input_dim + 1 if config.kind == "erasure" else input_dim
+        self.output_dim = 3 if config.kind == "erasure" else 2
         self._kernel = _KERNELS[config.kind]
 
     @property
     def is_stochastic(self) -> bool:
         return self.config.kind in _STOCHASTIC_KINDS
 
-    def apply_batch(self, mats, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Map a (n, input_dim, input_dim) stack of states in one array pass.
-
-        A stochastic channel draws every state's randomness from ``rng``.
-        The output stack is checked once (:func:`check_states`) and
-        returned hermitized.
-        """
-        mats = np.asarray(mats, dtype=complex)
-        if mats.ndim != 3 or mats.shape[1:] != (self.input_dim, self.input_dim):
-            raise ValueError(
-                f"channel expects dim {self.input_dim} input, got states of shape {mats.shape[1:]}"
-            )
+    def apply_rows(self, rows: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Map (n, 4) rows in one array pass (a stochastic channel draws every
+        row's randomness from ``rng``) and check the output rows once."""
         if rng is None and self.is_stochastic:
             raise ValueError(f"{self.config.kind} channel is stochastic and requires an rng")
-        return check_states(self._kernel(self.config, mats, rng))
+        return check_rows(self._kernel(self.config, rows, rng))
+
+    def apply_batch(self, mats, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Check a (n, 2, 2) stack of states, map its rows with :meth:`apply_rows`
+        and return them as a (n, output_dim, output_dim) stack."""
+        mats = np.asarray(mats, dtype=complex)
+        if mats.ndim != 3 or mats.shape[1:] != (2, 2):
+            raise ValueError(f"channel expects dim 2 input, got states of shape {mats.shape[1:]}")
+        return from_rows(self.apply_rows(to_rows(check_states(mats)), rng), self.output_dim)
 
     def apply(self, rho: DensityMatrix, rng: np.random.Generator | None = None) -> DensityMatrix:
         """Map one state: :meth:`apply_batch` on a stack of one."""

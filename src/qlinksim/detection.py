@@ -1,46 +1,51 @@
-"""Square-root-measurement detection.
+"""Square-root-measurement detection on Pauli rows.
 
 The detector for a codebook {p_i, rho_i} is the pretty-good measurement
 
     E_i = p_i  S rho_i S,   S = rhobar^(-1/2),   rhobar = sum_i p_i rho_i,
 
 completed on the support of rhobar.  A POVM is one read-only (K, d, d)
-element stack, validated once: each element's smallest eigenvalue comes from
-:func:`~qlinksim.states.min_eigenvalues`, the closed-form qubit spectrum for
-2x2 elements and LAPACK for the enlarged (erasure) ones.
-:func:`score_states` computes the outcome probabilities Tr(E_i rho) of a
-(n, d, d) stack of states in one pass, and decisions are their row-wise
-argmax (:func:`argmax_labels`) by default.  Born-rule sampling
-(:func:`sample_labels`) is an explicit opt-in that needs no scores: a CDF
-value Tr(F_k rho) of the cumulative POVM F_k = E_0 + ... + E_k is linear in
-the state, so each draw binary-searches its uniform among the outcomes with
-one row-wise dot per step, and no (n, K) array is formed.  For states
-repeated many times (a deterministic channel's outputs) it builds one CDF
-row per distinct state and searches each draw in its state's row.
+element stack, validated once and read once as (K, 4) rows
+e = (Tr E, 2 Re E01, -2 Im E01, E00 - E11): a state row (t, x, y, z) fires
+E with probability e . row / 2, the erasure outcome also with the flag's
+weight 1 - t.  A run decides on a channel's checked rows with the row
+kernels (:func:`argmax_rows`, :func:`sample_rows`), which form no (n, K)
+array and no BLAS product; the public functions check complex (n, d, d)
+stacks (:func:`~qlinksim.states.check_states`) and convert them once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .modulation import DetectorCodebook
-from .states import TOL, DensityMatrix, check_states, hermitize, inv_sqrt_psd, min_eigenvalues
+from .states import (
+    TOL,
+    DensityMatrix,
+    check_states,
+    hermitize,
+    inv_sqrt_psd,
+    min_eigenvalues,
+    to_rows,
+)
+
+# Rows scored at once by argmax_rows: bounds the (rows, K) scores held.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
 class POVM:
-    """Validated measurement: PSD elements summing to the identity.
-
-    ``elements`` is a (K, d, d) stack (a sequence of K matrices is stacked),
-    checked once and kept hermitized and read-only.  ``labels[i]`` is the
-    symbol decision reported when element i fires; the erasure outcome
-    carries the label -1.
+    """Validated measurement on a qubit (d = 2), or on a qubit and an erasure
+    flag (d = 3) that only its last element reads: ``elements`` is a read-only
+    (K, d, d) stack of PSD matrices summing to the identity, and ``rows`` its
+    rows.  ``labels[i]`` is reported when element i fires; erasure is -1.
     """
 
     elements: np.ndarray
     labels: tuple[int, ...]
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.elements) == 0:
@@ -64,8 +69,16 @@ class POVM:
             raise ValueError(
                 f"POVM does not resolve the identity (deviation {comp_dev:.3e})"
             )
-        elements.flags.writeable = False
-        object.__setattr__(self, "elements", elements)
+        # A PSD element with no weight on the flag has no coupling to it, and
+        # completeness then leaves the last element all of the flag.
+        if elements.shape[-1] not in (2, 3) or np.abs(elements[:-1, :, 2:]).max(initial=0.0) > TOL:
+            raise ValueError(
+                "POVM must act on a qubit, or on a qubit and an erasure flag "
+                "that only its last element reads"
+            )
+        for name, value in (("elements", elements), ("rows", to_rows(elements))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -75,35 +88,39 @@ class POVM:
     def n_outcomes(self) -> int:
         return len(self.elements)
 
+    def outcomes(self, erasure: bool = False) -> tuple:
+        """(rows, labels, flagged): whether the last outcome also fires on the
+        flag's weight.  With ``erasure``, a qubit POVM gains that outcome, a
+        zero row with the label -1."""
+        if erasure:
+            return np.vstack([self.rows, np.zeros(4)]), np.append(self.labels, -1), True
+        return self.rows, np.asarray(self.labels), self.dim == 3
+
+
+def _scores(outcomes: tuple, rows: np.ndarray) -> np.ndarray:
+    """(n, K) outcome probabilities of (n, 4) rows: four elementwise terms per
+    outcome, so a row's scores do not depend on its batch."""
+    e, _, flagged = outcomes
+    half = e / 2.0
+    scores = np.multiply.outer(rows[:, 0], half[:, 0])
+    for j in (1, 2, 3):
+        scores += np.multiply.outer(rows[:, j], half[:, j])
+    if flagged:
+        scores[:, -1] += 1.0 - rows[:, 0]
+    return scores
+
+
+def _checked_rows(povm: POVM, mats) -> np.ndarray:
+    """Rows of a caller's stack of states, checked as a POVM of matching dim measures them."""
+    states = check_states(mats)
+    if states.shape[-1] != povm.dim:
+        raise ValueError(f"state dim {states.shape[-1]} does not match POVM dim {povm.dim}")
+    return to_rows(states)
+
 
 def score_states(povm: POVM, mats) -> np.ndarray:
-    """(n, K) outcome probabilities Tr(E_k rho) of a (n, d, d) stack of states.
-
-    Tr(E_k rho) = sum_ij E_k[i, j] rho[j, i], so the whole stack is one
-    (n, d^2) @ (d^2, K) product and no (n, K, d, d) intermediate is formed.
-    A state's scores do not depend on the batch around it: every row goes
-    through the same matrix-matrix kernel.  A single state is scored as
-    the first row of a two-row product, since a one-row product would take
-    BLAS's matrix-vector path, whose roundoff differs.  The real parts are
-    returned as their own contiguous array, so the complex product, twice
-    their size, is freed before the scores are decided on.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    if mats.shape[-1] != povm.dim:
-        raise ValueError(f"state dim {mats.shape[-1]} does not match POVM dim {povm.dim}")
-    rho_t = mats.swapaxes(-1, -2).reshape(len(mats), -1)
-    elements = povm.elements.reshape(povm.n_outcomes, -1).T
-    if len(rho_t) == 1:
-        scores = (np.concatenate([rho_t, rho_t]) @ elements)[:1]
-    else:
-        scores = rho_t @ elements
-    # The (n, K) |imaginary part| array is freed before the real parts are
-    # copied out, so it does not raise the peak; one pass over the strided
-    # imaginary parts is cheaper than two reductions of them.
-    imag = float(np.abs(scores.imag).max(initial=0.0))
-    if imag > TOL:
-        raise ValueError(f"non-real outcome probabilities (imaginary part {imag:.3e})")
-    return np.ascontiguousarray(scores.real)
+    """(n, K) outcome probabilities Tr(E_k rho) of a (n, d, d) stack of states."""
+    return _scores(povm.outcomes(), _checked_rows(povm, mats))
 
 
 def measurement_scores(povm: POVM, rho: DensityMatrix) -> np.ndarray:
@@ -132,7 +149,7 @@ def embed_povm_with_erasure(povm: POVM, out_dim: int) -> POVM:
 
     The padded elements act as before on the original subspace and vanish
     on the new directions, so E_era = I - sum_i E_i is automatically PSD
-    (up to roundoff, which is clipped).
+    (up to roundoff, which is clipped).  A run uses ``povm.outcomes(True)``.
     """
     if out_dim <= povm.dim:
         raise ValueError(f"target dim {out_dim} must exceed current POVM dim {povm.dim}")
@@ -155,61 +172,70 @@ def argmax_labels(povm: POVM, scores: np.ndarray) -> np.ndarray:
     return np.asarray(povm.labels)[np.argmax(scores, axis=1)]
 
 
+def argmax_rows(outcomes: tuple, rows: np.ndarray) -> np.ndarray:
+    """:func:`argmax_labels` of (n, 4) rows, scored ``_CHUNK`` rows at a time."""
+    labels = outcomes[1]
+    chunks = range(0, len(rows), _CHUNK)
+    return np.concatenate(
+        [labels[np.argmax(_scores(outcomes, rows[i : i + _CHUNK]), axis=1)] for i in chunks]
+    )
+
+
 def sample_labels(
     povm: POVM, mats, rng: np.random.Generator, index: np.ndarray | None = None
 ) -> np.ndarray:
-    """Born-rule decisions drawn straight from a (n, d, d) stack of states.
-
-    Outcome k's CDF value for a state rho is Tr(F_k rho), with F_k = E_0 +
-    ... + E_k the cumulative POVM: a real dot of the float views of two
-    Hermitian matrices, so no score row is formed.  Each draw takes one
-    uniform u from ``rng``, in order, and returns the first outcome whose
-    CDF value exceeds u times the total Tr(F_{K-1} rho), or the last
-    outcome if none before it does.  The search takes ceil(log2 K) halving
-    steps of one gather and one row-wise dot each.  Its table holds F_0 ..
-    F_{K-2} and then 2 I up to the next power of two, whose value 2 exceeds
-    every target, so no label leaves the range.  A row's dot does not
-    depend on the rows around it, so the labels do not depend on how the
-    states are batched.  The states go through
-    :func:`~qlinksim.states.check_states`, and a total off 1 by more than
-    1e-6 is rejected.
-
-    Without ``index`` there is one draw per state.  With it, ``mats`` holds
-    one state per distinct outcome of a deterministic channel and draw i is
-    for state ``index[i]``: only the states that occur are checked, their
-    CDF table is built with the same row-wise dots, and the search reads
-    its values from that table, so the labels equal
-    ``sample_labels(povm, mats[index], rng)`` by construction.
-    """
-    k, d = povm.n_outcomes, povm.dim
-    width = 1 << (k - 1).bit_length()
-    cumulative = np.cumsum(povm.elements, axis=0)
-    search = _float_rows(
-        np.concatenate([cumulative[:-1], np.broadcast_to(2.0 * np.eye(d), (width - k + 1, d, d))])
-    )
-    total = _float_rows(cumulative[-1:])
-    # Draw i searches the positions start[i] .. start[i] + width - 1: those
-    # of its own state, or its state's block of the per-state table.
+    """:func:`sample_rows` of a (n, d, d) stack of states, checked first; with
+    ``index``, only the states that occur are checked."""
     if index is None:
-        states = _float_rows(_checked(povm, mats))
-        start = np.zeros(len(states), dtype=np.intp)
-        totals = _row_dots(total.take(start, axis=0), states)
+        return sample_rows(povm.outcomes(), _checked_rows(povm, mats), rng)
+    mats = np.asarray(mats)
+    sent = np.flatnonzero(np.bincount(index, minlength=len(mats)))
+    rows = np.zeros((len(mats), 4))
+    rows[sent] = _checked_rows(povm, mats[sent])
+    return sample_rows(povm.outcomes(), rows, rng, index)
+
+
+def sample_rows(
+    outcomes: tuple, rows: np.ndarray, rng: np.random.Generator, index: np.ndarray | None = None
+) -> np.ndarray:
+    """Born-rule decisions drawn straight from (n, 4) rows, with no score row.
+
+    Outcome k's CDF value is a row's dot with the cumulative row
+    (e_0 + ... + e_k) / 2.  Each draw takes one uniform u from ``rng``, in
+    order, and binary-searches for the first outcome whose CDF value exceeds
+    u times the row's total (which alone holds the flag's weight), in
+    ceil(log2 K) steps of one 4-float gather and row-wise dot each.  The
+    table holds the CDF rows of the first K - 1 outcomes, then rows of value
+    2t up to a power of two, labeled as the last outcome.  Row dots do not
+    depend on the batch, and a total off 1 by more than 1e-6 is rejected.
+    With ``index``, draw i is for row ``index[i]`` (one row per distinct
+    state of a deterministic channel) and reads a per-row CDF table built
+    with the same dots, so the labels equal those of ``rows[index]``.
+    """
+    e, labels, flagged = outcomes
+    k = len(e)
+    width = 1 << (k - 1).bit_length()
+    cumulative = np.cumsum(e, axis=0) / 2.0
+    search = np.concatenate([cumulative[:-1], np.tile([2.0, 0.0, 0.0, 0.0], (width - k + 1, 1))])
+    label_of = np.concatenate([labels, np.full(width - k, labels[-1])])
+    totals = _row_dots(np.tile(cumulative[-1], (len(rows), 1)), rows)
+    if flagged:
+        totals += 1.0 - rows[:, 0]
+    # Draw i searches the positions start[i] .. start[i] + width - 1: those
+    # of its own row, or its row's block of the per-row table.
+    if index is None:
+        start = np.zeros(len(rows), dtype=np.intp)
 
         def cdf(at):
-            return _row_dots(search.take(at, axis=0), states)
+            return _row_dots(search.take(at, axis=0), rows)
 
     else:
-        mats = np.asarray(mats)
-        sent = np.flatnonzero(np.bincount(index, minlength=len(mats)))
-        states = _float_rows(_checked(povm, mats[sent]))
-        block = np.empty(len(mats), dtype=np.intp)
-        block[sent] = np.arange(len(sent))
-        start = block[index]
-        totals = _row_dots(np.tile(total, (len(sent), 1)), states).take(start)
-        start *= width
-        cdf = _row_dots(np.tile(search, (len(sent), 1)), np.repeat(states, width, axis=0)).take
-
-    _check_totals(totals)
+        start = np.asarray(index, dtype=np.intp) * width
+        totals = totals.take(index)
+        cdf = _row_dots(np.tile(search, (len(rows), 1)), np.repeat(rows, width, axis=0)).take
+    off = np.abs(totals - 1.0)
+    if off.max(initial=0.0) > 1e-6:
+        raise ValueError(f"outcome probabilities sum to {float(totals[off.argmax()])!r}, not 1")
     # Each draw's target u * total, in its total's buffer.
     targets = totals
     targets *= rng.random(len(targets))
@@ -219,28 +245,7 @@ def sample_labels(
     while step:
         start += (cdf(start + (step - 1)) <= targets) * step
         step >>= 1
-    return np.asarray(povm.labels).take(start & (width - 1))
-
-
-def _check_totals(totals: np.ndarray) -> None:
-    """Reject a state whose outcome probabilities do not sum to 1 within 1e-6."""
-    off = np.abs(totals - 1.0)
-    if off.max(initial=0.0) > 1e-6:
-        raise ValueError(f"outcome probabilities sum to {float(totals[off.argmax()])!r}, not 1")
-
-
-def _checked(povm: POVM, mats) -> np.ndarray:
-    """The hermitized, checked stack of states a POVM of matching dim can measure."""
-    states = check_states(mats)
-    if states.shape[-1] != povm.dim:
-        raise ValueError(f"state dim {states.shape[-1]} does not match POVM dim {povm.dim}")
-    return states
-
-
-def _float_rows(mats: np.ndarray) -> np.ndarray:
-    """(n, 2 d^2) float view of a (n, d, d) complex stack: for Hermitian A and
-    B, Tr(A B) is the real dot of their rows."""
-    return np.ascontiguousarray(mats).reshape(len(mats), -1).view(float)
+    return label_of.take(start & (width - 1))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -251,4 +256,3 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def decide(povm: POVM, rho: DensityMatrix) -> int:
     """Hard decision: label of the highest-probability outcome (first on ties)."""
     return int(argmax_labels(povm, measurement_scores(povm, rho)[np.newaxis])[0])
-

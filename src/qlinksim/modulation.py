@@ -10,11 +10,11 @@ after normalizing the constellation to unit average power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import DensityMatrix, InvalidStateError, make_pure_states
+from .states import DensityMatrix, InvalidStateError, check_states, make_pure_states, to_rows
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -23,10 +23,10 @@ _SQRT2 = np.sqrt(2.0)
 class DetectorCodebook:
     """Reference states, priors, and bit labels used by detection and metrics.
 
-    ``mats`` is the (M, d, d) stack of reference states, checked as states
-    where it was built (:func:`~qlinksim.states.make_pure_states` or
-    :func:`~qlinksim.states.check_states`); the codebook keeps a read-only
-    view of it.  ``bit_labels`` is the (M, bits) table of 0/1 labels, one
+    ``mats`` is the checked (M, 2, 2) stack of qubit reference states and
+    ``rows`` its (M, 4) Pauli rows, which a run's channels map; a sent state
+    has no flagged weight, so each row's t is exactly 1.
+    ``bit_labels`` is the (M, bits) table of 0/1 labels, one
     row per state, kept as its own integer array.  ``power_scale``
     records the amplitude normalization applied before embedding, so
     plotting code can undo it and recover constellation coordinates on the
@@ -37,12 +37,14 @@ class DetectorCodebook:
     priors: np.ndarray
     bit_labels: np.ndarray
     power_scale: float = 1.0
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # A view, so the caller's own array keeps its flags.
-        mats = np.asarray(self.mats, dtype=complex).view()
-        if mats.ndim != 3 or len(mats) == 0 or mats.shape[1] != mats.shape[2]:
-            raise ValueError(f"codebook needs a nonempty (M, d, d) stack, got shape {mats.shape}")
+        mats = np.asarray(self.mats, dtype=complex)
+        if mats.ndim != 3 or len(mats) == 0 or mats.shape[1:] != (2, 2):
+            raise ValueError(f"codebook needs a nonempty (M, 2, 2) stack, got shape {mats.shape}")
+        # A checked copy, so the caller's own array keeps its flags.
+        mats = check_states(mats)
         priors = np.array(self.priors, dtype=float)
         if priors.shape != (len(mats),):
             raise ValueError(f"priors shape {priors.shape} does not match {len(mats)} states")
@@ -54,7 +56,10 @@ class DetectorCodebook:
         labels = np.array(self.bit_labels, dtype=int)
         if labels.ndim != 2 or len(labels) != len(mats):
             raise ValueError(f"one bit label per state required, got shape {labels.shape}")
-        for attr, value in (("mats", mats), ("priors", priors), ("bit_labels", labels)):
+        rows = to_rows(mats)
+        rows[:, 0] = 1.0
+        arrays = {"mats": mats, "rows": rows, "priors": priors, "bit_labels": labels}
+        for attr, value in arrays.items():
             value.flags.writeable = False
             object.__setattr__(self, attr, value)
 

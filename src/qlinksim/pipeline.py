@@ -1,21 +1,17 @@
 """End-to-end simulation runs: symbols -> states -> channel -> detection -> metrics.
 
 A run is fully determined by its :class:`SimulationConfig`.  A comparison
-or a run of several channels builds one transmitter (codebook stack, PGM,
-symbols, per-symbol counts, Hamming table, tx projection) for all its
-channels, and every channel before the first runs.  Each channel is one
-array pass: deterministic channels map the M codebook states once and are
-gathered by transmitted symbol; stochastic channels map the whole (N, d, d)
-transmitted stack at once.  A channel is scored from one (M, M + 1)
-confusion count of its decisions.  Argmax decisions score the received
-states in one product; a deterministic channel decides each codebook state
-once and counts that decision once per time the state was sent, so
-per-symbol labels are formed only for the artifacts, which `visualization`
-writes.  Sampled decisions are drawn from the received states without
-scores: a stochastic channel's draws each binary-search their own state's
-CDF, and a deterministic channel's search one CDF row per codebook state
-that was sent, so no (N, K) array is formed either way.  Randomness comes
-from one stream per purpose, keyed by (seed, purpose) for the transmitted
+or a run of several channels builds one transmitter (codebook and its Pauli
+rows, PGM, symbols, per-symbol counts, Hamming table, tx projection) for all
+its channels, and every channel before the first runs.  From there a run
+holds states only as real (n, 4) rows (:mod:`qlinksim.states`): each
+channel is one pass over rows, checked once, where deterministic channels
+map the M codebook rows and stochastic ones the N transmitted rows.  A
+channel is scored from one (M, M + 1) confusion count of its decisions,
+which take the channel's rows unchecked: argmax decisions, made once per
+codebook state on a deterministic channel, and Born-sampled ones, a CDF
+search per symbol; neither forms an (N, K) array.  Randomness comes from
+one stream per purpose, keyed by (seed, purpose) for the transmitted
 symbols and by (seed, purpose, channel name) for a channel's own draws and
 for sampled decisions, so results do not depend on channel order.
 """
@@ -37,17 +33,10 @@ import numpy as np
 from .channels import Channel, ChannelConfig
 from .channels import config_from_dict as channel_config_from_dict
 from .channels import config_to_dict as channel_config_to_dict
-from .detection import (
-    POVM,
-    argmax_labels,
-    build_pgm,
-    embed_povm_with_erasure,
-    sample_labels,
-    score_states,
-)
+from .detection import POVM, argmax_rows, build_pgm, sample_rows
 from .metrics import confusion_matrix, error_counts, hamming_table
 from .modulation import DetectorCodebook, qam_codebook, qam_side, qpsk_codebook
-from .visualization import StateProjection, project_states, write_figures, write_states_csv
+from .visualization import StateProjection, project_rows, write_figures, write_states_csv
 
 # The one definition of the package version; pyproject.toml reads it.
 VERSION = "0.1.0"
@@ -165,7 +154,7 @@ class _Transmitter:
     """What every channel of a run shares: the symbols, how often each codebook
     state was sent (``counts``), and the codebook's :func:`hamming_table`;
     with artifacts on, also the clip radius (1.5x the largest finite
-    tx-point radius) and the tx table ``rows``, one row per codebook state,
+    tx-point radius) and the tx ``table``, one row per codebook state,
     indexed by symbol."""
 
     codebook: DetectorCodebook
@@ -174,21 +163,21 @@ class _Transmitter:
     counts: np.ndarray
     hamming: np.ndarray
     clip_radius: float | None
-    rows: StateProjection | None
+    table: StateProjection | None
 
     @classmethod
     def build(cls, cfg: SimulationConfig) -> "_Transmitter":
         codebook = qpsk_codebook() if cfg.modulation == "qpsk" else qam_codebook(cfg.qam_order)
         symbols = draw_symbols(cfg, codebook.M)
-        clip = rows = None
+        clip = table = None
         if cfg.emit_states or cfg.emit_figures:
-            table = project_states(codebook.mats, codebook.power_scale)
+            table = project_rows(codebook.rows, codebook.power_scale)
             radii = np.hypot(table.iq[:, 0], table.iq[:, 1])[~table.clipped]
             clip = 1.5 * float(np.max(radii, initial=1.0))
-            rows = project_states(codebook.mats, codebook.power_scale, clip_radius=clip).take(symbols)
+            table = project_rows(codebook.rows, codebook.power_scale, clip).take(symbols)
         counts = np.bincount(symbols, minlength=codebook.M)
         hamming = hamming_table(codebook.bit_labels)
-        return cls(codebook, build_pgm(codebook), symbols, counts, hamming, clip, rows)
+        return cls(codebook, build_pgm(codebook), symbols, counts, hamming, clip, table)
 
 
 def run_simulation(cfg: SimulationConfig, channel_name: str) -> ChannelRunResult:
@@ -213,20 +202,19 @@ def run_channels(cfg: SimulationConfig, names: Sequence[str]) -> Iterator[Channe
 def _run_channel(
     cfg: SimulationConfig, tx: _Transmitter, channel_name: str, channel: Channel
 ) -> ChannelRunResult:
-    """One channel's own work on a shared transmitter: erasure embedding where
-    the channel enlarges, channel pass, decisions, their confusion count and
-    its error counts, artifacts."""
-    codebook, povm, tx_symbols = tx.codebook, tx.povm, tx.symbols
-    if channel.output_dim > codebook.dim:
-        povm = embed_povm_with_erasure(povm, channel.output_dim)
-    # rx_states holds each distinct received state once; rx_index maps
-    # every symbol to its row (all rows, as views, for a stochastic channel).
+    """One channel's own work on a shared transmitter: channel pass on the
+    codebook's rows, decisions (with the erasure outcome where the channel
+    flags), their confusion count and its error counts, artifacts."""
+    codebook, tx_symbols = tx.codebook, tx.symbols
+    outcomes = tx.povm.outcomes(erasure=channel.output_dim > codebook.dim)
+    # rx_rows holds each distinct received state once; rx_index maps
+    # every symbol to its row (all rows, for a stochastic channel).
     if channel.is_stochastic:
         rng = derive_rng(cfg.seed, "channel", channel_name)
-        rx_states = channel.apply_batch(codebook.mats[tx_symbols], rng)
+        rx_rows = channel.apply_rows(codebook.rows[tx_symbols], rng)
         rx_index = slice(None)
     else:
-        rx_states = channel.apply_batch(codebook.mats)
+        rx_rows = channel.apply_rows(codebook.rows)
         rx_index = tx_symbols
     # decisions holds one label per symbol, or one per codebook state when a
     # deterministic channel's states are argmax-decided; decisions[label_index]
@@ -234,9 +222,9 @@ def _run_channel(
     if cfg.decision_mode == "sampled":
         rng = derive_rng(cfg.seed, "decision", channel_name)
         index = None if channel.is_stochastic else rx_index
-        decisions, label_index = sample_labels(povm, rx_states, rng, index), slice(None)
+        decisions, label_index = sample_rows(outcomes, rx_rows, rng, index), slice(None)
     else:
-        decisions, label_index = argmax_labels(povm, score_states(povm, rx_states)), rx_index
+        decisions, label_index = argmax_rows(outcomes, rx_rows), rx_index
     if isinstance(label_index, slice):
         confusion = confusion_matrix(tx_symbols, decisions, codebook.M)
     else:
@@ -248,15 +236,15 @@ def _run_channel(
     states_csv = constellation_svg = bloch_svg = None
     if cfg.emit_states or cfg.emit_figures:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        rx_rows = project_states(rx_states, codebook.power_scale, clip_radius=tx.clip_radius)
-        tx_rows, rx_rows = tx.rows, rx_rows.take(rx_index)
+        rx_table = project_rows(rx_rows, codebook.power_scale, clip_radius=tx.clip_radius)
+        tx_table, rx_table = tx.table, rx_table.take(rx_index)
         rx_symbols = decisions[label_index]
     if cfg.emit_states:
         states_csv = f"states_{channel_name}.csv"
-        write_states_csv(cfg.output_dir / states_csv, tx_rows, rx_rows, tx_symbols, rx_symbols)
+        write_states_csv(cfg.output_dir / states_csv, tx_table, rx_table, tx_symbols, rx_symbols)
     if cfg.emit_figures:
         constellation_svg, bloch_svg = write_figures(
-            cfg.output_dir, channel_name, tx_rows, tx_symbols, rx_rows, rx_symbols
+            cfg.output_dir, channel_name, tx_table, tx_symbols, rx_table, rx_symbols
         )
 
     return ChannelRunResult(

@@ -1,12 +1,10 @@
-"""Density-matrix states and the linear-algebra primitives shared by all modules.
+"""Qubit states: Pauli rows for a run, checked complex stacks at the API boundary.
 
-States cross module boundaries as (n, d, d) stacks checked by
-:func:`check_states`: finite, Hermitian, positive-semidefinite, unit-trace
-complex matrices.  The check symmetrizes its input once and tests every
-invariant with one vectorized pass over the stack, so downstream code
-never has to re-verify what it receives.  The spectrum test takes each
-matrix's smallest eigenvalue from :func:`min_eigenvalues`, which uses the
-closed-form qubit spectrum for 2x2 stacks and LAPACK only for larger ones.
+A run carries each state as the real row (t, x, y, z) of its qubit block,
+rho = (t I + x X + y Y + z Z) / 2, with the erasure flag's weight 1 - t.
+Complex (n, d, d) stacks cross the public entry points, where
+:func:`check_states` checks them once, in one vectorized pass: finite,
+Hermitian, positive-semidefinite (closed form for qubits), unit trace.
 A checked stack that is shared, such as a codebook's, is marked read-only.
 """
 
@@ -129,21 +127,12 @@ def make_pure_states(kets) -> np.ndarray:
 
 
 def inv_sqrt_psd(m) -> np.ndarray:
-    """Pseudo-inverse square root: eigenvalues <= EIG_CUT map to 0, else to 1/sqrt.
+    """Pseudo-inverse square root of a Hermitian matrix, such as the mean of a
+    checked stack: eigenvalues <= EIG_CUT map to 0, else to 1/sqrt.
 
     The fixed cutoff keeps detector construction deterministic when the
     input is nearly singular.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidStateError(
-            f"inverse square root requires a square matrix, got shape {m.shape}"
-        )
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > TOL:
-        raise InvalidStateError(
-            f"inverse square root requires a Hermitian matrix (deviation {herm_dev:.3e})"
-        )
     vals, vecs = np.linalg.eigh(hermitize(m))
     support = vals > EIG_CUT
     if not np.any(support):
@@ -154,34 +143,54 @@ def inv_sqrt_psd(m) -> np.ndarray:
     return hermitize((vecs * inv) @ vecs.conj().T)
 
 
+def to_rows(mats) -> np.ndarray:
+    """(n, 4) rows (t, x, y, z) of the leading qubit blocks of a (n, d, d)
+    stack; entries outside the blocks are not read."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] < 2:
+        raise ValueError(f"need a (n, d, d) stack with d >= 2, got shape {mats.shape}")
+    rows = np.empty((len(mats), 4))
+    rows[:, 0] = mats[:, 0, 0].real + mats[:, 1, 1].real
+    rows[:, 1] = mats[:, 0, 1].real + mats[:, 1, 0].real
+    rows[:, 2] = mats[:, 1, 0].imag - mats[:, 0, 1].imag
+    rows[:, 3] = mats[:, 0, 0].real - mats[:, 1, 1].real
+    return rows
+
+
+def from_rows(rows: np.ndarray, dim: int = 2) -> np.ndarray:
+    """(n, dim, dim) Hermitian stack of (n, 4) rows: the qubit block, and for
+    dim = 3 the flag's weight 1 - t."""
+    t, x, y, z = rows.T
+    mats = np.zeros((len(rows), dim, dim), dtype=complex)
+    mats[:, 0, 0] = (t + z) / 2.0
+    mats[:, 1, 1] = (t - z) / 2.0
+    mats[:, 0, 1] = (x - 1j * y) / 2.0
+    mats[:, 1, 0] = (x + 1j * y) / 2.0
+    if dim == 3:
+        mats[:, 2, 2] = 1.0 - t
+    return mats
+
+
+def check_rows(rows: np.ndarray) -> np.ndarray:
+    """Check (n, 4) rows elementwise and return them: finite, block weight
+    t <= 1 and Bloch length |(x, y, z)| <= t, each within ``TOL`` (so t >= 0
+    too).  The first violation over the stack raises :class:`InvalidStateError`."""
+    if not np.isfinite(rows).all():
+        raise InvalidStateError("state rows must be finite")
+    weight = float(rows[:, 0].max(initial=0.0))
+    if weight > 1.0 + TOL:
+        raise InvalidStateError(f"qubit block weight {weight:.3e} exceeds 1 by more than {TOL:.1e}")
+    excess = np.sqrt(np.square(rows[:, 1:]).sum(axis=1)) - rows[:, 0]
+    if excess.max(initial=0.0) > TOL:
+        raise InvalidStateError(
+            f"not positive semidefinite: Bloch length exceeds the weight by {excess.max():.3e}"
+        )
+    return rows
+
+
 def bloch_xyz(mats) -> np.ndarray:
     """(n, 3) Bloch coordinates of a (n, 2, 2) stack of qubit matrices."""
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[1:] != (2, 2):
         raise ValueError(f"Bloch coordinates are defined for dim 2, got shape {mats.shape}")
-    return np.stack(
-        [
-            2.0 * mats[:, 0, 1].real,
-            -2.0 * mats[:, 0, 1].imag,
-            mats[:, 0, 0].real - mats[:, 1, 1].real,
-        ],
-        axis=1,
-    )
-
-
-def leading_blocks(mats) -> tuple[np.ndarray, np.ndarray]:
-    """Renormalized top-left 2x2 blocks of a (n, d, d) stack, and their traces.
-
-    The traces let callers flag depleted states: blocks whose trace falls
-    below ``TOL`` carry no information and are replaced by the maximally
-    mixed qubit (not an error).
-    """
-    mats = np.asarray(mats, dtype=complex)
-    if mats.shape[-1] < 2:
-        raise ValueError(f"need dim >= 2 to take a qubit block, got dim {mats.shape[-1]}")
-    block = mats[:, :2, :2]
-    traces = np.trace(block, axis1=1, axis2=2).real
-    depleted = traces < TOL
-    scaled = block / np.where(depleted, 1.0, traces)[:, None, None]
-    scaled[depleted] = np.eye(2) / 2.0
-    return hermitize(scaled), traces
+    return to_rows(mats)[:, 1:]

@@ -2,7 +2,7 @@
 
 This module alone writes and reads both formats.  Every writer takes a
 :class:`StateProjection` table per panel (tx and rx), one row per distinct
-state as :func:`project_states` computes it, whose ``rows`` index gives each
+state as :func:`project_rows` computes it, whose ``rows`` index gives each
 symbol's row, and one label per symbol.  :func:`read_states_csv` rebuilds
 these from a states CSV; :func:`write_figures` writes a channel's I/Q
 constellation (the amplitude-ratio reconstruction of each qubit state) and
@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import bloch_xyz, leading_blocks
+from .states import TOL, to_rows
 
 # tab20-style cycle; the erasure label -1 gets its own dark gray.
 _PALETTE = (
@@ -81,30 +81,40 @@ class StateProjection:
         return replace(self, rows=self.rows[index])
 
 
-def project_states(
-    mats, power_scale: float = 1.0, clip_radius: float = 1.5
+def project_rows(
+    rows: np.ndarray, power_scale: float = 1.0, clip_radius: float = 1.5
 ) -> StateProjection:
-    """Project a (n, d, d) stack of states (d >= 2) onto its leading qubit blocks.
+    """Project (n, 4) rows (t, x, y, z) onto their renormalized qubit blocks.
 
+    The Bloch vector is (x, y, z) / t; a block whose weight t falls below
+    ``TOL`` (fully erased) carries no information and sits at the origin.
     The constellation estimate is rho_10 / rho_00 of the renormalized
     block, divided by ``power_scale`` to land back on the constellation
     grid.  When rho_00 falls below ``_RHO00_FLOOR`` the ratio diverges,
     so the point is pinned at ``clip_radius`` along the direction of
     rho_10 (or along +I if even that vanishes) and flagged.
     """
-    blocks, trace = leading_blocks(mats)
-    r00 = blocks[:, 0, 0].real
-    r10 = blocks[:, 1, 0]
+    trace = rows[:, 0]
+    depleted = trace < TOL
+    bloch = np.where(depleted[:, None], 0.0, rows[:, 1:] / np.where(depleted, 1.0, trace)[:, None])
+    r00 = (1.0 + bloch[:, 2]) / 2.0
+    ratio = bloch[:, :2] / 2.0
     clipped = r00 < _RHO00_FLOOR
-    ratio = np.stack([r10.real, r10.imag], axis=1)
-    mag = np.abs(r10)[:, None]
+    mag = np.hypot(ratio[:, 0], ratio[:, 1])[:, None]
     direction = np.where(mag > 0.0, ratio / np.where(mag > 0.0, mag, 1.0), [1.0, 0.0])
     iq = np.where(
         clipped[:, None],
         clip_radius * direction,
         ratio / np.where(clipped, 1.0, r00)[:, None] / power_scale,
     )
-    return StateProjection(bloch_xyz(blocks), trace, iq, clipped)
+    return StateProjection(bloch, trace, iq, clipped)
+
+
+def project_states(
+    mats, power_scale: float = 1.0, clip_radius: float = 1.5
+) -> StateProjection:
+    """:func:`project_rows` of the rows of a (n, d, d) stack of states (d >= 2)."""
+    return project_rows(to_rows(mats), power_scale, clip_radius)
 
 
 def _check_labels(labels, name: str) -> np.ndarray:

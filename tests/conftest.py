@@ -1,9 +1,11 @@
 """Shared helpers: reproducible random states for property tests, the
-two-mode dilation of thermal loss that the bosonic channel is checked
-against, the state-per-row PMD recurrence that the PMD kernel is checked
-against bit for bit, the score-based Born sampler that the cumulative
-POVM sampler is checked against label for label, and the per-symbol
-SER/BER that the confusion counts are checked against."""
+Kraus sums and the two-mode dilation of thermal loss that the channels'
+transfer matrices are checked against, the state-per-row PMD recurrence
+that the PMD kernel is checked against bit for bit, the complex
+trace product that the row scores are checked against, the score-based
+Born sampler that the cumulative POVM sampler is checked against label
+for label, and the per-symbol SER/BER that the confusion counts are
+checked against."""
 
 import numpy as np
 
@@ -59,6 +61,32 @@ def dilation_reference(eta, n_th, mats):
     joint = (mats[:, :, None, :, None] * env[None, None, :, None, :]).reshape(-1, d * d, d * d)
     joint = u @ joint @ u.conj().T
     return np.trace(joint.reshape(-1, d, d, d, d), axis1=2, axis2=4)
+
+
+PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])], dtype=complex)
+
+
+def kraus_reference(kraus, mats):
+    """sum_k K_k rho K_k^dagger of each state of a (n, d, d) stack, for a
+    (m, d_out, d) stack of Kraus operators."""
+    kraus = np.asarray(kraus, dtype=complex)
+    return np.einsum("kij,njl,kml->nim", kraus, mats, kraus.conj())
+
+
+def transfer_reference(channel_map):
+    """The 4x4 matrix that a linear map of (n, 2, 2) stacks applies to rows:
+    column j is the row of the map's output on Pauli_j / 2."""
+    out = channel_map(PAULI / 2.0)
+    t = out[:, 0, 0] + out[:, 1, 1]
+    return np.stack([t, 2 * out[:, 0, 1].real, -2 * out[:, 0, 1].imag, out[:, 0, 0] - out[:, 1, 1]]).real
+
+
+def trace_product_scores(povm, mats):
+    """(n, K) Tr(E_k rho) as the complex (n, d^2) @ (d^2, K) product of the
+    transposed states with the flattened elements, real part."""
+    mats = np.asarray(mats, dtype=complex)
+    rho_t = mats.swapaxes(-1, -2).reshape(len(mats), -1)
+    return (rho_t @ povm.elements.reshape(povm.n_outcomes, -1).T).real
 
 
 def pmd_rows_reference(cfg, mats, rng):

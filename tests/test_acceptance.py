@@ -47,6 +47,7 @@ from qlinksim import (
     score_states,
 )
 from qlinksim.channels import _pure_loss
+from qlinksim.states import from_rows, to_rows
 
 
 def criterion(num: int, desc: str):
@@ -100,9 +101,9 @@ def test_povm_completeness():
 
 @criterion(3, "single-photon population decays exactly with transmissivity")
 def test_single_photon_decay():
-    # No channel config reaches eta = 0, so this runs the pure-loss kernel itself.
+    # No channel config reaches eta = 0, so this runs the pure-loss row kernel itself.
     etas = np.linspace(0.0, 1.0, 50)
-    out = _pure_loss(etas, np.repeat(pure(0, 1)[None], 50, axis=0))
+    out = from_rows(_pure_loss(etas, to_rows(np.repeat(pure(0, 1)[None], 50, axis=0))))
     assert np.all(np.abs(out[:, 1, 1].real - etas) <= 1e-12)
 
 
@@ -113,7 +114,7 @@ def test_stinespring_kraus_equivalence():
     for loss_db in (0.0, 1.0, 3.0, 10.0):
         eta = 10 ** (-loss_db / 10)
         a = Channel(BosonicConfig(loss_db=loss_db, n_th=0.0, fock_dim=2)).apply_batch(states)
-        b = _pure_loss(eta, states)
+        b = from_rows(_pure_loss(eta, to_rows(states)))
         assert np.max(np.abs(a - b)) <= 1e-9
         for n_th in (0.0, 0.5):
             a = Channel(BosonicConfig(loss_db=loss_db, n_th=n_th)).apply_batch(states)

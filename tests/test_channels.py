@@ -3,14 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (
+    PAULI,
     beamsplitter_reference,
     dilation_reference,
+    kraus_reference,
     pmd_rows_reference,
     pure,
     purity,
     random_density,
     random_pure,
     thermal_reference,
+    transfer_reference,
 )
 
 from qlinksim import (
@@ -25,11 +28,11 @@ from qlinksim import (
     bloch_xyz,
 )
 # No channel config reaches eta = 0 exactly or an unclipped fade, so the
-# pure-loss and scintillation kernels are tested directly.
+# pure-loss and scintillation row kernels are tested directly.
 from qlinksim.channels import _pure_loss, _scintillation, config_from_dict, config_to_dict
-# The PMD kernel is pinned bit for bit to its state-per-row reference.
-from qlinksim.channels import _pmd
-from qlinksim.states import check_states
+# The PMD row kernel is pinned bit for bit to its state-per-row reference.
+from qlinksim.channels import _pmd, _transfer_matrix
+from qlinksim.states import from_rows, to_rows
 
 _PLUS = pure(1 / np.sqrt(2), 1 / np.sqrt(2))
 _ONE = pure(0, 1)
@@ -117,25 +120,62 @@ class TestErasure:
             out = through(ErasureConfig(p=p), [random_density(rng, 2)])[0]
             assert abs(out[2, 2].real - p) <= 1e-12
 
-    def test_general_dimension(self):
-        rng = np.random.default_rng(38)
-        rho = random_density(rng, 3)
-        assert through(ErasureConfig(p=0.5), [rho]).shape[1:] == (4, 4)
+
+
+def kraus_map(kind, p):
+    """Kraus operators of the depolarizing, dephasing or erasure channel."""
+    if kind == "depolarizing":
+        return np.concatenate([[np.sqrt(1 - 3 * p / 4) * PAULI[0]], np.sqrt(p / 4) * PAULI[1:]])
+    if kind == "dephasing":
+        return [np.sqrt(1 - p / 2) * PAULI[0], np.sqrt(p / 2) * PAULI[3]]
+    flag = np.zeros((3, 3, 2))
+    flag[0, :2, :2] = np.sqrt(1 - p) * np.eye(2)
+    flag[1, 2, 0] = flag[2, 2, 1] = np.sqrt(p)
+    return flag
+
+
+class TestTransferMatrices:
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.6, 1.0])
+    @pytest.mark.parametrize("cfg_type", [DepolarizingConfig, DephasingConfig, ErasureConfig])
+    def test_matches_kraus_map(self, cfg_type, p):
+        cfg = cfg_type(p=p)
+        kraus = kraus_map(cfg.kind, p)
+        expected = transfer_reference(lambda mats: kraus_reference(kraus, mats))
+        assert np.max(np.abs(_transfer_matrix(cfg) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n_th", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("loss_db", [0.0, 3.0, 30.0])
+    def test_bosonic_matches_two_mode_dilation(self, loss_db, n_th):
+        cfg = BosonicConfig(loss_db=loss_db, n_th=n_th)
+        expected = transfer_reference(lambda mats: dilation_reference(cfg.eta, n_th, mats))
+        assert np.max(np.abs(_transfer_matrix(cfg) - expected)) <= 1e-12
+
+    def test_kraus_oracle_is_trace_preserving(self):
+        # Each Kraus set above sums to K^dagger K = I, so the oracle is a channel.
+        for kind in ("depolarizing", "dephasing", "erasure"):
+            kraus = np.asarray(kraus_map(kind, 0.3), dtype=complex)
+            total = np.einsum("kji,kjl->il", kraus.conj(), kraus)
+            assert np.max(np.abs(total - np.eye(2))) <= 1e-12
+
+
+def pure_loss(eta, mats):
+    """The pure-loss row kernel on a complex stack, converted in and out."""
+    return from_rows(_pure_loss(eta, to_rows(mats)))
 
 
 class TestPureLoss:
     def test_eta_one_is_identity(self):
         rng = np.random.default_rng(39)
         rho = random_density(rng, 2)
-        assert np.allclose(_pure_loss(1.0, rho.mat[None])[0], rho.mat)
+        assert np.allclose(pure_loss(1.0, rho.mat[None])[0], rho.mat)
 
     def test_single_photon_decay(self):
         etas = np.linspace(0, 1, 11)
-        for eta, out in zip(etas, _pure_loss(etas, np.repeat(_ONE[None], 11, axis=0))):
+        for eta, out in zip(etas, pure_loss(etas, np.repeat(_ONE[None], 11, axis=0))):
             assert np.allclose(out, np.diag([1 - eta, eta]), atol=1e-12)
 
     def test_plus_state_oracle(self):
-        out = _pure_loss(0.5, _PLUS[None])[0]
+        out = pure_loss(0.5, _PLUS[None])[0]
         s = np.sqrt(0.5) / 2
         assert np.allclose(out, [[0.75, s], [s, 0.25]])
 
@@ -198,7 +238,7 @@ class TestBosonic:
             eta = 10 ** (-loss_db / 10)
             stack = np.stack([random_density(rng, 2).mat for _ in range(20)])
             a = Channel(BosonicConfig(loss_db=loss_db, n_th=0.0, fock_dim=2)).apply_batch(stack)
-            assert np.array_equal(a, check_states(_pure_loss(eta, stack)))
+            assert np.array_equal(a, pure_loss(eta, stack))
 
     def test_matches_two_mode_dilation(self):
         rng = np.random.default_rng(40)
@@ -255,7 +295,7 @@ class TestPointingLoss:
         for sigma_p, w0, path_loss_db in ((0.0, 1.0, 0.0), (0.3, 1.0, 2.0), (1.0, 0.5, 10.0)):
             eta = np.exp(-2.0 * (sigma_p / w0) ** 2) * 10.0 ** (-path_loss_db / 10.0)
             out = self.fixed_loss(sigma_p, w0, path_loss_db, stack)
-            assert np.array_equal(out, check_states(_pure_loss(eta, stack)))
+            assert np.array_equal(out, pure_loss(eta, stack))
 
 
 class TestScintillation:
@@ -373,7 +413,7 @@ class TestPMDBlochStack:
         rng = np.random.default_rng(n * 10 + n_sections)
         mats = np.stack([random_density(rng, 2).mat for _ in range(n)])
         got_rng, want_rng = np.random.default_rng(60), np.random.default_rng(60)
-        got = _pmd(cfg, mats, got_rng)
+        got = from_rows(_pmd(cfg, to_rows(mats), got_rng))
         want = pmd_rows_reference(cfg, mats, want_rng)
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
         # Same draws, in the same order: both streams stop at the same place.
@@ -382,11 +422,12 @@ class TestPMDBlochStack:
     def test_peak_memory_no_higher_than_reference(self):
         cfg = PMDConfig(dgd=2.0, sigma_omega=1.0, n_sections=8)
         mats = np.repeat(pure(0.6, 0.8j)[None], 200_000, axis=0)
+        rows = to_rows(mats)
         peaks = []
-        for kernel in (pmd_rows_reference, _pmd):
+        for kernel, states in ((pmd_rows_reference, mats), (_pmd, rows)):
             tracemalloc.start()
             try:
-                kernel(cfg, mats, np.random.default_rng(61))
+                kernel(cfg, states, np.random.default_rng(61))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -424,6 +465,15 @@ class TestChannelWrapper:
             for _ in range(20):
                 out = ch.apply(random_density(rng, 2), rng)
                 assert abs(np.trace(out.mat).real - 1) <= 1e-9
+
+    @pytest.mark.parametrize("cfg", [
+        ErasureConfig(p=0.1),
+        DepolarizingConfig(p=0.1),
+        PMDConfig(dgd=1.0, sigma_omega=1.0),
+    ])
+    def test_every_kind_takes_qubits_only(self, cfg):
+        with pytest.raises(ValueError, match="defined on qubits, got input_dim 3"):
+            Channel(cfg, input_dim=3)
 
     def test_input_dim_checked(self):
         ch = Channel(DepolarizingConfig(p=0.1))

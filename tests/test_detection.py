@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import pure, random_density, score_sample_labels
+from conftest import pure, random_density, score_sample_labels, trace_product_scores
 
 from qlinksim import (
     POVM,
@@ -24,7 +24,8 @@ from qlinksim import (
     sample_labels,
     score_states,
 )
-from qlinksim.states import TOL, hermitize, inv_sqrt_psd
+from qlinksim import detection
+from qlinksim.states import TOL, from_rows, hermitize, inv_sqrt_psd, to_rows
 
 
 def four_buffer_sample_labels(povm, scores, rng):
@@ -118,17 +119,36 @@ class TestPOVMValidation:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_psd_edge_at_tolerance(self, dim):
+        # e0 has the spectrum (-x, 1) on the qubit; for dim 3 the last element
+        # alone reads the flag.
+        q, _ = np.linalg.qr(np.arange(1.0, 5.0).reshape(2, 2) + np.eye(2))
         for x in (0.99e-9, 1.01e-9):
-            spectrum = np.zeros(dim)
-            spectrum[0], spectrum[-1] = -x, 1.0
-            q, _ = np.linalg.qr(np.arange(1.0, dim * dim + 1).reshape(dim, dim) + np.eye(dim))
-            e0 = (q * spectrum) @ q.T
+            e0 = np.zeros((dim, dim))
+            e0[:2, :2] = (q * [-x, 1.0]) @ q.T
             elements = (e0.astype(complex), (np.eye(dim) - e0).astype(complex))
             if x < 1e-9:
                 POVM(elements=elements, labels=(0, 1))
             else:
                 with pytest.raises(ValueError, match="PSD"):
                     POVM(elements=elements, labels=(0, 1))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_only_the_last_element_reads_the_flag(self, dim):
+        # A PSD element that reads no flag weight has no coupling to it either.
+        e0 = np.zeros((dim, dim), dtype=complex)
+        e0[[0, 0, 2, 2], [0, 2, 0, 2]] = 0.25
+        with pytest.raises(ValueError, match="only its last element reads"):
+            POVM(elements=(e0, np.eye(dim) - e0), labels=(0, 1))
+
+    def test_rows_read_each_element_once(self):
+        povm = embed_povm_with_erasure(build_pgm(qam_codebook(16)), 3)
+        e = povm.elements
+        rows = np.stack([(e[:, 0, 0] + e[:, 1, 1]).real, 2 * e[:, 0, 1].real,
+                         -2 * e[:, 0, 1].imag, (e[:, 0, 0] - e[:, 1, 1]).real], axis=1)
+        assert np.array_equal(povm.rows, rows) and not povm.rows.flags.writeable
+        # The last element holds the whole flag.
+        assert e[:-1, 2, 2].tolist() == [0.0] * 16 and abs(e[-1, 2, 2] - 1.0) <= 1e-15
+        assert povm.outcomes()[2] and not build_pgm(qam_codebook(16)).outcomes()[2]
 
     def test_label_count_must_match(self):
         with pytest.raises(ValueError, match="label"):
@@ -336,6 +356,62 @@ class TestDecideSampled:
         draws = sample_labels(povm, np.repeat(pure(1, 0)[None], 20_000, axis=0), rng)
         freqs = np.bincount(draws, minlength=m) / draws.size
         assert freqs == pytest.approx([0.25] * 4, abs=0.02)
+
+
+class TestRowScores:
+    @pytest.mark.parametrize("m, erasure", [(4, False), (16, False), (16, True), (64, True)])
+    def test_match_the_complex_trace_product(self, m, erasure):
+        _, povm = codebook_povm(m, erasure)
+        rng = np.random.default_rng(120 + m)
+        mats = np.stack([random_density(rng, povm.dim).mat for _ in range(200)])
+        got = score_states(povm, mats)
+        assert np.max(np.abs(got - trace_product_scores(povm, mats))) <= 1e-12
+
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_erasure_outcome_fires_on_the_flag_weight(self, m):
+        # A run appends the erasure outcome to the qubit PGM instead of
+        # embedding it; its score is the flag's weight 1 - t, which is p
+        # itself wherever 1 - p is a double: codebook rows have t = 1.
+        cb = qpsk_codebook() if m == 4 else qam_codebook(m)
+        outcomes = build_pgm(cb).outcomes(erasure=True)
+        assert outcomes[1][-1] == -1 and outcomes[2] and not outcomes[0][-1].any()
+        for p in (0.0, 0.25, 0.5, 0.6, 0.75, 1.0, 0.1, 0.3):
+            rows = Channel(ErasureConfig(p=p)).apply_rows(cb.rows)
+            flagged = detection._scores(outcomes, rows)[:, -1]
+            if p in (0.1, 0.3):
+                # 1 - p rounds, by at most half an ulp of 1.
+                assert np.all(np.abs(flagged - p) <= 2.0**-53)
+            else:
+                assert np.all(flagged == p), p
+
+    def test_run_outcomes_match_the_embedded_povm(self):
+        cb = qam_codebook(16)
+        povm = build_pgm(cb)
+        rows = Channel(ErasureConfig(p=0.25)).apply_rows(cb.rows)
+        got = detection._scores(povm.outcomes(erasure=True), rows)
+        want = score_states(embed_povm_with_erasure(povm, 3), from_rows(rows, 3))
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_argmax_labels_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        povm, _, mats = channel_outputs("pmd", 64, True, 300)
+        outcomes = povm.outcomes()
+        rows = to_rows(mats)
+        want = argmax_labels(povm, score_states(povm, mats))
+        monkeypatch.setattr(detection, "_CHUNK", chunk or len(rows))
+        assert np.array_equal(detection.argmax_rows(outcomes, rows), want)
+
+    def test_argmax_holds_one_chunk_of_scores(self, monkeypatch):
+        povm, _, mats = channel_outputs("pmd", 64, True, 20_000)
+        rows = to_rows(mats)
+        monkeypatch.setattr(detection, "_CHUNK", 1000)
+        tracemalloc.start()
+        try:
+            detection.argmax_rows(povm.outcomes(), rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(rows) * povm.n_outcomes * 8 / 4
 
 
 class TestBatchDetection:

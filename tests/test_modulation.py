@@ -12,6 +12,7 @@ from qlinksim import (
     qam_constellation,
     qpsk_codebook,
 )
+from qlinksim.states import to_rows
 
 
 class TestQpskCodebook:
@@ -210,6 +211,18 @@ class TestCodebookStack:
         DetectorCodebook(mats=mats, priors=priors, bit_labels=cb.bit_labels)
         priors[0] = 0.25
         mats[0, 0, 0] = 1.0
+
+    def test_stack_checked_as_states(self):
+        cb = qpsk_codebook()
+        with pytest.raises(InvalidStateError, match="trace"):
+            DetectorCodebook(mats=2 * cb.mats, priors=cb.priors, bit_labels=cb.bit_labels)
+
+    def test_rows_of_the_states_with_unit_weight(self):
+        for cb in (qpsk_codebook(), qam_codebook(16), qam_codebook(64)):
+            rows = to_rows(cb.mats)
+            assert np.all(np.abs(rows[:, 0] - 1.0) <= 1e-15)
+            assert np.array_equal(cb.rows[:, 1:], rows[:, 1:])
+            assert np.all(cb.rows[:, 0] == 1.0) and not cb.rows.flags.writeable
 
     def test_stack_from_hand_built_states(self):
         states = (DensityMatrix(np.eye(2) / 2), DensityMatrix(np.diag([1.0, 0.0])))

@@ -28,7 +28,7 @@ from qlinksim import (
     write_states_csv,
 )
 import qlinksim
-from qlinksim import pipeline, visualization
+from qlinksim import channels, detection, modulation, pipeline, states, visualization
 from qlinksim.cli import main as cli_main
 from qlinksim.pipeline import (
     config_from_dict,
@@ -327,13 +327,13 @@ class TestRunSimulation:
 
     def test_deterministic_channel_maps_codebook_once(self, tmp_path, monkeypatch):
         sizes = []
-        real = pipeline.Channel.apply_batch
+        real = pipeline.Channel.apply_rows
 
-        def recording(self, mats, rng=None):
-            sizes.append(len(mats))
-            return real(self, mats, rng)
+        def recording(self, rows, rng=None):
+            sizes.append(len(rows))
+            return real(self, rows, rng)
 
-        monkeypatch.setattr(pipeline.Channel, "apply_batch", recording)
+        monkeypatch.setattr(pipeline.Channel, "apply_rows", recording)
         cfg = SimulationConfig(
             modulation="qam", n_symbols=500, seed=3,
             channels=(("era", ErasureConfig(p=0.2)),), output_dir=tmp_path,
@@ -583,6 +583,86 @@ def test_golden_report_counts(tmp_path, mode, n):
         for name, r in report["channels"].items()
     }
     assert counts == GOLDEN_COUNTS[mode, n]
+
+
+@pytest.mark.parametrize("mode", ["argmax", "sampled"])
+def test_comparison_after_setup_uses_real_rows_only(tmp_path, monkeypatch, mode):
+    # Once the codebook and PGM are built, no complex stack is made or
+    # checked, nothing is hermitized and no eigenvalue is taken.
+    built, late = [], []
+    real_build = pipeline._Transmitter.build
+
+    def build(cfg):
+        tx = real_build(cfg)
+        built.append(True)
+        return tx
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if built:
+                late.append(f"{getattr(owner, '__name__', owner)}.{name}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    monkeypatch.setattr(pipeline._Transmitter, "build", build)
+    complex_work = (
+        "hermitize", "check_states", "to_rows", "from_rows", "make_pure_states", "bloch_xyz",
+        "min_eigenvalues", "inv_sqrt_psd", "project_states", "embed_povm_with_erasure",
+        "score_states", "sample_labels", "measurement_scores",
+    )
+    for module in (states, channels, detection, modulation, visualization, pipeline):
+        for name in complex_work:
+            if hasattr(module, name):
+                spy(module, name)
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        spy(np.linalg, name)
+    for cls, name in ((channels.Channel, "apply_batch"), (detection.POVM, "__post_init__"),
+                      (modulation.DetectorCodebook, "__post_init__")):
+        spy(cls, name)
+    cfg = dataclasses.replace(
+        load_config(default_config_path()), n_symbols=300, decision_mode=mode, output_dir=tmp_path
+    )
+    run_comparison(cfg)
+    assert built == [True] and late == []
+
+
+def test_each_channel_checks_its_rows_once(tmp_path, monkeypatch):
+    calls = []
+    real = states.check_rows
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    for module in (states, channels, detection, modulation, visualization, pipeline):
+        if hasattr(module, "check_rows"):
+            monkeypatch.setattr(module, "check_rows", counting)
+    cfg = dataclasses.replace(
+        load_config(default_config_path()), n_symbols=500, decision_mode="sampled",
+        output_dir=tmp_path, emit_states=False, emit_figures=False,
+    )
+    run_comparison(cfg)
+    # Four deterministic channels map the 16 codebook rows, two stochastic
+    # ones the 500 symbols' rows; decisions check nothing again.
+    assert calls == [16, 16, 16, 16, 500, 500]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_argmax_artifacts_do_not_depend_on_the_chunk(tmp_path, monkeypatch, chunk):
+    n = 150
+    cfg = dataclasses.replace(
+        load_config(default_config_path()), n_symbols=n, emit_figures=False,
+        channels=tuple(c for c in load_config(default_config_path()).channels
+                       if c[0] in ("turbulence", "pmd")),
+    )
+    run_comparison(dataclasses.replace(cfg, output_dir=tmp_path / "whole"))
+    monkeypatch.setattr(detection, "_CHUNK", chunk or n)
+    run_comparison(dataclasses.replace(cfg, output_dir=tmp_path / "chunked"))
+    for name in ("states_turbulence.csv", "states_pmd.csv"):
+        assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "chunked" / name).read_bytes()
 
 
 class TestStatesCsv:

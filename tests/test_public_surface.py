@@ -64,8 +64,10 @@ def test_all_is_the_public_surface():
 def test_kernels_and_per_symbol_helpers_left_the_top_level():
     # The kernels stay in their submodule; test_metrics pins the per-symbol
     # scoring names' absence.
-    for name in ("hermitize", "inv_sqrt_psd", "leading_blocks"):
+    for name in ("hermitize", "inv_sqrt_psd"):
         assert not hasattr(qlinksim, name) and callable(getattr(states, name))
+    # Rows replaced the leading-block projection.
+    assert not hasattr(states, "leading_blocks")
     codebook = qlinksim.qpsk_codebook()
     assert not hasattr(codebook, "bit_table") and not hasattr(codebook, "name")
 

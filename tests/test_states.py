@@ -13,10 +13,12 @@ from qlinksim.states import (
     TOL,
     check_states,
     hermitize,
+    check_rows,
+    from_rows,
     inv_sqrt_psd,
-    leading_blocks,
     make_pure_states,
     min_eigenvalues,
+    to_rows,
 )
 
 
@@ -114,8 +116,9 @@ class TestCheckStates:
 
 class TestDensityMatrixStack:
     def test_matches_one_state_construction(self):
+        # Codebook states are qubits.
         rng = np.random.default_rng(22)
-        raw = np.stack([random_density(rng, 3).mat for _ in range(12)])
+        raw = np.stack([random_density(rng, 2).mat for _ in range(12)])
         raw = raw + 1e-12j * rng.standard_normal(raw.shape)
         mats = check_states(raw)
         mats.flags.writeable = False
@@ -123,7 +126,7 @@ class TestDensityMatrixStack:
         states = codebook.states
         assert len(states) == 12
         for state, m in zip(states, raw):
-            assert isinstance(state, DensityMatrix) and state.dim == 3
+            assert isinstance(state, DensityMatrix) and state.dim == 2
             assert np.array_equal(state.mat, DensityMatrix(m).mat)
             with pytest.raises(ValueError):
                 state.mat[0, 0] = 1.0
@@ -310,12 +313,15 @@ class TestBlochVector:
 
 
 class TestLeadingQubitBlock:
+    """The rows (t, x, y, z) of a stack's leading qubit block."""
+
     def test_qubit_is_identity_projection(self):
         rng = np.random.default_rng(18)
         rho = random_density(rng, 2)
-        (block,), (t,) = leading_blocks(rho.mat[None])
-        assert t == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(block, rho.mat)
+        (row,) = to_rows(rho.mat[None])
+        assert row[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(from_rows(row[None])[0], rho.mat)
+        assert np.array_equal(row[1:], bloch(rho.mat))
 
     def test_enlarged_block_structure(self):
         p = 0.25
@@ -323,19 +329,65 @@ class TestLeadingQubitBlock:
         big = np.zeros((3, 3), dtype=complex)
         big[:2, :2] = (1 - p) * inner
         big[2, 2] = p
-        (block,), (t,) = leading_blocks(DensityMatrix(big).mat[None])
-        assert t == pytest.approx(1 - p, abs=1e-12)
-        assert np.allclose(block, inner)
+        (row,) = to_rows(DensityMatrix(big).mat[None])
+        assert row[0] == pytest.approx(1 - p, abs=1e-12)
+        assert np.allclose(row[1:] / row[0], bloch(inner))
+        assert np.allclose(from_rows(row[None], dim=3)[0], big)
 
     def test_depleted_block_flagged(self):
         fully_erased = np.diag([0.0, 0.0, 1.0]).astype(complex)
-        (block,), (t,) = leading_blocks(DensityMatrix(fully_erased).mat[None])
-        assert t == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(block, np.eye(2) / 2)
+        (row,) = to_rows(DensityMatrix(fully_erased).mat[None])
+        assert row.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert np.array_equal(from_rows(row[None], dim=3)[0], fully_erased)
 
     def test_dim_one_rejected(self):
-        with pytest.raises(ValueError, match="dim"):
-            leading_blocks(DensityMatrix([[1.0]]).mat[None])
+        with pytest.raises(ValueError, match="d >= 2"):
+            to_rows(DensityMatrix([[1.0]]).mat[None])
+
+
+class TestRowCheck:
+    def test_accepts_states_and_returns_them(self):
+        rng = np.random.default_rng(20)
+        rows = to_rows(np.stack([random_density(rng, 2).mat for _ in range(50)]))
+        assert check_rows(rows) is rows
+
+    def test_edges_within_tolerance(self):
+        x = 1.0 + 0.5 * TOL
+        check_rows(np.array([[x, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, x], [0.0, 0.5 * TOL, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([np.nan, 0.0, 0.0, 0.0], "finite"),
+            ([1.0, np.inf, 0.0, 0.0], "finite"),
+            ([1.0 + 2 * TOL, 0.0, 0.0, 0.0], "exceeds 1"),
+            ([1.0, 0.6, 0.0, 0.8 + 2 * TOL], "positive semidefinite"),
+            ([0.5, 0.0, -0.5 - 2 * TOL, 0.0], "positive semidefinite"),
+            ([-2 * TOL, 0.0, 0.0, 0.0], "positive semidefinite"),
+        ],
+        ids=["nan", "inf", "weight", "long", "long-mixed", "negative-weight"],
+    )
+    def test_rejects(self, row, message):
+        rows = np.array([[1.0, 0.0, 0.0, 0.0], row])
+        with pytest.raises(InvalidStateError, match=message):
+            check_rows(rows)
+
+    def test_rows_agree_with_the_matrix_check(self):
+        # A row passes exactly when its qubit matrix passes check_states
+        # (away from the tolerance edges).
+        rng = np.random.default_rng(21)
+        rows = np.column_stack([np.ones(400), rng.uniform(-0.8, 0.8, (400, 3))])
+        for row in rows:
+            try:
+                check_states(from_rows(row[None]))
+                valid = True
+            except InvalidStateError:
+                valid = False
+            try:
+                check_rows(row[None])
+                assert valid
+            except InvalidStateError:
+                assert not valid
 
 
 class TestPurity:

@@ -58,6 +58,13 @@ class TestConstellationPoint:
         assert table.clipped[0]
         assert table.iq[0, 0] == pytest.approx(-1.5, abs=1e-6)
 
+    def test_fully_erased_state_projects_to_the_origin(self):
+        erased = Channel(ErasureConfig(p=1.0)).apply_batch(embed_amplitudes([0.7 - 0.2j]))
+        table = project_states(erased)
+        assert table.bloch.tolist() == [[0.0, 0.0, 0.0]]
+        assert table.iq.tolist() == [[0.0, 0.0]]
+        assert table.trace.tolist() == [0.0] and not table.clipped[0]
+
     def test_erasure_output_recovers_alpha(self):
         alpha = 0.7 - 0.2j
         enlarged = Channel(ErasureConfig(p=0.4)).apply_batch(embed_amplitudes([alpha]))
