@@ -18,7 +18,7 @@ from typing import ClassVar, Union, get_args
 
 import numpy as np
 
-from .states import DensityMatrix, check_rows, check_states, from_rows, to_rows
+from .states import DensityMatrix, check_rows, from_rows, state_rows
 
 
 def _check_fields(cfg) -> None:
@@ -319,12 +319,10 @@ class Channel:
         return check_rows(self._kernel(self.config, rows, rng))
 
     def apply_batch(self, mats, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Check a (n, 2, 2) stack of states, map its rows with :meth:`apply_rows`
-        and return them as a (n, output_dim, output_dim) stack."""
-        mats = np.asarray(mats, dtype=complex)
-        if mats.ndim != 3 or mats.shape[1:] != (2, 2):
-            raise ValueError(f"channel expects dim 2 input, got states of shape {mats.shape[1:]}")
-        return from_rows(self.apply_rows(to_rows(check_states(mats)), rng), self.output_dim)
+        """Map the rows (:func:`~qlinksim.states.state_rows`) of a (n, 2, 2)
+        stack of states with :meth:`apply_rows` and return them as a
+        (n, output_dim, output_dim) stack."""
+        return from_rows(self.apply_rows(state_rows(mats, 2), rng), self.output_dim)
 
     def apply(self, rho: DensityMatrix, rng: np.random.Generator | None = None) -> DensityMatrix:
         """Map one state: :meth:`apply_batch` on a stack of one."""

@@ -10,8 +10,11 @@ e = (Tr E, 2 Re E01, -2 Im E01, E00 - E11): a state row (t, x, y, z) fires
 E with probability e . row / 2, the erasure outcome also with the flag's
 weight 1 - t.  A run decides on a channel's checked rows with the row
 kernels (:func:`argmax_rows`, :func:`sample_rows`), which form no (n, K)
-array and no BLAS product; the public functions check complex (n, d, d)
-stacks (:func:`~qlinksim.states.check_states`) and convert them once.
+array and no BLAS product.  The public functions take complex (n, d, d)
+stacks, which cross to rows once, through
+:func:`~qlinksim.states.state_rows`.  On complex stacks the erasure outcome
+is the flag projector (:func:`embed_povm_with_erasure`), whose row is the
+zero row a run appends.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from .modulation import DetectorCodebook
 from .states import (
     TOL,
     DensityMatrix,
-    check_states,
     hermitize,
     inv_sqrt_psd,
     min_eigenvalues,
+    state_rows,
     to_rows,
 )
 
@@ -110,17 +113,9 @@ def _scores(outcomes: tuple, rows: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _checked_rows(povm: POVM, mats) -> np.ndarray:
-    """Rows of a caller's stack of states, checked as a POVM of matching dim measures them."""
-    states = check_states(mats)
-    if states.shape[-1] != povm.dim:
-        raise ValueError(f"state dim {states.shape[-1]} does not match POVM dim {povm.dim}")
-    return to_rows(states)
-
-
 def score_states(povm: POVM, mats) -> np.ndarray:
     """(n, K) outcome probabilities Tr(E_k rho) of a (n, d, d) stack of states."""
-    return _scores(povm.outcomes(), _checked_rows(povm, mats))
+    return _scores(povm.outcomes(), state_rows(mats, povm.dim))
 
 
 def measurement_scores(povm: POVM, rho: DensityMatrix) -> np.ndarray:
@@ -145,21 +140,19 @@ def build_pgm(codebook: DetectorCodebook) -> POVM:
 
 
 def embed_povm_with_erasure(povm: POVM, out_dim: int) -> POVM:
-    """Zero-pad a POVM to a larger space; the residual becomes the erasure outcome.
+    """Zero-pad a POVM to a larger space and append the projector onto the new
+    directions, the erasure flag, as the erasure outcome (label -1).
 
     The padded elements act as before on the original subspace and vanish
-    on the new directions, so E_era = I - sum_i E_i is automatically PSD
-    (up to roundoff, which is clipped).  A run uses ``povm.outcomes(True)``.
+    on the flag, which its projector alone reads.  That projector's row is
+    zero: the outcome a run appends with ``povm.outcomes(erasure=True)``,
+    so both decide erasure from the same rows.
     """
     if out_dim <= povm.dim:
         raise ValueError(f"target dim {out_dim} must exceed current POVM dim {povm.dim}")
     padded = np.zeros((povm.n_outcomes + 1, out_dim, out_dim), dtype=complex)
     padded[:-1, : povm.dim, : povm.dim] = povm.elements
-    # The padded elements are exactly Hermitian, and so is the residual.
-    vals, vecs = np.linalg.eigh(np.eye(out_dim) - padded[:-1].sum(axis=0))
-    if float(vals[0]) < -TOL:
-        raise ValueError(f"erasure completion is not PSD (min eigenvalue {vals[0]:.3e})")
-    padded[-1] = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    padded[-1, povm.dim :, povm.dim :] = np.eye(out_dim - povm.dim)
     return POVM(elements=padded, labels=povm.labels + (-1,))
 
 
@@ -181,18 +174,9 @@ def argmax_rows(outcomes: tuple, rows: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_labels(
-    povm: POVM, mats, rng: np.random.Generator, index: np.ndarray | None = None
-) -> np.ndarray:
-    """:func:`sample_rows` of a (n, d, d) stack of states, checked first; with
-    ``index``, only the states that occur are checked."""
-    if index is None:
-        return sample_rows(povm.outcomes(), _checked_rows(povm, mats), rng)
-    mats = np.asarray(mats)
-    sent = np.flatnonzero(np.bincount(index, minlength=len(mats)))
-    rows = np.zeros((len(mats), 4))
-    rows[sent] = _checked_rows(povm, mats[sent])
-    return sample_rows(povm.outcomes(), rows, rng, index)
+def sample_labels(povm: POVM, mats, rng: np.random.Generator) -> np.ndarray:
+    """:func:`sample_rows` of a (n, d, d) stack of states."""
+    return sample_rows(povm.outcomes(), state_rows(mats, povm.dim), rng)
 
 
 def sample_rows(

@@ -79,6 +79,8 @@ def error_counts(confusion, hamming) -> tuple[tuple[float, int], tuple[float, in
     n = int(confusion.sum())
     if n == 0:
         raise ValueError("cannot compute a rate over zero symbols")
+    if hamming[0, -1] < 1:
+        raise ValueError("cannot compute a bit error rate over zero bits per symbol")
     symbol_errors = n - int(np.trace(confusion))
     bit_errors = int(np.vdot(confusion, hamming))
     bits = n * int(hamming[0, -1])

@@ -26,7 +26,7 @@ class DetectorCodebook:
     ``mats`` is the checked (M, 2, 2) stack of qubit reference states and
     ``rows`` its (M, 4) Pauli rows, which a run's channels map; a sent state
     has no flagged weight, so each row's t is exactly 1.
-    ``bit_labels`` is the (M, bits) table of 0/1 labels, one
+    ``bit_labels`` is the (M, bits) table of 0/1 labels, bits >= 1, one
     row per state, kept as its own integer array.  ``power_scale``
     records the amplitude normalization applied before embedding, so
     plotting code can undo it and recover constellation coordinates on the
@@ -53,9 +53,12 @@ class DetectorCodebook:
             raise ValueError(f"priors must be finite, nonnegative and sum to 1, got {priors}")
         if not 0.0 < float(self.power_scale) < np.inf:
             raise ValueError(f"power_scale must be finite and > 0, got {self.power_scale!r}")
-        labels = np.array(self.bit_labels, dtype=int)
+        labels = np.array(self.bit_labels)
         if labels.ndim != 2 or len(labels) != len(mats):
             raise ValueError(f"one bit label per state required, got shape {labels.shape}")
+        if labels.shape[1] == 0 or not np.all((labels == 0) | (labels == 1)):
+            raise ValueError("bit labels must be an (M, bits >= 1) table of 0s and 1s")
+        labels = labels.astype(int)
         rows = to_rows(mats)
         rows[:, 0] = 1.0
         arrays = {"mats": mats, "rows": rows, "priors": priors, "bit_labels": labels}

@@ -2,10 +2,13 @@
 
 A run carries each state as the real row (t, x, y, z) of its qubit block,
 rho = (t I + x X + y Y + z Z) / 2, with the erasure flag's weight 1 - t.
-Complex (n, d, d) stacks cross the public entry points, where
-:func:`check_states` checks them once, in one vectorized pass: finite,
-Hermitian, positive-semidefinite (closed form for qubits), unit trace.
-A checked stack that is shared, such as a codebook's, is marked read-only.
+A caller's complex (n, d, d) stack becomes rows in one place,
+:func:`state_rows`: :func:`check_states` checks it once, in one vectorized
+pass (finite, Hermitian, positive-semidefinite, closed form for qubits,
+unit trace), and :func:`to_rows` converts it.  Rows and stacks share one
+positive-semidefinite criterion: smallest eigenvalue, (t - |r|) / 2 on a
+qubit block, at least -``TOL``.  A checked stack that is shared, such as
+a codebook's, is marked read-only.
 """
 
 from __future__ import annotations
@@ -173,24 +176,33 @@ def from_rows(rows: np.ndarray, dim: int = 2) -> np.ndarray:
 
 def check_rows(rows: np.ndarray) -> np.ndarray:
     """Check (n, 4) rows elementwise and return them: finite, block weight
-    t <= 1 and Bloch length |(x, y, z)| <= t, each within ``TOL`` (so t >= 0
-    too).  The first violation over the stack raises :class:`InvalidStateError`."""
+    t <= 1 and smallest block eigenvalue (t - |(x, y, z)|) / 2 >= 0, each
+    within ``TOL``, the spectrum tolerance :func:`check_states` applies (so
+    t >= -2 ``TOL``).  The first violation over the stack raises
+    :class:`InvalidStateError`."""
     if not np.isfinite(rows).all():
         raise InvalidStateError("state rows must be finite")
     weight = float(rows[:, 0].max(initial=0.0))
     if weight > 1.0 + TOL:
         raise InvalidStateError(f"qubit block weight {weight:.3e} exceeds 1 by more than {TOL:.1e}")
-    excess = np.sqrt(np.square(rows[:, 1:]).sum(axis=1)) - rows[:, 0]
-    if excess.max(initial=0.0) > TOL:
+    excess = float((np.sqrt(np.square(rows[:, 1:]).sum(axis=1)) - rows[:, 0]).max(initial=0.0))
+    if excess / 2.0 > TOL:
         raise InvalidStateError(
-            f"not positive semidefinite: Bloch length exceeds the weight by {excess.max():.3e}"
+            f"not positive semidefinite: min eigenvalue {-excess / 2.0:.3e} below -{TOL:.1e}"
         )
     return rows
 
 
+def state_rows(mats, dim: int | None = None) -> np.ndarray:
+    """(n, 4) rows of a caller's (n, d, d) stack of states: the one crossing
+    from complex stacks to rows.  :func:`check_states` checks the stack
+    once; with ``dim``, its states must be dim x dim."""
+    states = check_states(mats)
+    if dim is not None and states.shape[-1] != dim:
+        raise ValueError(f"expected states of dim {dim}, got dim {states.shape[-1]}")
+    return to_rows(states)
+
+
 def bloch_xyz(mats) -> np.ndarray:
-    """(n, 3) Bloch coordinates of a (n, 2, 2) stack of qubit matrices."""
-    mats = np.asarray(mats, dtype=complex)
-    if mats.ndim != 3 or mats.shape[1:] != (2, 2):
-        raise ValueError(f"Bloch coordinates are defined for dim 2, got shape {mats.shape}")
-    return to_rows(mats)[:, 1:]
+    """(n, 3) Bloch coordinates of a (n, 2, 2) stack of qubit states."""
+    return state_rows(mats, 2)[:, 1:]

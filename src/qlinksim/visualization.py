@@ -3,11 +3,14 @@
 This module alone writes and reads both formats.  Every writer takes a
 :class:`StateProjection` table per panel (tx and rx), one row per distinct
 state as :func:`project_rows` computes it, whose ``rows`` index gives each
-symbol's row, and one label per symbol.  :func:`read_states_csv` rebuilds
-these from a states CSV; :func:`write_figures` writes a channel's I/Q
-constellation (the amplitude-ratio reconstruction of each qubit state) and
-Bloch sphere (a fixed orthographic projection), each with transmitted and
-received panels side by side.  All output is deterministic: fixed element
+symbol's row, and one label per symbol; :func:`project_states` checks a
+caller's complex stack and projects its rows.  :func:`read_states_csv`
+rebuilds the tables and labels from a states CSV, clip flags and received
+traces included, so they redraw the figures of the run that wrote it.
+:func:`write_figures` writes a channel's I/Q constellation (the
+amplitude-ratio reconstruction of each qubit state) and Bloch sphere (a
+fixed orthographic projection), each with transmitted and received panels
+side by side.  All output is deterministic: fixed element
 order, fixed number formatting, no timestamps.  Each table row's numbers
 and each distinct (row, label) marker are formatted once, so writing costs
 in proportion to the number of distinct states, not of symbols; the bytes
@@ -29,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import TOL, to_rows
+from .states import TOL, state_rows
 
 # tab20-style cycle; the erasure label -1 gets its own dark gray.
 _PALETTE = (
@@ -81,6 +84,13 @@ class StateProjection:
         return replace(self, rows=self.rows[index])
 
 
+def _rho00(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho_00 of renormalized blocks with Bloch vectors ``bloch``, and whether
+    it falls below ``_RHO00_FLOOR``: the clip rule of a constellation point."""
+    r00 = (1.0 + bloch[:, 2]) / 2.0
+    return r00, r00 < _RHO00_FLOOR
+
+
 def project_rows(
     rows: np.ndarray, power_scale: float = 1.0, clip_radius: float = 1.5
 ) -> StateProjection:
@@ -97,9 +107,8 @@ def project_rows(
     trace = rows[:, 0]
     depleted = trace < TOL
     bloch = np.where(depleted[:, None], 0.0, rows[:, 1:] / np.where(depleted, 1.0, trace)[:, None])
-    r00 = (1.0 + bloch[:, 2]) / 2.0
+    r00, clipped = _rho00(bloch)
     ratio = bloch[:, :2] / 2.0
-    clipped = r00 < _RHO00_FLOOR
     mag = np.hypot(ratio[:, 0], ratio[:, 1])[:, None]
     direction = np.where(mag > 0.0, ratio / np.where(mag > 0.0, mag, 1.0), [1.0, 0.0])
     iq = np.where(
@@ -113,8 +122,9 @@ def project_rows(
 def project_states(
     mats, power_scale: float = 1.0, clip_radius: float = 1.5
 ) -> StateProjection:
-    """:func:`project_rows` of the rows of a (n, d, d) stack of states (d >= 2)."""
-    return project_rows(to_rows(mats), power_scale, clip_radius)
+    """:func:`project_rows` of the rows (:func:`~qlinksim.states.state_rows`)
+    of a (n, d, d) stack of states (d >= 2)."""
+    return project_rows(state_rows(mats), power_scale, clip_radius)
 
 
 def _check_labels(labels, name: str) -> np.ndarray:
@@ -238,9 +248,10 @@ def read_states_csv(path: str | Path) -> tuple:
     """Rebuild the writers' inputs from a states CSV's columns: tx table, tx
     labels, rx table, rx labels.
 
-    The CSV does not record clip flags or the renormalized trace, so the
-    tables hold no clipped points (a replotted constellation shows them as
-    plain dots at the clip radius) and a trace of 1.  It accepts only what
+    A point is clipped where its Bloch z, as written, gives a rho_00 below
+    ``_RHO00_FLOOR`` (:func:`_rho00`, the rule :func:`project_rows`
+    applies); the rx trace is ``rx_renorm_trace`` and the tx trace 1, so
+    the tables redraw the run's figures.  It accepts only what
     :func:`write_states_csv` writes: a missing cell, a cell beyond the
     header, a label or ``index`` that is not decimal digits with an optional
     sign, a number that is not a finite '.12g' spelling (sign, digits,
@@ -291,12 +302,14 @@ def read_states_csv(path: str | Path) -> tuple:
         line, row = rows[at]
         raise ValueError(f"{path}, line {line}, column index: expected {at}, got {row['index']!r}")
     tables = []
+    traces = {"tx": np.ones(len(rows)), "rx": cells(["rx_renorm_trace"], float).ravel()}
     for side in ("tx", "rx"):
+        bloch = cells([f"{side}_bloch_{a}" for a in "xyz"], float)
         table = StateProjection(
-            bloch=cells([f"{side}_bloch_{a}" for a in "xyz"], float),
-            trace=np.ones(len(rows)),
+            bloch=bloch,
+            trace=traces[side],
             iq=cells([f"{side}_{a}" for a in "iq"], float),
-            clipped=np.zeros(len(rows), dtype=bool),
+            clipped=_rho00(bloch)[1],
         )
         labels = cells([f"{side}_label"], int).ravel()
         tables += [table, _check_labels(labels, f"{path}, column {side}_label")]

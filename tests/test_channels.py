@@ -32,7 +32,7 @@ from qlinksim import (
 from qlinksim.channels import _pure_loss, _scintillation, config_from_dict, config_to_dict
 # The PMD row kernel is pinned bit for bit to its state-per-row reference.
 from qlinksim.channels import _pmd, _transfer_matrix
-from qlinksim.states import from_rows, to_rows
+from qlinksim.states import check_states, from_rows, to_rows
 
 _PLUS = pure(1 / np.sqrt(2), 1 / np.sqrt(2))
 _ONE = pure(0, 1)
@@ -49,6 +49,13 @@ class TestDepolarizing:
         rng = np.random.default_rng(31)
         rho = random_density(rng, 2)
         assert np.allclose(through(DepolarizingConfig(p=0.0), [rho])[0], rho.mat)
+
+    def test_p_zero_passes_every_state_check_states_accepts(self):
+        # |r| = 1 + 1.5e-9: smallest eigenvalue -0.75e-9, within TOL.
+        rho = from_rows(np.array([[1.0, 0.6 * (1.0 + 1.5e-9), 0.0, 0.8 * (1.0 + 1.5e-9)]]))
+        check_states(rho)
+        out = through(DepolarizingConfig(p=0.0), [rho[0]])
+        assert np.max(np.abs(out - rho)) <= 1e-15
 
     def test_p_one_is_maximally_mixed(self):
         rng = np.random.default_rng(32)

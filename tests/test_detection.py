@@ -272,12 +272,23 @@ class TestErasureEmbedding:
             big = np.zeros((3, 3), dtype=complex)
             big[:2, :2] = e
             padded.append(big)
-        residual = np.eye(3, dtype=complex) - sum(padded)
-        vals, vecs = np.linalg.eigh(hermitize(residual))
-        residual = hermitize((vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
+        flag = np.diag([0.0, 0.0, 1.0]).astype(complex)
         embedded = embed_povm_with_erasure(povm, 3)
-        for got, want in zip(embedded.elements, padded + [residual]):
+        for got, want in zip(embedded.elements, padded + [flag], strict=True):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order", ["qpsk", 4, 16, 64])
+    def test_rows_are_the_run_outcome_rows(self, order):
+        povm = build_pgm(qpsk_codebook() if order == "qpsk" else qam_codebook(order))
+        embedded = embed_povm_with_erasure(povm, 3)
+        rows, labels, flagged = povm.outcomes(erasure=True)
+        assert np.array_equal(embedded.rows, rows)
+        assert embedded.labels == tuple(labels.tolist()) and flagged
+
+    def test_takes_no_eigendecomposition(self, monkeypatch):
+        povm = build_pgm(qam_codebook(16))
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        assert embed_povm_with_erasure(povm, 3).n_outcomes == 17
 
 
 class TestDecide:
@@ -488,8 +499,11 @@ class TestBatchDetection:
             povm, score_states(povm, per_symbol), np.random.default_rng(86)
         )
         assert np.array_equal(got, want)
+        # Per-state mode: one row per codebook state, draw i for row index[i].
         index = np.random.default_rng(87).integers(0, m, n)
-        got = sample_labels(povm, per_state, np.random.default_rng(88), index)
+        got = detection.sample_rows(
+            povm.outcomes(), to_rows(per_state), np.random.default_rng(88), index
+        )
         want = score_sample_labels(
             povm, score_states(povm, per_state)[index], np.random.default_rng(88)
         )
@@ -527,7 +541,7 @@ class TestBatchDetection:
         povm, mats = codebook_outputs(m, erasure)
         symbols = np.random.default_rng(80 + n).integers(0, m, n)
         got_rng, want_rng = np.random.default_rng(81), np.random.default_rng(81)
-        got = sample_labels(povm, mats, got_rng, symbols)
+        got = detection.sample_rows(povm.outcomes(), to_rows(mats), got_rng, symbols)
         want = sample_labels(povm, mats[symbols], want_rng)
         assert np.array_equal(got, want)
         assert got.dtype == want.dtype
@@ -549,32 +563,19 @@ class TestBatchDetection:
         )
         mats = np.stack([pure(1, 0), pure(0, 1)])
         index = np.array([0, 0, 0, 1, 1])
-        got = sample_labels(povm, mats, FixedDraws(), index)
+        got = detection.sample_rows(povm.outcomes(), to_rows(mats), FixedDraws(), index)
         assert got.tolist() == [2, 3, 0, 1, 2]
         assert np.array_equal(got, sample_labels(povm, mats[index], FixedDraws()))
-
-    def test_per_state_labels_skip_unsent_states(self):
-        povm, mats = codebook_outputs(16, True)
-        symbols = np.random.default_rng(82).integers(0, 16, 2000)
-        symbols[symbols == 3] = 4
-        # State 3 is never sent, so it is never checked or searched.
-        mats = mats.copy()
-        mats[3] = np.diag([1.5, -0.5, 0.0])
-        got = sample_labels(povm, mats, np.random.default_rng(83), symbols)
-        want = sample_labels(povm, mats[symbols], np.random.default_rng(83))
-        assert np.array_equal(got, want)
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            sample_labels(povm, mats, np.random.default_rng(83), np.array([3]))
 
     def test_per_state_sampler_forms_no_per_symbol_cdf(self):
         n = 20000
         povm, mats = codebook_outputs(64, True)
         assert povm.n_outcomes == 65
         symbols = np.random.default_rng(84).integers(0, 64, n)
-        rng = np.random.default_rng(85)
+        rng, outcomes, rows = np.random.default_rng(85), povm.outcomes(), to_rows(mats)
         tracemalloc.start()
         try:
-            sample_labels(povm, mats, rng, symbols)
+            detection.sample_rows(outcomes, rows, rng, symbols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -143,6 +143,12 @@ class TestConfusionCount:
         with pytest.raises(ValueError, match="M \\+ 1"):
             error_counts(np.ones((4, 4), dtype=int), hamming)
 
+    def test_zero_bit_table_rejected(self):
+        confusion = confusion_matrix([0, 1], [0, 1], 2)
+        hamming = hamming_table(np.zeros((2, 0), dtype=int))
+        with pytest.raises(ValueError, match="zero bits per symbol"):
+            error_counts(confusion, hamming)
+
     def test_comparison_counts_without_expanding(self):
         # A comparison scores from counts alone: the per-symbol route is gone
         # from the package, and the oracles in conftest are its only copy.

@@ -244,6 +244,10 @@ class TestCodebookStack:
             (np.eye(2) / 2, ((0,), (1,)), "stack"),
             (make_pure_states([[1, 0], [0, 1]]), ((0,),), "one bit label per state"),
             (make_pure_states([[1, 0], [0, 1]]), (0, 1), "one bit label per state"),
+            (make_pure_states([[1, 0], [0, 1]]), ((0, 2), (1, 0)), "table of 0s and 1s"),
+            (make_pure_states([[1, 0], [0, 1]]), ((0, -1), (1, 0)), "table of 0s and 1s"),
+            (make_pure_states([[1, 0], [0, 1]]), ((0.5,), (1,)), "table of 0s and 1s"),
+            (make_pure_states([[1, 0], [0, 1]]), np.zeros((2, 0), int), r"bits >= 1"),
         ],
     )
     def test_malformed_codebook_rejected(self, mats, labels, message):

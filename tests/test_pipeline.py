@@ -684,28 +684,46 @@ class TestStatesCsv:
 
 @pytest.fixture(scope="module")
 def shipped_1000(tmp_path_factory):
-    """The shipped config's comparison at 1000 symbols: its output directory."""
-    out = tmp_path_factory.mktemp("shipped")
-    cfg = dataclasses.replace(load_config(default_config_path()), n_symbols=1000, output_dir=out)
-    run_comparison(cfg)
-    return out
+    """The shipped config's comparison at 1000 symbols, in 16-QAM and in QPSK
+    (whose |1> state is a clipped constellation point): the two output
+    directories."""
+    outs = []
+    for modulation in ("qam", "qpsk"):
+        out = tmp_path_factory.mktemp(f"shipped_{modulation}")
+        cfg = dataclasses.replace(
+            load_config(default_config_path()), modulation=modulation, n_symbols=1000,
+            output_dir=out,
+        )
+        run_comparison(cfg)
+        outs.append(out)
+    return outs
 
 
 @pytest.mark.parametrize("channel", [n for n, _ in load_config(default_config_path()).channels])
 def test_plot_redraws_compare_figures(shipped_1000, tmp_path, channel):
-    states = shipped_1000 / f"states_{channel}.csv"
-    assert cli_main(["plot", "--states", str(states), "--out", str(tmp_path)]) == 0
-    for figure in (f"constellation_{channel}.svg", f"bloch_{channel}.svg"):
-        assert (tmp_path / figure).read_bytes() == (shipped_1000 / figure).read_bytes()
+    for out in shipped_1000:
+        states = out / f"states_{channel}.csv"
+        assert cli_main(["plot", "--states", str(states), "--out", str(tmp_path)]) == 0
+        for figure in (f"constellation_{channel}.svg", f"bloch_{channel}.svg"):
+            assert (tmp_path / figure).read_bytes() == (out / figure).read_bytes(), figure
 
 
-@pytest.mark.parametrize("channel", ["depolarizing", "dephasing", "bosonic", "turbulence", "pmd"])
+@pytest.mark.parametrize(
+    "channel", ["depolarizing", "dephasing", "bosonic", "turbulence", "pmd", "erasure"]
+)
 def test_states_csv_read_then_written_is_the_same_file(shipped_1000, tmp_path, channel):
-    # Erasure is left out: the reader does not restore rx_renorm_trace.
-    states = shipped_1000 / f"states_{channel}.csv"
-    tx, tx_labels, rx, rx_labels = visualization.read_states_csv(states)
-    write_states_csv(tmp_path / states.name, tx, rx, tx_labels, rx_labels)
-    assert (tmp_path / states.name).read_bytes() == states.read_bytes()
+    for out in shipped_1000:
+        states = out / f"states_{channel}.csv"
+        tx, tx_labels, rx, rx_labels = visualization.read_states_csv(states)
+        write_states_csv(tmp_path / states.name, tx, rx, tx_labels, rx_labels)
+        assert (tmp_path / states.name).read_bytes() == states.read_bytes(), out.name
+
+
+def test_read_states_csv_restores_clip_flags_and_traces(shipped_1000):
+    # QPSK's |1> (z = -1) is the one clipped point; erasure keeps 1 - p in the block.
+    tx, tx_labels, rx, _ = visualization.read_states_csv(shipped_1000[1] / "states_erasure.csv")
+    assert np.array_equal(tx.clipped, tx_labels == 1) and np.array_equal(rx.clipped, tx.clipped)
+    assert np.all(tx.trace == 1.0) and np.all(rx.trace == 0.75)
 
 
 class TestCli:

@@ -1,14 +1,24 @@
+import inspect
+
 import numpy as np
 import pytest
 from conftest import pure, purity, random_density, random_pure
 
 from qlinksim import (
+    Channel,
     DegenerateStateError,
     DensityMatrix,
+    DepolarizingConfig,
     DetectorCodebook,
     InvalidStateError,
     bloch_xyz,
+    build_pgm,
+    project_states,
+    qpsk_codebook,
+    sample_labels,
+    score_states,
 )
+from qlinksim import channels, detection, states, visualization
 from qlinksim.states import (
     TOL,
     check_states,
@@ -18,6 +28,7 @@ from qlinksim.states import (
     inv_sqrt_psd,
     make_pure_states,
     min_eigenvalues,
+    state_rows,
     to_rows,
 )
 
@@ -361,9 +372,9 @@ class TestRowCheck:
             ([np.nan, 0.0, 0.0, 0.0], "finite"),
             ([1.0, np.inf, 0.0, 0.0], "finite"),
             ([1.0 + 2 * TOL, 0.0, 0.0, 0.0], "exceeds 1"),
-            ([1.0, 0.6, 0.0, 0.8 + 2 * TOL], "positive semidefinite"),
-            ([0.5, 0.0, -0.5 - 2 * TOL, 0.0], "positive semidefinite"),
-            ([-2 * TOL, 0.0, 0.0, 0.0], "positive semidefinite"),
+            ([1.0, 0.6, 0.0, 0.8 + 3 * TOL], "positive semidefinite"),
+            ([0.5, 0.0, -0.5 - 3 * TOL, 0.0], "positive semidefinite"),
+            ([-3 * TOL, 0.0, 0.0, 0.0], "positive semidefinite"),
         ],
         ids=["nan", "inf", "weight", "long", "long-mixed", "negative-weight"],
     )
@@ -373,11 +384,16 @@ class TestRowCheck:
             check_rows(rows)
 
     def test_rows_agree_with_the_matrix_check(self):
-        # A row passes exactly when its qubit matrix passes check_states
-        # (away from the tolerance edges).
+        # A row passes exactly when its qubit matrix passes check_states:
+        # random rows, and rows whose smallest eigenvalue (t - |r|) / 2 lies
+        # within 1% of the edge -TOL, on either side.
         rng = np.random.default_rng(21)
         rows = np.column_stack([np.ones(400), rng.uniform(-0.8, 0.8, (400, 3))])
-        for row in rows:
+        axes = rng.standard_normal((200, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        lengths = 1.0 + 2 * TOL * rng.choice([0.99, 1.01], 200)
+        edge = np.column_stack([np.ones(200), axes * lengths[:, None]])
+        for row in np.concatenate([rows, edge]):
             try:
                 check_states(from_rows(row[None]))
                 valid = True
@@ -401,3 +417,59 @@ class TestPurity:
     def test_half_depolarized_pure_state(self):
         mixed = DensityMatrix(0.5 * pure(1, 0) + 0.5 * np.eye(2) / 2)
         assert purity(mixed.mat) == pytest.approx(0.625, abs=1e-12)
+
+
+class TestStateRows:
+    """state_rows is the one crossing of a caller's stack into rows."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["apply_batch", "score_states", "sample_labels", "project_states", "bloch_xyz"],
+    )
+    def test_every_entry_point_checks_once(self, monkeypatch, entry):
+        calls = []
+        real = states.check_states
+
+        def counting(mats):
+            calls.append(len(mats))
+            return real(mats)
+
+        mats = qpsk_codebook().mats
+        povm = build_pgm(qpsk_codebook())
+        monkeypatch.setattr(states, "check_states", counting)
+        call = {
+            "apply_batch": lambda: Channel(DepolarizingConfig(p=0.1)).apply_batch(mats),
+            "score_states": lambda: score_states(povm, mats),
+            "sample_labels": lambda: sample_labels(povm, mats, np.random.default_rng(22)),
+            "project_states": lambda: project_states(mats),
+            "bloch_xyz": lambda: bloch_xyz(mats),
+        }[entry]
+        call()
+        assert calls == [4]
+
+    def test_no_second_crossing(self):
+        assert not hasattr(detection, "_checked_rows")
+        assert "index" not in inspect.signature(sample_labels).parameters
+        for module in (channels, detection, visualization):
+            assert not hasattr(module, "check_states"), module.__name__
+
+    def test_rows_of_checked_states(self):
+        rng = np.random.default_rng(23)
+        mats = np.stack([random_density(rng, 2).mat for _ in range(20)])
+        assert np.array_equal(state_rows(mats), to_rows(check_states(mats)))
+        assert np.array_equal(state_rows(mats, 2), state_rows(mats))
+        with pytest.raises(ValueError, match="expected states of dim 3, got dim 2"):
+            state_rows(mats, 3)
+
+    @pytest.mark.parametrize("entry", [bloch_xyz, project_states])
+    @pytest.mark.parametrize(
+        "mat, message",
+        [
+            ([[np.nan, 0.0], [0.0, 1.0]], "finite"),
+            ([[2.0, 5j], [0.0, -1.0]], "not Hermitian"),
+        ],
+        ids=["nan", "non-hermitian"],
+    )
+    def test_projections_check_their_input(self, entry, mat, message):
+        with pytest.raises(InvalidStateError, match=message):
+            entry(np.array([mat], dtype=complex))
