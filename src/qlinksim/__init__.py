@@ -50,7 +50,6 @@ from .pipeline import (
     run_simulation,
 )
 from .states import (
-    DegenerateStateError,
     DensityMatrix,
     InvalidStateError,
     bloch_xyz,
@@ -69,7 +68,6 @@ __all__ = [
     "Channel",
     "ChannelConfig",
     "ChannelRunResult",
-    "DegenerateStateError",
     "DensityMatrix",
     "DephasingConfig",
     "DepolarizingConfig",

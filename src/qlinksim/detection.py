@@ -5,10 +5,14 @@ The detector for a codebook {p_i, rho_i} is the pretty-good measurement
     E_i = p_i  S rho_i S,   S = rhobar^(-1/2),   rhobar = sum_i p_i rho_i,
 
 completed on the support of rhobar.  A POVM is one read-only (K, d, d)
-element stack, validated once and read once as (K, 4) rows
-e = (Tr E, 2 Re E01, -2 Im E01, E00 - E11): a state row (t, x, y, z) fires
-E with probability e . row / 2, the erasure outcome also with the flag's
-weight 1 - t.  A run decides on a channel's checked rows with the row
+element stack on a qubit (d = 2) or on a qubit and an erasure flag (d = 3),
+validated once by the states' structural check and closed-form
+positive-semidefinite criterion (:func:`~qlinksim.states.check_structure`,
+:func:`~qlinksim.states.smallest_eigenvalue`; no spectrum is taken), and
+read once as (K, 4) rows e = (Tr E, 2 Re E01, -2 Im E01, E00 - E11): a
+state row (t, x, y, z) fires E with probability e . row / 2, the erasure
+outcome also with the flag's weight 1 - t.  A run decides on a channel's
+checked rows with the row
 kernels (:func:`argmax_rows`, :func:`sample_rows`), which form no (n, K)
 array and no BLAS product.  The public functions take complex (n, d, d)
 stacks, which cross to rows once, through
@@ -27,9 +31,9 @@ from .modulation import DetectorCodebook
 from .states import (
     TOL,
     DensityMatrix,
-    hermitize,
+    check_structure,
     inv_sqrt_psd,
-    min_eigenvalues,
+    smallest_eigenvalue,
     state_rows,
     to_rows,
 )
@@ -41,9 +45,10 @@ _CHUNK = 4096
 @dataclass(frozen=True, eq=False)
 class POVM:
     """Validated measurement on a qubit (d = 2), or on a qubit and an erasure
-    flag (d = 3) that only its last element reads: ``elements`` is a read-only
-    (K, d, d) stack of PSD matrices summing to the identity, and ``rows`` its
-    rows.  ``labels[i]`` is reported when element i fires; erasure is -1.
+    flag (d = 3), uncoupled from the qubit block, that only its last element
+    reads: ``elements`` is a read-only (K, d, d) stack of PSD matrices
+    summing to the identity, and ``rows`` its rows.  ``labels[i]`` is
+    reported when element i fires; erasure is -1.
     """
 
     elements: np.ndarray
@@ -55,16 +60,9 @@ class POVM:
             raise ValueError("POVM needs at least one element")
         if len(self.labels) != len(self.elements):
             raise ValueError("one label per element required")
-        elements = np.asarray(self.elements, dtype=complex)
-        if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
-            raise ValueError("POVM elements must share one square shape")
-        if not np.all(np.isfinite(elements)):
-            raise ValueError("POVM elements must be finite")
-        herm_dev = float(np.max(np.abs(elements - elements.conj().swapaxes(-1, -2))))
-        if herm_dev > TOL:
-            raise ValueError(f"POVM element not Hermitian (deviation {herm_dev:.3e})")
-        elements = hermitize(elements)
-        min_eig = float(np.min(min_eigenvalues(elements)))
+        elements = check_structure(self.elements, "POVM elements")
+        rows = to_rows(elements)
+        min_eig = smallest_eigenvalue(rows, elements[:, 2:, 2:].real)
         if min_eig < -TOL:
             raise ValueError(f"POVM element not PSD (min eigenvalue {min_eig:.3e})")
         comp_dev = float(np.max(np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1]))))
@@ -72,14 +70,13 @@ class POVM:
             raise ValueError(
                 f"POVM does not resolve the identity (deviation {comp_dev:.3e})"
             )
-        # A PSD element with no weight on the flag has no coupling to it, and
-        # completeness then leaves the last element all of the flag.
-        if elements.shape[-1] not in (2, 3) or np.abs(elements[:-1, :, 2:]).max(initial=0.0) > TOL:
+        # Completeness leaves the last element all of the flag.
+        if np.abs(elements[:-1, 2:, 2:]).max(initial=0.0) > TOL:
             raise ValueError(
                 "POVM must act on a qubit, or on a qubit and an erasure flag "
                 "that only its last element reads"
             )
-        for name, value in (("elements", elements), ("rows", to_rows(elements))):
+        for name, value in (("elements", elements), ("rows", rows)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 

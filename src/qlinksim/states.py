@@ -2,13 +2,17 @@
 
 A run carries each state as the real row (t, x, y, z) of its qubit block,
 rho = (t I + x X + y Y + z Z) / 2, with the erasure flag's weight 1 - t.
-A caller's complex (n, d, d) stack becomes rows in one place,
-:func:`state_rows`: :func:`check_states` checks it once, in one vectorized
-pass (finite, Hermitian, positive-semidefinite, closed form for qubits,
-unit trace), and :func:`to_rows` converts it.  Rows and stacks share one
-positive-semidefinite criterion: smallest eigenvalue, (t - |r|) / 2 on a
-qubit block, at least -``TOL``.  A checked stack that is shared, such as
-a codebook's, is marked read-only.
+A complex stack or POVM is therefore accepted only in the two shapes rows
+represent: 2x2 (a qubit), or 3x3 with the qubit block and the flag
+uncoupled within ``TOL`` (a qubit and an erasure flag).  A caller's stack
+becomes rows in one place, :func:`state_rows`: :func:`check_states` checks
+it once, in one vectorized pass (:func:`check_structure`: shape, finite,
+Hermitian, uncoupled flag; then unit trace and positive semidefinite), and
+:func:`to_rows` converts it.  Rows, states and POVM elements share one
+closed-form positive-semidefinite criterion, :func:`smallest_eigenvalue`:
+min((t - |r|) / 2, flag entry) at least -``TOL``; no check takes a
+spectrum.  A checked stack that is shared, such as a codebook's, is
+marked read-only.
 """
 
 from __future__ import annotations
@@ -22,11 +26,7 @@ EIG_CUT = 1e-10
 
 
 class InvalidStateError(ValueError):
-    """A matrix or vector violates a quantum-state contract."""
-
-
-class DegenerateStateError(InvalidStateError):
-    """An operator has no numerical support above the eigenvalue cutoff."""
+    """A matrix or vector violates a quantum-state or operator contract."""
 
 
 def hermitize(m) -> np.ndarray:
@@ -35,48 +35,62 @@ def hermitize(m) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def min_eigenvalues(sym: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each matrix of a hermitized (n, d, d) stack.
+def check_structure(mats, what: str) -> np.ndarray:
+    """Hermitize a (n, d, d) stack of qubit (d = 2) or qubit-and-flag (d = 3)
+    operators, after checking that it is one: ``what`` names the operators
+    in the :class:`InvalidStateError` raised.
 
-    A qubit [[a, b], [b*, d]] has the closed-form spectrum
-    (a + d)/2 -+ hypot((a - d)/2, |b|), so 2x2 stacks need no LAPACK call;
-    other dimensions go through ``np.linalg.eigvalsh``.
+    Every entry must be finite, each matrix Hermitian within ``TOL`` before
+    symmetrization, and for d = 3 the qubit block's coupling to the flag,
+    the symmetrized entries [0, 2] and [1, 2], at most ``TOL`` in modulus.
+    Any other shape is rejected.
     """
-    if sym.shape[-1] != 2:
-        return np.linalg.eigvalsh(sym)[..., 0]
-    a, d = sym[:, 0, 0].real, sym[:, 1, 1].real
-    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(sym[:, 0, 1]))
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim != 3 or mats.shape[1:] not in ((2, 2), (3, 3)):
+        raise InvalidStateError(f"{what} must be square, 2x2 or 3x3, got shape {mats.shape[1:]}")
+    if not np.isfinite(mats).all():
+        raise InvalidStateError(f"{what} must be finite")
+    adjoint = mats.conj().swapaxes(-1, -2)
+    herm_dev = float(np.max(np.abs(mats - adjoint), initial=0.0))
+    if herm_dev > TOL:
+        raise InvalidStateError(
+            f"{what} not Hermitian: max |m - m^dagger| = {herm_dev:.3e} exceeds {TOL:.1e}"
+        )
+    sym = (mats + adjoint) / 2.0
+    coupling = float(np.abs(sym[:, :2, 2:]).max(initial=0.0))
+    if coupling > TOL:
+        raise InvalidStateError(f"{what} couple the qubit block to the flag by {coupling:.3e}")
+    return sym
+
+
+def smallest_eigenvalue(rows: np.ndarray, flags: np.ndarray | None = None) -> float:
+    """Smallest eigenvalue over a stack of Hermitian qubit (or uncoupled
+    qubit-and-flag) operators, in closed form: the least of
+    (t - |(x, y, z)|) / 2 over the (n, 4) rows of their qubit blocks and of
+    their real flag entries ``flags``, if given; inf for an empty stack.
+    A block (t I + x X + y Y + z Z) / 2 has the eigenvalues (t -+ |r|) / 2.
+    """
+    low = float((rows[:, 0] - np.sqrt(np.square(rows[:, 1:]).sum(axis=1))).min(initial=np.inf))
+    low /= 2.0
+    return low if flags is None else min(low, float(flags.min(initial=np.inf)))
 
 
 def check_states(mats) -> np.ndarray:
     """Hermitize a (n, d, d) stack of states and check each one's invariants.
 
-    Every entry must be finite, each matrix Hermitian within ``TOL``
-    before symmetrization, and each symmetrized matrix of unit trace and
-    nonnegative spectrum within ``TOL``.  The first violation over the
-    whole stack raises :class:`InvalidStateError`.
+    :func:`check_structure` checks the stack's shape, entries, Hermiticity
+    and flag coupling; each symmetrized matrix must then have unit trace
+    and a :func:`smallest_eigenvalue` of at least -``TOL``.  The first
+    violation over the whole stack raises :class:`InvalidStateError`.
     """
-    mats = np.asarray(mats, dtype=complex)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] < 1:
-        raise InvalidStateError(
-            f"density matrix must be square and nonempty, got shape {mats.shape[1:]}"
-        )
-    if not np.all(np.isfinite(mats)):
-        raise InvalidStateError("density matrix entries must be finite")
-    adjoint = mats.conj().swapaxes(-1, -2)
-    herm_dev = float(np.max(np.abs(mats - adjoint), initial=0.0))
-    if herm_dev > TOL:
-        raise InvalidStateError(
-            f"not Hermitian: max |m - m^dagger| = {herm_dev:.3e} exceeds {TOL:.1e}"
-        )
-    sym = (mats + adjoint) / 2.0
+    sym = check_structure(mats, "density matrices")
     traces = np.trace(sym, axis1=1, axis2=2).real
     trace_dev = float(np.max(np.abs(traces - 1.0), initial=0.0))
     if trace_dev > TOL:
         raise InvalidStateError(
             f"trace deviates from 1 by {trace_dev:.3e}, exceeds {TOL:.1e}"
         )
-    min_eig = float(np.min(min_eigenvalues(sym), initial=0.0))
+    min_eig = smallest_eigenvalue(to_rows(sym), sym[:, 2:, 2:].real)
     if min_eig < -TOL:
         raise InvalidStateError(
             f"not positive semidefinite: min eigenvalue {min_eig:.3e} below -{TOL:.1e}"
@@ -88,8 +102,9 @@ class DensityMatrix:
     """Validated quantum state.
 
     The wrapped matrix goes through :func:`check_states` as a stack of
-    one: it is hermitized and then required to be finite, of unit trace
-    and of nonnegative spectrum within ``TOL``.  The stored array is
+    one: it must be 2x2, or 3x3 with the flag uncoupled, finite and
+    Hermitian, and once hermitized of unit trace and of nonnegative
+    spectrum within ``TOL``.  The stored array is
     marked read-only, so instances are safe to share across threads.
     """
 
@@ -110,11 +125,17 @@ class DensityMatrix:
 
 def make_pure_states(kets) -> np.ndarray:
     """Read-only (n, d, d) stack of the rank-1 projectors |v><v| of normalized
-    amplitude vectors, checked once by :func:`check_states`.
+    amplitude vectors of length 2 (a qubit) or 3 (a qubit and a flag).
 
-    Each norm is sqrt(re.re + im.im) through the same BLAS dot that
-    ``np.linalg.norm`` takes for one vector, so every projector has the
-    bits of the one-ket arithmetic.
+    Each ket must be of unit norm within ``TOL``, and the projectors pass
+    :func:`check_structure`, which rejects non-finite kets and other
+    lengths.  A normalized ket's projector has unit trace and is positive
+    semidefinite by construction, so that check is left to the stack's one
+    consumer check (a codebook's, in
+    :class:`~qlinksim.modulation.DetectorCodebook`).  Each norm is
+    sqrt(re.re + im.im) through the same BLAS dot that ``np.linalg.norm``
+    takes for one vector, so every projector has the bits of the one-ket
+    arithmetic.
     """
     kets = np.asarray(kets, dtype=complex)
     kets = kets.reshape(len(kets), -1)
@@ -124,7 +145,7 @@ def make_pure_states(kets) -> np.ndarray:
     if np.any(off):
         raise InvalidStateError(f"amplitude vector norm {float(norms[np.argmax(off)])!r} is not 1")
     v = kets / norms[:, None]
-    mats = check_states(v[:, :, None] * v.conj()[:, None, :])
+    mats = check_structure(v[:, :, None] * v.conj()[:, None, :], "pure states")
     mats.flags.writeable = False
     return mats
 
@@ -138,10 +159,6 @@ def inv_sqrt_psd(m) -> np.ndarray:
     """
     vals, vecs = np.linalg.eigh(hermitize(m))
     support = vals > EIG_CUT
-    if not np.any(support):
-        raise DegenerateStateError(
-            f"all eigenvalues at or below cutoff {EIG_CUT:.1e}; no support to invert"
-        )
     inv = np.where(support, 1.0 / np.sqrt(np.where(support, vals, 1.0)), 0.0)
     return hermitize((vecs * inv) @ vecs.conj().T)
 
@@ -176,19 +193,18 @@ def from_rows(rows: np.ndarray, dim: int = 2) -> np.ndarray:
 
 def check_rows(rows: np.ndarray) -> np.ndarray:
     """Check (n, 4) rows elementwise and return them: finite, block weight
-    t <= 1 and smallest block eigenvalue (t - |(x, y, z)|) / 2 >= 0, each
-    within ``TOL``, the spectrum tolerance :func:`check_states` applies (so
-    t >= -2 ``TOL``).  The first violation over the stack raises
-    :class:`InvalidStateError`."""
+    t <= 1 within ``TOL``, and a :func:`smallest_eigenvalue` of at least
+    -``TOL``, the criterion :func:`check_states` applies (so t >= -2 ``TOL``).
+    The first violation over the stack raises :class:`InvalidStateError`."""
     if not np.isfinite(rows).all():
         raise InvalidStateError("state rows must be finite")
     weight = float(rows[:, 0].max(initial=0.0))
     if weight > 1.0 + TOL:
         raise InvalidStateError(f"qubit block weight {weight:.3e} exceeds 1 by more than {TOL:.1e}")
-    excess = float((np.sqrt(np.square(rows[:, 1:]).sum(axis=1)) - rows[:, 0]).max(initial=0.0))
-    if excess / 2.0 > TOL:
+    min_eig = smallest_eigenvalue(rows)
+    if min_eig < -TOL:
         raise InvalidStateError(
-            f"not positive semidefinite: min eigenvalue {-excess / 2.0:.3e} below -{TOL:.1e}"
+            f"not positive semidefinite: min eigenvalue {min_eig:.3e} below -{TOL:.1e}"
         )
     return rows
 

@@ -12,10 +12,10 @@ amplitude-ratio reconstruction of each qubit state) and Bloch sphere (a
 fixed orthographic projection), each with transmitted and received panels
 side by side.  All output is deterministic: fixed element
 order, fixed number formatting, no timestamps.  Each table row's numbers
-and each distinct (row, label) marker are formatted once, so writing costs
-in proportion to the number of distinct states, not of symbols; the bytes
-are those of formatting every symbol on its own.  Tables, row pairs,
-markers and CSV lines are each formatted by one printf-style template
+and each distinct (row, label) marker are formatted once, so number
+formatting costs in proportion to the number of distinct states, not of
+symbols; the bytes are those of formatting every symbol on its own.
+Tables, markers and CSV lines are each formatted by one printf-style template
 filled ``_CHUNK`` rows per '%' operation (:func:`_fill`), not by one
 Python call per number, so the text held at once stays bounded.
 """
@@ -58,7 +58,9 @@ class StateProjection:
     reconstructed constellation point and ``clipped`` (m,) whether that
     reconstruction diverged and was pinned at the clip radius, one row per
     state.  ``rows`` (n,) is the row of each symbol; it defaults to
-    ``arange(m)``, one symbol per row.
+    ``arange(m)``, one symbol per row.  A field of another shape, or with
+    an entry that is not finite, is a ``ValueError`` naming it: the states
+    CSV reader would refuse what it writes.
     """
 
     bloch: np.ndarray
@@ -68,7 +70,13 @@ class StateProjection:
     rows: np.ndarray | None = None
 
     def __post_init__(self):
-        m = len(self.trace)
+        m = np.size(self.trace)
+        for name, tail in (("trace", ()), ("bloch", (3,)), ("iq", (2,)), ("clipped", ())):
+            value = np.asarray(getattr(self, name))
+            if value.shape != (m, *tail):
+                raise ValueError(f"{name} must have shape {(m, *tail)}, got {value.shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         rows = np.arange(m) if self.rows is None else np.asarray(self.rows)
         if rows.ndim != 1 or rows.dtype.kind not in "iu":
             raise ValueError(f"rows must be a 1-D integer index, got {rows.dtype} {rows.shape}")
@@ -166,9 +174,9 @@ _CSV_NUM = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?")
 
 # Rows filled per '%' operation: bounds the text and arguments held at once.
 _CHUNK = 512
-# A symbol's line: index, labels, and the text of its (tx row, rx row) pair,
-# which joins tx Bloch, rx Bloch and trace, tx I/Q and rx I/Q.
-_CSV_LINE = "%d,%d,%d,%s\n"
+# A symbol's line: index, labels, and the text of its tx Bloch, rx Bloch and
+# trace, tx I/Q and rx I/Q table rows.
+_CSV_LINE = "%d,%d,%d,%s,%s,%s,%s\n"
 
 
 def _fill(template: str, *columns: np.ndarray, sep: str = "\0"):
@@ -216,12 +224,11 @@ def write_states_csv(
     projection, so rows stay well-defined for enlarged (erasure) outputs;
     ``rx_renorm_trace`` records the weight left in the qubit block.  Each
     table is formatted once, by one '%.12g' template per ``_CHUNK`` rows.
-    The symbols are written ``_CHUNK`` at a time: the text of each distinct
-    (tx row, rx row) pair in the chunk is joined once, and one
-    ``_CSV_LINE`` template fills the chunk's lines.  So the cost scales
-    with the number of distinct states, and the text held at once is that
-    of the tables plus one chunk, not of every symbol.  No field needs CSV
-    quoting: they are ints and '.12g' numbers.
+    The symbols are written ``_CHUNK`` at a time: one ``_CSV_LINE`` template
+    fills the chunk's lines from the text of the table rows they index.  So
+    the numbers are formatted once per distinct state, and the text held at
+    once is that of the tables plus one chunk, not of every symbol.  No
+    field needs CSV quoting: they are ints and '.12g' numbers.
     """
     if not len(tx_rows) == len(rx_rows) == len(tx_labels) == len(rx_labels):
         raise ValueError("state and label sequences must have equal lengths")
@@ -233,15 +240,10 @@ def write_states_csv(
         fh.write(",".join(STATES_CSV_HEADER) + "\n")
         for start in range(0, len(tx_labels), _CHUNK):
             chunk = slice(start, start + _CHUNK)
-            a, b = (table.rows[chunk].astype(np.int64) for table in (tx_rows, rx_rows))
-            pairs, pair = np.unique(a * len(rx_bloch) + b, return_inverse=True)
-            a, b = np.divmod(pairs, len(rx_bloch))
-            fields = (tx_bloch[a], rx_bloch[b], tx_iq[a], rx_iq[b])
-            text = np.array(list(map(",".join, zip(*(f.tolist() for f in fields)))), dtype=object)
-            index = np.arange(start, start + len(pair))
-            fh.writelines(
-                _fill(_CSV_LINE, index, tx_labels[chunk], rx_labels[chunk], text[pair], sep="")
-            )
+            a, b = tx_rows.rows[chunk], rx_rows.rows[chunk]
+            columns = (np.arange(start, start + len(a)), tx_labels[chunk], rx_labels[chunk])
+            columns += (tx_bloch[a], rx_bloch[b], tx_iq[a], rx_iq[b])
+            fh.writelines(_fill(_CSV_LINE, *columns, sep=""))
 
 
 def read_states_csv(path: str | Path) -> tuple:

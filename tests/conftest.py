@@ -14,8 +14,12 @@ from qlinksim.states import TOL
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """A random state on a qubit (dim 2), or on a qubit and an erasure flag
+    (dim 3) with the two uncoupled: the coupling of a random positive
+    matrix is zeroed, which keeps it positive."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = a @ a.conj().T
+    m[:2, 2:] = m[2:, :2] = 0.0
     return DensityMatrix(m / np.trace(m).real)
 
 

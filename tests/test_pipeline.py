@@ -344,22 +344,17 @@ class TestRunSimulation:
     def test_artifacts_format_each_distinct_state_once(self, tmp_path, monkeypatch):
         # Table rows and markers are formatted by templates that `_fill`
         # fills once per row: count the numbers and markers those rows hold.
-        # The CSV lines take each symbol's (tx row, rx row) pair text; count
-        # the distinct strings among them, which is the number of joins.
-        counts = {"csv": 0, "pair": 0, "marker": 0}
+        counts = {"csv": 0, "marker": 0}
         real = visualization._fill
 
         def counting(template, *columns, **kwargs):
             rows = len(columns[0])
             counts["csv"] += rows * template.count("%.12g")
             counts["marker"] += rows * (template in (visualization._CIRCLE, visualization._CROSS))
-            if template == visualization._CSV_LINE:
-                counts["pair"] += len(set(map(id, columns[-1])))
             return real(template, *columns, **kwargs)
 
         monkeypatch.setattr(visualization, "_fill", counting)
         m, n = 16, 4000
-        chunks = -(-n // visualization._CHUNK)
         cfg = SimulationConfig(
             modulation="qam", qam_order=m, n_symbols=n, seed=3, decision_mode="sampled",
             channels=(("era", ErasureConfig(p=0.25)), ("pmd", PMDConfig(dgd=2.0, sigma_omega=1.0))),
@@ -368,16 +363,13 @@ class TestRunSimulation:
         run_simulation(cfg, "era")
         # Per-symbol formatting would take n * 11 numbers and 4 n markers.
         assert 0 < counts["csv"] <= m * 11
-        # Each symbol chunk joins each (tx state, rx state) pair it holds once.
-        assert 0 < counts["pair"] <= m * chunks
         # Per renderer: m tx markers, at most m * (m + 1) (state, label) rx markers.
         assert 0 < counts["marker"] <= 2 * (m + m * (m + 1))
         # A stochastic channel's n received states are distinct; the m tx
         # states are still formatted once each.
-        counts.update(csv=0, pair=0, marker=0)
+        counts.update(csv=0, marker=0)
         run_simulation(cfg, "pmd")
         assert 0 < counts["csv"] <= 5 * m + 6 * n
-        assert 0 < counts["pair"] <= n
         assert 0 < counts["marker"] <= 2 * (m + n)
 
 
@@ -610,7 +602,7 @@ def test_comparison_after_setup_uses_real_rows_only(tmp_path, monkeypatch, mode)
     monkeypatch.setattr(pipeline._Transmitter, "build", build)
     complex_work = (
         "hermitize", "check_states", "to_rows", "from_rows", "make_pure_states", "bloch_xyz",
-        "min_eigenvalues", "inv_sqrt_psd", "project_states", "embed_povm_with_erasure",
+        "check_structure", "inv_sqrt_psd", "project_states", "embed_povm_with_erasure",
         "score_states", "sample_labels", "measurement_scores",
     )
     for module in (states, channels, detection, modulation, visualization, pipeline):

@@ -16,7 +16,6 @@ PUBLIC = [
     "Channel",
     "ChannelConfig",
     "ChannelRunResult",
-    "DegenerateStateError",
     "DensityMatrix",
     "DephasingConfig",
     "DepolarizingConfig",
@@ -66,8 +65,10 @@ def test_kernels_and_per_symbol_helpers_left_the_top_level():
     # scoring names' absence.
     for name in ("hermitize", "inv_sqrt_psd"):
         assert not hasattr(qlinksim, name) and callable(getattr(states, name))
-    # Rows replaced the leading-block projection.
+    # Rows replaced the leading-block projection, and the closed-form
+    # criterion the spectrum of any dimension.
     assert not hasattr(states, "leading_blocks")
+    assert not hasattr(states, "min_eigenvalues") and not hasattr(states, "DegenerateStateError")
     codebook = qlinksim.qpsk_codebook()
     assert not hasattr(codebook, "bit_table") and not hasattr(codebook, "name")
 

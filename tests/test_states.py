@@ -5,20 +5,23 @@ import pytest
 from conftest import pure, purity, random_density, random_pure
 
 from qlinksim import (
+    POVM,
     Channel,
-    DegenerateStateError,
     DensityMatrix,
     DepolarizingConfig,
     DetectorCodebook,
+    ErasureConfig,
     InvalidStateError,
     bloch_xyz,
     build_pgm,
+    embed_povm_with_erasure,
     project_states,
+    qam_codebook,
     qpsk_codebook,
     sample_labels,
     score_states,
 )
-from qlinksim import channels, detection, states, visualization
+from qlinksim import channels, detection, modulation, states, visualization
 from qlinksim.states import (
     TOL,
     check_states,
@@ -27,7 +30,7 @@ from qlinksim.states import (
     from_rows,
     inv_sqrt_psd,
     make_pure_states,
-    min_eigenvalues,
+    smallest_eigenvalue,
     state_rows,
     to_rows,
 )
@@ -51,7 +54,7 @@ class TestMakePure:
     def test_complex_amplitudes_give_pure_state(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            rho = random_pure(rng, 4)
+            rho = random_pure(rng, 2)
             assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -143,18 +146,18 @@ class TestDensityMatrixStack:
                 state.mat[0, 0] = 1.0
 
     def test_one_check_for_the_stack(self, monkeypatch):
-        from qlinksim import states as states_module
-
+        # make_pure_states leaves the trace and spectrum to the codebook.
         calls = []
-        real = states_module.check_states
+        real = states.check_states
 
         def counting(mats):
             calls.append(len(mats))
             return real(mats)
 
-        monkeypatch.setattr(states_module, "check_states", counting)
-        make_pure_states([[1, 0], [0, 1], [0.6, 0.8j]])
-        assert calls == [3]
+        for module in (states, modulation):
+            monkeypatch.setattr(module, "check_states", counting)
+        qam_codebook(64)
+        assert calls == [64]
 
     def test_one_bad_state_rejects_the_stack(self):
         raw = np.stack([np.eye(2) / 2, np.diag([1.2, -0.2])])
@@ -164,8 +167,11 @@ class TestDensityMatrixStack:
             make_pure_states([[1, 0], [1, 1]])
 
     def test_make_pure_states_match_one_state_projectors(self):
+        # Kets on a qubit and a flag: in the qubit block, or on the flag.
         rng = np.random.default_rng(23)
         kets = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
+        kets[:15, 2] = 0.0
+        kets[15:, :2] = 0.0
         kets /= np.linalg.norm(kets, axis=1, keepdims=True)
         mats = make_pure_states(kets)
         assert mats.shape == (20, 3, 3) and not mats.flags.writeable
@@ -173,10 +179,11 @@ class TestDensityMatrixStack:
             v = ket / float(np.linalg.norm(ket))
             assert np.array_equal(mat, DensityMatrix(np.outer(v, v.conj())).mat)
 
-    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("dim", [2, 3])
     def test_make_pure_states_match_one_ket_loop(self, dim):
         rng = np.random.default_rng(23)
         kets = rng.standard_normal((2000, dim)) + 1j * rng.standard_normal((2000, dim))
+        kets[:, 2:] = 0.0  # in the qubit block; the flag ket is a basis ket
         kets /= np.linalg.norm(kets, axis=1, keepdims=True)
         kets[:dim] = np.eye(dim)  # exact basis kets, with zero amplitudes
         ref = []
@@ -217,35 +224,63 @@ def rotated_diagonal(spectrum, seed: int) -> np.ndarray:
     return ((q * np.asarray(spectrum, dtype=float)) @ q.conj().T)[np.newaxis]
 
 
+def block_diagonal_qutrits(n: int = 500) -> np.ndarray:
+    """(n, 3, 3) Hermitian stacks of a random qubit block and a real flag entry."""
+    rng = np.random.default_rng(34)
+    m = np.zeros((n, 3, 3), dtype=complex)
+    m[:, :2, :2] = hermitian_qubits("random", n)
+    m[:, 2, 2] = rng.standard_normal(n)
+    return m
+
+
+def eigenvalue_of_each(m: np.ndarray) -> np.ndarray:
+    """smallest_eigenvalue of each matrix of a Hermitian stack on its own."""
+    flags = m[:, 2:, 2:].real
+    return np.array([smallest_eigenvalue(to_rows(m[i : i + 1]), flags[i]) for i in range(len(m))])
+
+
 class TestMinEigenvalues:
+    """The closed-form criterion against LAPACK, kept here as the reference."""
+
     @pytest.mark.parametrize("kind", ["random", "rank1", "degenerate", "large_b"])
     def test_qubit_closed_form_matches_eigvalsh(self, kind):
         m = hermitian_qubits(kind)
         ref = np.linalg.eigvalsh(m)
         scale = np.maximum(1.0, np.abs(ref).max(axis=1))
-        assert np.all(np.abs(min_eigenvalues(m) - ref[:, 0]) <= 1e-14 * scale)
+        assert np.all(np.abs(eigenvalue_of_each(m) - ref[:, 0]) <= 1e-14 * scale)
+        assert smallest_eigenvalue(to_rows(m)) == eigenvalue_of_each(m).min()
 
     def test_degenerate_qubits_are_exact(self):
         m = hermitian_qubits("degenerate")
-        assert np.array_equal(min_eigenvalues(m), m[:, 0, 0].real)
+        assert np.array_equal(eigenvalue_of_each(m), m[:, 0, 0].real)
 
-    @pytest.mark.parametrize("dim", [1, 3, 4])
-    def test_other_dimensions_use_eigvalsh(self, dim):
-        rng = np.random.default_rng(32)
-        m = np.stack([random_density(rng, dim).mat for _ in range(30)])
-        assert np.array_equal(min_eigenvalues(m), np.linalg.eigvalsh(m)[:, 0])
+    def test_block_diagonal_qutrits_match_eigvalsh(self):
+        m = block_diagonal_qutrits()
+        ref = np.linalg.eigvalsh(m)
+        scale = np.maximum(1.0, np.abs(ref).max(axis=1))
+        assert np.all(np.abs(eigenvalue_of_each(m) - ref[:, 0]) <= 1e-14 * scale)
+        # Both the block and the flag hold the smallest eigenvalue somewhere.
+        flag_lowest = m[:, 2, 2].real < np.linalg.eigvalsh(m[:, :2, :2])[:, 0]
+        assert flag_lowest.any() and not flag_lowest.all()
+
+    def test_empty_stack_has_no_eigenvalue_below_any_bound(self):
+        assert smallest_eigenvalue(np.empty((0, 4)), np.empty((0, 1, 1))) == np.inf
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_accept_reject_edge_at_tol(self, dim):
+        # The qubit block's smallest eigenvalue at -TOL +- 1%; for dim 3 the
+        # block sits beside the flag, and then the flag entry gets the edge.
         for k, x in enumerate((0.99 * TOL, 1.01 * TOL)):
-            spectrum = np.zeros(dim)
-            spectrum[0], spectrum[-1] = 1.0 + x, -x
-            mats = rotated_diagonal(spectrum, seed=33 + k)
-            if x < TOL:
-                check_states(mats)
-            else:
-                with pytest.raises(InvalidStateError, match="positive semidefinite"):
+            block = rotated_diagonal([1.0 + x, -x], seed=33 + k)[0]
+            edges = [np.pad(block, (0, dim - 2))[None]]
+            if dim == 3:
+                edges.append(np.diag([0.5 + x / 2, 0.5 + x / 2, -x]).astype(complex)[None])
+            for mats in edges:
+                if x < TOL:
                     check_states(mats)
+                else:
+                    with pytest.raises(InvalidStateError, match="positive semidefinite"):
+                        check_states(mats)
 
 
 class TestHermitize:
@@ -277,10 +312,6 @@ class TestInvSqrtPsd:
 
     def test_maximally_mixed_qubit(self):
         assert np.allclose(inv_sqrt_psd(np.eye(2) / 2), np.sqrt(2) * np.eye(2))
-
-    def test_fully_degenerate_rejected(self):
-        with pytest.raises(DegenerateStateError):
-            inv_sqrt_psd(np.zeros((2, 2)))
 
     def test_support_projector_property(self):
         rng = np.random.default_rng(13)
@@ -353,7 +384,7 @@ class TestLeadingQubitBlock:
 
     def test_dim_one_rejected(self):
         with pytest.raises(ValueError, match="d >= 2"):
-            to_rows(DensityMatrix([[1.0]]).mat[None])
+            to_rows(np.ones((1, 1, 1)))
 
 
 class TestRowCheck:
@@ -409,7 +440,7 @@ class TestRowCheck:
 class TestPurity:
     def test_pure(self):
         rng = np.random.default_rng(19)
-        assert purity(random_pure(rng, 3)) == pytest.approx(1.0, abs=1e-12)
+        assert purity(random_pure(rng, 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
         assert purity(DensityMatrix(np.eye(2) / 2).mat) == pytest.approx(0.5)
@@ -473,3 +504,77 @@ class TestStateRows:
     def test_projections_check_their_input(self, entry, mat, message):
         with pytest.raises(InvalidStateError, match=message):
             entry(np.array([mat], dtype=complex))
+
+
+def coupled_state(c: float) -> np.ndarray:
+    """A 3x3 state whose qubit block couples to the flag by ``c``."""
+    m = np.diag([0.5, 0.25, 0.25]).astype(complex)
+    m[0, 2] = m[2, 0] = c
+    return m
+
+
+def coupled_povm(c: float) -> tuple:
+    """A 3x3 POVM whose first element couples the qubit block to the flag by ``c``."""
+    e0 = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    e0[0, 2] = e0[2, 0] = c
+    return e0, np.eye(3) - e0
+
+
+SHAPE_ENTRIES = {
+    "check_states": lambda dim: check_states(np.eye(dim)[None] / dim),
+    "DensityMatrix": lambda dim: DensityMatrix(np.eye(dim) / dim),
+    "make_pure_states": lambda dim: make_pure_states(np.eye(dim)[:1]),
+    "POVM": lambda dim: POVM(elements=(np.zeros((dim, dim)), np.eye(dim)), labels=(0, 1)),
+}
+
+COUPLING_ENTRIES = {
+    "check_states": lambda c: check_states(coupled_state(c)[None]),
+    "DensityMatrix": lambda c: DensityMatrix(coupled_state(c)),
+    "make_pure_states": lambda c: make_pure_states([[np.sqrt(1.0 - c * c), 0.0, c]]),
+    "POVM": lambda c: POVM(elements=coupled_povm(c), labels=(0, -1)),
+}
+
+
+class TestQubitAndFlagShapes:
+    """Every stack is what Pauli rows represent: 2x2, or 3x3 whose qubit block
+    and flag are uncoupled within TOL."""
+
+    @pytest.mark.parametrize("entry", list(SHAPE_ENTRIES))
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_other_dimensions_rejected(self, entry, dim):
+        named = rf"square, 2x2 or 3x3, got shape \({dim}, {dim}\)"
+        with pytest.raises(InvalidStateError, match=named):
+            SHAPE_ENTRIES[entry](dim)
+
+    @pytest.mark.parametrize("entry", list(COUPLING_ENTRIES))
+    def test_block_flag_coupling_above_tol_rejected(self, entry):
+        COUPLING_ENTRIES[entry](0.5 * TOL)
+        with pytest.raises(InvalidStateError, match="couple the qubit block to the flag"):
+            COUPLING_ENTRIES[entry](2 * TOL)
+
+    def test_the_package_qutrit_stacks_pass(self):
+        cb = qam_codebook(16)
+        erasure = Channel(ErasureConfig(p=0.25))
+        check_states(from_rows(erasure.apply_rows(cb.rows), 3))
+        assert check_states(erasure.apply_batch(cb.mats)).shape == (16, 3, 3)
+        for codebook in (qpsk_codebook(), qam_codebook(4), cb, qam_codebook(64)):
+            assert embed_povm_with_erasure(build_pgm(codebook), 3).dim == 3
+
+    def test_no_check_takes_a_spectrum(self, monkeypatch):
+        calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+
+            def spy(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        codebook = qam_codebook(64)
+        assert calls == []
+        # The one eigen call left: the PGM's inverse square root of the mean.
+        povm = build_pgm(codebook)
+        assert calls == ["eigh"]
+        embed_povm_with_erasure(povm, 3)
+        check_states(from_rows(codebook.rows, 3))
+        check_rows(codebook.rows)
+        assert calls == ["eigh"]

@@ -106,7 +106,7 @@ def table(iq=None, bloch=None, clipped=()):
     flags = np.zeros(n, dtype=bool)
     flags[list(clipped)] = True
     return StateProjection(
-        bloch=np.zeros((n, 3)) if bloch is None else np.asarray(bloch, dtype=float),
+        bloch=np.zeros((n, 3)) if bloch is None else np.asarray(bloch, dtype=float).reshape(n, 3),
         trace=np.ones(n),
         iq=np.zeros((n, 2)) if iq is None else np.asarray(iq, dtype=float).reshape(n, 2),
         clipped=flags,
@@ -132,6 +132,31 @@ class TestStateProjection:
         states = table(iq=[(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)])
         with pytest.raises(ValueError, match=message):
             StateProjection(states.bloch, states.trace, states.iq, states.clipped, np.array(rows))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("bloch", np.zeros((1, 3)), r"bloch must have shape \(2, 3\), got \(1, 3\)"),
+            ("bloch", np.zeros((2, 2)), r"bloch must have shape \(2, 3\)"),
+            ("trace", np.ones((2, 1)), r"trace must have shape \(2,\), got \(2, 1\)"),
+            ("trace", 1.0, r"trace must have shape \(1,\), got \(\)"),
+            ("iq", np.zeros((2, 3)), r"iq must have shape \(2, 2\)"),
+            ("clipped", np.zeros(3, dtype=bool), r"clipped must have shape \(2,\), got \(3,\)"),
+            ("bloch", [[np.nan, 0.0, 0.0], [0.0, 0.0, 1.0]], "bloch must be finite"),
+            ("trace", [1.0, np.inf], "trace must be finite"),
+            ("iq", [[np.inf, 0.0], [0.0, 0.0]], "iq must be finite"),
+        ],
+    )
+    def test_bad_fields_rejected(self, field, value, message):
+        # The states CSV reader refuses 'nan' and 'inf' cells, and a short
+        # field would fail inside the writer with a message naming none.
+        fields = dict(
+            bloch=np.zeros((2, 3)), trace=np.ones(2), iq=np.zeros((2, 2)),
+            clipped=np.zeros(2, dtype=bool),
+        )
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            StateProjection(**fields)
 
 
 class TestStatesCsvMemory:
