@@ -2,7 +2,9 @@
 
 Classical symbols are mapped to qubit density matrices, pushed through a
 configurable channel model, detected with the square-root (pretty-good)
-measurement, and scored by symbol and bit error rate.  See the README
+measurement, and scored by symbol and bit error rate.  Every batch
+operation takes (n, 4) Pauli rows; a complex stack enters through
+``state_rows`` and leaves through ``qlinksim.states.from_rows``.  See the README
 for the JSON config schema and CLI usage.
 """
 
@@ -18,13 +20,13 @@ from .channels import (
 )
 from .detection import (
     POVM,
-    argmax_labels,
+    argmax_rows,
     build_pgm,
     decide,
     embed_povm_with_erasure,
     measurement_scores,
-    sample_labels,
-    score_states,
+    sample_rows,
+    score_rows,
 )
 from .metrics import (
     confusion_matrix,
@@ -52,11 +54,11 @@ from .pipeline import (
 from .states import (
     DensityMatrix,
     InvalidStateError,
-    bloch_xyz,
     make_pure_states,
+    state_rows,
 )
 from .visualization import (
-    project_states,
+    project_rows,
     render_bloch_svg,
     render_constellation_svg,
     write_states_csv,
@@ -79,8 +81,7 @@ __all__ = [
     "SimulationConfig",
     "SimulationReport",
     "TurbulenceConfig",
-    "argmax_labels",
-    "bloch_xyz",
+    "argmax_rows",
     "build_pgm",
     "confusion_matrix",
     "decide",
@@ -93,7 +94,7 @@ __all__ = [
     "load_config",
     "make_pure_states",
     "measurement_scores",
-    "project_states",
+    "project_rows",
     "qam_codebook",
     "qam_constellation",
     "qpsk_codebook",
@@ -101,7 +102,8 @@ __all__ = [
     "render_constellation_svg",
     "run_comparison",
     "run_simulation",
-    "sample_labels",
-    "score_states",
+    "sample_rows",
+    "score_rows",
+    "state_rows",
     "write_states_csv",
 ]

@@ -6,7 +6,9 @@ loss); two are stochastic surrogates that draw fresh randomness per use:
 free-space turbulence, pure loss with one fade per row, and fiber
 polarization-mode dispersion.  :class:`Channel` looks the kernel up by the
 config's kind, enforces the qubit and randomness contracts at the call
-boundary, and checks the output rows once (:meth:`Channel.apply_rows`).
+boundary, and checks the output rows once (:meth:`Channel.apply_rows`, the
+one batch operation; a complex stack crosses in through ``state_rows`` and
+out through ``from_rows``).
 """
 
 from __future__ import annotations
@@ -312,18 +314,14 @@ class Channel:
         return self.config.kind in _STOCHASTIC_KINDS
 
     def apply_rows(self, rows: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Map (n, 4) rows in one array pass (a stochastic channel draws every
-        row's randomness from ``rng``) and check the output rows once."""
+        """Map (n, 4) checked rows (from ``state_rows``, ``codebook.rows`` or
+        ``check_rows``) in one array pass, a stochastic channel drawing every
+        row's randomness from ``rng``, and check the output rows once."""
         if rng is None and self.is_stochastic:
             raise ValueError(f"{self.config.kind} channel is stochastic and requires an rng")
         return check_rows(self._kernel(self.config, rows, rng))
 
-    def apply_batch(self, mats, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Map the rows (:func:`~qlinksim.states.state_rows`) of a (n, 2, 2)
-        stack of states with :meth:`apply_rows` and return them as a
-        (n, output_dim, output_dim) stack."""
-        return from_rows(self.apply_rows(state_rows(mats, 2), rng), self.output_dim)
-
     def apply(self, rho: DensityMatrix, rng: np.random.Generator | None = None) -> DensityMatrix:
-        """Map one state: :meth:`apply_batch` on a stack of one."""
-        return DensityMatrix(self.apply_batch(rho.mat[np.newaxis], rng)[0])
+        """Map one state: :meth:`apply_rows` on its row."""
+        rows = self.apply_rows(state_rows(rho.mat[np.newaxis], 2), rng)
+        return DensityMatrix(from_rows(rows, self.output_dim)[0])

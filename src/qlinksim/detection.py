@@ -11,14 +11,12 @@ positive-semidefinite criterion (:func:`~qlinksim.states.check_structure`,
 :func:`~qlinksim.states.smallest_eigenvalue`; no spectrum is taken), and
 read once as (K, 4) rows e = (Tr E, 2 Re E01, -2 Im E01, E00 - E11): a
 state row (t, x, y, z) fires E with probability e . row / 2, the erasure
-outcome also with the flag's weight 1 - t.  A run decides on a channel's
-checked rows with the row
-kernels (:func:`argmax_rows`, :func:`sample_rows`), which form no (n, K)
-array and no BLAS product.  The public functions take complex (n, d, d)
-stacks, which cross to rows once, through
-:func:`~qlinksim.states.state_rows`.  On complex stacks the erasure outcome
-is the flag projector (:func:`embed_povm_with_erasure`), whose row is the
-zero row a run appends.
+outcome also with the flag's weight 1 - t.  The batch API is the three row
+kernels :func:`score_rows`, :func:`argmax_rows` and :func:`sample_rows`,
+which take the decision table :meth:`POVM.outcomes` and checked rows
+(:func:`~qlinksim.states.state_rows`) unchecked and form no BLAS product.
+On complex stacks the erasure outcome is the flag projector
+(:func:`embed_povm_with_erasure`), whose row is the zero row a run appends.
 """
 
 from __future__ import annotations
@@ -89,17 +87,19 @@ class POVM:
         return len(self.elements)
 
     def outcomes(self, erasure: bool = False) -> tuple:
-        """(rows, labels, flagged): whether the last outcome also fires on the
-        flag's weight.  With ``erasure``, a qubit POVM gains that outcome, a
-        zero row with the label -1."""
+        """The decision table (rows, labels, flagged) the row kernels take:
+        whether the last outcome also fires on the flag's weight.  With
+        ``erasure``, a qubit POVM gains that outcome, a zero row labeled -1."""
         if erasure:
             return np.vstack([self.rows, np.zeros(4)]), np.append(self.labels, -1), True
         return self.rows, np.asarray(self.labels), self.dim == 3
 
 
-def _scores(outcomes: tuple, rows: np.ndarray) -> np.ndarray:
-    """(n, K) outcome probabilities of (n, 4) rows: four elementwise terms per
-    outcome, so a row's scores do not depend on its batch."""
+def score_rows(outcomes: tuple, rows: np.ndarray) -> np.ndarray:
+    """(n, K) outcome probabilities of (n, 4) checked rows under the decision
+    table ``outcomes``: four elementwise terms per outcome, so a row's scores
+    do not depend on its batch.  Rows come checked from ``state_rows``,
+    ``codebook.rows``, ``Channel.apply_rows`` or ``check_rows``."""
     e, _, flagged = outcomes
     half = e / 2.0
     scores = np.multiply.outer(rows[:, 0], half[:, 0])
@@ -110,14 +110,9 @@ def _scores(outcomes: tuple, rows: np.ndarray) -> np.ndarray:
     return scores
 
 
-def score_states(povm: POVM, mats) -> np.ndarray:
-    """(n, K) outcome probabilities Tr(E_k rho) of a (n, d, d) stack of states."""
-    return _scores(povm.outcomes(), state_rows(mats, povm.dim))
-
-
 def measurement_scores(povm: POVM, rho: DensityMatrix) -> np.ndarray:
-    """Outcome probabilities Tr(E_i rho) as a real vector."""
-    return score_states(povm, rho.mat[np.newaxis])[0]
+    """Outcome probabilities Tr(E_i rho): :func:`score_rows` of the state's row."""
+    return score_rows(povm.outcomes(), state_rows(rho.mat[np.newaxis], povm.dim))[0]
 
 
 def build_pgm(codebook: DetectorCodebook) -> POVM:
@@ -153,33 +148,24 @@ def embed_povm_with_erasure(povm: POVM, out_dim: int) -> POVM:
     return POVM(elements=padded, labels=povm.labels + (-1,))
 
 
-def argmax_labels(povm: POVM, scores: np.ndarray) -> np.ndarray:
-    """Hard decisions: the label of each row's highest-probability outcome.
-
-    np.argmax returns the first maximum, so exact ties resolve to the
-    lowest-index element deterministically.
-    """
-    return np.asarray(povm.labels)[np.argmax(scores, axis=1)]
-
-
 def argmax_rows(outcomes: tuple, rows: np.ndarray) -> np.ndarray:
-    """:func:`argmax_labels` of (n, 4) rows, scored ``_CHUNK`` rows at a time."""
+    """Hard decisions on (n, 4) checked rows (from ``state_rows``,
+    ``codebook.rows``, ``Channel.apply_rows`` or ``check_rows``): the label of
+    each row's highest-scoring outcome, the first on ties (as np.argmax),
+    scored ``_CHUNK`` rows at a time."""
     labels = outcomes[1]
-    chunks = range(0, len(rows), _CHUNK)
-    return np.concatenate(
-        [labels[np.argmax(_scores(outcomes, rows[i : i + _CHUNK]), axis=1)] for i in chunks]
-    )
-
-
-def sample_labels(povm: POVM, mats, rng: np.random.Generator) -> np.ndarray:
-    """:func:`sample_rows` of a (n, d, d) stack of states."""
-    return sample_rows(povm.outcomes(), state_rows(mats, povm.dim), rng)
+    decided = np.empty(len(rows), dtype=labels.dtype)
+    for i in range(0, len(rows), _CHUNK):
+        chunk = score_rows(outcomes, rows[i : i + _CHUNK])
+        decided[i : i + _CHUNK] = labels[np.argmax(chunk, axis=1)]
+    return decided
 
 
 def sample_rows(
     outcomes: tuple, rows: np.ndarray, rng: np.random.Generator, index: np.ndarray | None = None
 ) -> np.ndarray:
-    """Born-rule decisions drawn straight from (n, 4) rows, with no score row.
+    """Born-rule decisions on (n, 4) checked rows (from ``state_rows``,
+    ``codebook.rows``, ``Channel.apply_rows`` or ``check_rows``).
 
     Outcome k's CDF value is a row's dot with the cumulative row
     (e_0 + ... + e_k) / 2.  Each draw takes one uniform u from ``rng``, in
@@ -236,4 +222,4 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def decide(povm: POVM, rho: DensityMatrix) -> int:
     """Hard decision: label of the highest-probability outcome (first on ties)."""
-    return int(argmax_labels(povm, measurement_scores(povm, rho)[np.newaxis])[0])
+    return int(povm.labels[np.argmax(measurement_scores(povm, rho))])

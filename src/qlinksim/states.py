@@ -1,14 +1,15 @@
-"""Qubit states: Pauli rows for a run, checked complex stacks at the API boundary.
+"""Qubit states: Pauli rows for a run and for every batch operation.
 
 A run carries each state as the real row (t, x, y, z) of its qubit block,
-rho = (t I + x X + y Y + z Z) / 2, with the erasure flag's weight 1 - t.
-A complex stack or POVM is therefore accepted only in the two shapes rows
-represent: 2x2 (a qubit), or 3x3 with the qubit block and the flag
-uncoupled within ``TOL`` (a qubit and an erasure flag).  A caller's stack
-becomes rows in one place, :func:`state_rows`: :func:`check_states` checks
-it once, in one vectorized pass (:func:`check_structure`: shape, finite,
-Hermitian, uncoupled flag; then unit trace and positive semidefinite), and
-:func:`to_rows` converts it.  Rows, states and POVM elements share one
+rho = (t I + x X + y Y + z Z) / 2, with the erasure flag's weight 1 - t,
+and every batch operation takes such (n, 4) rows.  A complex stack or POVM
+is therefore accepted only in the two shapes rows represent: 2x2 (a
+qubit), or 3x3 with the qubit block and the flag uncoupled within ``TOL``.
+A caller's stack becomes rows in one place, :func:`state_rows`:
+:func:`check_states` checks it once, in one vectorized pass
+(:func:`check_structure`: shape, finite, Hermitian, uncoupled flag; then
+unit trace and positive semidefinite), and :func:`to_rows` converts it;
+:func:`from_rows` converts back.  Rows, states and POVM elements share one
 closed-form positive-semidefinite criterion, :func:`smallest_eigenvalue`:
 min((t - |r|) / 2, flag entry) at least -``TOL``; no check takes a
 spectrum.  A checked stack that is shared, such as a codebook's, is
@@ -124,8 +125,8 @@ class DensityMatrix:
 
 
 def make_pure_states(kets) -> np.ndarray:
-    """Read-only (n, d, d) stack of the rank-1 projectors |v><v| of normalized
-    amplitude vectors of length 2 (a qubit) or 3 (a qubit and a flag).
+    """Read-only (n, d, d) stack of the rank-1 projectors |v><v| of an (n, d)
+    array of normalized kets, d = 2 (a qubit) or 3 (a qubit and a flag).
 
     Each ket must be of unit norm within ``TOL``, and the projectors pass
     :func:`check_structure`, which rejects non-finite kets and other
@@ -138,7 +139,8 @@ def make_pure_states(kets) -> np.ndarray:
     arithmetic.
     """
     kets = np.asarray(kets, dtype=complex)
-    kets = kets.reshape(len(kets), -1)
+    if kets.ndim != 2:
+        raise InvalidStateError(f"kets must be an (n, d) array, got shape {kets.shape}")
     re, im = kets.real, kets.imag
     norms = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
     off = np.abs(norms - 1.0) > TOL
@@ -210,15 +212,11 @@ def check_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def state_rows(mats, dim: int | None = None) -> np.ndarray:
-    """(n, 4) rows of a caller's (n, d, d) stack of states: the one crossing
-    from complex stacks to rows.  :func:`check_states` checks the stack
-    once; with ``dim``, its states must be dim x dim."""
+    """(n, 4) checked rows of a caller's (n, d, d) stack of states: the one
+    crossing from complex stacks to rows.  :func:`check_states` checks the
+    stack once; with ``dim``, its states must be dim x dim.  A qubit stack's
+    Bloch coordinates are ``state_rows(mats, 2)[:, 1:]``."""
     states = check_states(mats)
     if dim is not None and states.shape[-1] != dim:
         raise ValueError(f"expected states of dim {dim}, got dim {states.shape[-1]}")
     return to_rows(states)
-
-
-def bloch_xyz(mats) -> np.ndarray:
-    """(n, 3) Bloch coordinates of a (n, 2, 2) stack of qubit states."""
-    return state_rows(mats, 2)[:, 1:]

@@ -3,8 +3,8 @@
 This module alone writes and reads both formats.  Every writer takes a
 :class:`StateProjection` table per panel (tx and rx), one row per distinct
 state as :func:`project_rows` computes it, whose ``rows`` index gives each
-symbol's row, and one label per symbol; :func:`project_states` checks a
-caller's complex stack and projects its rows.  :func:`read_states_csv`
+symbol's row, and one label per symbol; a caller's complex stack is
+projected as ``project_rows(state_rows(mats))``.  :func:`read_states_csv`
 rebuilds the tables and labels from a states CSV, clip flags and received
 traces included, so they redraw the figures of the run that wrote it.
 :func:`write_figures` writes a channel's I/Q constellation (the
@@ -22,17 +22,18 @@ Python call per number, so the text held at once stays bounded.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .states import TOL, state_rows
+from .states import TOL
 
 # tab20-style cycle; the erasure label -1 gets its own dark gray.
 _PALETTE = (
@@ -77,19 +78,27 @@ class StateProjection:
                 raise ValueError(f"{name} must have shape {(m, *tail)}, got {value.shape}")
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
-        rows = np.arange(m) if self.rows is None else np.asarray(self.rows)
-        if rows.ndim != 1 or rows.dtype.kind not in "iu":
-            raise ValueError(f"rows must be a 1-D integer index, got {rows.dtype} {rows.shape}")
-        if rows.size and (rows.min() < 0 or rows.max() >= m):
-            raise ValueError(f"rows must index the {m} table rows, got [{rows.min()}, {rows.max()}]")
-        object.__setattr__(self, "rows", rows)
+        rows = np.arange(m) if self.rows is None else self.rows
+        object.__setattr__(self, "rows", _row_index(rows, m))
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def take(self, index) -> "StateProjection":
-        """The symbols selected by ``index``: the same state arrays, ``rows[index]``."""
-        return replace(self, rows=self.rows[index])
+        """The symbols selected by ``index``: the same checked state arrays, ``rows[index]``."""
+        taken = copy.copy(self)
+        object.__setattr__(taken, "rows", _row_index(self.rows[index], np.size(self.trace)))
+        return taken
+
+
+def _row_index(rows, m: int) -> np.ndarray:
+    """``rows`` as a 1-D integer index into ``m`` table rows, else a ``ValueError``."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError(f"rows must be a 1-D integer index, got {rows.dtype} {rows.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= m):
+        raise ValueError(f"rows must index the {m} table rows, got [{rows.min()}, {rows.max()}]")
+    return rows
 
 
 def _rho00(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,6 +112,8 @@ def project_rows(
     rows: np.ndarray, power_scale: float = 1.0, clip_radius: float = 1.5
 ) -> StateProjection:
     """Project (n, 4) rows (t, x, y, z) onto their renormalized qubit blocks.
+    Rows come checked from ``state_rows``, ``codebook.rows``,
+    ``Channel.apply_rows`` or ``check_rows``, and are not checked again.
 
     The Bloch vector is (x, y, z) / t; a block whose weight t falls below
     ``TOL`` (fully erased) carries no information and sits at the origin.
@@ -125,14 +136,6 @@ def project_rows(
         ratio / np.where(clipped, 1.0, r00)[:, None] / power_scale,
     )
     return StateProjection(bloch, trace, iq, clipped)
-
-
-def project_states(
-    mats, power_scale: float = 1.0, clip_radius: float = 1.5
-) -> StateProjection:
-    """:func:`project_rows` of the rows (:func:`~qlinksim.states.state_rows`)
-    of a (n, d, d) stack of states (d >= 2)."""
-    return project_rows(state_rows(mats), power_scale, clip_radius)
 
 
 def _check_labels(labels, name: str) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared helpers: reproducible random states for property tests, the
 Kraus sums and the two-mode dilation of thermal loss that the channels'
 transfer matrices are checked against, the state-per-row PMD recurrence
-that the PMD kernel is checked against bit for bit, the complex
+that the PMD kernel is checked against bit for bit, a channel's map of
+a complex stack through the row path, the complex
 trace product that the row scores are checked against, the score-based
 Born sampler that the cumulative POVM sampler is checked against label
 for label, and the per-symbol SER/BER that the confusion counts are
@@ -9,8 +10,8 @@ checked against."""
 
 import numpy as np
 
-from qlinksim import DensityMatrix, bloch_xyz, make_pure_states
-from qlinksim.states import TOL
+from qlinksim import DensityMatrix, make_pure_states, state_rows
+from qlinksim.states import TOL, from_rows
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
@@ -85,6 +86,13 @@ def transfer_reference(channel_map):
     return np.stack([t, 2 * out[:, 0, 1].real, -2 * out[:, 0, 1].imag, out[:, 0, 0] - out[:, 1, 1]]).real
 
 
+def apply_stack(channel, mats, rng=None) -> np.ndarray:
+    """The (n, output_dim, output_dim) stack of ``channel`` on a (n, 2, 2)
+    stack of states: in through ``state_rows``, ``apply_rows``, and out
+    through ``from_rows``."""
+    return from_rows(channel.apply_rows(state_rows(mats, 2), rng), channel.output_dim)
+
+
 def trace_product_scores(povm, mats):
     """(n, K) Tr(E_k rho) as the complex (n, d^2) @ (d^2, K) product of the
     transposed states with the flattened elements, real part."""
@@ -99,7 +107,7 @@ def pmd_rows_reference(cfg, mats, rng):
     apply r -> nu r + (1 - nu)(n.r) n."""
     tau_sec = cfg.dgd / np.sqrt(cfg.n_sections)
     nu = float(np.exp(-((cfg.sigma_omega * tau_sec) ** 2) / 2.0))
-    r = bloch_xyz(mats)
+    r = state_rows(mats, 2)[:, 1:]
     for _ in range(cfg.n_sections):
         axis = rng.standard_normal((len(mats), 3))
         axis /= np.linalg.norm(axis, axis=1, keepdims=True)

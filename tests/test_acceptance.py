@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 from conftest import (
+    apply_stack,
     compute_ber,
     dilation_reference,
     pure,
@@ -29,7 +30,7 @@ from qlinksim import (
     PMDConfig,
     SimulationConfig,
     TurbulenceConfig,
-    argmax_labels,
+    argmax_rows,
     build_pgm,
     decide,
     default_config_path,
@@ -37,14 +38,14 @@ from qlinksim import (
     embed_povm_with_erasure,
     load_config,
     make_pure_states,
-    project_states,
+    project_rows,
     qam_codebook,
     qam_constellation,
     qpsk_codebook,
     run_comparison,
     run_simulation,
-    sample_labels,
-    score_states,
+    sample_rows,
+    state_rows,
 )
 from qlinksim.channels import _pure_loss
 from qlinksim.states import from_rows, to_rows
@@ -113,11 +114,11 @@ def test_stinespring_kraus_equivalence():
     states = np.stack([random_density(rng, 2).mat for _ in range(200)])
     for loss_db in (0.0, 1.0, 3.0, 10.0):
         eta = 10 ** (-loss_db / 10)
-        a = Channel(BosonicConfig(loss_db=loss_db, n_th=0.0, fock_dim=2)).apply_batch(states)
+        a = apply_stack(Channel(BosonicConfig(loss_db=loss_db, n_th=0.0, fock_dim=2)), states)
         b = from_rows(_pure_loss(eta, to_rows(states)))
         assert np.max(np.abs(a - b)) <= 1e-9
         for n_th in (0.0, 0.5):
-            a = Channel(BosonicConfig(loss_db=loss_db, n_th=n_th)).apply_batch(states)
+            a = apply_stack(Channel(BosonicConfig(loss_db=loss_db, n_th=n_th)), states)
             assert np.max(np.abs(a - dilation_reference(eta, n_th, states))) <= 1e-12
 
 
@@ -143,8 +144,7 @@ def test_two_state_helstrom():
         trials = 100_000
         bound = 0.5 * (1.0 - np.sqrt(1.0 - overlap**2))
         tx = rng.integers(0, 2, trials)
-        sent = codebook.mats[tx]
-        guesses = sample_labels(povm, sent, rng)
+        guesses = sample_rows(povm.outcomes(), codebook.rows[tx], rng)
         rate = np.count_nonzero(guesses != tx) / trials
         sigma = np.sqrt(bound * (1 - bound) / trials)
         assert abs(rate - bound) <= 3 * sigma + 1e-12
@@ -178,7 +178,7 @@ def test_pmd_purity():
         total = 0.0
         for trial in range(500):
             state = random_pure(np.random.default_rng((1000, trial)), 2)
-            out = Channel(cfg).apply_batch(state[None], np.random.default_rng((2000, trial)))
+            out = apply_stack(Channel(cfg), state[None], np.random.default_rng((2000, trial)))
             total += purity(out[0])
         means.append(total / 500)
     assert abs(means[0] - 1.0) <= 1e-9
@@ -191,12 +191,12 @@ def test_erasure_flag_law():
     rng = np.random.default_rng(108)
     for p in (0.0, 0.25, 1.0):
         states = np.stack([pure(1, 0), random_density(rng, 2).mat])
-        out = Channel(ErasureConfig(p=p)).apply_batch(states)
+        out = apply_stack(Channel(ErasureConfig(p=p)), states)
         assert np.all(np.abs(out[:, 2, 2].real - p) <= 1e-12)
 
     povm = embed_povm_with_erasure(build_pgm(qpsk_codebook()), 3)
-    fully_erased = Channel(ErasureConfig(p=1.0)).apply_batch(qpsk_codebook().mats[1:2])
-    assert argmax_labels(povm, score_states(povm, fully_erased))[0] == -1
+    fully_erased = apply_stack(Channel(ErasureConfig(p=1.0)), qpsk_codebook().mats[1:2])
+    assert argmax_rows(povm.outcomes(), state_rows(fully_erased, povm.dim))[0] == -1
 
     codebook = qam_codebook(16)
     tx = np.arange(10) % 16
@@ -237,7 +237,7 @@ def test_benchmark_reproduction(tmp_path):
 @criterion(10, "every 16-QAM point survives the embed/reconstruct round trip")
 def test_constellation_round_trip():
     alphas, _, scale = qam_constellation(16)
-    rec = project_states(embed_amplitudes(alphas), scale)
+    rec = project_rows(state_rows(embed_amplitudes(alphas)), scale)
     for alpha, (i, q), clipped in zip(alphas, rec.iq, rec.clipped):
         assert not clipped
         target = alpha / scale

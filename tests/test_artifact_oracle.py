@@ -19,8 +19,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import apply_stack
 
-from qlinksim import Channel, ErasureConfig, embed_amplitudes, load_config, project_states
+from qlinksim import (
+    Channel, ErasureConfig, embed_amplitudes, load_config, project_rows, state_rows,
+)
 from qlinksim import default_config_path, pipeline, visualization as vis
 from qlinksim.visualization import (
     STATES_CSV_HEADER,
@@ -271,11 +274,11 @@ def test_enlarged_erasure_outputs(tmp_path):
     rng = np.random.default_rng(8)
     alphas = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     sent = embed_amplitudes(alphas)
-    received = Channel(ErasureConfig(p=0.3)).apply_batch(sent)
+    received = apply_stack(Channel(ErasureConfig(p=0.3)), sent)
     assert received.shape[1:] == (3, 3)
     symbols = rng.integers(0, 6, size=50)
-    tx = project_states(sent, clip_radius=2.0).take(symbols)
-    rx = project_states(received, clip_radius=2.0).take(symbols)
+    tx = project_rows(state_rows(sent), clip_radius=2.0).take(symbols)
+    rx = project_rows(state_rows(received), clip_radius=2.0).take(symbols)
     assert_same_bytes(tmp_path, tx, symbols, rx, np.where(symbols % 2, symbols, -1))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import (
     PAULI,
+    apply_stack,
     beamsplitter_reference,
     dilation_reference,
     kraus_reference,
@@ -25,14 +26,13 @@ from qlinksim import (
     PMDConfig,
     DensityMatrix,
     TurbulenceConfig,
-    bloch_xyz,
 )
 # No channel config reaches eta = 0 exactly or an unclipped fade, so the
 # pure-loss and scintillation row kernels are tested directly.
 from qlinksim.channels import _pure_loss, _scintillation, config_from_dict, config_to_dict
 # The PMD row kernel is pinned bit for bit to its state-per-row reference.
 from qlinksim.channels import _pmd, _transfer_matrix
-from qlinksim.states import check_states, from_rows, to_rows
+from qlinksim.states import check_states, from_rows, state_rows, to_rows
 
 _PLUS = pure(1 / np.sqrt(2), 1 / np.sqrt(2))
 _ONE = pure(0, 1)
@@ -41,7 +41,7 @@ _ONE = pure(0, 1)
 def through(cfg, states, rng=None):
     """Output stack of ``cfg``'s channel on a list of states (matrices or DensityMatrix)."""
     stack = np.stack([getattr(s, "mat", s) for s in states])
-    return Channel(cfg, input_dim=stack.shape[-1]).apply_batch(stack, rng)
+    return apply_stack(Channel(cfg, input_dim=stack.shape[-1]), stack, rng)
 
 
 class TestDepolarizing:
@@ -70,8 +70,8 @@ class TestDepolarizing:
         rng = np.random.default_rng(33)
         for p in (0.2, 0.7):
             rho = random_density(rng, 2)
-            before = np.linalg.norm(bloch_xyz(rho.mat[None])[0])
-            after = np.linalg.norm(bloch_xyz(through(DepolarizingConfig(p=p), [rho]))[0])
+            before = np.linalg.norm(state_rows(rho.mat[None], 2)[0, 1:])
+            after = np.linalg.norm(state_rows(through(DepolarizingConfig(p=p), [rho]), 2)[0, 1:])
             assert after == pytest.approx((1 - p) * before, abs=1e-9)
 
     def test_probability_validated(self):
@@ -244,7 +244,7 @@ class TestBosonic:
         for loss_db in (0.0, 1.0, 3.0, 10.0):
             eta = 10 ** (-loss_db / 10)
             stack = np.stack([random_density(rng, 2).mat for _ in range(20)])
-            a = Channel(BosonicConfig(loss_db=loss_db, n_th=0.0, fock_dim=2)).apply_batch(stack)
+            a = apply_stack(Channel(BosonicConfig(loss_db=loss_db, n_th=0.0, fock_dim=2)), stack)
             assert np.array_equal(a, pure_loss(eta, stack))
 
     def test_matches_two_mode_dilation(self):
@@ -254,7 +254,7 @@ class TestBosonic:
                 cfg = BosonicConfig(loss_db=loss_db, n_th=n_th)
                 stack = np.stack([random_density(rng, 2).mat for _ in range(200)])
                 expected = dilation_reference(cfg.eta, n_th, stack)
-                assert np.max(np.abs(Channel(cfg).apply_batch(stack) - expected)) <= 1e-12
+                assert np.max(np.abs(apply_stack(Channel(cfg), stack) - expected)) <= 1e-12
 
     def test_single_photon_hand_oracle(self):
         # w = n_th / (1 + 2 n_th) = 1/4 of the lost weight stays in |1>.
@@ -405,9 +405,9 @@ class TestPMDKernel:
         rho = pure(0.6, 0.8j)
         n = 40_000
         stack = np.repeat(rho[None], n, axis=0)
-        r = bloch_xyz(Channel(cfg).apply_batch(stack, np.random.default_rng(59)))
+        r = Channel(cfg).apply_rows(state_rows(stack, 2), np.random.default_rng(59))[:, 1:]
         nu = np.exp(-0.25)
-        expected = (nu + (1 - nu) / 3) ** 8 * bloch_xyz(rho[None])[0]
+        expected = (nu + (1 - nu) / 3) ** 8 * state_rows(rho[None], 2)[0, 1:]
         assert np.all(np.abs(r.mean(axis=0) - expected) <= 5 * r.std(axis=0) / np.sqrt(n))
 
 
@@ -498,7 +498,7 @@ class TestChannelWrapper:
             BosonicConfig(loss_db=3.0, n_th=0.5, fock_dim=2),
         ):
             ch = Channel(cfg)
-            batch = ch.apply_batch(stack)
+            batch = apply_stack(ch, stack)
             assert batch.shape == (12, ch.output_dim, ch.output_dim)
             for row, rho in zip(batch, states):
                 assert np.array_equal(row, ch.apply(rho).mat)
@@ -511,8 +511,8 @@ class TestChannelWrapper:
             PMDConfig(dgd=2.0, sigma_omega=1.0),
         ):
             ch = Channel(cfg)
-            a = ch.apply_batch(stack, np.random.default_rng(62))
-            b = ch.apply_batch(stack, np.random.default_rng(62))
+            a = apply_stack(ch, stack, np.random.default_rng(62))
+            b = apply_stack(ch, stack, np.random.default_rng(62))
             assert np.array_equal(a, b)
             # every state gets its own draw
             assert not np.allclose(a[0], a[1])
@@ -521,7 +521,7 @@ class TestChannelWrapper:
 
     def test_batch_input_dim_checked(self):
         with pytest.raises(ValueError, match="dim"):
-            Channel(DepolarizingConfig(p=0.1)).apply_batch(np.eye(3)[None] / 3)
+            apply_stack(Channel(DepolarizingConfig(p=0.1)), np.eye(3)[None] / 3)
 
 
 class TestConfigSerialization:

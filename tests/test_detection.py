@@ -13,7 +13,7 @@ from qlinksim import (
     ErasureConfig,
     PMDConfig,
     TurbulenceConfig,
-    argmax_labels,
+    argmax_rows,
     build_pgm,
     decide,
     embed_povm_with_erasure,
@@ -21,11 +21,12 @@ from qlinksim import (
     measurement_scores,
     qam_codebook,
     qpsk_codebook,
-    sample_labels,
-    score_states,
+    sample_rows,
+    score_rows,
+    state_rows,
 )
 from qlinksim import detection
-from qlinksim.states import TOL, from_rows, hermitize, inv_sqrt_psd, to_rows
+from qlinksim.states import TOL, from_rows, hermitize, inv_sqrt_psd
 
 
 def four_buffer_sample_labels(povm, scores, rng):
@@ -53,19 +54,19 @@ def codebook_povm(m: int, erasure: bool):
 
 
 def codebook_outputs(m: int, erasure: bool):
-    """The PGM and the codebook through depolarizing noise (then erasure,
-    when ``erasure``): one state per codebook state."""
+    """The PGM and the rows of the codebook through depolarizing noise (then
+    erasure, when ``erasure``): one row per codebook state."""
     cb, povm = codebook_povm(m, erasure)
-    mats = Channel(DepolarizingConfig(p=0.1)).apply_batch(cb.mats)
+    rows = Channel(DepolarizingConfig(p=0.1)).apply_rows(cb.rows)
     if erasure:
-        mats = Channel(ErasureConfig(p=0.25)).apply_batch(mats)
-    return povm, mats
+        rows = Channel(ErasureConfig(p=0.25)).apply_rows(rows)
+    return povm, rows
 
 
 def channel_outputs(kind: str, m: int, erasure: bool, n: int):
     """The PGM, the M codebook states and n random symbols' states through
-    one channel (then erasure, when ``erasure``): an (M, d, d) stack, one
-    state per codebook state, and an (n, d, d) stack, one state per symbol."""
+    one channel (then erasure, when ``erasure``), as rows: (M, 4), one row
+    per codebook state, and (n, 4), one row per symbol."""
     cb, povm = codebook_povm(m, erasure)
     rng = np.random.default_rng(90 + n)
     channel = Channel({
@@ -73,11 +74,11 @@ def channel_outputs(kind: str, m: int, erasure: bool, n: int):
         "turbulence": TurbulenceConfig(sigma_p=0.1, w0=1.0, rytov_var=0.2),
         "pmd": PMDConfig(dgd=2.0, sigma_omega=1.0),
     }[kind])
-    per_state = channel.apply_batch(cb.mats, rng)
-    per_symbol = channel.apply_batch(cb.mats[rng.integers(0, m, n)], rng)
+    per_state = channel.apply_rows(cb.rows, rng)
+    per_symbol = channel.apply_rows(cb.rows[rng.integers(0, m, n)], rng)
     if erasure:
         era = Channel(ErasureConfig(p=0.25))
-        per_state, per_symbol = era.apply_batch(per_state), era.apply_batch(per_symbol)
+        per_state, per_symbol = era.apply_rows(per_state), era.apply_rows(per_symbol)
     return povm, per_state, per_symbol
 
 
@@ -306,8 +307,8 @@ class TestDecide:
 
     def test_fully_erased_state_yields_sentinel(self):
         povm = embed_povm_with_erasure(build_pgm(qpsk_codebook()), 3)
-        erased = Channel(ErasureConfig(p=1.0)).apply_batch(qpsk_codebook().mats[2:3])
-        assert argmax_labels(povm, score_states(povm, erased))[0] == -1
+        erased = Channel(ErasureConfig(p=1.0)).apply_rows(qpsk_codebook().rows[2:3])
+        assert argmax_rows(povm.outcomes(), erased)[0] == -1
 
     def test_tie_breaks_to_lowest_index(self):
         povm = POVM(
@@ -344,14 +345,14 @@ class TestDecideSampled:
             labels=(0, 1),
         )
         rng = np.random.default_rng(63)
-        states = np.repeat(pure(1, 0)[None], 100, axis=0)
-        assert np.all(sample_labels(povm, states, rng) == 0)
+        rows = state_rows(np.repeat(pure(1, 0)[None], 100, axis=0))
+        assert np.all(sample_rows(povm.outcomes(), rows, rng) == 0)
 
     def test_qpsk_empirical_frequencies(self):
         cb = qpsk_codebook()
         povm = build_pgm(cb)
         rng = np.random.default_rng(64)
-        draws = sample_labels(povm, np.repeat(cb.mats[:1], 100_000, axis=0), rng)
+        draws = sample_rows(povm.outcomes(), np.repeat(cb.rows[:1], 100_000, axis=0), rng)
         freqs = np.bincount(draws, minlength=4) / draws.size
         assert freqs == pytest.approx([0.5, 0.0, 0.25, 0.25], abs=0.01)
 
@@ -362,7 +363,8 @@ class TestDecideSampled:
             labels=tuple(range(m)),
         )
         rng = np.random.default_rng(65)
-        draws = sample_labels(povm, np.repeat(pure(1, 0)[None], 20_000, axis=0), rng)
+        rows = state_rows(np.repeat(pure(1, 0)[None], 20_000, axis=0))
+        draws = sample_rows(povm.outcomes(), rows, rng)
         freqs = np.bincount(draws, minlength=m) / draws.size
         assert freqs == pytest.approx([0.25] * 4, abs=0.02)
 
@@ -373,7 +375,7 @@ class TestRowScores:
         _, povm = codebook_povm(m, erasure)
         rng = np.random.default_rng(120 + m)
         mats = np.stack([random_density(rng, povm.dim).mat for _ in range(200)])
-        got = score_states(povm, mats)
+        got = score_rows(povm.outcomes(), state_rows(mats, povm.dim))
         assert np.max(np.abs(got - trace_product_scores(povm, mats))) <= 1e-12
 
     @pytest.mark.parametrize("m", [4, 16, 64])
@@ -386,7 +388,7 @@ class TestRowScores:
         assert outcomes[1][-1] == -1 and outcomes[2] and not outcomes[0][-1].any()
         for p in (0.0, 0.25, 0.5, 0.6, 0.75, 1.0, 0.1, 0.3):
             rows = Channel(ErasureConfig(p=p)).apply_rows(cb.rows)
-            flagged = detection._scores(outcomes, rows)[:, -1]
+            flagged = score_rows(outcomes, rows)[:, -1]
             if p in (0.1, 0.3):
                 # 1 - p rounds, by at most half an ulp of 1.
                 assert np.all(np.abs(flagged - p) <= 2.0**-53)
@@ -397,26 +399,25 @@ class TestRowScores:
         cb = qam_codebook(16)
         povm = build_pgm(cb)
         rows = Channel(ErasureConfig(p=0.25)).apply_rows(cb.rows)
-        got = detection._scores(povm.outcomes(erasure=True), rows)
-        want = score_states(embed_povm_with_erasure(povm, 3), from_rows(rows, 3))
+        got = score_rows(povm.outcomes(erasure=True), rows)
+        embedded = embed_povm_with_erasure(povm, 3)
+        want = score_rows(embedded.outcomes(), state_rows(from_rows(rows, 3)))
         assert np.max(np.abs(got - want)) <= 1e-15
 
     @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_argmax_labels_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
-        povm, _, mats = channel_outputs("pmd", 64, True, 300)
+        povm, _, rows = channel_outputs("pmd", 64, True, 300)
         outcomes = povm.outcomes()
-        rows = to_rows(mats)
-        want = argmax_labels(povm, score_states(povm, mats))
+        want = outcomes[1][np.argmax(score_rows(outcomes, rows), axis=1)]
         monkeypatch.setattr(detection, "_CHUNK", chunk or len(rows))
-        assert np.array_equal(detection.argmax_rows(outcomes, rows), want)
+        assert np.array_equal(argmax_rows(outcomes, rows), want)
 
     def test_argmax_holds_one_chunk_of_scores(self, monkeypatch):
-        povm, _, mats = channel_outputs("pmd", 64, True, 20_000)
-        rows = to_rows(mats)
+        povm, _, rows = channel_outputs("pmd", 64, True, 20_000)
         monkeypatch.setattr(detection, "_CHUNK", 1000)
         tracemalloc.start()
         try:
-            detection.argmax_rows(povm.outcomes(), rows)
+            argmax_rows(povm.outcomes(), rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -428,27 +429,30 @@ class TestBatchDetection:
         rng = np.random.default_rng(67)
         povm = embed_povm_with_erasure(build_pgm(qam_codebook(16)), 3)
         stack = np.stack([random_density(rng, 2).mat for _ in range(30)])
-        states = [DensityMatrix(m) for m in Channel(ErasureConfig(p=0.3)).apply_batch(stack)]
-        scores = score_states(povm, np.stack([s.mat for s in states]))
+        received = Channel(ErasureConfig(p=0.3)).apply_rows(state_rows(stack, 2))
+        states = [DensityMatrix(m) for m in from_rows(received, 3)]
+        rows = state_rows(np.stack([s.mat for s in states]), povm.dim)
+        scores = score_rows(povm.outcomes(), rows)
         assert scores.shape == (30, 17)
         for row, rho in zip(scores, states):
             assert np.array_equal(row, measurement_scores(povm, rho))
-        labels = argmax_labels(povm, scores)
+        labels = argmax_rows(povm.outcomes(), rows)
         assert labels.tolist() == [decide(povm, rho) for rho in states]
 
     @pytest.mark.parametrize("m, erasure", [(4, False), (16, False), (16, True), (64, True)])
     def test_scores_do_not_depend_on_chunking(self, m, erasure):
         cb, povm = codebook_povm(m, erasure)
         rng = np.random.default_rng(71)
-        mats = Channel(PMDConfig(dgd=2.0, sigma_omega=1.0)).apply_batch(
-            cb.mats[rng.integers(0, m, 300)], rng
+        rows = Channel(PMDConfig(dgd=2.0, sigma_omega=1.0)).apply_rows(
+            cb.rows[rng.integers(0, m, 300)], rng
         )
         if erasure:
-            mats = Channel(ErasureConfig(p=0.25)).apply_batch(mats)
-        whole = score_states(povm, mats)
-        for size in (1, 2, 7, 64, len(mats)):
+            rows = Channel(ErasureConfig(p=0.25)).apply_rows(rows)
+        outcomes = povm.outcomes()
+        whole = score_rows(outcomes, rows)
+        for size in (1, 2, 7, 64, len(rows)):
             parts = np.concatenate(
-                [score_states(povm, mats[i : i + size]) for i in range(0, len(mats), size)]
+                [score_rows(outcomes, rows[i : i + size]) for i in range(0, len(rows), size)]
             )
             assert np.array_equal(parts.view(np.uint8), whole.view(np.uint8)), size
 
@@ -456,9 +460,9 @@ class TestBatchDetection:
         # One uniform per row, in row order, searched like Generator.choice.
         rng = np.random.default_rng(68)
         povm = build_pgm(qam_codebook(16))
-        states = np.stack([random_density(rng, 2).mat for _ in range(200)])
-        scores = score_states(povm, states)
-        batch = sample_labels(povm, states, np.random.default_rng(69))
+        rows = state_rows(np.stack([random_density(rng, 2).mat for _ in range(200)]))
+        scores = score_rows(povm.outcomes(), rows)
+        batch = sample_rows(povm.outcomes(), rows, np.random.default_rng(69))
         ref_rng = np.random.default_rng(69)
         reference = [
             povm.labels[ref_rng.choice(16, p=np.clip(row, 0, None) / np.clip(row, 0, None).sum())]
@@ -480,9 +484,10 @@ class TestBatchDetection:
         # and |1> elements, and every symbol outcome of the erasure flag |2>.
         basis = np.eye(d, dtype=complex)[:, :, None] * np.eye(d)[:, None, :]
         states[:300] = basis[rng.integers(0, d, 300)]
-        got = sample_labels(povm, states, np.random.default_rng(76))
+        rows, outcomes = state_rows(states, d), povm.outcomes()
+        got = sample_rows(outcomes, rows, np.random.default_rng(76))
         want = four_buffer_sample_labels(
-            povm, score_states(povm, states), np.random.default_rng(76)
+            povm, score_rows(outcomes, rows), np.random.default_rng(76)
         )
         assert np.array_equal(got, want)
         assert got.dtype == want.dtype
@@ -492,40 +497,40 @@ class TestBatchDetection:
     @pytest.mark.parametrize("kind", ["depolarizing", "turbulence", "pmd"])
     def test_labels_match_score_sampler(self, kind, m, erasure, n):
         povm, per_state, per_symbol = channel_outputs(kind, m, erasure, n)
-        got = sample_labels(povm, per_symbol, np.random.default_rng(86))
+        outcomes = povm.outcomes()
+        got = sample_rows(outcomes, per_symbol, np.random.default_rng(86))
         want = score_sample_labels(
-            povm, score_states(povm, per_symbol), np.random.default_rng(86)
+            povm, score_rows(outcomes, per_symbol), np.random.default_rng(86)
         )
         assert np.array_equal(got, want)
         # Per-state mode: one row per codebook state, draw i for row index[i].
         index = np.random.default_rng(87).integers(0, m, n)
-        got = detection.sample_rows(
-            povm.outcomes(), to_rows(per_state), np.random.default_rng(88), index
-        )
+        got = sample_rows(outcomes, per_state, np.random.default_rng(88), index)
         want = score_sample_labels(
-            povm, score_states(povm, per_state)[index], np.random.default_rng(88)
+            povm, score_rows(outcomes, per_state)[index], np.random.default_rng(88)
         )
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("m, erasure", [(4, False), (64, True)])
     def test_labels_do_not_depend_on_chunking(self, m, erasure):
-        povm, _, mats = channel_outputs("pmd", m, erasure, 300)
-        whole = sample_labels(povm, mats, np.random.default_rng(89))
-        for size in (1, 2, 7, 64, len(mats)):
+        povm, _, rows = channel_outputs("pmd", m, erasure, 300)
+        outcomes = povm.outcomes()
+        whole = sample_rows(outcomes, rows, np.random.default_rng(89))
+        for size in (1, 2, 7, 64, len(rows)):
             rng = np.random.default_rng(89)
             parts = np.concatenate(
-                [sample_labels(povm, mats[i : i + size], rng) for i in range(0, len(mats), size)]
+                [sample_rows(outcomes, rows[i : i + size], rng) for i in range(0, len(rows), size)]
             )
             assert np.array_equal(parts, whole), size
 
     def test_sampler_forms_no_per_draw_cdf(self):
         n = 20000
-        povm, _, mats = channel_outputs("pmd", 64, True, n)
+        povm, _, rows = channel_outputs("pmd", 64, True, n)
         assert povm.n_outcomes == 65
-        rng = np.random.default_rng(78)
+        rng, outcomes = np.random.default_rng(78), povm.outcomes()
         tracemalloc.start()
         try:
-            sample_labels(povm, mats, rng)
+            sample_rows(outcomes, rows, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -536,11 +541,11 @@ class TestBatchDetection:
         [(4, False, 5000), (16, True, 5000), (64, False, 5000), (64, False, 10), (16, True, 1)],
     )
     def test_per_state_labels_match_gathered_rows(self, m, erasure, n):
-        povm, mats = codebook_outputs(m, erasure)
+        povm, rows = codebook_outputs(m, erasure)
         symbols = np.random.default_rng(80 + n).integers(0, m, n)
         got_rng, want_rng = np.random.default_rng(81), np.random.default_rng(81)
-        got = detection.sample_rows(povm.outcomes(), to_rows(mats), got_rng, symbols)
-        want = sample_labels(povm, mats[symbols], want_rng)
+        got = sample_rows(povm.outcomes(), rows, got_rng, symbols)
+        want = sample_rows(povm.outcomes(), rows[symbols], want_rng)
         assert np.array_equal(got, want)
         assert got.dtype == want.dtype
         assert got_rng.random() == want_rng.random()
@@ -559,21 +564,21 @@ class TestBatchDetection:
                       for diag in ([0.5, 0.25], [0.0, 0.25], [0.25, 0.25], [0.25, 0.25])],
             labels=(0, 1, 2, 3),
         )
-        mats = np.stack([pure(1, 0), pure(0, 1)])
+        rows = state_rows(np.stack([pure(1, 0), pure(0, 1)]))
         index = np.array([0, 0, 0, 1, 1])
-        got = detection.sample_rows(povm.outcomes(), to_rows(mats), FixedDraws(), index)
+        got = sample_rows(povm.outcomes(), rows, FixedDraws(), index)
         assert got.tolist() == [2, 3, 0, 1, 2]
-        assert np.array_equal(got, sample_labels(povm, mats[index], FixedDraws()))
+        assert np.array_equal(got, sample_rows(povm.outcomes(), rows[index], FixedDraws()))
 
     def test_per_state_sampler_forms_no_per_symbol_cdf(self):
         n = 20000
-        povm, mats = codebook_outputs(64, True)
+        povm, rows = codebook_outputs(64, True)
         assert povm.n_outcomes == 65
         symbols = np.random.default_rng(84).integers(0, 64, n)
-        rng, outcomes, rows = np.random.default_rng(85), povm.outcomes(), to_rows(mats)
+        rng, outcomes = np.random.default_rng(85), povm.outcomes()
         tracemalloc.start()
         try:
-            detection.sample_rows(outcomes, rows, rng, symbols)
+            sample_rows(outcomes, rows, rng, symbols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -582,10 +587,10 @@ class TestBatchDetection:
     def test_scores_do_not_hold_the_complex_product(self):
         cb = qam_codebook(64)
         povm = build_pgm(cb)
-        mats = cb.mats[np.random.default_rng(79).integers(0, 64, 5000)]
+        rows, outcomes = cb.rows[np.random.default_rng(79).integers(0, 64, 5000)], povm.outcomes()
         tracemalloc.start()
         try:
-            scores = score_states(povm, mats)
+            scores = score_rows(outcomes, rows)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -595,15 +600,22 @@ class TestBatchDetection:
 
     def test_bad_probabilities_rejected(self):
         povm = build_pgm(qpsk_codebook())
-        rng = np.random.default_rng(70)
+        rng, outcomes = np.random.default_rng(70), povm.outcomes()
+
+        def sample(mats):
+            return sample_rows(outcomes, state_rows(mats, povm.dim), rng)
+
         with pytest.raises(ValueError, match="trace"):
-            sample_labels(povm, np.stack([pure(1, 0), 1.1 * pure(0, 1)]), rng)
+            sample(np.stack([pure(1, 0), 1.1 * pure(0, 1)]))
         with pytest.raises(ValueError, match="positive semidefinite"):
-            sample_labels(povm, np.stack([pure(1, 0), np.diag([1.5, -0.5])]), rng)
+            sample(np.stack([pure(1, 0), np.diag([1.5, -0.5])]))
         with pytest.raises(ValueError, match="square"):
-            sample_labels(povm, np.array([[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]]), rng)
+            sample(np.array([[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]]))
         with pytest.raises(ValueError, match="dim"):
-            sample_labels(povm, np.eye(3)[None] / 3, rng)
+            sample(np.eye(3)[None] / 3)
+        # Rows that bypass the crossing still meet the sampler's own total check.
+        with pytest.raises(ValueError, match="probabilities sum to"):
+            sample_rows(outcomes, np.array([[1.1, 0.0, 0.0, 0.0]]), rng)
 
 
 class TestTwoStateOptimality:

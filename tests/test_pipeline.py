@@ -36,7 +36,7 @@ from qlinksim.pipeline import (
     draw_symbols,
     run_channels,
 )
-from qlinksim.visualization import STATES_CSV_HEADER, project_states
+from qlinksim.visualization import STATES_CSV_HEADER, project_rows
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PYPROJECT = README.parent / "pyproject.toml"
@@ -601,9 +601,9 @@ def test_comparison_after_setup_uses_real_rows_only(tmp_path, monkeypatch, mode)
 
     monkeypatch.setattr(pipeline._Transmitter, "build", build)
     complex_work = (
-        "hermitize", "check_states", "to_rows", "from_rows", "make_pure_states", "bloch_xyz",
-        "check_structure", "inv_sqrt_psd", "project_states", "embed_povm_with_erasure",
-        "score_states", "sample_labels", "measurement_scores",
+        "hermitize", "check_states", "state_rows", "to_rows", "from_rows", "make_pure_states",
+        "check_structure", "inv_sqrt_psd", "embed_povm_with_erasure", "measurement_scores",
+        "decide",
     )
     for module in (states, channels, detection, modulation, visualization, pipeline):
         for name in complex_work:
@@ -611,7 +611,7 @@ def test_comparison_after_setup_uses_real_rows_only(tmp_path, monkeypatch, mode)
                 spy(module, name)
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         spy(np.linalg, name)
-    for cls, name in ((channels.Channel, "apply_batch"), (detection.POVM, "__post_init__"),
+    for cls, name in ((channels.Channel, "apply"), (detection.POVM, "__post_init__"),
                       (modulation.DetectorCodebook, "__post_init__")):
         spy(cls, name)
     cfg = dataclasses.replace(
@@ -667,7 +667,7 @@ class TestStatesCsv:
         assert len(lines) == 26
 
     def test_length_mismatch_rejected(self, tmp_path):
-        table = project_states(qam_codebook(4).mats)
+        table = project_rows(qam_codebook(4).rows)
         with pytest.raises(ValueError, match="length"):
             write_states_csv(
                 tmp_path / "x.csv", table, table.take(slice(0, 2)), [0, 1, 2, 3], [0, 1, 2, 3]

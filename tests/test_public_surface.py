@@ -1,14 +1,24 @@
 """The package's public surface: ``qlinksim.__all__`` is exactly the list
-below, and every name the benchmark in ``bench/`` reaches still resolves
-and still takes the arguments it passes, so deleting one fails here and
-not only in the benchmark."""
+below, one batch API on Pauli rows with no complex-stack wrapper beside it,
+every name the benchmark in ``bench/`` reaches still resolves and still
+takes the arguments it passes, so deleting one fails here and not only in
+the benchmark, and the README's Python examples run."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 
 import qlinksim
-from qlinksim import pipeline, states
+from qlinksim import detection, pipeline, states, visualization
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# The complex-stack wrappers that stood beside the row kernels.
+DELETED_WRAPPERS = (
+    "apply_batch", "score_states", "argmax_labels", "sample_labels", "project_states", "bloch_xyz",
+)
 
 PUBLIC = [
     "__version__",
@@ -27,8 +37,7 @@ PUBLIC = [
     "SimulationConfig",
     "SimulationReport",
     "TurbulenceConfig",
-    "argmax_labels",
-    "bloch_xyz",
+    "argmax_rows",
     "build_pgm",
     "confusion_matrix",
     "decide",
@@ -41,7 +50,7 @@ PUBLIC = [
     "load_config",
     "make_pure_states",
     "measurement_scores",
-    "project_states",
+    "project_rows",
     "qam_codebook",
     "qam_constellation",
     "qpsk_codebook",
@@ -49,8 +58,9 @@ PUBLIC = [
     "render_constellation_svg",
     "run_comparison",
     "run_simulation",
-    "sample_labels",
-    "score_states",
+    "sample_rows",
+    "score_rows",
+    "state_rows",
     "write_states_csv",
 ]
 
@@ -71,6 +81,57 @@ def test_kernels_and_per_symbol_helpers_left_the_top_level():
     assert not hasattr(states, "min_eigenvalues") and not hasattr(states, "DegenerateStateError")
     codebook = qlinksim.qpsk_codebook()
     assert not hasattr(codebook, "bit_table") and not hasattr(codebook, "name")
+
+
+def test_one_batch_api_on_rows():
+    assert not hasattr(qlinksim.Channel, "apply_batch")
+    for module in (detection, states, visualization):
+        for name in DELETED_WRAPPERS:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(detection, "_scores")
+
+
+def test_zero_rows_through_the_public_row_path():
+    rows = qlinksim.state_rows(np.empty((0, 2, 2)))
+    assert rows.shape == (0, 4)
+    for cfg in (
+        qlinksim.DepolarizingConfig(p=0.1),
+        qlinksim.DephasingConfig(p=0.2),
+        qlinksim.ErasureConfig(p=0.25),
+        qlinksim.BosonicConfig(loss_db=3.0),
+        qlinksim.TurbulenceConfig(sigma_p=0.1, w0=1.0, rytov_var=0.2),
+        qlinksim.PMDConfig(dgd=2.0, sigma_omega=1.0),
+    ):
+        received = qlinksim.Channel(cfg).apply_rows(rows, np.random.default_rng(0))
+        assert received.shape == (0, 4), cfg.kind
+    outcomes = qlinksim.build_pgm(qlinksim.qam_codebook(16)).outcomes(erasure=True)
+    assert qlinksim.score_rows(outcomes, rows).shape == (0, 17)
+    for labels in (
+        qlinksim.argmax_rows(outcomes, rows),
+        qlinksim.sample_rows(outcomes, rows, np.random.default_rng(1)),
+    ):
+        assert labels.shape == (0,) and labels.dtype == outcomes[1].dtype
+    assert len(qlinksim.project_rows(rows)) == 0
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch, capsys):
+    # Every fenced python block, in order and in one namespace; each
+    # ``print(...)  # value`` line must print its value.
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    expected = re.findall(r"^print\(.*\)\s+# (.*)$", "".join(blocks), re.M)
+    assert expected and capsys.readouterr().out.splitlines() == expected
+    # Neither the README nor the package's source names a deleted wrapper.
+    sources = sorted(Path(qlinksim.__file__).parent.glob("*.py"))
+    for name in DELETED_WRAPPERS:
+        assert name not in text, name
+        for path in sources:
+            assert name not in path.read_text(encoding="utf-8"), (path.name, name)
 
 
 def test_names_the_benchmark_reaches_resolve(tmp_path):

@@ -1,5 +1,3 @@
-import inspect
-
 import numpy as np
 import pytest
 from conftest import pure, purity, random_density, random_pure
@@ -12,14 +10,13 @@ from qlinksim import (
     DetectorCodebook,
     ErasureConfig,
     InvalidStateError,
-    bloch_xyz,
     build_pgm,
+    decide,
     embed_povm_with_erasure,
-    project_states,
+    measurement_scores,
+    project_rows,
     qam_codebook,
     qpsk_codebook,
-    sample_labels,
-    score_states,
 )
 from qlinksim import channels, detection, modulation, states, visualization
 from qlinksim.states import (
@@ -37,7 +34,7 @@ from qlinksim.states import (
 
 
 def bloch(mat):
-    return bloch_xyz(np.asarray(mat)[np.newaxis])[0]
+    return state_rows(np.asarray(mat)[np.newaxis], 2)[0, 1:]
 
 
 class TestMakePure:
@@ -198,6 +195,23 @@ class TestDensityMatrixStack:
     def test_make_pure_states_names_the_first_bad_norm(self):
         with pytest.raises(InvalidStateError, match=r"norm 2\.0 is not 1"):
             make_pure_states([[1, 0], [0, 2], [0, 3]])
+
+    @pytest.mark.parametrize(
+        "kets, shape",
+        [([], r"\(0,\)"), ([1, 0], r"\(2,\)"), (np.zeros((1, 2, 1)), r"\(1, 2, 1\)")],
+        ids=["empty-list", "one-1d-ket", "3-d"],
+    )
+    def test_make_pure_states_names_a_malformed_ket_array(self, kets, shape):
+        named = rf"kets must be an \(n, d\) array, got shape {shape}"
+        with pytest.raises(InvalidStateError, match=named):
+            make_pure_states(kets)
+
+    def test_make_pure_states_of_no_kets_is_an_empty_stack(self):
+        mats = make_pure_states(np.empty((0, 2)))
+        assert mats.shape == (0, 2, 2) and not mats.flags.writeable
+        assert check_states(mats).shape == (0, 2, 2)
+        with pytest.raises(ValueError, match="codebook needs a nonempty"):
+            DetectorCodebook(mats=mats, priors=np.empty(0), bit_labels=np.empty((0, 1)))
 
 
 def hermitian_qubits(kind: str, n: int = 2000) -> np.ndarray:
@@ -453,10 +467,7 @@ class TestPurity:
 class TestStateRows:
     """state_rows is the one crossing of a caller's stack into rows."""
 
-    @pytest.mark.parametrize(
-        "entry",
-        ["apply_batch", "score_states", "sample_labels", "project_states", "bloch_xyz"],
-    )
+    @pytest.mark.parametrize("entry", ["Channel.apply", "measurement_scores", "decide", "state_rows"])
     def test_every_entry_point_checks_once(self, monkeypatch, entry):
         calls = []
         real = states.check_states
@@ -465,22 +476,21 @@ class TestStateRows:
             calls.append(len(mats))
             return real(mats)
 
-        mats = qpsk_codebook().mats
-        povm = build_pgm(qpsk_codebook())
+        cb = qpsk_codebook()
+        rho, povm = cb.states[1], build_pgm(cb)
         monkeypatch.setattr(states, "check_states", counting)
-        call = {
-            "apply_batch": lambda: Channel(DepolarizingConfig(p=0.1)).apply_batch(mats),
-            "score_states": lambda: score_states(povm, mats),
-            "sample_labels": lambda: sample_labels(povm, mats, np.random.default_rng(22)),
-            "project_states": lambda: project_states(mats),
-            "bloch_xyz": lambda: bloch_xyz(mats),
+        call, checks = {
+            # Channel.apply also checks the DensityMatrix it returns.
+            "Channel.apply": (lambda: Channel(DepolarizingConfig(p=0.1)).apply(rho), [1, 1]),
+            "measurement_scores": (lambda: measurement_scores(povm, rho), [1]),
+            "decide": (lambda: decide(povm, rho), [1]),
+            "state_rows": (lambda: state_rows(cb.mats), [4]),
         }[entry]
         call()
-        assert calls == [4]
+        assert calls == checks
 
     def test_no_second_crossing(self):
         assert not hasattr(detection, "_checked_rows")
-        assert "index" not in inspect.signature(sample_labels).parameters
         for module in (channels, detection, visualization):
             assert not hasattr(module, "check_states"), module.__name__
 
@@ -492,7 +502,11 @@ class TestStateRows:
         with pytest.raises(ValueError, match="expected states of dim 3, got dim 2"):
             state_rows(mats, 3)
 
-    @pytest.mark.parametrize("entry", [bloch_xyz, project_states])
+    # The ids name the complex-stack projections these row paths replace.
+    @pytest.mark.parametrize("entry", [
+        pytest.param(lambda mats: state_rows(mats, 2)[:, 1:], id="bloch_xyz"),
+        pytest.param(lambda mats: project_rows(state_rows(mats)), id="project_states"),
+    ])
     @pytest.mark.parametrize(
         "mat, message",
         [
@@ -556,7 +570,8 @@ class TestQubitAndFlagShapes:
         cb = qam_codebook(16)
         erasure = Channel(ErasureConfig(p=0.25))
         check_states(from_rows(erasure.apply_rows(cb.rows), 3))
-        assert check_states(erasure.apply_batch(cb.mats)).shape == (16, 3, 3)
+        received = erasure.apply_rows(state_rows(cb.mats, 2))
+        assert check_states(from_rows(received, erasure.output_dim)).shape == (16, 3, 3)
         for codebook in (qpsk_codebook(), qam_codebook(4), cb, qam_codebook(64)):
             assert embed_povm_with_erasure(build_pgm(codebook), 3).dim == 3
 

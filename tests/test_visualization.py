@@ -4,17 +4,18 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from conftest import pure, random_density
+from conftest import apply_stack, pure, random_density
 
 from qlinksim import (
     Channel,
     DepolarizingConfig,
     ErasureConfig,
     embed_amplitudes,
-    project_states,
+    project_rows,
     qam_constellation,
     render_bloch_svg,
     render_constellation_svg,
+    state_rows,
     write_states_csv,
 )
 from qlinksim.visualization import StateProjection, read_states_csv
@@ -28,23 +29,23 @@ class TestConstellationPoint:
     def test_identity_recovery(self):
         rng = np.random.default_rng(81)
         alphas = [complex(*rng.standard_normal(2)) for _ in range(30)]
-        table = project_states(embed_amplitudes(alphas))
+        table = project_rows(state_rows(embed_amplitudes(alphas)))
         for alpha, (i, q), clipped in zip(alphas, table.iq, table.clipped):
             assert i + 1j * q == pytest.approx(alpha, abs=1e-12)
             assert not clipped
 
     def test_power_scale_inverted(self):
         alphas, _, scale = qam_constellation(16)
-        table = project_states(embed_amplitudes(alphas), power_scale=scale)
+        table = project_rows(state_rows(embed_amplitudes(alphas)), power_scale=scale)
         for alpha, (i, q) in zip(alphas, table.iq):
             assert i + 1j * q == pytest.approx(alpha / scale, abs=1e-9)
 
     def test_ground_state_at_origin(self):
-        table = project_states(stack([pure(1, 0)]))
+        table = project_rows(state_rows(stack([pure(1, 0)])))
         assert tuple(table.iq[0]) == (0.0, 0.0)
 
     def test_excited_state_clips(self):
-        table = project_states(stack([pure(0, 1)]), clip_radius=2.0)
+        table = project_rows(state_rows(stack([pure(0, 1)])), clip_radius=2.0)
         (i, q), = table.iq
         assert table.clipped[0]
         assert i**2 + q**2 == pytest.approx(4.0, abs=1e-9)
@@ -54,21 +55,21 @@ class TestConstellationPoint:
         eps = 1e-12
         amp = np.sqrt(eps)
         rho = pure(amp, -np.sqrt(1 - eps))
-        table = project_states(stack([rho]), clip_radius=1.5)
+        table = project_rows(state_rows(stack([rho])), clip_radius=1.5)
         assert table.clipped[0]
         assert table.iq[0, 0] == pytest.approx(-1.5, abs=1e-6)
 
     def test_fully_erased_state_projects_to_the_origin(self):
-        erased = Channel(ErasureConfig(p=1.0)).apply_batch(embed_amplitudes([0.7 - 0.2j]))
-        table = project_states(erased)
+        erased = apply_stack(Channel(ErasureConfig(p=1.0)), embed_amplitudes([0.7 - 0.2j]))
+        table = project_rows(state_rows(erased))
         assert table.bloch.tolist() == [[0.0, 0.0, 0.0]]
         assert table.iq.tolist() == [[0.0, 0.0]]
         assert table.trace.tolist() == [0.0] and not table.clipped[0]
 
     def test_erasure_output_recovers_alpha(self):
         alpha = 0.7 - 0.2j
-        enlarged = Channel(ErasureConfig(p=0.4)).apply_batch(embed_amplitudes([alpha]))
-        (i, q), = project_states(enlarged).iq
+        enlarged = apply_stack(Channel(ErasureConfig(p=0.4)), embed_amplitudes([alpha]))
+        (i, q), = project_rows(state_rows(enlarged)).iq
         assert i + 1j * q == pytest.approx(alpha, abs=1e-9)
 
 
@@ -76,27 +77,29 @@ class TestBlochPoints:
     def test_pure_inputs_unit_norm(self):
         rng = np.random.default_rng(82)
         alphas = [complex(*rng.standard_normal(2)) for _ in range(10)]
-        table = project_states(embed_amplitudes(alphas))
+        table = project_rows(state_rows(embed_amplitudes(alphas)))
         for vec, trace in zip(table.bloch, table.trace):
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
             assert trace == pytest.approx(1.0, abs=1e-12)
 
     def test_depolarized_norm_halves(self):
         rho = pure(0.8, 0.6)
-        depolarized = Channel(DepolarizingConfig(p=0.5)).apply_batch(stack([rho]))
-        before, after = project_states(np.concatenate([stack([rho]), depolarized])).bloch
+        depolarized = apply_stack(Channel(DepolarizingConfig(p=0.5)), stack([rho]))
+        before, after = project_rows(state_rows(np.concatenate([stack([rho]), depolarized]))).bloch
         assert np.linalg.norm(after) == pytest.approx(0.5 * np.linalg.norm(before), abs=1e-9)
 
     def test_erasure_keeps_direction_reports_renorm(self):
         rho = embed_amplitudes([0.3 + 0.5j])[0]
-        vec_in, = project_states(stack([rho])).bloch
-        erased = project_states(Channel(ErasureConfig(p=0.25)).apply_batch(stack([rho])))
+        vec_in, = project_rows(state_rows(stack([rho]))).bloch
+        received = apply_stack(Channel(ErasureConfig(p=0.25)), stack([rho]))
+        erased = project_rows(state_rows(received))
         assert erased.trace[0] == pytest.approx(0.75, abs=1e-12)
         assert np.allclose(vec_in, erased.bloch[0])
 
     def test_norms_bounded(self):
         rng = np.random.default_rng(83)
-        for vec in project_states(stack(random_density(rng, 2) for _ in range(40))).bloch:
+        mats = stack(random_density(rng, 2) for _ in range(40))
+        for vec in project_rows(state_rows(mats)).bloch:
             assert np.linalg.norm(vec) <= 1 + 1e-9
 
 
@@ -157,6 +160,31 @@ class TestStateProjection:
         fields[field] = value
         with pytest.raises(ValueError, match=message):
             StateProjection(**fields)
+
+    def test_take_checks_only_the_new_rows(self, monkeypatch):
+        states = table(iq=[(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)])
+        calls = []
+        real = StateProjection.__post_init__
+
+        def spy(self):
+            calls.append(self)
+            real(self)
+
+        monkeypatch.setattr(StateProjection, "__post_init__", spy)
+        taken = states.take(np.array([2, 0, 2]))
+        assert calls == [] and taken.rows.tolist() == [2, 0, 2] and len(states) == 3
+        for name in ("bloch", "trace", "iq", "clipped"):
+            assert getattr(taken, name) is getattr(states, name)
+
+    @pytest.mark.parametrize(
+        "index, error",
+        [(np.array([3]), IndexError), (np.array([[0, 1]]), ValueError),
+         (np.array([0.5]), IndexError)],
+        ids=["out-of-range", "2-d", "non-integer"],
+    )
+    def test_take_rejects_bad_index(self, index, error):
+        with pytest.raises(error):
+            table(iq=[(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)]).take(index)
 
 
 class TestStatesCsvMemory:
@@ -266,7 +294,7 @@ class TestRenderBloch:
     def test_points_inside_outline(self, tmp_path):
         rng = np.random.default_rng(84)
         pts = [(random_density(rng, 2), int(rng.integers(0, 4))) for _ in range(50)]
-        rows = project_states(stack(rho for rho, _ in pts))
+        rows = project_rows(state_rows(stack(rho for rho, _ in pts)))
         labels = [label for _, label in pts]
         path = tmp_path / "b.svg"
         render_bloch_svg(rows, labels, rows, labels, path)
