@@ -13,8 +13,8 @@ out through ``from_rows``).
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from typing import ClassVar, Union, get_args
 
@@ -23,19 +23,31 @@ import numpy as np
 from .states import DensityMatrix, check_rows, from_rows, state_rows
 
 
-def _check_fields(cfg) -> None:
-    """Reject what no range check catches: booleans, non-numbers, floats in
-    integer fields (even 2.0), NaN and infinities."""
+# What a config field of each annotated type accepts, as its errors say it.
+_FIELD_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+}
+
+
+def check_fields(cfg) -> None:
+    """Check every ``int``, ``float``, ``bool`` and ``str`` field of a config
+    dataclass by its annotation, rejecting what no range check catches:
+    another type, booleans in number fields, floats in integer fields (even
+    2.0), and NaN, infinities or integers beyond the float range in float
+    fields.  A channel config's errors name its kind."""
+    prefix = f"{cfg.kind} parameter " if hasattr(cfg, "kind") else ""
     for f in fields(cfg):
+        if f.type not in _FIELD_TYPES:
+            continue
         value = getattr(cfg, f.name)
-        integer = f.type == "int"
-        if isinstance(value, bool) or not isinstance(
-            value, numbers.Integral if integer else numbers.Real
-        ):
-            wanted = "an integer" if integer else "a number"
-            raise TypeError(f"{cfg.kind} parameter {f.name} must be {wanted}, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{cfg.kind} parameter {f.name} must be finite, got {value}")
+        kind, wanted = _FIELD_TYPES[f.type]
+        if not isinstance(value, kind) or (isinstance(value, bool) and f.type != "bool"):
+            raise TypeError(f"{prefix}{f.name} must be {wanted}, got {value!r}")
+        if f.type == "float" and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{prefix}{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +57,7 @@ class _ProbabilityConfig:
     p: float
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"{self.kind} probability must be in [0, 1], got {self.p}")
 
@@ -79,7 +91,7 @@ class BosonicConfig:
     fock_dim: int = 2
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         if self.loss_db < 0.0:
             raise ValueError(f"loss_db must be >= 0, got {self.loss_db}")
         if self.n_th < 0.0:
@@ -109,13 +121,17 @@ class TurbulenceConfig:
     path_loss_db: float = 0.0
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         if self.w0 <= 0.0:
             raise ValueError(f"beam waist w0 must be > 0, got {self.w0}")
         if self.sigma_p < 0.0:
             raise ValueError(f"sigma_p must be >= 0, got {self.sigma_p}")
         if self.rytov_var < 0.0:
             raise ValueError(f"rytov_var must be >= 0, got {self.rytov_var}")
+        # Outside about [1.3e-308, 1.3e220] the Gamma-Gamma shape parameters
+        # of _scintillation overflow a float.
+        if self.rytov_var != 0.0 and not 1e-307 <= self.rytov_var <= 1e220:
+            raise ValueError(f"rytov_var must be 0 or in [1e-307, 1e220], got {self.rytov_var}")
         if self.path_loss_db < 0.0:
             raise ValueError(f"path_loss_db must be >= 0, got {self.path_loss_db}")
 
@@ -135,7 +151,7 @@ class PMDConfig:
     n_sections: int = 8
 
     def __post_init__(self):
-        _check_fields(self)
+        check_fields(self)
         if self.dgd < 0.0:
             raise ValueError(f"dgd must be >= 0, got {self.dgd}")
         if self.sigma_omega < 0.0:
@@ -191,10 +207,12 @@ def _transfer_matrix(cfg) -> np.ndarray:
     (:func:`_pure_loss`), then thermal weight w = n_th / (1 + 2 n_th) of the
     lost 1 - eta moves from |0><0| to |1><1|, so
     z -> eta z + (1 - eta)(1 - 2 w) t.  This is the single-rail thermal
-    attenuator truncated at one photon, exact only for n_th = 0.
+    attenuator truncated at one photon, exact only for n_th = 0.  w is
+    taken as (n_th / 2) / (1/2 + n_th), the same bits without the overflow
+    of 1 + 2 n_th, so w tends to 1/2 as n_th grows.
     """
     if cfg.kind == "bosonic":
-        w = cfg.n_th / (1.0 + 2.0 * cfg.n_th)
+        w = 0.5 * cfg.n_th / (0.5 + cfg.n_th)
         matrix = np.diag([1.0, np.sqrt(cfg.eta), np.sqrt(cfg.eta), cfg.eta])
         matrix[3, 0] = (1.0 - cfg.eta) * (1.0 - 2.0 * w)
         return matrix
@@ -241,12 +259,14 @@ def _scintillation(rytov_var: float, rng: np.random.Generator, n: int) -> np.nda
 
 def _turbulence(cfg: TurbulenceConfig, rows: np.ndarray, rng) -> np.ndarray:
     """One atmospheric fade per state: sample its transmissivity, apply pure loss."""
-    # Mean power kept under Gaussian pointing jitter: exp(-2 (sigma_p/w0)^2).
-    eta = (
-        float(np.exp(-2.0 * (cfg.sigma_p / cfg.w0) ** 2))
-        * _scintillation(cfg.rytov_var, rng, len(rows))
-        * 10.0 ** (-cfg.path_loss_db / 10.0)
-    )
+    # Mean power kept under Gaussian pointing jitter: exp(-2 (sigma_p/w0)^2),
+    # 0 once the square overflows.
+    with np.errstate(over="ignore"):
+        eta = (
+            float(np.exp(-2.0 * np.float64(cfg.sigma_p / cfg.w0) ** 2))
+            * _scintillation(cfg.rytov_var, rng, len(rows))
+            * 10.0 ** (-cfg.path_loss_db / 10.0)
+        )
     return _pure_loss(np.clip(eta, 0.0, 1.0), rows)
 
 
@@ -272,7 +292,9 @@ def _pmd(cfg: PMDConfig, rows: np.ndarray, rng) -> np.ndarray:
     one at a time, so at most one section's axes are held.
     """
     tau_sec = cfg.dgd / np.sqrt(cfg.n_sections)
-    nu = float(np.exp(-((cfg.sigma_omega * tau_sec) ** 2) / 2.0))
+    # nu is 0 once the square overflows.
+    with np.errstate(over="ignore"):
+        nu = float(np.exp(-((cfg.sigma_omega * tau_sec) ** 2) / 2.0))
     r = np.ascontiguousarray(rows[:, 1:].T)
     for _ in range(cfg.n_sections):
         axis = np.ascontiguousarray(rng.standard_normal((len(rows), 3)).T)

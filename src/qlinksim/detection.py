@@ -176,8 +176,10 @@ def sample_rows(
     2t up to a power of two, labeled as the last outcome.  Row dots do not
     depend on the batch, and a total off 1 by more than 1e-6 is rejected.
     With ``index``, draw i is for row ``index[i]`` (one row per distinct
-    state of a deterministic channel) and reads a per-row CDF table built
-    with the same dots, so the labels equal those of ``rows[index]``.
+    state of a deterministic channel) and reads a per-row CDF table, one
+    einsum of the rows with the search rows that forms no tiled or repeated
+    copy of either and gives the same dots, so the labels equal those of
+    ``rows[index]``.
     """
     e, labels, flagged = outcomes
     k = len(e)
@@ -185,7 +187,7 @@ def sample_rows(
     cumulative = np.cumsum(e, axis=0) / 2.0
     search = np.concatenate([cumulative[:-1], np.tile([2.0, 0.0, 0.0, 0.0], (width - k + 1, 1))])
     label_of = np.concatenate([labels, np.full(width - k, labels[-1])])
-    totals = _row_dots(np.tile(cumulative[-1], (len(rows), 1)), rows)
+    totals = _row_dots(np.broadcast_to(cumulative[-1], rows.shape), rows)
     if flagged:
         totals += 1.0 - rows[:, 0]
     # Draw i searches the positions start[i] .. start[i] + width - 1: those
@@ -199,7 +201,7 @@ def sample_rows(
     else:
         start = np.asarray(index, dtype=np.intp) * width
         totals = totals.take(index)
-        cdf = _row_dots(np.tile(search, (len(rows), 1)), np.repeat(rows, width, axis=0)).take
+        cdf = np.einsum("mf,wf->mw", rows, search).ravel().take
     off = np.abs(totals - 1.0)
     if off.max(initial=0.0) > 1e-6:
         raise ValueError(f"outcome probabilities sum to {float(totals[off.argmax()])!r}, not 1")

@@ -20,17 +20,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, get_args
 
 import numpy as np
 
-from .channels import Channel, ChannelConfig
+from .channels import Channel, ChannelConfig, check_fields
 from .channels import config_from_dict as channel_config_from_dict
 from .channels import config_to_dict as channel_config_to_dict
 from .detection import POVM, argmax_rows, build_pgm, sample_rows
@@ -60,16 +59,9 @@ class SimulationConfig:
     emit_figures: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         if self.modulation not in ("qpsk", "qam"):
-            raise ValueError(f"modulation must be 'qpsk' or 'qam', got {self.modulation!r}")
-        for name in ("n_symbols", "seed", "qam_order"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        for name in ("emit_states", "emit_figures"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise TypeError(f"{name} must be true or false, got {value!r}")
+            raise ValueError(f"modulation.type must be 'qpsk' or 'qam', got {self.modulation!r}")
         if self.modulation == "qam":
             qam_side(self.qam_order)  # rejects orders other than 4, 16, 64, ...
         if self.n_symbols < 1:
@@ -80,9 +72,11 @@ class SimulationConfig:
             raise ValueError(
                 f"decision_mode must be 'argmax' or 'sampled', got {self.decision_mode!r}"
             )
-        object.__setattr__(self, "channels", tuple((str(n), c) for n, c in self.channels))
+        object.__setattr__(self, "channels", tuple((n, c) for n, c in self.channels))
         names = [n for n, _ in self.channels]
         for name, config in self.channels:
+            if not isinstance(name, str):
+                raise TypeError(f"channel name must be a string, got {name!r}")
             if not _CHANNEL_NAME.fullmatch(name):
                 raise ValueError(
                     f"channel name {name!r} must be letters, digits, '_', '.' or '-' only"
@@ -104,7 +98,9 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class ChannelRunResult:
-    """Metrics and artifact names for one channel of one run."""
+    """Metrics and artifact names for one channel of one run: its report.json
+    entry holds every field but ``name``, with the artifact names under
+    ``"artifacts"``."""
 
     name: str
     ser: float
@@ -287,23 +283,20 @@ def run_comparison(cfg: SimulationConfig) -> SimulationReport:
     return report
 
 
+# A channel's report entry: every ChannelRunResult field but the name it is
+# keyed by, the artifact names nested under "artifacts".  Each is read
+# shallowly; dataclasses.asdict would deep-copy every result.
+_ARTIFACTS = ("states_csv", "constellation_svg", "bloch_svg")
+_ENTRY_FIELDS = tuple(
+    f.name for f in fields(ChannelRunResult) if f.name not in ("name", *_ARTIFACTS)
+)
+
+
 def report_to_dict(report: SimulationReport) -> dict:
     channels = {}
     for name, r in report.channels.items():
-        channels[name] = {
-            "ser": r.ser,
-            "ser_count": r.ser_count,
-            "ber": r.ber,
-            "ber_count": r.ber_count,
-            "n_symbols": r.n_symbols,
-            "bits_per_symbol": r.bits_per_symbol,
-            "erasure_count": r.erasure_count,
-            "artifacts": {
-                "states_csv": r.states_csv,
-                "constellation_svg": r.constellation_svg,
-                "bloch_svg": r.bloch_svg,
-            },
-        }
+        channels[name] = {key: getattr(r, key) for key in _ENTRY_FIELDS}
+        channels[name]["artifacts"] = {key: getattr(r, key) for key in _ARTIFACTS}
     return {
         "version": report.version,
         "wall_time_s": report.wall_time_s,
@@ -324,11 +317,14 @@ def write_report(report: SimulationReport, path: str | Path) -> None:
 # --- JSON config round trip ---
 
 _TOP_KEYS = {"modulation", "n_symbols", "seed", "decision_mode", "channels", "output", "notes"}
-_OUTPUT_KEYS = {"dir", "emit_states", "emit_figures"}
+# Each key of the output block, and the SimulationConfig field it sets.
+_OUTPUT_FIELDS = {"dir": "output_dir", "emit_states": "emit_states", "emit_figures": "emit_figures"}
 
 
 def _require(value, kind: type, field: str):
-    """``value``; a TypeError naming ``field`` if it is not a ``kind`` (Mapping or str)."""
+    """``value``; a TypeError naming ``field`` if it is not a ``kind`` (Mapping or
+    str).  Only what JSON alone can get wrong is checked here; every field's
+    type, value and default is :class:`SimulationConfig`'s."""
     if not isinstance(value, kind):
         what = "an object" if kind is Mapping else "a string"
         raise TypeError(f"{field} must be {what}, got {value!r}")
@@ -345,10 +341,8 @@ def config_from_dict(d: Mapping) -> SimulationConfig:
             raise ValueError(f"config is missing required key {key!r}")
     mod = _require(d["modulation"], Mapping, "modulation")
     mod_type = _require(mod.get("type", ""), str, "modulation.type")
-    if mod_type not in ("qpsk", "qam"):
-        raise ValueError(f"modulation.type must be 'qpsk' or 'qam', got {mod_type!r}")
     # M has no effect on qpsk, so it is rejected there rather than ignored.
-    unknown = set(mod) - ({"type", "M"} if mod_type == "qam" else {"type"})
+    unknown = set(mod) - ({"type"} if mod_type == "qpsk" else {"type", "M"})
     if unknown:
         raise ValueError(f"unknown modulation keys for {mod_type}: {sorted(unknown)}")
     if not isinstance(d["channels"], list):
@@ -356,30 +350,33 @@ def config_from_dict(d: Mapping) -> SimulationConfig:
     channels = []
     for entry in d["channels"]:
         entry = dict(_require(entry, Mapping, "every channel entry"))
-        name = _require(entry.pop("name", ""), str, "channel name")
-        if not name:
+        if "name" not in entry:
             raise ValueError("every channel entry needs a 'name'")
+        name = entry.pop("name")
         try:
             channels.append((name, channel_config_from_dict(entry)))
         except (TypeError, ValueError) as err:
             raise type(err)(f"channel {name!r}: {err}") from err
     output = _require(d.get("output", {}), Mapping, "output")
-    unknown = set(output) - _OUTPUT_KEYS
+    unknown = set(output) - _OUTPUT_FIELDS.keys()
     if unknown:
         raise ValueError(f"unknown output keys: {sorted(unknown)}")
+    if "dir" in output:
+        _require(output["dir"], str, "output.dir")
     _require(d.get("notes", ""), str, "notes")
-    cfg = SimulationConfig(
+    # Only the keys the config gives; SimulationConfig fills in the rest.
+    given = {_OUTPUT_FIELDS[key]: value for key, value in output.items()}
+    if "M" in mod:
+        given["qam_order"] = mod["M"]
+    if "decision_mode" in d:
+        given["decision_mode"] = d["decision_mode"]
+    return SimulationConfig(
         modulation=mod_type,
         n_symbols=d["n_symbols"],
         seed=d["seed"],
         channels=tuple(channels),
-        qam_order=mod.get("M", 16),
-        decision_mode=_require(d.get("decision_mode", "argmax"), str, "decision_mode"),
-        output_dir=Path(_require(output.get("dir", "out"), str, "output.dir")),
-        emit_states=output.get("emit_states", True),
-        emit_figures=output.get("emit_figures", True),
+        **given,
     )
-    return cfg
 
 
 def config_to_dict(cfg: SimulationConfig) -> dict:
@@ -393,11 +390,8 @@ def config_to_dict(cfg: SimulationConfig) -> dict:
         "seed": cfg.seed,
         "decision_mode": cfg.decision_mode,
         "channels": channels,
-        "output": {
-            "dir": str(cfg.output_dir),
-            "emit_states": cfg.emit_states,
-            "emit_figures": cfg.emit_figures,
-        },
+        "output": {key: getattr(cfg, field) for key, field in _OUTPUT_FIELDS.items()}
+        | {"dir": str(cfg.output_dir)},
     }
 
 

@@ -181,7 +181,9 @@ def to_rows(mats) -> np.ndarray:
 
 def from_rows(rows: np.ndarray, dim: int = 2) -> np.ndarray:
     """(n, dim, dim) Hermitian stack of (n, 4) rows: the qubit block, and for
-    dim = 3 the flag's weight 1 - t."""
+    dim = 3 the flag's weight 1 - t; any other ``dim`` raises a ValueError."""
+    if dim not in (2, 3):
+        raise ValueError(f"dim must be 2 (a qubit) or 3 (a qubit and a flag), got {dim!r}")
     t, x, y, z = rows.T
     mats = np.zeros((len(rows), dim, dim), dtype=complex)
     mats[:, 0, 0] = (t + z) / 2.0

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -439,6 +440,60 @@ class TestPMDBlochStack:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0]
+
+
+class TestExtremeParameters:
+    """A config that loads computes: past a float overflow a kernel takes its
+    limit without a warning, or the config is rejected at construction."""
+
+    ROWS = state_rows(np.stack([_PLUS, _ONE, pure(0.6, 0.8j)]))
+
+    @pytest.mark.parametrize("rytov_var", [1.1e220, 1e230, 1e300, 9e-308, 1e-310, 5e-324])
+    def test_rytov_variance_past_the_shape_parameters_rejected(self, rytov_var):
+        message = f"rytov_var must be 0 or in [1e-307, 1e220], got {rytov_var}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TurbulenceConfig(sigma_p=0.1, w0=1.0, rytov_var=rytov_var)
+
+    @pytest.mark.parametrize("rytov_var", [1e-307, 1e-100, 1e100, 1e220])
+    def test_rytov_variance_that_loads_runs(self, rytov_var):
+        channel = Channel(TurbulenceConfig(sigma_p=0.1, w0=1.0, rytov_var=rytov_var))
+        assert np.isfinite(channel.apply_rows(self.ROWS, np.random.default_rng(56))).all()
+
+    def test_integer_beyond_the_float_range_rejected(self):
+        # A JSON integer of 400 digits has no float value: a ValueError
+        # naming the field, not an OverflowError from the conversion.
+        with pytest.raises(ValueError, match="bosonic parameter loss_db must be finite"):
+            config_from_dict({"type": "bosonic", "loss_db": 10**400})
+
+    def test_pointing_loss_tends_to_zero_transmission(self):
+        # exp(-2 (sigma_p / w0)^2) is 0 long before the square overflows.
+        outputs = [
+            Channel(TurbulenceConfig(sigma_p=sigma_p, w0=w0, rytov_var=0.0)).apply_rows(
+                self.ROWS, np.random.default_rng(57)
+            )
+            for sigma_p, w0 in ((100.0, 1.0), (1e200, 1e-10), (1e300, 1e-300))
+        ]
+        assert np.array_equal(outputs[0], _pure_loss(0.0, self.ROWS))
+        assert all(np.array_equal(out, outputs[0]) for out in outputs[1:])
+
+    def test_thermal_weight_tends_to_one_half(self):
+        # w = n_th / (1 + 2 n_th) tends to 1/2, where the ground-state weight
+        # a photon loss adds tends to 0; no n_th reads as a vacuum environment.
+        n_th = [0.0, 0.5, 1e10, 1e300, 1e307, 9e307, 1e308, np.finfo(float).max]
+        added = [_transfer_matrix(BosonicConfig(loss_db=3.0, n_th=n))[3, 0] for n in n_th]
+        assert added[0] == 1.0 - BosonicConfig(loss_db=3.0).eta
+        assert all(a > b for a, b in zip(added[:3], added[1:4]))
+        assert added[3:] == [0.0] * 5
+
+    def test_pmd_coherence_factor_tends_to_zero(self):
+        # nu = exp(-(sigma_omega tau)^2 / 2) is 0 long before the square overflows.
+        outputs = [
+            Channel(PMDConfig(dgd=dgd, sigma_omega=sigma_omega)).apply_rows(
+                self.ROWS, np.random.default_rng(58)
+            )
+            for dgd, sigma_omega in ((1e100, 1.0), (1e155, 1.0), (1e300, 1e300))
+        ]
+        assert all(np.array_equal(out, outputs[0]) for out in outputs[1:])
 
 
 class TestChannelWrapper:

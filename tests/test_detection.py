@@ -6,8 +6,10 @@ from conftest import pure, random_density, score_sample_labels, trace_product_sc
 
 from qlinksim import (
     POVM,
+    BosonicConfig,
     Channel,
     DensityMatrix,
+    DephasingConfig,
     DepolarizingConfig,
     DetectorCodebook,
     ErasureConfig,
@@ -583,6 +585,50 @@ class TestBatchDetection:
         finally:
             tracemalloc.stop()
         assert peak < n * povm.n_outcomes * 8
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256, 1024])
+    def test_per_state_table_is_the_gathered_row_dots(self, m, monkeypatch):
+        # The per-state CDF table, bit for bit, against the row dots of every
+        # (state, search row) pair gathered into two tiled copies, for every
+        # deterministic channel, with and without the erasure outcome.
+        tables = []
+        einsum = np.einsum
+
+        def recording(subscripts, *operands):
+            out = einsum(subscripts, *operands)
+            if subscripts == "mf,wf->mw":
+                tables.append((operands, out))
+            return out
+
+        monkeypatch.setattr(detection.np, "einsum", recording)
+        cb = qpsk_codebook() if m == 4 else qam_codebook(m)
+        povm = build_pgm(cb)
+        index = np.random.default_rng(91).integers(0, m, 50)
+        for cfg in (DepolarizingConfig(p=0.1), DephasingConfig(p=0.2), ErasureConfig(p=0.25),
+                    BosonicConfig(loss_db=3.0, n_th=0.2)):
+            channel = Channel(cfg)
+            rows = channel.apply_rows(cb.rows)
+            outcomes = povm.outcomes(erasure=channel.output_dim > cb.dim)
+            sample_rows(outcomes, rows, np.random.default_rng(92), index)
+            (got_rows, search), table = tables.pop()
+            assert got_rows is rows
+            width = len(search)
+            gathered = detection._row_dots(np.tile(search, (m, 1)), np.repeat(rows, width, axis=0))
+            assert np.array_equal(table.ravel(), gathered), cfg.kind
+
+    def test_per_state_table_is_the_only_table_held(self):
+        # 1024-QAM: a 1024 x 1024 table of 8 MiB, and no tiled or repeated
+        # copy of the rows beside it.
+        povm, rows = codebook_outputs(1024, False)
+        index = np.random.default_rng(93).integers(0, 1024, 100)
+        table_bytes = 1024 * 1024 * 8
+        tracemalloc.start()
+        try:
+            sample_rows(povm.outcomes(), rows, np.random.default_rng(94), index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table_bytes
 
     def test_scores_do_not_hold_the_complex_product(self):
         cb = qam_codebook(64)

@@ -144,6 +144,46 @@ class TestConfigHandling:
                 channels=((name, DepolarizingConfig(p=0.1)),),
             )
 
+    @pytest.mark.parametrize("name", [None, 7, True, 1.5])
+    def test_channel_name_must_be_a_string(self, name):
+        # The JSON loader's error, also for a config built in Python: a name
+        # is not turned into the string "None", "7", "True" or "1.5".
+        message = f"channel name must be a string, got {name!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            SimulationConfig(
+                modulation="qpsk", n_symbols=10, seed=1,
+                channels=((name, DepolarizingConfig(p=0.1)),),
+            )
+
+    @pytest.mark.parametrize(
+        "changes, fields",
+        [
+            ({"decision_mode": 1}, {"decision_mode": 1}),
+            ({"decision_mode": "ARGMAX"}, {"decision_mode": "ARGMAX"}),
+            ({"modulation": {"type": "QAM"}}, {"modulation": "QAM"}),
+            ({"modulation": {"type": "qam", "M": 8}}, {"modulation": "qam", "qam_order": 8}),
+            ({"n_symbols": 10.9}, {"n_symbols": 10.9}),
+            ({"seed": True}, {"seed": True}),
+            ({"output": {"emit_figures": "false"}}, {"emit_figures": "false"}),
+            ({"channels": [{"name": 5, "type": "depolarizing", "p": 0.1}]},
+             {"channels": ((5, DepolarizingConfig(p=0.1)),)}),
+        ],
+    )
+    def test_python_configs_meet_the_json_rules(self, changes, fields):
+        # One statement of the schema: a config changed in Python fails with
+        # the error and message the same change fails with in JSON.
+        with pytest.raises((TypeError, ValueError)) as from_json:
+            config_from_dict(json_config(**changes))
+        with pytest.raises(from_json.type, match=f"^{re.escape(str(from_json.value))}$"):
+            dataclasses.replace(config_from_dict(json_config()), **fields)
+
+    @pytest.mark.parametrize("modulation", ["qpsk", "qam"])
+    def test_required_keys_alone_take_the_dataclass_defaults(self, modulation):
+        assert config_from_dict(json_config(modulation={"type": modulation})) == SimulationConfig(
+            modulation=modulation, n_symbols=10, seed=1,
+            channels=(("a", DepolarizingConfig(p=0.1)),),
+        )
+
     def test_unknown_output_key_rejected(self):
         with pytest.raises(ValueError, match=r"unknown output keys: \['emit_figure'\]"):
             config_from_dict(json_config(output={"emit_figure": False}))
@@ -232,6 +272,8 @@ class TestConfigHandling:
             ({"type": "dephasing", "p": "0.5"}, TypeError, "p must be a number"),
             ({"type": "bosonic", "loss_db": -1.0}, ValueError, "loss_db must be >= 0"),
             ({"type": "fading"}, ValueError, "unknown channel type"),
+            ({"type": "turbulence", "sigma_p": 0.1, "w0": 1.0, "rytov_var": 1e230},
+             ValueError, "rytov_var must be 0 or in"),
         ],
     )
     def test_channel_errors_name_their_channel(self, entry, error, message):
@@ -458,6 +500,22 @@ class TestRunComparison:
         assert data["config"]["seed"] == 5
         assert data["version"] == report.version
         assert "wall_time_s" in data
+
+    def test_report_entries_are_the_result_fields(self, tmp_path):
+        cfg = qpsk_config(
+            tmp_path, (("a", DepolarizingConfig(p=0.1)), ("e", ErasureConfig(p=0.5))), n=20,
+            emit_figures=False,
+        )
+        report = run_comparison(cfg)
+        data = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert list(data["channels"]) == list(report.channels) == ["a", "e"]
+        artifacts = {"states_csv", "constellation_svg", "bloch_svg"}
+        for name, result in report.channels.items():
+            entry = data["channels"][name]
+            values = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+            assert values.pop("name") == name
+            assert entry.pop("artifacts") == {key: values.pop(key) for key in artifacts}
+            assert entry == values
 
     def test_failing_channel_is_named(self, tmp_path):
         cfg = qpsk_config(tmp_path, (("bad", NoKernelConfig(p=0.1)),))

@@ -390,6 +390,12 @@ class TestLeadingQubitBlock:
         assert np.allclose(row[1:] / row[0], bloch(inner))
         assert np.allclose(from_rows(row[None], dim=3)[0], big)
 
+    @pytest.mark.parametrize("dim", [1, 4, 5])
+    def test_from_rows_takes_qubit_and_flag_dims_only(self, dim):
+        # A 4x4 stack of a row would hold its qubit block with trace t and no flag.
+        with pytest.raises(ValueError, match="dim must be 2 .* or 3 .*, got"):
+            from_rows(np.array([[1.0, 0.0, 0.0, 1.0]]), dim)
+
     def test_depleted_block_flagged(self):
         fully_erased = np.diag([0.0, 0.0, 1.0]).astype(complex)
         (row,) = to_rows(DensityMatrix(fully_erased).mat[None])
