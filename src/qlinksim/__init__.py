@@ -3,8 +3,9 @@
 Classical symbols are mapped to qubit density matrices, pushed through a
 configurable channel model, detected with the square-root (pretty-good)
 measurement, and scored by symbol and bit error rate.  Every batch
-operation takes (n, 4) Pauli rows; a complex stack enters through
-``state_rows`` and leaves through ``qlinksim.states.from_rows``.  See the README
+operation takes (n, 4) Pauli rows, and codebooks and POVMs hold rows; a
+complex stack of states enters through ``state_rows`` and leaves through
+``qlinksim.states.from_rows``.  See the README
 for the JSON config schema and CLI usage.
 """
 
@@ -54,7 +55,6 @@ from .pipeline import (
 from .states import (
     DensityMatrix,
     InvalidStateError,
-    make_pure_states,
     state_rows,
 )
 from .visualization import (
@@ -92,7 +92,6 @@ __all__ = [
     "error_counts",
     "hamming_table",
     "load_config",
-    "make_pure_states",
     "measurement_scores",
     "project_rows",
     "qam_codebook",

@@ -20,7 +20,7 @@ from typing import ClassVar, Union, get_args
 
 import numpy as np
 
-from .states import DensityMatrix, check_rows, from_rows, state_rows
+from .states import DensityMatrix, check_rows, from_rows, map_rows, state_rows
 
 
 # What a config field of each annotated type accepts, as its errors say it.
@@ -222,10 +222,8 @@ def _transfer_matrix(cfg) -> np.ndarray:
 
 
 def _transfer(cfg, rows: np.ndarray, rng) -> np.ndarray:
-    """The config's transfer matrix applied to (n, 4) rows as four elementwise
-    terms in column order, so a row's output does not depend on its batch."""
-    matrix = _transfer_matrix(cfg)
-    return sum(np.multiply.outer(rows[:, j], matrix[:, j]) for j in range(4))
+    """The config's transfer matrix applied to (n, 4) rows by ``map_rows``."""
+    return map_rows(_transfer_matrix(cfg), rows)
 
 
 def _pure_loss(eta, rows: np.ndarray) -> np.ndarray:

@@ -4,24 +4,29 @@ The detector for a codebook {p_i, rho_i} is the pretty-good measurement
 
     E_i = p_i  S rho_i S,   S = rhobar^(-1/2),   rhobar = sum_i p_i rho_i,
 
-completed on the support of rhobar.  A POVM is one read-only (K, d, d)
-element stack on a qubit (d = 2) or on a qubit and an erasure flag (d = 3),
-validated once by the states' structural check and closed-form
-positive-semidefinite criterion (:func:`~qlinksim.states.check_structure`,
-:func:`~qlinksim.states.smallest_eigenvalue`; no spectrum is taken), and
-read once as (K, 4) rows e = (Tr E, 2 Re E01, -2 Im E01, E00 - E11): a
-state row (t, x, y, z) fires E with probability e . row / 2, the erasure
-outcome also with the flag's weight 1 - t.  The batch API is the three row
-kernels :func:`score_rows`, :func:`argmax_rows` and :func:`sample_rows`,
-which take the decision table :meth:`POVM.outcomes` and checked rows
+completed on the support of rhobar.  :func:`build_pgm` computes it in
+closed form on the codebook's rows: S = a I + b . sigma from the two
+eigenvalues of rhobar, and X -> S X S as one 4x4 map of rows.  A POVM is
+its read-only (K, 4) rows e = (Tr E, 2 Re E01, -2 Im E01, E00 - E11) on a
+qubit (d = 2), or on a qubit and an erasure flag (d = 3) that its last
+element alone reads, checked once: complete (sum e = (2, 0, 0, 0)) and
+positive semidefinite by the states' closed-form criterion
+(:func:`~qlinksim.states.smallest_eigenvalue`).  A state row (t, x, y, z)
+fires E with probability e . row / 2, the erasure outcome also with the
+flag's weight 1 - t.  The batch API is the three row kernels
+:func:`score_rows`, :func:`argmax_rows` and :func:`sample_rows`, which take
+the decision table :meth:`POVM.outcomes` and checked rows
 (:func:`~qlinksim.states.state_rows`) unchecked and form no BLAS product.
-On complex stacks the erasure outcome is the flag projector
+A complex (K, d, d) element stack crosses in through
+:meth:`POVM.from_elements`, and ``elements`` is derived from the rows; on
+complex stacks the erasure outcome is the flag projector
 (:func:`embed_povm_with_erasure`), whose row is the zero row a run appends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,61 +35,79 @@ from .states import (
     TOL,
     DensityMatrix,
     check_structure,
-    inv_sqrt_psd,
+    from_rows,
+    map_rows,
+    read_only,
     smallest_eigenvalue,
     state_rows,
     to_rows,
 )
 
+# Eigenvalues of rhobar at or below this are outside the PGM's support.
+EIG_CUT = 1e-10
 # Rows scored at once by argmax_rows: bounds the (rows, K) scores held.
 _CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
 class POVM:
-    """Validated measurement on a qubit (d = 2), or on a qubit and an erasure
-    flag (d = 3), uncoupled from the qubit block, that only its last element
-    reads: ``elements`` is a read-only (K, d, d) stack of PSD matrices
-    summing to the identity, and ``rows`` its rows.  ``labels[i]`` is
-    reported when element i fires; erasure is -1.
+    """Validated measurement on a qubit (``dim`` 2), or on a qubit and an
+    erasure flag (``dim`` 3), uncoupled from the qubit block, that only its
+    last element reads, all of it: ``rows`` is the read-only (K, 4) stack of
+    the elements' qubit blocks, which must sum to the identity's row
+    (2, 0, 0, 0) and be positive semidefinite, each within ``TOL``.
+    ``labels[i]`` is reported when element i fires; erasure is -1.
+    ``elements`` is the read-only (K, d, d) stack derived from the rows on
+    first access.
     """
 
-    elements: np.ndarray
+    rows: np.ndarray
     labels: tuple[int, ...]
-    rows: np.ndarray = field(init=False, repr=False)
+    dim: int = 2
 
     def __post_init__(self):
-        if len(self.elements) == 0:
-            raise ValueError("POVM needs at least one element")
-        if len(self.labels) != len(self.elements):
+        rows = np.asarray(self.rows)
+        if rows.ndim != 2 or len(rows) == 0 or rows.shape[1] != 4:
+            raise ValueError(f"POVM needs a nonempty (K, 4) row stack, got shape {rows.shape}")
+        rows = rows.astype(float)
+        if len(self.labels) != len(rows):
             raise ValueError("one label per element required")
-        elements = check_structure(self.elements, "POVM elements")
-        rows = to_rows(elements)
-        min_eig = smallest_eigenvalue(rows, elements[:, 2:, 2:].real)
+        if self.dim not in (2, 3):
+            raise ValueError(f"POVM dim must be 2 (a qubit) or 3 (and a flag), got {self.dim!r}")
+        min_eig = smallest_eigenvalue(rows)
         if min_eig < -TOL:
             raise ValueError(f"POVM element not PSD (min eigenvalue {min_eig:.3e})")
-        comp_dev = float(np.max(np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1]))))
-        if comp_dev > TOL:
-            raise ValueError(
-                f"POVM does not resolve the identity (deviation {comp_dev:.3e})"
-            )
-        # Completeness leaves the last element all of the flag.
-        if np.abs(elements[:-1, 2:, 2:]).max(initial=0.0) > TOL:
-            raise ValueError(
-                "POVM must act on a qubit, or on a qubit and an erasure flag "
-                "that only its last element reads"
-            )
-        for name, value in (("elements", elements), ("rows", rows)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        # NaN fails "<=", so a non-finite row fails here.
+        comp_dev = float(np.abs(rows.sum(axis=0) - (2.0, 0.0, 0.0, 0.0)).max())
+        if not comp_dev <= TOL:
+            raise ValueError(f"POVM does not resolve the identity (deviation {comp_dev:.3e})")
+        object.__setattr__(self, "rows", read_only(rows))
 
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[-1]
+    @classmethod
+    def from_elements(cls, elements, labels) -> "POVM":
+        """The POVM of a (K, d, d) stack of operators: the one crossing from
+        complex elements to rows.  ``check_structure`` checks the stack, and
+        for d = 3 the last element must hold the whole flag and no other
+        any of it, within ``TOL``."""
+        elements = check_structure(elements, "POVM elements")
+        flags = elements[:, 2:, 2:].real.ravel()
+        if np.abs(flags - (np.arange(len(flags)) == len(flags) - 1)).max(initial=0.0) > TOL:
+            raise ValueError(
+                "POVM must act on a qubit, or on a qubit and a flag only its last element reads"
+            )
+        return cls(to_rows(elements), tuple(labels), elements.shape[-1])
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """The read-only (K, dim, dim) element stack, from ``rows``."""
+        elements = np.zeros((len(self.rows), self.dim, self.dim), dtype=complex)
+        elements[:, :2, :2] = from_rows(self.rows)
+        elements[-1, 2:, 2:] = 1.0
+        return read_only(elements)
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
 
     def outcomes(self, erasure: bool = False) -> tuple:
         """The decision table (rows, labels, flagged) the row kernels take:
@@ -116,12 +139,33 @@ def measurement_scores(povm: POVM, rho: DensityMatrix) -> np.ndarray:
 
 
 def build_pgm(codebook: DetectorCodebook) -> POVM:
-    """Pretty-good measurement for the codebook's states and priors, computed on
-    the whole stack in the one-state order, so each element has the same bits."""
-    p, mats = codebook.priors[:, None, None], codebook.mats
-    s = inv_sqrt_psd((p * mats).sum(axis=0))
+    """Pretty-good measurement for the codebook's states and priors, in
+    closed form on its rows.
+
+    The mean row is (1, r), so rhobar has the eigenvalues (1 +- |r|) / 2
+    along n = r / |r|; u+- is the inverse of each, or 0 at or below
+    ``EIG_CUT``.  Then S = a I + b . sigma with a = (sqrt u+ + sqrt u-) / 2
+    and b = (sqrt u+ - sqrt u-) / 2 n, and S X S maps a row (t, r) to
+    t' = (a^2 + |b|^2) t + 2a b.r and
+    r' = 2a t b + (a^2 - |b|^2) r + 2 (b.r) b, whose coefficients are
+    a^2 + |b|^2 = (u+ + u-) / 2, a^2 - |b|^2 = sqrt(u+ u-), their difference
+    2 |b|^2, and 2a |b| = (u+ - u-) / 2: one 4x4 map, applied by
+    ``map_rows``.  Element i is p_i times that map of row i.
+    """
+    p, rows = codebook.priors, codebook.rows
+    r = (p[:, None] * rows[:, 1:]).sum(axis=0)
+    length = float(np.sqrt(np.square(r).sum()))
+    n = r / length if length else r
+    # 1 / ((1 +- |r|) / 2), exact for the maximally mixed mean of QPSK.
+    u_plus, u_minus = (2.0 / v if v > 2.0 * EIG_CUT else 0.0 for v in (1.0 + length, 1.0 - length))
+    mean, half_gap = (u_plus + u_minus) / 2.0, (u_plus - u_minus) / 2.0
+    geometric = np.sqrt(u_plus * u_minus)
+    congruence = np.empty((4, 4))
+    congruence[0, 0] = mean
+    congruence[0, 1:] = congruence[1:, 0] = half_gap * n
+    congruence[1:, 1:] = geometric * np.eye(3) + (mean - geometric) * np.multiply.outer(n, n)
     try:
-        return POVM(elements=p * (s @ mats @ s), labels=tuple(range(codebook.M)))
+        return POVM(p[:, None] * map_rows(congruence, rows), tuple(range(codebook.M)))
     except ValueError as err:
         # Completeness fails exactly when rhobar is rank-deficient, i.e. the
         # reference states do not span the space the detector acts on.
@@ -132,20 +176,13 @@ def build_pgm(codebook: DetectorCodebook) -> POVM:
 
 
 def embed_povm_with_erasure(povm: POVM, out_dim: int) -> POVM:
-    """Zero-pad a POVM to a larger space and append the projector onto the new
-    directions, the erasure flag, as the erasure outcome (label -1).
-
-    The padded elements act as before on the original subspace and vanish
-    on the flag, which its projector alone reads.  That projector's row is
-    zero: the outcome a run appends with ``povm.outcomes(erasure=True)``,
-    so both decide erasure from the same rows.
-    """
+    """A qubit POVM on a qubit and an erasure flag (``out_dim`` 3): the
+    elements act as before on the qubit and vanish on the flag, and the
+    flag projector is appended as the erasure outcome (label -1).  Its row is
+    zero, so the rows are those of ``povm.outcomes(erasure=True)``."""
     if out_dim <= povm.dim:
         raise ValueError(f"target dim {out_dim} must exceed current POVM dim {povm.dim}")
-    padded = np.zeros((povm.n_outcomes + 1, out_dim, out_dim), dtype=complex)
-    padded[:-1, : povm.dim, : povm.dim] = povm.elements
-    padded[-1, povm.dim :, povm.dim :] = np.eye(out_dim - povm.dim)
-    return POVM(elements=padded, labels=povm.labels + (-1,))
+    return POVM(np.vstack([povm.rows, np.zeros(4)]), povm.labels + (-1,), out_dim)
 
 
 def argmax_rows(outcomes: tuple, rows: np.ndarray) -> np.ndarray:

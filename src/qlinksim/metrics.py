@@ -21,10 +21,13 @@ def confusion_matrix(tx_symbols, rx_labels, M: int) -> np.ndarray:
     """(M, M + 1) count of (transmitted symbol, received label) pairs.
 
     Row m counts the receptions of symbol m; column j < M counts label j
-    and column M the erasure label -1.
+    and column M the erasure label -1.  Both sequences must hold integers
+    (an empty one may have any dtype); other values are rejected, not
+    truncated.
     """
-    tx = np.asarray(tx_symbols, dtype=np.intp)
-    rx = np.asarray(rx_labels, dtype=np.intp)
+    tx, rx = np.asarray(tx_symbols), np.asarray(rx_labels)
+    if any(a.size and a.dtype.kind not in "iu" for a in (tx, rx)):
+        raise ValueError(f"symbols and labels must be integers, got {tx.dtype} and {rx.dtype}")
     if tx.ndim != 1 or rx.ndim != 1 or tx.size != rx.size:
         raise ValueError(
             f"symbol and label sequences must be one-dimensional and of equal "
@@ -35,7 +38,7 @@ def confusion_matrix(tx_symbols, rx_labels, M: int) -> np.ndarray:
     if rx.size and (rx.min() < -1 or rx.max() >= M):
         raise ValueError(f"received labels must be in [-1, {M - 1}]")
     # -1 % (M + 1) is M: the erasure label lands in the last column.
-    flat = tx * (M + 1) + rx % (M + 1)
+    flat = tx.astype(np.intp) * (M + 1) + rx.astype(np.intp) % (M + 1)
     return np.bincount(flat, minlength=M * (M + 1)).reshape(M, M + 1)
 
 

@@ -1,82 +1,91 @@
-"""Classical constellations and their qubit embeddings.
+"""Classical constellations and their qubit embeddings, as Pauli rows.
 
 Two modulation families are provided: QPSK mapped directly to four fixed
 qubit states, and square M-QAM mapped through the amplitude embedding
 
     |psi(alpha)> = (|0> + alpha |1>) / sqrt(1 + |alpha|^2)
 
-after normalizing the constellation to unit average power.
+after normalizing the constellation to unit average power.  A codebook
+holds its states as (M, 4) rows (t, x, y, z) (:mod:`qlinksim.states`),
+written in closed form: QPSK's are literal, and the embedding of alpha is
+the row (1 + |alpha|^2, 2 Re alpha, 2 Im alpha, 1 - |alpha|^2) / (1 + |alpha|^2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .states import DensityMatrix, InvalidStateError, check_states, make_pure_states, to_rows
-
-_SQRT2 = np.sqrt(2.0)
+from .states import TOL, DensityMatrix, InvalidStateError, check_rows, from_rows, read_only
 
 
 @dataclass(frozen=True, eq=False)
 class DetectorCodebook:
     """Reference states, priors, and bit labels used by detection and metrics.
 
-    ``mats`` is the checked (M, 2, 2) stack of qubit reference states and
-    ``rows`` its (M, 4) Pauli rows, which a run's channels map; a sent state
-    has no flagged weight, so each row's t is exactly 1.
-    ``bit_labels`` is the (M, bits) table of 0/1 labels, bits >= 1, one
-    row per state, kept as its own integer array.  ``power_scale``
-    records the amplitude normalization applied before embedding, so
-    plotting code can undo it and recover constellation coordinates on the
-    original grid.  Every array is read-only, as a comparison shares them.
+    ``rows`` is the (M, 4) stack of the qubit reference states' Pauli rows,
+    which a run's channels map: checked once by ``check_rows``, each of unit
+    weight within ``TOL``, and stored with t exactly 1, as a sent state has
+    no flagged weight.  A caller's complex stack gives its rows through
+    ``state_rows(mats, 2)``; ``mats`` is the read-only (M, 2, 2) stack
+    derived from the rows on first access.  ``bit_labels`` is the (M, bits)
+    table of 0/1 labels, bits >= 1, one row per state, kept as its own
+    integer array.  ``power_scale`` records the amplitude normalization
+    applied before embedding, so plotting code can undo it and recover
+    constellation coordinates on the original grid.  Every array is
+    read-only, as a comparison shares them.
     """
 
-    mats: np.ndarray
+    rows: np.ndarray
     priors: np.ndarray
     bit_labels: np.ndarray
     power_scale: float = 1.0
-    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mats = np.asarray(self.mats, dtype=complex)
-        if mats.ndim != 3 or len(mats) == 0 or mats.shape[1:] != (2, 2):
-            raise ValueError(f"codebook needs a nonempty (M, 2, 2) stack, got shape {mats.shape}")
+        rows = np.asarray(self.rows)
+        if rows.ndim != 2 or len(rows) == 0 or rows.shape[1] != 4:
+            raise ValueError(f"codebook needs a nonempty (M, 4) row stack, got shape {rows.shape}")
         # A checked copy, so the caller's own array keeps its flags.
-        mats = check_states(mats)
+        rows = check_rows(rows.astype(float))
+        trace_dev = float(np.abs(rows[:, 0] - 1.0).max())
+        if trace_dev > TOL:
+            raise InvalidStateError(f"trace deviates from 1 by {trace_dev:.3e}, exceeds {TOL:.1e}")
+        rows[:, 0] = 1.0
         priors = np.array(self.priors, dtype=float)
-        if priors.shape != (len(mats),):
-            raise ValueError(f"priors shape {priors.shape} does not match {len(mats)} states")
+        if priors.shape != (len(rows),):
+            raise ValueError(f"priors shape {priors.shape} does not match {len(rows)} states")
         # NaN fails ">= 0" and an infinity fails the sum.
         if not np.all(priors >= 0.0) or abs(priors.sum() - 1.0) > 1e-12:
             raise ValueError(f"priors must be finite, nonnegative and sum to 1, got {priors}")
         if not 0.0 < float(self.power_scale) < np.inf:
             raise ValueError(f"power_scale must be finite and > 0, got {self.power_scale!r}")
         labels = np.array(self.bit_labels)
-        if labels.ndim != 2 or len(labels) != len(mats):
+        if labels.ndim != 2 or len(labels) != len(rows):
             raise ValueError(f"one bit label per state required, got shape {labels.shape}")
         if labels.shape[1] == 0 or not np.all((labels == 0) | (labels == 1)):
             raise ValueError("bit labels must be an (M, bits >= 1) table of 0s and 1s")
         labels = labels.astype(int)
-        rows = to_rows(mats)
-        rows[:, 0] = 1.0
-        arrays = {"mats": mats, "rows": rows, "priors": priors, "bit_labels": labels}
-        for attr, value in arrays.items():
-            value.flags.writeable = False
-            object.__setattr__(self, attr, value)
+        for attr, value in {"rows": rows, "priors": priors, "bit_labels": labels}.items():
+            object.__setattr__(self, attr, read_only(value))
 
     @property
     def M(self) -> int:
-        return len(self.mats)
+        return len(self.rows)
 
-    @property
-    def dim(self) -> int:
-        return self.mats.shape[-1]
+    # The states' dimension: every codebook state is a qubit.
+    dim = 2
 
     @property
     def bits_per_symbol(self) -> int:
         return self.bit_labels.shape[1]
+
+    @cached_property
+    def mats(self) -> np.ndarray:
+        """The read-only (M, 2, 2) stack of the states, from ``rows``."""
+        return read_only(from_rows(self.rows))
 
     @property
     def states(self) -> tuple[DensityMatrix, ...]:
@@ -89,14 +98,8 @@ class DetectorCodebook:
 
 def qpsk_codebook() -> DetectorCodebook:
     """Four fixed qubit states |0>, |1>, |+>, |-> with natural binary labels."""
-    amplitudes = [
-        (1.0, 0.0),
-        (0.0, 1.0),
-        (1.0 / _SQRT2, 1.0 / _SQRT2),
-        (1.0 / _SQRT2, -1.0 / _SQRT2),
-    ]
     return DetectorCodebook(
-        mats=make_pure_states(amplitudes),
+        rows=((1, 0, 0, 1), (1, 0, 0, -1), (1, 1, 0, 0), (1, -1, 0, 0)),
         priors=np.full(4, 0.25),
         bit_labels=((0, 0), (0, 1), (1, 0), (1, 1)),
     )
@@ -107,10 +110,11 @@ def _gray(i: np.ndarray) -> np.ndarray:
 
 
 def qam_side(order: int) -> int:
-    """Side of the square M-QAM grid; ``order`` must be an even power of two."""
-    m = int(order)
+    """Side of the square M-QAM grid; ``order`` must be an integer (not a
+    bool) and an even power of two."""
+    m = int(order) if isinstance(order, numbers.Integral) and not isinstance(order, bool) else 0
     if m < 4 or (m & (m - 1)) != 0 or int(np.log2(m)) % 2 != 0:
-        raise ValueError(f"QAM order must be 4, 16, 64, ... got {order}")
+        raise ValueError(f"QAM order must be 4, 16, 64, ... got {order!r}")
     return int(np.sqrt(m))
 
 
@@ -136,34 +140,32 @@ def qam_constellation(order: int) -> tuple[np.ndarray, np.ndarray, float]:
     return alphas, bits, float(scale)
 
 
-def embed_amplitudes(alphas) -> np.ndarray:
-    """Read-only (n, 2, 2) stack of the qubit embeddings
-    (|0> + alpha|1>)/sqrt(1 + |alpha|^2) of complex amplitudes, checked once.
-
-    |alpha| is ``np.hypot`` and alpha/norm divides the real and imaginary
-    parts separately, which gives the bits of Python's scalar ``abs`` and
-    complex division; numpy's complex abs and division differ in the last bit.
-    |alpha|^2 is the correctly rounded square, where Python's ``** 2`` calls
-    libm ``pow``: every square QAM grid up to 16384 points gives the same
-    states either way, while a few random amplitudes in 10^4 differ by an ulp.
-    """
+def _embedding_rows(alphas) -> np.ndarray:
+    """(n, 4) rows of the qubit embeddings of complex amplitudes, unchecked:
+    (1 + |alpha|^2, 2 Re alpha, 2 Im alpha, 1 - |alpha|^2) / (1 + |alpha|^2),
+    with |alpha|^2 = Re^2 + Im^2, so t is exactly 1."""
     alphas = np.asarray(alphas, dtype=complex).ravel()
     finite = np.isfinite(alphas)
     if not np.all(finite):
         raise InvalidStateError(f"amplitude must be finite, got {complex(alphas[~finite][0])!r}")
-    norm = np.sqrt(1.0 + np.hypot(alphas.real, alphas.imag) ** 2)
-    kets = np.empty((len(alphas), 2), dtype=complex)
-    kets[:, 0] = 1.0 / norm
-    kets[:, 1].real = alphas.real / norm
-    kets[:, 1].imag = alphas.imag / norm
-    return make_pure_states(kets)
+    re, im = alphas.real, alphas.imag
+    power = re * re + im * im
+    denominator = 1.0 + power
+    return np.stack([denominator, 2.0 * re, 2.0 * im, 1.0 - power], axis=1) / denominator[:, None]
+
+
+def embed_amplitudes(alphas) -> np.ndarray:
+    """Read-only (n, 2, 2) stack of the qubit embeddings
+    (|0> + alpha|1>)/sqrt(1 + |alpha|^2) of complex amplitudes: the states of
+    their :func:`_embedding_rows`, checked once by ``check_rows``."""
+    return read_only(from_rows(check_rows(_embedding_rows(alphas))))
 
 
 def qam_codebook(order: int) -> DetectorCodebook:
-    """Uniform-prior codebook of embedded M-QAM states, checked as one stack."""
+    """Uniform-prior codebook of the M-QAM :func:`_embedding_rows`."""
     alphas, bits, scale = qam_constellation(order)
     return DetectorCodebook(
-        mats=embed_amplitudes(alphas),
+        rows=_embedding_rows(alphas),
         priors=np.full(len(alphas), 1.0 / len(alphas)),
         bit_labels=bits,
         power_scale=scale,

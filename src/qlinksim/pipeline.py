@@ -1,10 +1,11 @@
 """End-to-end simulation runs: symbols -> states -> channel -> detection -> metrics.
 
 A run is fully determined by its :class:`SimulationConfig`.  A comparison
-or a run of several channels builds one transmitter (codebook and its Pauli
-rows, PGM, symbols, per-symbol counts, Hamming table, tx projection) for all
-its channels, and every channel before the first runs.  From there a run
-holds states only as real (n, 4) rows (:mod:`qlinksim.states`): each
+or a run of several channels builds one transmitter (codebook rows and PGM
+rows, each in closed form, symbols, per-symbol counts, Hamming table, tx
+projection) for all its channels, and every channel before the first runs.
+A whole run holds states only as real (n, 4) rows (:mod:`qlinksim.states`),
+builds no complex stack and calls no ``np.linalg`` routine: each
 channel is one pass over rows, checked once, where deterministic channels
 map the M codebook rows and stochastic ones the N transmitted rows.  A
 channel is scored from one (M, M + 1) confusion count of its decisions,
@@ -130,9 +131,12 @@ def derive_rng(seed: int, *tags) -> np.random.Generator:
 
     Tags are hashed, so streams for different (purpose, channel) keys
     never collide by construction order; this is what makes results
-    independent of channel ordering.
+    independent of channel ordering.  ``seed`` must be an integer in
+    [0, 2^64 - 1], the range a config's seed takes.
     """
-    words = [seed & _U64]
+    if not 0 <= seed <= _U64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    words = [seed]
     for tag in tags:
         digest = hashlib.sha256(str(tag).encode("utf-8")).digest()
         words.append(int.from_bytes(digest[:8], "big"))

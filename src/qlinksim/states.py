@@ -2,18 +2,20 @@
 
 A run carries each state as the real row (t, x, y, z) of its qubit block,
 rho = (t I + x X + y Y + z Z) / 2, with the erasure flag's weight 1 - t,
-and every batch operation takes such (n, 4) rows.  A complex stack or POVM
-is therefore accepted only in the two shapes rows represent: 2x2 (a
-qubit), or 3x3 with the qubit block and the flag uncoupled within ``TOL``.
-A caller's stack becomes rows in one place, :func:`state_rows`:
-:func:`check_states` checks it once, in one vectorized pass
-(:func:`check_structure`: shape, finite, Hermitian, uncoupled flag; then
-unit trace and positive semidefinite), and :func:`to_rows` converts it;
-:func:`from_rows` converts back.  Rows, states and POVM elements share one
-closed-form positive-semidefinite criterion, :func:`smallest_eigenvalue`:
-min((t - |r|) / 2, flag entry) at least -``TOL``; no check takes a
-spectrum.  A checked stack that is shared, such as a codebook's, is
-marked read-only.
+and every batch operation takes such (n, 4) rows; a codebook and a POVM
+hold rows as their data too, so a run builds no complex stack.  A complex
+stack or POVM is therefore accepted only in the two shapes rows represent:
+2x2 (a qubit), or 3x3 with the qubit block and the flag uncoupled within
+``TOL``.  A caller's stack of states becomes rows in one place,
+:func:`state_rows`: :func:`check_states` checks it once, in one vectorized
+pass (:func:`check_structure`: shape, finite, Hermitian, uncoupled flag;
+then unit trace and positive semidefinite), and :func:`to_rows` converts
+it; :func:`from_rows` converts back.  Rows, states and POVM elements share
+one closed-form positive-semidefinite criterion,
+:func:`smallest_eigenvalue`: min((t - |r|) / 2, flag entry) at least
+-``TOL``; no check takes a spectrum, and the package calls no eigensolver.
+A linear map of rows is applied by :func:`map_rows`.  A checked stack that
+is shared, such as a codebook's, is marked read-only (:func:`read_only`).
 """
 
 from __future__ import annotations
@@ -22,18 +24,10 @@ import numpy as np
 
 # Absolute tolerance of every state invariant (Hermiticity, trace, spectrum).
 TOL = 1e-9
-# Eigenvalues at or below this are outside the support in inv_sqrt_psd.
-EIG_CUT = 1e-10
 
 
 class InvalidStateError(ValueError):
     """A matrix or vector violates a quantum-state or operator contract."""
-
-
-def hermitize(m) -> np.ndarray:
-    """Symmetrize a square matrix, or each matrix of a stack: (m + m^dagger) / 2."""
-    m = np.asarray(m, dtype=complex)
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def check_structure(mats, what: str) -> np.ndarray:
@@ -112,9 +106,7 @@ class DensityMatrix:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        sym = check_states(np.asarray(mat, dtype=complex)[np.newaxis])
-        sym.flags.writeable = False
-        self.mat = sym[0]
+        self.mat = read_only(check_states(np.asarray(mat, dtype=complex)[np.newaxis]))[0]
 
     @property
     def dim(self) -> int:
@@ -122,47 +114,6 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
-
-
-def make_pure_states(kets) -> np.ndarray:
-    """Read-only (n, d, d) stack of the rank-1 projectors |v><v| of an (n, d)
-    array of normalized kets, d = 2 (a qubit) or 3 (a qubit and a flag).
-
-    Each ket must be of unit norm within ``TOL``, and the projectors pass
-    :func:`check_structure`, which rejects non-finite kets and other
-    lengths.  A normalized ket's projector has unit trace and is positive
-    semidefinite by construction, so that check is left to the stack's one
-    consumer check (a codebook's, in
-    :class:`~qlinksim.modulation.DetectorCodebook`).  Each norm is
-    sqrt(re.re + im.im) through the same BLAS dot that ``np.linalg.norm``
-    takes for one vector, so every projector has the bits of the one-ket
-    arithmetic.
-    """
-    kets = np.asarray(kets, dtype=complex)
-    if kets.ndim != 2:
-        raise InvalidStateError(f"kets must be an (n, d) array, got shape {kets.shape}")
-    re, im = kets.real, kets.imag
-    norms = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
-    off = np.abs(norms - 1.0) > TOL
-    if np.any(off):
-        raise InvalidStateError(f"amplitude vector norm {float(norms[np.argmax(off)])!r} is not 1")
-    v = kets / norms[:, None]
-    mats = check_structure(v[:, :, None] * v.conj()[:, None, :], "pure states")
-    mats.flags.writeable = False
-    return mats
-
-
-def inv_sqrt_psd(m) -> np.ndarray:
-    """Pseudo-inverse square root of a Hermitian matrix, such as the mean of a
-    checked stack: eigenvalues <= EIG_CUT map to 0, else to 1/sqrt.
-
-    The fixed cutoff keeps detector construction deterministic when the
-    input is nearly singular.
-    """
-    vals, vecs = np.linalg.eigh(hermitize(m))
-    support = vals > EIG_CUT
-    inv = np.where(support, 1.0 / np.sqrt(np.where(support, vals, 1.0)), 0.0)
-    return hermitize((vecs * inv) @ vecs.conj().T)
 
 
 def to_rows(mats) -> np.ndarray:
@@ -193,6 +144,19 @@ def from_rows(rows: np.ndarray, dim: int = 2) -> np.ndarray:
     if dim == 3:
         mats[:, 2, 2] = 1.0 - t
     return mats
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only: how a checked array is shared."""
+    array.flags.writeable = False
+    return array
+
+
+def map_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A 4x4 ``matrix`` applied to (n, 4) rows as four elementwise terms in
+    column order: no BLAS product, so a row's output does not depend on its
+    batch."""
+    return sum(np.multiply.outer(rows[:, j], matrix[:, j]) for j in range(4))
 
 
 def check_rows(rows: np.ndarray) -> np.ndarray:

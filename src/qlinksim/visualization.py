@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -170,10 +168,12 @@ STATES_CSV_HEADER = (
 )
 
 
-# What the writer emits, and so all the reader accepts: decimal integers,
-# and '.12g' spellings (no spaces, underscores, inf or nan).
-_CSV_INT = re.compile(r"[+-]?[0-9]+")
-_CSV_NUM = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?")
+# What the writer emits, and so all the reader accepts (:func:`_column`):
+# decimal integers [+-]?D+ and '.12g' spellings [+-]?D+(.D+)?(e[+-]?D+)?,
+# D a digit (no spaces, underscores, inf or nan).  The characters of each,
+# digits written as 0, and the line breaks between a column's cells:
+_SPELLING = {int: "0+-\n", float: "0+-.e\n"}
+_DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
 
 # Rows filled per '%' operation: bounds the text and arguments held at once.
 _CHUNK = 512
@@ -264,50 +264,54 @@ def read_states_csv(path: str | Path) -> tuple:
     nan) or an ``index`` that is not the row's position (0, 1, 2, ...) is
     an error naming its file, line and column.
     """
-    # Imported here, not at module level: only this reader needs it, and
-    # loading it would add to every `import qlinksim`.
-    import csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in STATES_CSV_HEADER if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path} lacks states CSV columns: {', '.join(missing)}")
-        rows = []
-        for row in reader:
-            # DictReader files the cells beyond the header under the key None.
-            if None in row:
-                raise ValueError(
-                    f"{path}, line {reader.line_num}, column {len(reader.fieldnames) + 1}: "
-                    f"expected no cell beyond the header, got {row[None][0]!r}"
-                )
-            rows.append((reader.line_num, row))
-    if not rows:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    header = lines[0].split(",")
+    missing = [c for c in STATES_CSV_HEADER if c not in header]
+    if missing:
+        raise ValueError(f"{path} lacks states CSV columns: {', '.join(missing)}")
+    width = len(header)
+    # The 1-based numbers of the data lines, blank lines skipped.
+    numbers = [n for n, line in enumerate(lines[1:], 2) if line]
+    if not numbers:
         raise ValueError(f"no data rows in {path}")
+    body = [lines[n - 1] for n in numbers]
+    commas = [line.count(",") for line in body]
+    for n, line, count in zip(numbers, body, commas):
+        if count >= width:
+            raise ValueError(
+                f"{path}, line {n}, column {width + 1}: "
+                f"expected no cell beyond the header, got {line.split(',')[width]!r}"
+            )
+    # The cells in order; a short row's missing cells read "\n", which no
+    # cell of a line holds.
+    flat = ",".join(line + ",\n" * (width - 1 - c) for line, c in zip(body, commas)).split(",")
+    # Each column's cells, by name; a repeated name is its last column.
+    columns_of = {name: flat[j::width] for j, name in enumerate(header)}
 
-    def cells(columns, kind):
-        spelling = _CSV_INT if kind is int else _CSV_NUM
-        values = []
-        for (line, row), column in itertools.product(rows, columns):
-            try:
-                if spelling.fullmatch(row[column] or ""):
-                    values.append(kind(row[column]))
-                    if math.isfinite(values[-1]):
-                        continue
-            except OverflowError:
-                pass
-            what = "an integer" if kind is int else "a finite number"
-            got = "nothing" if row[column] is None else repr(row[column])
-            raise ValueError(f"{path}, line {line}, column {column}: expected {what}, got {got}")
-        return np.array(values).reshape(len(rows), len(columns))
+    def cells(names, kind):
+        """The named columns as one (rows, columns) array, each column parsed
+        at once; if one fails, the first cell, in row order, that is not a
+        ``kind`` as the writer spells it raises."""
+        values = [_column(columns_of[name], kind) for name in names]
+        if all(v is not None for v in values):
+            return np.stack(values, axis=1)
+        for at, name in itertools.product(range(len(body)), names):
+            text = columns_of[name][at]
+            if _column([text], kind) is None:
+                what = "an integer" if kind is int else "a finite number"
+                got = "nothing" if text == "\n" else repr(text)
+                raise ValueError(
+                    f"{path}, line {numbers[at]}, column {name}: expected {what}, got {got}"
+                )
 
-    out_of_order = np.flatnonzero(cells(["index"], int).ravel() != np.arange(len(rows)))
+    out_of_order = np.flatnonzero(cells(["index"], int).ravel() != np.arange(len(body)))
     if out_of_order.size:
         at = int(out_of_order[0])
-        line, row = rows[at]
-        raise ValueError(f"{path}, line {line}, column index: expected {at}, got {row['index']!r}")
+        got = columns_of["index"][at]
+        raise ValueError(f"{path}, line {numbers[at]}, column index: expected {at}, got {got!r}")
     tables = []
-    traces = {"tx": np.ones(len(rows)), "rx": cells(["rx_renorm_trace"], float).ravel()}
+    traces = {"tx": np.ones(len(body)), "rx": cells(["rx_renorm_trace"], float).ravel()}
     for side in ("tx", "rx"):
         bloch = cells([f"{side}_bloch_{a}" for a in "xyz"], float)
         table = StateProjection(
@@ -319,6 +323,25 @@ def read_states_csv(path: str | Path) -> tuple:
         labels = cells([f"{side}_label"], int).ravel()
         tables += [table, _check_labels(labels, f"{path}, column {side}_label")]
     return tuple(tables)
+
+
+def _column(texts, kind) -> np.ndarray | None:
+    """The int64 or float values of one column's cells, or None unless every
+    cell is spelled as the writer spells a ``kind`` and its value is finite
+    and, for an integer, within int64.  Checked on the whole column at once:
+    the cells hold only their spelling's characters, a '.' only between
+    digits, and each converts, which leaves exactly the spellings above (a
+    line holds no line break, so the mark "\n" of a missing cell converts to
+    nothing)."""
+    joined = "\n".join(texts)
+    digits = joined.translate(_DIGITS_TO_ZERO)
+    if digits.strip(_SPELLING[kind]) or digits.count(".") != digits.count("0.0"):
+        return None
+    try:
+        values = np.array(texts, dtype=np.int64 if kind is int else float)
+    except (OverflowError, ValueError):
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def _project(x, y, z):

@@ -1,4 +1,6 @@
-"""Shared helpers: reproducible random states for property tests, the
+"""Shared helpers: the projectors of normalized kets, the one-state
+eigensolver PGM that the closed-form build is checked against, reproducible
+random states for property tests, the
 Kraus sums and the two-mode dilation of thermal loss that the channels'
 transfer matrices are checked against, the state-per-row PMD recurrence
 that the PMD kernel is checked against bit for bit, a channel's map of
@@ -10,8 +12,60 @@ checked against."""
 
 import numpy as np
 
-from qlinksim import DensityMatrix, make_pure_states, state_rows
-from qlinksim.states import TOL, from_rows
+from qlinksim import DensityMatrix, state_rows
+from qlinksim.detection import EIG_CUT
+from qlinksim.states import TOL, InvalidStateError, check_structure, from_rows
+
+
+def make_pure_states(kets) -> np.ndarray:
+    """Read-only (n, d, d) stack of the rank-1 projectors |v><v| of an (n, d)
+    array of normalized kets, d = 2 (a qubit) or 3 (a qubit and a flag).
+
+    Each ket must be of unit norm within ``TOL``, and the projectors pass
+    ``check_structure``, which rejects non-finite kets and other lengths;
+    unit trace and positivity hold by construction and are left to the
+    stack's crossing into rows, ``state_rows``.  Each norm is
+    sqrt(re.re + im.im) through the same BLAS dot that ``np.linalg.norm``
+    takes for one vector, so every projector has the bits of the one-ket
+    arithmetic.
+    """
+    kets = np.asarray(kets, dtype=complex)
+    if kets.ndim != 2:
+        raise InvalidStateError(f"kets must be an (n, d) array, got shape {kets.shape}")
+    re, im = kets.real, kets.imag
+    norms = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+    off = np.abs(norms - 1.0) > TOL
+    if np.any(off):
+        raise InvalidStateError(f"amplitude vector norm {float(norms[np.argmax(off)])!r} is not 1")
+    v = kets / norms[:, None]
+    mats = check_structure(v[:, :, None] * v.conj()[:, None, :], "pure states")
+    mats.flags.writeable = False
+    return mats
+
+
+def hermitize(m) -> np.ndarray:
+    """Symmetrize a square matrix, or each matrix of a stack: (m + m^dagger) / 2."""
+    m = np.asarray(m, dtype=complex)
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
+def inv_sqrt_psd(m) -> np.ndarray:
+    """Pseudo-inverse square root of a Hermitian matrix by ``np.linalg.eigh``:
+    eigenvalues <= EIG_CUT map to 0, else to 1/sqrt."""
+    vals, vecs = np.linalg.eigh(hermitize(m))
+    support = vals > EIG_CUT
+    inv = np.where(support, 1.0 / np.sqrt(np.where(support, vals, 1.0)), 0.0)
+    return hermitize((vecs * inv) @ vecs.conj().T)
+
+
+def one_state_pgm(mats, priors) -> list:
+    """The PGM of states ``mats`` with ``priors``, one state at a time
+    through the eigensolver: p_i S rho_i S, S = rhobar^(-1/2)."""
+    rhobar = np.zeros(mats.shape[1:], dtype=complex)
+    for p, mat in zip(priors, mats):
+        rhobar += p * mat
+    s = inv_sqrt_psd(rhobar)
+    return [hermitize(p * (s @ mat @ s)) for p, mat in zip(priors, mats)]
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:

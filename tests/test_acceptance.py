@@ -13,6 +13,7 @@ from conftest import (
     apply_stack,
     compute_ber,
     dilation_reference,
+    make_pure_states,
     pure,
     purity,
     random_density,
@@ -37,7 +38,6 @@ from qlinksim import (
     embed_amplitudes,
     embed_povm_with_erasure,
     load_config,
-    make_pure_states,
     project_rows,
     qam_codebook,
     qam_constellation,
@@ -127,7 +127,7 @@ def test_two_state_helstrom():
     rng = np.random.default_rng(105)
     for overlap in (0.0, 0.5, 0.9):
         codebook = DetectorCodebook(
-            mats=make_pure_states([[1, 0], [overlap, np.sqrt(1 - overlap**2)]]),
+            rows=state_rows(make_pure_states([[1, 0], [overlap, np.sqrt(1 - overlap**2)]]), 2),
             priors=np.array([0.5, 0.5]),
             bit_labels=((0,), (1,)),
         )

@@ -2,7 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import pure, random_density, score_sample_labels, trace_product_scores
+from conftest import (
+    make_pure_states,
+    one_state_pgm,
+    pure,
+    random_density,
+    score_sample_labels,
+    trace_product_scores,
+)
 
 from qlinksim import (
     POVM,
@@ -19,7 +26,6 @@ from qlinksim import (
     build_pgm,
     decide,
     embed_povm_with_erasure,
-    make_pure_states,
     measurement_scores,
     qam_codebook,
     qpsk_codebook,
@@ -28,7 +34,11 @@ from qlinksim import (
     state_rows,
 )
 from qlinksim import detection
-from qlinksim.states import TOL, from_rows, hermitize, inv_sqrt_psd
+from qlinksim.states import TOL, from_rows, to_rows
+
+# Absolute tolerance of the closed-form codebook and PGM against the one-state
+# complex references: four float64 ulps at 1 (observed at most two).
+ULPS_4 = 4 * np.finfo(float).eps
 
 
 def four_buffer_sample_labels(povm, scores, rng):
@@ -87,7 +97,7 @@ def channel_outputs(kind: str, m: int, erasure: bool, n: int):
 def two_state_codebook(overlap: float) -> DetectorCodebook:
     """Equiprobable pure pair with the given real inner product."""
     return DetectorCodebook(
-        mats=make_pure_states([[1, 0], [overlap, np.sqrt(1 - overlap**2)]]),
+        rows=state_rows(make_pure_states([[1, 0], [overlap, np.sqrt(1 - overlap**2)]]), 2),
         priors=np.array([0.5, 0.5]),
         bit_labels=((0,), (1,)),
     )
@@ -95,20 +105,20 @@ def two_state_codebook(overlap: float) -> DetectorCodebook:
 
 class TestPOVMValidation:
     def test_projective_pair_accepted(self):
-        povm = POVM(
-            elements=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
+        povm = POVM.from_elements(
+            (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
             labels=(0, 1),
         )
         assert povm.n_outcomes == 2
 
     def test_incomplete_set_rejected(self):
         with pytest.raises(ValueError, match="identity"):
-            POVM(elements=(np.diag([1.0, 0.0]).astype(complex),), labels=(0,))
+            POVM.from_elements((np.diag([1.0, 0.0]).astype(complex),), labels=(0,))
 
     def test_non_psd_element_rejected(self):
         with pytest.raises(ValueError, match="PSD"):
-            POVM(
-                elements=(
+            POVM.from_elements(
+                (
                     np.diag([1.5, 0.0]).astype(complex),
                     np.diag([-0.5, 1.0]).astype(complex),
                 ),
@@ -118,7 +128,7 @@ class TestPOVMValidation:
     def test_non_psd_qubit_element_with_coherences_rejected(self):
         e0 = np.array([[0.5, 0.8j], [-0.8j, 0.5]])  # eigenvalues 1.3 and -0.3
         with pytest.raises(ValueError, match=r"not PSD \(min eigenvalue -3\.000e-01\)"):
-            POVM(elements=(e0, np.eye(2) - e0), labels=(0, 1))
+            POVM.from_elements((e0, np.eye(2) - e0), labels=(0, 1))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_psd_edge_at_tolerance(self, dim):
@@ -130,45 +140,70 @@ class TestPOVMValidation:
             e0[:2, :2] = (q * [-x, 1.0]) @ q.T
             elements = (e0.astype(complex), (np.eye(dim) - e0).astype(complex))
             if x < 1e-9:
-                POVM(elements=elements, labels=(0, 1))
+                POVM.from_elements(elements, labels=(0, 1))
             else:
                 with pytest.raises(ValueError, match="PSD"):
-                    POVM(elements=elements, labels=(0, 1))
+                    POVM.from_elements(elements, labels=(0, 1))
 
     @pytest.mark.parametrize("dim", [3])
     def test_only_the_last_element_reads_the_flag(self, dim):
         e0 = np.diag([0.25, 0.0, 0.25]).astype(complex)
         with pytest.raises(ValueError, match="only its last element reads"):
-            POVM(elements=(e0, np.eye(dim) - e0), labels=(0, 1))
+            POVM.from_elements((e0, np.eye(dim) - e0), labels=(0, 1))
 
     def test_rows_read_each_element_once(self):
+        # Rows are the POVM's data; its elements are derived from them.
         povm = embed_povm_with_erasure(build_pgm(qam_codebook(16)), 3)
         e = povm.elements
-        rows = np.stack([(e[:, 0, 0] + e[:, 1, 1]).real, 2 * e[:, 0, 1].real,
-                         -2 * e[:, 0, 1].imag, (e[:, 0, 0] - e[:, 1, 1]).real], axis=1)
-        assert np.array_equal(povm.rows, rows) and not povm.rows.flags.writeable
+        assert np.array_equal(e[:, :2, :2], from_rows(povm.rows)) and not povm.rows.flags.writeable
+        assert not e[:, :2, 2:].any() and not e[:, 2:, :2].any()
         # The last element holds the whole flag.
         assert e[:-1, 2, 2].tolist() == [0.0] * 16 and abs(e[-1, 2, 2] - 1.0) <= 1e-15
         assert povm.outcomes()[2] and not build_pgm(qam_codebook(16)).outcomes()[2]
 
     def test_label_count_must_match(self):
         with pytest.raises(ValueError, match="label"):
-            POVM(elements=(np.eye(2, dtype=complex),), labels=(0, 1))
+            POVM.from_elements((np.eye(2, dtype=complex),), labels=(0, 1))
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_elements_rejected(self, dim, bad):
         e = np.full((dim, dim), bad, dtype=complex)
         with pytest.raises(ValueError, match="POVM elements must be finite"):
-            POVM(elements=(e, np.eye(dim) - e), labels=(0, 1))
+            POVM.from_elements((e, np.eye(dim) - e), labels=(0, 1))
         e = np.eye(dim, dtype=complex) / 2
         e[0, -1] = bad
         with pytest.raises(ValueError, match="POVM elements must be finite"):
-            POVM(elements=(e, np.eye(dim) - e), labels=(0, 1))
+            POVM.from_elements((e, np.eye(dim) - e), labels=(0, 1))
+
+    def test_element_stack_crosses_to_rows_once(self, monkeypatch):
+        e0 = np.diag([1.0, 0.0]).astype(complex)
+        calls = []
+        real = detection.check_structure
+        monkeypatch.setattr(
+            detection, "check_structure", lambda m, what: calls.append(what) or real(m, what)
+        )
+        povm = POVM.from_elements((e0, np.eye(2) - e0), labels=(0, 1))
+        assert calls == ["POVM elements"]
+        assert np.array_equal(povm.rows, [[1, 0, 0, 1], [1, 0, 0, -1]])
+
+    @pytest.mark.parametrize(
+        "rows, dim, message",
+        [
+            (np.empty((0, 4)), 2, "nonempty"),
+            (np.eye(2), 2, "nonempty"),
+            ([[1, 0, 0, 1], [1, 0, 0, -1]], 4, "dim must be 2"),
+            ([[1, 0, 0, 1], [1, 0, 0, np.nan]], 2, "identity"),
+            ([[1, 0, 0, 1], [1, 0, 0, -0.5]], 2, "identity"),
+        ],
+    )
+    def test_malformed_rows_rejected(self, rows, dim, message):
+        with pytest.raises(ValueError, match=message):
+            POVM(rows, tuple(range(len(rows))), dim)
 
     def test_elements_are_one_read_only_stack(self):
         e0 = np.diag([1.0, 0.0]).astype(complex)
-        povm = POVM(elements=(e0, np.eye(2) - e0), labels=(0, 1))
+        povm = POVM.from_elements((e0, np.eye(2) - e0), labels=(0, 1))
         assert povm.elements.shape == (2, 2, 2) and (povm.dim, povm.n_outcomes) == (2, 2)
         assert not povm.elements.flags.writeable
         e0[0, 0] = 0.5
@@ -178,7 +213,7 @@ class TestPOVMValidation:
 class TestBuildPgm:
     def test_orthogonal_codebook_gives_projectors(self):
         cb = DetectorCodebook(
-            mats=make_pure_states([[1, 0], [0, 1]]),
+            rows=state_rows(make_pure_states([[1, 0], [0, 1]]), 2),
             priors=np.array([0.5, 0.5]),
             bit_labels=((0,), (1,)),
         )
@@ -190,6 +225,8 @@ class TestBuildPgm:
         cb = qpsk_codebook()
         povm = build_pgm(cb)
         assert np.allclose(povm.elements, cb.mats / 2, atol=1e-12)
+        # rhobar = I / 2, so S = sqrt(2) I and every row is exactly half its state's.
+        assert np.array_equal(povm.rows, cb.rows / 2)
 
     @pytest.mark.parametrize("codebook", [qpsk_codebook(), qam_codebook(16)])
     def test_completeness(self, codebook):
@@ -207,11 +244,21 @@ class TestBuildPgm:
     def test_non_spanning_codebook_rejected(self):
         # Both states sit in the |0> line, so rhobar has no support on |1>.
         cb = DetectorCodebook(
-            mats=make_pure_states([[1, 0], [1, 0]]),
+            rows=state_rows(make_pure_states([[1, 0], [1, 0]]), 2),
             priors=np.array([0.5, 0.5]),
             bit_labels=((0,), (1,)),
         )
         with pytest.raises(ValueError, match="span"):
+            build_pgm(cb)
+
+    @pytest.mark.parametrize("ket", [[1, 0], [0, 1], [2**-0.5, 2**-0.5], [0.6, 0.8j]])
+    def test_rank_deficient_mean_raises_do_not_span(self, ket):
+        # One pure state, with all the weight, whatever the other states:
+        # rhobar is that state, of rank 1, and its zero eigenvalue is cut.
+        mats = make_pure_states([ket, [1, 0], [0, 1]])
+        priors = [1.0, 0.0, 0.0]
+        cb = DetectorCodebook(rows=state_rows(mats, 2), priors=priors, bit_labels=np.eye(3))
+        with pytest.raises(ValueError, match="codebook states do not span the full 2-dimensional"):
             build_pgm(cb)
 
     @pytest.mark.parametrize(
@@ -220,16 +267,32 @@ class TestBuildPgm:
         ids=["qpsk", "qam4", "qam16", "qam64", "qam256"],
     )
     def test_elements_match_one_state_loop(self, codebook):
+        # The closed form against the eigensolver, one state at a time.
         povm = build_pgm(codebook)
-        for element, ref in zip(povm.elements, one_state_pgm(codebook)):
-            assert np.array_equal(element, ref)
+        ref = np.stack(one_state_pgm(codebook.mats, codebook.priors))
+        assert np.max(np.abs(povm.elements - ref)) <= ULPS_4
+        assert np.max(np.abs(povm.rows - to_rows(ref))) <= ULPS_4
 
     def test_unequal_priors_match_one_state_loop(self):
         cb = qam_codebook(16)
         w = np.arange(1.0, 17.0)
-        cb = DetectorCodebook(mats=cb.mats, priors=w / w.sum(), bit_labels=cb.bit_labels)
-        for element, ref in zip(build_pgm(cb).elements, one_state_pgm(cb)):
-            assert np.array_equal(element, ref)
+        cb = DetectorCodebook(rows=cb.rows, priors=w / w.sum(), bit_labels=cb.bit_labels)
+        ref = np.stack(one_state_pgm(cb.mats, cb.priors))
+        assert np.max(np.abs(build_pgm(cb).elements - ref)) <= ULPS_4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_states_with_unequal_priors_match_one_state_loop(self, seed):
+        # |r| < 1 for every state, and a mean of any direction and length.
+        rng = np.random.default_rng(70 + seed)
+        mats = np.stack([random_density(rng, 2).mat for _ in range(12)])
+        rows = state_rows(mats, 2)
+        assert np.all(np.linalg.norm(rows[:, 1:], axis=1) < 1.0)
+        w = rng.random(12)
+        cb = DetectorCodebook(rows=rows, priors=w / w.sum(), bit_labels=np.eye(12))
+        ref = np.stack(one_state_pgm(cb.mats, cb.priors))
+        povm = build_pgm(cb)
+        assert np.max(np.abs(povm.elements - ref)) <= ULPS_4
+        assert np.max(np.abs(povm.rows.sum(axis=0) - [2, 0, 0, 0])) <= 1e-12
 
     def test_shared_arrays_are_read_only(self):
         povm = build_pgm(qam_codebook(16))
@@ -238,15 +301,6 @@ class TestBuildPgm:
             povm.elements[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             embed_povm_with_erasure(povm, 3).elements[-1, 2, 2] = 0.0
-
-
-def one_state_pgm(codebook) -> list:
-    """The PGM built one state at a time, as before the batched build."""
-    rhobar = np.zeros((codebook.dim, codebook.dim), dtype=complex)
-    for p, mat in zip(codebook.priors, codebook.mats):
-        rhobar += p * mat
-    s = inv_sqrt_psd(rhobar)
-    return [hermitize(p * (s @ mat @ s)) for p, mat in zip(codebook.priors, codebook.mats)]
 
 
 class TestErasureEmbedding:
@@ -294,8 +348,8 @@ class TestErasureEmbedding:
 
 class TestDecide:
     def test_projective_case(self):
-        povm = POVM(
-            elements=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
+        povm = POVM.from_elements(
+            (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
             labels=(0, 1),
         )
         assert decide(povm, DensityMatrix(pure(0, 1))) == 1
@@ -313,8 +367,8 @@ class TestDecide:
         assert argmax_rows(povm.outcomes(), erased)[0] == -1
 
     def test_tie_breaks_to_lowest_index(self):
-        povm = POVM(
-            elements=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
+        povm = POVM.from_elements(
+            (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
             labels=(7, 3),
         )
         # I/2 scores both outcomes at exactly 0.5.
@@ -325,7 +379,7 @@ class TestDecide:
         weights = np.array([1.0, 2.0, 3.0, 4.0])
 
         def with_weights(w):
-            return DetectorCodebook(mats=cb.mats, priors=w / w.sum(), bit_labels=cb.bit_labels)
+            return DetectorCodebook(rows=cb.rows, priors=w / w.sum(), bit_labels=cb.bit_labels)
 
         rng = np.random.default_rng(62)
         povm_a = build_pgm(with_weights(weights))
@@ -342,8 +396,8 @@ class TestDecide:
 
 class TestDecideSampled:
     def test_projective_on_eigenstate_deterministic(self):
-        povm = POVM(
-            elements=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
+        povm = POVM.from_elements(
+            (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
             labels=(0, 1),
         )
         rng = np.random.default_rng(63)
@@ -360,8 +414,8 @@ class TestDecideSampled:
 
     def test_uniform_povm_uniform_labels(self):
         m = 4
-        povm = POVM(
-            elements=tuple(np.eye(2, dtype=complex) / m for _ in range(m)),
+        povm = POVM.from_elements(
+            tuple(np.eye(2, dtype=complex) / m for _ in range(m)),
             labels=tuple(range(m)),
         )
         rng = np.random.default_rng(65)
@@ -561,8 +615,8 @@ class TestBatchDetection:
             def random(self, n):
                 return np.array([0.5, 0.75, 0.0, 0.25, 0.5])[:n]
 
-        povm = POVM(
-            elements=[np.diag(diag).astype(complex)
+        povm = POVM.from_elements(
+            [np.diag(diag).astype(complex)
                       for diag in ([0.5, 0.25], [0.0, 0.25], [0.25, 0.25], [0.25, 0.25])],
             labels=(0, 1, 2, 3),
         )

@@ -136,6 +136,22 @@ class TestConfusionCount:
         with pytest.raises(ValueError, match="equal length"):
             confusion_matrix([0, 1], [0], 4)
 
+    @pytest.mark.parametrize(
+        "tx, rx",
+        [([0, 1], [0.7, 1.9]), ([0.0, 1.0], [0, 1]), ([0, 1], [True, False]), (["0", "1"], [0, 1])],
+    )
+    def test_non_integer_symbols_and_labels_rejected(self, tx, rx):
+        # Casting would truncate 0.7 and 1.9 to labels 0 and 1.
+        with pytest.raises(ValueError, match="symbols and labels must be integers"):
+            confusion_matrix(tx, rx, 4)
+
+    def test_integer_dtypes_and_empty_sequences_accepted(self):
+        want = confusion_matrix([0, 1, 3], [0, -1, 2], 4)
+        tx = np.array([0, 1, 3], dtype=np.uint8)
+        for dtype in (np.int8, np.int32, np.int64):
+            assert np.array_equal(confusion_matrix(tx, np.array([0, -1, 2], dtype=dtype), 4), want)
+        assert confusion_matrix([], np.array([], dtype=float), 4).sum() == 0
+
     def test_empty_count_rejected(self):
         hamming = hamming_table(qpsk_codebook().bit_labels)
         with pytest.raises(ValueError, match="zero"):

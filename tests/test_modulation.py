@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
-from conftest import bit_table, purity, symbols_to_bits
+from conftest import bit_table, make_pure_states, purity, symbols_to_bits
 
 from qlinksim import (
     DensityMatrix,
     DetectorCodebook,
     InvalidStateError,
     embed_amplitudes,
-    make_pure_states,
     qam_codebook,
     qam_constellation,
     qpsk_codebook,
+    state_rows,
 )
+from qlinksim.modulation import qam_side
 from qlinksim.states import to_rows
+
+# Absolute tolerance of the closed-form codebook against the one-state
+# complex references: four float64 ulps at 1 (observed at most two).
+ULPS_4 = 4 * np.finfo(float).eps
 
 
 class TestQpskCodebook:
@@ -85,6 +90,16 @@ class TestQamConstellation:
         with pytest.raises(ValueError, match="order"):
             qam_constellation(order)
 
+    @pytest.mark.parametrize("order", [16.9, 64.5, 16.0, np.float64(16.0), True, "16", None])
+    def test_non_integral_or_boolean_order_rejected(self, order):
+        # int() would have truncated 16.9 to a 16-QAM codebook.
+        for build in (qam_side, qam_constellation, qam_codebook):
+            with pytest.raises(ValueError, match=r"QAM order must be 4, 16, 64, \.\.\. got"):
+                build(order)
+
+    def test_integral_orders_of_any_integer_type_accepted(self):
+        assert qam_side(np.int64(64)) == qam_side(np.uint8(64)) == qam_side(64) == 8
+
 
 class TestEmbedAlpha:
     def test_origin(self):
@@ -132,6 +147,10 @@ class TestQamCodebook:
         assert qam_codebook(16).power_scale == pytest.approx(1 / np.sqrt(10))
 
 
+# |0> and |1>: the rows of a hand-built two-state codebook.
+BASIS_ROWS = ((1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, -1.0))
+
+
 def one_state_projector(amplitudes) -> np.ndarray:
     """The one-state arithmetic codebooks used before they were built as a
     stack: normalize the ket, take its outer product, hermitize."""
@@ -151,7 +170,8 @@ class TestCodebookStack:
         s = 1.0 / np.sqrt(2.0)
         ref = [one_state_projector(a) for a in ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s))]
         cb = qpsk_codebook()
-        assert np.array_equal(cb.mats, np.stack(ref))
+        assert np.max(np.abs(cb.mats - np.stack(ref))) <= ULPS_4
+        assert np.array_equal(cb.rows, [[1, 0, 0, 1], [1, 0, 0, -1], [1, 1, 0, 0], [1, -1, 0, 0]])
 
     @pytest.mark.parametrize("order", [4, 16, 64, 256, 1024])
     def test_qam_stack_matches_one_state_reference(self, order):
@@ -159,11 +179,14 @@ class TestCodebookStack:
         ref = np.stack([one_state_embedding(alpha) for alpha in alphas.tolist()])
         cb = qam_codebook(order)
         assert cb.mats.shape == (order, 2, 2)
-        assert np.array_equal(cb.mats, ref)
-        for state, m in zip(cb.states, ref):
+        assert np.max(np.abs(cb.mats - ref)) <= ULPS_4
+        assert np.max(np.abs(cb.rows - to_rows(ref))) <= ULPS_4
+        for state, m in zip(cb.states, cb.mats):
             assert np.array_equal(state.mat, m)
         for alpha, m in zip(alphas, ref):
-            assert np.array_equal(embed_amplitudes([alpha])[0], m)
+            assert np.max(np.abs(embed_amplitudes([alpha])[0] - m)) <= ULPS_4
+        # The embedding and the codebook are one computation.
+        assert np.array_equal(embed_amplitudes(alphas), cb.mats)
 
     @pytest.mark.parametrize("order", [4, 16, 64, 256, 1024, 4096, 16384])
     def test_constellation_matches_one_point_loop(self, order):
@@ -185,12 +208,11 @@ class TestCodebookStack:
         assert bits.tolist() == ref_bits
 
     def test_random_amplitudes_within_one_ulp_of_one_state_reference(self):
-        # |alpha|^2 is the correctly rounded square; Python's ** 2 calls libm
-        # pow, which is one ulp off it for a few amplitudes in 10^4.
+        # The closed-form rows against the normalized ket's projector.
         rng = np.random.default_rng(24)
         alphas = (rng.standard_normal(3000) + 1j * rng.standard_normal(3000)) * 3.0
         ref = np.stack([one_state_embedding(alpha) for alpha in alphas.tolist()])
-        assert np.allclose(embed_amplitudes(alphas), ref, rtol=0.0, atol=2 * np.finfo(float).eps)
+        assert np.allclose(embed_amplitudes(alphas), ref, rtol=0.0, atol=ULPS_4)
 
     @pytest.mark.parametrize("build", [qpsk_codebook, lambda: qam_codebook(16)], ids=["qpsk", "qam16"])
     def test_shared_arrays_are_read_only(self, build):
@@ -207,27 +229,48 @@ class TestCodebookStack:
     def test_caller_priors_stay_writable(self):
         cb = qpsk_codebook()
         priors = np.full(4, 0.25)
-        mats = np.array(cb.mats)
-        DetectorCodebook(mats=mats, priors=priors, bit_labels=cb.bit_labels)
+        rows = np.array(cb.rows)
+        DetectorCodebook(rows=rows, priors=priors, bit_labels=cb.bit_labels)
         priors[0] = 0.25
-        mats[0, 0, 0] = 1.0
+        rows[0, 0] = 1.0
 
     def test_stack_checked_as_states(self):
         cb = qpsk_codebook()
-        with pytest.raises(InvalidStateError, match="trace"):
-            DetectorCodebook(mats=2 * cb.mats, priors=cb.priors, bit_labels=cb.bit_labels)
+        for scale, shift, message in [
+            (0.5, 0.0, r"trace deviates from 1 by 5\.000e-01"),
+            (2.0, 0.0, r"weight 2\.000e\+00 exceeds 1"),
+            (1.0, 0.5, "not positive semidefinite"),
+            (1.0, np.nan, "finite"),
+        ]:
+            rows = scale * cb.rows + [0.0, 0.0, 0.0, shift]
+            with pytest.raises(InvalidStateError, match=message):
+                DetectorCodebook(rows=rows, priors=cb.priors, bit_labels=cb.bit_labels)
 
     def test_rows_of_the_states_with_unit_weight(self):
-        for cb in (qpsk_codebook(), qam_codebook(16), qam_codebook(64)):
-            rows = to_rows(cb.mats)
+        s = 1.0 / np.sqrt(2.0)
+        qpsk = [one_state_projector(a) for a in ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s))]
+        references = [np.stack(qpsk)]
+        for order in (16, 64):
+            alphas = qam_constellation(order)[0].tolist()
+            references.append([one_state_embedding(a) for a in alphas])
+        for cb, ref in zip((qpsk_codebook(), qam_codebook(16), qam_codebook(64)), references):
+            rows = to_rows(np.stack(ref))
             assert np.all(np.abs(rows[:, 0] - 1.0) <= 1e-15)
-            assert np.array_equal(cb.rows[:, 1:], rows[:, 1:])
+            assert np.max(np.abs(cb.rows[:, 1:] - rows[:, 1:])) <= ULPS_4
             assert np.all(cb.rows[:, 0] == 1.0) and not cb.rows.flags.writeable
+
+    def test_hand_built_rows_are_stored_with_unit_weight(self):
+        rows = state_rows(make_pure_states([[0.6, 0.8j], [0.8, -0.6]]), 2)
+        rows[:, 0] += [3e-10, -3e-10]
+        cb = DetectorCodebook(rows=rows, priors=np.array([0.5, 0.5]), bit_labels=((0,), (1,)))
+        assert np.all(cb.rows[:, 0] == 1.0) and np.array_equal(cb.rows[:, 1:], rows[:, 1:])
 
     def test_stack_from_hand_built_states(self):
         states = (DensityMatrix(np.eye(2) / 2), DensityMatrix(np.diag([1.0, 0.0])))
         mats = np.stack([s.mat for s in states])
-        cb = DetectorCodebook(mats=mats, priors=np.array([0.5, 0.5]), bit_labels=((0,), (1,)))
+        cb = DetectorCodebook(
+            rows=state_rows(mats, 2), priors=np.array([0.5, 0.5]), bit_labels=((0,), (1,))
+        )
         assert np.array_equal(cb.mats, mats)
         assert (cb.M, cb.dim, cb.bits_per_symbol) == (2, 2, 1)
         assert not cb.mats.flags.writeable and mats.flags.writeable
@@ -238,21 +281,24 @@ class TestCodebookStack:
         assert len(states) == 16 and all(isinstance(s, DensityMatrix) for s in states)
         assert all(np.shares_memory(s.mat, cb.mats) for s in states)
 
+    # ``mats`` is what the codebook is given as its rows: the last case is a
+    # complex stack of states, whose rows state_rows gives.
     @pytest.mark.parametrize(
         "mats, labels, message",
         [
             (np.eye(2) / 2, ((0,), (1,)), "stack"),
-            (make_pure_states([[1, 0], [0, 1]]), ((0,),), "one bit label per state"),
-            (make_pure_states([[1, 0], [0, 1]]), (0, 1), "one bit label per state"),
-            (make_pure_states([[1, 0], [0, 1]]), ((0, 2), (1, 0)), "table of 0s and 1s"),
-            (make_pure_states([[1, 0], [0, 1]]), ((0, -1), (1, 0)), "table of 0s and 1s"),
-            (make_pure_states([[1, 0], [0, 1]]), ((0.5,), (1,)), "table of 0s and 1s"),
-            (make_pure_states([[1, 0], [0, 1]]), np.zeros((2, 0), int), r"bits >= 1"),
+            (BASIS_ROWS, ((0,),), "one bit label per state"),
+            (BASIS_ROWS, (0, 1), "one bit label per state"),
+            (BASIS_ROWS, ((0, 2), (1, 0)), "table of 0s and 1s"),
+            (BASIS_ROWS, ((0, -1), (1, 0)), "table of 0s and 1s"),
+            (BASIS_ROWS, ((0.5,), (1,)), "table of 0s and 1s"),
+            (BASIS_ROWS, np.zeros((2, 0), int), r"bits >= 1"),
+            (make_pure_states([[1, 0], [0, 1]]), ((0,), (1,)), r"\(M, 4\) row stack"),
         ],
     )
     def test_malformed_codebook_rejected(self, mats, labels, message):
         with pytest.raises(ValueError, match=message):
-            DetectorCodebook(mats=mats, priors=np.array([0.5, 0.5]), bit_labels=labels)
+            DetectorCodebook(rows=mats, priors=np.array([0.5, 0.5]), bit_labels=labels)
 
     @pytest.mark.parametrize(
         "priors", [[np.nan, 0.5, 0.25, 0.25], [np.inf, 0.5, 0.25, 0.25], [-0.5, 1.0, 0.25, 0.25]]
@@ -260,14 +306,14 @@ class TestCodebookStack:
     def test_bad_priors_rejected(self, priors):
         cb = qpsk_codebook()
         with pytest.raises(ValueError, match="priors must be finite, nonnegative"):
-            DetectorCodebook(mats=cb.mats, priors=priors, bit_labels=cb.bit_labels)
+            DetectorCodebook(rows=cb.rows, priors=priors, bit_labels=cb.bit_labels)
 
     @pytest.mark.parametrize("scale", [0.0, np.nan, -1.0, np.inf])
     def test_bad_power_scale_rejected(self, scale):
         cb = qpsk_codebook()
         with pytest.raises(ValueError, match="power_scale must be finite and > 0"):
             DetectorCodebook(
-                mats=cb.mats, priors=cb.priors, bit_labels=cb.bit_labels, power_scale=scale
+                rows=cb.rows, priors=cb.priors, bit_labels=cb.bit_labels, power_scale=scale
             )
 
 

@@ -295,6 +295,16 @@ class TestRngDiscipline:
         b = derive_rng(123, "channel", "x", 4).random(5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # Masking made seed -1 the stream of seed 2**64 - 1.
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            derive_rng(seed, "symbols")
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(5)):
+            assert derive_rng(seed, "symbols").random() == derive_rng(int(seed), "symbols").random()
+
     def test_distinct_tags_distinct_streams(self):
         a = derive_rng(123, "channel", "x", 4).random(5)
         b = derive_rng(123, "channel", "x", 5).random(5)
@@ -598,9 +608,10 @@ class TestRunComparison:
 
 
 # (ser_count, ber_count, erasure_count) per channel of the shipped config at
-# seed 123: 4000 symbols with argmax decisions, and 1000 with sampled ones.
+# seed 123: 4000 symbols with argmax decisions, and 1000 with sampled ones;
+# in its 16-QAM, and as QPSK and 64-QAM.
 GOLDEN_COUNTS = {
-    ("argmax", 4000): {
+    ("qam16", "argmax", 4000): {
         "depolarizing": (0, 0, 0),
         "dephasing": (0, 0, 0),
         "erasure": (4000, 16000, 4000),
@@ -608,7 +619,7 @@ GOLDEN_COUNTS = {
         "turbulence": (410, 574, 0),
         "pmd": (1225, 1283, 0),
     },
-    ("sampled", 1000): {
+    ("qam16", "sampled", 1000): {
         "depolarizing": (871, 1572, 0),
         "dephasing": (884, 1672, 0),
         "erasure": (905, 2166, 243),
@@ -616,14 +627,52 @@ GOLDEN_COUNTS = {
         "turbulence": (882, 1665, 0),
         "pmd": (918, 1882, 0),
     },
+    ("qpsk", "argmax", 4000): {
+        "depolarizing": (0, 0, 0),
+        "dephasing": (0, 0, 0),
+        "erasure": (0, 0, 0),
+        "bosonic": (0, 0, 0),
+        "turbulence": (163, 200, 0),
+        "pmd": (0, 0, 0),
+    },
+    ("qpsk", "sampled", 1000): {
+        "depolarizing": (523, 776, 0),
+        "dephasing": (509, 750, 0),
+        "erasure": (641, 1089, 243),
+        "bosonic": (593, 858, 0),
+        "turbulence": (527, 771, 0),
+        "pmd": (682, 937, 0),
+    },
+    ("qam64", "argmax", 4000): {
+        "depolarizing": (0, 0, 0),
+        "dephasing": (490, 490, 0),
+        "erasure": (4000, 24000, 4000),
+        "bosonic": (3021, 6518, 0),
+        "turbulence": (1017, 1798, 0),
+        "pmd": (3097, 4658, 0),
+    },
+    ("qam64", "sampled", 1000): {
+        "depolarizing": (973, 2626, 0),
+        "dephasing": (969, 2607, 0),
+        "erasure": (976, 3417, 243),
+        "bosonic": (974, 2656, 0),
+        "turbulence": (976, 2638, 0),
+        "pmd": (979, 2920, 0),
+    },
 }
 
 
-@pytest.mark.parametrize("mode, n", list(GOLDEN_COUNTS), ids=lambda v: str(v))
-def test_golden_report_counts(tmp_path, mode, n):
+# The shipped 16-QAM keeps the ids "argmax-4000" and "sampled-1000".
+@pytest.mark.parametrize(
+    "modulation, mode, n", list(GOLDEN_COUNTS),
+    ids=["-".join(map(str, key[key[0] == "qam16":])) for key in GOLDEN_COUNTS],
+)
+def test_golden_report_counts(tmp_path, modulation, mode, n):
+    order = {"qpsk": {}, "qam16": {"qam_order": 16}, "qam64": {"qam_order": 64}}[modulation]
     cfg = dataclasses.replace(
         load_config(default_config_path()), n_symbols=n, decision_mode=mode,
         output_dir=tmp_path, emit_states=False, emit_figures=False,
+        modulation="qpsk" if modulation == "qpsk" else "qam", **order,
     )
     assert cfg.seed == 123
     run_comparison(cfg)
@@ -632,51 +681,45 @@ def test_golden_report_counts(tmp_path, mode, n):
         name: (r["ser_count"], r["ber_count"], r["erasure_count"])
         for name, r in report["channels"].items()
     }
-    assert counts == GOLDEN_COUNTS[mode, n]
+    assert counts == GOLDEN_COUNTS[modulation, mode, n]
 
 
 @pytest.mark.parametrize("mode", ["argmax", "sampled"])
 def test_comparison_after_setup_uses_real_rows_only(tmp_path, monkeypatch, mode):
-    # Once the codebook and PGM are built, no complex stack is made or
-    # checked, nothing is hermitized and no eigenvalue is taken.
-    built, late = [], []
-    real_build = pipeline._Transmitter.build
-
-    def build(cfg):
-        tx = real_build(cfg)
-        built.append(True)
-        return tx
+    # The whole run, transmitter included: the codebook and the PGM are
+    # closed forms on rows, so no complex stack is made or checked, nothing
+    # is hermitized and no np.linalg routine runs.
+    calls = []
 
     def spy(owner, name):
         real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            if built:
-                late.append(f"{getattr(owner, '__name__', owner)}.{name}")
+            calls.append(f"{getattr(owner, '__name__', owner)}.{name}")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    monkeypatch.setattr(pipeline._Transmitter, "build", build)
+    # A codebook's mats and a POVM's elements would come from from_rows.
     complex_work = (
         "hermitize", "check_states", "state_rows", "to_rows", "from_rows", "make_pure_states",
-        "check_structure", "inv_sqrt_psd", "embed_povm_with_erasure", "measurement_scores",
-        "decide",
+        "check_structure", "inv_sqrt_psd", "embed_amplitudes", "embed_povm_with_erasure",
+        "measurement_scores", "decide",
     )
     for module in (states, channels, detection, modulation, visualization, pipeline):
         for name in complex_work:
             if hasattr(module, name):
                 spy(module, name)
-    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-        spy(np.linalg, name)
-    for cls, name in ((channels.Channel, "apply"), (detection.POVM, "__post_init__"),
-                      (modulation.DetectorCodebook, "__post_init__")):
-        spy(cls, name)
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            spy(np.linalg, name)
+    spy(channels.Channel, "apply")
+    spy(detection.POVM, "from_elements")
     cfg = dataclasses.replace(
         load_config(default_config_path()), n_symbols=300, decision_mode=mode, output_dir=tmp_path
     )
     run_comparison(cfg)
-    assert built == [True] and late == []
+    assert calls == []
 
 
 def test_each_channel_checks_its_rows_once(tmp_path, monkeypatch):
@@ -695,9 +738,9 @@ def test_each_channel_checks_its_rows_once(tmp_path, monkeypatch):
         output_dir=tmp_path, emit_states=False, emit_figures=False,
     )
     run_comparison(cfg)
-    # Four deterministic channels map the 16 codebook rows, two stochastic
-    # ones the 500 symbols' rows; decisions check nothing again.
-    assert calls == [16, 16, 16, 16, 500, 500]
+    # The codebook checks its 16 rows, four deterministic channels map them,
+    # two stochastic ones the 500 symbols' rows; decisions check nothing again.
+    assert calls == [16, 16, 16, 16, 16, 500, 500]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])

@@ -370,3 +370,56 @@ class TestLabelCheck:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}, {message}")):
             read_states_csv(path)
+
+    # Spellings around the writer's: decimal integers [+-]?D+ and '.12g'
+    # numbers [+-]?D+(.D+)?(e[+-]?D+)?.
+    SPELLINGS = [
+        "0", "-0", "+7", "007", "12", "1.5", "-0.25", "1e5", "1e+05", "2.5e-07", "1E5",
+        "1.", ".5", "+.5", "1.e5", "-.5e3", "1e", "e5", "1e5.5", "--1", "+-1", "1-", "1+2",
+        "1.5.5", "1e999", "-1e999", "1e-999", "inf", "nan", "0x10", "1_0", " 1", "1 ", "",
+        "\u0661", "99999999999999999999", "9223372036854775807", "9223372036854775808",
+    ]
+
+    @pytest.mark.parametrize("column", ["tx_i", "rx_bloch_z", "tx_label"])
+    def test_reader_accepts_exactly_the_writer_spellings(self, tmp_path, column):
+        # The whole-column check against the per-cell pattern it replaces.
+        kind = int if column.endswith("label") else float
+        pattern = r"[+-]?[0-9]+" if kind is int else r"[+-]?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?"
+        rows, path = table(iq=[(0.5, 0.0), (0.0, 0.5), (0.25, 0.25)]), tmp_path / "states.csv"
+        write_states_csv(path, rows, rows, [0, 1, 2], [0, -1, 2])
+        lines = path.read_text().splitlines()
+        at = lines[0].split(",").index(column)
+        for cell in self.SPELLINGS:
+            fields = lines[2].split(",")
+            fields[at] = cell
+            path.write_text("\n".join(lines[:2] + [",".join(fields)] + lines[3:]) + "\n")
+            well_spelled = re.fullmatch(pattern, cell) is not None
+            if well_spelled and kind is float:
+                well_spelled = np.isfinite(float(cell))
+            if well_spelled and kind is int:
+                well_spelled = -(2**63) <= int(cell) < 2**63 and int(cell) >= -1
+            if well_spelled:
+                tx, _, rx, _ = read_states_csv(path)
+                value = {"tx_i": tx.iq[1, 0], "rx_bloch_z": rx.bloch[1, 2]}.get(column)
+                assert value is None or value == float(cell), cell
+            else:
+                with pytest.raises(ValueError, match=rf"line 3, column {column}|{column} must be"):
+                    read_states_csv(path)
+
+    def test_reader_skips_blank_lines_and_reads_crlf(self, tmp_path):
+        rows, path = table(iq=[(0.5, 0.0), (0.0, 0.5)]), tmp_path / "states.csv"
+        write_states_csv(path, rows, rows, [0, 1], [1, -1])
+        want = read_states_csv(path)
+        lines = path.read_text().splitlines()
+        spaced = "\n".join([lines[0], "", lines[1], "", lines[2]])
+        for text in ("\r\n".join(lines) + "\r\n", spaced):
+            path.write_bytes(text.encode())
+            got = read_states_csv(path)
+            assert all(np.array_equal(g.iq, w.iq) for g, w in zip(got[::2], want[::2]))
+            assert all(np.array_equal(g, w) for g, w in zip(got[1::2], want[1::2]))
+        # A blank line still counts: the error names the line the cell is on.
+        lines[2] = lines[2].replace(",1,-1,", ",x,-1,", 1)
+        path.write_text("\n".join([lines[0], "", lines[1], "", lines[2]]) + "\n")
+        named = "line 5, column tx_label: expected an integer, got 'x'"
+        with pytest.raises(ValueError, match=named):
+            read_states_csv(path)
