@@ -12,15 +12,16 @@ qubit (d = 2), or on a qubit and an erasure flag (d = 3) that its last
 element alone reads, checked once: complete (sum e = (2, 0, 0, 0)) and
 positive semidefinite by the states' closed-form criterion
 (:func:`~qlinksim.states.smallest_eigenvalue`).  A state row (t, x, y, z)
-fires E with probability e . row / 2, the erasure outcome also with the
-flag's weight 1 - t.  The batch API is the three row kernels
-:func:`score_rows`, :func:`argmax_rows` and :func:`sample_rows`, which take
-the decision table :meth:`POVM.outcomes` and checked rows
-(:func:`~qlinksim.states.state_rows`) unchecked and form no BLAS product.
-A complex (K, d, d) element stack crosses in through
-:meth:`POVM.from_elements`, and ``elements`` is derived from the rows; on
-complex stacks the erasure outcome is the flag projector
-(:func:`embed_povm_with_erasure`), whose row is the zero row a run appends.
+fires E with probability e . row / 2, and on a d = 3 POVM the last
+element also with the flag's weight 1 - t.  The batch API is the three row
+kernels :func:`score_rows`, :func:`argmax_rows` and :func:`sample_rows`,
+which take a POVM and checked rows (:func:`~qlinksim.states.state_rows`)
+unchecked, read its rows, labels and ``dim`` and nothing else, and form no
+BLAS product.  The erasure outcome has one constructor,
+:func:`embed_povm_with_erasure`: it appends the zero row, labeled -1, and
+sets ``dim`` 3, so that outcome fires on the flag's weight alone.  A complex
+(K, d, d) element stack crosses in through :meth:`POVM.from_elements`, and
+``elements`` is derived from the rows.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .modulation import DetectorCodebook
 from .states import (
     TOL,
     DensityMatrix,
+    as_rows,
     check_structure,
     from_rows,
     map_rows,
@@ -47,6 +49,7 @@ from .states import (
 EIG_CUT = 1e-10
 # Rows scored at once by argmax_rows: bounds the (rows, K) scores held.
 _CHUNK = 4096
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +59,8 @@ class POVM:
     last element reads, all of it: ``rows`` is the read-only (K, 4) stack of
     the elements' qubit blocks, which must sum to the identity's row
     (2, 0, 0, 0) and be positive semidefinite, each within ``TOL``.
-    ``labels[i]`` is reported when element i fires; erasure is -1.
+    ``labels[i]``, an integer in [-1, 2^63 - 1] stored as a Python int, is
+    reported when element i fires; erasure is -1.
     ``elements`` is the read-only (K, d, d) stack derived from the rows on
     first access.
     """
@@ -66,11 +70,14 @@ class POVM:
     dim: int = 2
 
     def __post_init__(self):
-        rows = np.asarray(self.rows)
-        if rows.ndim != 2 or len(rows) == 0 or rows.shape[1] != 4:
-            raise ValueError(f"POVM needs a nonempty (K, 4) row stack, got shape {rows.shape}")
-        rows = rows.astype(float)
-        if len(self.labels) != len(rows):
+        rows = as_rows(self.rows, "POVM", "K")
+        labels = tuple(self.labels) if np.iterable(self.labels) else ()
+        # Python or numpy integers; a bool's type is neither.
+        integral = all(type(k) is int or isinstance(k, np.integer) for k in labels)
+        # The kernels read them as an int64 array.
+        if not labels or not integral or min(labels) < -1 or max(labels) > _INT64_MAX:
+            raise ValueError(f"POVM labels must be integers in [-1, 2^63 - 1], got {self.labels!r}")
+        if len(labels) != len(rows):
             raise ValueError("one label per element required")
         if self.dim not in (2, 3):
             raise ValueError(f"POVM dim must be 2 (a qubit) or 3 (and a flag), got {self.dim!r}")
@@ -82,6 +89,7 @@ class POVM:
         if not comp_dev <= TOL:
             raise ValueError(f"POVM does not resolve the identity (deviation {comp_dev:.3e})")
         object.__setattr__(self, "rows", read_only(rows))
+        object.__setattr__(self, "labels", tuple(map(int, labels)))
 
     @classmethod
     def from_elements(cls, elements, labels) -> "POVM":
@@ -95,7 +103,7 @@ class POVM:
             raise ValueError(
                 "POVM must act on a qubit, or on a qubit and a flag only its last element reads"
             )
-        return cls(to_rows(elements), tuple(labels), elements.shape[-1])
+        return cls(to_rows(elements), labels, elements.shape[-1])
 
     @cached_property
     def elements(self) -> np.ndarray:
@@ -105,37 +113,25 @@ class POVM:
         elements[-1, 2:, 2:] = 1.0
         return read_only(elements)
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.rows)
 
-    def outcomes(self, erasure: bool = False) -> tuple:
-        """The decision table (rows, labels, flagged) the row kernels take:
-        whether the last outcome also fires on the flag's weight.  With
-        ``erasure``, a qubit POVM gains that outcome, a zero row labeled -1."""
-        if erasure:
-            return np.vstack([self.rows, np.zeros(4)]), np.append(self.labels, -1), True
-        return self.rows, np.asarray(self.labels), self.dim == 3
-
-
-def score_rows(outcomes: tuple, rows: np.ndarray) -> np.ndarray:
-    """(n, K) outcome probabilities of (n, 4) checked rows under the decision
-    table ``outcomes``: four elementwise terms per outcome, so a row's scores
-    do not depend on its batch.  Rows come checked from ``state_rows``,
-    ``codebook.rows``, ``Channel.apply_rows`` or ``check_rows``."""
-    e, _, flagged = outcomes
-    half = e / 2.0
+def score_rows(povm: POVM, rows: np.ndarray) -> np.ndarray:
+    """(n, K) outcome probabilities of (n, 4) checked rows under ``povm``:
+    four elementwise terms per outcome, so a row's scores do not depend on
+    its batch, and for ``dim`` 3 the flag's weight 1 - t on the last
+    outcome.  Rows come checked from ``state_rows``, ``codebook.rows``,
+    ``Channel.apply_rows`` or ``check_rows``."""
+    half = povm.rows / 2.0
     scores = np.multiply.outer(rows[:, 0], half[:, 0])
     for j in (1, 2, 3):
         scores += np.multiply.outer(rows[:, j], half[:, j])
-    if flagged:
+    if povm.dim == 3:
         scores[:, -1] += 1.0 - rows[:, 0]
     return scores
 
 
 def measurement_scores(povm: POVM, rho: DensityMatrix) -> np.ndarray:
     """Outcome probabilities Tr(E_i rho): :func:`score_rows` of the state's row."""
-    return score_rows(povm.outcomes(), state_rows(rho.mat[np.newaxis], povm.dim))[0]
+    return score_rows(povm, state_rows(rho.mat[np.newaxis], povm.dim))[0]
 
 
 def build_pgm(codebook: DetectorCodebook) -> POVM:
@@ -179,30 +175,32 @@ def embed_povm_with_erasure(povm: POVM, out_dim: int) -> POVM:
     """A qubit POVM on a qubit and an erasure flag (``out_dim`` 3): the
     elements act as before on the qubit and vanish on the flag, and the
     flag projector is appended as the erasure outcome (label -1).  Its row is
-    zero, so the rows are those of ``povm.outcomes(erasure=True)``."""
+    zero, so it fires on the flag's weight 1 - t alone; a run decides every
+    flagging channel with this POVM."""
     if out_dim <= povm.dim:
         raise ValueError(f"target dim {out_dim} must exceed current POVM dim {povm.dim}")
     return POVM(np.vstack([povm.rows, np.zeros(4)]), povm.labels + (-1,), out_dim)
 
 
-def argmax_rows(outcomes: tuple, rows: np.ndarray) -> np.ndarray:
+def argmax_rows(povm: POVM, rows: np.ndarray) -> np.ndarray:
     """Hard decisions on (n, 4) checked rows (from ``state_rows``,
-    ``codebook.rows``, ``Channel.apply_rows`` or ``check_rows``): the label of
-    each row's highest-scoring outcome, the first on ties (as np.argmax),
-    scored ``_CHUNK`` rows at a time."""
-    labels = outcomes[1]
-    decided = np.empty(len(rows), dtype=labels.dtype)
+    ``codebook.rows``, ``Channel.apply_rows`` or ``check_rows``): the int64
+    label of each row's highest-scoring outcome, the first on ties (as
+    np.argmax), scored ``_CHUNK`` rows at a time."""
+    labels = np.array(povm.labels, dtype=np.int64)
+    decided = np.empty(len(rows), dtype=np.int64)
     for i in range(0, len(rows), _CHUNK):
-        chunk = score_rows(outcomes, rows[i : i + _CHUNK])
+        chunk = score_rows(povm, rows[i : i + _CHUNK])
         decided[i : i + _CHUNK] = labels[np.argmax(chunk, axis=1)]
     return decided
 
 
 def sample_rows(
-    outcomes: tuple, rows: np.ndarray, rng: np.random.Generator, index: np.ndarray | None = None
+    povm: POVM, rows: np.ndarray, rng: np.random.Generator, index: np.ndarray | None = None
 ) -> np.ndarray:
-    """Born-rule decisions on (n, 4) checked rows (from ``state_rows``,
-    ``codebook.rows``, ``Channel.apply_rows`` or ``check_rows``).
+    """Born-rule decisions, int64 labels, on (n, 4) checked rows (from
+    ``state_rows``, ``codebook.rows``, ``Channel.apply_rows`` or
+    ``check_rows``).
 
     Outcome k's CDF value is a row's dot with the cumulative row
     (e_0 + ... + e_k) / 2.  Each draw takes one uniform u from ``rng``, in
@@ -218,14 +216,14 @@ def sample_rows(
     copy of either and gives the same dots, so the labels equal those of
     ``rows[index]``.
     """
-    e, labels, flagged = outcomes
+    e, labels = povm.rows, np.array(povm.labels, dtype=np.int64)
     k = len(e)
     width = 1 << (k - 1).bit_length()
     cumulative = np.cumsum(e, axis=0) / 2.0
     search = np.concatenate([cumulative[:-1], np.tile([2.0, 0.0, 0.0, 0.0], (width - k + 1, 1))])
     label_of = np.concatenate([labels, np.full(width - k, labels[-1])])
     totals = _row_dots(np.broadcast_to(cumulative[-1], rows.shape), rows)
-    if flagged:
+    if povm.dim == 3:
         totals += 1.0 - rows[:, 0]
     # Draw i searches the positions start[i] .. start[i] + width - 1: those
     # of its own row, or its row's block of the per-row table.

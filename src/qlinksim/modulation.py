@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import TOL, DensityMatrix, InvalidStateError, check_rows, from_rows, read_only
+from .states import TOL, DensityMatrix, InvalidStateError, as_rows, check_rows, from_rows, read_only
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,11 +45,8 @@ class DetectorCodebook:
     power_scale: float = 1.0
 
     def __post_init__(self):
-        rows = np.asarray(self.rows)
-        if rows.ndim != 2 or len(rows) == 0 or rows.shape[1] != 4:
-            raise ValueError(f"codebook needs a nonempty (M, 4) row stack, got shape {rows.shape}")
         # A checked copy, so the caller's own array keeps its flags.
-        rows = check_rows(rows.astype(float))
+        rows = check_rows(as_rows(self.rows, "codebook", "M"))
         trace_dev = float(np.abs(rows[:, 0] - 1.0).max())
         if trace_dev > TOL:
             raise InvalidStateError(f"trace deviates from 1 by {trace_dev:.3e}, exceeds {TOL:.1e}")
@@ -60,8 +57,11 @@ class DetectorCodebook:
         # NaN fails ">= 0" and an infinity fails the sum.
         if not np.all(priors >= 0.0) or abs(priors.sum() - 1.0) > 1e-12:
             raise ValueError(f"priors must be finite, nonnegative and sum to 1, got {priors}")
-        if not 0.0 < float(self.power_scale) < np.inf:
-            raise ValueError(f"power_scale must be finite and > 0, got {self.power_scale!r}")
+        scale = self.power_scale
+        if not isinstance(scale, numbers.Real) or isinstance(scale, bool):
+            raise TypeError(f"power_scale must be a real number, got {scale!r}")
+        if not 0.0 < float(scale) < np.inf:
+            raise ValueError(f"power_scale must be finite and > 0, got {scale!r}")
         labels = np.array(self.bit_labels)
         if labels.ndim != 2 or len(labels) != len(rows):
             raise ValueError(f"one bit label per state required, got shape {labels.shape}")
@@ -70,6 +70,7 @@ class DetectorCodebook:
         labels = labels.astype(int)
         for attr, value in {"rows": rows, "priors": priors, "bit_labels": labels}.items():
             object.__setattr__(self, attr, read_only(value))
+        object.__setattr__(self, "power_scale", float(scale))
 
     @property
     def M(self) -> int:
@@ -143,15 +144,29 @@ def qam_constellation(order: int) -> tuple[np.ndarray, np.ndarray, float]:
 def _embedding_rows(alphas) -> np.ndarray:
     """(n, 4) rows of the qubit embeddings of complex amplitudes, unchecked:
     (1 + |alpha|^2, 2 Re alpha, 2 Im alpha, 1 - |alpha|^2) / (1 + |alpha|^2),
-    with |alpha|^2 = Re^2 + Im^2, so t is exactly 1."""
+    with |alpha|^2 = Re^2 + Im^2, so t is exactly 1.  Where |alpha|^2
+    overflows (|alpha| above ~1.3e154), the row is its limit
+    (1, 2 Re alpha / |alpha|^2, 2 Im alpha / |alpha|^2, -1), computed from
+    alpha over its larger part s: the same formula with 1 / s^2 for 1."""
     alphas = np.asarray(alphas, dtype=complex).ravel()
     finite = np.isfinite(alphas)
     if not np.all(finite):
         raise InvalidStateError(f"amplitude must be finite, got {complex(alphas[~finite][0])!r}")
     re, im = alphas.real, alphas.imag
-    power = re * re + im * im
-    denominator = 1.0 + power
-    return np.stack([denominator, 2.0 * re, 2.0 * im, 1.0 - power], axis=1) / denominator[:, None]
+    with np.errstate(over="ignore"):
+        power = re * re + im * im
+    one = scale = 1.0
+    huge = np.isinf(power)
+    if huge.any():
+        # s is 1 (exactly, so every other row keeps its bits) where |alpha|^2
+        # is finite; where it overflows, 1 / s^2 is below 1e-308 and drops out.
+        scale = np.where(huge, np.maximum(np.abs(re), np.abs(im)), 1.0)
+        one = np.where(huge, 0.0, 1.0)
+        re, im = re / scale, im / scale
+        power = re * re + im * im
+    denominator = one + power
+    rows = np.stack([denominator, 2.0 * re / scale, 2.0 * im / scale, one - power], axis=1)
+    return rows / denominator[:, None]
 
 
 def embed_amplitudes(alphas) -> np.ndarray:

@@ -8,13 +8,16 @@ A whole run holds states only as real (n, 4) rows (:mod:`qlinksim.states`),
 builds no complex stack and calls no ``np.linalg`` routine: each
 channel is one pass over rows, checked once, where deterministic channels
 map the M codebook rows and stochastic ones the N transmitted rows.  A
-channel is scored from one (M, M + 1) confusion count of its decisions,
-which take the channel's rows unchecked: argmax decisions, made once per
-codebook state on a deterministic channel, and Born-sampled ones, a CDF
-search per symbol; neither forms an (N, K) array.  Randomness comes from
-one stream per purpose, keyed by (seed, purpose) for the transmitted
-symbols and by (seed, purpose, channel name) for a channel's own draws and
-for sampled decisions, so results do not depend on channel order.
+channel is decided by the transmitter's PGM, or, where it moves weight to
+the erasure flag, by that PGM with the erasure outcome
+(``embed_povm_with_erasure``).  It is scored from one (M, M + 1) confusion
+count of its decisions, which take the channel's rows unchecked: argmax
+decisions, made once per codebook state on a deterministic channel, and
+Born-sampled ones, a CDF search per symbol; neither forms an (N, K) array.
+Randomness comes from one stream per purpose, keyed by (seed, purpose) for
+the transmitted symbols and by (seed, purpose, channel name) for a
+channel's own draws and for sampled decisions, so results do not depend on
+channel order.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from .channels import Channel, ChannelConfig, check_fields
 from .channels import config_from_dict as channel_config_from_dict
 from .channels import config_to_dict as channel_config_to_dict
-from .detection import POVM, argmax_rows, build_pgm, sample_rows
+from .detection import POVM, argmax_rows, build_pgm, embed_povm_with_erasure, sample_rows
 from .metrics import confusion_matrix, error_counts, hamming_table
 from .modulation import DetectorCodebook, qam_codebook, qam_side, qpsk_codebook
 from .visualization import StateProjection, project_rows, write_figures, write_states_csv
@@ -44,6 +47,8 @@ VERSION = "0.1.0"
 _U64 = (1 << 64) - 1
 # Channel names become artifact file names (states_<name>.csv).
 _CHANNEL_NAME = re.compile(r"[A-Za-z0-9_.-]+")
+# The one rule for a channel entry, as a JSON object or as a Python pair.
+_ENTRY_RULE = "every channel entry must be an object, or a (name, config) pair in Python"
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -65,6 +70,9 @@ class SimulationConfig:
             raise ValueError(f"modulation.type must be 'qpsk' or 'qam', got {self.modulation!r}")
         if self.modulation == "qam":
             qam_side(self.qam_order)  # rejects orders other than 4, 16, 64, ...
+        elif self.qam_order != type(self).qam_order:
+            # The JSON loader's wording: M has no effect on qpsk.
+            raise ValueError("unknown modulation keys for qpsk: ['M']")
         if self.n_symbols < 1:
             raise ValueError(f"n_symbols must be >= 1, got {self.n_symbols}")
         if not 0 <= self.seed <= _U64:
@@ -73,6 +81,9 @@ class SimulationConfig:
             raise ValueError(
                 f"decision_mode must be 'argmax' or 'sampled', got {self.decision_mode!r}"
             )
+        for entry in self.channels:
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise TypeError(f"{_ENTRY_RULE}, got {entry!r}")
         object.__setattr__(self, "channels", tuple((n, c) for n, c in self.channels))
         names = [n for n, _ in self.channels]
         for name, config in self.channels:
@@ -203,10 +214,12 @@ def _run_channel(
     cfg: SimulationConfig, tx: _Transmitter, channel_name: str, channel: Channel
 ) -> ChannelRunResult:
     """One channel's own work on a shared transmitter: channel pass on the
-    codebook's rows, decisions (with the erasure outcome where the channel
-    flags), their confusion count and its error counts, artifacts."""
-    codebook, tx_symbols = tx.codebook, tx.symbols
-    outcomes = tx.povm.outcomes(erasure=channel.output_dim > codebook.dim)
+    codebook's rows, decisions (by ``embed_povm_with_erasure`` of the PGM
+    where the channel flags), their confusion count and its error counts,
+    artifacts."""
+    codebook, tx_symbols, povm = tx.codebook, tx.symbols, tx.povm
+    if channel.output_dim > codebook.dim:
+        povm = embed_povm_with_erasure(povm, channel.output_dim)
     # rx_rows holds each distinct received state once; rx_index maps
     # every symbol to its row (all rows, for a stochastic channel).
     if channel.is_stochastic:
@@ -222,9 +235,9 @@ def _run_channel(
     if cfg.decision_mode == "sampled":
         rng = derive_rng(cfg.seed, "decision", channel_name)
         index = None if channel.is_stochastic else rx_index
-        decisions, label_index = sample_rows(outcomes, rx_rows, rng, index), slice(None)
+        decisions, label_index = sample_rows(povm, rx_rows, rng, index), slice(None)
     else:
-        decisions, label_index = argmax_rows(outcomes, rx_rows), rx_index
+        decisions, label_index = argmax_rows(povm, rx_rows), rx_index
     if isinstance(label_index, slice):
         confusion = confusion_matrix(tx_symbols, decisions, codebook.M)
     else:
@@ -353,7 +366,9 @@ def config_from_dict(d: Mapping) -> SimulationConfig:
         raise TypeError(f"channels must be a list of objects, got {d['channels']!r}")
     channels = []
     for entry in d["channels"]:
-        entry = dict(_require(entry, Mapping, "every channel entry"))
+        if not isinstance(entry, Mapping):
+            raise TypeError(f"{_ENTRY_RULE}, got {entry!r}")
+        entry = dict(entry)
         if "name" not in entry:
             raise ValueError("every channel entry needs a 'name'")
         name = entry.pop("name")

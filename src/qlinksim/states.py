@@ -14,8 +14,10 @@ it; :func:`from_rows` converts back.  Rows, states and POVM elements share
 one closed-form positive-semidefinite criterion,
 :func:`smallest_eigenvalue`: min((t - |r|) / 2, flag entry) at least
 -``TOL``; no check takes a spectrum, and the package calls no eigensolver.
-A linear map of rows is applied by :func:`map_rows`.  A checked stack that
-is shared, such as a codebook's, is marked read-only (:func:`read_only`).
+A linear map of rows is applied by :func:`map_rows`.  A codebook's or a
+POVM's rows come in through :func:`as_rows` (a nonempty (n, 4) stack of
+integers or floats, copied to floats).  A checked stack that is shared,
+such as a codebook's, is marked read-only (:func:`read_only`).
 """
 
 from __future__ import annotations
@@ -157,6 +159,20 @@ def map_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     column order: no BLAS product, so a row's output does not depend on its
     batch."""
     return sum(np.multiply.outer(rows[:, j], matrix[:, j]) for j in range(4))
+
+
+def as_rows(rows, owner: str, count: str) -> np.ndarray:
+    """A float copy of the ``rows`` field of ``owner``: a caller's nonempty
+    (``count``, 4) stack of integers or floats.  Another shape is a
+    ValueError, and a bool, complex, string or object dtype a TypeError."""
+    array = np.asarray(rows)
+    if array.ndim != 2 or len(array) == 0 or array.shape[1] != 4:
+        raise ValueError(
+            f"{owner} needs a nonempty ({count}, 4) row stack, got shape {array.shape}"
+        )
+    if array.dtype.kind not in "iuf":
+        raise TypeError(f"{owner} rows must be integers or floats, got dtype {array.dtype}")
+    return array.astype(float)
 
 
 def check_rows(rows: np.ndarray) -> np.ndarray:

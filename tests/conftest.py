@@ -152,7 +152,7 @@ def trace_product_scores(povm, mats):
     transposed states with the flattened elements, real part."""
     mats = np.asarray(mats, dtype=complex)
     rho_t = mats.swapaxes(-1, -2).reshape(len(mats), -1)
-    return (rho_t @ povm.elements.reshape(povm.n_outcomes, -1).T).real
+    return (rho_t @ povm.elements.reshape(len(povm.rows), -1).T).real
 
 
 def pmd_rows_reference(cfg, mats, rng):

@@ -144,7 +144,7 @@ def test_two_state_helstrom():
         trials = 100_000
         bound = 0.5 * (1.0 - np.sqrt(1.0 - overlap**2))
         tx = rng.integers(0, 2, trials)
-        guesses = sample_rows(povm.outcomes(), codebook.rows[tx], rng)
+        guesses = sample_rows(povm, codebook.rows[tx], rng)
         rate = np.count_nonzero(guesses != tx) / trials
         sigma = np.sqrt(bound * (1 - bound) / trials)
         assert abs(rate - bound) <= 3 * sigma + 1e-12
@@ -196,7 +196,7 @@ def test_erasure_flag_law():
 
     povm = embed_povm_with_erasure(build_pgm(qpsk_codebook()), 3)
     fully_erased = apply_stack(Channel(ErasureConfig(p=1.0)), qpsk_codebook().mats[1:2])
-    assert argmax_rows(povm.outcomes(), state_rows(fully_erased, povm.dim))[0] == -1
+    assert argmax_rows(povm, state_rows(fully_erased, povm.dim))[0] == -1
 
     codebook = qam_codebook(16)
     tx = np.arange(10) % 16

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ class TestPOVMValidation:
             (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
             labels=(0, 1),
         )
-        assert povm.n_outcomes == 2
+        assert len(povm.rows) == 2
 
     def test_incomplete_set_rejected(self):
         with pytest.raises(ValueError, match="identity"):
@@ -159,7 +160,7 @@ class TestPOVMValidation:
         assert not e[:, :2, 2:].any() and not e[:, 2:, :2].any()
         # The last element holds the whole flag.
         assert e[:-1, 2, 2].tolist() == [0.0] * 16 and abs(e[-1, 2, 2] - 1.0) <= 1e-15
-        assert povm.outcomes()[2] and not build_pgm(qam_codebook(16)).outcomes()[2]
+        assert povm.dim == 3 and build_pgm(qam_codebook(16)).dim == 2
 
     def test_label_count_must_match(self):
         with pytest.raises(ValueError, match="label"):
@@ -201,10 +202,46 @@ class TestPOVMValidation:
         with pytest.raises(ValueError, match=message):
             POVM(rows, tuple(range(len(rows))), dim)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [("a", "b"), (0.5, 7), (True, False), (np.bool_(True), 1), "ab", 7, ((0,), (1,)), (0, -2),
+         (0, 1 << 63)],
+    )
+    def test_labels_must_be_integers_from_minus_one(self, labels):
+        # String and float labels loaded, and argmax_rows returned them.
+        message = r"^POVM labels must be integers in \[-1, 2\^63 - 1\], got "
+        with pytest.raises(ValueError, match=message):
+            POVM([[1, 0, 0, 1], [1, 0, 0, -1]], labels)
+
+    @pytest.mark.parametrize(
+        "labels", [[0, 1], np.array([0, 1]), (np.int32(0), 1), range(2), (np.uint64(0), 1)]
+    )
+    def test_labels_stored_as_a_tuple_of_ints(self, labels):
+        # A list loaded as a list, and embed_povm_with_erasure then failed
+        # to concatenate it with a tuple.
+        povm = POVM([[1, 0, 0, 1], [1, 0, 0, -1]], labels)
+        assert povm.labels == (0, 1) and all(type(k) is int for k in povm.labels)
+        assert embed_povm_with_erasure(povm, 3).labels == (0, 1, -1)
+
+    @pytest.mark.parametrize(
+        "rows, dtype",
+        [
+            ([["1", "0", "0", "1"], ["1", "0", "0", "-1"]], "<U2"),
+            ([[1 + 0j, 0, 0, 1], [1, 0, 0, -1]], "complex128"),
+            ([[True, False, False, True], [True, False, False, False]], "bool"),
+        ],
+    )
+    def test_rows_must_be_integers_or_floats(self, rows, dtype):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"^POVM rows must be integers or floats, got dtype {dtype}$"
+            with pytest.raises(TypeError, match=message):
+                POVM(rows, (0, 1))
+
     def test_elements_are_one_read_only_stack(self):
         e0 = np.diag([1.0, 0.0]).astype(complex)
         povm = POVM.from_elements((e0, np.eye(2) - e0), labels=(0, 1))
-        assert povm.elements.shape == (2, 2, 2) and (povm.dim, povm.n_outcomes) == (2, 2)
+        assert povm.elements.shape == (2, 2, 2) and (povm.dim, len(povm.rows)) == (2, 2)
         assert not povm.elements.flags.writeable
         e0[0, 0] = 0.5
         assert povm.elements[0, 0, 0] == 1.0
@@ -334,16 +371,17 @@ class TestErasureEmbedding:
 
     @pytest.mark.parametrize("order", ["qpsk", 4, 16, 64])
     def test_rows_are_the_run_outcome_rows(self, order):
+        # A run decides a flagging channel with this POVM: the qubit PGM's
+        # rows bit for bit, then the zero row, labeled -1.
         povm = build_pgm(qpsk_codebook() if order == "qpsk" else qam_codebook(order))
         embedded = embed_povm_with_erasure(povm, 3)
-        rows, labels, flagged = povm.outcomes(erasure=True)
-        assert np.array_equal(embedded.rows, rows)
-        assert embedded.labels == tuple(labels.tolist()) and flagged
+        assert np.array_equal(embedded.rows[:-1], povm.rows) and not embedded.rows[-1].any()
+        assert embedded.labels == povm.labels + (-1,) and embedded.dim == 3
 
     def test_takes_no_eigendecomposition(self, monkeypatch):
         povm = build_pgm(qam_codebook(16))
         monkeypatch.setattr(np.linalg, "eigh", None)
-        assert embed_povm_with_erasure(povm, 3).n_outcomes == 17
+        assert len(embed_povm_with_erasure(povm, 3).rows) == 17
 
 
 class TestDecide:
@@ -364,7 +402,7 @@ class TestDecide:
     def test_fully_erased_state_yields_sentinel(self):
         povm = embed_povm_with_erasure(build_pgm(qpsk_codebook()), 3)
         erased = Channel(ErasureConfig(p=1.0)).apply_rows(qpsk_codebook().rows[2:3])
-        assert argmax_rows(povm.outcomes(), erased)[0] == -1
+        assert argmax_rows(povm, erased)[0] == -1
 
     def test_tie_breaks_to_lowest_index(self):
         povm = POVM.from_elements(
@@ -402,13 +440,13 @@ class TestDecideSampled:
         )
         rng = np.random.default_rng(63)
         rows = state_rows(np.repeat(pure(1, 0)[None], 100, axis=0))
-        assert np.all(sample_rows(povm.outcomes(), rows, rng) == 0)
+        assert np.all(sample_rows(povm, rows, rng) == 0)
 
     def test_qpsk_empirical_frequencies(self):
         cb = qpsk_codebook()
         povm = build_pgm(cb)
         rng = np.random.default_rng(64)
-        draws = sample_rows(povm.outcomes(), np.repeat(cb.rows[:1], 100_000, axis=0), rng)
+        draws = sample_rows(povm, np.repeat(cb.rows[:1], 100_000, axis=0), rng)
         freqs = np.bincount(draws, minlength=4) / draws.size
         assert freqs == pytest.approx([0.5, 0.0, 0.25, 0.25], abs=0.01)
 
@@ -420,7 +458,7 @@ class TestDecideSampled:
         )
         rng = np.random.default_rng(65)
         rows = state_rows(np.repeat(pure(1, 0)[None], 20_000, axis=0))
-        draws = sample_rows(povm.outcomes(), rows, rng)
+        draws = sample_rows(povm, rows, rng)
         freqs = np.bincount(draws, minlength=m) / draws.size
         assert freqs == pytest.approx([0.25] * 4, abs=0.02)
 
@@ -431,7 +469,7 @@ class TestRowScores:
         _, povm = codebook_povm(m, erasure)
         rng = np.random.default_rng(120 + m)
         mats = np.stack([random_density(rng, povm.dim).mat for _ in range(200)])
-        got = score_rows(povm.outcomes(), state_rows(mats, povm.dim))
+        got = score_rows(povm, state_rows(mats, povm.dim))
         assert np.max(np.abs(got - trace_product_scores(povm, mats))) <= 1e-12
 
     @pytest.mark.parametrize("m", [4, 16, 64])
@@ -440,44 +478,44 @@ class TestRowScores:
         # embedding it; its score is the flag's weight 1 - t, which is p
         # itself wherever 1 - p is a double: codebook rows have t = 1.
         cb = qpsk_codebook() if m == 4 else qam_codebook(m)
-        outcomes = build_pgm(cb).outcomes(erasure=True)
-        assert outcomes[1][-1] == -1 and outcomes[2] and not outcomes[0][-1].any()
+        povm = embed_povm_with_erasure(build_pgm(cb), 3)
+        assert povm.labels[-1] == -1 and povm.dim == 3 and not povm.rows[-1].any()
         for p in (0.0, 0.25, 0.5, 0.6, 0.75, 1.0, 0.1, 0.3):
             rows = Channel(ErasureConfig(p=p)).apply_rows(cb.rows)
-            flagged = score_rows(outcomes, rows)[:, -1]
+            flagged = score_rows(povm, rows)[:, -1]
             if p in (0.1, 0.3):
                 # 1 - p rounds, by at most half an ulp of 1.
                 assert np.all(np.abs(flagged - p) <= 2.0**-53)
             else:
                 assert np.all(flagged == p), p
 
-    def test_run_outcomes_match_the_embedded_povm(self):
+    def test_row_path_matches_the_complex_path(self):
+        # The erasure channel's rows, scored as they are and after a round
+        # trip through the checked 3x3 stack they represent.
         cb = qam_codebook(16)
-        povm = build_pgm(cb)
+        embedded = embed_povm_with_erasure(build_pgm(cb), 3)
         rows = Channel(ErasureConfig(p=0.25)).apply_rows(cb.rows)
-        got = score_rows(povm.outcomes(erasure=True), rows)
-        embedded = embed_povm_with_erasure(povm, 3)
-        want = score_rows(embedded.outcomes(), state_rows(from_rows(rows, 3)))
+        got = score_rows(embedded, rows)
+        want = score_rows(embedded, state_rows(from_rows(rows, 3)))
         assert np.max(np.abs(got - want)) <= 1e-15
 
     @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_argmax_labels_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
         povm, _, rows = channel_outputs("pmd", 64, True, 300)
-        outcomes = povm.outcomes()
-        want = outcomes[1][np.argmax(score_rows(outcomes, rows), axis=1)]
+        want = np.array(povm.labels)[np.argmax(score_rows(povm, rows), axis=1)]
         monkeypatch.setattr(detection, "_CHUNK", chunk or len(rows))
-        assert np.array_equal(argmax_rows(outcomes, rows), want)
+        assert np.array_equal(argmax_rows(povm, rows), want)
 
     def test_argmax_holds_one_chunk_of_scores(self, monkeypatch):
         povm, _, rows = channel_outputs("pmd", 64, True, 20_000)
         monkeypatch.setattr(detection, "_CHUNK", 1000)
         tracemalloc.start()
         try:
-            argmax_rows(povm.outcomes(), rows)
+            argmax_rows(povm, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < len(rows) * povm.n_outcomes * 8 / 4
+        assert peak < len(rows) * len(povm.rows) * 8 / 4
 
 
 class TestBatchDetection:
@@ -488,11 +526,11 @@ class TestBatchDetection:
         received = Channel(ErasureConfig(p=0.3)).apply_rows(state_rows(stack, 2))
         states = [DensityMatrix(m) for m in from_rows(received, 3)]
         rows = state_rows(np.stack([s.mat for s in states]), povm.dim)
-        scores = score_rows(povm.outcomes(), rows)
+        scores = score_rows(povm, rows)
         assert scores.shape == (30, 17)
         for row, rho in zip(scores, states):
             assert np.array_equal(row, measurement_scores(povm, rho))
-        labels = argmax_rows(povm.outcomes(), rows)
+        labels = argmax_rows(povm, rows)
         assert labels.tolist() == [decide(povm, rho) for rho in states]
 
     @pytest.mark.parametrize("m, erasure", [(4, False), (16, False), (16, True), (64, True)])
@@ -504,11 +542,10 @@ class TestBatchDetection:
         )
         if erasure:
             rows = Channel(ErasureConfig(p=0.25)).apply_rows(rows)
-        outcomes = povm.outcomes()
-        whole = score_rows(outcomes, rows)
+        whole = score_rows(povm, rows)
         for size in (1, 2, 7, 64, len(rows)):
             parts = np.concatenate(
-                [score_rows(outcomes, rows[i : i + size]) for i in range(0, len(rows), size)]
+                [score_rows(povm, rows[i : i + size]) for i in range(0, len(rows), size)]
             )
             assert np.array_equal(parts.view(np.uint8), whole.view(np.uint8)), size
 
@@ -517,8 +554,8 @@ class TestBatchDetection:
         rng = np.random.default_rng(68)
         povm = build_pgm(qam_codebook(16))
         rows = state_rows(np.stack([random_density(rng, 2).mat for _ in range(200)]))
-        scores = score_rows(povm.outcomes(), rows)
-        batch = sample_rows(povm.outcomes(), rows, np.random.default_rng(69))
+        scores = score_rows(povm, rows)
+        batch = sample_rows(povm, rows, np.random.default_rng(69))
         ref_rng = np.random.default_rng(69)
         reference = [
             povm.labels[ref_rng.choice(16, p=np.clip(row, 0, None) / np.clip(row, 0, None).sum())]
@@ -540,10 +577,10 @@ class TestBatchDetection:
         # and |1> elements, and every symbol outcome of the erasure flag |2>.
         basis = np.eye(d, dtype=complex)[:, :, None] * np.eye(d)[:, None, :]
         states[:300] = basis[rng.integers(0, d, 300)]
-        rows, outcomes = state_rows(states, d), povm.outcomes()
-        got = sample_rows(outcomes, rows, np.random.default_rng(76))
+        rows = state_rows(states, d)
+        got = sample_rows(povm, rows, np.random.default_rng(76))
         want = four_buffer_sample_labels(
-            povm, score_rows(outcomes, rows), np.random.default_rng(76)
+            povm, score_rows(povm, rows), np.random.default_rng(76)
         )
         assert np.array_equal(got, want)
         assert got.dtype == want.dtype
@@ -553,44 +590,42 @@ class TestBatchDetection:
     @pytest.mark.parametrize("kind", ["depolarizing", "turbulence", "pmd"])
     def test_labels_match_score_sampler(self, kind, m, erasure, n):
         povm, per_state, per_symbol = channel_outputs(kind, m, erasure, n)
-        outcomes = povm.outcomes()
-        got = sample_rows(outcomes, per_symbol, np.random.default_rng(86))
+        got = sample_rows(povm, per_symbol, np.random.default_rng(86))
         want = score_sample_labels(
-            povm, score_rows(outcomes, per_symbol), np.random.default_rng(86)
+            povm, score_rows(povm, per_symbol), np.random.default_rng(86)
         )
         assert np.array_equal(got, want)
         # Per-state mode: one row per codebook state, draw i for row index[i].
         index = np.random.default_rng(87).integers(0, m, n)
-        got = sample_rows(outcomes, per_state, np.random.default_rng(88), index)
+        got = sample_rows(povm, per_state, np.random.default_rng(88), index)
         want = score_sample_labels(
-            povm, score_rows(outcomes, per_state)[index], np.random.default_rng(88)
+            povm, score_rows(povm, per_state)[index], np.random.default_rng(88)
         )
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("m, erasure", [(4, False), (64, True)])
     def test_labels_do_not_depend_on_chunking(self, m, erasure):
         povm, _, rows = channel_outputs("pmd", m, erasure, 300)
-        outcomes = povm.outcomes()
-        whole = sample_rows(outcomes, rows, np.random.default_rng(89))
+        whole = sample_rows(povm, rows, np.random.default_rng(89))
         for size in (1, 2, 7, 64, len(rows)):
             rng = np.random.default_rng(89)
             parts = np.concatenate(
-                [sample_rows(outcomes, rows[i : i + size], rng) for i in range(0, len(rows), size)]
+                [sample_rows(povm, rows[i : i + size], rng) for i in range(0, len(rows), size)]
             )
             assert np.array_equal(parts, whole), size
 
     def test_sampler_forms_no_per_draw_cdf(self):
         n = 20000
         povm, _, rows = channel_outputs("pmd", 64, True, n)
-        assert povm.n_outcomes == 65
-        rng, outcomes = np.random.default_rng(78), povm.outcomes()
+        assert len(povm.rows) == 65
+        rng = np.random.default_rng(78)
         tracemalloc.start()
         try:
-            sample_rows(outcomes, rows, rng)
+            sample_rows(povm, rows, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * povm.n_outcomes * 8
+        assert peak < n * len(povm.rows) * 8
 
     @pytest.mark.parametrize(
         "m, erasure, n",
@@ -600,8 +635,8 @@ class TestBatchDetection:
         povm, rows = codebook_outputs(m, erasure)
         symbols = np.random.default_rng(80 + n).integers(0, m, n)
         got_rng, want_rng = np.random.default_rng(81), np.random.default_rng(81)
-        got = sample_rows(povm.outcomes(), rows, got_rng, symbols)
-        want = sample_rows(povm.outcomes(), rows[symbols], want_rng)
+        got = sample_rows(povm, rows, got_rng, symbols)
+        want = sample_rows(povm, rows[symbols], want_rng)
         assert np.array_equal(got, want)
         assert got.dtype == want.dtype
         assert got_rng.random() == want_rng.random()
@@ -622,23 +657,23 @@ class TestBatchDetection:
         )
         rows = state_rows(np.stack([pure(1, 0), pure(0, 1)]))
         index = np.array([0, 0, 0, 1, 1])
-        got = sample_rows(povm.outcomes(), rows, FixedDraws(), index)
+        got = sample_rows(povm, rows, FixedDraws(), index)
         assert got.tolist() == [2, 3, 0, 1, 2]
-        assert np.array_equal(got, sample_rows(povm.outcomes(), rows[index], FixedDraws()))
+        assert np.array_equal(got, sample_rows(povm, rows[index], FixedDraws()))
 
     def test_per_state_sampler_forms_no_per_symbol_cdf(self):
         n = 20000
         povm, rows = codebook_outputs(64, True)
-        assert povm.n_outcomes == 65
+        assert len(povm.rows) == 65
         symbols = np.random.default_rng(84).integers(0, 64, n)
-        rng, outcomes = np.random.default_rng(85), povm.outcomes()
+        rng = np.random.default_rng(85)
         tracemalloc.start()
         try:
-            sample_rows(outcomes, rows, rng, symbols)
+            sample_rows(povm, rows, rng, symbols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * povm.n_outcomes * 8
+        assert peak < n * len(povm.rows) * 8
 
     @pytest.mark.parametrize("m", [4, 16, 64, 256, 1024])
     def test_per_state_table_is_the_gathered_row_dots(self, m, monkeypatch):
@@ -662,8 +697,9 @@ class TestBatchDetection:
                     BosonicConfig(loss_db=3.0, n_th=0.2)):
             channel = Channel(cfg)
             rows = channel.apply_rows(cb.rows)
-            outcomes = povm.outcomes(erasure=channel.output_dim > cb.dim)
-            sample_rows(outcomes, rows, np.random.default_rng(92), index)
+            flagging = channel.output_dim > cb.dim
+            decider = embed_povm_with_erasure(povm, 3) if flagging else povm
+            sample_rows(decider, rows, np.random.default_rng(92), index)
             (got_rows, search), table = tables.pop()
             assert got_rows is rows
             width = len(search)
@@ -678,7 +714,7 @@ class TestBatchDetection:
         table_bytes = 1024 * 1024 * 8
         tracemalloc.start()
         try:
-            sample_rows(povm.outcomes(), rows, np.random.default_rng(94), index)
+            sample_rows(povm, rows, np.random.default_rng(94), index)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -687,10 +723,10 @@ class TestBatchDetection:
     def test_scores_do_not_hold_the_complex_product(self):
         cb = qam_codebook(64)
         povm = build_pgm(cb)
-        rows, outcomes = cb.rows[np.random.default_rng(79).integers(0, 64, 5000)], povm.outcomes()
+        rows = cb.rows[np.random.default_rng(79).integers(0, 64, 5000)]
         tracemalloc.start()
         try:
-            scores = score_rows(outcomes, rows)
+            scores = score_rows(povm, rows)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -700,10 +736,10 @@ class TestBatchDetection:
 
     def test_bad_probabilities_rejected(self):
         povm = build_pgm(qpsk_codebook())
-        rng, outcomes = np.random.default_rng(70), povm.outcomes()
+        rng = np.random.default_rng(70)
 
         def sample(mats):
-            return sample_rows(outcomes, state_rows(mats, povm.dim), rng)
+            return sample_rows(povm, state_rows(mats, povm.dim), rng)
 
         with pytest.raises(ValueError, match="trace"):
             sample(np.stack([pure(1, 0), 1.1 * pure(0, 1)]))
@@ -715,7 +751,7 @@ class TestBatchDetection:
             sample(np.eye(3)[None] / 3)
         # Rows that bypass the crossing still meet the sampler's own total check.
         with pytest.raises(ValueError, match="probabilities sum to"):
-            sample_rows(outcomes, np.array([[1.1, 0.0, 0.0, 0.0]]), rng)
+            sample_rows(povm, np.array([[1.1, 0.0, 0.0, 0.0]]), rng)
 
 
 class TestTwoStateOptimality:

@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from conftest import bit_table, make_pure_states, purity, symbols_to_bits
@@ -12,7 +15,7 @@ from qlinksim import (
     qpsk_codebook,
     state_rows,
 )
-from qlinksim.modulation import qam_side
+from qlinksim.modulation import _embedding_rows, qam_side
 from qlinksim.states import to_rows
 
 # Absolute tolerance of the closed-form codebook against the one-state
@@ -124,6 +127,17 @@ class TestEmbedAlpha:
         with pytest.raises(InvalidStateError, match="finite"):
             embed_amplitudes([0.5, complex(np.inf, 0)])
 
+    @pytest.mark.parametrize("alpha", [1e155, 1e300, -1e200j])
+    def test_amplitude_whose_square_overflows_is_one(self, alpha):
+        # |alpha|^2 overflows a double, yet the state is |1> to double
+        # precision: the row's limit, with no overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _embedding_rows([alpha])
+            mats = embed_amplitudes([alpha])
+        assert np.max(np.abs(rows - [1.0, 0.0, 0.0, -1.0])) <= ULPS_4
+        assert np.max(np.abs(mats - [[0.0, 0.0], [0.0, 1.0]])) <= ULPS_4
+
 
 class TestQamCodebook:
     def test_m16_all_pure(self):
@@ -165,7 +179,25 @@ def one_state_embedding(alpha: complex) -> np.ndarray:
     return one_state_projector([1.0 / norm, alpha / norm])
 
 
+# SHA-256 of qam_codebook(order).rows, recorded before the overflow limit
+# was added to _embedding_rows: every finite |alpha|^2 keeps its bits.
+QAM_ROW_DIGESTS = {
+    4: "c3da205bc032d15e288ce436e5ee4a174921e1f3ea837c608eb5c50d9fa657e2",
+    16: "aa1492219eaf7e507f5489e3cd40633ca9927e771be88bb60c7f4734683adf00",
+    64: "f80ac3e2d6137e91a89b4decf3368ee44e5d3083bb32370ec1ba62193a2215f2",
+    256: "8f0e6d52b37cd7c74fe07e78b060cc82e75f64e0df86358ea9de60f239c9b013",
+    1024: "8ff5125cf3c44a7f39ef9d2fae3fff4fa061a66f00c9406662ad9a74bc9b0c2a",
+    4096: "581ac16ba17c8422e043bedfd281ff24cf17bb01aea1fd00216f037cd12a9413",
+}
+
+
 class TestCodebookStack:
+    @pytest.mark.parametrize("order", list(QAM_ROW_DIGESTS))
+    def test_qam_rows_are_the_recorded_bits(self, order):
+        rows = qam_codebook(order).rows
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == QAM_ROW_DIGESTS[order]
+
     def test_qpsk_stack_matches_one_state_reference(self):
         s = 1.0 / np.sqrt(2.0)
         ref = [one_state_projector(a) for a in ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s))]
@@ -315,6 +347,41 @@ class TestCodebookStack:
             DetectorCodebook(
                 rows=cb.rows, priors=cb.priors, bit_labels=cb.bit_labels, power_scale=scale
             )
+
+    @pytest.mark.parametrize("scale", ["2", True, np.bool_(True), None, 2j, np.array(2.0)])
+    def test_power_scale_must_be_a_real_number(self, scale):
+        # "2" was stored as the string and failed later, in project_rows.
+        cb = qpsk_codebook()
+        with pytest.raises(TypeError, match=r"^power_scale must be a real number, got "):
+            DetectorCodebook(
+                rows=cb.rows, priors=cb.priors, bit_labels=cb.bit_labels, power_scale=scale
+            )
+
+    @pytest.mark.parametrize("scale", [2, np.int8(2), np.float32(2.0), 2.0])
+    def test_power_scale_stored_as_a_float(self, scale):
+        cb = qpsk_codebook()
+        got = DetectorCodebook(
+            rows=cb.rows, priors=cb.priors, bit_labels=cb.bit_labels, power_scale=scale
+        ).power_scale
+        assert type(got) is float and got == 2.0
+
+    @pytest.mark.parametrize(
+        "rows, dtype",
+        [
+            ([["1", "0", "0", "1"], ["1", "0", "0", "-1"]], "<U2"),
+            ([[1 + 0j, 0, 0, 1], [1, 0, 0, -1]], "complex128"),
+            ([[True, False, False, True], [True, False, False, False]], "bool"),
+            (np.array([[1, 0, 0, 1], [1, 0, 0, -1]], dtype=object), "object"),
+        ],
+    )
+    def test_rows_must_be_integers_or_floats(self, rows, dtype):
+        # String rows loaded, and complex ones lost their imaginary parts
+        # with only a ComplexWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"^codebook rows must be integers or floats, got dtype {dtype}$"
+            with pytest.raises(TypeError, match=message):
+                DetectorCodebook(rows=rows, priors=[0.5, 0.5], bit_labels=((0,), (1,)))
 
 
 class TestSymbolsToBits:

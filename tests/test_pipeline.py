@@ -167,6 +167,13 @@ class TestConfigHandling:
             ({"output": {"emit_figures": "false"}}, {"emit_figures": "false"}),
             ({"channels": [{"name": 5, "type": "depolarizing", "p": 0.1}]},
              {"channels": ((5, DepolarizingConfig(p=0.1)),)}),
+            # M on qpsk: a Python order was ignored and dropped from the echo.
+            ({"modulation": {"type": "qpsk", "M": 64}}, {"qam_order": 64}),
+            # Entries that are not pairs failed on tuple unpacking.
+            ({"channels": [("a",)]}, {"channels": (("a",),)}),
+            ({"channels": [("a", DepolarizingConfig(p=0.1), 1)]},
+             {"channels": (("a", DepolarizingConfig(p=0.1), 1),)}),
+            ({"channels": ["ab"]}, {"channels": ("ab",)}),
         ],
     )
     def test_python_configs_meet_the_json_rules(self, changes, fields):
@@ -688,7 +695,8 @@ def test_golden_report_counts(tmp_path, modulation, mode, n):
 def test_comparison_after_setup_uses_real_rows_only(tmp_path, monkeypatch, mode):
     # The whole run, transmitter included: the codebook and the PGM are
     # closed forms on rows, so no complex stack is made or checked, nothing
-    # is hermitized and no np.linalg routine runs.
+    # is hermitized and no np.linalg routine runs.  The erasure outcome
+    # (embed_povm_with_erasure) stacks rows, so it is not spied here.
     calls = []
 
     def spy(owner, name):
@@ -703,8 +711,7 @@ def test_comparison_after_setup_uses_real_rows_only(tmp_path, monkeypatch, mode)
     # A codebook's mats and a POVM's elements would come from from_rows.
     complex_work = (
         "hermitize", "check_states", "state_rows", "to_rows", "from_rows", "make_pure_states",
-        "check_structure", "inv_sqrt_psd", "embed_amplitudes", "embed_povm_with_erasure",
-        "measurement_scores", "decide",
+        "check_structure", "inv_sqrt_psd", "embed_amplitudes", "measurement_scores", "decide",
     )
     for module in (states, channels, detection, modulation, visualization, pipeline):
         for name in complex_work:
@@ -720,6 +727,28 @@ def test_comparison_after_setup_uses_real_rows_only(tmp_path, monkeypatch, mode)
     )
     run_comparison(cfg)
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["argmax", "sampled"])
+def test_erasure_outcome_built_once_per_flagging_channel(tmp_path, monkeypatch, mode):
+    # The run adds the erasure outcome with the constructor the benchmark's
+    # set-up calls, once per channel that moves weight to the flag: on the
+    # shipped config, the erasure channel alone.
+    calls = []
+    real = pipeline.embed_povm_with_erasure
+
+    def spy(povm, out_dim):
+        calls.append((len(povm.rows), out_dim))
+        return real(povm, out_dim)
+
+    monkeypatch.setattr(pipeline, "embed_povm_with_erasure", spy)
+    cfg = dataclasses.replace(
+        load_config(default_config_path()), n_symbols=300, decision_mode=mode,
+        output_dir=tmp_path, emit_states=False, emit_figures=False,
+    )
+    report = run_comparison(cfg)
+    assert calls == [(16, 3)]
+    assert report.channels["erasure"].erasure_count > 0
 
 
 def test_each_channel_checks_its_rows_once(tmp_path, monkeypatch):

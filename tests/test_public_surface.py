@@ -92,6 +92,11 @@ def test_one_batch_api_on_rows():
         for name in DELETED_WRAPPERS:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(detection, "_scores")
+    # The kernels take the POVM itself: no decision-table tuple beside it,
+    # in the package or in the README.
+    assert not hasattr(qlinksim.POVM, "outcomes") and not hasattr(qlinksim.POVM, "n_outcomes")
+    for path in [README, *Path(qlinksim.__file__).parent.glob("*.py")]:
+        assert "outcomes(" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_zero_rows_through_the_public_row_path():
@@ -107,13 +112,13 @@ def test_zero_rows_through_the_public_row_path():
     ):
         received = qlinksim.Channel(cfg).apply_rows(rows, np.random.default_rng(0))
         assert received.shape == (0, 4), cfg.kind
-    outcomes = qlinksim.build_pgm(qlinksim.qam_codebook(16)).outcomes(erasure=True)
-    assert qlinksim.score_rows(outcomes, rows).shape == (0, 17)
+    povm = qlinksim.embed_povm_with_erasure(qlinksim.build_pgm(qlinksim.qam_codebook(16)), 3)
+    assert qlinksim.score_rows(povm, rows).shape == (0, 17)
     for labels in (
-        qlinksim.argmax_rows(outcomes, rows),
-        qlinksim.sample_rows(outcomes, rows, np.random.default_rng(1)),
+        qlinksim.argmax_rows(povm, rows),
+        qlinksim.sample_rows(povm, rows, np.random.default_rng(1)),
     ):
-        assert labels.shape == (0,) and labels.dtype == outcomes[1].dtype
+        assert labels.shape == (0,) and labels.dtype == np.int64
     assert len(qlinksim.project_rows(rows)) == 0
 
 
