@@ -29,11 +29,7 @@ from .detection import (
     sample_rows,
     score_rows,
 )
-from .metrics import (
-    confusion_matrix,
-    error_counts,
-    hamming_table,
-)
+from .metrics import error_counts
 from .modulation import (
     DetectorCodebook,
     embed_amplitudes,
@@ -83,14 +79,12 @@ __all__ = [
     "TurbulenceConfig",
     "argmax_rows",
     "build_pgm",
-    "confusion_matrix",
     "decide",
     "default_config_path",
     "derive_rng",
     "embed_amplitudes",
     "embed_povm_with_erasure",
     "error_counts",
-    "hamming_table",
     "load_config",
     "measurement_scores",
     "project_rows",

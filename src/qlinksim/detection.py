@@ -47,8 +47,9 @@ from .states import (
 
 # Eigenvalues of rhobar at or below this are outside the PGM's support.
 EIG_CUT = 1e-10
-# Rows scored at once by argmax_rows: bounds the (rows, K) scores held.
-_CHUNK = 4096
+# Scores formed at once by argmax_rows: each block holds this many (rows, K)
+# scores, 4096 rows at K = 64, however large K is.
+_BLOCK_SCORES = 1 << 18
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -72,14 +73,13 @@ class POVM:
     def __post_init__(self):
         rows = as_rows(self.rows, "POVM", "K")
         labels = tuple(self.labels) if np.iterable(self.labels) else ()
-        # Python or numpy integers; a bool's type is neither.
-        integral = all(type(k) is int or isinstance(k, np.integer) for k in labels)
+        integral = all(map(_integral, labels))
         # The kernels read them as an int64 array.
         if not labels or not integral or min(labels) < -1 or max(labels) > _INT64_MAX:
             raise ValueError(f"POVM labels must be integers in [-1, 2^63 - 1], got {self.labels!r}")
         if len(labels) != len(rows):
             raise ValueError("one label per element required")
-        if self.dim not in (2, 3):
+        if not _integral(self.dim) or self.dim not in (2, 3):
             raise ValueError(f"POVM dim must be 2 (a qubit) or 3 (and a flag), got {self.dim!r}")
         min_eig = smallest_eigenvalue(rows)
         if min_eig < -TOL:
@@ -90,6 +90,7 @@ class POVM:
             raise ValueError(f"POVM does not resolve the identity (deviation {comp_dev:.3e})")
         object.__setattr__(self, "rows", read_only(rows))
         object.__setattr__(self, "labels", tuple(map(int, labels)))
+        object.__setattr__(self, "dim", int(self.dim))
 
     @classmethod
     def from_elements(cls, elements, labels) -> "POVM":
@@ -112,6 +113,11 @@ class POVM:
         elements[:, :2, :2] = from_rows(self.rows)
         elements[-1, 2:, 2:] = 1.0
         return read_only(elements)
+
+
+def _integral(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool's type is neither."""
+    return type(value) is int or isinstance(value, np.integer)
 
 
 def score_rows(povm: POVM, rows: np.ndarray) -> np.ndarray:
@@ -186,12 +192,13 @@ def argmax_rows(povm: POVM, rows: np.ndarray) -> np.ndarray:
     """Hard decisions on (n, 4) checked rows (from ``state_rows``,
     ``codebook.rows``, ``Channel.apply_rows`` or ``check_rows``): the int64
     label of each row's highest-scoring outcome, the first on ties (as
-    np.argmax), scored ``_CHUNK`` rows at a time."""
+    np.argmax), scored in blocks of about ``_BLOCK_SCORES`` scores."""
     labels = np.array(povm.labels, dtype=np.int64)
     decided = np.empty(len(rows), dtype=np.int64)
-    for i in range(0, len(rows), _CHUNK):
-        chunk = score_rows(povm, rows[i : i + _CHUNK])
-        decided[i : i + _CHUNK] = labels[np.argmax(chunk, axis=1)]
+    block = max(1, _BLOCK_SCORES // len(labels))
+    for i in range(0, len(rows), block):
+        scores = score_rows(povm, rows[i : i + block])
+        decided[i : i + block] = labels[np.argmax(scores, axis=1)]
     return decided
 
 

@@ -1,11 +1,12 @@
 """Symbol and bit error rates.
 
-A channel's decisions are scored by counting them, not by expanding them:
-:func:`confusion_matrix` counts each (transmitted symbol, received label)
-pair in an (M, M + 1) table whose last column is the erasure label -1, and
-:func:`error_counts` reads the symbol errors, bit errors and erasures off
-that count and the (M, M + 1) :func:`hamming_table` of the codebook's bit
-labels.  Counts add, so the count of a run is the sum of the counts of its
+A channel's decisions are scored from its (sent symbol, received label)
+pairs, each read once: :func:`error_counts` counts the pairs whose two
+values differ, the erased ones, and the bits in which the two bit-label
+rows differ, so its work and memory grow with the pairs, not with the
+alphabet.  A pair may carry a weight, the number of times it occurred, so a
+deterministic channel's M decisions count once per time each state was
+sent.  Counts add, so the counts of a run are the sums of the counts of its
 parts.
 
 An erased reception (-1) is an error in its symbol and in every bit; -1
@@ -16,16 +17,25 @@ from __future__ import annotations
 
 import numpy as np
 
+# Set bits of each byte value.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
 
-def confusion_matrix(tx_symbols, rx_labels, M: int) -> np.ndarray:
-    """(M, M + 1) count of (transmitted symbol, received label) pairs.
 
-    Row m counts the receptions of symbol m; column j < M counts label j
-    and column M the erasure label -1.  Both sequences must hold integers
-    (an empty one may have any dtype); other values are rejected, not
-    truncated.
+def error_counts(
+    sent, received, bit_labels, weights=None
+) -> tuple[tuple[float, int], tuple[float, int], int]:
+    """``(ser, symbol errors), (ber, bit errors), erasures`` of the pairs
+    (``sent[i]``, ``received[i]``), each counted ``weights[i]`` times, or once
+    when no weights are given.
+
+    ``bit_labels`` is a codebook's (M, bits) integer table of 0/1 labels.  A
+    pair is a symbol error when its two values differ and an erasure when it
+    received -1; its bit errors are the positions where the two label rows
+    differ, or every bit for an erasure.  The BER is over symbols * bits.
+    Symbols, labels and weights must be integer arrays (an empty sequence may
+    have any dtype); other values are rejected, not truncated.
     """
-    tx, rx = np.asarray(tx_symbols), np.asarray(rx_labels)
+    tx, rx = np.asarray(sent), np.asarray(received)
     if any(a.size and a.dtype.kind not in "iu" for a in (tx, rx)):
         raise ValueError(f"symbols and labels must be integers, got {tx.dtype} and {rx.dtype}")
     if tx.ndim != 1 or rx.ndim != 1 or tx.size != rx.size:
@@ -33,59 +43,33 @@ def confusion_matrix(tx_symbols, rx_labels, M: int) -> np.ndarray:
             f"symbol and label sequences must be one-dimensional and of equal "
             f"length, got shapes {tx.shape} and {rx.shape}"
         )
-    if tx.size and (tx.min() < 0 or tx.max() >= M):
-        raise ValueError(f"transmitted symbols must be in [0, {M - 1}]; -1 is receive-only")
-    if rx.size and (rx.min() < -1 or rx.max() >= M):
-        raise ValueError(f"received labels must be in [-1, {M - 1}]")
-    # -1 % (M + 1) is M: the erasure label lands in the last column.
-    flat = tx.astype(np.intp) * (M + 1) + rx.astype(np.intp) % (M + 1)
-    return np.bincount(flat, minlength=M * (M + 1)).reshape(M, M + 1)
-
-
-def hamming_table(bit_labels) -> np.ndarray:
-    """(M, M + 1) number of bits in which label j's bit row differs from symbol m's.
-
-    ``bit_labels`` is a codebook's (M, bits) table of 0/1 labels.  Column M
-    is the erasure label -1, which differs from every symbol in every bit.
-    """
     labels = np.asarray(bit_labels)
-    if labels.ndim != 2 or not np.all((labels == 0) | (labels == 1)):
+    # An integer x is 0 or 1 exactly when x >> 1 is 0.
+    if labels.ndim != 2 or labels.dtype.kind not in "iu" or (labels >> 1).any():
         raise ValueError("bit labels must be an (M, bits) table of 0s and 1s")
-    labels = labels.astype(float)
-    ones = labels.sum(axis=1)
-    # For 0/1 rows a and b, the number of differing bits is |a| + |b| - 2 a.b:
-    # one BLAS product, exact in float64 for these small integers.
-    differ = labels @ labels.T
-    differ *= -2.0
-    differ += ones
-    differ += ones[:, None]
-    hamming = np.empty((len(labels), len(labels) + 1), dtype=np.intp)
-    hamming[:, :-1] = differ
-    hamming[:, -1] = labels.shape[1]
-    return hamming
-
-
-def error_counts(confusion, hamming) -> tuple[tuple[float, int], tuple[float, int], int]:
-    """``(ser, symbol errors), (ber, bit errors), erasures`` of a confusion count.
-
-    ``confusion`` is a :func:`confusion_matrix` and ``hamming`` the
-    :func:`hamming_table` of the same codebook; the BER is over symbols * bits.
-    """
-    confusion = np.asarray(confusion)
-    hamming = np.asarray(hamming)
-    m = len(confusion)
-    if confusion.shape != (m, m + 1) or hamming.shape != confusion.shape:
+    m, bits = labels.shape
+    if tx.size and (tx.min() < 0 or tx.max() >= m):
+        raise ValueError(f"transmitted symbols must be in [0, {m - 1}]; -1 is receive-only")
+    if rx.size and (rx.min() < -1 or rx.max() >= m):
+        raise ValueError(f"received labels must be in [-1, {m - 1}]")
+    w = np.ones(tx.size, dtype=np.intp) if weights is None else np.asarray(weights)
+    if w.shape != tx.shape or (w.size and (w.dtype.kind not in "iu" or w.min() < 0)):
         raise ValueError(
-            f"confusion {confusion.shape} and Hamming table {hamming.shape} "
-            f"must both be (M, M + 1)"
+            f"weights must be one nonnegative integer per pair, got {w.dtype} of shape {w.shape}"
         )
-    n = int(confusion.sum())
+    w = w.astype(np.intp, copy=False)
+    n = int(w.sum())
     if n == 0:
         raise ValueError("cannot compute a rate over zero symbols")
-    if hamming[0, -1] < 1:
+    if bits < 1:
         raise ValueError("cannot compute a bit error rate over zero bits per symbol")
-    symbol_errors = n - int(np.trace(confusion))
-    bit_errors = int(np.vdot(confusion, hamming))
-    bits = n * int(hamming[0, -1])
-    erasures = int(confusion[:, -1].sum())
-    return (symbol_errors / n, symbol_errors), (bit_errors / bits, bit_errors), erasures
+    erased = rx < 0
+    # Each label row as ceil(bits / 8) bytes; an erasure's row (index -1 reads
+    # the last symbol's) is overwritten with every bit.
+    packed = np.packbits(labels, axis=1)
+    flips = _POPCOUNT.take(packed.take(tx, axis=0) ^ packed.take(rx, axis=0)).sum(axis=1)
+    flips[erased] = bits
+    symbol_errors = int(np.dot(tx != rx, w))
+    bit_errors = int(np.dot(flips, w))
+    erasures = int(np.dot(erased, w))
+    return (symbol_errors / n, symbol_errors), (bit_errors / (n * bits), bit_errors), erasures

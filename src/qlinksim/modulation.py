@@ -32,11 +32,11 @@ class DetectorCodebook:
     no flagged weight.  A caller's complex stack gives its rows through
     ``state_rows(mats, 2)``; ``mats`` is the read-only (M, 2, 2) stack
     derived from the rows on first access.  ``bit_labels`` is the (M, bits)
-    table of 0/1 labels, bits >= 1, one row per state, kept as its own
-    integer array.  ``power_scale`` records the amplitude normalization
-    applied before embedding, so plotting code can undo it and recover
-    constellation coordinates on the original grid.  Every array is
-    read-only, as a comparison shares them.
+    table of integer (not bool or float) 0/1 labels, bits >= 1, one row per
+    state, kept as its own integer array.  ``power_scale`` records the
+    amplitude normalization applied before embedding, so plotting code can
+    undo it and recover constellation coordinates on the original grid.
+    Every array is read-only, as a comparison shares them.
     """
 
     rows: np.ndarray
@@ -67,6 +67,10 @@ class DetectorCodebook:
             raise ValueError(f"one bit label per state required, got shape {labels.shape}")
         if labels.shape[1] == 0 or not np.all((labels == 0) | (labels == 1)):
             raise ValueError("bit labels must be an (M, bits >= 1) table of 0s and 1s")
+        # Scoring reads the label rows as integers; bools and floats are
+        # rejected, not cast.
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"bit labels must be integers, got {labels.dtype}")
         labels = labels.astype(int)
         for attr, value in {"rows": rows, "priors": priors, "bit_labels": labels}.items():
             object.__setattr__(self, attr, read_only(value))

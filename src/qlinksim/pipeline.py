@@ -2,18 +2,20 @@
 
 A run is fully determined by its :class:`SimulationConfig`.  A comparison
 or a run of several channels builds one transmitter (codebook rows and PGM
-rows, each in closed form, symbols, per-symbol counts, Hamming table, tx
-projection) for all its channels, and every channel before the first runs.
+rows, each in closed form, symbols, per-symbol counts, tx projection) for
+all its channels, and every channel before the first runs.
 A whole run holds states only as real (n, 4) rows (:mod:`qlinksim.states`),
 builds no complex stack and calls no ``np.linalg`` routine: each
 channel is one pass over rows, checked once, where deterministic channels
 map the M codebook rows and stochastic ones the N transmitted rows.  A
 channel is decided by the transmitter's PGM, or, where it moves weight to
 the erasure flag, by that PGM with the erasure outcome
-(``embed_povm_with_erasure``).  It is scored from one (M, M + 1) confusion
-count of its decisions, which take the channel's rows unchecked: argmax
-decisions, made once per codebook state on a deterministic channel, and
-Born-sampled ones, a CDF search per symbol; neither forms an (N, K) array.
+(``embed_povm_with_erasure``), and scored by ``error_counts`` from its
+(sent, received) pairs, which forms no (M, M + 1) table.  Its decisions
+take the channel's rows unchecked: argmax decisions, made once per
+codebook state on a deterministic channel and weighted by how often each
+state was sent, and Born-sampled ones, a CDF search per symbol; neither
+forms an (N, K) array.
 Randomness comes from one stream per purpose, keyed by (seed, purpose) for
 the transmitted symbols and by (seed, purpose, channel name) for a
 channel's own draws and for sampled decisions, so results do not depend on
@@ -37,7 +39,7 @@ from .channels import Channel, ChannelConfig, check_fields
 from .channels import config_from_dict as channel_config_from_dict
 from .channels import config_to_dict as channel_config_to_dict
 from .detection import POVM, argmax_rows, build_pgm, embed_povm_with_erasure, sample_rows
-from .metrics import confusion_matrix, error_counts, hamming_table
+from .metrics import error_counts
 from .modulation import DetectorCodebook, qam_codebook, qam_side, qpsk_codebook
 from .visualization import StateProjection, project_rows, write_figures, write_states_csv
 
@@ -162,17 +164,15 @@ def draw_symbols(cfg: SimulationConfig, alphabet_size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Transmitter:
-    """What every channel of a run shares: the symbols, how often each codebook
-    state was sent (``counts``), and the codebook's :func:`hamming_table`;
-    with artifacts on, also the clip radius (1.5x the largest finite
-    tx-point radius) and the tx ``table``, one row per codebook state,
-    indexed by symbol."""
+    """What every channel of a run shares: the symbols and how often each
+    codebook state was sent (``counts``); with artifacts on, also the clip
+    radius (1.5x the largest finite tx-point radius) and the tx ``table``,
+    one row per codebook state, indexed by symbol."""
 
     codebook: DetectorCodebook
     povm: POVM
     symbols: np.ndarray
     counts: np.ndarray
-    hamming: np.ndarray
     clip_radius: float | None
     table: StateProjection | None
 
@@ -187,8 +187,7 @@ class _Transmitter:
             clip = 1.5 * float(np.max(radii, initial=1.0))
             table = project_rows(codebook.rows, codebook.power_scale, clip).take(symbols)
         counts = np.bincount(symbols, minlength=codebook.M)
-        hamming = hamming_table(codebook.bit_labels)
-        return cls(codebook, build_pgm(codebook), symbols, counts, hamming, clip, table)
+        return cls(codebook, build_pgm(codebook), symbols, counts, clip, table)
 
 
 def run_simulation(cfg: SimulationConfig, channel_name: str) -> ChannelRunResult:
@@ -215,8 +214,7 @@ def _run_channel(
 ) -> ChannelRunResult:
     """One channel's own work on a shared transmitter: channel pass on the
     codebook's rows, decisions (by ``embed_povm_with_erasure`` of the PGM
-    where the channel flags), their confusion count and its error counts,
-    artifacts."""
+    where the channel flags), their error counts, artifacts."""
     codebook, tx_symbols, povm = tx.codebook, tx.symbols, tx.povm
     if channel.output_dim > codebook.dim:
         povm = embed_povm_with_erasure(povm, channel.output_dim)
@@ -239,12 +237,11 @@ def _run_channel(
     else:
         decisions, label_index = argmax_rows(povm, rx_rows), rx_index
     if isinstance(label_index, slice):
-        confusion = confusion_matrix(tx_symbols, decisions, codebook.M)
+        counts = error_counts(tx_symbols, decisions, codebook.bit_labels)
     else:
         # Each state's one decision counts once per time the state was sent.
-        confusion = confusion_matrix(np.arange(codebook.M), decisions, codebook.M)
-        confusion *= tx.counts[:, None]
-    (ser, ser_count), (ber, ber_count), erasure_count = error_counts(confusion, tx.hamming)
+        counts = error_counts(np.arange(codebook.M), decisions, codebook.bit_labels, tx.counts)
+    (ser, ser_count), (ber, ber_count), erasure_count = counts
 
     states_csv = constellation_svg = bloch_svg = None
     if cfg.emit_states or cfg.emit_figures:

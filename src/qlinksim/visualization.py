@@ -377,13 +377,16 @@ _KEY = (
 )
 
 
-def _legend(parts: list[str], names: np.ndarray, colors: np.ndarray, x: float, y: float) -> None:
+def _legend(parts: list[str], names: np.ndarray, colors: np.ndarray, x: float, y: float) -> int:
     """One key per distinct label in ``names`` (sorted, as from ``np.unique``):
-    the symbols in increasing order, then the erasure label."""
+    the symbols in increasing order, then the erasure label, ``_KEYS_PER_ROW``
+    to a row.  Returns the number of rows."""
     order = np.argsort(names < 0, kind="stable")
     text = np.array(["erased" if v < 0 else f"s{v}" for v in names[order].tolist()], dtype=object)
-    lx, ly = x + 62.0 * np.arange(len(names)), np.full(len(names), y)
+    row, column = np.divmod(np.arange(len(names)), _KEYS_PER_ROW)
+    lx, ly = x + _KEY_PITCH * column, y + _KEY_ROW * row
     parts.extend(_filled(_KEY, lx, ly, colors[order], lx + 14, ly + 9, text, svg=True).tolist())
+    return -(-len(names) // _KEYS_PER_ROW)
 
 
 _CIRCLE = '<circle cx="%.2f" cy="%.2f" r="4" fill="%s" fill-opacity="0.75"/>'
@@ -413,20 +416,26 @@ _PANEL = 380.0
 _MARGIN = 50.0
 _GAP = 60.0
 _WIDTH = int(2 * _PANEL + 2 * _MARGIN + _GAP)
+# The canvas height with one row of legend keys; each further row adds _KEY_ROW.
 _HEIGHT = int(_PANEL + 2 * _MARGIN + 40)
+# Legend keys are _KEY_PITCH apart in a row, and a row of them ends inside
+# _WIDTH - _MARGIN.
+_KEY_PITCH = 62.0
+_KEY_ROW = 18
+_KEYS_PER_ROW = int((_WIDTH - 2 * _MARGIN) // _KEY_PITCH)
 
 
-def _panels(parts: list[str], draw_panel, tx, tx_labels, rx, rx_labels) -> None:
+def _panels(parts: list[str], draw_panel, tx, tx_labels, rx, rx_labels) -> int:
     """``draw_panel(parts, table, labels, colors, x0, name)`` for both panels,
-    then the legend.  ``labels`` are each symbol's index into ``colors``, one
-    color per distinct label of the two panels; they are freed on return,
-    before the caller joins the document."""
+    then the legend; returns its number of rows.  ``labels`` are each symbol's
+    index into ``colors``, one color per distinct label of the two panels;
+    they are freed on return, before the caller joins the document."""
     # Labels are numbered densely, so a (row, label) key cannot overflow.
     names, labels = np.unique(np.concatenate([tx_labels, rx_labels]), return_inverse=True)
     colors = np.array([_color(v) for v in names.tolist()], dtype=object)
     draw_panel(parts, tx, labels[: len(tx)], colors, _MARGIN, "transmitted")
     draw_panel(parts, rx, labels[len(tx) :], colors, _MARGIN + _PANEL + _GAP, "received")
-    _legend(parts, names, colors, _MARGIN, _MARGIN + _PANEL + 18)
+    return _legend(parts, names, colors, _MARGIN, _MARGIN + _PANEL + 18)
 
 
 def _figure(
@@ -434,29 +443,31 @@ def _figure(
     rx: StateProjection, rx_labels, path: str | Path, title: str,
 ) -> None:
     """Write the header, both panels (see :func:`_panels`) and the legend to
-    ``path``."""
+    ``path``; the canvas grows by ``_KEY_ROW`` per legend row after the first."""
     if not len(tx) or not len(rx):
         raise ValueError(f"{what} rendering needs nonempty tx and rx tables")
     if len(tx_labels) != len(tx) or len(rx_labels) != len(rx):
         raise ValueError(f"{what} rendering needs one label per symbol")
     tx_labels = _check_labels(tx_labels, "tx_labels")
     rx_labels = _check_labels(rx_labels, "rx_labels")
-    parts = [
+    body: list[str] = []
+    height = _HEIGHT + _KEY_ROW * (_panels(body, draw_panel, tx, tx_labels, rx, rx_labels) - 1)
+    body.append("</svg>")
+    header = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'height="{height}" viewBox="0 0 {_WIDTH} {height}">',
         comment,
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<rect width="{_WIDTH}" height="{height}" fill="#ffffff"/>',
     ]
     if title:
-        parts.append(
+        header.append(
             f'<text x="{_fmt(_WIDTH / 2)}" y="26" font-size="15" fill="#111" '
             f'text-anchor="middle">{_esc(title)}</text>'
         )
-    _panels(parts, draw_panel, tx, tx_labels, rx, rx_labels)
-    parts.append("</svg>")
     with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+        for part in (header, body):
+            fh.write("\n".join(part))
+            fh.write("\n")
 
 
 def render_constellation_svg(

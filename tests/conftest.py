@@ -7,8 +7,8 @@ that the PMD kernel is checked against bit for bit, a channel's map of
 a complex stack through the row path, the complex
 trace product that the row scores are checked against, the score-based
 Born sampler that the cumulative POVM sampler is checked against label
-for label, and the per-symbol SER/BER that the confusion counts are
-checked against."""
+for label, and the per-symbol SER/BER and the dense (M, M + 1) confusion
+count and Hamming table that ``error_counts`` is checked against."""
 
 import numpy as np
 
@@ -238,3 +238,34 @@ def symbols_to_bits(symbols, codebook) -> np.ndarray:
         )
     # Row M is the expansion of the erasure label, addressed as index -1.
     return bit_table(codebook)[symbols]
+
+
+def confusion_matrix(tx_symbols, rx_labels, M: int) -> np.ndarray:
+    """(M, M + 1) count of (transmitted symbol, received label) pairs: row m
+    counts the receptions of symbol m, column j < M label j and column M the
+    erasure label -1."""
+    tx, rx = np.asarray(tx_symbols, dtype=np.intp), np.asarray(rx_labels, dtype=np.intp)
+    # -1 % (M + 1) is M: the erasure label lands in the last column.
+    flat = tx * (M + 1) + rx % (M + 1)
+    return np.bincount(flat, minlength=M * (M + 1)).reshape(M, M + 1)
+
+
+def hamming_table(bit_labels) -> np.ndarray:
+    """(M, M + 1) number of bits in which label j's bit row differs from
+    symbol m's; column M, the erasure label, differs in every bit."""
+    labels = np.asarray(bit_labels)
+    hamming = np.empty((len(labels), len(labels) + 1), dtype=np.intp)
+    hamming[:, :-1] = np.count_nonzero(labels[:, None, :] != labels[None, :, :], axis=2)
+    hamming[:, -1] = labels.shape[1]
+    return hamming
+
+
+def dense_error_counts(confusion, hamming):
+    """``(ser, symbol errors), (ber, bit errors), erasures`` read off a
+    :func:`confusion_matrix` and the :func:`hamming_table` of its codebook."""
+    n = int(confusion.sum())
+    symbol_errors = n - int(np.trace(confusion))
+    bit_errors = int(np.vdot(confusion, hamming))
+    bits = n * int(hamming[0, -1])
+    erasures = int(confusion[:, -1].sum())
+    return (symbol_errors / n, symbol_errors), (bit_errors / bits, bit_errors), erasures

@@ -78,22 +78,32 @@ def _marker(parts, px, py, color, clipped):
         )
 
 
+# Legend keys sit in 62-px slots, as many to a row as fit between the
+# margins; each further row of keys is 18 px lower and adds 18 px of canvas.
+KEYS_PER_ROW = int((vis._WIDTH - 2 * vis._MARGIN) // 62.0)
+
+
+def _legend_rows(labels):
+    return -(-len(set(labels)) // KEYS_PER_ROW)
+
+
 def _legend(parts, labels, x, y):
     for k, label in enumerate(sorted(set(labels), key=lambda v: (v < 0, v))):
-        lx = x + 62.0 * k
+        lx = x + 62.0 * (k % KEYS_PER_ROW)
+        y_row = y + 18.0 * (k // KEYS_PER_ROW)
         name = "erased" if label < 0 else f"s{label}"
         parts.append(
-            f'<rect x="{fmt(lx)}" y="{fmt(y)}" width="10" height="10" '
+            f'<rect x="{fmt(lx)}" y="{fmt(y_row)}" width="10" height="10" '
             f'fill="{vis._color(label)}"/>'
         )
         parts.append(
-            f'<text x="{fmt(lx + 14)}" y="{fmt(y + 9)}" font-size="11" '
+            f'<text x="{fmt(lx + 14)}" y="{fmt(y_row + 9)}" font-size="11" '
             f'fill="#333">{name}</text>'
         )
 
 
-def _header(comment, title):
-    width, height = vis._WIDTH, vis._HEIGHT
+def _header(comment, title, labels):
+    width, height = vis._WIDTH, vis._HEIGHT + 18 * (_legend_rows(labels) - 1)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -113,7 +123,11 @@ def reference_constellation_svg(tx, tx_labels, rx, rx_labels, path, title=""):
     tx_labels, rx_labels = np.asarray(tx_labels).tolist(), np.asarray(rx_labels).tolist()
     sent = np.concatenate([tx.iq[tx.rows], rx.iq[rx.rows]])
     half = 1.05 * float(np.max(np.abs(sent), initial=1.0))
-    parts = _header(f"<!-- constellation reconstruction; axis half-range {fmt(half)} -->", title)
+    parts = _header(
+        f"<!-- constellation reconstruction; axis half-range {fmt(half)} -->",
+        title,
+        tx_labels + rx_labels,
+    )
     for table, labels, x0, name in (
         (tx, tx_labels, margin, "transmitted"),
         (rx, rx_labels, margin + panel + vis._GAP, "received"),
@@ -150,6 +164,7 @@ def reference_bloch_svg(tx, tx_labels, rx, rx_labels, path, title=""):
     parts = _header(
         "<!-- Bloch sphere, orthographic projection, azimuth 30 deg, elevation 20 deg -->",
         title,
+        tx_labels + rx_labels,
     )
     r = panel / 2 - 14.0
     for table, labels, x0, name in (

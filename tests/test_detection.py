@@ -196,11 +196,21 @@ class TestPOVMValidation:
             ([[1, 0, 0, 1], [1, 0, 0, -1]], 4, "dim must be 2"),
             ([[1, 0, 0, 1], [1, 0, 0, np.nan]], 2, "identity"),
             ([[1, 0, 0, 1], [1, 0, 0, -0.5]], 2, "identity"),
+            # A float dim loaded, and ``elements`` then raised a TypeError.
+            ([[1, 0, 0, 1], [1, 0, 0, -1]], 2.0, "dim must be 2"),
+            ([[1, 0, 0, 1], [1, 0, 0, -1]], np.float64(3.0), "dim must be 2"),
+            ([[1, 0, 0, 1], [1, 0, 0, -1]], True, "dim must be 2"),
         ],
     )
     def test_malformed_rows_rejected(self, rows, dim, message):
         with pytest.raises(ValueError, match=message):
             POVM(rows, tuple(range(len(rows))), dim)
+
+    @pytest.mark.parametrize("dim", [2, 3, np.int64(2), np.uint8(3)])
+    def test_integer_dim_stored_as_int(self, dim):
+        povm = POVM([[1, 0, 0, 1], [1, 0, 0, -1]], (0, 1), dim)
+        assert type(povm.dim) is int and povm.dim == dim
+        assert povm.elements.shape == (2, dim, dim)
 
     @pytest.mark.parametrize(
         "labels",
@@ -294,7 +304,8 @@ class TestBuildPgm:
         # rhobar is that state, of rank 1, and its zero eigenvalue is cut.
         mats = make_pure_states([ket, [1, 0], [0, 1]])
         priors = [1.0, 0.0, 0.0]
-        cb = DetectorCodebook(rows=state_rows(mats, 2), priors=priors, bit_labels=np.eye(3))
+        labels = np.eye(3, dtype=int)
+        cb = DetectorCodebook(rows=state_rows(mats, 2), priors=priors, bit_labels=labels)
         with pytest.raises(ValueError, match="codebook states do not span the full 2-dimensional"):
             build_pgm(cb)
 
@@ -325,7 +336,7 @@ class TestBuildPgm:
         rows = state_rows(mats, 2)
         assert np.all(np.linalg.norm(rows[:, 1:], axis=1) < 1.0)
         w = rng.random(12)
-        cb = DetectorCodebook(rows=rows, priors=w / w.sum(), bit_labels=np.eye(12))
+        cb = DetectorCodebook(rows=rows, priors=w / w.sum(), bit_labels=np.eye(12, dtype=int))
         ref = np.stack(one_state_pgm(cb.mats, cb.priors))
         povm = build_pgm(cb)
         assert np.max(np.abs(povm.elements - ref)) <= ULPS_4
@@ -503,12 +514,13 @@ class TestRowScores:
     def test_argmax_labels_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
         povm, _, rows = channel_outputs("pmd", 64, True, 300)
         want = np.array(povm.labels)[np.argmax(score_rows(povm, rows), axis=1)]
-        monkeypatch.setattr(detection, "_CHUNK", chunk or len(rows))
+        # Blocks of ``chunk`` rows of K scores each.
+        monkeypatch.setattr(detection, "_BLOCK_SCORES", (chunk or len(rows)) * len(povm.rows))
         assert np.array_equal(argmax_rows(povm, rows), want)
 
     def test_argmax_holds_one_chunk_of_scores(self, monkeypatch):
         povm, _, rows = channel_outputs("pmd", 64, True, 20_000)
-        monkeypatch.setattr(detection, "_CHUNK", 1000)
+        monkeypatch.setattr(detection, "_BLOCK_SCORES", 1000 * len(povm.rows))
         tracemalloc.start()
         try:
             argmax_rows(povm, rows)

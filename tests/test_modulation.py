@@ -326,6 +326,9 @@ class TestCodebookStack:
             (BASIS_ROWS, ((0.5,), (1,)), "table of 0s and 1s"),
             (BASIS_ROWS, np.zeros((2, 0), int), r"bits >= 1"),
             (make_pure_states([[1, 0], [0, 1]]), ((0,), (1,)), r"\(M, 4\) row stack"),
+            # Valued 0 and 1, but not integers: they loaded as 1 and 0.
+            (BASIS_ROWS, ((True,), (False,)), "bit labels must be integers, got bool"),
+            (BASIS_ROWS, ((1.0,), (0.0,)), "bit labels must be integers, got float64"),
         ],
     )
     def test_malformed_codebook_rejected(self, mats, labels, message):

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -781,10 +782,29 @@ def test_argmax_artifacts_do_not_depend_on_the_chunk(tmp_path, monkeypatch, chun
                        if c[0] in ("turbulence", "pmd")),
     )
     run_comparison(dataclasses.replace(cfg, output_dir=tmp_path / "whole"))
-    monkeypatch.setattr(detection, "_CHUNK", chunk or n)
+    # Blocks of ``chunk`` rows of the shipped 16-QAM PGM's 16 scores each.
+    monkeypatch.setattr(detection, "_BLOCK_SCORES", 16 * (chunk or n))
     run_comparison(dataclasses.replace(cfg, output_dir=tmp_path / "chunked"))
     for name in ("states_turbulence.csv", "states_pmd.csv"):
         assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "chunked" / name).read_bytes()
+
+
+def test_large_alphabet_argmax_run_forms_no_dense_table(tmp_path):
+    # At 1024-QAM one (M, M + 1) int64 table is 8 MiB, and so is one block
+    # of argmax scores over all M codebook rows: the bound admits neither a
+    # confusion count with a Hamming table nor such a block.
+    cfg = SimulationConfig(
+        modulation="qam", qam_order=1024, n_symbols=1000, seed=9,
+        channels=(("depolarizing", DepolarizingConfig(p=0.1)), ("erasure", ErasureConfig(p=0.25))),
+        output_dir=tmp_path, emit_states=False, emit_figures=False,
+    )
+    tracemalloc.start()
+    try:
+        run_comparison(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak / 2**20
 
 
 class TestStatesCsv:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import qlinksim
-from qlinksim import detection, pipeline, states, visualization
+from qlinksim import detection, metrics, pipeline, states, visualization
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,14 +39,12 @@ PUBLIC = [
     "TurbulenceConfig",
     "argmax_rows",
     "build_pgm",
-    "confusion_matrix",
     "decide",
     "default_config_path",
     "derive_rng",
     "embed_amplitudes",
     "embed_povm_with_erasure",
     "error_counts",
-    "hamming_table",
     "load_config",
     "measurement_scores",
     "project_rows",
@@ -67,6 +65,11 @@ PUBLIC = [
 def test_all_is_the_public_surface():
     assert qlinksim.__all__ == PUBLIC
     assert all(hasattr(qlinksim, name) for name in PUBLIC)
+    # A run scores its (sent, received) pairs: the dense (M, M + 1) tables
+    # left the package and the README (tests/conftest.py keeps them).
+    for name in ("confusion_matrix", "hamming_table"):
+        assert not hasattr(qlinksim, name) and not hasattr(metrics, name)
+        assert name not in README.read_text(encoding="utf-8"), name
 
 
 def test_kernels_and_per_symbol_helpers_left_the_top_level():

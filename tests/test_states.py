@@ -137,7 +137,8 @@ class TestDensityMatrixStack:
         raw = np.stack([random_density(rng, 2).mat for _ in range(12)])
         raw = raw + 1e-12j * rng.standard_normal(raw.shape)
         rows = state_rows(raw, 2)
-        codebook = DetectorCodebook(rows=rows, priors=np.full(12, 1 / 12), bit_labels=np.eye(12))
+        labels = np.eye(12, dtype=int)
+        codebook = DetectorCodebook(rows=rows, priors=np.full(12, 1 / 12), bit_labels=labels)
         states = codebook.states
         assert len(states) == 12
         for state, m in zip(states, raw):

@@ -12,7 +12,9 @@ from qlinksim import (
     ErasureConfig,
     embed_amplitudes,
     project_rows,
+    qam_codebook,
     qam_constellation,
+    qpsk_codebook,
     render_bloch_svg,
     render_constellation_svg,
     state_rows,
@@ -264,6 +266,41 @@ class TestRenderConstellation:
         tx, tx_labels, rx, rx_labels = _tx_rx_points()
         with pytest.raises(ValueError, match="one label per"):
             render_constellation_svg(tx, tx_labels, rx, rx_labels[:2], tmp_path / "c.svg")
+
+
+class TestLegend:
+    # Every key of the legend, square and name, lies inside the canvas: the
+    # keys wrap into rows and the canvas grows by a row's height for each
+    # row after the first.  A name is taken to be at most 0.6 em per
+    # character wide and 11 px (its font size) tall.
+    @pytest.mark.parametrize("codebook", [qpsk_codebook(), qam_codebook(16), qam_codebook(64)],
+                             ids=["qpsk", "qam16", "qam64"])
+    @pytest.mark.parametrize("render", [render_constellation_svg, render_bloch_svg])
+    def test_keys_inside_the_view_box(self, tmp_path, codebook, render):
+        points = project_rows(codebook.rows, codebook.power_scale)
+        sent = np.arange(codebook.M)
+        received = sent.copy()
+        received[::3] = -1
+        path = tmp_path / "figure.svg"
+        render(points, sent, points, received, path, title="legend")
+        root = ET.parse(path).getroot()
+        _, _, width, height = map(float, root.get("viewBox").split())
+        assert (float(root.get("width")), float(root.get("height"))) == (width, height)
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        squares = [r for r in root.findall("svg:rect", ns) if r.get("width") == "10"]
+        names = [t for t in root.findall("svg:text", ns) if t.get("font-size") == "11"
+                 and t.get("fill") == "#333"]
+        assert len(squares) == len(names) == codebook.M + 1
+        assert names[-1].text == "erased"
+        for square in squares:
+            x, y = float(square.get("x")), float(square.get("y"))
+            assert 0 <= x and x + 10 <= width and 0 <= y and y + 10 <= height
+        for name in names:
+            x, y = float(name.get("x")), float(name.get("y"))
+            assert 0 <= x and x + 0.6 * 11 * len(name.text) <= width and 11 <= y <= height
+        # One row holds the QPSK legend, so its canvas keeps its height.
+        if codebook.M == 4:
+            assert height == 520
 
 
 class TestRenderBloch:
