@@ -19,7 +19,8 @@ which take a POVM and checked rows (:func:`~qlinksim.states.state_rows`)
 unchecked, read its rows, labels and ``dim`` and nothing else, and form no
 BLAS product.  The erasure outcome has one constructor,
 :func:`embed_povm_with_erasure`: it appends the zero row, labeled -1, and
-sets ``dim`` 3, so that outcome fires on the flag's weight alone.  A complex
+sets ``dim`` 3, so that outcome fires on the flag's weight alone.  A run
+decides every channel, flagging or not, with that one POVM.  A complex
 (K, d, d) element stack crosses in through :meth:`POVM.from_elements`, and
 ``elements`` is derived from the rows.
 """
@@ -181,8 +182,9 @@ def embed_povm_with_erasure(povm: POVM, out_dim: int) -> POVM:
     """A qubit POVM on a qubit and an erasure flag (``out_dim`` 3): the
     elements act as before on the qubit and vanish on the flag, and the
     flag projector is appended as the erasure outcome (label -1).  Its row is
-    zero, so it fires on the flag's weight 1 - t alone; a run decides every
-    flagging channel with this POVM."""
+    zero, so it fires on the flag's weight 1 - t alone, which is 0 on a
+    channel that flags nothing; a comparison builds this POVM of its PGM
+    once and decides every channel with it."""
     if out_dim <= povm.dim:
         raise ValueError(f"target dim {out_dim} must exceed current POVM dim {povm.dim}")
     return POVM(np.vstack([povm.rows, np.zeros(4)]), povm.labels + (-1,), out_dim)
@@ -202,26 +204,21 @@ def argmax_rows(povm: POVM, rows: np.ndarray) -> np.ndarray:
     return decided
 
 
-def sample_rows(
-    povm: POVM, rows: np.ndarray, rng: np.random.Generator, index: np.ndarray | None = None
-) -> np.ndarray:
+def sample_rows(povm: POVM, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Born-rule decisions, int64 labels, on (n, 4) checked rows (from
     ``state_rows``, ``codebook.rows``, ``Channel.apply_rows`` or
-    ``check_rows``).
+    ``check_rows``), one draw per row.
 
     Outcome k's CDF value is a row's dot with the cumulative row
     (e_0 + ... + e_k) / 2.  Each draw takes one uniform u from ``rng``, in
-    order, and binary-searches for the first outcome whose CDF value exceeds
-    u times the row's total (which alone holds the flag's weight), in
-    ceil(log2 K) steps of one 4-float gather and row-wise dot each.  The
-    table holds the CDF rows of the first K - 1 outcomes, then rows of value
-    2t up to a power of two, labeled as the last outcome.  Row dots do not
-    depend on the batch, and a total off 1 by more than 1e-6 is rejected.
-    With ``index``, draw i is for row ``index[i]`` (one row per distinct
-    state of a deterministic channel) and reads a per-row CDF table, one
-    einsum of the rows with the search rows that forms no tiled or repeated
-    copy of either and gives the same dots, so the labels equal those of
-    ``rows[index]``.
+    order, and binary-searches its own row for the first outcome whose CDF
+    value exceeds u times the row's total (which alone holds the flag's
+    weight), in ceil(log2 K) steps of one 4-float gather and row-wise dot
+    each.  The table holds the CDF rows of the first K - 1 outcomes, then
+    rows of value 2t up to a power of two, labeled as the last outcome.  Row
+    dots do not depend on the batch, and a total off 1 by more than 1e-6 is
+    rejected.  A row repeated for several draws (a deterministic channel's
+    state, once per symbol that sent it) is searched once per draw.
     """
     e, labels = povm.rows, np.array(povm.labels, dtype=np.int64)
     k = len(e)
@@ -232,18 +229,6 @@ def sample_rows(
     totals = _row_dots(np.broadcast_to(cumulative[-1], rows.shape), rows)
     if povm.dim == 3:
         totals += 1.0 - rows[:, 0]
-    # Draw i searches the positions start[i] .. start[i] + width - 1: those
-    # of its own row, or its row's block of the per-row table.
-    if index is None:
-        start = np.zeros(len(rows), dtype=np.intp)
-
-        def cdf(at):
-            return _row_dots(search.take(at, axis=0), rows)
-
-    else:
-        start = np.asarray(index, dtype=np.intp) * width
-        totals = totals.take(index)
-        cdf = np.einsum("mf,wf->mw", rows, search).ravel().take
     off = np.abs(totals - 1.0)
     if off.max(initial=0.0) > 1e-6:
         raise ValueError(f"outcome probabilities sum to {float(totals[off.argmax()])!r}, not 1")
@@ -252,11 +237,12 @@ def sample_rows(
     targets *= rng.random(len(targets))
     # A step moves a draw forward by the step length while the last position
     # it would pass is still at or below its target.
+    at = np.zeros(len(rows), dtype=np.intp)
     step = width >> 1
     while step:
-        start += (cdf(start + (step - 1)) <= targets) * step
+        at += (_row_dots(search.take(at + (step - 1), axis=0), rows) <= targets) * step
         step >>= 1
-    return label_of.take(start & (width - 1))
+    return label_of.take(at)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -7,15 +7,15 @@ all its channels, and every channel before the first runs.
 A whole run holds states only as real (n, 4) rows (:mod:`qlinksim.states`),
 builds no complex stack and calls no ``np.linalg`` routine: each
 channel is one pass over rows, checked once, where deterministic channels
-map the M codebook rows and stochastic ones the N transmitted rows.  A
-channel is decided by the transmitter's PGM, or, where it moves weight to
-the erasure flag, by that PGM with the erasure outcome
-(``embed_povm_with_erasure``), and scored by ``error_counts`` from its
+map the M codebook rows and stochastic ones the N transmitted rows.  Every
+channel is decided by the transmitter's one measurement, the PGM with the
+erasure outcome (``embed_povm_with_erasure``), whose flag scores 0 on a
+channel that moves no weight to it, and scored by ``error_counts`` from its
 (sent, received) pairs, which forms no (M, M + 1) table.  Its decisions
 take the channel's rows unchecked: argmax decisions, made once per
 codebook state on a deterministic channel and weighted by how often each
-state was sent, and Born-sampled ones, a CDF search per symbol; neither
-forms an (N, K) array.
+state was sent, and Born-sampled ones, a CDF search in each symbol's own
+row; neither forms an (N, K) array.
 Randomness comes from one stream per purpose, keyed by (seed, purpose) for
 the transmitted symbols and by (seed, purpose, channel name) for a
 channel's own draws and for sampled decisions, so results do not depend on
@@ -83,6 +83,8 @@ class SimulationConfig:
             raise ValueError(
                 f"decision_mode must be 'argmax' or 'sampled', got {self.decision_mode!r}"
             )
+        if not self.channels:
+            raise ValueError("channels must list at least one channel")
         for entry in self.channels:
             if not isinstance(entry, (tuple, list)) or len(entry) != 2:
                 raise TypeError(f"{_ENTRY_RULE}, got {entry!r}")
@@ -164,10 +166,11 @@ def draw_symbols(cfg: SimulationConfig, alphabet_size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Transmitter:
-    """What every channel of a run shares: the symbols and how often each
-    codebook state was sent (``counts``); with artifacts on, also the clip
-    radius (1.5x the largest finite tx-point radius) and the tx ``table``,
-    one row per codebook state, indexed by symbol."""
+    """What every channel of a run shares: the PGM with the erasure outcome
+    (``povm``), the symbols and how often each codebook state was sent
+    (``counts``); with artifacts on, also the clip radius (1.5x the largest
+    finite tx-point radius) and the tx ``table``, one row per codebook
+    state, indexed by symbol."""
 
     codebook: DetectorCodebook
     povm: POVM
@@ -187,7 +190,8 @@ class _Transmitter:
             clip = 1.5 * float(np.max(radii, initial=1.0))
             table = project_rows(codebook.rows, codebook.power_scale, clip).take(symbols)
         counts = np.bincount(symbols, minlength=codebook.M)
-        return cls(codebook, build_pgm(codebook), symbols, counts, clip, table)
+        povm = embed_povm_with_erasure(build_pgm(codebook), 3)
+        return cls(codebook, povm, symbols, counts, clip, table)
 
 
 def run_simulation(cfg: SimulationConfig, channel_name: str) -> ChannelRunResult:
@@ -213,11 +217,9 @@ def _run_channel(
     cfg: SimulationConfig, tx: _Transmitter, channel_name: str, channel: Channel
 ) -> ChannelRunResult:
     """One channel's own work on a shared transmitter: channel pass on the
-    codebook's rows, decisions (by ``embed_povm_with_erasure`` of the PGM
-    where the channel flags), their error counts, artifacts."""
+    codebook's rows, decisions by the transmitter's flagged PGM, their error
+    counts, artifacts."""
     codebook, tx_symbols, povm = tx.codebook, tx.symbols, tx.povm
-    if channel.output_dim > codebook.dim:
-        povm = embed_povm_with_erasure(povm, channel.output_dim)
     # rx_rows holds each distinct received state once; rx_index maps
     # every symbol to its row (all rows, for a stochastic channel).
     if channel.is_stochastic:
@@ -232,8 +234,7 @@ def _run_channel(
     # is each symbol's received label.
     if cfg.decision_mode == "sampled":
         rng = derive_rng(cfg.seed, "decision", channel_name)
-        index = None if channel.is_stochastic else rx_index
-        decisions, label_index = sample_rows(povm, rx_rows, rng, index), slice(None)
+        decisions, label_index = sample_rows(povm, rx_rows[rx_index], rng), slice(None)
     else:
         decisions, label_index = argmax_rows(povm, rx_rows), rx_index
     if isinstance(label_index, slice):
@@ -282,8 +283,6 @@ def _named(name: str, fn, *args):
 
 def run_comparison(cfg: SimulationConfig) -> SimulationReport:
     """Run every configured channel through :func:`run_channels`; write report.json."""
-    if not cfg.channels:
-        raise ValueError("comparison needs at least one channel")
     start = time.perf_counter()
     entries = {r.name: r for r in run_channels(cfg, [n for n, _ in cfg.channels])}
     report = SimulationReport(

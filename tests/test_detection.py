@@ -66,20 +66,9 @@ def codebook_povm(m: int, erasure: bool):
     return cb, embed_povm_with_erasure(povm, 3) if erasure else povm
 
 
-def codebook_outputs(m: int, erasure: bool):
-    """The PGM and the rows of the codebook through depolarizing noise (then
-    erasure, when ``erasure``): one row per codebook state."""
-    cb, povm = codebook_povm(m, erasure)
-    rows = Channel(DepolarizingConfig(p=0.1)).apply_rows(cb.rows)
-    if erasure:
-        rows = Channel(ErasureConfig(p=0.25)).apply_rows(rows)
-    return povm, rows
-
-
 def channel_outputs(kind: str, m: int, erasure: bool, n: int):
-    """The PGM, the M codebook states and n random symbols' states through
-    one channel (then erasure, when ``erasure``), as rows: (M, 4), one row
-    per codebook state, and (n, 4), one row per symbol."""
+    """The PGM and n random symbols' states through one channel (then
+    erasure, when ``erasure``), as (n, 4) rows, one row per symbol."""
     cb, povm = codebook_povm(m, erasure)
     rng = np.random.default_rng(90 + n)
     channel = Channel({
@@ -87,12 +76,10 @@ def channel_outputs(kind: str, m: int, erasure: bool, n: int):
         "turbulence": TurbulenceConfig(sigma_p=0.1, w0=1.0, rytov_var=0.2),
         "pmd": PMDConfig(dgd=2.0, sigma_omega=1.0),
     }[kind])
-    per_state = channel.apply_rows(cb.rows, rng)
-    per_symbol = channel.apply_rows(cb.rows[rng.integers(0, m, n)], rng)
+    rows = channel.apply_rows(cb.rows[rng.integers(0, m, n)], rng)
     if erasure:
-        era = Channel(ErasureConfig(p=0.25))
-        per_state, per_symbol = era.apply_rows(per_state), era.apply_rows(per_symbol)
-    return povm, per_state, per_symbol
+        rows = Channel(ErasureConfig(p=0.25)).apply_rows(rows)
+    return povm, rows
 
 
 def two_state_codebook(overlap: float) -> DetectorCodebook:
@@ -382,7 +369,7 @@ class TestErasureEmbedding:
 
     @pytest.mark.parametrize("order", ["qpsk", 4, 16, 64])
     def test_rows_are_the_run_outcome_rows(self, order):
-        # A run decides a flagging channel with this POVM: the qubit PGM's
+        # A run decides every channel with this POVM: the qubit PGM's
         # rows bit for bit, then the zero row, labeled -1.
         povm = build_pgm(qpsk_codebook() if order == "qpsk" else qam_codebook(order))
         embedded = embed_povm_with_erasure(povm, 3)
@@ -512,14 +499,14 @@ class TestRowScores:
 
     @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_argmax_labels_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
-        povm, _, rows = channel_outputs("pmd", 64, True, 300)
+        povm, rows = channel_outputs("pmd", 64, True, 300)
         want = np.array(povm.labels)[np.argmax(score_rows(povm, rows), axis=1)]
         # Blocks of ``chunk`` rows of K scores each.
         monkeypatch.setattr(detection, "_BLOCK_SCORES", (chunk or len(rows)) * len(povm.rows))
         assert np.array_equal(argmax_rows(povm, rows), want)
 
     def test_argmax_holds_one_chunk_of_scores(self, monkeypatch):
-        povm, _, rows = channel_outputs("pmd", 64, True, 20_000)
+        povm, rows = channel_outputs("pmd", 64, True, 20_000)
         monkeypatch.setattr(detection, "_BLOCK_SCORES", 1000 * len(povm.rows))
         tracemalloc.start()
         try:
@@ -601,23 +588,14 @@ class TestBatchDetection:
     @pytest.mark.parametrize("m, erasure", [(4, False), (16, False), (16, True), (64, True)])
     @pytest.mark.parametrize("kind", ["depolarizing", "turbulence", "pmd"])
     def test_labels_match_score_sampler(self, kind, m, erasure, n):
-        povm, per_state, per_symbol = channel_outputs(kind, m, erasure, n)
-        got = sample_rows(povm, per_symbol, np.random.default_rng(86))
-        want = score_sample_labels(
-            povm, score_rows(povm, per_symbol), np.random.default_rng(86)
-        )
-        assert np.array_equal(got, want)
-        # Per-state mode: one row per codebook state, draw i for row index[i].
-        index = np.random.default_rng(87).integers(0, m, n)
-        got = sample_rows(povm, per_state, np.random.default_rng(88), index)
-        want = score_sample_labels(
-            povm, score_rows(povm, per_state)[index], np.random.default_rng(88)
-        )
+        povm, rows = channel_outputs(kind, m, erasure, n)
+        got = sample_rows(povm, rows, np.random.default_rng(86))
+        want = score_sample_labels(povm, score_rows(povm, rows), np.random.default_rng(86))
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("m, erasure", [(4, False), (64, True)])
     def test_labels_do_not_depend_on_chunking(self, m, erasure):
-        povm, _, rows = channel_outputs("pmd", m, erasure, 300)
+        povm, rows = channel_outputs("pmd", m, erasure, 300)
         whole = sample_rows(povm, rows, np.random.default_rng(89))
         for size in (1, 2, 7, 64, len(rows)):
             rng = np.random.default_rng(89)
@@ -628,7 +606,7 @@ class TestBatchDetection:
 
     def test_sampler_forms_no_per_draw_cdf(self):
         n = 20000
-        povm, _, rows = channel_outputs("pmd", 64, True, n)
+        povm, rows = channel_outputs("pmd", 64, True, n)
         assert len(povm.rows) == 65
         rng = np.random.default_rng(78)
         tracemalloc.start()
@@ -639,25 +617,12 @@ class TestBatchDetection:
             tracemalloc.stop()
         assert peak < n * len(povm.rows) * 8
 
-    @pytest.mark.parametrize(
-        "m, erasure, n",
-        [(4, False, 5000), (16, True, 5000), (64, False, 5000), (64, False, 10), (16, True, 1)],
-    )
-    def test_per_state_labels_match_gathered_rows(self, m, erasure, n):
-        povm, rows = codebook_outputs(m, erasure)
-        symbols = np.random.default_rng(80 + n).integers(0, m, n)
-        got_rng, want_rng = np.random.default_rng(81), np.random.default_rng(81)
-        got = sample_rows(povm, rows, got_rng, symbols)
-        want = sample_rows(povm, rows[symbols], want_rng)
-        assert np.array_equal(got, want)
-        assert got.dtype == want.dtype
-        assert got_rng.random() == want_rng.random()
-
     def test_per_state_draws_on_a_cdf_step_count_it(self):
         # A draw equal to a CDF value counts that entry (<=), also where a
         # zero-probability outcome repeats the value; dyadic elements and
         # basis states make the CDF exact: |0> has outcome probabilities
-        # (1/2, 0, 1/4, 1/4) and |1> (1/4, 1/4, 1/4, 1/4).
+        # (1/2, 0, 1/4, 1/4) and |1> (1/4, 1/4, 1/4, 1/4).  Each state's row
+        # is repeated once per draw, as a deterministic channel's run does.
         class FixedDraws:
             def random(self, n):
                 return np.array([0.5, 0.75, 0.0, 0.25, 0.5])[:n]
@@ -668,69 +633,42 @@ class TestBatchDetection:
             labels=(0, 1, 2, 3),
         )
         rows = state_rows(np.stack([pure(1, 0), pure(0, 1)]))
-        index = np.array([0, 0, 0, 1, 1])
-        got = sample_rows(povm, rows, FixedDraws(), index)
+        got = sample_rows(povm, rows[[0, 0, 0, 1, 1]], FixedDraws())
         assert got.tolist() == [2, 3, 0, 1, 2]
-        assert np.array_equal(got, sample_rows(povm, rows[index], FixedDraws()))
 
-    def test_per_state_sampler_forms_no_per_symbol_cdf(self):
-        n = 20000
-        povm, rows = codebook_outputs(64, True)
-        assert len(povm.rows) == 65
-        symbols = np.random.default_rng(84).integers(0, 64, n)
-        rng = np.random.default_rng(85)
-        tracemalloc.start()
-        try:
-            sample_rows(povm, rows, rng, symbols)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < n * len(povm.rows) * 8
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    @pytest.mark.parametrize(
+        "cfg",
+        [DepolarizingConfig(p=0.1), DephasingConfig(p=1.0), BosonicConfig(loss_db=3.0, n_th=0.2),
+         TurbulenceConfig(sigma_p=0.1, w0=1.0, rytov_var=0.2), PMDConfig(dgd=2.0, sigma_omega=1.0)],
+        ids=lambda cfg: cfg.kind,
+    )
+    def test_flagged_pgm_never_erases_a_trace_preserving_channel(self, cfg, m):
+        # A run decides every channel with the PGM and the erasure outcome.
+        # A channel that keeps the trace gives t = 1 exactly, so the flag
+        # scores 0: argmax takes the first of tied scores, the flag last, and
+        # a draw's target u * total stays below the last qubit CDF value,
+        # also at the largest draw u = 1 - 2^-53.  The labels are the PGM's.
+        class LastDraws:
+            def random(self, n):
+                return np.full(n, 1.0 - 2.0**-53)
 
-    @pytest.mark.parametrize("m", [4, 16, 64, 256, 1024])
-    def test_per_state_table_is_the_gathered_row_dots(self, m, monkeypatch):
-        # The per-state CDF table, bit for bit, against the row dots of every
-        # (state, search row) pair gathered into two tiled copies, for every
-        # deterministic channel, with and without the erasure outcome.
-        tables = []
-        einsum = np.einsum
-
-        def recording(subscripts, *operands):
-            out = einsum(subscripts, *operands)
-            if subscripts == "mf,wf->mw":
-                tables.append((operands, out))
-            return out
-
-        monkeypatch.setattr(detection.np, "einsum", recording)
-        cb = qpsk_codebook() if m == 4 else qam_codebook(m)
-        povm = build_pgm(cb)
-        index = np.random.default_rng(91).integers(0, m, 50)
-        for cfg in (DepolarizingConfig(p=0.1), DephasingConfig(p=0.2), ErasureConfig(p=0.25),
-                    BosonicConfig(loss_db=3.0, n_th=0.2)):
-            channel = Channel(cfg)
-            rows = channel.apply_rows(cb.rows)
-            flagging = channel.output_dim > cb.dim
-            decider = embed_povm_with_erasure(povm, 3) if flagging else povm
-            sample_rows(decider, rows, np.random.default_rng(92), index)
-            (got_rows, search), table = tables.pop()
-            assert got_rows is rows
-            width = len(search)
-            gathered = detection._row_dots(np.tile(search, (m, 1)), np.repeat(rows, width, axis=0))
-            assert np.array_equal(table.ravel(), gathered), cfg.kind
-
-    def test_per_state_table_is_the_only_table_held(self):
-        # 1024-QAM: a 1024 x 1024 table of 8 MiB, and no tiled or repeated
-        # copy of the rows beside it.
-        povm, rows = codebook_outputs(1024, False)
-        index = np.random.default_rng(93).integers(0, 1024, 100)
-        table_bytes = 1024 * 1024 * 8
-        tracemalloc.start()
-        try:
-            sample_rows(povm, rows, np.random.default_rng(94), index)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * table_bytes
+        cb, pgm = codebook_povm(m, False)
+        flagged = embed_povm_with_erasure(pgm, 3)
+        rng = np.random.default_rng(95)
+        rows = Channel(cfg).apply_rows(cb.rows[rng.integers(0, m, 500)], rng)
+        scores = score_rows(flagged, rows)
+        assert np.array_equal(rows[:, 0], np.ones(len(rows)))
+        assert np.array_equal(scores[:, -1], np.zeros(len(rows)))
+        if m == 4 and cfg.kind == "dephasing":
+            # |+> and |-> lose their Bloch vector: four scores of exactly 1/4.
+            assert (scores[:, :4] == 0.25).all(axis=1).any()
+        for decide_rows in (argmax_rows, lambda povm, r: sample_rows(povm, r, LastDraws())):
+            got = decide_rows(flagged, rows)
+            assert -1 not in got
+            assert np.array_equal(got, decide_rows(pgm, rows))
+        got = sample_rows(flagged, rows, np.random.default_rng(96))
+        assert np.array_equal(got, sample_rows(pgm, rows, np.random.default_rng(96)))
 
     def test_scores_do_not_hold_the_complex_product(self):
         cb = qam_codebook(64)

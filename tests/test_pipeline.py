@@ -576,9 +576,12 @@ class TestRunComparison:
         assert data["version"] == declared == qlinksim.__version__
 
     def test_empty_channel_list_rejected(self, tmp_path):
-        cfg = qpsk_config(tmp_path, ())
-        with pytest.raises(ValueError, match="at least one"):
-            run_comparison(cfg)
+        with pytest.raises(ValueError, match="at least one channel"):
+            qpsk_config(tmp_path, ())
+        with pytest.raises(ValueError, match="at least one channel"):
+            config_from_dict(
+                {"modulation": {"type": "qpsk"}, "n_symbols": 10, "seed": 1, "channels": []}
+            )
 
     def test_sampled_mode_reproducible(self, tmp_path):
         channels = (("deph", DepolarizingConfig(p=0.4)),)
@@ -731,10 +734,10 @@ def test_comparison_after_setup_uses_real_rows_only(tmp_path, monkeypatch, mode)
 
 
 @pytest.mark.parametrize("mode", ["argmax", "sampled"])
-def test_erasure_outcome_built_once_per_flagging_channel(tmp_path, monkeypatch, mode):
-    # The run adds the erasure outcome with the constructor the benchmark's
-    # set-up calls, once per channel that moves weight to the flag: on the
-    # shipped config, the erasure channel alone.
+def test_erasure_outcome_built_once_per_comparison(tmp_path, monkeypatch, mode):
+    # The transmitter adds the erasure outcome to its PGM once, with the
+    # constructor the benchmark's set-up calls, and every channel is decided
+    # with that one POVM: with no channel that flags and with two that do.
     calls = []
     real = pipeline.embed_povm_with_erasure
 
@@ -743,13 +746,19 @@ def test_erasure_outcome_built_once_per_flagging_channel(tmp_path, monkeypatch, 
         return real(povm, out_dim)
 
     monkeypatch.setattr(pipeline, "embed_povm_with_erasure", spy)
-    cfg = dataclasses.replace(
-        load_config(default_config_path()), n_symbols=300, decision_mode=mode,
-        output_dir=tmp_path, emit_states=False, emit_figures=False,
-    )
-    report = run_comparison(cfg)
-    assert calls == [(16, 3)]
-    assert report.channels["erasure"].erasure_count > 0
+    for channels, erased in (
+        ((("depolarizing", DepolarizingConfig(p=0.1)),
+          ("pmd", PMDConfig(dgd=2.0, sigma_omega=1.0))), False),
+        ((("erasure", ErasureConfig(p=0.25)), ("erasure2", ErasureConfig(p=0.5))), True),
+    ):
+        cfg = dataclasses.replace(
+            load_config(default_config_path()), n_symbols=300, decision_mode=mode,
+            channels=channels, output_dir=tmp_path, emit_states=False, emit_figures=False,
+        )
+        calls.clear()
+        report = run_comparison(cfg)
+        assert calls == [(16, 3)]
+        assert [r.erasure_count > 0 for r in report.channels.values()] == [erased, erased]
 
 
 def test_each_channel_checks_its_rows_once(tmp_path, monkeypatch):
@@ -1033,6 +1042,16 @@ class TestCli:
         rc = cli_main(["run", "--config", str(tmp_path / "absent.json")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_empty_channel_list_reports_error(self, tmp_path, capsys, command):
+        path = self._write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["channels"] = []
+        path.write_text(json.dumps(cfg))
+        assert cli_main([command, "--config", str(path)]) == 1
+        assert "at least one channel" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_channel_reports_error(self, tmp_path, capsys):
         rc = cli_main(["run", "--config", str(self._write_config(tmp_path)),
