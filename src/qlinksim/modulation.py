@@ -13,6 +13,7 @@ the row (1 + |alpha|^2, 2 Re alpha, 2 Im alpha, 1 - |alpha|^2) / (1 + |alpha|^2)
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -118,9 +119,10 @@ def qam_side(order: int) -> int:
     """Side of the square M-QAM grid; ``order`` must be an integer (not a
     bool) and an even power of two."""
     m = int(order) if isinstance(order, numbers.Integral) and not isinstance(order, bool) else 0
-    if m < 4 or (m & (m - 1)) != 0 or int(np.log2(m)) % 2 != 0:
+    # Integer arithmetic: numpy's log2 and sqrt take no int of 2**64 or more.
+    if m < 4 or (m & (m - 1)) != 0 or m.bit_length() % 2 != 1:
         raise ValueError(f"QAM order must be 4, 16, 64, ... got {order!r}")
-    return int(np.sqrt(m))
+    return math.isqrt(m)
 
 
 def qam_constellation(order: int) -> tuple[np.ndarray, np.ndarray, float]:

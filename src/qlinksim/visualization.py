@@ -6,7 +6,10 @@ state as :func:`project_rows` computes it, whose ``rows`` index gives each
 symbol's row, and one label per symbol; a caller's complex stack is
 projected as ``project_rows(state_rows(mats))``.  :func:`read_states_csv`
 rebuilds the tables and labels from a states CSV, clip flags and received
-traces included, so they redraw the figures of the run that wrote it.
+traces included, so they redraw the figures of the run that wrote it; it
+checks every line against one regular expression built from the header,
+parses the columns with ``np.loadtxt`` and, on any failure, names the
+first fault in line order.
 :func:`write_figures` writes a channel's I/Q constellation (the
 amplitude-ratio reconstruction of each qubit state) and Bloch sphere (a
 fixed orthographic projection), each with transmitted and received panels
@@ -23,7 +26,7 @@ Python call per number, so the text held at once stays bounded.
 from __future__ import annotations
 
 import copy
-import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -168,12 +171,15 @@ STATES_CSV_HEADER = (
 )
 
 
-# What the writer emits, and so all the reader accepts (:func:`_column`):
-# decimal integers [+-]?D+ and '.12g' spellings [+-]?D+(.D+)?(e[+-]?D+)?,
-# D a digit (no spaces, underscores, inf or nan).  The characters of each,
-# digits written as 0, and the line breaks between a column's cells:
-_SPELLING = {int: "0+-\n", float: "0+-.e\n"}
-_DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
+# The writer's spelling family, all the reader accepts: decimal integers
+# [+-]?D+ and '.12g' numbers [+-]?D+(.D+)?(e[+-]?D+)?, D an ASCII digit (no
+# spaces, underscores, inf or nan); a column the reader does not use (None)
+# may hold any cell.  The optional parts are written as empty alternatives,
+# not '?' groups, for each of which `re` allocates at every cell.
+_INTEGER = "[+-]?[0-9]+"
+_CELL = {int: _INTEGER, float: _INTEGER + r"(?:\.[0-9]+|)(?:e[+-]?[0-9]+|)", None: "[^,\n]*"}
+# How each column is read.
+_KIND = {n: int if n in ("index", "tx_label", "rx_label") else float for n in STATES_CSV_HEADER}
 
 # Rows filled per '%' operation: bounds the text and arguments held at once.
 _CHUNK = 512
@@ -256,92 +262,82 @@ def read_states_csv(path: str | Path) -> tuple:
     A point is clipped where its Bloch z, as written, gives a rho_00 below
     ``_RHO00_FLOOR`` (:func:`_rho00`, the rule :func:`project_rows`
     applies); the rx trace is ``rx_renorm_trace`` and the tx trace 1, so
-    the tables redraw the run's figures.  It accepts only what
-    :func:`write_states_csv` writes: a missing cell, a cell beyond the
-    header, a label or ``index`` that is not decimal digits with an optional
-    sign, a number that is not a finite '.12g' spelling (sign, digits,
-    optional fraction, optional exponent: no spaces, underscores, inf or
-    nan) or an ``index`` that is not the row's position (0, 1, 2, ...) is
-    an error naming its file, line and column.
+    the tables redraw the run's figures.  It accepts the writer's spelling
+    family (``_CELL``), and reads a repeated column name from its last
+    column.  One regular expression built from the header checks every
+    line that is not blank, and ``np.loadtxt`` parses the columns read:
+    int64 for ``index`` and the labels, float for the rest.  On any failure
+    :func:`_first_fault` raises the first fault in line order, naming its
+    file, line and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    header = lines[0].split(",")
+        header = fh.readline().rstrip("\n").split(",")
+        body = fh.read()
     missing = [c for c in STATES_CSV_HEADER if c not in header]
     if missing:
         raise ValueError(f"{path} lacks states CSV columns: {', '.join(missing)}")
-    width = len(header)
-    # The 1-based numbers of the data lines, blank lines skipped.
-    numbers = [n for n, line in enumerate(lines[1:], 2) if line]
-    if not numbers:
-        raise ValueError(f"no data rows in {path}")
-    body = [lines[n - 1] for n in numbers]
-    commas = [line.count(",") for line in body]
-    for n, line, count in zip(numbers, body, commas):
-        if count >= width:
-            raise ValueError(
-                f"{path}, line {n}, column {width + 1}: "
-                f"expected no cell beyond the header, got {line.split(',')[width]!r}"
-            )
-    # The cells in order; a short row's missing cells read "\n", which no
-    # cell of a line holds.
-    flat = ",".join(line + ",\n" * (width - 1 - c) for line, c in zip(body, commas)).split(",")
-    # Each column's cells, by name; a repeated name is its last column.
-    columns_of = {name: flat[j::width] for j, name in enumerate(header)}
-
-    def cells(names, kind):
-        """The named columns as one (rows, columns) array, each column parsed
-        at once; if one fails, the first cell, in row order, that is not a
-        ``kind`` as the writer spells it raises."""
-        values = [_column(columns_of[name], kind) for name in names]
-        if all(v is not None for v in values):
-            return np.stack(values, axis=1)
-        for at, name in itertools.product(range(len(body)), names):
-            text = columns_of[name][at]
-            if _column([text], kind) is None:
-                what = "an integer" if kind is int else "a finite number"
-                got = "nothing" if text == "\n" else repr(text)
-                raise ValueError(
-                    f"{path}, line {numbers[at]}, column {name}: expected {what}, got {got}"
-                )
-
-    out_of_order = np.flatnonzero(cells(["index"], int).ravel() != np.arange(len(body)))
-    if out_of_order.size:
-        at = int(out_of_order[0])
-        got = columns_of["index"][at]
-        raise ValueError(f"{path}, line {numbers[at]}, column index: expected {at}, got {got!r}")
+    last = {name: j for j, name in enumerate(header)}
+    kinds = [_KIND.get(name) if last[name] == j else None for j, name in enumerate(header)]
+    line = ",".join(_CELL[kind] for kind in kinds)
+    values = None
+    # A body of line breaks alone has no data row, and numpy would warn on it.
+    if not re.search(f"^(?!$|{line}$)", body, re.M) and body.count("\n") < len(body):
+        dtype = [(name, np.int64 if kind is int else float) for name, kind in _KIND.items()]
+        try:
+            values = np.loadtxt(path, dtype, comments=None, delimiter=",", skiprows=1,
+                                usecols=[last[name] for name in _KIND], ndmin=1, encoding="utf-8")
+        except ValueError:  # an integer beyond int64
+            pass
+    ok = values is not None and np.array_equal(values["index"], np.arange(len(values)))
+    if not ok or not all(np.isfinite(values[n]).all() for n in _KIND if _KIND[n] is float):
+        _first_fault(path, header, kinds, body)
+    del body  # the file's text is not held while the tables are built
     tables = []
-    traces = {"tx": np.ones(len(body)), "rx": cells(["rx_renorm_trace"], float).ravel()}
+    # Copied out, so that no table keeps every parsed column alive.
+    traces = {"tx": np.ones(len(values)), "rx": values["rx_renorm_trace"].copy()}
     for side in ("tx", "rx"):
-        bloch = cells([f"{side}_bloch_{a}" for a in "xyz"], float)
+        bloch = np.stack([values[f"{side}_bloch_{a}"] for a in "xyz"], axis=1)
         table = StateProjection(
             bloch=bloch,
             trace=traces[side],
-            iq=cells([f"{side}_{a}" for a in "iq"], float),
+            iq=np.stack([values[f"{side}_{a}"] for a in "iq"], axis=1),
             clipped=_rho00(bloch)[1],
         )
-        labels = cells([f"{side}_label"], int).ravel()
+        labels = values[f"{side}_label"].copy()
         tables += [table, _check_labels(labels, f"{path}, column {side}_label")]
     return tuple(tables)
 
 
-def _column(texts, kind) -> np.ndarray | None:
-    """The int64 or float values of one column's cells, or None unless every
-    cell is spelled as the writer spells a ``kind`` and its value is finite
-    and, for an integer, within int64.  Checked on the whole column at once:
-    the cells hold only their spelling's characters, a '.' only between
-    digits, and each converts, which leaves exactly the spellings above (a
-    line holds no line break, so the mark "\n" of a missing cell converts to
-    nothing)."""
-    joined = "\n".join(texts)
-    digits = joined.translate(_DIGITS_TO_ZERO)
-    if digits.strip(_SPELLING[kind]) or digits.count(".") != digits.count("0.0"):
-        return None
-    try:
-        values = np.array(texts, dtype=np.int64 if kind is int else float)
-    except (OverflowError, ValueError):
-        return None
-    return values if np.isfinite(values).all() else None
+def _first_fault(path, header: list, kinds: list, body: str) -> None:
+    """Raise the first fault of a states CSV's ``body`` in line order, left
+    to right within a line: a cell beyond the header, a missing cell, a cell
+    of a column read as ``kinds[j]`` that is not spelled as
+    ``_CELL[kinds[j]]``, is not finite or, for an integer, is beyond int64,
+    or an ``index`` that is not the row's position (0, 1, 2, ...).  Blank
+    lines are skipped but counted: the body starts on line 2.  A body with
+    none of these faults has no data rows, or is not what ``np.loadtxt``
+    read when it opened the file again."""
+    row = 0
+    for n, text in enumerate(body.split("\n"), 2):
+        if not text:
+            continue
+        cells = text.split(",")
+        if len(cells) > len(header):
+            raise ValueError(f"{path}, line {n}, column {len(header) + 1}: expected no cell "
+                             f"beyond the header, got {cells[len(header)]!r}")
+        cells += [None] * (len(header) - len(cells))
+        for name, kind, cell in zip(header, kinds, cells):
+            ok = cell is not None and re.fullmatch(_CELL[kind], cell)
+            if ok and kind:
+                ok = np.isfinite(float(cell)) if kind is float else -(2**63) <= int(cell) < 2**63
+            if not ok:
+                what = {int: "an integer", float: "a finite number"}.get(kind, "a cell")
+                got = "nothing" if cell is None else repr(cell)
+                raise ValueError(f"{path}, line {n}, column {name}: expected {what}, got {got}")
+            if name == "index" and kind and int(cell) != row:
+                raise ValueError(f"{path}, line {n}, column index: expected {row}, got {cell!r}")
+        row += 1
+    raise ValueError(f"no data rows in {path}" if not row else f"{path} changed while it was read")
 
 
 def _project(x, y, z):

@@ -93,7 +93,7 @@ class TestQamConstellation:
         with pytest.raises(ValueError, match="order"):
             qam_constellation(order)
 
-    @pytest.mark.parametrize("order", [16.9, 64.5, 16.0, np.float64(16.0), True, "16", None])
+    @pytest.mark.parametrize("order", [16.9, 64.5, 16.0, np.float64(16.0), True, "16", None, 2**65])
     def test_non_integral_or_boolean_order_rejected(self, order):
         # int() would have truncated 16.9 to a 16-QAM codebook.
         for build in (qam_side, qam_constellation, qam_codebook):
@@ -102,6 +102,8 @@ class TestQamConstellation:
 
     def test_integral_orders_of_any_integer_type_accepted(self):
         assert qam_side(np.int64(64)) == qam_side(np.uint8(64)) == qam_side(64) == 8
+        # Beyond 2**64, where numpy's log2 and sqrt take no Python int.
+        assert qam_side(4**40) == 2**40
 
 
 class TestEmbedAlpha:
