@@ -83,12 +83,14 @@ class SimulationConfig:
             raise ValueError(
                 f"decision_mode must be 'argmax' or 'sampled', got {self.decision_mode!r}"
             )
-        if not self.channels:
+        # Taken once, so that the checks cannot use up an iterator.
+        channels = tuple(self.channels)
+        if not channels:
             raise ValueError("channels must list at least one channel")
-        for entry in self.channels:
+        for entry in channels:
             if not isinstance(entry, (tuple, list)) or len(entry) != 2:
                 raise TypeError(f"{_ENTRY_RULE}, got {entry!r}")
-        object.__setattr__(self, "channels", tuple((n, c) for n, c in self.channels))
+        object.__setattr__(self, "channels", tuple((n, c) for n, c in channels))
         names = [n for n, _ in self.channels]
         for name, config in self.channels:
             if not isinstance(name, str):
@@ -221,27 +223,26 @@ def _run_channel(
     counts, artifacts."""
     codebook, tx_symbols, povm = tx.codebook, tx.symbols, tx.povm
     # rx_rows holds each distinct received state once; rx_index maps
-    # every symbol to its row (all rows, for a stochastic channel).
+    # every symbol to its row (all rows, for a stochastic channel).  Argmax
+    # decides each row once, so a deterministic channel's decision for a
+    # state counts once per time the state was sent.
     if channel.is_stochastic:
         rng = derive_rng(cfg.seed, "channel", channel_name)
         rx_rows = channel.apply_rows(codebook.rows[tx_symbols], rng)
         rx_index = slice(None)
+        sent, weights = tx_symbols, None
     else:
         rx_rows = channel.apply_rows(codebook.rows)
         rx_index = tx_symbols
-    # decisions holds one label per symbol, or one per codebook state when a
-    # deterministic channel's states are argmax-decided; decisions[label_index]
-    # is each symbol's received label.
+        sent, weights = np.arange(codebook.M), tx.counts
     if cfg.decision_mode == "sampled":
         rng = derive_rng(cfg.seed, "decision", channel_name)
-        decisions, label_index = sample_rows(povm, rx_rows[rx_index], rng), slice(None)
+        rx_symbols = sample_rows(povm, rx_rows[rx_index], rng)
+        counts = error_counts(tx_symbols, rx_symbols, codebook.bit_labels)
     else:
-        decisions, label_index = argmax_rows(povm, rx_rows), rx_index
-    if isinstance(label_index, slice):
-        counts = error_counts(tx_symbols, decisions, codebook.bit_labels)
-    else:
-        # Each state's one decision counts once per time the state was sent.
-        counts = error_counts(np.arange(codebook.M), decisions, codebook.bit_labels, tx.counts)
+        decisions = argmax_rows(povm, rx_rows)
+        counts = error_counts(sent, decisions, codebook.bit_labels, weights)
+        rx_symbols = decisions[rx_index]
     (ser, ser_count), (ber, ber_count), erasure_count = counts
 
     states_csv = constellation_svg = bloch_svg = None
@@ -249,7 +250,6 @@ def _run_channel(
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         rx_table = project_rows(rx_rows, codebook.power_scale, clip_radius=tx.clip_radius)
         tx_table, rx_table = tx.table, rx_table.take(rx_index)
-        rx_symbols = decisions[label_index]
     if cfg.emit_states:
         states_csv = f"states_{channel_name}.csv"
         write_states_csv(cfg.output_dir / states_csv, tx_table, rx_table, tx_symbols, rx_symbols)

@@ -20,7 +20,9 @@ formatting costs in proportion to the number of distinct states, not of
 symbols; the bytes are those of formatting every symbol on its own.
 Tables, markers and CSV lines are each formatted by one printf-style template
 filled ``_CHUNK`` rows per '%' operation (:func:`_fill`), not by one
-Python call per number, so the text held at once stays bounded.
+Python call per number.  The CSV and both figures are written as they are
+drawn, ``_CHUNK`` symbols at a time, so the text held at once is that of
+the distinct rows or markers plus one chunk, never of a whole file.
 """
 
 from __future__ import annotations
@@ -367,35 +369,18 @@ def _color(label: int) -> str:
     return _PALETTE[label % len(_PALETTE)]
 
 
-_KEY = (
-    '<rect x="%.2f" y="%.2f" width="10" height="10" fill="%s"/>\n'
-    '<text x="%.2f" y="%.2f" font-size="11" fill="#333">%s</text>'
-)
-
-
-def _legend(parts: list[str], names: np.ndarray, colors: np.ndarray, x: float, y: float) -> int:
-    """One key per distinct label in ``names`` (sorted, as from ``np.unique``):
-    the symbols in increasing order, then the erasure label, ``_KEYS_PER_ROW``
-    to a row.  Returns the number of rows."""
-    order = np.argsort(names < 0, kind="stable")
-    text = np.array(["erased" if v < 0 else f"s{v}" for v in names[order].tolist()], dtype=object)
-    row, column = np.divmod(np.arange(len(names)), _KEYS_PER_ROW)
-    lx, ly = x + _KEY_PITCH * column, y + _KEY_ROW * row
-    parts.extend(_filled(_KEY, lx, ly, colors[order], lx + 14, ly + 9, text, svg=True).tolist())
-    return -(-len(names) // _KEYS_PER_ROW)
-
-
-_CIRCLE = '<circle cx="%.2f" cy="%.2f" r="4" fill="%s" fill-opacity="0.75"/>'
+_CIRCLE = '<circle cx="%.2f" cy="%.2f" r="4" fill="%s" fill-opacity="0.75"/>\n'
 # A clipped point: the two diagonals of a square 8 px wide around it.
-_SEGMENT = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" stroke-width="1.5"/>'
-_CROSS = _SEGMENT + "\n" + _SEGMENT
+_SEGMENT = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" stroke-width="1.5"/>\n'
+_CROSS = _SEGMENT * 2
 
 
-def _markers(parts: list[str], px, py, clipped, rows, labels, colors) -> None:
-    """One marker per symbol, at table row ``rows[k]`` of the per-row ``px``,
-    ``py`` and ``clipped``, in color ``colors[labels[k]]``: a circle, or a
-    cross if clipped.  Each distinct (row, label) pair is formatted once, by
-    one template per marker shape."""
+def _markers(fh, px, py, clipped, rows, labels, colors) -> None:
+    """Write one marker per symbol to ``fh``, at table row ``rows[k]`` of the
+    per-row ``px``, ``py`` and ``clipped``, in color ``colors[labels[k]]``: a
+    circle, or a cross if clipped.  Each distinct (row, label) pair is
+    formatted once, by one template per marker shape, and the symbols'
+    markers are written ``_CHUNK`` at a time."""
     keys, inverse = np.unique(rows.astype(np.int64) * len(colors) + labels, return_inverse=True)
     row, label = np.divmod(keys, len(colors))
     x, y, cross, color = px[row], py[row], clipped[row].astype(bool), colors[label]
@@ -405,7 +390,8 @@ def _markers(parts: list[str], px, py, clipped, rows, labels, colors) -> None:
     text[cross] = _filled(
         _CROSS, x - 4, y - 4, x + 4, y + 4, c, x - 4, y + 4, x + 4, y - 4, c, svg=True
     )
-    parts.extend(text[inverse].tolist())
+    for start in range(0, len(inverse), _CHUNK):
+        fh.write("".join(text[inverse[start : start + _CHUNK]].tolist()))
 
 
 _PANEL = 380.0
@@ -419,51 +405,59 @@ _HEIGHT = int(_PANEL + 2 * _MARGIN + 40)
 _KEY_PITCH = 62.0
 _KEY_ROW = 18
 _KEYS_PER_ROW = int((_WIDTH - 2 * _MARGIN) // _KEY_PITCH)
-
-
-def _panels(parts: list[str], draw_panel, tx, tx_labels, rx, rx_labels) -> int:
-    """``draw_panel(parts, table, labels, colors, x0, name)`` for both panels,
-    then the legend; returns its number of rows.  ``labels`` are each symbol's
-    index into ``colors``, one color per distinct label of the two panels;
-    they are freed on return, before the caller joins the document."""
-    # Labels are numbered densely, so a (row, label) key cannot overflow.
-    names, labels = np.unique(np.concatenate([tx_labels, rx_labels]), return_inverse=True)
-    colors = np.array([_color(v) for v in names.tolist()], dtype=object)
-    draw_panel(parts, tx, labels[: len(tx)], colors, _MARGIN, "transmitted")
-    draw_panel(parts, rx, labels[len(tx) :], colors, _MARGIN + _PANEL + _GAP, "received")
-    return _legend(parts, names, colors, _MARGIN, _MARGIN + _PANEL + 18)
+_KEY = (
+    '<rect x="%.2f" y="%.2f" width="10" height="10" fill="%s"/>\n'
+    '<text x="%.2f" y="%.2f" font-size="11" fill="#333">%s</text>\n'
+)
 
 
 def _figure(
-    what: str, comment: str, draw_panel, tx: StateProjection, tx_labels,
+    what: str, comment: str, panel, tx: StateProjection, tx_labels,
     rx: StateProjection, rx_labels, path: str | Path, title: str,
 ) -> None:
-    """Write the header, both panels (see :func:`_panels`) and the legend to
-    ``path``; the canvas grows by ``_KEY_ROW`` per legend row after the first."""
+    """Write a two-panel figure to ``path`` as it is drawn: the header, each
+    panel's frame and markers, and the legend.
+
+    ``panel(table, x0, name)`` returns the frame lines of the panel at ``x0``
+    and the per-row ``px``, ``py`` and clip flags of ``table``'s markers.
+    Every check runs before the file is opened.  The legend has one key per
+    distinct label of the two panels, the symbols in increasing order, then
+    the erasure label, ``_KEYS_PER_ROW`` to a row; the canvas grows by
+    ``_KEY_ROW`` per legend row after the first."""
     if not len(tx) or not len(rx):
         raise ValueError(f"{what} rendering needs nonempty tx and rx tables")
     if len(tx_labels) != len(tx) or len(rx_labels) != len(rx):
         raise ValueError(f"{what} rendering needs one label per symbol")
     tx_labels = _check_labels(tx_labels, "tx_labels")
     rx_labels = _check_labels(rx_labels, "rx_labels")
-    body: list[str] = []
-    height = _HEIGHT + _KEY_ROW * (_panels(body, draw_panel, tx, tx_labels, rx, rx_labels) - 1)
-    body.append("</svg>")
-    header = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{height}" viewBox="0 0 {_WIDTH} {height}">',
-        comment,
-        f'<rect width="{_WIDTH}" height="{height}" fill="#ffffff"/>',
-    ]
-    if title:
-        header.append(
-            f'<text x="{_fmt(_WIDTH / 2)}" y="26" font-size="15" fill="#111" '
-            f'text-anchor="middle">{_esc(title)}</text>'
-        )
+    # Labels are numbered densely, so a (row, label) key cannot overflow.
+    names, labels = np.unique(np.concatenate([tx_labels, rx_labels]), return_inverse=True)
+    colors = np.array([_color(v) for v in names.tolist()], dtype=object)
+    height = _HEIGHT + _KEY_ROW * (-(-len(names) // _KEYS_PER_ROW) - 1)
     with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
-        for part in (header, body):
-            fh.write("\n".join(part))
-            fh.write("\n")
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{height}" viewBox="0 0 {_WIDTH} {height}">\n{comment}\n'
+            f'<rect width="{_WIDTH}" height="{height}" fill="#ffffff"/>\n'
+        )
+        if title:
+            fh.write(
+                f'<text x="{_fmt(_WIDTH / 2)}" y="26" font-size="15" fill="#111" '
+                f'text-anchor="middle">{_esc(title)}</text>\n'
+            )
+        for table, x0, name, table_labels in (
+            (tx, _MARGIN, "transmitted", labels[: len(tx)]),
+            (rx, _MARGIN + _PANEL + _GAP, "received", labels[len(tx) :]),
+        ):
+            frame, px, py, clipped = panel(table, x0, name)
+            fh.write("\n".join(frame) + "\n")
+            _markers(fh, px, py, clipped, table.rows, table_labels, colors)
+        order = np.argsort(names < 0, kind="stable")
+        text = np.array(["erased" if v < 0 else f"s{v}" for v in names[order].tolist()], dtype=object)
+        row, column = np.divmod(np.arange(len(names)), _KEYS_PER_ROW)
+        lx, ly = _MARGIN + _KEY_PITCH * column, _MARGIN + _PANEL + 18 + _KEY_ROW * row
+        fh.writelines(_filled(_KEY, lx, ly, colors[order], lx + 14, ly + 9, text, svg=True).tolist())
+        fh.write("</svg>\n")
 
 
 def render_constellation_svg(
@@ -478,11 +472,12 @@ def render_constellation_svg(
     # Over the rows the symbols use, so a state never sent cannot widen the axes.
     sent = np.concatenate([tx.iq[tx.rows], rx.iq[rx.rows]])
     half = 1.05 * float(np.max(np.abs(sent), initial=1.0))
+    del sent  # not held while the figure is written
 
-    def draw_panel(parts, table: StateProjection, labels, colors, x0: float, name: str) -> None:
+    def panel(table: StateProjection, x0: float, name: str) -> tuple:
         y0 = _MARGIN
         cx, cy = x0 + _PANEL / 2, y0 + _PANEL / 2
-        parts += [
+        frame = [
             f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(_PANEL)}" '
             f'height="{_fmt(_PANEL)}" fill="none" stroke="#888"/>',
             f'<line x1="{_fmt(x0)}" y1="{_fmt(cy)}" x2="{_fmt(x0 + _PANEL)}" '
@@ -499,10 +494,10 @@ def render_constellation_svg(
         i, q = table.iq.T
         px = x0 + (i + half) / (2 * half) * _PANEL
         py = y0 + (half - q) / (2 * half) * _PANEL
-        _markers(parts, px, py, table.clipped, table.rows, labels, colors)
+        return frame, px, py, table.clipped
 
     comment = f"<!-- constellation reconstruction; axis half-range {_fmt(half)} -->"
-    _figure("constellation", comment, draw_panel, tx, tx_labels, rx, rx_labels, path, title)
+    _figure("constellation", comment, panel, tx, tx_labels, rx, rx_labels, path, title)
 
 
 @lru_cache(maxsize=2)  # one per panel
@@ -546,19 +541,18 @@ def render_bloch_svg(
     """Two-panel Bloch sphere scatter colored by label, in the fixed orthographic view."""
     radius = _PANEL / 2 - 14.0
 
-    def draw_panel(parts, table: StateProjection, labels, colors, x0: float, name: str) -> None:
+    def panel(table: StateProjection, x0: float, name: str) -> tuple:
         cx, cy = x0 + _PANEL / 2, _MARGIN + _PANEL / 2
-        parts.extend(_sphere_wireframe(cx, cy, radius))
-        parts.append(
+        frame = [
+            *_sphere_wireframe(cx, cy, radius),
             f'<text x="{_fmt(cx)}" y="{_fmt(_MARGIN - 8)}" font-size="13" '
-            f'fill="#333" text-anchor="middle">{name}</text>'
-        )
+            f'fill="#333" text-anchor="middle">{name}</text>',
+        ]
         u, v = _project(*table.bloch.T)
-        unclipped = np.zeros(len(u), bool)
-        _markers(parts, cx + radius * u, cy - radius * v, unclipped, table.rows, labels, colors)
+        return frame, cx + radius * u, cy - radius * v, np.zeros(len(u), bool)
 
     comment = "<!-- Bloch sphere, orthographic projection, azimuth 30 deg, elevation 20 deg -->"
-    _figure("Bloch", comment, draw_panel, tx, tx_labels, rx, rx_labels, path, title)
+    _figure("Bloch", comment, panel, tx, tx_labels, rx, rx_labels, path, title)
 
 
 def write_figures(out_dir, channel, tx, tx_labels, rx, rx_labels) -> tuple[str, str]:

@@ -583,6 +583,15 @@ class TestRunComparison:
                 {"modulation": {"type": "qpsk"}, "n_symbols": 10, "seed": 1, "channels": []}
             )
 
+    def test_channel_iterator_keeps_its_pairs(self, tmp_path):
+        # The config takes its channels once; its checks must not use them up.
+        pair = ("a", DepolarizingConfig(p=0.1))
+        cfg = qpsk_config(tmp_path, iter([pair]), n=10, emit_states=False, emit_figures=False)
+        assert cfg.channels == (pair,)
+        assert list(run_comparison(cfg).channels) == ["a"]
+        with pytest.raises(ValueError, match="at least one channel"):
+            qpsk_config(tmp_path, iter([]))
+
     def test_sampled_mode_reproducible(self, tmp_path):
         channels = (("deph", DepolarizingConfig(p=0.4)),)
         cfg = qpsk_config(

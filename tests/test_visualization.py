@@ -20,7 +20,7 @@ from qlinksim import (
     state_rows,
     write_states_csv,
 )
-from qlinksim.visualization import StateProjection, read_states_csv
+from qlinksim.visualization import StateProjection, read_states_csv, write_figures
 
 
 def stack(states):
@@ -199,6 +199,24 @@ def _traced_peak(call, *args) -> int:
         tracemalloc.stop()
 
 
+def _memory_tables(m_rx: int) -> tuple:
+    """2x10^5 symbols on a 16-row tx table and an rx table of ``m_rx`` rows
+    (16, a deterministic channel's, or one per symbol, a stochastic one's):
+    tx table, tx labels, rx table, rx labels."""
+    n, rng = 200_000, np.random.default_rng(11)
+
+    def rows(m):
+        return StateProjection(
+            bloch=rng.uniform(-1, 1, (m, 3)), trace=rng.uniform(0.5, 1, m),
+            iq=rng.standard_normal((m, 2)), clipped=np.zeros(m, dtype=bool),
+        )
+
+    symbols = rng.integers(0, 16, n)
+    tx = rows(16).take(symbols)
+    rx = rows(m_rx).take(symbols if m_rx == 16 else np.arange(n))
+    return tx, symbols, rx, rng.integers(-1, 16, n)
+
+
 class TestStatesCsvMemory:
     """The states CSV writer holds the text of its tables and of one chunk of
     lines, never of every symbol's line; the reader holds the file's text and
@@ -211,18 +229,9 @@ class TestStatesCsvMemory:
         "m_rx, bound_mib", [(16, 6.1), (200_000, 61.0)], ids=["deterministic", "stochastic"]
     )
     def test_peak_at_2e5_symbols(self, tmp_path, m_rx, bound_mib):
-        n, rng = 200_000, np.random.default_rng(11)
-
-        def rows(m):
-            return StateProjection(
-                bloch=rng.uniform(-1, 1, (m, 3)), trace=rng.uniform(0.5, 1, m),
-                iq=rng.standard_normal((m, 2)), clipped=np.zeros(m, dtype=bool),
-            )
-
-        symbols, path = rng.integers(0, 16, n), tmp_path / "states.csv"
-        tx = rows(16).take(symbols)
-        rx = rows(m_rx).take(symbols if m_rx == 16 else np.arange(n))
-        peak = _traced_peak(write_states_csv, path, tx, rx, symbols, rng.integers(-1, 16, n))
+        tx, tx_labels, rx, rx_labels = _memory_tables(m_rx)
+        path = tmp_path / "states.csv"
+        peak = _traced_peak(write_states_csv, path, tx, rx, tx_labels, rx_labels)
         assert peak <= bound_mib * 2**20, peak / 2**20
         if m_rx == 16:
             return
@@ -230,6 +239,20 @@ class TestStatesCsvMemory:
         # before it converts a column peaks at 8.1 times this file.
         peak = _traced_peak(read_states_csv, path)
         assert peak <= 3 * path.stat().st_size, peak / path.stat().st_size
+
+
+class TestFigureMemory:
+    """The figure writer holds the text of the distinct markers and of one
+    chunk of markers, never a whole figure's document."""
+
+    # On these tables, a writer that joins each whole document before writing
+    # it peaks at 61-67 and 84-90 MiB.
+    @pytest.mark.parametrize(
+        "m_rx, bound_mib", [(16, 40.0), (200_000, 70.0)], ids=["deterministic", "stochastic"]
+    )
+    def test_peak_at_2e5_symbols(self, tmp_path, m_rx, bound_mib):
+        peak = _traced_peak(write_figures, tmp_path, "memory", *_memory_tables(m_rx))
+        assert peak <= bound_mib * 2**20, peak / 2**20
 
 
 def _tx_rx_points():
@@ -387,6 +410,28 @@ class TestLabelCheck:
             else:
                 render = {"constellation": render_constellation_svg, "bloch": render_bloch_svg}
                 render[writer](rows, [0, 1], rows, labels, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "writer, n_rx, message",
+        [("constellation", 0, "needs nonempty tx and rx tables"),
+         ("bloch", 0, "needs nonempty tx and rx tables"),
+         ("states_csv", 1, "must have equal lengths"),
+         ("constellation", 1, "needs one label per symbol"),
+         ("bloch", 1, "needs one label per symbol")],
+        ids=["constellation-empty", "bloch-empty", "states_csv-label-count",
+             "constellation-label-count", "bloch-label-count"],
+    )
+    def test_refused_tables_leave_no_file(self, tmp_path, writer, n_rx, message):
+        # An empty rx table, or one rx row with two labels.
+        rows, path = table(iq=[(0.5, 0.0), (0.0, 0.5)]), tmp_path / "out"
+        rx, rx_labels = rows.take(slice(0, n_rx)), [0, 1] if n_rx else []
+        with pytest.raises(ValueError, match=message):
+            if writer == "states_csv":
+                write_states_csv(path, rows, rx, [0, 1], rx_labels)
+            else:
+                render = {"constellation": render_constellation_svg, "bloch": render_bloch_svg}
+                render[writer](rows, [0, 1], rx, rx_labels, path)
         assert not path.exists()
 
     @pytest.mark.parametrize("writer", ["states_csv", "constellation", "bloch"])
