@@ -248,15 +248,13 @@ def _run_channel(
     states_csv = constellation_svg = bloch_svg = None
     if cfg.emit_states or cfg.emit_figures:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        rx_table = project_rows(rx_rows, codebook.power_scale, clip_radius=tx.clip_radius)
-        tx_table, rx_table = tx.table, rx_table.take(rx_index)
+        rx_table = project_rows(rx_rows, codebook.power_scale, tx.clip_radius).take(rx_index)
+        tables = (tx.table, tx_symbols, rx_table, rx_symbols)
     if cfg.emit_states:
         states_csv = f"states_{channel_name}.csv"
-        write_states_csv(cfg.output_dir / states_csv, tx_table, rx_table, tx_symbols, rx_symbols)
+        write_states_csv(cfg.output_dir / states_csv, *tables)
     if cfg.emit_figures:
-        constellation_svg, bloch_svg = write_figures(
-            cfg.output_dir, channel_name, tx_table, tx_symbols, rx_table, rx_symbols
-        )
+        constellation_svg, bloch_svg = write_figures(cfg.output_dir, channel_name, *tables)
 
     return ChannelRunResult(
         name=channel_name,
@@ -410,9 +408,22 @@ def config_to_dict(cfg: SimulationConfig) -> dict:
     }
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a key given twice is a
+    ``ValueError`` naming it, where ``json`` would keep the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate config key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str | Path) -> SimulationConfig:
+    """The config in the JSON file at ``path``; an object at any depth that
+    repeats a key is rejected, naming the key."""
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+        return config_from_dict(json.load(fh, object_pairs_hook=_unique_keys))
 
 
 def default_config_path() -> Path:

@@ -1,15 +1,19 @@
 """The per-symbol artifacts: the states CSV and two SVG figures.
 
-This module alone writes and reads both formats.  Every writer takes a
-:class:`StateProjection` table per panel (tx and rx), one row per distinct
-state as :func:`project_rows` computes it, whose ``rows`` index gives each
-symbol's row, and one label per symbol; a caller's complex stack is
-projected as ``project_rows(state_rows(mats))``.  :func:`read_states_csv`
-rebuilds the tables and labels from a states CSV, clip flags and received
-traces included, so they redraw the figures of the run that wrote it; it
-checks every line against one regular expression built from the header,
-parses the columns with ``np.loadtxt`` and, on any failure, names the
-first fault in line order.
+This module alone writes and reads both formats.  Every writer takes its
+arguments in one order, ``(tx, tx_labels, rx, rx_labels)``: a
+:class:`StateProjection` table per panel, one row per distinct state as
+:func:`project_rows` computes it, whose ``rows`` index gives each symbol's
+row, and one label per symbol; a caller's complex stack is projected as
+``project_rows(state_rows(mats))``.  One check (:func:`_check_tables`)
+refuses empty tables and label counts that do not match before any file is
+opened.  A table holds what the states CSV holds: its clip flags are
+derived from its Bloch z, so :func:`read_states_csv`, which returns the
+same four in the same order, rebuilds tables that redraw the figures of
+the run that wrote it, and ``write_states_csv(dst, *read_states_csv(src))``
+rewrites ``src``.  The reader checks every line against one regular
+expression built from the header, parses the columns with ``np.loadtxt``
+and, on any failure, names the first fault in line order.
 :func:`write_figures` writes a channel's I/Q constellation (the
 amplitude-ratio reconstruction of each qubit state) and Bloch sphere (a
 fixed orthographic projection), each with transmitted and received panels
@@ -58,34 +62,41 @@ class StateProjection:
     """Leading-qubit-block coordinates of distinct states, and each symbol's row.
 
     ``bloch`` (m, 3) are the Bloch coordinates of the renormalized block,
-    ``trace`` (m,) its weight before renormalization, ``iq`` (m, 2) the
-    reconstructed constellation point and ``clipped`` (m,) whether that
-    reconstruction diverged and was pinned at the clip radius, one row per
-    state.  ``rows`` (n,) is the row of each symbol; it defaults to
-    ``arange(m)``, one symbol per row.  A field of another shape, or with
-    an entry that is not finite, is a ``ValueError`` naming it: the states
-    CSV reader would refuse what it writes.
+    ``trace`` (m,) its weight before renormalization and ``iq`` (m, 2) the
+    reconstructed constellation point, one row per state.  ``rows`` (n,) is
+    the row of each symbol; it defaults to ``arange(m)``, one symbol per
+    row.  A field of another shape, or with an entry that is not finite, is
+    a ``ValueError`` naming it: the states CSV reader would refuse what it
+    writes.  Each field is stored as an array.  :attr:`clipped` is derived
+    from ``bloch``, not stored, by the rule the states CSV reader applies
+    to the Bloch z it reads back.
     """
 
     bloch: np.ndarray
     trace: np.ndarray
     iq: np.ndarray
-    clipped: np.ndarray
     rows: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.size(self.trace)
-        for name, tail in (("trace", ()), ("bloch", (3,)), ("iq", (2,)), ("clipped", ())):
+        for name, tail in (("trace", ()), ("bloch", (3,)), ("iq", (2,))):
             value = np.asarray(getattr(self, name))
             if value.shape != (m, *tail):
                 raise ValueError(f"{name} must have shape {(m, *tail)}, got {value.shape}")
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         rows = np.arange(m) if self.rows is None else self.rows
         object.__setattr__(self, "rows", _row_index(rows, m))
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    @property
+    def clipped(self) -> np.ndarray:
+        """(m,) whether each row's constellation point diverged and was pinned
+        at the clip radius: the rule of :func:`_rho00` on its Bloch z."""
+        return _rho00(self.bloch)[1]
 
     def take(self, index) -> "StateProjection":
         """The symbols selected by ``index``: the same checked state arrays, ``rows[index]``."""
@@ -124,8 +135,13 @@ def project_rows(
     block, divided by ``power_scale`` to land back on the constellation
     grid.  When rho_00 falls below ``_RHO00_FLOOR`` the ratio diverges,
     so the point is pinned at ``clip_radius`` along the direction of
-    rho_10 (or along +I if even that vanishes) and flagged.
+    rho_10 (or along +I if even that vanishes), which the table's
+    ``clipped`` flags.  ``power_scale`` and ``clip_radius`` must be finite
+    and > 0, else a ``ValueError`` naming the first that is not.
     """
+    for name, value in (("power_scale", power_scale), ("clip_radius", clip_radius)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     trace = rows[:, 0]
     depleted = trace < TOL
     bloch = np.where(depleted[:, None], 0.0, rows[:, 1:] / np.where(depleted, 1.0, trace)[:, None])
@@ -138,7 +154,7 @@ def project_rows(
         clip_radius * direction,
         ratio / np.where(clipped, 1.0, r00)[:, None] / power_scale,
     )
-    return StateProjection(bloch, trace, iq, clipped)
+    return StateProjection(bloch, trace, iq)
 
 
 def _check_labels(labels, name: str) -> np.ndarray:
@@ -153,6 +169,18 @@ def _check_labels(labels, name: str) -> np.ndarray:
         bound = ">= -1" if labels.dtype.kind == "i" else "<= 2**63 - 1"
         raise ValueError(f"{name} must be {bound}, got {labels[bad[0]]} at index {bad[0]}")
     return out
+
+
+def _check_tables(what: str, tx, tx_labels, rx, rx_labels) -> tuple:
+    """Check a writer's tables and labels; return the labels as
+    :func:`_check_labels` gives them.  Both tables must be nonempty, with
+    one label per symbol, else a ``ValueError`` names ``what``.  Every
+    writer calls it before it opens its file."""
+    if not len(tx) or not len(rx):
+        raise ValueError(f"{what} needs nonempty tx and rx tables")
+    if len(tx_labels) != len(tx) or len(rx_labels) != len(rx):
+        raise ValueError(f"{what} needs one label per symbol")
+    return _check_labels(tx_labels, "tx_labels"), _check_labels(rx_labels, "rx_labels")
 
 
 STATES_CSV_HEADER = (
@@ -224,9 +252,9 @@ def _csv_text(*columns: np.ndarray) -> np.ndarray:
 
 def write_states_csv(
     path: str | Path,
-    tx_rows: StateProjection,
-    rx_rows: StateProjection,
+    tx: StateProjection,
     tx_labels: Sequence[int],
+    rx: StateProjection,
     rx_labels: Sequence[int],
 ) -> None:
     """Per-symbol dump: labels, Bloch projections, I/Q reconstructions.
@@ -239,38 +267,37 @@ def write_states_csv(
     fills the chunk's lines from the text of the table rows they index.  So
     the numbers are formatted once per distinct state, and the text held at
     once is that of the tables plus one chunk, not of every symbol.  No
-    field needs CSV quoting: they are ints and '.12g' numbers.
+    field needs CSV quoting: they are ints and '.12g' numbers.  The tables
+    are checked by :func:`_check_tables`, and must hold as many tx as rx
+    symbols (one line each), before the file is opened.
     """
-    if not len(tx_rows) == len(rx_rows) == len(tx_labels) == len(rx_labels):
-        raise ValueError("state and label sequences must have equal lengths")
-    tx_labels = _check_labels(tx_labels, "tx_labels")
-    rx_labels = _check_labels(rx_labels, "rx_labels")
-    tx_bloch, tx_iq = _csv_text(tx_rows.bloch), _csv_text(tx_rows.iq)
-    rx_bloch, rx_iq = _csv_text(rx_rows.bloch, rx_rows.trace), _csv_text(rx_rows.iq)
+    tx_labels, rx_labels = _check_tables("states CSV", tx, tx_labels, rx, rx_labels)
+    if len(tx) != len(rx):
+        raise ValueError("states CSV: tx and rx tables must have equal lengths")
+    tx_bloch, tx_iq = _csv_text(tx.bloch), _csv_text(tx.iq)
+    rx_bloch, rx_iq = _csv_text(rx.bloch, rx.trace), _csv_text(rx.iq)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(STATES_CSV_HEADER) + "\n")
         for start in range(0, len(tx_labels), _CHUNK):
             chunk = slice(start, start + _CHUNK)
-            a, b = tx_rows.rows[chunk], rx_rows.rows[chunk]
+            a, b = tx.rows[chunk], rx.rows[chunk]
             columns = (np.arange(start, start + len(a)), tx_labels[chunk], rx_labels[chunk])
             columns += (tx_bloch[a], rx_bloch[b], tx_iq[a], rx_iq[b])
             fh.writelines(_fill(_CSV_LINE, *columns, sep=""))
 
 
 def read_states_csv(path: str | Path) -> tuple:
-    """Rebuild the writers' inputs from a states CSV's columns: tx table, tx
-    labels, rx table, rx labels.
+    """Rebuild the writers' inputs from a states CSV's columns, in their
+    order: tx table, tx labels, rx table, rx labels.
 
-    A point is clipped where its Bloch z, as written, gives a rho_00 below
-    ``_RHO00_FLOOR`` (:func:`_rho00`, the rule :func:`project_rows`
-    applies); the rx trace is ``rx_renorm_trace`` and the tx trace 1, so
-    the tables redraw the run's figures.  It accepts the writer's spelling
-    family (``_CELL``), and reads a repeated column name from its last
-    column.  One regular expression built from the header checks every
-    line that is not blank, and ``np.loadtxt`` parses the columns read:
-    int64 for ``index`` and the labels, float for the rest.  On any failure
-    :func:`_first_fault` raises the first fault in line order, naming its
-    file, line and column.
+    The rx trace is ``rx_renorm_trace`` and the tx trace 1; a table's clip
+    flags follow from its Bloch z as written, so the tables redraw the
+    run's figures.  It accepts the writer's spelling family (``_CELL``),
+    and reads a repeated column name from its last column.  One regular
+    expression built from the header checks every line that is not blank,
+    and ``np.loadtxt`` parses the columns read: int64 for ``index`` and the
+    labels, float for the rest.  On any failure :func:`_first_fault` raises
+    the first fault in line order, naming its file, line and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -298,12 +325,10 @@ def read_states_csv(path: str | Path) -> tuple:
     # Copied out, so that no table keeps every parsed column alive.
     traces = {"tx": np.ones(len(values)), "rx": values["rx_renorm_trace"].copy()}
     for side in ("tx", "rx"):
-        bloch = np.stack([values[f"{side}_bloch_{a}"] for a in "xyz"], axis=1)
         table = StateProjection(
-            bloch=bloch,
+            bloch=np.stack([values[f"{side}_bloch_{a}"] for a in "xyz"], axis=1),
             trace=traces[side],
             iq=np.stack([values[f"{side}_{a}"] for a in "iq"], axis=1),
-            clipped=_rho00(bloch)[1],
         )
         labels = values[f"{side}_label"].copy()
         tables += [table, _check_labels(labels, f"{path}, column {side}_label")]
@@ -420,16 +445,12 @@ def _figure(
 
     ``panel(table, x0, name)`` returns the frame lines of the panel at ``x0``
     and the per-row ``px``, ``py`` and clip flags of ``table``'s markers.
-    Every check runs before the file is opened.  The legend has one key per
-    distinct label of the two panels, the symbols in increasing order, then
-    the erasure label, ``_KEYS_PER_ROW`` to a row; the canvas grows by
-    ``_KEY_ROW`` per legend row after the first."""
-    if not len(tx) or not len(rx):
-        raise ValueError(f"{what} rendering needs nonempty tx and rx tables")
-    if len(tx_labels) != len(tx) or len(rx_labels) != len(rx):
-        raise ValueError(f"{what} rendering needs one label per symbol")
-    tx_labels = _check_labels(tx_labels, "tx_labels")
-    rx_labels = _check_labels(rx_labels, "rx_labels")
+    Every check (:func:`_check_tables`) runs before the file is opened.
+    The legend has one key per distinct label of the two panels, the
+    symbols in increasing order, then the erasure label, ``_KEYS_PER_ROW``
+    to a row; the canvas grows by ``_KEY_ROW`` per legend row after the
+    first."""
+    tx_labels, rx_labels = _check_tables(f"{what} rendering", tx, tx_labels, rx, rx_labels)
     # Labels are numbered densely, so a (row, label) key cannot overflow.
     names, labels = np.unique(np.concatenate([tx_labels, rx_labels]), return_inverse=True)
     colors = np.array([_color(v) for v in names.tolist()], dtype=object)

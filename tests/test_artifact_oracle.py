@@ -40,7 +40,7 @@ def fmt(x):
     return "0.00" if s == "-0.00" else s
 
 
-def reference_states_csv(path, tx_rows, rx_rows, tx_labels, rx_labels):
+def reference_states_csv(path, tx_rows, tx_labels, rx_rows, rx_labels):
     tx, rx = tx_rows.rows, rx_rows.rows
     values = np.column_stack(
         [tx_rows.bloch[tx], rx_rows.bloch[rx], rx_rows.trace[rx], tx_rows.iq[tx], rx_rows.iq[rx]]
@@ -215,8 +215,8 @@ def assert_same_bytes(tmp_path, tx, tx_labels, rx, rx_labels, title="oracle"):
     for name, writer, reference in WRITERS:
         fast, slow = tmp_path / f"fast_{name}", tmp_path / f"slow_{name}"
         if writer is write_states_csv:
-            writer(fast, tx, rx, tx_labels, rx_labels)
-            reference(slow, tx, rx, tx_labels, rx_labels)
+            writer(fast, tx, tx_labels, rx, rx_labels)
+            reference(slow, tx, tx_labels, rx, rx_labels)
         else:
             writer(tx, tx_labels, rx, rx_labels, fast, title=title)
             reference(tx, tx_labels, rx, rx_labels, slow, title=title)
@@ -248,14 +248,14 @@ def test_pipeline_tables_of_every_channel(tmp_path, monkeypatch, mode):
 
 
 def table(iq, bloch=None, trace=None, clipped=()):
+    """A table whose ``clipped`` rows have Bloch z = -1 (rho_00 = 0)."""
     n = len(iq)
-    flags = np.zeros(n, dtype=bool)
-    flags[list(clipped)] = True
+    bloch = np.zeros((n, 3)) if bloch is None else np.array(bloch, dtype=float)
+    bloch[list(clipped), 2] = -1.0
     return StateProjection(
-        bloch=np.zeros((n, 3)) if bloch is None else np.asarray(bloch, dtype=float),
+        bloch=bloch,
         trace=np.ones(n) if trace is None else np.asarray(trace, dtype=float),
         iq=np.asarray(iq, dtype=float).reshape(n, 2),
-        clipped=flags,
     )
 
 
@@ -326,7 +326,7 @@ def test_take_of_take_is_a_view(tmp_path):
     second = rng.integers(0, 30, size=50)
     twice = states.take(first).take(second)
     assert len(twice) == 50 and np.array_equal(twice.rows, first[second])
-    for name in ("bloch", "trace", "iq", "clipped"):
+    for name in ("bloch", "trace", "iq"):
         assert np.shares_memory(getattr(twice, name), getattr(states, name)), name
     once = states.take(first[second])
     assert_same_bytes(tmp_path, twice, second % 4, once, second % 3)
@@ -369,13 +369,15 @@ def test_adversarial_values(tmp_path):
         (0.125, 0.375), (-12.005, 2.675),
     ]
     spins[: len(coordinates)] = bloch_at(coordinates)
+    # Clipped rows keep clear of those six; tx row 7 and rx row 4 have
+    # z = -9.99..., which clips too.
     tx = table(
         np.column_stack([values, values[::-1]]), bloch=spins,
-        trace=np.roll(values, 3), clipped=[2, 5, 9],
+        trace=np.roll(values, 3), clipped=[7, 9, 11],
     )
     rx = table(
         np.column_stack([np.roll(values, 5), values]), bloch=spins[::-1],
-        trace=values, clipped=[0, 3],
+        trace=values, clipped=[0, 4],
     )
     symbols = np.arange(n)
     assert_same_bytes(tmp_path, tx, symbols % 4, rx, symbols % 3 - 1)

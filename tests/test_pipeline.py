@@ -259,6 +259,30 @@ class TestConfigHandling:
         with pytest.raises(TypeError, match=f"{field} must be an integer"):
             config_from_dict(json_config(**changes))
 
+    # One key repeated at each level of a config file; json alone keeps the
+    # last value, so "seed": 123, "seed": 7 would run seed 7.
+    DUPLICATE_KEYS = {
+        "top": ('"seed": 123', '"seed": 123, "seed": 7', "seed"),
+        "modulation": ('"M": 16', '"M": 16, "M": 64', "M"),
+        "channel": ('"p": 0.1', '"p": 0.1, "p": 0.2', "p"),
+        "output": ('"dir": "out"', '"dir": "out", "dir": "elsewhere"', "dir"),
+    }
+
+    @pytest.mark.parametrize("level", DUPLICATE_KEYS)
+    def test_duplicate_json_key_rejected(self, tmp_path, level):
+        once, twice, key = self.DUPLICATE_KEYS[level]
+        text = (
+            '{"modulation": {"type": "qam", "M": 16}, "n_symbols": 10, "seed": 123,'
+            ' "channels": [{"name": "a", "type": "depolarizing", "p": 0.1}],'
+            ' "output": {"dir": "out"}}'
+        )
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert load_config(path).seed == 123
+        path.write_text(text.replace(once, twice, 1))
+        with pytest.raises(ValueError, match=re.escape(f"duplicate config key {key!r}")):
+            load_config(path)
+
     def test_qam_order_checked_at_load(self):
         with pytest.raises(ValueError, match="QAM order"):
             config_from_dict(json_config(modulation={"type": "qam", "M": 8}))
@@ -835,11 +859,11 @@ class TestStatesCsv:
         assert len(lines) == 26
 
     def test_length_mismatch_rejected(self, tmp_path):
+        # One label per symbol on each side, but fewer rx than tx symbols.
         table = project_rows(qam_codebook(4).rows)
-        with pytest.raises(ValueError, match="length"):
-            write_states_csv(
-                tmp_path / "x.csv", table, table.take(slice(0, 2)), [0, 1, 2, 3], [0, 1, 2, 3]
-            )
+        with pytest.raises(ValueError, match="tx and rx tables must have equal lengths"):
+            write_states_csv(tmp_path / "x.csv", table, [0, 1, 2, 3], table.take([0, 1]), [0, 1])
+        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -874,8 +898,7 @@ def test_plot_redraws_compare_figures(shipped_1000, tmp_path, channel):
 def test_states_csv_read_then_written_is_the_same_file(shipped_1000, tmp_path, channel):
     for out in shipped_1000:
         states = out / f"states_{channel}.csv"
-        tx, tx_labels, rx, rx_labels = visualization.read_states_csv(states)
-        write_states_csv(tmp_path / states.name, tx, rx, tx_labels, rx_labels)
+        write_states_csv(tmp_path / states.name, *visualization.read_states_csv(states))
         assert (tmp_path / states.name).read_bytes() == states.read_bytes(), out.name
 
 

@@ -68,6 +68,20 @@ class TestConstellationPoint:
         assert table.iq.tolist() == [[0.0, 0.0]]
         assert table.trace.tolist() == [0.0] and not table.clipped[0]
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"power_scale": -1.0}, "power_scale must be finite and > 0, got -1.0"),
+         ({"power_scale": np.inf}, "power_scale must be finite and > 0, got inf"),
+         ({"power_scale": 0.0}, "power_scale must be finite and > 0, got 0.0"),
+         ({"clip_radius": -1.5}, "clip_radius must be finite and > 0, got -1.5")],
+        ids=["negative-scale", "infinite-scale", "zero-scale", "negative-clip-radius"],
+    )
+    def test_bad_scale_or_clip_radius_rejected(self, kwargs, message):
+        # Each would mirror, collapse or divide by zero instead.
+        rows = state_rows(stack([pure(0.8, 0.6), pure(0, 1)]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            project_rows(rows, **kwargs)
+
     def test_erasure_output_recovers_alpha(self):
         alpha = 0.7 - 0.2j
         enlarged = apply_stack(Channel(ErasureConfig(p=0.4)), embed_amplitudes([alpha]))
@@ -106,15 +120,15 @@ class TestBlochPoints:
 
 
 def table(iq=None, bloch=None, clipped=()):
-    """Projection rows with the given I/Q or Bloch columns; ``clipped`` lists clipped rows."""
+    """Projection rows with the given I/Q or Bloch columns; ``clipped`` lists
+    rows clipped by their Bloch z, set to -1 (rho_00 = 0)."""
     n = len(iq if iq is not None else bloch)
-    flags = np.zeros(n, dtype=bool)
-    flags[list(clipped)] = True
+    bloch = np.zeros((n, 3)) if bloch is None else np.array(bloch, dtype=float).reshape(n, 3)
+    bloch[list(clipped), 2] = -1.0
     return StateProjection(
-        bloch=np.zeros((n, 3)) if bloch is None else np.asarray(bloch, dtype=float).reshape(n, 3),
+        bloch=bloch,
         trace=np.ones(n),
         iq=np.zeros((n, 2)) if iq is None else np.asarray(iq, dtype=float).reshape(n, 2),
-        clipped=flags,
     )
 
 
@@ -136,7 +150,7 @@ class TestStateProjection:
     def test_bad_rows_rejected(self, rows, message):
         states = table(iq=[(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)])
         with pytest.raises(ValueError, match=message):
-            StateProjection(states.bloch, states.trace, states.iq, states.clipped, np.array(rows))
+            StateProjection(states.bloch, states.trace, states.iq, np.array(rows))
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -146,7 +160,7 @@ class TestStateProjection:
             ("trace", np.ones((2, 1)), r"trace must have shape \(2,\), got \(2, 1\)"),
             ("trace", 1.0, r"trace must have shape \(1,\), got \(\)"),
             ("iq", np.zeros((2, 3)), r"iq must have shape \(2, 2\)"),
-            ("clipped", np.zeros(3, dtype=bool), r"clipped must have shape \(2,\), got \(3,\)"),
+            ("iq", np.zeros(2), r"iq must have shape \(2, 2\), got \(2,\)"),
             ("bloch", [[np.nan, 0.0, 0.0], [0.0, 0.0, 1.0]], "bloch must be finite"),
             ("trace", [1.0, np.inf], "trace must be finite"),
             ("iq", [[np.inf, 0.0], [0.0, 0.0]], "iq must be finite"),
@@ -155,10 +169,7 @@ class TestStateProjection:
     def test_bad_fields_rejected(self, field, value, message):
         # The states CSV reader refuses 'nan' and 'inf' cells, and a short
         # field would fail inside the writer with a message naming none.
-        fields = dict(
-            bloch=np.zeros((2, 3)), trace=np.ones(2), iq=np.zeros((2, 2)),
-            clipped=np.zeros(2, dtype=bool),
-        )
+        fields = dict(bloch=np.zeros((2, 3)), trace=np.ones(2), iq=np.zeros((2, 2)))
         fields[field] = value
         with pytest.raises(ValueError, match=message):
             StateProjection(**fields)
@@ -175,8 +186,40 @@ class TestStateProjection:
         monkeypatch.setattr(StateProjection, "__post_init__", spy)
         taken = states.take(np.array([2, 0, 2]))
         assert calls == [] and taken.rows.tolist() == [2, 0, 2] and len(states) == 3
-        for name in ("bloch", "trace", "iq", "clipped"):
+        for name in ("bloch", "trace", "iq"):
             assert getattr(taken, name) is getattr(states, name)
+
+    def test_sequences_draw_as_arrays_do(self, tmp_path):
+        # Lists pass the field checks, so they are stored as the arrays
+        # checked: the figures index them per symbol.
+        bloch, iq = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [[0.5, 0.0], [1.5, 0.0]]
+        lists = StateProjection(bloch=bloch, trace=[1.0, 1.0], iq=iq)
+        assert lists.clipped.tolist() == [False, True]
+        arrays = StateProjection(np.array(bloch), np.ones(2), np.array(iq))
+        for name, states in (("lists", lists), ("arrays", arrays)):
+            (tmp_path / name).mkdir()
+            write_figures(tmp_path / name, "c", states, [0, 1], states, [1, 0])
+        for name in ("constellation_c.svg", "bloch_c.svg"):
+            drawn = (tmp_path / "lists" / name).read_bytes()
+            assert drawn == (tmp_path / "arrays" / name).read_bytes(), name
+
+    def test_clip_flags_follow_bloch_z_through_the_states_csv(self, tmp_path):
+        # A caller's table whose rho_00 = (1 + z) / 2 falls below the floor
+        # on row 1 only: that row is a cross wherever the table comes from.
+        bloch = [(0.6, 0.0, 0.8), (0.0, 0.0, -1.0 + 1e-10), (0.0, 0.0, -1.0 + 1e-8)]
+        states = table(iq=[(0.5, 0.25), (1.25, -0.5), (-0.75, 0.5)], bloch=bloch)
+        assert states.clipped.tolist() == [False, True, False]
+        labels = np.array([0, 1, 2])
+        direct, read = tmp_path / "direct", tmp_path / "read"
+        direct.mkdir()
+        read.mkdir()
+        write_figures(direct, "caller", states, labels, states, labels)
+        drawn = (direct / "constellation_caller.svg").read_text()
+        assert drawn.count('stroke-width="1.5"') == 2 * 2
+        write_states_csv(tmp_path / "states.csv", states, labels, states, labels)
+        write_figures(read, "caller", *read_states_csv(tmp_path / "states.csv"))
+        for name in ("constellation_caller.svg", "bloch_caller.svg"):
+            assert (read / name).read_bytes() == (direct / name).read_bytes(), name
 
     @pytest.mark.parametrize(
         "index, error",
@@ -208,7 +251,7 @@ def _memory_tables(m_rx: int) -> tuple:
     def rows(m):
         return StateProjection(
             bloch=rng.uniform(-1, 1, (m, 3)), trace=rng.uniform(0.5, 1, m),
-            iq=rng.standard_normal((m, 2)), clipped=np.zeros(m, dtype=bool),
+            iq=rng.standard_normal((m, 2)),
         )
 
     symbols = rng.integers(0, 16, n)
@@ -231,7 +274,7 @@ class TestStatesCsvMemory:
     def test_peak_at_2e5_symbols(self, tmp_path, m_rx, bound_mib):
         tx, tx_labels, rx, rx_labels = _memory_tables(m_rx)
         path = tmp_path / "states.csv"
-        peak = _traced_peak(write_states_csv, path, tx, rx, tx_labels, rx_labels)
+        peak = _traced_peak(write_states_csv, path, tx, tx_labels, rx, rx_labels)
         assert peak <= bound_mib * 2**20, peak / 2**20
         if m_rx == 16:
             return
@@ -406,7 +449,7 @@ class TestLabelCheck:
         rows, path = table(iq=[(0.5, 0.0), (0.0, 0.5)]), tmp_path / "out"
         with pytest.raises(ValueError, match=f"rx_labels {message}"):
             if writer == "states_csv":
-                write_states_csv(path, rows, rows, [0, 1], labels)
+                write_states_csv(path, rows, [0, 1], rows, labels)
             else:
                 render = {"constellation": render_constellation_svg, "bloch": render_bloch_svg}
                 render[writer](rows, [0, 1], rows, labels, path)
@@ -414,12 +457,13 @@ class TestLabelCheck:
 
     @pytest.mark.parametrize(
         "writer, n_rx, message",
-        [("constellation", 0, "needs nonempty tx and rx tables"),
+        [("states_csv", 0, "needs nonempty tx and rx tables"),
+         ("constellation", 0, "needs nonempty tx and rx tables"),
          ("bloch", 0, "needs nonempty tx and rx tables"),
-         ("states_csv", 1, "must have equal lengths"),
+         ("states_csv", 1, "needs one label per symbol"),
          ("constellation", 1, "needs one label per symbol"),
          ("bloch", 1, "needs one label per symbol")],
-        ids=["constellation-empty", "bloch-empty", "states_csv-label-count",
+        ids=["states_csv-empty", "constellation-empty", "bloch-empty", "states_csv-label-count",
              "constellation-label-count", "bloch-label-count"],
     )
     def test_refused_tables_leave_no_file(self, tmp_path, writer, n_rx, message):
@@ -428,7 +472,7 @@ class TestLabelCheck:
         rx, rx_labels = rows.take(slice(0, n_rx)), [0, 1] if n_rx else []
         with pytest.raises(ValueError, match=message):
             if writer == "states_csv":
-                write_states_csv(path, rows, rx, [0, 1], rx_labels)
+                write_states_csv(path, rows, [0, 1], rx, rx_labels)
             else:
                 render = {"constellation": render_constellation_svg, "bloch": render_bloch_svg}
                 render[writer](rows, [0, 1], rx, rx_labels, path)
@@ -444,7 +488,7 @@ class TestLabelCheck:
         for rx_labels in (rx, rx.astype(np.uint64), rx.astype(np.uint8)):
             path = tmp_path / f"{writer}_{rx_labels.dtype}"
             if writer == "states_csv":
-                write_states_csv(path, rows, rows, tx, rx_labels)
+                write_states_csv(path, rows, tx, rows, rx_labels)
             else:
                 render = {"constellation": render_constellation_svg, "bloch": render_bloch_svg}
                 render[writer](rows, tx, rows, rx_labels, path)
@@ -458,7 +502,7 @@ class TestLabelCheck:
     )
     def test_reader_rejects(self, tmp_path, cell, message):
         rows, path = table(iq=[(0.5, 0.0), (0.0, 0.5)]), tmp_path / "states.csv"
-        write_states_csv(path, rows, rows, [0, 1], [0, -1])
+        write_states_csv(path, rows, [0, 1], rows, [0, -1])
         lines = path.read_text().splitlines()
         lines[2] = lines[2].replace("1,1,-1,", f"1,{cell},-1,", 1)
         path.write_text("\n".join(lines) + "\n")
@@ -480,7 +524,7 @@ class TestLabelCheck:
         kind = int if column.endswith("label") else float
         pattern = r"[+-]?[0-9]+" if kind is int else r"[+-]?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?"
         rows, path = table(iq=[(0.5, 0.0), (0.0, 0.5), (0.25, 0.25)]), tmp_path / "states.csv"
-        write_states_csv(path, rows, rows, [0, 1, 2], [0, -1, 2])
+        write_states_csv(path, rows, [0, 1, 2], rows, [0, -1, 2])
         lines = path.read_text().splitlines()
         at = lines[0].split(",").index(column)
         for cell in self.SPELLINGS:
@@ -502,7 +546,7 @@ class TestLabelCheck:
 
     def test_reader_names_the_first_fault_in_line_order(self, tmp_path):
         rows, path = table(iq=[(0.5, 0.0)] * 4), tmp_path / "states.csv"
-        write_states_csv(path, rows, rows, [0, 1, 2, 3], [0, 1, 2, 3])
+        write_states_csv(path, rows, [0, 1, 2, 3], rows, [0, 1, 2, 3])
         lines = path.read_text().splitlines()
         at = lines[0].split(",").index("tx_bloch_y")
         fields = lines[2].split(",")
@@ -516,7 +560,7 @@ class TestLabelCheck:
 
     def test_reader_names_a_file_changed_while_it_was_read(self, tmp_path, monkeypatch):
         rows, path = table(iq=[(0.5, 0.0)]), tmp_path / "states.csv"
-        write_states_csv(path, rows, rows, [0], [0])
+        write_states_csv(path, rows, [0], rows, [0])
         loadtxt = np.loadtxt
 
         def rewrite_then_load(*args, **kwargs):
@@ -529,7 +573,7 @@ class TestLabelCheck:
 
     def test_reader_skips_blank_lines_and_reads_crlf(self, tmp_path):
         rows, path = table(iq=[(0.5, 0.0), (0.0, 0.5)]), tmp_path / "states.csv"
-        write_states_csv(path, rows, rows, [0, 1], [1, -1])
+        write_states_csv(path, rows, [0, 1], rows, [1, -1])
         want = read_states_csv(path)
         lines = path.read_text().splitlines()
         spaced = "\n".join([lines[0], "", lines[1], "", lines[2]])
