@@ -2,13 +2,15 @@
 
 Four are deterministic completely positive trace-preserving maps, each one
 4x4 transfer matrix (depolarizing, dephasing, erasure, bosonic thermal
-loss); two are stochastic surrogates that draw fresh randomness per use:
-free-space turbulence, pure loss with one fade per row, and fiber
-polarization-mode dispersion.  :class:`Channel` looks the kernel up by the
+loss; ``Channel.transfer``); two are stochastic surrogates that draw
+fresh randomness per use: free-space turbulence, pure loss with one fade
+per row, and fiber polarization-mode dispersion.  :class:`Channel` maps
+rows by its transfer matrix or looks the stochastic kernel up by the
 config's kind, enforces the qubit and randomness contracts at the call
 boundary, and checks the output rows once (:meth:`Channel.apply_rows`, the
 one batch operation; a complex stack crosses in through ``state_rows`` and
-out through ``from_rows``).
+out through ``from_rows``).  A run maps all its deterministic channels'
+rows at once, by ``map_rows`` on the stack of their transfer matrices.
 """
 
 from __future__ import annotations
@@ -193,9 +195,6 @@ def config_to_dict(cfg: ChannelConfig) -> dict:
 
 
 # --- deterministic qubit maps ---
-#
-# A kernel (config, rows, rng) -> rows returns its output unchecked; Channel
-# checks it.  Deterministic kernels ignore ``rng``.
 
 
 def _transfer_matrix(cfg) -> np.ndarray:
@@ -221,11 +220,6 @@ def _transfer_matrix(cfg) -> np.ndarray:
     return np.diag(diagonals[cfg.kind])
 
 
-def _transfer(cfg, rows: np.ndarray, rng) -> np.ndarray:
-    """The config's transfer matrix applied to (n, 4) rows by ``map_rows``."""
-    return map_rows(_transfer_matrix(cfg), rows)
-
-
 def _pure_loss(eta, rows: np.ndarray) -> np.ndarray:
     """Amplitude damping with transmissivity eta (one value, or one per row).
 
@@ -241,6 +235,9 @@ def _pure_loss(eta, rows: np.ndarray) -> np.ndarray:
 
 
 # --- turbulence surrogate ---
+#
+# A stochastic kernel (config, rows, rng) -> rows returns its output
+# unchecked; Channel checks it.
 
 
 def _scintillation(rytov_var: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -304,12 +301,7 @@ def _pmd(cfg: PMDConfig, rows: np.ndarray, rng) -> np.ndarray:
     return out
 
 
-_KERNELS = {
-    **dict.fromkeys(("depolarizing", "dephasing", "erasure", "bosonic"), _transfer),
-    "turbulence": _turbulence,
-    "pmd": _pmd,
-}
-_STOCHASTIC_KINDS = ("turbulence", "pmd")
+_STOCHASTIC_KERNELS = {"turbulence": _turbulence, "pmd": _pmd}
 
 
 class Channel:
@@ -327,19 +319,24 @@ class Channel:
             )
         self.config = config
         self.output_dim = 3 if config.kind == "erasure" else 2
-        self._kernel = _KERNELS[config.kind]
+        # The 4x4 matrix a deterministic channel applies to rows
+        # (``map_rows``); None for a stochastic one.
+        self.transfer = None if self.is_stochastic else _transfer_matrix(config)
 
     @property
     def is_stochastic(self) -> bool:
-        return self.config.kind in _STOCHASTIC_KINDS
+        return self.config.kind in _STOCHASTIC_KERNELS
 
     def apply_rows(self, rows: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         """Map (n, 4) checked rows (from ``state_rows``, ``codebook.rows`` or
-        ``check_rows``) in one array pass, a stochastic channel drawing every
-        row's randomness from ``rng``, and check the output rows once."""
-        if rng is None and self.is_stochastic:
+        ``check_rows``) in one array pass, by its ``transfer`` matrix or, for a
+        stochastic channel, drawing every row's randomness from ``rng``, and
+        check the output rows once."""
+        if not self.is_stochastic:
+            return check_rows(map_rows(self.transfer, rows))
+        if rng is None:
             raise ValueError(f"{self.config.kind} channel is stochastic and requires an rng")
-        return check_rows(self._kernel(self.config, rows, rng))
+        return check_rows(_STOCHASTIC_KERNELS[self.config.kind](self.config, rows, rng))
 
     def apply(self, rho: DensityMatrix, rng: np.random.Generator | None = None) -> DensityMatrix:
         """Map one state: :meth:`apply_rows` on its row."""

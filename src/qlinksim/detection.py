@@ -183,8 +183,8 @@ def embed_povm_with_erasure(povm: POVM, out_dim: int) -> POVM:
     elements act as before on the qubit and vanish on the flag, and the
     flag projector is appended as the erasure outcome (label -1).  Its row is
     zero, so it fires on the flag's weight 1 - t alone, which is 0 on a
-    channel that flags nothing; a comparison builds this POVM of its PGM
-    once and decides every channel with it."""
+    channel that flags nothing; a process builds this POVM of a
+    modulation's PGM once, and every run decides every channel with it."""
     if out_dim <= povm.dim:
         raise ValueError(f"target dim {out_dim} must exceed current POVM dim {povm.dim}")
     return POVM(np.vstack([povm.rows, np.zeros(4)]), povm.labels + (-1,), out_dim)

@@ -1,21 +1,25 @@
 """End-to-end simulation runs: symbols -> states -> channel -> detection -> metrics.
 
-A run is fully determined by its :class:`SimulationConfig`.  A comparison
-or a run of several channels builds one transmitter (codebook rows and PGM
-rows, each in closed form, symbols, per-symbol counts, tx projection) for
-all its channels, and every channel before the first runs.
-A whole run holds states only as real (n, 4) rows (:mod:`qlinksim.states`),
-builds no complex stack and calls no ``np.linalg`` routine: each
-channel is one pass over rows, checked once, where deterministic channels
-map the M codebook rows and stochastic ones the N transmitted rows.  Every
-channel is decided by the transmitter's one measurement, the PGM with the
-erasure outcome (``embed_povm_with_erasure``), whose flag scores 0 on a
-channel that moves no weight to it, and scored by ``error_counts`` from its
-(sent, received) pairs, which forms no (M, M + 1) table.  Its decisions
-take the channel's rows unchecked: argmax decisions, made once per
-codebook state on a deterministic channel and weighted by how often each
-state was sent, and Born-sampled ones, a CDF search in each symbol's own
-row; neither forms an (N, K) array.
+A run is fully determined by its :class:`SimulationConfig`.  What does not
+depend on the symbols is computed once.  A process builds one detector per
+modulation (:func:`_detector`: codebook rows and PGM rows, each in closed
+form), shared read-only by its runs.  A comparison or a run of several
+channels builds one transmitter (that detector, symbols, per-symbol
+counts, tx projection) for all its channels, and every channel before the
+first runs.  A whole run holds states only as real (n, 4) rows
+(:mod:`qlinksim.states`), builds no complex stack and calls no
+``np.linalg`` routine.  The deterministic channels map the M codebook rows
+as one stack, one ``map_rows`` call on their transfer matrices, checked
+once, and under argmax decided by one ``argmax_rows`` call; each
+stochastic channel is one pass over the N transmitted rows, checked once.
+Every channel is decided by the transmitter's one measurement, the PGM
+with the erasure outcome (``embed_povm_with_erasure``), whose flag scores
+0 on a channel that moves no weight to it, and scored by ``error_counts``
+from its (sent, received) pairs, which forms no (M, M + 1) table.  Its
+decisions take the channel's rows unchecked: argmax decisions, made once
+per codebook state on a deterministic channel and weighted by how often
+each state was sent, and Born-sampled ones, a CDF search in each symbol's
+own row; neither forms an (N, K) array.
 Randomness comes from one stream per purpose, keyed by (seed, purpose) for
 the transmitted symbols and by (seed, purpose, channel name) for a
 channel's own draws and for sampled decisions, so results do not depend on
@@ -24,6 +28,7 @@ channel order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -41,6 +46,7 @@ from .channels import config_to_dict as channel_config_to_dict
 from .detection import POVM, argmax_rows, build_pgm, embed_povm_with_erasure, sample_rows
 from .metrics import error_counts
 from .modulation import DetectorCodebook, qam_codebook, qam_side, qpsk_codebook
+from .states import InvalidStateError, check_rows, map_rows
 from .visualization import StateProjection, project_rows, write_figures, write_states_csv
 
 # The one definition of the package version; pyproject.toml reads it.
@@ -51,6 +57,8 @@ _U64 = (1 << 64) - 1
 _CHANNEL_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 # The one rule for a channel entry, as a JSON object or as a Python pair.
 _ENTRY_RULE = "every channel entry must be an object, or a (name, config) pair in Python"
+# Detectors a process keeps: QPSK and three QAM orders.
+_DETECTORS = 4
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -166,13 +174,25 @@ def draw_symbols(cfg: SimulationConfig, alphabet_size: int) -> np.ndarray:
     return rng.integers(0, alphabet_size, size=cfg.n_symbols)
 
 
+@functools.lru_cache(maxsize=_DETECTORS)
+def _detector(modulation: str, order: int) -> tuple[DetectorCodebook, POVM]:
+    """The codebook of a modulation and its PGM with the erasure outcome,
+    built once per process per modulation.  ``order`` is read for QAM only
+    but keys QPSK too, so ("qpsk", 16) and ("qam", 4) are two detectors.
+    Both objects are frozen and every array they hold is read-only, so
+    every run shares them."""
+    codebook = qpsk_codebook() if modulation == "qpsk" else qam_codebook(order)
+    return codebook, embed_povm_with_erasure(build_pgm(codebook), 3)
+
+
 @dataclass(frozen=True)
 class _Transmitter:
-    """What every channel of a run shares: the PGM with the erasure outcome
-    (``povm``), the symbols and how often each codebook state was sent
-    (``counts``); with artifacts on, also the clip radius (1.5x the largest
-    finite tx-point radius) and the tx ``table``, one row per codebook
-    state, indexed by symbol."""
+    """What every channel of a run shares: the modulation's codebook and its
+    PGM with the erasure outcome (``povm``), both from :func:`_detector`;
+    the symbols and how often each codebook state was sent (``counts``);
+    with artifacts on, also the clip radius (1.5x the largest finite
+    tx-point radius) and the tx ``table``, one row per codebook state,
+    indexed by symbol.  All but the detector is built per run."""
 
     codebook: DetectorCodebook
     povm: POVM
@@ -183,7 +203,7 @@ class _Transmitter:
 
     @classmethod
     def build(cls, cfg: SimulationConfig) -> "_Transmitter":
-        codebook = qpsk_codebook() if cfg.modulation == "qpsk" else qam_codebook(cfg.qam_order)
+        codebook, povm = _detector(cfg.modulation, cfg.qam_order)
         symbols = draw_symbols(cfg, codebook.M)
         clip = table = None
         if cfg.emit_states or cfg.emit_figures:
@@ -192,7 +212,6 @@ class _Transmitter:
             clip = 1.5 * float(np.max(radii, initial=1.0))
             table = project_rows(codebook.rows, codebook.power_scale, clip).take(symbols)
         counts = np.bincount(symbols, minlength=codebook.M)
-        povm = embed_povm_with_erasure(build_pgm(codebook), 3)
         return cls(codebook, povm, symbols, counts, clip, table)
 
 
@@ -205,22 +224,58 @@ def run_channels(cfg: SimulationConfig, names: Sequence[str]) -> Iterator[Channe
     """Simulate the named channels in order on one shared transmitter, writing
     each one's artifacts and yielding its result before the next one runs.
 
-    Every channel is built before the first one runs, so one that cannot be
-    fails before any artifact is written; a failure names its channel.
+    Every channel is built before the first one runs, and the deterministic
+    ones are mapped and checked, and under argmax decided, before it
+    (:func:`_map_deterministic`), so one that cannot be fails before any
+    artifact is written; a failure names its channel.
     """
     configs = [(name, cfg.channel_config(name)) for name in names]
     tx = _Transmitter.build(cfg)
     channels = [(n, _named(n, Channel, c, tx.codebook.dim)) for n, c in configs]
+    mapped = _map_deterministic(cfg, tx, channels)
     for name, channel in channels:
-        yield _named(name, _run_channel, cfg, tx, name, channel)
+        yield _named(name, _run_channel, cfg, tx, name, channel, mapped.get(name))
+
+
+def _map_deterministic(
+    cfg: SimulationConfig, tx: _Transmitter, channels: list[tuple[str, Channel]]
+) -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
+    """Each deterministic channel's name -> its map of the M codebook rows,
+    and under argmax their decisions (else None): one ``map_rows`` call on
+    the stack of the channels' transfer matrices, one check of the (c M, 4)
+    rows and one ``argmax_rows`` call.  Rows and decisions do not depend on
+    the stack, as both kernels are elementwise.  If the check fails, each
+    channel's rows are checked again in turn, so the error names the first
+    channel whose rows fail."""
+    fixed = [(name, channel) for name, channel in channels if not channel.is_stochastic]
+    if not fixed:
+        return {}
+    stack = map_rows(np.stack([channel.transfer for _, channel in fixed]), tx.codebook.rows)
+    rows = stack.reshape(-1, 4)
+    try:
+        check_rows(rows)
+    except InvalidStateError:
+        for (name, _), part in zip(fixed, stack):
+            _named(name, check_rows, part)
+        raise
+    decisions = [None] * len(fixed)
+    if cfg.decision_mode == "argmax":
+        decisions = argmax_rows(tx.povm, rows).reshape(len(fixed), -1)
+    return {name: pair for (name, _), pair in zip(fixed, zip(stack, decisions))}
 
 
 def _run_channel(
-    cfg: SimulationConfig, tx: _Transmitter, channel_name: str, channel: Channel
+    cfg: SimulationConfig,
+    tx: _Transmitter,
+    channel_name: str,
+    channel: Channel,
+    mapped: tuple[np.ndarray, np.ndarray | None] | None,
 ) -> ChannelRunResult:
-    """One channel's own work on a shared transmitter: channel pass on the
-    codebook's rows, decisions by the transmitter's flagged PGM, their error
-    counts, artifacts."""
+    """One channel's own work on a shared transmitter: a stochastic
+    channel's pass on the symbols' rows (a deterministic one's codebook rows
+    and argmax decisions come ``mapped`` from :func:`_map_deterministic`),
+    decisions by the transmitter's flagged PGM, their error counts,
+    artifacts."""
     codebook, tx_symbols, povm = tx.codebook, tx.symbols, tx.povm
     # rx_rows holds each distinct received state once; rx_index maps
     # every symbol to its row (all rows, for a stochastic channel).  Argmax
@@ -229,10 +284,10 @@ def _run_channel(
     if channel.is_stochastic:
         rng = derive_rng(cfg.seed, "channel", channel_name)
         rx_rows = channel.apply_rows(codebook.rows[tx_symbols], rng)
-        rx_index = slice(None)
+        rx_index, decisions = slice(None), None
         sent, weights = tx_symbols, None
     else:
-        rx_rows = channel.apply_rows(codebook.rows)
+        rx_rows, decisions = mapped
         rx_index = tx_symbols
         sent, weights = np.arange(codebook.M), tx.counts
     if cfg.decision_mode == "sampled":
@@ -240,7 +295,8 @@ def _run_channel(
         rx_symbols = sample_rows(povm, rx_rows[rx_index], rng)
         counts = error_counts(tx_symbols, rx_symbols, codebook.bit_labels)
     else:
-        decisions = argmax_rows(povm, rx_rows)
+        if decisions is None:
+            decisions = argmax_rows(povm, rx_rows)
         counts = error_counts(sent, decisions, codebook.bit_labels, weights)
         rx_symbols = decisions[rx_index]
     (ser, ser_count), (ber, ber_count), erasure_count = counts

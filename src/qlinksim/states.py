@@ -14,10 +14,11 @@ it; :func:`from_rows` converts back.  Rows, states and POVM elements share
 one closed-form positive-semidefinite criterion,
 :func:`smallest_eigenvalue`: min((t - |r|) / 2, flag entry) at least
 -``TOL``; no check takes a spectrum, and the package calls no eigensolver.
-A linear map of rows is applied by :func:`map_rows`.  A codebook's or a
-POVM's rows come in through :func:`as_rows` (a nonempty (n, 4) stack of
-integers or floats, copied to floats).  A checked stack that is shared,
-such as a codebook's, is marked read-only (:func:`read_only`).
+A linear map of rows, or a stack of maps, is applied by :func:`map_rows`.
+A codebook's or a POVM's rows come in through :func:`as_rows` (a nonempty
+(n, 4) stack of integers or floats, copied to floats).  A checked stack
+that is shared, such as a codebook's, is marked read-only
+(:func:`read_only`).
 """
 
 from __future__ import annotations
@@ -155,10 +156,12 @@ def read_only(array: np.ndarray) -> np.ndarray:
 
 
 def map_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A 4x4 ``matrix`` applied to (n, 4) rows as four elementwise terms in
-    column order: no BLAS product, so a row's output does not depend on its
-    batch."""
-    return sum(np.multiply.outer(rows[:, j], matrix[:, j]) for j in range(4))
+    """A 4x4 ``matrix`` applied to (n, 4) rows, (n, 4) out, or a (c, 4, 4)
+    stack of them, (c, n, 4) out, as four elementwise terms in column order
+    added by ``sum``: no BLAS product, so a row's output depends neither on
+    its batch nor on the stack, and each slice of a stack's map has the bits,
+    signed zeros included, of its own matrix's map."""
+    return sum(rows[:, j, None] * matrix[..., None, :, j] for j in range(4))
 
 
 def as_rows(rows, owner: str, count: str) -> np.ndarray:

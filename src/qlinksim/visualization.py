@@ -55,6 +55,10 @@ _AZIMUTH = np.deg2rad(30.0)
 _ELEVATION = np.deg2rad(20.0)
 # Below this rho_00 the amplitude ratio rho_10 / rho_00 is treated as diverging.
 _RHO00_FLOOR = 1e-9
+# The states CSV's '%.12g' moves a Bloch z near -1 by at most 5e-13, so
+# rho_00 by at most 2.5e-13: only a row this close to the floor can be
+# written on its other side.
+_RHO00_NEAR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -117,9 +121,17 @@ def _row_index(rows, m: int) -> np.ndarray:
 
 def _rho00(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho_00 of renormalized blocks with Bloch vectors ``bloch``, and whether
-    it falls below ``_RHO00_FLOOR``: the clip rule of a constellation point."""
+    it falls below ``_RHO00_FLOOR``: the clip rule of a constellation point.
+    The rule reads z as the states CSV writes it ('%.12g'), so a table and
+    its CSV round trip clip the same rows; only the rows within
+    ``_RHO00_NEAR`` of the floor are formatted for it."""
     r00 = (1.0 + bloch[:, 2]) / 2.0
-    return r00, r00 < _RHO00_FLOOR
+    clipped = r00 < _RHO00_FLOOR
+    near = np.flatnonzero(np.abs(r00 - _RHO00_FLOOR) < _RHO00_NEAR)
+    if near.size:
+        written = np.array([float("%.12g" % z) for z in bloch[near, 2].tolist()])
+        clipped[near] = (1.0 + written) / 2.0 < _RHO00_FLOOR
+    return r00, clipped
 
 
 def project_rows(
@@ -133,11 +145,12 @@ def project_rows(
     ``TOL`` (fully erased) carries no information and sits at the origin.
     The constellation estimate is rho_10 / rho_00 of the renormalized
     block, divided by ``power_scale`` to land back on the constellation
-    grid.  When rho_00 falls below ``_RHO00_FLOOR`` the ratio diverges,
-    so the point is pinned at ``clip_radius`` along the direction of
-    rho_10 (or along +I if even that vanishes), which the table's
-    ``clipped`` flags.  ``power_scale`` and ``clip_radius`` must be finite
-    and > 0, else a ``ValueError`` naming the first that is not.
+    grid.  When rho_00 falls below ``_RHO00_FLOOR`` (judged on z as the
+    states CSV writes it, :func:`_rho00`) the ratio diverges, so the point
+    is pinned at ``clip_radius`` along the direction of rho_10 (or along +I
+    if even that vanishes), which the table's ``clipped`` flags.
+    ``power_scale`` and ``clip_radius`` must be finite and > 0, else a
+    ``ValueError`` naming the first that is not.
     """
     for name, value in (("power_scale", power_scale), ("clip_radius", clip_radius)):
         if not 0.0 < value < np.inf:

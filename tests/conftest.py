@@ -8,13 +8,22 @@ a complex stack through the row path, the complex
 trace product that the row scores are checked against, the score-based
 Born sampler that the cumulative POVM sampler is checked against label
 for label, and the per-symbol SER/BER and the dense (M, M + 1) confusion
-count and Hamming table that ``error_counts`` is checked against."""
+count and Hamming table that ``error_counts`` is checked against.  Every
+test starts with the process's detector cache empty, so a test that counts
+codebook or PGM builds sees the first comparison of a process."""
 
 import numpy as np
+import pytest
 
-from qlinksim import DensityMatrix, state_rows
+from qlinksim import DensityMatrix, pipeline, state_rows
 from qlinksim.detection import EIG_CUT
 from qlinksim.states import TOL, InvalidStateError, check_structure, from_rows
+
+
+@pytest.fixture(autouse=True)
+def cold_detectors():
+    """Empty ``pipeline._detector``'s cache before the test."""
+    pipeline._detector.cache_clear()
 
 
 def make_pure_states(kets) -> np.ndarray:

@@ -27,13 +27,15 @@ from qlinksim import (
     PMDConfig,
     DensityMatrix,
     TurbulenceConfig,
+    qam_codebook,
+    qpsk_codebook,
 )
 # No channel config reaches eta = 0 exactly or an unclipped fade, so the
 # pure-loss and scintillation row kernels are tested directly.
 from qlinksim.channels import _pure_loss, _scintillation, config_from_dict, config_to_dict
 # The PMD row kernel is pinned bit for bit to its state-per-row reference.
 from qlinksim.channels import _pmd, _transfer_matrix
-from qlinksim.states import check_states, from_rows, state_rows, to_rows
+from qlinksim.states import check_states, from_rows, map_rows, state_rows, to_rows
 
 _PLUS = pure(1 / np.sqrt(2), 1 / np.sqrt(2))
 _ONE = pure(0, 1)
@@ -164,6 +166,44 @@ class TestTransferMatrices:
             kraus = np.asarray(kraus_map(kind, 0.3), dtype=complex)
             total = np.einsum("kji,kjl->il", kraus.conj(), kraus)
             assert np.max(np.abs(total - np.eye(2))) <= 1e-12
+
+
+# Every deterministic kind, at the ends of its range too: depolarizing and
+# erasure at p = 0 and p = 1 (whose maps hold signed zeros), thermal loss
+# and loss at 0 dB.
+DETERMINISTIC_CONFIGS = (
+    DepolarizingConfig(p=0.0),
+    DepolarizingConfig(p=1.0),
+    DepolarizingConfig(p=0.1),
+    DephasingConfig(p=0.2),
+    ErasureConfig(p=0.0),
+    ErasureConfig(p=1.0),
+    ErasureConfig(p=0.25),
+    BosonicConfig(loss_db=3.0, n_th=0.5),
+    BosonicConfig(loss_db=0.0),
+)
+
+
+class TestTransferStack:
+    @pytest.mark.parametrize("order", [None, 4, 16, 64, 256], ids=lambda m: f"qam{m}" if m else "qpsk")
+    def test_stack_slices_are_each_channels_own_map(self, order):
+        rows = (qam_codebook(order) if order else qpsk_codebook()).rows
+        channels = [Channel(cfg) for cfg in DETERMINISTIC_CONFIGS]
+        stacked = map_rows(np.stack([channel.transfer for channel in channels]), rows)
+        assert stacked.shape == (len(channels), len(rows), 4)
+        for channel, part in zip(channels, stacked):
+            # The four elementwise outer-product terms, added by sum.
+            own = sum(np.multiply.outer(rows[:, j], channel.transfer[:, j]) for j in range(4))
+            assert part.tobytes() == own.tobytes(), channel.config
+            assert part.tobytes() == map_rows(channel.transfer, rows).tobytes(), channel.config
+            assert part.tobytes() == channel.apply_rows(rows).tobytes(), channel.config
+
+    def test_only_deterministic_channels_have_a_transfer_matrix(self):
+        for cfg in DETERMINISTIC_CONFIGS:
+            assert Channel(cfg).transfer.tolist() == _transfer_matrix(cfg).tolist()
+        for cfg in (TurbulenceConfig(sigma_p=0.1, w0=1.0, rytov_var=0.2),
+                    PMDConfig(dgd=2.0, sigma_omega=1.0)):
+            assert Channel(cfg).transfer is None
 
 
 def pure_loss(eta, mats):

@@ -24,6 +24,7 @@ from qlinksim import (
     derive_rng,
     load_config,
     qam_codebook,
+    qpsk_codebook,
     run_comparison,
     run_simulation,
     write_states_csv,
@@ -410,20 +411,20 @@ class TestRunSimulation:
         assert tags == [("symbols",), ("channel", "pmd"), ("decision", "pmd")]
 
     def test_deterministic_channel_maps_codebook_once(self, tmp_path, monkeypatch):
-        sizes = []
-        real = pipeline.Channel.apply_rows
+        shapes = []
+        real = pipeline.map_rows
 
-        def recording(self, rows, rng=None):
-            sizes.append(len(rows))
-            return real(self, rows, rng)
+        def recording(matrix, rows):
+            shapes.append((matrix.shape, rows.shape))
+            return real(matrix, rows)
 
-        monkeypatch.setattr(pipeline.Channel, "apply_rows", recording)
+        monkeypatch.setattr(pipeline, "map_rows", recording)
         cfg = SimulationConfig(
             modulation="qam", n_symbols=500, seed=3,
             channels=(("era", ErasureConfig(p=0.2)),), output_dir=tmp_path,
         )
         run_simulation(cfg, "era")
-        assert sizes == [16]
+        assert shapes == [((1, 4, 4), (16, 4))]
 
     def test_artifacts_format_each_distinct_state_once(self, tmp_path, monkeypatch):
         # Table rows and markers are formatted by templates that `_fill`
@@ -507,6 +508,9 @@ class TestRunComparison:
         )
         run_comparison(cfg)
         assert calls == {"codebook": 1, "pgm": 1, "symbols": 1}
+        # The detector is the process's; the symbols are the comparison's.
+        run_comparison(dataclasses.replace(cfg, seed=5))
+        assert calls == {"codebook": 1, "pgm": 1, "symbols": 2}
 
     def test_channel_order_irrelevant(self, tmp_path):
         turb = TurbulenceConfig(sigma_p=0.4, w0=1.0, rytov_var=1.0)
@@ -767,10 +771,12 @@ def test_comparison_after_setup_uses_real_rows_only(tmp_path, monkeypatch, mode)
 
 
 @pytest.mark.parametrize("mode", ["argmax", "sampled"])
-def test_erasure_outcome_built_once_per_comparison(tmp_path, monkeypatch, mode):
-    # The transmitter adds the erasure outcome to its PGM once, with the
-    # constructor the benchmark's set-up calls, and every channel is decided
-    # with that one POVM: with no channel that flags and with two that do.
+def test_erasure_outcome_built_once_per_process_per_modulation(tmp_path, monkeypatch, mode):
+    # A process adds the erasure outcome to a modulation's PGM once, with
+    # the constructor the benchmark's set-up calls, and every channel of
+    # every comparison on that modulation is decided with that one POVM:
+    # with no channel that flags and with two that do.  Another modulation
+    # builds its own.
     calls = []
     real = pipeline.embed_povm_with_erasure
 
@@ -788,10 +794,11 @@ def test_erasure_outcome_built_once_per_comparison(tmp_path, monkeypatch, mode):
             load_config(default_config_path()), n_symbols=300, decision_mode=mode,
             channels=channels, output_dir=tmp_path, emit_states=False, emit_figures=False,
         )
-        calls.clear()
         report = run_comparison(cfg)
         assert calls == [(16, 3)]
         assert [r.erasure_count > 0 for r in report.channels.values()] == [erased, erased]
+    run_comparison(dataclasses.replace(cfg, modulation="qpsk"))
+    assert calls == [(16, 3), (4, 3)]
 
 
 def test_each_channel_checks_its_rows_once(tmp_path, monkeypatch):
@@ -810,9 +817,90 @@ def test_each_channel_checks_its_rows_once(tmp_path, monkeypatch):
         output_dir=tmp_path, emit_states=False, emit_figures=False,
     )
     run_comparison(cfg)
-    # The codebook checks its 16 rows, four deterministic channels map them,
-    # two stochastic ones the 500 symbols' rows; decisions check nothing again.
-    assert calls == [16, 16, 16, 16, 16, 500, 500]
+    # The codebook checks its 16 rows, the four deterministic channels' maps
+    # of them are checked as one stack, and each stochastic channel checks
+    # its 500 symbols' rows; decisions check nothing again.
+    assert calls == [16, 64, 500, 500]
+
+
+def test_detector_is_built_once_per_modulation_and_read_only():
+    codebook, povm = pipeline._detector("qam", 16)
+    again = pipeline._detector("qam", 16)
+    assert again[0] is codebook and again[1] is povm
+    arrays = (codebook.rows, codebook.priors, codebook.bit_labels, codebook.mats,
+              povm.rows, povm.elements)
+    assert not any(array.flags.writeable for array in arrays)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        codebook.rows = codebook.rows.copy()
+    # QPSK ignores the order, but keys by it: ("qpsk", 16) is not 4-QAM.
+    qpsk, qam4 = pipeline._detector("qpsk", 16), pipeline._detector("qam", 4)
+    assert qpsk[0] is not qam4[0] and qpsk[0].M == qam4[0].M == 4
+    assert qpsk[0].rows.tolist() == qpsk_codebook().rows.tolist()
+    assert qam4[0].rows.tolist() == qam_codebook(4).rows.tolist()
+    assert pipeline._detector.cache_info().currsize == 3
+
+
+@pytest.mark.parametrize("mode", ["argmax", "sampled"])
+def test_cold_and_warm_detectors_write_the_same_bytes(tmp_path, mode):
+    cfg = dataclasses.replace(
+        load_config(default_config_path()), n_symbols=200, decision_mode=mode
+    )
+    for run in ("cold", "warm"):
+        run_comparison(dataclasses.replace(cfg, output_dir=tmp_path / run))
+    assert pipeline._detector.cache_info()[:2] == (1, 1)  # (hits, misses)
+    files = sorted(p.name for p in (tmp_path / "cold").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "warm").iterdir())
+    for file in files:
+        cold, warm = ((tmp_path / run / file).read_bytes() for run in ("cold", "warm"))
+        if file == "report.json":
+            cold, warm = (json.loads(text) for text in (cold, warm))
+            for report in (cold, warm):
+                del report["wall_time_s"], report["config"]["output"]["dir"]
+        assert cold == warm, file
+
+
+@pytest.mark.parametrize("mode", ["argmax", "sampled"])
+@pytest.mark.parametrize("modulation, order", [("qpsk", 16), ("qam", 16), ("qam", 64)])
+def test_stacked_channels_are_each_channels_own(tmp_path, modulation, order, mode):
+    # One map, check and argmax for all deterministic channels give each one
+    # the rows and decisions of its own pass; stochastic channels are not mapped.
+    cfg = SimulationConfig(
+        modulation=modulation, qam_order=order, n_symbols=50, seed=6, decision_mode=mode,
+        channels=SIX_CHANNELS, output_dir=tmp_path,
+    )
+    tx = pipeline._Transmitter.build(cfg)
+    built = [(name, channels.Channel(config)) for name, config in cfg.channels]
+    mapped = pipeline._map_deterministic(cfg, tx, built)
+    assert list(mapped) == ["depolarizing", "dephasing", "erasure", "bosonic"]
+    for name, channel in built[:4]:
+        rows, decisions = mapped[name]
+        own = channel.apply_rows(tx.codebook.rows)
+        assert rows.tobytes() == own.tobytes(), name
+        if mode == "argmax":
+            assert decisions.tolist() == detection.argmax_rows(tx.povm, own).tolist(), name
+        else:
+            assert decisions is None
+
+
+def test_bad_transfer_matrix_is_named_before_any_artifact(tmp_path, monkeypatch):
+    # The second of three deterministic channels maps past the Bloch ball:
+    # the stacked check fails, and the error names that channel.
+    real = channels._transfer_matrix
+
+    def inflated(cfg):
+        matrix = real(cfg)
+        if cfg.kind == "dephasing":
+            matrix[1:, 1:] *= 1.5
+        return matrix
+
+    monkeypatch.setattr(channels, "_transfer_matrix", inflated)
+    cfg = dataclasses.replace(
+        load_config(default_config_path()), n_symbols=100, output_dir=tmp_path / "out",
+        channels=tuple(c for c in SIX_CHANNELS if c[0] != "bosonic"),
+    )
+    with pytest.raises(RuntimeError, match=r"^channel 'dephasing' failed: not positive"):
+        run_comparison(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
@@ -967,7 +1055,8 @@ class TestCli:
                 f"erasures {r.erasure_count}"
             )
         assert lines == expected
-        assert len(calls) == 1 + len(cfg.channels)
+        # Each run_simulation shares the process's detector too.
+        assert calls == [16]
         files = sorted(f.name for f in shared.iterdir())
         assert files == sorted(f.name for f in cfg.output_dir.iterdir())
         for file in files:

@@ -221,6 +221,40 @@ class TestStateProjection:
         for name in ("constellation_caller.svg", "bloch_caller.svg"):
             assert (read / name).read_bytes() == (direct / name).read_bytes(), name
 
+    # rho_00 = (1 + z) / 2 meets the floor 1e-9 at z = -0.999999998.  Row 0
+    # has rho_00 = 1e-9 - 5e-14 but is written as -0.999999998; the rest lie
+    # within 2.5e-12 of the floor's z on both sides, in steps of 1e-13.
+    NEAR_FLOOR = [-0.9999999980001] + [2e-9 - 1.0 + k * 1e-13 for k in range(-25, 26)]
+
+    def _written_rule(self, zs):
+        return [(1.0 + float("%.12g" % z)) / 2.0 < 1e-9 for z in zs]
+
+    def test_clip_flags_near_the_floor_are_read_back(self, tmp_path):
+        zs = self.NEAR_FLOOR
+        bloch = np.zeros((len(zs), 3))
+        bloch[:, 2] = zs
+        states = table(iq=np.zeros((len(zs), 2)), bloch=bloch)
+        expected = self._written_rule(zs)
+        assert states.clipped.tolist() == expected
+        assert not expected[0] and any(expected) and not all(expected)
+        labels = np.zeros(len(zs), dtype=int)
+        write_states_csv(tmp_path / "states.csv", states, labels, states, labels)
+        tx, _, rx, _ = read_states_csv(tmp_path / "states.csv")
+        assert tx.clipped.tolist() == rx.clipped.tolist() == expected
+
+    def test_projection_pins_as_the_states_csv_reads(self, tmp_path):
+        zs = np.array(self.NEAR_FLOOR)
+        rows = np.column_stack([np.ones(len(zs)), np.sqrt(1.0 - zs * zs), np.zeros(len(zs)), zs])
+        projected = project_rows(rows, clip_radius=1.5)
+        expected = self._written_rule(zs.tolist())
+        assert projected.clipped.tolist() == expected
+        # A pinned point sits on the clip radius; the others at ~3e4.
+        pinned = np.hypot(projected.iq[:, 0], projected.iq[:, 1]) == 1.5
+        assert pinned.tolist() == expected
+        labels = np.zeros(len(zs), dtype=int)
+        write_states_csv(tmp_path / "states.csv", projected, labels, projected, labels)
+        assert read_states_csv(tmp_path / "states.csv")[2].clipped.tolist() == expected
+
     @pytest.mark.parametrize(
         "index, error",
         [(np.array([3]), IndexError), (np.array([[0, 1]]), ValueError),
