@@ -55,8 +55,6 @@ from .states import (
 )
 from .visualization import (
     project_rows,
-    render_bloch_svg,
-    render_constellation_svg,
     write_states_csv,
 )
 
@@ -91,8 +89,6 @@ __all__ = [
     "qam_codebook",
     "qam_constellation",
     "qpsk_codebook",
-    "render_bloch_svg",
-    "render_constellation_svg",
     "run_comparison",
     "run_simulation",
     "sample_rows",

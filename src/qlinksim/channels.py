@@ -39,7 +39,11 @@ def check_fields(cfg) -> None:
     dataclass by its annotation, rejecting what no range check catches:
     another type, booleans in number fields, floats in integer fields (even
     2.0), and NaN, infinities or integers beyond the float range in float
-    fields.  A channel config's errors name its kind."""
+    fields.  A number field is stored as a Python number, so a report can
+    echo it: an integer field as ``int``, and a float field that holds
+    neither an ``int`` nor a ``float`` (a numpy scalar, a ``Fraction``) as
+    ``float``, converted before the finiteness check; a JSON-loaded ``0``
+    stays ``0``.  A channel config's errors name its kind."""
     prefix = f"{cfg.kind} parameter " if hasattr(cfg, "kind") else ""
     for f in fields(cfg):
         if f.type not in _FIELD_TYPES:
@@ -48,8 +52,16 @@ def check_fields(cfg) -> None:
         kind, wanted = _FIELD_TYPES[f.type]
         if not isinstance(value, kind) or (isinstance(value, bool) and f.type != "bool"):
             raise TypeError(f"{prefix}{f.name} must be {wanted}, got {value!r}")
-        if f.type == "float" and not abs(value) <= sys.float_info.max:
-            raise ValueError(f"{prefix}{f.name} must be finite, got {value}")
+        if f.type == "int":
+            object.__setattr__(cfg, f.name, int(value))
+        elif f.type == "float":
+            try:
+                number = value if type(value) in (int, float) else float(value)
+            except OverflowError:  # a Fraction beyond the float range
+                number = float("inf")
+            if not abs(number) <= sys.float_info.max:
+                raise ValueError(f"{prefix}{f.name} must be finite, got {value}")
+            object.__setattr__(cfg, f.name, number)
 
 
 @dataclass(frozen=True)

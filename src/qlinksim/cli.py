@@ -64,7 +64,7 @@ def _load(args: argparse.Namespace) -> SimulationConfig:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    names = [args.channel] if args.channel else [n for n, _ in cfg.channels]
+    names = [args.channel] if args.channel is not None else [n for n, _ in cfg.channels]
     for result in run_channels(cfg, names):
         print(
             f"{result.name}: SER {result.ser:.6g} ({result.ser_count}/{result.n_symbols}), "

@@ -16,13 +16,13 @@ fires E with probability e . row / 2, and on a d = 3 POVM the last
 element also with the flag's weight 1 - t.  The batch API is the three row
 kernels :func:`score_rows`, :func:`argmax_rows` and :func:`sample_rows`,
 which take a POVM and checked rows (:func:`~qlinksim.states.state_rows`)
-unchecked, read its rows, labels and ``dim`` and nothing else, and form no
-BLAS product.  The erasure outcome has one constructor,
-:func:`embed_povm_with_erasure`: it appends the zero row, labeled -1, and
-sets ``dim`` 3, so that outcome fires on the flag's weight alone.  A run
-decides every channel, flagging or not, with that one POVM.  A complex
-(K, d, d) element stack crosses in through :meth:`POVM.from_elements`, and
-``elements`` is derived from the rows.
+unchecked, read its rows, labels and ``dim`` and tables the POVM derives
+from them once, nothing else, and form no BLAS product.  The erasure
+outcome has one constructor, :func:`embed_povm_with_erasure`: it appends
+the zero row, labeled -1, and sets ``dim`` 3, so that outcome fires on
+the flag's weight alone.  A run decides every channel, flagging or not,
+with that one POVM.  A complex (K, d, d) element stack crosses in through
+:meth:`POVM.from_elements`, and ``elements`` is derived from the rows.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class POVM:
     ``labels[i]``, an integer in [-1, 2^63 - 1] stored as a Python int, is
     reported when element i fires; erasure is -1.
     ``elements`` is the read-only (K, d, d) stack derived from the rows on
-    first access.
+    first access, and so are the kernels' label and search tables.
     """
 
     rows: np.ndarray
@@ -114,6 +114,24 @@ class POVM:
         elements[:, :2, :2] = from_rows(self.rows)
         elements[-1, 2:, 2:] = 1.0
         return read_only(elements)
+
+    @cached_property
+    def _label_array(self) -> np.ndarray:
+        """The read-only int64 array of ``labels`` that the kernels index."""
+        return read_only(np.array(self.labels, dtype=np.int64))
+
+    @cached_property
+    def _search(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`sample_rows`' read-only tables: the search rows and the
+        label of each, a power of two of them, and the cumulative row of all
+        K outcomes."""
+        k, labels = len(self.rows), self._label_array
+        width = 1 << (k - 1).bit_length()
+        cumulative = np.cumsum(self.rows, axis=0) / 2.0
+        pad = np.tile([2.0, 0.0, 0.0, 0.0], (width - k + 1, 1))
+        search = np.concatenate([cumulative[:-1], pad])
+        label_of = np.concatenate([labels, np.full(width - k, labels[-1])])
+        return read_only(search), read_only(label_of), read_only(cumulative[-1])
 
 
 def _integral(value) -> bool:
@@ -195,7 +213,7 @@ def argmax_rows(povm: POVM, rows: np.ndarray) -> np.ndarray:
     ``codebook.rows``, ``Channel.apply_rows`` or ``check_rows``): the int64
     label of each row's highest-scoring outcome, the first on ties (as
     np.argmax), scored in blocks of about ``_BLOCK_SCORES`` scores."""
-    labels = np.array(povm.labels, dtype=np.int64)
+    labels = povm._label_array
     decided = np.empty(len(rows), dtype=np.int64)
     block = max(1, _BLOCK_SCORES // len(labels))
     for i in range(0, len(rows), block):
@@ -214,19 +232,15 @@ def sample_rows(povm: POVM, rows: np.ndarray, rng: np.random.Generator) -> np.nd
     order, and binary-searches its own row for the first outcome whose CDF
     value exceeds u times the row's total (which alone holds the flag's
     weight), in ceil(log2 K) steps of one 4-float gather and row-wise dot
-    each.  The table holds the CDF rows of the first K - 1 outcomes, then
-    rows of value 2t up to a power of two, labeled as the last outcome.  Row
-    dots do not depend on the batch, and a total off 1 by more than 1e-6 is
-    rejected.  A row repeated for several draws (a deterministic channel's
-    state, once per symbol that sent it) is searched once per draw.
+    each.  The table, built once per POVM, holds the CDF rows of the first
+    K - 1 outcomes, then rows of value 2t up to a power of two, labeled as
+    the last outcome.  Row dots do not depend on the batch, and a total off
+    1 by more than 1e-6 is rejected.  A row repeated for several draws (a
+    deterministic channel's state, once per symbol that sent it) is searched
+    once per draw.
     """
-    e, labels = povm.rows, np.array(povm.labels, dtype=np.int64)
-    k = len(e)
-    width = 1 << (k - 1).bit_length()
-    cumulative = np.cumsum(e, axis=0) / 2.0
-    search = np.concatenate([cumulative[:-1], np.tile([2.0, 0.0, 0.0, 0.0], (width - k + 1, 1))])
-    label_of = np.concatenate([labels, np.full(width - k, labels[-1])])
-    totals = _row_dots(np.broadcast_to(cumulative[-1], rows.shape), rows)
+    search, label_of, total_row = povm._search
+    totals = _row_dots(np.broadcast_to(total_row, rows.shape), rows)
     if povm.dim == 3:
         totals += 1.0 - rows[:, 0]
     off = np.abs(totals - 1.0)
@@ -238,7 +252,7 @@ def sample_rows(povm: POVM, rows: np.ndarray, rng: np.random.Generator) -> np.nd
     # A step moves a draw forward by the step length while the last position
     # it would pass is still at or below its target.
     at = np.zeros(len(rows), dtype=np.intp)
-    step = width >> 1
+    step = len(search) >> 1
     while step:
         at += (_row_dots(search.take(at + (step - 1), axis=0), rows) <= targets) * step
         step >>= 1

@@ -14,11 +14,13 @@ the run that wrote it, and ``write_states_csv(dst, *read_states_csv(src))``
 rewrites ``src``.  The reader checks every line against one regular
 expression built from the header, parses the columns with ``np.loadtxt``
 and, on any failure, names the first fault in line order.
-:func:`write_figures` writes a channel's I/Q constellation (the
-amplitude-ratio reconstruction of each qubit state) and Bloch sphere (a
-fixed orthographic projection), each with transmitted and received panels
-side by side.  All output is deterministic: fixed element
-order, fixed number formatting, no timestamps.  Each table row's numbers
+:func:`write_figures`, the one figure entry point, writes a channel's I/Q
+constellation (the amplitude-ratio reconstruction of each qubit state)
+and Bloch sphere (a fixed orthographic projection), each with transmitted
+and received panels side by side.  It checks the tables, and numbers and
+colors the labels and lays out the legend, once for both figures; each
+renderer then writes one of them.  All output is deterministic: fixed
+element order, fixed number formatting, no timestamps.  Each table row's numbers
 and each distinct (row, label) marker are formatted once, so number
 formatting costs in proportion to the number of distinct states, not of
 symbols; the bytes are those of formatting every symbol on its own.
@@ -450,59 +452,39 @@ _KEY = (
 
 
 def _figure(
-    what: str, comment: str, panel, tx: StateProjection, tx_labels,
-    rx: StateProjection, rx_labels, path: str | Path, title: str,
+    comment: str, panel, tx: StateProjection, rx: StateProjection, path: Path, title: str, legend
 ) -> None:
-    """Write a two-panel figure to ``path`` as it is drawn: the header, each
-    panel's frame and markers, and the legend.
-
+    """Write a two-panel figure to ``path`` as it is drawn: the header and
+    title, each panel's frame and markers, and the legend.
     ``panel(table, x0, name)`` returns the frame lines of the panel at ``x0``
-    and the per-row ``px``, ``py`` and clip flags of ``table``'s markers.
-    Every check (:func:`_check_tables`) runs before the file is opened.
-    The legend has one key per distinct label of the two panels, the
-    symbols in increasing order, then the erasure label, ``_KEYS_PER_ROW``
-    to a row; the canvas grows by ``_KEY_ROW`` per legend row after the
-    first."""
-    tx_labels, rx_labels = _check_tables(f"{what} rendering", tx, tx_labels, rx, rx_labels)
-    # Labels are numbered densely, so a (row, label) key cannot overflow.
-    names, labels = np.unique(np.concatenate([tx_labels, rx_labels]), return_inverse=True)
-    colors = np.array([_color(v) for v in names.tolist()], dtype=object)
-    height = _HEIGHT + _KEY_ROW * (-(-len(names) // _KEYS_PER_ROW) - 1)
-    with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
+    and the per-row ``px``, ``py`` and clip flags of ``table``'s markers;
+    ``legend`` is what :func:`write_figures` derived from the labels for
+    both figures."""
+    index, colors, lines, height = legend
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
             f'height="{height}" viewBox="0 0 {_WIDTH} {height}">\n{comment}\n'
             f'<rect width="{_WIDTH}" height="{height}" fill="#ffffff"/>\n'
+            f'<text x="{_fmt(_WIDTH / 2)}" y="26" font-size="15" fill="#111" '
+            f'text-anchor="middle">{_esc(title)}</text>\n'
         )
-        if title:
-            fh.write(
-                f'<text x="{_fmt(_WIDTH / 2)}" y="26" font-size="15" fill="#111" '
-                f'text-anchor="middle">{_esc(title)}</text>\n'
-            )
-        for table, x0, name, table_labels in (
-            (tx, _MARGIN, "transmitted", labels[: len(tx)]),
-            (rx, _MARGIN + _PANEL + _GAP, "received", labels[len(tx) :]),
+        for table, x0, name, labels in (
+            (tx, _MARGIN, "transmitted", index[: len(tx)]),
+            (rx, _MARGIN + _PANEL + _GAP, "received", index[len(tx) :]),
         ):
             frame, px, py, clipped = panel(table, x0, name)
             fh.write("\n".join(frame) + "\n")
-            _markers(fh, px, py, clipped, table.rows, table_labels, colors)
-        order = np.argsort(names < 0, kind="stable")
-        text = np.array(["erased" if v < 0 else f"s{v}" for v in names[order].tolist()], dtype=object)
-        row, column = np.divmod(np.arange(len(names)), _KEYS_PER_ROW)
-        lx, ly = _MARGIN + _KEY_PITCH * column, _MARGIN + _PANEL + 18 + _KEY_ROW * row
-        fh.writelines(_filled(_KEY, lx, ly, colors[order], lx + 14, ly + 9, text, svg=True).tolist())
+            _markers(fh, px, py, clipped, table.rows, labels, colors)
+        fh.writelines(lines)
         fh.write("</svg>\n")
 
 
 def render_constellation_svg(
-    tx: StateProjection,
-    tx_labels: Sequence[int],
-    rx: StateProjection,
-    rx_labels: Sequence[int],
-    path: str | Path,
-    title: str = "",
+    tx: StateProjection, rx: StateProjection, path: Path, title: str, legend: tuple
 ) -> None:
-    """Two-panel I/Q scatter colored by label; clipped reconstructions drawn as crosses."""
+    """Two-panel I/Q scatter colored by label; clipped reconstructions drawn
+    as crosses.  Called by :func:`write_figures`, which checked the tables."""
     # Over the rows the symbols use, so a state never sent cannot widen the axes.
     sent = np.concatenate([tx.iq[tx.rows], rx.iq[rx.rows]])
     half = 1.05 * float(np.max(np.abs(sent), initial=1.0))
@@ -531,7 +513,7 @@ def render_constellation_svg(
         return frame, px, py, table.clipped
 
     comment = f"<!-- constellation reconstruction; axis half-range {_fmt(half)} -->"
-    _figure("constellation", comment, panel, tx, tx_labels, rx, rx_labels, path, title)
+    _figure(comment, panel, tx, rx, path, title, legend)
 
 
 @lru_cache(maxsize=2)  # one per panel
@@ -565,14 +547,11 @@ def _sphere_wireframe(cx: float, cy: float, r: float) -> tuple[str, ...]:
 
 
 def render_bloch_svg(
-    tx: StateProjection,
-    tx_labels: Sequence[int],
-    rx: StateProjection,
-    rx_labels: Sequence[int],
-    path: str | Path,
-    title: str = "",
+    tx: StateProjection, rx: StateProjection, path: Path, title: str, legend: tuple
 ) -> None:
-    """Two-panel Bloch sphere scatter colored by label, in the fixed orthographic view."""
+    """Two-panel Bloch sphere scatter colored by label, in the fixed
+    orthographic view.  Called by :func:`write_figures`, which checked the
+    tables."""
     radius = _PANEL / 2 - 14.0
 
     def panel(table: StateProjection, x0: float, name: str) -> tuple:
@@ -586,14 +565,34 @@ def render_bloch_svg(
         return frame, cx + radius * u, cy - radius * v, np.zeros(len(u), bool)
 
     comment = "<!-- Bloch sphere, orthographic projection, azimuth 30 deg, elevation 20 deg -->"
-    _figure("Bloch", comment, panel, tx, tx_labels, rx, rx_labels, path, title)
+    _figure(comment, panel, tx, rx, path, title, legend)
 
 
 def write_figures(out_dir, channel, tx, tx_labels, rx, rx_labels) -> tuple[str, str]:
     """Write ``constellation_<channel>.svg`` and ``bloch_<channel>.svg``, titled
-    by figure and channel, into ``out_dir``; return the two file names."""
-    names = []
-    for kind, render in (("constellation", render_constellation_svg), ("bloch", render_bloch_svg)):
-        names.append(f"{kind}_{channel}.svg")
-        render(tx, tx_labels, rx, rx_labels, Path(out_dir) / names[-1], title=f"{kind}: {channel}")
-    return tuple(names)
+    by figure and channel, into ``out_dir``; return the two file names.
+
+    The one figure entry point.  Before either file is opened, the tables
+    and labels are checked (:func:`_check_tables`), so a refused pair writes
+    neither, and what both figures share is derived once, as the ``legend``
+    each renderer takes: each symbol's label numbered densely (tx then rx;
+    so a (row, label) marker key cannot overflow), a color per distinct
+    label, the legend's lines and the canvas height.  The legend has one
+    key per distinct label, the symbols in increasing order, then the
+    erasure label, ``_KEYS_PER_ROW`` to a row; the canvas grows by
+    ``_KEY_ROW`` per legend row after the first."""
+    tx_labels, rx_labels = _check_tables("figure pair", tx, tx_labels, rx, rx_labels)
+    names, index = np.unique(np.concatenate([tx_labels, rx_labels]), return_inverse=True)
+    colors = np.array([_color(v) for v in names.tolist()], dtype=object)
+    order = np.argsort(names < 0, kind="stable")
+    text = np.array(["erased" if v < 0 else f"s{v}" for v in names[order].tolist()], dtype=object)
+    row, column = np.divmod(np.arange(len(names)), _KEYS_PER_ROW)
+    lx, ly = _MARGIN + _KEY_PITCH * column, _MARGIN + _PANEL + 18 + _KEY_ROW * row
+    lines = _filled(_KEY, lx, ly, colors[order], lx + 14, ly + 9, text, svg=True).tolist()
+    height = _HEIGHT + _KEY_ROW * (-(-len(names) // _KEYS_PER_ROW) - 1)
+    legend = (index, colors, lines, height)
+    files = (f"constellation_{channel}.svg", f"bloch_{channel}.svg")
+    # Each through its module-level name, which the part clock of bench/run.py wraps.
+    render_constellation_svg(tx, rx, Path(out_dir) / files[0], f"constellation: {channel}", legend)
+    render_bloch_svg(tx, rx, Path(out_dir) / files[1], f"bloch: {channel}", legend)
+    return files

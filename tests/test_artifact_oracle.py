@@ -28,8 +28,7 @@ from qlinksim import default_config_path, pipeline, visualization as vis
 from qlinksim.visualization import (
     STATES_CSV_HEADER,
     StateProjection,
-    render_bloch_svg,
-    render_constellation_svg,
+    write_figures,
     write_states_csv,
 )
 
@@ -204,47 +203,63 @@ def reference_bloch_svg(tx, tx_labels, rx, rx_labels, path, title=""):
     path.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
 
 
-WRITERS = (
-    ("states.csv", write_states_csv, reference_states_csv),
-    ("constellation.svg", render_constellation_svg, reference_constellation_svg),
-    ("bloch.svg", render_bloch_svg, reference_bloch_svg),
-)
+FIGURES = {"constellation": reference_constellation_svg, "bloch": reference_bloch_svg}
 
 
-def assert_same_bytes(tmp_path, tx, tx_labels, rx, rx_labels, title="oracle"):
-    for name, writer, reference in WRITERS:
+def assert_same_bytes(tmp_path, tx, tx_labels, rx, rx_labels, channel="oracle"):
+    """The writers' and the references' bytes, as fast_* and slow_* files."""
+    write_states_csv(tmp_path / "fast_states.csv", tx, tx_labels, rx, rx_labels)
+    reference_states_csv(tmp_path / "slow_states.csv", tx, tx_labels, rx, rx_labels)
+    drawn = write_figures(tmp_path, channel, tx, tx_labels, rx, rx_labels)
+    for (kind, reference), name in zip(FIGURES.items(), drawn, strict=True):
+        (tmp_path / name).replace(tmp_path / f"fast_{kind}.svg")
+        slow = tmp_path / f"slow_{kind}.svg"
+        reference(tx, tx_labels, rx, rx_labels, slow, title=f"{kind}: {channel}")
+    for name in ("states.csv", "constellation.svg", "bloch.svg"):
         fast, slow = tmp_path / f"fast_{name}", tmp_path / f"slow_{name}"
-        if writer is write_states_csv:
-            writer(fast, tx, tx_labels, rx, rx_labels)
-            reference(slow, tx, tx_labels, rx, rx_labels)
-        else:
-            writer(tx, tx_labels, rx, rx_labels, fast, title=title)
-            reference(tx, tx_labels, rx, rx_labels, slow, title=title)
         assert fast.read_bytes() == slow.read_bytes(), name
 
 
 @pytest.mark.parametrize("mode", ["argmax", "sampled"])
 def test_pipeline_tables_of_every_channel(tmp_path, monkeypatch, mode):
+    # Each writer is patched on the module that calls it: the three that
+    # bench/run.py's part clock wraps, and write_figures, whose labels the
+    # reference figures take.
     calls = {}
-    for (_, writer, reference) in WRITERS:
-        def recording(*args, _writer=writer, _reference=reference, **kwargs):
-            calls.setdefault(_writer, []).append((_reference, args, kwargs))
-            return _writer(*args, **kwargs)
+    for module, name in (
+        (pipeline, "write_states_csv"),
+        (pipeline, "write_figures"),
+        (vis, "render_constellation_svg"),
+        (vis, "render_bloch_svg"),
+    ):
+        def recording(*args, _name=name, _writer=getattr(module, name)):
+            calls.setdefault(_name, []).append(args)
+            return _writer(*args)
 
-        # Each writer is patched on the module that calls it.
-        module = pipeline if writer is write_states_csv else vis
-        monkeypatch.setattr(module, writer.__name__, recording)
+        monkeypatch.setattr(module, name, recording)
     cfg = load_config(default_config_path())
     cfg = dataclasses.replace(
         cfg, n_symbols=300, decision_mode=mode, output_dir=tmp_path / "run"
     )
     pipeline.run_comparison(cfg)
-    assert [len(c) for c in calls.values()] == [6, 6, 6]
-    for reference, args, kwargs in sum(calls.values(), []):
-        path = next(a for a in args if isinstance(a, Path))
-        ref = tmp_path / path.name
-        reference(*(ref if a is path else a for a in args), **kwargs)
-        assert path.read_bytes() == ref.read_bytes(), path.name
+    # Each part-clock writer is called once per channel, in channel order.
+    channels = [name for name, _ in cfg.channels]
+    for name, pattern in (
+        ("write_states_csv", "states_{}.csv"),
+        ("render_constellation_svg", "constellation_{}.svg"),
+        ("render_bloch_svg", "bloch_{}.svg"),
+    ):
+        written = [next(a for a in args if isinstance(a, Path)).name for args in calls[name]]
+        assert written == [pattern.format(c) for c in channels], name
+    for path, *tables in calls["write_states_csv"]:
+        reference_states_csv(tmp_path / path.name, *tables)
+    for _, channel, *tables in calls["write_figures"]:
+        for kind, reference in FIGURES.items():
+            reference(*tables, tmp_path / f"{kind}_{channel}.svg", title=f"{kind}: {channel}")
+    references = sorted(tmp_path.glob("*.*"))
+    assert len(references) == 3 * len(channels)
+    for ref in references:
+        assert (cfg.output_dir / ref.name).read_bytes() == ref.read_bytes(), ref.name
 
 
 def table(iq, bloch=None, trace=None, clipped=()):

@@ -461,6 +461,31 @@ class TestDecideSampled:
         assert freqs == pytest.approx([0.25] * 4, abs=0.02)
 
 
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    @pytest.mark.parametrize("erasure", [False, True], ids=["qubit", "flagged"])
+    def test_decision_tables_are_built_once(self, m, erasure):
+        # The tables as sample_rows built them on every call: the labels, the
+        # CDF search rows padded to a power of two, the label of each and the
+        # cumulative row of all outcomes.
+        cb, povm = codebook_povm(m, erasure)
+        k = len(povm.rows)
+        width = 1 << (k - 1).bit_length()
+        labels = np.array(povm.labels, dtype=np.int64)
+        cumulative = np.cumsum(povm.rows, axis=0) / 2.0
+        pad = np.tile([2.0, 0.0, 0.0, 0.0], (width - k + 1, 1))
+        search = np.concatenate([cumulative[:-1], pad])
+        label_of = np.concatenate([labels, np.full(width - k, labels[-1])])
+        tables = (povm._label_array, *povm._search)
+        for got, want in zip(tables, (labels, search, label_of, cumulative[-1]), strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+        rng = np.random.default_rng(66)
+        for _ in range(2):
+            sample_rows(povm, cb.rows, rng)
+            argmax_rows(povm, cb.rows)
+        assert all(a is b for a, b in zip((povm._label_array, *povm._search), tables))
+
+
 class TestRowScores:
     @pytest.mark.parametrize("m, erasure", [(4, False), (16, False), (16, True), (64, True)])
     def test_match_the_complex_trace_product(self, m, erasure):

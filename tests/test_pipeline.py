@@ -4,6 +4,7 @@ import importlib
 import json
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,34 @@ class TestConfigHandling:
     def test_round_trip(self):
         cfg = load_config(default_config_path())
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_numpy_and_fraction_numbers_are_stored_as_python_numbers(self, tmp_path):
+        # A config built in Python may hold numpy scalars or a Fraction.  They
+        # are stored as int and float, so report.json echoes them as it
+        # echoes Python numbers: np.int64 made the report unwritable, and
+        # np.float32 made the finiteness check warn of an overflow.
+        def config(integer, real, half, out):
+            return SimulationConfig(
+                modulation="qam", qam_order=integer(16), n_symbols=integer(60),
+                seed=integer(5), emit_states=False, emit_figures=False, output_dir=out,
+                channels=(
+                    ("depolarizing", DepolarizingConfig(p=real(0.25))),
+                    ("bosonic", BosonicConfig(loss_db=real(3.0), n_th=half, fock_dim=integer(2))),
+                    ("pmd", PMDConfig(dgd=real(0.5), sigma_omega=half, n_sections=integer(3))),
+                ),
+            )
+
+        plain = config(int, float, 0.5, tmp_path / "plain")
+        numbers = config(np.int64, np.float32, Fraction(1, 2), tmp_path / "numbers")
+        assert dataclasses.replace(numbers, output_dir=plain.output_dir) == plain
+        assert type(numbers.seed) is int and type(numbers.channels[2][1].n_sections) is int
+        assert type(numbers.channels[0][1].p) is float and type(numbers.channels[1][1].n_th) is float
+        echoes = []
+        for cfg in (plain, numbers):
+            run_comparison(cfg)
+            echoes.append(json.loads((cfg.output_dir / "report.json").read_text())["config"])
+            del echoes[-1]["output"]["dir"]
+        assert echoes[0] == echoes[1]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -1179,6 +1208,13 @@ class TestCli:
                        "--channel", "ghost"])
         assert rc == 1
         assert "ghost" in capsys.readouterr().err
+
+    def test_empty_channel_name_reports_error(self, tmp_path, capsys):
+        # An empty name selects no channel, not every channel.
+        rc = cli_main(["run", "--config", str(self._write_config(tmp_path)), "--channel", ""])
+        assert rc == 1
+        assert "no channel named ''" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_parameter_reports_error(self, tmp_path, capsys):
         path = self._write_config(tmp_path)

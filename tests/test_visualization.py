@@ -15,16 +15,23 @@ from qlinksim import (
     qam_codebook,
     qam_constellation,
     qpsk_codebook,
-    render_bloch_svg,
-    render_constellation_svg,
     state_rows,
     write_states_csv,
 )
+from qlinksim import visualization as vis
 from qlinksim.visualization import StateProjection, read_states_csv, write_figures
 
 
 def stack(states):
     return np.stack([getattr(rho, "mat", rho) for rho in states])
+
+
+def figure(out_dir, kind, tx, tx_labels, rx, rx_labels):
+    """The path of the ``kind`` SVG of the pair ``write_figures`` writes for
+    channel "c" into ``out_dir``, made if missing."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_figures(out_dir, "c", tx, tx_labels, rx, rx_labels)
+    return out_dir / f"{kind}_c.svg"
 
 
 class TestConstellationPoint:
@@ -340,21 +347,18 @@ def _tx_rx_points():
 
 class TestRenderConstellation:
     def test_valid_xml(self, tmp_path):
-        path = tmp_path / "c.svg"
-        render_constellation_svg(*_tx_rx_points(), path, title="test")
+        path = figure(tmp_path, "constellation", *_tx_rx_points())
         root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
 
     def test_byte_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        render_constellation_svg(*_tx_rx_points(), a)
-        render_constellation_svg(*_tx_rx_points(), b)
+        a = figure(tmp_path / "a", "constellation", *_tx_rx_points())
+        b = figure(tmp_path / "b", "constellation", *_tx_rx_points())
         assert a.read_bytes() == b.read_bytes()
 
     def test_sixteen_distinct_colors(self, tmp_path):
         pts = table(iq=[(0.1 * k, 0.0) for k in range(16)])
-        path = tmp_path / "c.svg"
-        render_constellation_svg(pts, range(16), pts, range(16), path)
+        path = figure(tmp_path, "constellation", pts, range(16), pts, range(16))
         text = path.read_text()
         colors = {
             seg.split('"')[0]
@@ -364,20 +368,21 @@ class TestRenderConstellation:
         assert len(colors) >= 16
 
     def test_clipped_marker_is_cross(self, tmp_path):
-        path = tmp_path / "c.svg"
-        render_constellation_svg(*_tx_rx_points(), path)
+        path = figure(tmp_path, "constellation", *_tx_rx_points())
         text = path.read_text()
         # exactly one clipped point -> two stroked cross segments beyond the axes
         assert text.count("<line") == 2 * 2 + 2
 
     def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="nonempty"):
-            render_constellation_svg(table(iq=[]), [], table(iq=[]), [], tmp_path / "c.svg")
+        with pytest.raises(ValueError, match="figure pair needs nonempty"):
+            write_figures(tmp_path, "c", table(iq=[]), [], table(iq=[]), [])
+        assert not any(tmp_path.iterdir())
 
     def test_one_label_per_row(self, tmp_path):
         tx, tx_labels, rx, rx_labels = _tx_rx_points()
-        with pytest.raises(ValueError, match="one label per"):
-            render_constellation_svg(tx, tx_labels, rx, rx_labels[:2], tmp_path / "c.svg")
+        with pytest.raises(ValueError, match="figure pair needs one label per"):
+            write_figures(tmp_path, "c", tx, tx_labels, rx, rx_labels[:2])
+        assert not any(tmp_path.iterdir())
 
 
 class TestLegend:
@@ -387,14 +392,15 @@ class TestLegend:
     # character wide and 11 px (its font size) tall.
     @pytest.mark.parametrize("codebook", [qpsk_codebook(), qam_codebook(16), qam_codebook(64)],
                              ids=["qpsk", "qam16", "qam64"])
-    @pytest.mark.parametrize("render", [render_constellation_svg, render_bloch_svg])
-    def test_keys_inside_the_view_box(self, tmp_path, codebook, render):
+    @pytest.mark.parametrize(
+        "kind", ["constellation", "bloch"], ids=["render_constellation_svg", "render_bloch_svg"]
+    )
+    def test_keys_inside_the_view_box(self, tmp_path, codebook, kind):
         points = project_rows(codebook.rows, codebook.power_scale)
         sent = np.arange(codebook.M)
         received = sent.copy()
         received[::3] = -1
-        path = tmp_path / "figure.svg"
-        render(points, sent, points, received, path, title="legend")
+        path = figure(tmp_path, kind, points, sent, points, received)
         root = ET.parse(path).getroot()
         _, _, width, height = map(float, root.get("viewBox").split())
         assert (float(root.get("width")), float(root.get("height"))) == (width, height)
@@ -418,16 +424,14 @@ class TestLegend:
 class TestRenderBloch:
     def test_valid_xml_and_deterministic(self, tmp_path):
         pts = table(bloch=[(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        render_bloch_svg(pts, [0, 1], pts, [0, 1], a, title="spin")
-        render_bloch_svg(pts, [0, 1], pts, [0, 1], b, title="spin")
+        a = figure(tmp_path / "a", "bloch", pts, [0, 1], pts, [0, 1])
+        b = figure(tmp_path / "b", "bloch", pts, [0, 1], pts, [0, 1])
         assert ET.parse(a).getroot().tag.endswith("svg")
         assert a.read_bytes() == b.read_bytes()
 
     def test_north_pole_renders_at_top(self, tmp_path):
-        path = tmp_path / "b.svg"
         north = table(bloch=[(0, 0, 1)])
-        render_bloch_svg(north, [0], north, [0], path)
+        path = figure(tmp_path, "bloch", north, [0], north, [0])
         root = ET.parse(path).getroot()
         ns = {"svg": "http://www.w3.org/2000/svg"}
         circles = [
@@ -445,8 +449,7 @@ class TestRenderBloch:
         pts = [(random_density(rng, 2), int(rng.integers(0, 4))) for _ in range(50)]
         rows = project_rows(state_rows(stack(rho for rho, _ in pts)))
         labels = [label for _, label in pts]
-        path = tmp_path / "b.svg"
-        render_bloch_svg(rows, labels, rows, labels, path)
+        path = figure(tmp_path, "bloch", rows, labels, rows, labels)
         root = ET.parse(path).getroot()
         ns = {"svg": "http://www.w3.org/2000/svg"}
         outlines = [c for c in root.findall(".//svg:circle", ns) if c.get("fill") == "none"]
@@ -459,8 +462,35 @@ class TestRenderBloch:
             assert dist <= radius + 1e-6
 
     def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="nonempty"):
-            render_bloch_svg(table(bloch=[]), [], table(bloch=[]), [], tmp_path / "b.svg")
+        with pytest.raises(ValueError, match="figure pair needs nonempty"):
+            write_figures(tmp_path, "c", table(bloch=[]), [], table(bloch=[]), [])
+        assert not any(tmp_path.iterdir())
+
+
+class TestWriteFigures:
+    def test_one_check_and_one_numbering_per_pair(self, tmp_path, monkeypatch):
+        # Both figures share one check of the tables and one dense numbering
+        # of the tx and rx labels (the only np.unique call over all 2n).
+        tx, tx_labels, rx, rx_labels = _tx_rx_points()
+        checks, numberings = [], []
+        check, unique = vis._check_tables, np.unique
+
+        def spy_check(*args):
+            checks.append(args[0])
+            return check(*args)
+
+        def spy_unique(values, *args, **kwargs):
+            if len(values) == len(tx) + len(rx):
+                numberings.append(values)
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(vis, "_check_tables", spy_check)
+        monkeypatch.setattr(np, "unique", spy_unique)
+        assert write_figures(tmp_path, "c", tx, tx_labels, rx, rx_labels) == (
+            "constellation_c.svg", "bloch_c.svg"
+        )
+        assert checks == ["figure pair"] and len(numberings) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bloch_c.svg", "constellation_c.svg"]
 
 
 class TestLabelCheck:
@@ -485,9 +515,8 @@ class TestLabelCheck:
             if writer == "states_csv":
                 write_states_csv(path, rows, [0, 1], rows, labels)
             else:
-                render = {"constellation": render_constellation_svg, "bloch": render_bloch_svg}
-                render[writer](rows, [0, 1], rows, labels, path)
-        assert not path.exists()
+                figure(path, writer, rows, [0, 1], rows, labels)
+        assert not path.exists() or not any(path.iterdir())
 
     @pytest.mark.parametrize(
         "writer, n_rx, message",
@@ -508,9 +537,9 @@ class TestLabelCheck:
             if writer == "states_csv":
                 write_states_csv(path, rows, [0, 1], rx, rx_labels)
             else:
-                render = {"constellation": render_constellation_svg, "bloch": render_bloch_svg}
-                render[writer](rows, [0, 1], rx, rx_labels, path)
-        assert not path.exists()
+                # A refused pair writes neither figure.
+                figure(path, writer, rows, [0, 1], rx, rx_labels)
+        assert not path.exists() or not any(path.iterdir())
 
     @pytest.mark.parametrize("writer", ["states_csv", "constellation", "bloch"])
     def test_mixed_integer_dtypes_write_the_same_bytes(self, tmp_path, writer):
@@ -524,8 +553,7 @@ class TestLabelCheck:
             if writer == "states_csv":
                 write_states_csv(path, rows, tx, rows, rx_labels)
             else:
-                render = {"constellation": render_constellation_svg, "bloch": render_bloch_svg}
-                render[writer](rows, tx, rows, rx_labels, path)
+                path = figure(path, writer, rows, tx, rows, rx_labels)
             written.append(path.read_bytes())
         assert written[1] == written[0] and written[2] == written[0]
 
