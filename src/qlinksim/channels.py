@@ -10,7 +10,9 @@ config's kind, enforces the qubit and randomness contracts at the call
 boundary, and checks the output rows once (:meth:`Channel.apply_rows`, the
 one batch operation; a complex stack crosses in through ``state_rows`` and
 out through ``from_rows``).  A run maps all its deterministic channels'
-rows at once, by ``map_rows`` on the stack of their transfer matrices.
+rows at once, by ``map_rows`` on the stack of their transfer matrices, and
+its stochastic channels' rows each into its slice of one stack
+(:meth:`Channel.draw_rows`), which it checks once.
 """
 
 from __future__ import annotations
@@ -24,12 +26,17 @@ import numpy as np
 
 from .states import DensityMatrix, check_rows, from_rows, map_rows, state_rows
 
+# Standard normals the PMD kernel draws at once: it draws its axes in blocks
+# of at most this many, so the axes it holds grow neither with the rows nor
+# with the sections.
+_PMD_NORMALS = 1 << 16
+
 
 # What a config field of each annotated type accepts, as its errors say it.
 _FIELD_TYPES = {
     "int": (numbers.Integral, "an integer"),
     "float": (numbers.Real, "a number"),
-    "bool": (bool, "true or false"),
+    "bool": ((bool, np.bool_), "true or false"),
     "str": (str, "a string"),
 }
 
@@ -39,11 +46,12 @@ def check_fields(cfg) -> None:
     dataclass by its annotation, rejecting what no range check catches:
     another type, booleans in number fields, floats in integer fields (even
     2.0), and NaN, infinities or integers beyond the float range in float
-    fields.  A number field is stored as a Python number, so a report can
-    echo it: an integer field as ``int``, and a float field that holds
-    neither an ``int`` nor a ``float`` (a numpy scalar, a ``Fraction``) as
-    ``float``, converted before the finiteness check; a JSON-loaded ``0``
-    stays ``0``.  A channel config's errors name its kind."""
+    fields.  A number or bool field is stored as a Python value, so a
+    report can echo it: an integer field as ``int``, a bool field holding a
+    numpy bool as ``bool``, and a float field that holds neither an ``int``
+    nor a ``float`` (a numpy scalar, a ``Fraction``) as ``float``, converted
+    before the finiteness check; a JSON-loaded ``0`` stays ``0``.  A
+    channel config's errors name its kind."""
     prefix = f"{cfg.kind} parameter " if hasattr(cfg, "kind") else ""
     for f in fields(cfg):
         if f.type not in _FIELD_TYPES:
@@ -54,6 +62,8 @@ def check_fields(cfg) -> None:
             raise TypeError(f"{prefix}{f.name} must be {wanted}, got {value!r}")
         if f.type == "int":
             object.__setattr__(cfg, f.name, int(value))
+        elif f.type == "bool":
+            object.__setattr__(cfg, f.name, bool(value))
         elif f.type == "float":
             try:
                 number = value if type(value) in (int, float) else float(value)
@@ -232,24 +242,28 @@ def _transfer_matrix(cfg) -> np.ndarray:
     return np.diag(diagonals[cfg.kind])
 
 
-def _pure_loss(eta, rows: np.ndarray) -> np.ndarray:
-    """Amplitude damping with transmissivity eta (one value, or one per row).
+def _pure_loss(eta, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Amplitude damping with transmissivity eta (one value, or one per row),
+    written into ``out`` if given, which may be ``rows`` itself.
 
     Closed form of K0 = diag(1, sqrt(eta)), K1 = sqrt(1-eta)|0><1|: x and y
     scale by sqrt(eta), and weight 1-eta of |1><1| moves to |0><0|, so
     z -> (1 - eta) t + eta z, the bosonic matrix's arithmetic at n_th = 0.
     """
     eta = np.asarray(eta, dtype=float)
-    out = rows * np.sqrt(eta)[..., None]
-    out[:, 0] = rows[:, 0]
+    if out is None:
+        out = np.empty(rows.shape)
+    np.multiply(rows[:, 1:3], np.sqrt(eta)[..., None], out=out[:, 1:3])
     out[:, 3] = (1.0 - eta) * rows[:, 0] + eta * rows[:, 3]
+    out[:, 0] = rows[:, 0]
     return out
 
 
 # --- turbulence surrogate ---
 #
-# A stochastic kernel (config, rows, rng) -> rows returns its output
-# unchecked; Channel checks it.
+# A stochastic kernel (config, rows, rng, out) -> out writes its output rows
+# into ``out`` (a new array when None, or ``rows`` itself) unchecked;
+# Channel.apply_rows, or a run's check of its whole stack, checks them.
 
 
 def _scintillation(rytov_var: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -264,7 +278,7 @@ def _scintillation(rytov_var: float, rng: np.random.Generator, n: int) -> np.nda
     return x * y
 
 
-def _turbulence(cfg: TurbulenceConfig, rows: np.ndarray, rng) -> np.ndarray:
+def _turbulence(cfg: TurbulenceConfig, rows: np.ndarray, rng, out=None) -> np.ndarray:
     """One atmospheric fade per state: sample its transmissivity, apply pure loss."""
     # Mean power kept under Gaussian pointing jitter: exp(-2 (sigma_p/w0)^2),
     # 0 once the square overflows.
@@ -274,13 +288,13 @@ def _turbulence(cfg: TurbulenceConfig, rows: np.ndarray, rng) -> np.ndarray:
             * _scintillation(cfg.rytov_var, rng, len(rows))
             * 10.0 ** (-cfg.path_loss_db / 10.0)
         )
-    return _pure_loss(np.clip(eta, 0.0, 1.0), rows)
+    return _pure_loss(np.clip(eta, 0.0, 1.0), rows, out)
 
 
 # --- polarization-mode dispersion surrogate ---
 
 
-def _pmd(cfg: PMDConfig, rows: np.ndarray, rng) -> np.ndarray:
+def _pmd(cfg: PMDConfig, rows: np.ndarray, rng, out=None) -> np.ndarray:
     """Concatenated-section PMD: per section, dephase by the section's
     coherence factor about a uniformly random polarization axis n.
 
@@ -292,22 +306,38 @@ def _pmd(cfg: PMDConfig, rows: np.ndarray, rng) -> np.ndarray:
     is nu = exp(-(sigma_omega * tau_sec)^2 / 2).
 
     The Bloch columns are held as one (3, n) stack, so each section is a
-    few contiguous row operations.  Each section still draws its axes as one
-    (n, 3) standard-normal block, in section order, and normalizes them with
-    the same sums as ``np.linalg.norm``, so the random stream and every
-    output bit match an (n, 3) state-per-row recurrence.  Sections are drawn
-    one at a time, so at most one section's axes are held.
+    few contiguous row operations.  The axes are the standard normals of
+    one (n, 3) block per section, in section order, normalized with the
+    same sums as ``np.linalg.norm``, so the random stream and every output
+    bit match an (n, 3) state-per-row recurrence.  They are drawn in that
+    order in blocks of at most ``_PMD_NORMALS`` normals: several whole
+    sections when n is small, a run of rows of one section when it is
+    large, so at most one block of axes is held.
     """
     tau_sec = cfg.dgd / np.sqrt(cfg.n_sections)
     # nu is 0 once the square overflows.
     with np.errstate(over="ignore"):
         nu = float(np.exp(-((cfg.sigma_omega * tau_sec) ** 2) / 2.0))
     r = np.ascontiguousarray(rows[:, 1:].T)
-    for _ in range(cfg.n_sections):
-        axis = np.ascontiguousarray(rng.standard_normal((len(rows), 3)).T)
-        axis /= np.sqrt((axis * axis).sum(axis=0))
-        r = nu * r + (1.0 - nu) * (axis * r).sum(axis=0) * axis
-    out = np.empty_like(rows)
+    n, block_rows = len(rows), _PMD_NORMALS // 3
+    sections = max(1, block_rows // max(n, 1))  # whole sections in one block
+    for first in range(0, cfg.n_sections, sections):
+        count = min(sections, cfg.n_sections - first)
+        # More than one section in a block only when all n rows fit in it.
+        for start in range(0, n, block_rows):
+            part = r[:, start : start + block_rows]
+            axes = rng.standard_normal((count, part.shape[1], 3)).transpose(0, 2, 1).copy()
+            axes /= np.sqrt((axes * axes).sum(axis=1, keepdims=True))
+            pulled = np.empty_like(axes[0])
+            for axis in axes:
+                # part -> nu part + ((1 - nu) (axis . part)) axis, in place.
+                dots = np.multiply(axis, part, out=pulled).sum(axis=0)
+                dots *= 1.0 - nu
+                np.multiply(dots, axis, out=pulled)
+                part *= nu
+                part += pulled
+    if out is None:
+        out = np.empty(rows.shape)
     out[:, 0] = rows[:, 0]
     out[:, 1:] = r.T
     return out
@@ -346,9 +376,17 @@ class Channel:
         check the output rows once."""
         if not self.is_stochastic:
             return check_rows(map_rows(self.transfer, rows))
+        return check_rows(self.draw_rows(rows, rng, np.empty(np.shape(rows))))
+
+    def draw_rows(self, rows: np.ndarray, rng: np.random.Generator | None, out: np.ndarray):
+        """A stochastic channel's map of (n, 4) checked rows, drawing every
+        row's randomness from ``rng``, written into the (n, 4) float array
+        ``out`` (which may be ``rows`` itself) and returned unchecked:
+        :meth:`apply_rows` checks them, and a run checks its stochastic
+        channels' rows as one stack."""
         if rng is None:
             raise ValueError(f"{self.config.kind} channel is stochastic and requires an rng")
-        return check_rows(_STOCHASTIC_KERNELS[self.config.kind](self.config, rows, rng))
+        return _STOCHASTIC_KERNELS[self.config.kind](self.config, rows, rng, out)
 
     def apply(self, rho: DensityMatrix, rng: np.random.Generator | None = None) -> DensityMatrix:
         """Map one state: :meth:`apply_rows` on its row."""

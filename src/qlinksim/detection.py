@@ -14,7 +14,8 @@ positive semidefinite by the states' closed-form criterion
 (:func:`~qlinksim.states.smallest_eigenvalue`).  A state row (t, x, y, z)
 fires E with probability e . row / 2, and on a d = 3 POVM the last
 element also with the flag's weight 1 - t.  The batch API is the three row
-kernels :func:`score_rows`, :func:`argmax_rows` and :func:`sample_rows`,
+kernels :func:`score_rows`, :func:`argmax_rows` and :func:`sample_rows`
+(the Born search :func:`born_search` on uniforms drawn from its ``rng``),
 which take a POVM and checked rows (:func:`~qlinksim.states.state_rows`)
 unchecked, read its rows, labels and ``dim`` and tables the POVM derives
 from them once, nothing else, and form no BLAS product.  The erasure
@@ -51,6 +52,8 @@ EIG_CUT = 1e-10
 # Scores formed at once by argmax_rows: each block holds this many (rows, K)
 # scores, 4096 rows at K = 64, however large K is.
 _BLOCK_SCORES = 1 << 18
+# Rows the Born search holds at once: each step gathers one (rows, 4) block.
+_SEARCH_ROWS = 1 << 14
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -122,7 +125,7 @@ class POVM:
 
     @cached_property
     def _search(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`sample_rows`' read-only tables: the search rows and the
+        """:func:`born_search`' read-only tables: the search rows and the
         label of each, a power of two of them, and the cumulative row of all
         K outcomes."""
         k, labels = len(self.rows), self._label_array
@@ -225,38 +228,49 @@ def argmax_rows(povm: POVM, rows: np.ndarray) -> np.ndarray:
 def sample_rows(povm: POVM, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Born-rule decisions, int64 labels, on (n, 4) checked rows (from
     ``state_rows``, ``codebook.rows``, ``Channel.apply_rows`` or
-    ``check_rows``), one draw per row.
+    ``check_rows``), one draw per row: :func:`born_search` of the n
+    uniforms ``rng.random(n)``."""
+    return born_search(povm, rows, rng.random(len(rows)))
+
+
+def born_search(povm: POVM, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Born-rule decisions, int64 labels, on (n, 4) checked rows, row i
+    drawn by the uniform ``uniforms[i]`` in [0, 1).
 
     Outcome k's CDF value is a row's dot with the cumulative row
-    (e_0 + ... + e_k) / 2.  Each draw takes one uniform u from ``rng``, in
-    order, and binary-searches its own row for the first outcome whose CDF
-    value exceeds u times the row's total (which alone holds the flag's
-    weight), in ceil(log2 K) steps of one 4-float gather and row-wise dot
-    each.  The table, built once per POVM, holds the CDF rows of the first
-    K - 1 outcomes, then rows of value 2t up to a power of two, labeled as
-    the last outcome.  Row dots do not depend on the batch, and a total off
-    1 by more than 1e-6 is rejected.  A row repeated for several draws (a
-    deterministic channel's state, once per symbol that sent it) is searched
-    once per draw.
+    (e_0 + ... + e_k) / 2.  Each draw binary-searches its own row for the
+    first outcome whose CDF value exceeds u times the row's total (which
+    alone holds the flag's weight), in ceil(log2 K) steps of one 4-float
+    gather and row-wise dot each.  The table, built once per POVM, holds the
+    CDF rows of the first K - 1 outcomes, then rows of value 2t up to a
+    power of two, labeled as the last outcome.  The rows are searched in
+    blocks of ``_SEARCH_ROWS``; row dots do not depend on the batch, so
+    neither do the labels.  A total off 1 by more than 1e-6 is rejected.  A
+    row repeated for several draws (a deterministic channel's state, once
+    per symbol that sent it) is searched once per draw.
     """
     search, label_of, total_row = povm._search
-    totals = _row_dots(np.broadcast_to(total_row, rows.shape), rows)
-    if povm.dim == 3:
-        totals += 1.0 - rows[:, 0]
-    off = np.abs(totals - 1.0)
-    if off.max(initial=0.0) > 1e-6:
-        raise ValueError(f"outcome probabilities sum to {float(totals[off.argmax()])!r}, not 1")
-    # Each draw's target u * total, in its total's buffer.
-    targets = totals
-    targets *= rng.random(len(targets))
-    # A step moves a draw forward by the step length while the last position
-    # it would pass is still at or below its target.
-    at = np.zeros(len(rows), dtype=np.intp)
-    step = len(search) >> 1
-    while step:
-        at += (_row_dots(search.take(at + (step - 1), axis=0), rows) <= targets) * step
-        step >>= 1
-    return label_of.take(at)
+    labels = np.empty(len(rows), dtype=np.int64)
+    for i in range(0, len(rows), _SEARCH_ROWS):
+        block = rows[i : i + _SEARCH_ROWS]
+        totals = _row_dots(np.broadcast_to(total_row, block.shape), block)
+        if povm.dim == 3:
+            totals += 1.0 - block[:, 0]
+        off = np.abs(totals - 1.0)
+        if off.max(initial=0.0) > 1e-6:
+            raise ValueError(f"outcome probabilities sum to {float(totals[off.argmax()])!r}, not 1")
+        # Each draw's target u * total, in its total's buffer.
+        targets = totals
+        targets *= uniforms[i : i + _SEARCH_ROWS]
+        # A step moves a draw forward by the step length while the last
+        # position it would pass is still at or below its target.
+        at = np.zeros(len(block), dtype=np.intp)
+        step = len(search) >> 1
+        while step:
+            at += (_row_dots(search.take(at + (step - 1), axis=0), block) <= targets) * step
+            step >>= 1
+        labels[i : i + _SEARCH_ROWS] = label_of.take(at)
+    return labels
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

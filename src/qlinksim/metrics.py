@@ -7,7 +7,9 @@ rows differ, so its work and memory grow with the pairs, not with the
 alphabet.  A pair may carry a weight, the number of times it occurred, so a
 deterministic channel's M decisions count once per time each state was
 sent.  Counts add, so the counts of a run are the sums of the counts of its
-parts.
+parts.  :func:`stacked_error_counts` counts several channels' labels for the
+same sent symbols in one pass, with the same checks, and
+:func:`error_counts` is its stack of one.
 
 An erased reception (-1) is an error in its symbol and in every bit; -1
 is a receive-only label, never a transmitted symbol.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 # Set bits of each byte value.
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def error_counts(
@@ -35,13 +37,22 @@ def error_counts(
     Symbols, labels and weights must be integer arrays (an empty sequence may
     have any dtype); other values are rejected, not truncated.
     """
+    return stacked_error_counts(sent, np.asarray(received)[np.newaxis], bit_labels, weights)[0]
+
+
+def stacked_error_counts(
+    sent, received, bit_labels, weights=None
+) -> list[tuple[tuple[float, int], tuple[float, int], int]]:
+    """:func:`error_counts` of each row of the (c, n) integer array
+    ``received`` against the same n ``sent`` symbols and ``weights``, in
+    one pass, checked once: one result per row, in row order."""
     tx, rx = np.asarray(sent), np.asarray(received)
     if any(a.size and a.dtype.kind not in "iu" for a in (tx, rx)):
         raise ValueError(f"symbols and labels must be integers, got {tx.dtype} and {rx.dtype}")
-    if tx.ndim != 1 or rx.ndim != 1 or tx.size != rx.size:
+    if tx.ndim != 1 or rx.ndim != 2 or rx.shape[1] != tx.size:
         raise ValueError(
             f"symbol and label sequences must be one-dimensional and of equal "
-            f"length, got shapes {tx.shape} and {rx.shape}"
+            f"length, got shapes {tx.shape} and {rx.shape[1:]}"
         )
     labels = np.asarray(bit_labels)
     # An integer x is 0 or 1 exactly when x >> 1 is 0.
@@ -67,9 +78,13 @@ def error_counts(
     # Each label row as ceil(bits / 8) bytes; an erasure's row (index -1 reads
     # the last symbol's) is overwritten with every bit.
     packed = np.packbits(labels, axis=1)
-    flips = _POPCOUNT.take(packed.take(tx, axis=0) ^ packed.take(rx, axis=0)).sum(axis=1)
+    xor = packed.take(tx, axis=0) ^ packed.take(rx, axis=0)
+    flips = _POPCOUNT.take(xor).sum(axis=-1, dtype=np.intp)
     flips[erased] = bits
-    symbol_errors = int(np.dot(tx != rx, w))
-    bit_errors = int(np.dot(flips, w))
-    erasures = int(np.dot(erased, w))
-    return (symbol_errors / n, symbol_errors), (bit_errors / (n * bits), bit_errors), erasures
+    symbol_errors = np.dot(tx != rx, w).tolist()
+    bit_errors = np.dot(flips, w).tolist()
+    erasures = np.dot(erased, w).tolist()
+    return [
+        ((s / n, s), (b / (n * bits), b), e)
+        for s, b, e in zip(symbol_errors, bit_errors, erasures)
+    ]

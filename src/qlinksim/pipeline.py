@@ -10,16 +10,21 @@ first runs.  A whole run holds states only as real (n, 4) rows
 (:mod:`qlinksim.states`), builds no complex stack and calls no
 ``np.linalg`` routine.  The deterministic channels map the M codebook rows
 as one stack, one ``map_rows`` call on their transfer matrices, checked
-once, and under argmax decided by one ``argmax_rows`` call; each
-stochastic channel is one pass over the N transmitted rows, checked once.
-Every channel is decided by the transmitter's one measurement, the PGM
-with the erasure outcome (``embed_povm_with_erasure``), whose flag scores
-0 on a channel that moves no weight to it, and scored by ``error_counts``
-from its (sent, received) pairs, which forms no (M, M + 1) table.  Its
-decisions take the channel's rows unchecked: argmax decisions, made once
-per codebook state on a deterministic channel and weighted by how often
-each state was sent, and Born-sampled ones, a CDF search in each symbol's
-own row; neither forms an (N, K) array.
+once, and under argmax decided by one ``argmax_rows`` call and counted in
+one pass.  The stochastic channels map the N transmitted rows as one
+stack too: each channel's kernel writes its slice, and the stack is
+checked once, decided by one ``argmax_rows`` call or one Born search and
+counted in one pass.  Every channel is decided by the transmitter's one
+measurement, the PGM with the erasure outcome
+(``embed_povm_with_erasure``), whose flag scores 0 on a channel that moves
+no weight to it, and scored from its (sent, received) pairs by
+``stacked_error_counts`` (``error_counts`` is its stack of one), which
+forms no (M, M + 1) table.  Its decisions
+take the channel's rows unchecked: argmax decisions, made once per
+codebook state on a deterministic channel and weighted by how often each
+state was sent, and Born-sampled ones, a CDF search in each symbol's own
+row, which a deterministic channel makes on its own after the stacks;
+neither forms an (N, K) array.
 Randomness comes from one stream per purpose, keyed by (seed, purpose) for
 the transmitted symbols and by (seed, purpose, channel name) for a
 channel's own draws and for sampled decisions, so results do not depend on
@@ -31,10 +36,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import re
 import time
 from dataclasses import dataclass, fields
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, get_args
 
@@ -43,8 +50,15 @@ import numpy as np
 from .channels import Channel, ChannelConfig, check_fields
 from .channels import config_from_dict as channel_config_from_dict
 from .channels import config_to_dict as channel_config_to_dict
-from .detection import POVM, argmax_rows, build_pgm, embed_povm_with_erasure, sample_rows
-from .metrics import error_counts
+from .detection import (
+    POVM,
+    argmax_rows,
+    born_search,
+    build_pgm,
+    embed_povm_with_erasure,
+    sample_rows,
+)
+from .metrics import error_counts, stacked_error_counts
 from .modulation import DetectorCodebook, qam_codebook, qam_side, qpsk_codebook
 from .states import InvalidStateError, check_rows, map_rows
 from .visualization import StateProjection, project_rows, write_figures, write_states_csv
@@ -59,6 +73,8 @@ _CHANNEL_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 _ENTRY_RULE = "every channel entry must be an object, or a (name, config) pair in Python"
 # Detectors a process keeps: QPSK and three QAM orders.
 _DETECTORS = 4
+# Tag words a process keeps: the purposes and the channel names of its runs.
+_TAGS = 256
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -161,11 +177,14 @@ def derive_rng(seed: int, *tags) -> np.random.Generator:
     """
     if not 0 <= seed <= _U64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    words = [seed]
-    for tag in tags:
-        digest = hashlib.sha256(str(tag).encode("utf-8")).digest()
-        words.append(int.from_bytes(digest[:8], "big"))
+    words = [seed, *(_tag_word(str(tag)) for tag in tags)]
     return np.random.default_rng(np.random.SeedSequence(words))
+
+
+@functools.lru_cache(maxsize=_TAGS)
+def _tag_word(tag: str) -> int:
+    """A tag's stream word: the first 8 bytes of its UTF-8 SHA-256, big-endian."""
+    return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "big")
 
 
 def draw_symbols(cfg: SimulationConfig, alphabet_size: int) -> np.ndarray:
@@ -224,44 +243,97 @@ def run_channels(cfg: SimulationConfig, names: Sequence[str]) -> Iterator[Channe
     """Simulate the named channels in order on one shared transmitter, writing
     each one's artifacts and yielding its result before the next one runs.
 
-    Every channel is built before the first one runs, and the deterministic
-    ones are mapped and checked, and under argmax decided, before it
-    (:func:`_map_deterministic`), so one that cannot be fails before any
-    artifact is written; a failure names its channel.
+    Every channel is built before the first one runs, and all of them are
+    mapped and checked, and but for sampled decisions on a deterministic
+    channel decided and counted, before it (:func:`_map_deterministic`,
+    :func:`_map_stochastic`), so one that cannot be fails before any
+    artifact is written; a failure names its channel.  The output directory
+    is made after that, and only when artifacts are on.
     """
     configs = [(name, cfg.channel_config(name)) for name in names]
     tx = _Transmitter.build(cfg)
     channels = [(n, _named(n, Channel, c, tx.codebook.dim)) for n, c in configs]
-    mapped = _map_deterministic(cfg, tx, channels)
+    decided = _map_deterministic(cfg, tx, channels) | _map_stochastic(cfg, tx, channels)
+    if cfg.emit_states or cfg.emit_figures:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
     for name, channel in channels:
-        yield _named(name, _run_channel, cfg, tx, name, channel, mapped.get(name))
+        yield _named(name, _run_channel, cfg, tx, name, channel, decided[name])
+
+
+# A channel's mapped rows, its decisions (a label per row) and their error
+# counts; the two are None for sampled decisions on a deterministic channel.
+_Decided = tuple[np.ndarray, np.ndarray | None, tuple | None]
 
 
 def _map_deterministic(
     cfg: SimulationConfig, tx: _Transmitter, channels: list[tuple[str, Channel]]
-) -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
+) -> dict[str, _Decided]:
     """Each deterministic channel's name -> its map of the M codebook rows,
-    and under argmax their decisions (else None): one ``map_rows`` call on
-    the stack of the channels' transfer matrices, one check of the (c M, 4)
-    rows and one ``argmax_rows`` call.  Rows and decisions do not depend on
-    the stack, as both kernels are elementwise.  If the check fails, each
-    channel's rows are checked again in turn, so the error names the first
-    channel whose rows fail."""
+    and under argmax their decisions and error counts (else None): one
+    ``map_rows`` call on the stack of the channels' transfer matrices, one
+    check of the (c M, 4) rows (:func:`_check_stack`), one ``argmax_rows``
+    call, and one count of the (c, M) decisions, each weighted by how often
+    its state was sent.  Rows and decisions do not depend on the stack, as
+    both kernels are elementwise."""
     fixed = [(name, channel) for name, channel in channels if not channel.is_stochastic]
     if not fixed:
         return {}
     stack = map_rows(np.stack([channel.transfer for _, channel in fixed]), tx.codebook.rows)
+    _check_stack(fixed, stack)
+    decisions = counts = [None] * len(fixed)
+    if cfg.decision_mode == "argmax":
+        decisions = argmax_rows(tx.povm, stack.reshape(-1, 4)).reshape(len(fixed), -1)
+        sent = np.arange(tx.codebook.M)
+        counts = stacked_error_counts(sent, decisions, tx.codebook.bit_labels, tx.counts)
+    return {name: part for (name, _), part in zip(fixed, zip(stack, decisions, counts))}
+
+
+def _map_stochastic(
+    cfg: SimulationConfig, tx: _Transmitter, channels: list[tuple[str, Channel]]
+) -> dict[str, _Decided]:
+    """Each stochastic channel's name -> its N received rows, one per
+    symbol, their decisions and error counts.  Each channel's kernel draws
+    from its own ``derive_rng(seed, "channel", name)`` stream into its slice
+    of one (c, N, 4) stack, which is checked once (:func:`_check_stack`),
+    decided by one ``argmax_rows`` call or one Born search, and counted in
+    one pass against the N sent symbols.  A Born search draws each channel's
+    N uniforms from its own ``derive_rng(seed, "decision", name)`` stream,
+    into its slice of one array.  Rows, decisions and counts do not depend
+    on the stack: the kernels read only their own stream and rows, and both
+    decisions are row by row."""
+    drawn = [(name, channel) for name, channel in channels if channel.is_stochastic]
+    if not drawn:
+        return {}
+    # Each channel's slice starts as the sent rows, and its kernel maps them
+    # in place.
+    stack = tx.codebook.rows[np.broadcast_to(tx.symbols, (len(drawn), cfg.n_symbols))]
+    for (name, channel), rows in zip(drawn, stack):
+        _named(name, channel.draw_rows, rows, derive_rng(cfg.seed, "channel", name), rows)
+    _check_stack(drawn, stack)
     rows = stack.reshape(-1, 4)
+    if cfg.decision_mode == "sampled":
+        uniforms = np.empty((len(drawn), cfg.n_symbols))
+        for i, (name, _) in enumerate(drawn):
+            derive_rng(cfg.seed, "decision", name).random(out=uniforms[i])
+        decisions = born_search(tx.povm, rows, uniforms.reshape(-1))
+        del uniforms
+    else:
+        decisions = argmax_rows(tx.povm, rows)
+    decisions = decisions.reshape(len(drawn), -1)
+    counts = stacked_error_counts(tx.symbols, decisions, tx.codebook.bit_labels)
+    return {name: part for (name, _), part in zip(drawn, zip(stack, decisions, counts))}
+
+
+def _check_stack(channels: list[tuple[str, Channel]], stack: np.ndarray) -> None:
+    """Check the (c, n, 4) stack of the channels' rows once.  If the check
+    fails, each channel's rows are checked again in turn, so the error names
+    the first channel whose rows fail."""
     try:
-        check_rows(rows)
+        check_rows(stack.reshape(-1, 4))
     except InvalidStateError:
-        for (name, _), part in zip(fixed, stack):
+        for (name, _), part in zip(channels, stack):
             _named(name, check_rows, part)
         raise
-    decisions = [None] * len(fixed)
-    if cfg.decision_mode == "argmax":
-        decisions = argmax_rows(tx.povm, rows).reshape(len(fixed), -1)
-    return {name: pair for (name, _), pair in zip(fixed, zip(stack, decisions))}
 
 
 def _run_channel(
@@ -269,43 +341,33 @@ def _run_channel(
     tx: _Transmitter,
     channel_name: str,
     channel: Channel,
-    mapped: tuple[np.ndarray, np.ndarray | None] | None,
+    decided: _Decided,
 ) -> ChannelRunResult:
-    """One channel's own work on a shared transmitter: a stochastic
-    channel's pass on the symbols' rows (a deterministic one's codebook rows
-    and argmax decisions come ``mapped`` from :func:`_map_deterministic`),
-    decisions by the transmitter's flagged PGM, their error counts,
-    artifacts."""
-    codebook, tx_symbols, povm = tx.codebook, tx.symbols, tx.povm
+    """One channel's own work on a shared transmitter, once its rows are
+    ``decided`` by :func:`_map_deterministic` or :func:`_map_stochastic`:
+    sampled decisions on a deterministic channel and their error counts,
+    then its artifacts and its result."""
+    codebook, tx_symbols = tx.codebook, tx.symbols
+    rx_rows, decisions, counts = decided
     # rx_rows holds each distinct received state once; rx_index maps
-    # every symbol to its row (all rows, for a stochastic channel).  Argmax
-    # decides each row once, so a deterministic channel's decision for a
-    # state counts once per time the state was sent.
-    if channel.is_stochastic:
-        rng = derive_rng(cfg.seed, "channel", channel_name)
-        rx_rows = channel.apply_rows(codebook.rows[tx_symbols], rng)
-        rx_index, decisions = slice(None), None
-        sent, weights = tx_symbols, None
-    else:
-        rx_rows, decisions = mapped
-        rx_index = tx_symbols
-        sent, weights = np.arange(codebook.M), tx.counts
-    if cfg.decision_mode == "sampled":
+    # every symbol to its row (all rows, for a stochastic channel), and
+    # label_index to its decision.  Argmax decides each row once, so a
+    # deterministic channel's decision for a state counts once per time the
+    # state was sent.
+    rx_index = label_index = slice(None) if channel.is_stochastic else tx_symbols
+    if decisions is None:
+        # Sampled decisions on a deterministic channel: one draw per symbol,
+        # in the row of the state it sent.
         rng = derive_rng(cfg.seed, "decision", channel_name)
-        rx_symbols = sample_rows(povm, rx_rows[rx_index], rng)
-        counts = error_counts(tx_symbols, rx_symbols, codebook.bit_labels)
-    else:
-        if decisions is None:
-            decisions = argmax_rows(povm, rx_rows)
-        counts = error_counts(sent, decisions, codebook.bit_labels, weights)
-        rx_symbols = decisions[rx_index]
+        decisions = sample_rows(tx.povm, rx_rows[rx_index], rng)
+        counts = error_counts(tx_symbols, decisions, codebook.bit_labels)
+        label_index = slice(None)
     (ser, ser_count), (ber, ber_count), erasure_count = counts
 
     states_csv = constellation_svg = bloch_svg = None
     if cfg.emit_states or cfg.emit_figures:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
         rx_table = project_rows(rx_rows, codebook.power_scale, tx.clip_radius).take(rx_index)
-        tables = (tx.table, tx_symbols, rx_table, rx_symbols)
+        tables = (tx.table, tx_symbols, rx_table, decisions[label_index])
     if cfg.emit_states:
         states_csv = f"states_{channel_name}.csv"
         write_states_csv(cfg.output_dir / states_csv, *tables)
@@ -375,10 +437,67 @@ def report_to_dict(report: SimulationReport) -> dict:
 def write_report(report: SimulationReport, path: str | Path) -> None:
     # wall_time_s is the single nondeterministic field; everything else is
     # byte-stable for a fixed config.
-    text = json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+    parts: list[str] = []
+    _json(report_to_dict(report), "\n", parts)
+    parts.append("\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        fh.write("\n")
+        fh.write("".join(parts))
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_INFINITIES = (math.inf, -math.inf)
+
+
+def _json(value, newline: str, out: list[str]) -> None:
+    """Append to ``out`` the text that ``json.dumps(value, indent=2,
+    sort_keys=True)`` gives ``value``, a nest of dicts with string keys,
+    lists, tuples, strings, ints, floats, bools and None, as if it stood on
+    a line that ``newline`` ("\\n" and that line's indent) begins; any
+    other value or key is a TypeError.  ``json.dumps`` formats an indented
+    document with its pure-Python encoder; this one does the same with less
+    work per value."""
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif isinstance(value, float):
+        # json's spelling of the three values that are not JSON numbers.
+        if value != value:
+            out.append("NaN")
+        elif value in _INFINITIES:
+            out.append("Infinity" if value > 0 else "-Infinity")
+        else:
+            out.append(float.__repr__(value))
+    elif value is None or value is True or value is False:
+        out.append(_JSON_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be strings, got {key!r}")
+            out.append(separator)
+            out.append(_json_string(key))
+            out.append(": ")
+            _json(value[key], inner, out)
+            separator = comma
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(separator)
+            _json(item, inner, out)
+            separator = comma
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # --- JSON config round trip ---

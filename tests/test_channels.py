@@ -467,6 +467,30 @@ class TestPMDBlochStack:
         # Same draws, in the same order: both streams stop at the same place.
         assert got_rng.random() == want_rng.random()
 
+    @pytest.mark.parametrize(
+        "normals, n",
+        [
+            (12, 10),  # 4-row blocks: each section spans three, the last partial
+            (16, 10),  # 5-row blocks: two whole ones per section
+            (90, 7),  # 30-row blocks: four whole sections, then the fifth
+            (72, 8),  # 24-row blocks: three whole sections, then two
+            (12, 0),  # no rows: nothing is drawn
+        ],
+    )
+    def test_blocked_draws_match_the_reference(self, monkeypatch, normals, n):
+        # The axes are drawn in blocks of at most ``normals`` standard
+        # normals; the bits and the stream's end do not depend on the blocks.
+        monkeypatch.setattr("qlinksim.channels._PMD_NORMALS", normals)
+        cfg = PMDConfig(dgd=2.0, sigma_omega=1.0, n_sections=5)
+        rng = np.random.default_rng(62 + n)
+        mats = np.array([random_density(rng, 2).mat for _ in range(n)], complex).reshape(n, 2, 2)
+        got_rng, want_rng = np.random.default_rng(63), np.random.default_rng(63)
+        got = from_rows(_pmd(cfg, to_rows(mats), got_rng))
+        want = pmd_rows_reference(cfg, mats, want_rng)
+        assert got.shape == want.shape == (n, 2, 2)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        assert got_rng.random() == want_rng.random()
+
     def test_peak_memory_no_higher_than_reference(self):
         cfg = PMDConfig(dgd=2.0, sigma_omega=1.0, n_sections=8)
         mats = np.repeat(pure(0.6, 0.8j)[None], 200_000, axis=0)

@@ -125,6 +125,27 @@ class TestConfigHandling:
             del echoes[-1]["output"]["dir"]
         assert echoes[0] == echoes[1]
 
+    def test_numpy_bools_are_stored_as_python_bools(self, tmp_path):
+        # Bool fields take numpy bools as number fields take numpy numbers;
+        # integers, numpy or not, stay refused there, and numpy bools in
+        # number fields.
+        cfg = qpsk_config(tmp_path, (("clean", DepolarizingConfig(p=0.0)),), n=10,
+                          emit_states=np.True_, emit_figures=np.False_)
+        assert type(cfg.emit_states) is bool and type(cfg.emit_figures) is bool
+        assert (cfg.emit_states, cfg.emit_figures) == (True, False)
+        run_comparison(cfg)
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["config"]["output"] == {
+            "dir": str(tmp_path / "out"), "emit_states": True, "emit_figures": False,
+        }
+        assert (tmp_path / "out" / "states_clean.csv").exists()
+        for value in (1, np.int64(1)):
+            with pytest.raises(TypeError, match="emit_states must be true or false"):
+                qpsk_config(tmp_path, (("clean", DepolarizingConfig(p=0.0)),), emit_states=value)
+        with pytest.raises(TypeError, match="n_symbols must be an integer"):
+            qpsk_config(tmp_path, (("clean", DepolarizingConfig(p=0.0)),), n=np.True_)
+        with pytest.raises(TypeError, match="p must be a number"):
+            DepolarizingConfig(p=np.True_)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict(
@@ -551,6 +572,17 @@ class TestRunComparison:
         for name in ("t", "d"):
             assert a.channels[name].ser == b.channels[name].ser
             assert a.channels[name].ber == b.channels[name].ber
+        # Sampled decisions too: each channel's slice of the stochastic
+        # stack and its Born draws are its own, wherever it sits.
+        three = (("t", turb), ("x", DephasingConfig(p=0.2)), ("d", pmd))
+        for order, channels_ in (("fs", three), ("rs", three[::-1])):
+            run_comparison(qpsk_config(tmp_path / order, channels_, n=60, decision_mode="sampled"))
+        for name in ("t", "x", "d"):
+            forward, reverse = (
+                (tmp_path / order / "out" / f"states_{name}.csv").read_bytes()
+                for order in ("fs", "rs")
+            )
+            assert forward == reverse, name
 
     def test_tx_stream_shared_across_channels(self, tmp_path):
         cfg = qpsk_config(
@@ -847,9 +879,9 @@ def test_each_channel_checks_its_rows_once(tmp_path, monkeypatch):
     )
     run_comparison(cfg)
     # The codebook checks its 16 rows, the four deterministic channels' maps
-    # of them are checked as one stack, and each stochastic channel checks
-    # its 500 symbols' rows; decisions check nothing again.
-    assert calls == [16, 64, 500, 500]
+    # of them are checked as one stack, and so are the two stochastic
+    # channels' rows of the 500 symbols; decisions check nothing again.
+    assert calls == [16, 64, 1000]
 
 
 def test_detector_is_built_once_per_modulation_and_read_only():
@@ -891,24 +923,62 @@ def test_cold_and_warm_detectors_write_the_same_bytes(tmp_path, mode):
 @pytest.mark.parametrize("mode", ["argmax", "sampled"])
 @pytest.mark.parametrize("modulation, order", [("qpsk", 16), ("qam", 16), ("qam", 64)])
 def test_stacked_channels_are_each_channels_own(tmp_path, modulation, order, mode):
-    # One map, check and argmax for all deterministic channels give each one
-    # the rows and decisions of its own pass; stochastic channels are not mapped.
+    # One map, check, argmax and count for all deterministic channels, and
+    # one draw per channel into one stack, one check, one decision call and
+    # one count for all stochastic ones, give each channel the rows,
+    # decisions and counts of its own pass.
     cfg = SimulationConfig(
         modulation=modulation, qam_order=order, n_symbols=50, seed=6, decision_mode=mode,
         channels=SIX_CHANNELS, output_dir=tmp_path,
     )
     tx = pipeline._Transmitter.build(cfg)
+    bits = tx.codebook.bit_labels
     built = [(name, channels.Channel(config)) for name, config in cfg.channels]
     mapped = pipeline._map_deterministic(cfg, tx, built)
     assert list(mapped) == ["depolarizing", "dephasing", "erasure", "bosonic"]
     for name, channel in built[:4]:
-        rows, decisions = mapped[name]
+        rows, decisions, counts = mapped[name]
         own = channel.apply_rows(tx.codebook.rows)
         assert rows.tobytes() == own.tobytes(), name
         if mode == "argmax":
-            assert decisions.tolist() == detection.argmax_rows(tx.povm, own).tolist(), name
+            own_decisions = detection.argmax_rows(tx.povm, own)
+            assert decisions.tolist() == own_decisions.tolist(), name
+            sent = np.arange(tx.codebook.M)
+            assert counts == qlinksim.error_counts(sent, own_decisions, bits, tx.counts), name
         else:
-            assert decisions is None
+            assert decisions is None and counts is None
+    drawn = pipeline._map_stochastic(cfg, tx, built)
+    assert list(drawn) == ["turbulence", "pmd"]
+    for name, channel in built[4:]:
+        rows, decisions, counts = drawn[name]
+        own = channel.apply_rows(tx.codebook.rows[tx.symbols], derive_rng(6, "channel", name))
+        assert rows.tobytes() == own.tobytes(), name
+        if mode == "argmax":
+            own_decisions = detection.argmax_rows(tx.povm, own)
+        else:
+            own_decisions = detection.sample_rows(tx.povm, own, derive_rng(6, "decision", name))
+        assert decisions.tolist() == own_decisions.tolist(), name
+        assert counts == qlinksim.error_counts(tx.symbols, own_decisions, bits), name
+
+
+def test_bad_stochastic_rows_are_named_before_any_artifact(tmp_path, monkeypatch):
+    # One PMD row leaves the Bloch ball's weight bound: the stochastic
+    # stack's check fails after the deterministic channels and turbulence
+    # are mapped, and before any of them writes an artifact.
+    real = channels._pmd
+
+    def heavy(cfg, rows, rng, out=None):
+        out = real(cfg, rows, rng, out)
+        out[3, 0] = 1.5
+        return out
+
+    monkeypatch.setitem(channels._STOCHASTIC_KERNELS, "pmd", heavy)
+    cfg = dataclasses.replace(
+        load_config(default_config_path()), n_symbols=100, output_dir=tmp_path / "out"
+    )
+    with pytest.raises(RuntimeError, match=r"^channel 'pmd' failed: qubit block weight"):
+        run_comparison(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_transfer_matrix_is_named_before_any_artifact(tmp_path, monkeypatch):
@@ -946,6 +1016,37 @@ def test_argmax_artifacts_do_not_depend_on_the_chunk(tmp_path, monkeypatch, chun
     run_comparison(dataclasses.replace(cfg, output_dir=tmp_path / "chunked"))
     for name in ("states_turbulence.csv", "states_pmd.csv"):
         assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "chunked" / name).read_bytes()
+
+
+def test_raising_stochastic_kernel_is_named_before_any_artifact(tmp_path, monkeypatch):
+    def failing(cfg, rows, rng, out=None):
+        raise FloatingPointError("fade out of range")
+
+    monkeypatch.setitem(channels._STOCHASTIC_KERNELS, "turbulence", failing)
+    cfg = dataclasses.replace(
+        load_config(default_config_path()), n_symbols=100, output_dir=tmp_path / "out"
+    )
+    with pytest.raises(RuntimeError, match=r"^channel 'turbulence' failed: fade out of range$"):
+        run_comparison(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_sampled_artifacts_do_not_depend_on_the_search_block(tmp_path, monkeypatch, block):
+    n = 150
+    cfg = dataclasses.replace(
+        load_config(default_config_path()), n_symbols=n, emit_figures=False,
+        decision_mode="sampled",
+        channels=tuple(c for c in load_config(default_config_path()).channels
+                       if c[0] in ("turbulence", "pmd")),
+    )
+    run_comparison(dataclasses.replace(cfg, output_dir=tmp_path / "whole"))
+    # The Born search of the two channels' 2 n stacked rows, ``block`` rows
+    # at a time.
+    monkeypatch.setattr(detection, "_SEARCH_ROWS", block or 2 * n)
+    run_comparison(dataclasses.replace(cfg, output_dir=tmp_path / "blocked"))
+    for name in ("states_turbulence.csv", "states_pmd.csv"):
+        assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "blocked" / name).read_bytes()
 
 
 def test_large_alphabet_argmax_run_forms_no_dense_table(tmp_path):
@@ -1056,6 +1157,18 @@ class TestCli:
         rc = cli_main(["run", "--config", str(self._write_config(tmp_path))])
         assert rc == 0
         assert (tmp_path / "out" / "states_era.csv").exists()
+
+    @pytest.mark.parametrize("command", ["compare", "run"])
+    def test_unusable_output_dir_is_not_blamed_on_a_channel(self, tmp_path, capsys, command):
+        # The output directory is made once, outside every channel's run:
+        # a path that is a file fails as itself, not as the first channel.
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        rc = cli_main([command, "--config", str(self._write_config(tmp_path)),
+                       "--symbols", "5", "--output-dir", str(afile)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(afile) in err and "channel" not in err, err
 
     def test_run_shares_one_transmitter(self, tmp_path, capsys, monkeypatch):
         calls = []
